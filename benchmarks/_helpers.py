@@ -12,7 +12,22 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def committed_baseline(entries: list[dict], store: Path,
+                       gate: str) -> dict:
+    """``entries[0]`` of a committed perf store, the baseline a gate
+    compares against; fails the gate when it is missing, because a gate
+    that silently skips (or baselines against the run it is checking)
+    checks nothing."""
+    if not entries:
+        pytest.fail(f"{store.name} holds no committed baseline for "
+                    f"{gate!r}: record a baseline run and commit the "
+                    "store before gating against it")
+    return entries[0]
 
 
 def emit_table(name: str, title: str, rows: list[dict], *,

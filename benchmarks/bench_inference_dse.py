@@ -31,7 +31,7 @@ import os
 import time
 from pathlib import Path
 
-from _helpers import emit_table
+from _helpers import committed_baseline, emit_table
 
 from repro.config.parallelism import ParallelismConfig
 from repro.config.presets import GPT3_175B
@@ -90,10 +90,9 @@ def _record_gate(gate_name, defaults, entry) -> None:
 
 
 def _gate_baseline(gate_name):
-    section = _load_store()["gates"].get(gate_name)
-    if section is None or not section["entries"]:
-        return None
-    return section["entries"][0]
+    section = _load_store()["gates"].get(gate_name, {})
+    return committed_baseline(section.get("entries", []), BENCH_FILE,
+                              gate_name)
 
 
 def test_inference_dse_sweep_writes_store():
@@ -186,9 +185,7 @@ def test_warm_decode_predict_latency_gate():
     baseline = _gate_baseline("warm_decode")
     emit_table("inference_dse_warm",
                "Warm decode predict: structure cache vs phase compile",
-               [entry | {"baseline_ratio":
-                         baseline["warm_over_cold"] if baseline
-                         else entry["warm_over_cold"]}],
+               [entry | {"baseline_ratio": baseline["warm_over_cold"]}],
                notes="warm = KV memory check + two duration refills + "
                      "two compiled replays on the cached prefill/decode "
                      "structures; cold compiles both phase graphs")
@@ -196,13 +193,12 @@ def test_warm_decode_predict_latency_gate():
     assert speedup >= MIN_WARM_SPEEDUP, (
         f"warm predict_inference only {speedup:.2f}x faster than a cold "
         f"compile (need >= {MIN_WARM_SPEEDUP}x)")
-    if baseline is not None:
-        limit = baseline["warm_over_cold"] * REGRESSION_HEADROOM
-        assert ratio <= limit, (
-            f"warm decode-predict latency regressed: warm/cold "
-            f"{ratio:.4f} exceeds committed baseline "
-            f"{baseline['warm_over_cold']} by more than "
-            f"{REGRESSION_HEADROOM}x")
+    limit = baseline["warm_over_cold"] * REGRESSION_HEADROOM
+    assert ratio <= limit, (
+        f"warm decode-predict latency regressed: warm/cold "
+        f"{ratio:.4f} exceeds committed baseline "
+        f"{baseline['warm_over_cold']} by more than "
+        f"{REGRESSION_HEADROOM}x")
 
     # Record only passing runs.
     _record_gate("warm_decode",

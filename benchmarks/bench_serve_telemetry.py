@@ -49,7 +49,7 @@ import time
 import urllib.request
 from pathlib import Path
 
-from _helpers import emit_table
+from _helpers import committed_baseline, emit_table
 
 from repro import obs
 from repro.config.description import InputDescription
@@ -212,8 +212,8 @@ def _load_store():
 
 
 def _baseline():
-    entries = _load_store().get("entries", [])
-    return entries[0] if entries else None
+    return committed_baseline(_load_store().get("entries", []), BENCH_FILE,
+                              "served_over_inprocess")
 
 
 def _record(entry: dict) -> None:
@@ -329,32 +329,28 @@ def test_serve_telemetry_and_overhead_gate():
     emit_table(
         "serve_telemetry",
         "Serving telemetry: scrape + stitched trace + overhead gate",
-        [entry | {"baseline_ratio":
-                  baseline["served_over_inprocess"] if baseline
-                  else entry["served_over_inprocess"]}],
+        [entry | {"baseline_ratio": baseline["served_over_inprocess"]}],
         notes="served = warm predict round trip over loopback TCP; "
               "in-process = the same cached predict called directly on "
               "the service; dispatch_over_predict is the obs-disabled "
               "3% gate (both sides share the dominant code path, so "
               "machine speed and scheduler noise cancel)")
 
-    if baseline is not None:
-        limit = baseline["served_over_inprocess"] * REGRESSION_HEADROOM
-        assert ratio <= limit, (
-            f"served-predict overhead regressed: served/in-process "
-            f"{ratio:.3f} exceeds committed baseline "
-            f"{baseline['served_over_inprocess']} by more than "
-            f"{REGRESSION_HEADROOM}x")
-        if not obs.enabled():
-            obs_limit = (baseline["dispatch_over_predict"]
-                         * OBS_DISABLED_HEADROOM)
-            assert dispatch_over_predict <= obs_limit, (
-                f"disabled telemetry is taxing the request path: "
-                f"dispatch/predict {dispatch_over_predict:.4f} exceeds "
-                f"committed baseline "
-                f"{baseline['dispatch_over_predict']} by more than "
-                f"{OBS_DISABLED_HEADROOM}x — request-scoped telemetry "
-                f"must be free when off")
+    limit = baseline["served_over_inprocess"] * REGRESSION_HEADROOM
+    assert ratio <= limit, (
+        f"served-predict overhead regressed: served/in-process "
+        f"{ratio:.3f} exceeds committed baseline "
+        f"{baseline['served_over_inprocess']} by more than "
+        f"{REGRESSION_HEADROOM}x")
+    if not obs.enabled():
+        obs_limit = baseline["dispatch_over_predict"] * OBS_DISABLED_HEADROOM
+        assert dispatch_over_predict <= obs_limit, (
+            f"disabled telemetry is taxing the request path: "
+            f"dispatch/predict {dispatch_over_predict:.4f} exceeds "
+            f"committed baseline "
+            f"{baseline['dispatch_over_predict']} by more than "
+            f"{OBS_DISABLED_HEADROOM}x — request-scoped telemetry "
+            f"must be free when off")
 
     # Record only passing runs.
     _record(entry)

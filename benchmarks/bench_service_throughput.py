@@ -38,7 +38,7 @@ import threading
 import time
 from pathlib import Path
 
-from _helpers import emit_table
+from _helpers import committed_baseline, emit_table
 
 from repro import obs
 from repro.config.description import InputDescription
@@ -203,8 +203,8 @@ def _load_store():
 
 
 def _baseline():
-    entries = _load_store().get("entries", [])
-    return entries[0] if entries else None
+    return committed_baseline(_load_store().get("entries", []), BENCH_FILE,
+                              "warm_speedup")
 
 
 def _record(entry: dict) -> None:
@@ -289,9 +289,7 @@ def test_service_throughput_and_gates():
     emit_table(
         "service_throughput",
         "Serving tier: warm daemon vs cold one-shot CLI",
-        [entry | {"baseline_speedup":
-                  baseline["warm_speedup"] if baseline
-                  else entry["warm_speedup"]}],
+        [entry | {"baseline_speedup": baseline["warm_speedup"]}],
         notes="cold = full `repro predict` subprocess; warm = one predict "
               "round trip against the resident daemon (loopback TCP); "
               "p50/p99 from the daemon's serve.predict_s histogram")
@@ -303,12 +301,11 @@ def test_service_throughput_and_gates():
     assert req_per_s >= MIN_WARM_REQ_PER_S, (
         f"concurrent warm throughput {req_per_s:.1f} req/s is below the "
         f"{MIN_WARM_REQ_PER_S} req/s floor")
-    if baseline is not None:
-        floor = baseline["warm_speedup"] / REGRESSION_HEADROOM
-        assert speedup >= floor, (
-            f"warm speedup {speedup:.1f}x fell more than "
-            f"{REGRESSION_HEADROOM}x below the committed baseline "
-            f"{baseline['warm_speedup']}x")
+    floor = baseline["warm_speedup"] / REGRESSION_HEADROOM
+    assert speedup >= floor, (
+        f"warm speedup {speedup:.1f}x fell more than "
+        f"{REGRESSION_HEADROOM}x below the committed baseline "
+        f"{baseline['warm_speedup']}x")
 
     # Record only passing runs.
     _record(entry)

@@ -41,7 +41,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from _helpers import emit_table
+from _helpers import committed_baseline, emit_table
 
 from repro import obs
 from repro.config.presets import (MT_NLG_530B, MT_NLG_BASELINE_PLANS,
@@ -159,10 +159,9 @@ def _record(section_name, defaults, entry):
 
 
 def _baseline(section_name):
-    section = _load_store()["benchmarks"].get(section_name)
-    if section is None or not section["entries"]:
-        return None
-    return section["entries"][0]
+    section = _load_store()["benchmarks"].get(section_name, {})
+    return committed_baseline(section.get("entries", []), BENCH_FILE,
+                              section_name)
 
 
 def test_warm_predict_speedup_and_regression_gate():
@@ -197,9 +196,7 @@ def test_warm_predict_speedup_and_regression_gate():
     baseline = _baseline("warm_predict")
     emit_table("sim_speed_warm",
                "Warm predict: structure cache vs full rebuild",
-               [entry | {"baseline_ratio":
-                         baseline["warm_over_reference"] if baseline
-                         else entry["warm_over_reference"]}],
+               [entry | {"baseline_ratio": baseline["warm_over_reference"]}],
                notes="warm = memory check + duration refill + compiled "
                      "replay; reference = graph rebuild + reference "
                      "Algorithm-1 loop (the pre-split warm-predict cost)")
@@ -207,21 +204,19 @@ def test_warm_predict_speedup_and_regression_gate():
     assert speedup >= MIN_SPEEDUP, (
         f"warm predict only {speedup:.2f}x faster than a rebuild "
         f"(need >= {MIN_SPEEDUP}x)")
-    if baseline is not None:
-        limit = baseline["warm_over_reference"] * REGRESSION_HEADROOM
-        assert ratio <= limit, (
-            f"warm-predict latency regressed: warm/reference {ratio:.4f} "
-            f"exceeds committed baseline {baseline['warm_over_reference']} "
-            f"by more than {REGRESSION_HEADROOM}x")
-        if not obs.enabled():
-            obs_limit = (baseline["warm_over_reference"]
-                         * OBS_DISABLED_HEADROOM)
-            assert ratio <= obs_limit, (
-                f"disabled observability is taxing warm predict: "
-                f"warm/reference {ratio:.4f} exceeds committed baseline "
-                f"{baseline['warm_over_reference']} by more than "
-                f"{OBS_DISABLED_HEADROOM}x — instrumentation must be "
-                f"free when off")
+    limit = baseline["warm_over_reference"] * REGRESSION_HEADROOM
+    assert ratio <= limit, (
+        f"warm-predict latency regressed: warm/reference {ratio:.4f} "
+        f"exceeds committed baseline {baseline['warm_over_reference']} "
+        f"by more than {REGRESSION_HEADROOM}x")
+    if not obs.enabled():
+        obs_limit = baseline["warm_over_reference"] * OBS_DISABLED_HEADROOM
+        assert ratio <= obs_limit, (
+            f"disabled observability is taxing warm predict: "
+            f"warm/reference {ratio:.4f} exceeds committed baseline "
+            f"{baseline['warm_over_reference']} by more than "
+            f"{OBS_DISABLED_HEADROOM}x — instrumentation must be "
+            f"free when off")
 
     # Record only passing runs.
     _record("warm_predict",
@@ -281,9 +276,7 @@ def test_batch_retime_throughput_and_regression_gate():
     baseline = _baseline("batch_retime")
     emit_table("sim_speed_batch",
                "Batched retime: one N=64 sweep vs scalar replays",
-               [entry | {"baseline_speedup":
-                         baseline["batch_speedup"] if baseline
-                         else entry["batch_speedup"]}],
+               [entry | {"baseline_speedup": baseline["batch_speedup"]}],
                notes="retimes/s on the warm MT-NLG (8, 8, 35) OPERATOR "
                      "structure; batch columns verified bit-identical "
                      "to the scalar replays they are timed against")
@@ -291,12 +284,11 @@ def test_batch_retime_throughput_and_regression_gate():
     assert speedup >= MIN_BATCH_SPEEDUP, (
         f"batched retime only {speedup:.2f}x scalar throughput "
         f"(need >= {MIN_BATCH_SPEEDUP}x per column at N={BATCH_COLUMNS})")
-    if baseline is not None:
-        floor = baseline["batch_speedup"] / REGRESSION_HEADROOM
-        assert speedup >= floor, (
-            f"batch throughput regressed: speedup {speedup:.2f}x is more "
-            f"than {REGRESSION_HEADROOM}x below the committed baseline "
-            f"{baseline['batch_speedup']}x")
+    floor = baseline["batch_speedup"] / REGRESSION_HEADROOM
+    assert speedup >= floor, (
+        f"batch throughput regressed: speedup {speedup:.2f}x is more "
+        f"than {REGRESSION_HEADROOM}x below the committed baseline "
+        f"{baseline['batch_speedup']}x")
 
     # Record only passing runs.
     _record("batch_retime",

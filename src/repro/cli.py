@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--timing", action="store_true",
                          help="print a phase breakdown of where the "
                               "prediction's wall time went (memory check, "
-                              "network setup, structure build or cache "
-                              "hit, duration fill, replay)")
+                              "builder init, structure build on a cache "
+                              "miss or duration fill on a hit, replay)")
     predict.add_argument("--trace", type=Path, metavar="PATH",
                          help="write a Chrome Trace Event Format JSON "
                               "file holding the simulated device timeline "
@@ -395,13 +395,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if args.timing:
         timing = vtrain.last_predict_timing
         print("timing breakdown :")
-        print(f"  memory check   : {timing.memory_check_s * 1e3:.2f} ms")
-        print(f"  network setup  : {timing.builder_init_s * 1e3:.2f} ms")
-        print(f"  structure      : {timing.structure_s * 1e3:.2f} ms "
-              f"({timing.structure_source})")
-        print(f"  duration fill  : {timing.fill_s * 1e3:.2f} ms")
-        print(f"  replay         : {timing.replay_s * 1e3:.2f} ms")
-        print(f"  total          : {timing.total_s * 1e3:.2f} ms")
+        for phase, seconds in timing.phases().items():
+            source = (f" ({timing.structure_source})"
+                      if phase == "structure build" else "")
+            print(f"  {phase:<15}: {seconds * 1e3:.2f} ms{source}")
+        print(f"  {'total':<15}: {timing.total_s * 1e3:.2f} ms")
     if args.trace:
         payload = combined_trace(
             prediction.simulation,

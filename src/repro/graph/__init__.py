@@ -14,8 +14,8 @@ from repro.graph.pipeline import (ScheduledChunk, gpipe_order,
                                   pipeline_bubble_fraction, schedule_order,
                                   warmup_forwards)
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   ExecutionGraph, FlatAssembler,
-                                   GraphAssembler, GraphStructure, TaskNode)
+                                   ExecutionGraph, GraphAssembler,
+                                   GraphStructure, TaskNode)
 
 __all__ = [
     "COMM_STREAM",
@@ -25,7 +25,6 @@ __all__ = [
     "CommScope",
     "CompOperator",
     "ExecutionGraph",
-    "FlatAssembler",
     "Granularity",
     "GraphAssembler",
     "GraphBuilder",

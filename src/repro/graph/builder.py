@@ -30,14 +30,24 @@ kernels run back-to-back on one stream); ``STAGE`` collapses each
 (stage, micro-batch, phase) chunk into a single task for fast DSE sweeps,
 splitting only the last backward chunk per bucket so gradient-bucket
 overlap stays modelled.
+
+**Template tiling.** A pipeline repeats a handful of chunk bodies
+thousands of times (MT-NLG: 35 stages x 480 units). Both emitters share
+one body definition per unit role; :meth:`GraphBuilder.compile` stamps
+the bodies over every stage's issue order with numpy offsets and wires
+the inter-chunk edges as arrays, while :meth:`GraphBuilder.build` emits
+the same tasks one by one through a :class:`GraphAssembler` and serves
+as the reference the tiled path is tested against.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,18 +57,17 @@ from repro.config.parallelism import (ParallelismConfig, TrainingConfig,
                                       layers_per_stage, num_micro_batches,
                                       validate_plan)
 from repro.config.system import SystemConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.graph.operators import (CompOperator, OpKind,
                                    data_allreduce, pipeline_send_recv,
                                    tensor_allreduce)
 from repro.graph.pipeline import (FORWARD, ScheduledChunk,
                                   last_backward_micro_batch, schedule_order)
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   ExecutionGraph, FlatAssembler,
-                                   GraphAssembler, GraphStructure,
-                                   KIND_COMPUTE, KIND_DP_COMM, KIND_PP_COMM,
-                                   KIND_TP_COMM, KIND_WEIGHT_UPDATE,
-                                   _AssemblerBase)
+                                   ExecutionGraph, GraphAssembler,
+                                   GraphStructure, KIND_COMPUTE,
+                                   KIND_DP_COMM, KIND_PP_COMM, KIND_TP_COMM,
+                                   KIND_WEIGHT_UPDATE)
 from repro.hardware.cluster import ClusterTopology
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.profiling.nccl import NcclModel
@@ -110,13 +119,23 @@ DEFAULT_STRUCTURE_CACHE_TASKS = 1_000_000
 
 
 def _structure_cache_budget() -> int:
+    """The task budget, from REPRO_STRUCTURE_CACHE_TASKS if set.
+
+    Raises:
+        ConfigError: The variable is not a non-negative integer.
+    """
     raw = os.environ.get("REPRO_STRUCTURE_CACHE_TASKS")
     if raw is None:
         return DEFAULT_STRUCTURE_CACHE_TASKS
     try:
-        return max(0, int(raw))
+        budget = int(raw)
     except ValueError:
-        return DEFAULT_STRUCTURE_CACHE_TASKS
+        budget = -1
+    if budget < 0:
+        raise ConfigError(
+            "REPRO_STRUCTURE_CACHE_TASKS must be a non-negative integer "
+            f"task count, got {raw!r}")
+    return budget
 
 
 def structure_cache_get(key: str) -> GraphStructure | None:
@@ -276,6 +295,117 @@ def structure_affinity(model: ModelConfig, plan: ParallelismConfig,
         return structure_fingerprint(model, plan, training, granularity)
     except (ArithmeticError, ValueError):
         return None
+
+
+def _chunk_prefix(stage: int, chunk: int, phase: str, mb: int,
+                 virtual_stages: int) -> str:
+    """Label prefix of one scheduled unit; ``v == 1`` labels carry no
+    chunk component, matching the pre-interleaving graphs exactly."""
+    if virtual_stages == 1:
+        return f"s{stage}/{phase}{mb}"
+    return f"s{stage}/c{chunk}/{phase}{mb}"
+
+
+class _ChunkBody(NamedTuple):
+    """Task template of one scheduled unit, emitted once per distinct
+    unit role and stamped out for every unit sharing it.
+
+    Attributes:
+        slots: Timing-slot key per task, in emission order (every task
+            runs on its stage's compute stream, chained in order).
+        suffixes: Label suffix per task, appended to the unit's
+            :func:`_chunk_prefix`.
+        anchors: Bucket -> offset of the task retiring that gradient
+            bucket (last-synchronising backward units only).
+    """
+
+    slots: tuple[str, ...]
+    suffixes: tuple[str, ...]
+    anchors: dict[int, int]
+
+
+class _TaskTable:
+    """Per-task columns and edges of a tiled build, grown block by block
+    in task-id order."""
+
+    def __init__(self) -> None:
+        self.device: list[np.ndarray] = []
+        self.slot: list[np.ndarray] = []
+        self.src: list[np.ndarray] = []
+        self.dst: list[np.ndarray] = []
+        self.slot_of: dict[str, int] = {}
+        self.num_tasks = 0
+
+    def slot_ids(self, keys) -> np.ndarray:
+        """Interned ids of timing-slot ``keys``."""
+        return np.array([self.slot_of.setdefault(key, len(self.slot_of))
+                         for key in keys], dtype=np.intp)
+
+    def add(self, device: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Append one block of tasks; returns their task ids."""
+        ids = np.arange(self.num_tasks, self.num_tasks + len(device),
+                        dtype=np.intp)
+        self.num_tasks += len(device)
+        self.device.append(device)
+        self.slot.append(slot)
+        return ids
+
+    def link(self, parents: np.ndarray, children: np.ndarray) -> None:
+        """Add the edges ``parents[i] -> children[i]``."""
+        self.src.append(parents)
+        self.dst.append(children)
+
+
+class _TiledLabels:
+    """Task labels of a tiled build, formatted on first use.
+
+    Only timelines, traces, and the testbed read labels, so a compiled
+    structure keeps just the unit table and the body suffixes and
+    rebuilds :meth:`GraphBuilder.build`'s exact strings, in task-id
+    order, when asked.
+    """
+
+    def __init__(self, builder: "GraphBuilder",
+                 orders: list[list[ScheduledChunk]], u_body: np.ndarray,
+                 bodies: list[_ChunkBody]) -> None:
+        self.orders = orders
+        self.u_body = u_body
+        self.suffixes = [body.suffixes for body in bodies]
+        self.pipeline = builder.plan.pipeline
+        self.v = builder.v
+        self.nmb = builder.nmb
+        self.training = builder.phase is None
+        self.all_reduce_buckets = (len(builder.bucket_layers)
+                                   if builder.plan.data > 1 else 0)
+
+    def __call__(self) -> list[str]:
+        p, v, nmb = self.pipeline, self.v, self.nmb
+        labels: list[str] = []
+        bodies = iter(self.u_body.tolist())
+        for stage, units in enumerate(self.orders):
+            for phase, mb, chunk in units:
+                prefix = _chunk_prefix(stage, chunk, phase, mb, v)
+                labels.extend([prefix + suffix
+                               for suffix in self.suffixes[next(bodies)]])
+        if not self.training:
+            labels.extend(f"s{boundary}->s{boundary + 1}/F{mb}"
+                          for boundary in range(p - 1) for mb in range(nmb))
+            return labels
+        for boundary in range(p - 1):
+            for mb in range(nmb):
+                for chunk in range(v):
+                    mid = "" if v == 1 else f"/c{chunk}"
+                    labels.append(f"s{boundary}->s{boundary + 1}{mid}/F{mb}")
+                    labels.append(f"s{boundary + 1}->s{boundary}{mid}/B{mb}")
+        for chunk in range(v - 1):
+            for mb in range(nmb):
+                labels.append(f"s{p - 1}/c{chunk}->s0/c{chunk + 1}/F{mb}")
+                labels.append(f"s0/c{chunk + 1}->s{p - 1}/c{chunk}/B{mb}")
+        for stage in range(p):
+            labels.extend(f"s{stage}/dp_ar/bucket{bucket}" for bucket
+                          in reversed(range(self.all_reduce_buckets)))
+            labels.append(f"s{stage}/weight_update")
+        return labels
 
 
 class GraphBuilder:
@@ -637,245 +767,164 @@ class GraphBuilder:
         return structure.retime(self.timings)
 
     # ------------------------------------------------------------------
-    # Graph construction
+    # Chunk bodies (shared by both emitters)
     # ------------------------------------------------------------------
-    def build(self) -> ExecutionGraph:
-        """Assemble and return the iteration's execution graph."""
-        asm = GraphAssembler()
-        self._emit(asm)
-        graph = asm.finish(num_devices=self.plan.pipeline,
-                           metadata=self.graph_metadata())
-        return graph
+    def _issue_orders(self) -> list[list[ScheduledChunk]]:
+        """Each stage's issue order of (phase, micro-batch, chunk) units.
 
-    def compile(self) -> GraphStructure:
-        """Assemble the iteration directly into its compiled replay
-        structure (no :class:`TaskNode` graph is materialized).
-
-        The compiled structure carries timing-slot keys, so it can later
-        be re-timed by any builder with the same :attr:`structure_key`.
-        """
-        asm = FlatAssembler()
-        self._emit(asm)
-        return asm.compile(num_devices=self.plan.pipeline,
-                           metadata=self.graph_metadata())
-
-    def _emit(self, asm: _AssemblerBase) -> None:
-        if self.phase is not None:
-            self._emit_inference(asm)
-            return
-        p = self.plan.pipeline
-        orders = [schedule_order(self.plan.schedule, st, p, self.nmb,
-                                 virtual_stages=self.v)
-                  for st in range(p)]
-        last_b = last_backward_micro_batch(self.plan.schedule, self.nmb)
-
-        # Task-id maps keyed by (stage, chunk, micro_batch); chunk is
-        # always 0 outside the interleaved schedule.
-        f_entry: dict[tuple[int, int, int], int] = {}
-        f_exit: dict[tuple[int, int, int], int] = {}
-        b_entry: dict[tuple[int, int, int], int] = {}
-        b_exit: dict[tuple[int, int, int], int] = {}
-        # Per-stage gradient-readiness anchors: bucket index -> task id.
-        bucket_anchor: dict[tuple[int, int], int] = {}
-
-        for stage in range(p):
-            # Weight-gradient tails of the *last* micro-batch's backward,
-            # keyed by stage-local layer, accumulated across this stage's
-            # chunks (all of one stage's layers live in one dict because
-            # gradient buckets partition the stage, not the chunk).
-            layer_tails: dict[int, int] = {}
-            for unit in orders[stage]:
-                key = (stage, unit.chunk, unit.micro_batch)
-                if unit.phase == FORWARD:
-                    entry, exit_ = self._emit_forward_chunk(asm, stage, unit)
-                    f_entry[key] = entry
-                    f_exit[key] = exit_
-                else:
-                    entry, exit_ = self._emit_backward_chunk(
-                        asm, stage, unit, last_b=last_b,
-                        layer_tails=layer_tails, bucket_anchor=bucket_anchor)
-                    b_entry[key] = entry
-                    b_exit[key] = exit_
-
-        self._emit_pipeline_comm(asm, f_exit, f_entry, b_exit, b_entry)
-        self._emit_gradient_sync(asm, b_exit, bucket_anchor, last_b)
-
-    def _emit_inference(self, asm: _AssemblerBase) -> None:
-        """One inference phase: the pipelined forward pass, nothing else.
-
-        Each stage issues its micro-batches' forward chunks in ascending
-        order — the forward sub-order of both GPipe and 1F1B — through
-        the same :meth:`_emit_forward_chunk` the training path uses, so
-        a prefill graph is exactly the forward-only subgraph of the
+        Inference phases issue their forwards in ascending micro-batch
+        order — the forward sub-order of both GPipe and 1F1B — so a
+        prefill graph is exactly the forward-only subgraph of the
         matching training graph (same labels, durations, and issue
         order; compute tasks are tagged with the phase kind instead of
-        ``compute``). Only the forward half of the pipeline P2P pass is
-        emitted; no backward, gradient-sync, or weight-update tasks
-        exist.
+        ``compute``).
         """
         p = self.plan.pipeline
-        f_entry: dict[tuple[int, int, int], int] = {}
-        f_exit: dict[tuple[int, int, int], int] = {}
-        for stage in range(p):
-            for mb in range(self.nmb):
-                unit = ScheduledChunk(FORWARD, mb)
-                entry, exit_ = self._emit_forward_chunk(asm, stage, unit)
-                f_entry[(stage, 0, mb)] = entry
-                f_exit[(stage, 0, mb)] = exit_
-        for boundary in range(p - 1):
-            for mb in range(self.nmb):
-                send = asm.add(boundary, COMM_STREAM,
-                               self.send_time[boundary], KIND_PP_COMM,
-                               f"s{boundary}->s{boundary + 1}/F{mb}",
-                               deps=(f_exit[(boundary, 0, mb)],),
-                               chain=False, slot=f"pp:{boundary}")
-                asm.link(send, f_entry[(boundary + 1, 0, mb)])
+        if self.phase is not None:
+            return [[ScheduledChunk(FORWARD, mb) for mb in range(self.nmb)]
+                    ] * p
+        return [schedule_order(self.plan.schedule, stage, p, self.nmb,
+                               virtual_stages=self.v)
+                for stage in range(p)]
 
-    # ------------------------------------------------------------------
-    # Chunk emission
-    # ------------------------------------------------------------------
-    def _emit_comp(self, asm: GraphAssembler, stage: int, op: CompOperator,
-                   label: str, kind: str | None = None,
-                   deps: tuple[int, ...] = ()) -> tuple[int, int]:
-        """Emit one computation operator; returns (entry, exit) task ids."""
-        if kind is None:
-            kind = self._compute_kind
-        op_key = op.kind.value
-        if self.granularity is Granularity.KERNEL:
-            first = None
-            last = None
-            for index, kernel in enumerate(self.lookup.tasks_for(op)):
-                node = asm.add(stage, COMPUTE_STREAM, kernel.duration, kind,
-                               f"{label}/{kernel.name}",
-                               deps=deps if index == 0 else (),
-                               payload=kernel, slot=f"k:{op_key}:{index}")
-                first = node if first is None else first
-                last = node
-            if first is None:  # pragma: no cover - decompositions are non-empty
-                raise ConfigError(f"operator {op.kind} produced no kernels")
-            return first, last
-        node = asm.add(stage, COMPUTE_STREAM, self.timings[f"op:{op_key}"],
-                       kind, label, deps=deps, payload=op,
-                       slot=f"op:{op_key}")
-        return node, node
+    def _last_backward(self) -> int:
+        """Micro-batch whose backward units anchor the gradient buckets
+        (``-1`` for inference phases, which have no backward)."""
+        if self.phase is not None:
+            return -1
+        return last_backward_micro_batch(self.plan.schedule, self.nmb)
 
-    def _emit_tp_allreduce(self, asm: GraphAssembler, stage: int,
-                           label: str) -> int | None:
-        """Inline tensor-parallel All-Reduce (sequential dependency)."""
-        if self.tp_ar is None:
-            return None
-        return asm.add(stage, COMPUTE_STREAM, self.tp_ar_time, KIND_TP_COMM,
-                       label, payload=self.tp_ar, slot="tp_ar")
+    def _slot_attributes(self) -> dict[str, tuple[str, str, object]]:
+        """``(kind, stream, payload)`` behind every timing slot.
 
-    def _chunk_prefix(self, stage: int, chunk: int, phase: str,
-                      mb: int) -> str:
-        """Label prefix of one scheduled unit; ``v == 1`` labels carry no
-        chunk component, matching the pre-interleaving graphs exactly."""
-        if self.v == 1:
-            return f"s{stage}/{phase}{mb}"
-        return f"s{stage}/c{chunk}/{phase}{mb}"
+        A task's kind, stream, and payload are functions of its slot,
+        exactly like its duration (``timings[slot]``), so both emitters
+        read them from this one table.
+        """
+        compute = self._compute_kind
+        attributes: dict[str, tuple[str, str, object]] = {
+            "tp_ar": (KIND_TP_COMM, COMPUTE_STREAM, self.tp_ar)}
+        for op in self._comp_ops:
+            key = op.kind.value
+            attributes[f"op:{key}"] = (compute, COMPUTE_STREAM, op)
+            if self.granularity is Granularity.KERNEL:
+                for index, kernel in enumerate(self.lookup.tasks_for(op)):
+                    attributes[f"k:{key}:{index}"] = (
+                        compute, COMPUTE_STREAM, kernel)
+        for key in self.timings:
+            tag = key.split(":", 1)[0]
+            if tag == "pp":
+                attributes[key] = (KIND_PP_COMM, COMM_STREAM, None)
+            elif tag == "sf":
+                attributes[key] = (compute, COMPUTE_STREAM, None)
+            elif tag in ("sb", "sbl"):
+                attributes[key] = (KIND_COMPUTE, COMPUTE_STREAM, None)
+        for (stage, bucket), comm in self._dp_comms.items():
+            attributes[f"dp:{stage}:{bucket}"] = (KIND_DP_COMM, COMM_STREAM,
+                                                 comm)
+        for stage, wu_op in self._wu_ops.items():
+            attributes[f"wu:{stage}"] = (KIND_WEIGHT_UPDATE, COMPUTE_STREAM,
+                                         wu_op)
+        return attributes
 
-    def _emit_forward_chunk(self, asm: GraphAssembler, stage: int,
-                            unit: ScheduledChunk) -> tuple[int, int]:
-        """Forward pass of one micro-batch chunk on one stage."""
-        mb, chunk = unit.micro_batch, unit.chunk
-        prefix = self._chunk_prefix(stage, chunk, "F", mb)
+    def _chunk_body(self, stage: int, forward: bool, chunk: int,
+                    last: bool) -> _ChunkBody:
+        """Task template of one scheduled unit (see :class:`_ChunkBody`).
+
+        ``last`` marks the backward units of the last-synchronising
+        micro-batch, whose bodies carry the gradient-bucket anchors. A
+        body depends on its stage only through whether it holds the
+        embedding (stage 0, chunk 0) or the LM head (last stage, last
+        chunk) — and, at STAGE granularity, through its per-stage slot
+        keys — so a pipeline's thousands of units share a few bodies.
+        """
         if self.granularity is Granularity.STAGE:
-            slot = self._slot("sf", stage, chunk)
-            node = asm.add(stage, COMPUTE_STREAM, self.timings[slot],
-                           self._compute_kind, prefix, slot=slot)
-            return node, node
-        p = self.plan.pipeline
-        entry = None
-        last = None
-        if stage == 0 and chunk == 0:
-            entry, last = self._emit_comp(asm, stage, self.op_fwd_embed,
-                                          f"{prefix}/embed")
-            ar = self._emit_tp_allreduce(asm, stage, f"{prefix}/embed_ar")
-            last = ar if ar is not None else last
-        for local in range(self.lpc):
-            layer = chunk * self.lpc + local
-            first, tail = self._emit_comp(asm, stage, self.op_fwd_mha,
-                                          f"{prefix}/l{layer}/mha")
-            entry = first if entry is None else entry
-            ar = self._emit_tp_allreduce(asm, stage,
-                                         f"{prefix}/l{layer}/mha_ar")
-            _, tail = self._emit_comp(asm, stage, self.op_fwd_ffn,
-                                      f"{prefix}/l{layer}/ffn")
-            ar = self._emit_tp_allreduce(asm, stage,
-                                         f"{prefix}/l{layer}/ffn_ar")
-            last = ar if ar is not None else tail
-        if stage == p - 1 and chunk == self.v - 1:
-            first, last = self._emit_comp(asm, stage, self.op_fwd_head,
-                                          f"{prefix}/lm_head")
-            entry = first if entry is None else entry
-        return entry, last
+            return self._stage_body(stage, forward, chunk, last)
+        slots: list[str] = []
+        suffixes: list[str] = []
+        kernel = self.granularity is Granularity.KERNEL
 
-    def _emit_backward_chunk(self, asm: GraphAssembler, stage: int,
-                             unit: ScheduledChunk, *, last_b: int,
-                             layer_tails: dict[int, int],
-                             bucket_anchor: dict[tuple[int, int], int],
-                             ) -> tuple[int, int]:
-        """Backward pass of one micro-batch chunk on one stage.
+        def comp(op: CompOperator, suffix: str) -> None:
+            key = op.kind.value
+            if not kernel:
+                slots.append(f"op:{key}")
+                suffixes.append(suffix)
+                return
+            for index, task in enumerate(self.lookup.tasks_for(op)):
+                slots.append(f"k:{key}:{index}")
+                suffixes.append(f"{suffix}/{task.name}")
 
-        Chunks of the last-synchronising micro-batch record their
-        per-layer weight-gradient tails into ``layer_tails``; the final
-        such chunk in issue order (chunk 0 — backward walks chunks
-        descending) turns the accumulated tails into gradient-bucket
-        anchors.
+        def tp_allreduce(suffix: str) -> None:
+            # Inline tensor-parallel All-Reduce (sequential dependency).
+            if self.tp_ar is not None:
+                slots.append("tp_ar")
+                suffixes.append(suffix)
+
+        embed = stage == 0 and chunk == 0
+        head = stage == self.plan.pipeline - 1 and chunk == self.v - 1
+        layers = range(chunk * self.lpc, (chunk + 1) * self.lpc)
+        if forward:
+            if embed:
+                comp(self.op_fwd_embed, "/embed")
+                tp_allreduce("/embed_ar")
+            for layer in layers:
+                comp(self.op_fwd_mha, f"/l{layer}/mha")
+                tp_allreduce(f"/l{layer}/mha_ar")
+                comp(self.op_fwd_ffn, f"/l{layer}/ffn")
+                tp_allreduce(f"/l{layer}/ffn_ar")
+            if head:
+                comp(self.op_fwd_head, "/lm_head")
+            return _ChunkBody(tuple(slots), tuple(suffixes), {})
+        # Weight-gradient tail of each layer (-1: the embedding).
+        tails: dict[int, int] = {}
+        if head:
+            comp(self.op_bwd_head, "/lm_head")
+        for layer in reversed(layers):
+            comp(self.op_bwd_ffn, f"/l{layer}/ffn")
+            tp_allreduce(f"/l{layer}/ffn_ar")
+            comp(self.op_bwd_mha, f"/l{layer}/mha")
+            tails[layer] = len(slots) - 1
+            tp_allreduce(f"/l{layer}/mha_ar")
+        if embed:
+            comp(self.op_bwd_embed, "/embed")
+            tails[-1] = len(slots) - 1  # embedding grads complete last
+        anchors: dict[int, int] = {}
+        if last:
+            # Backward visits layers deepest-first, so a bucket's
+            # gradients are ready when its *shallowest* layer's
+            # weight-gradient task retires (the embedding, on stage 0,
+            # retires after layer 0) — in the chunk holding that layer.
+            for bucket, bucket_layers in enumerate(self.bucket_layers):
+                shallowest = min(bucket_layers)
+                if shallowest // self.lpc == chunk:
+                    anchors[bucket] = tails[-1 if embed and shallowest == 0
+                                            else shallowest]
+        return _ChunkBody(tuple(slots), tuple(suffixes), anchors)
+
+    def _stage_body(self, stage: int, forward: bool, chunk: int,
+                    last: bool) -> _ChunkBody:
+        """Stage-granularity unit: one task per chunk.
+
+        The last micro-batch's backward chunks are split at
+        gradient-bucket boundaries (deepest layers first) so bucket
+        All-Reduces can still overlap the remaining backward compute; a
+        bucket anchors in the chunk holding its shallowest layer,
+        because backward visits chunks in descending order and that
+        chunk therefore retires the bucket's final gradients.
         """
-        mb, chunk = unit.micro_batch, unit.chunk
-        if self.granularity is Granularity.STAGE:
-            return self._emit_backward_stage(asm, stage, unit, last_b,
-                                             bucket_anchor)
-        p = self.plan.pipeline
-        prefix = self._chunk_prefix(stage, chunk, "B", mb)
-        entry = None
-        last = None
-        if stage == p - 1 and chunk == self.v - 1:
-            entry, last = self._emit_comp(asm, stage, self.op_bwd_head,
-                                          f"{prefix}/lm_head")
-        layer_tail: dict[int, int] = {}
-        for local in reversed(range(self.lpc)):
-            layer = chunk * self.lpc + local
-            first, tail = self._emit_comp(asm, stage, self.op_bwd_ffn,
-                                          f"{prefix}/l{layer}/ffn")
-            entry = first if entry is None else entry
-            self._emit_tp_allreduce(asm, stage,
-                                    f"{prefix}/l{layer}/ffn_ar")
-            _, tail = self._emit_comp(asm, stage, self.op_bwd_mha,
-                                      f"{prefix}/l{layer}/mha")
-            layer_tail[layer] = tail
-            ar = self._emit_tp_allreduce(asm, stage,
-                                         f"{prefix}/l{layer}/mha_ar")
-            last = ar if ar is not None else tail
-        if stage == 0 and chunk == 0:
-            first, last = self._emit_comp(asm, stage, self.op_bwd_embed,
-                                          f"{prefix}/embed")
-            entry = first if entry is None else entry
-            layer_tail[-1] = last  # embedding grads complete last
-        if mb == last_b:
-            layer_tails.update(layer_tail)
-            if chunk == 0:
-                self._record_bucket_anchors(stage, layer_tails, bucket_anchor)
-        return entry, last
-
-    def _record_bucket_anchors(self, stage: int, layer_tail: dict[int, int],
-                               bucket_anchor: dict[tuple[int, int], int],
-                               ) -> None:
-        """Map each gradient bucket to the task completing its gradients.
-
-        Backward visits layers deepest-first, so a bucket's gradients are
-        ready when its *shallowest* layer's weight-gradient task retires
-        (the embedding, on stage 0, retires after layer 0).
-        """
-        for bucket, layers in enumerate(self.bucket_layers):
-            shallowest = min(layers)
-            if stage == 0 and shallowest == 0 and -1 in layer_tail:
-                anchor = layer_tail[-1]
-            else:
-                anchor = layer_tail[shallowest]
-            bucket_anchor[(stage, bucket)] = anchor
+        if forward:
+            return _ChunkBody((self._slot("sf", stage, chunk),), ("",), {})
+        if not last:
+            return _ChunkBody((self._slot("sb", stage, chunk),), ("",), {})
+        slots: list[str] = []
+        suffixes: list[str] = []
+        anchors: dict[int, int] = {}
+        for bucket, _width in self._bucket_segments(chunk):
+            if min(self.bucket_layers[bucket]) // self.lpc == chunk:
+                anchors[bucket] = len(slots)
+            slots.append(self._slot("sbl", stage, chunk, bucket))
+            suffixes.append(f"/bucket{bucket}")
+        return _ChunkBody(tuple(slots), tuple(suffixes), anchors)
 
     # ------------------------------------------------------------------
     # Stage-granularity chunk durations
@@ -906,42 +955,247 @@ class GraphBuilder:
             dur += self.lookup.duration_of(self.op_bwd_embed)
         return dur
 
-    def _emit_backward_stage(self, asm: GraphAssembler, stage: int,
-                             unit: ScheduledChunk, last_b: int,
-                             bucket_anchor: dict[tuple[int, int], int],
-                             ) -> tuple[int, int]:
-        """Stage-granularity backward chunk.
+    # ------------------------------------------------------------------
+    # Tiled compilation (the production path)
+    # ------------------------------------------------------------------
+    def compile(self) -> GraphStructure:
+        """Compile the step straight into its replay structure.
 
-        Ordinary chunks are one task. The last micro-batch's chunks are
-        split at gradient-bucket boundaries (deepest layers first) so
-        bucket All-Reduces can still overlap the remaining backward
-        compute; a bucket anchors in the chunk holding its shallowest
-        layer, because backward visits chunks in descending order and
-        that chunk therefore retires the bucket's final gradients.
+        Each distinct chunk body is emitted once (:meth:`_chunk_body`)
+        and tiled over every stage's issue order with numpy offsets, in
+        exactly :meth:`build`'s task-id order; the stream-chain,
+        pipeline Send-Receive, gradient-bucket, and weight-update edges
+        are added as arrays. No per-task Python object is created:
+        kinds, streams, payloads, and durations come from per-slot
+        tables, and labels are formatted only when a timeline or trace
+        asks for them. The result equals
+        ``GraphStructure.compile(self.build(), slots)`` array for array.
+
+        The compiled structure carries timing-slot keys, so it can later
+        be re-timed by any builder with the same :attr:`structure_key`.
+
+        Raises:
+            SimulationError: A negative slot duration (named by the
+                label of the first task using it).
         """
-        mb, chunk = unit.micro_batch, unit.chunk
-        label = self._chunk_prefix(stage, chunk, "B", mb)
-        if mb != last_b:
-            slot = self._slot("sb", stage, chunk)
-            node = asm.add(stage, COMPUTE_STREAM, self.timings[slot],
-                           KIND_COMPUTE, label, slot=slot)
-            return node, node
-        entry = None
-        last = None
-        for bucket, _width in self._bucket_segments(chunk):
-            slot = self._slot("sbl", stage, chunk, bucket)
-            node = asm.add(stage, COMPUTE_STREAM, self.timings[slot],
-                           KIND_COMPUTE, f"{label}/bucket{bucket}",
-                           slot=slot)
-            if min(self.bucket_layers[bucket]) // self.lpc == chunk:
-                bucket_anchor[(stage, bucket)] = node
-            entry = node if entry is None else entry
-            last = node
-        return entry, last
+        p, v, nmb = self.plan.pipeline, self.v, self.nmb
+        orders = self._issue_orders()
+        phases, mbs, chunks = zip(*itertools.chain.from_iterable(orders))
+        units_per_stage = [len(units) for units in orders]
+        u_stage = np.repeat(np.arange(p), units_per_stage)
+        u_fwd = np.array(phases) == FORWARD
+        u_mb = np.array(mbs, dtype=np.intp)
+        u_chunk = np.array(chunks, dtype=np.intp)
+        u_last = ~u_fwd & (u_mb == self._last_backward())
+        # Units with equal (stage role, chunk, phase, last) share a
+        # body; STAGE bodies name their stage in their slot keys.
+        if self.granularity is Granularity.STAGE:
+            role = u_stage
+        else:
+            role = (u_stage == 0) + 2 * (u_stage == p - 1)
+        code = ((role * v + u_chunk) * 2 + u_fwd) * 2 + u_last
+        _, first, u_body = np.unique(code, return_index=True,
+                                     return_inverse=True)
+        bodies = [self._chunk_body(int(u_stage[unit]), bool(u_fwd[unit]),
+                                   int(u_chunk[unit]), bool(u_last[unit]))
+                  for unit in first.tolist()]
+
+        # Chunk tasks: each unit's body, stamped at the unit's offset.
+        table = _TaskTable()
+        body_len = np.array([len(body.slots) for body in bodies],
+                            dtype=np.intp)
+        body_start = np.cumsum(body_len) - body_len
+        u_len = body_len[u_body]
+        u_end = np.cumsum(u_len)
+        u_start = u_end - u_len
+        local = (np.repeat(body_start[u_body] - u_start, u_len)
+                 + np.arange(int(u_end[-1]), dtype=np.intp))
+        chunk_device = np.repeat(u_stage, u_len)
+        table.add(chunk_device, table.slot_ids(
+            key for body in bodies for key in body.slots)[local])
+        # Every chunk task is on its stage's compute stream, and a
+        # stage's units are contiguous: the chain is consecutive ids.
+        chained = np.flatnonzero(chunk_device[1:] == chunk_device[:-1])
+        table.link(chained, chained + 1)
+
+        # Entry/exit task of every (stage, chunk, micro-batch) unit.
+        unit_of = np.zeros((2, p, v, nmb), dtype=np.intp)
+        unit_of[u_fwd.astype(np.intp), u_stage, u_chunk, u_mb] = np.arange(
+            u_stage.size)
+        f_entry, f_exit = u_start[unit_of[1]], u_end[unit_of[1]] - 1
+        b_entry, b_exit = u_start[unit_of[0]], u_end[unit_of[0]] - 1
+
+        if p > 1:
+            self._tile_pipeline_comm(table, f_entry, f_exit, b_entry, b_exit)
+        if self.phase is None:
+            anchor = np.zeros((p, len(self.bucket_layers)), dtype=np.intp)
+            for unit in np.flatnonzero(u_last).tolist():
+                for bucket, offset in bodies[u_body[unit]].anchors.items():
+                    anchor[u_stage[unit], bucket] = u_start[unit] + offset
+            self._tile_gradient_sync(
+                table, anchor, u_end[np.cumsum(units_per_stage) - 1] - 1)
+
+        slot_keys = tuple(table.slot_of)
+        task_slot = np.concatenate(table.slot)
+        attributes = self._slot_attributes()
+        labels = _TiledLabels(self, orders, u_body, bodies)
+        slot_duration = np.array([self.timings[key] for key in slot_keys],
+                                 dtype=np.float64)
+        negative = np.flatnonzero(slot_duration < 0)
+        if negative.size:
+            task = int(np.flatnonzero(np.isin(task_slot, negative))[0])
+            raise SimulationError(
+                f"negative duration for task {labels()[task]!r}")
+        kind_of: dict[str, int] = {}
+        slot_kind = np.array([kind_of.setdefault(attributes[key][0],
+                                                 len(kind_of))
+                              for key in slot_keys], dtype=np.intp)
+        src = np.concatenate(table.src)
+        dst = np.concatenate(table.dst)
+        # Children in ascending task id within each parent: the order
+        # GraphAssembler links them in.
+        edge_order = np.lexsort((dst, src))
+        return GraphStructure(
+            num_devices=p, device=np.concatenate(table.device),
+            kinds=tuple(kind_of), kind=slot_kind[task_slot],
+            src=src[edge_order], dst=dst[edge_order],
+            duration=slot_duration[task_slot],
+            slot_keys=slot_keys, slot=task_slot,
+            stream={key: attributes[key][1] for key in slot_keys},
+            payload={key: attributes[key][2] for key in slot_keys},
+            label=labels, metadata=self.graph_metadata())
+
+    def _tile_pipeline_comm(self, table: _TaskTable, f_entry: np.ndarray,
+                            f_exit: np.ndarray, b_entry: np.ndarray,
+                            b_exit: np.ndarray) -> None:
+        """Send-Receive tasks at every stage boundary, in
+        :meth:`_emit_pipeline_comm` order; ``*_entry``/``*_exit`` map
+        (stage, chunk, micro-batch) to a unit's first/last task."""
+        p, v, nmb = self.plan.pipeline, self.v, self.nmb
+        pp_slot = table.slot_ids(f"pp:{boundary}" for boundary in range(p - 1))
+        if self.phase is not None:
+            # Forward sends only, (boundary, micro-batch)-major.
+            bnd = np.repeat(np.arange(p - 1), nmb)
+            mb = np.tile(np.arange(nmb), p - 1)
+            send = table.add(bnd, pp_slot[bnd])
+            table.link(f_exit[bnd, 0, mb], send)
+            table.link(send, f_entry[bnd + 1, 0, mb])
+            return
+        # A send (chunk c forward) and a receive (its gradient back) per
+        # boundary, micro-batch, and chunk, in that nesting.
+        bnd = np.repeat(np.arange(p - 1), nmb * v)
+        mb = np.tile(np.repeat(np.arange(nmb), v), p - 1)
+        ch = np.tile(np.arange(v), (p - 1) * nmb)
+        send = table.add(np.stack([bnd, bnd + 1], axis=1).ravel(),
+                         np.repeat(pp_slot[bnd], 2))[::2]
+        table.link(f_exit[bnd, ch, mb], send)
+        table.link(send, f_entry[bnd + 1, ch, mb])
+        table.link(b_exit[bnd + 1, ch, mb], send + 1)
+        table.link(send + 1, b_entry[bnd, ch, mb])
+        if v > 1:
+            # Wrap-around hops: chunk c on the last stage feeds chunk c+1
+            # on stage 0, and the gradient comes back.
+            ch = np.repeat(np.arange(v - 1), nmb)
+            mb = np.tile(np.arange(nmb), v - 1)
+            send = table.add(
+                np.tile(np.array([p - 1, 0]), ch.size),
+                np.repeat(table.slot_ids(["pp:wrap"]), 2 * ch.size))[::2]
+            table.link(f_exit[p - 1, ch, mb], send)
+            table.link(send, f_entry[0, ch + 1, mb])
+            table.link(b_exit[0, ch + 1, mb], send + 1)
+            table.link(send + 1, b_entry[p - 1, ch, mb])
+
+    def _tile_gradient_sync(self, table: _TaskTable, anchor: np.ndarray,
+                            stage_tail: np.ndarray) -> None:
+        """Per stage: the DP bucket All-Reduces (deepest bucket first,
+        chained on the comm stream, each after its bucket's ``anchor``
+        task), then the weight update after its last All-Reduce and the
+        stage's last compute task ``stage_tail`` — which, in every
+        schedule, is also the stage's final backward (chunk 0 of the
+        last-synchronising micro-batch), so one edge covers both."""
+        p = self.plan.pipeline
+        num_buckets = len(self.bucket_layers)
+        per_stage = num_buckets if self.plan.data > 1 else 0
+        stages = np.arange(p)
+        block = table.add(np.repeat(stages, per_stage + 1), table.slot_ids(
+            key for stage in range(p)
+            for key in [f"dp:{stage}:{bucket}"
+                        for bucket in reversed(range(per_stage))]
+            + [f"wu:{stage}"]))[::per_stage + 1]
+        update = block + per_stage
+        if per_stage:
+            stage = np.repeat(stages, num_buckets)
+            rank = np.tile(np.arange(num_buckets), p)
+            all_reduce = block[stage] + rank
+            table.link(anchor[stage, num_buckets - 1 - rank], all_reduce)
+            chained = rank > 0
+            table.link(all_reduce[chained] - 1, all_reduce[chained])
+            table.link(update - 1, update)
+        table.link(stage_tail, update)
 
     # ------------------------------------------------------------------
-    # Communication passes
+    # Reference emission (tests hold compile() to this)
     # ------------------------------------------------------------------
+    def build(self) -> ExecutionGraph:
+        """Assemble the step's execution graph task by task.
+
+        The reference emitter: every task goes through
+        :meth:`GraphAssembler.add`, which wires stream chains and
+        explicit dependencies one edge at a time. Predictions compile
+        through :meth:`compile` instead; the test suite holds the two
+        to identical structures.
+        """
+        asm = GraphAssembler()
+        attributes = self._slot_attributes()
+        timings = self.timings
+        last_b = self._last_backward()
+        bodies: dict[tuple[int, bool, int, bool], _ChunkBody] = {}
+        # Task-id maps keyed by (stage, chunk, micro_batch); chunk is
+        # always 0 outside the interleaved schedule.
+        f_entry: dict[tuple[int, int, int], int] = {}
+        f_exit: dict[tuple[int, int, int], int] = {}
+        b_entry: dict[tuple[int, int, int], int] = {}
+        b_exit: dict[tuple[int, int, int], int] = {}
+        # Gradient-readiness anchors: (stage, bucket) -> task id.
+        bucket_anchor: dict[tuple[int, int], int] = {}
+        for stage, units in enumerate(self._issue_orders()):
+            for phase, mb, chunk in units:
+                forward = phase == FORWARD
+                key = (stage, forward, chunk, not forward and mb == last_b)
+                body = bodies.get(key)
+                if body is None:
+                    body = bodies[key] = self._chunk_body(*key)
+                prefix = _chunk_prefix(stage, chunk, phase, mb, self.v)
+                entry = len(asm.nodes)
+                for slot, suffix in zip(body.slots, body.suffixes):
+                    kind, stream, payload = attributes[slot]
+                    asm.add(stage, stream, timings[slot], kind,
+                            prefix + suffix, payload=payload, slot=slot)
+                entries, exits = ((f_entry, f_exit) if forward
+                                  else (b_entry, b_exit))
+                entries[(stage, chunk, mb)] = entry
+                exits[(stage, chunk, mb)] = len(asm.nodes) - 1
+                for bucket, offset in body.anchors.items():
+                    bucket_anchor[(stage, bucket)] = entry + offset
+        if self.phase is not None:
+            self._emit_forward_sends(asm, f_exit, f_entry)
+        else:
+            self._emit_pipeline_comm(asm, f_exit, f_entry, b_exit, b_entry)
+            self._emit_gradient_sync(asm, b_exit, bucket_anchor, last_b)
+        return asm.finish(num_devices=self.plan.pipeline,
+                          metadata=self.graph_metadata())
+
+    def _emit_forward_sends(self, asm, f_exit, f_entry) -> None:
+        """Inference: only the forward half of the pipeline P2P pass."""
+        for boundary in range(self.plan.pipeline - 1):
+            for mb in range(self.nmb):
+                send = asm.add(boundary, COMM_STREAM,
+                               self.send_time[boundary], KIND_PP_COMM,
+                               f"s{boundary}->s{boundary + 1}/F{mb}",
+                               deps=(f_exit[(boundary, 0, mb)],),
+                               chain=False, slot=f"pp:{boundary}")
+                asm.link(send, f_entry[(boundary + 1, 0, mb)])
+
     def _emit_pipeline_comm(self, asm, f_exit, f_entry, b_exit, b_entry):
         """Insert Send-Receive tasks at every stage boundary (Figure 6).
 

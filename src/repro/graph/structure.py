@@ -22,13 +22,20 @@ and because the topology is immutable, one compiled structure can be
 re-timed with fresh duration vectors — a perturbed device model, a new
 NCCL table, a different tensor-parallel degree with the same shape —
 without rebuilding or re-sorting anything.
+
+Structures are compiled from per-task *arrays*: either flattened from an
+:class:`ExecutionGraph` (:meth:`GraphStructure.compile`, the test-oracle
+path) or tiled directly from chunk templates by
+:meth:`repro.graph.builder.GraphBuilder.compile`, which never builds
+node objects or per-task lists.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
@@ -76,19 +83,18 @@ class TaskNode:
     payload: Any = None
 
 
-class _AssemblerBase:
-    """Shared add/link/chain logic of the two assemblers.
+class GraphAssembler:
+    """Incrementally builds an :class:`ExecutionGraph`.
 
-    Both assemblers must wire identical edges in identical order (the
-    replay order — and therefore bit-identical results — depends on it),
-    so the dependency bookkeeping lives here and subclasses only decide
-    how a task is *stored*: as a :class:`TaskNode`
-    (:class:`GraphAssembler`, producing an :class:`ExecutionGraph`) or
-    as flat per-attribute columns (:class:`FlatAssembler`, producing a
-    :class:`GraphStructure` without ever materializing node objects).
+    Tracks the tail of every (device, stream) chain so consecutive tasks
+    on one stream serialise via explicit edges — the paper's "execution
+    order within each GPU must be modeled" requirement. This per-task
+    path is the reference the builder's tiled
+    :meth:`~repro.graph.builder.GraphBuilder.compile` is tested against.
     """
 
     def __init__(self) -> None:
+        self.nodes: list[TaskNode] = []
         self.slots: list[str | None] = []
         self._chain_tail: dict[tuple[int, str], int] = {}
 
@@ -109,8 +115,10 @@ class _AssemblerBase:
         """
         if duration < 0:
             raise SimulationError(f"negative duration for task {label!r}")
-        task_id = self._append(device, stream, duration, kind, label,
-                               payload)
+        task_id = len(self.nodes)
+        self.nodes.append(TaskNode(task_id=task_id, device=device,
+                                   stream=stream, duration=duration,
+                                   kind=kind, label=label, payload=payload))
         self.slots.append(slot)
         parents: set[int] = set(deps)
         if chain:
@@ -126,34 +134,6 @@ class _AssemblerBase:
         """Latest task id on a stream, or None if the stream is empty."""
         return self._chain_tail.get((device, stream))
 
-    def _append(self, device: int, stream: str, duration: float, kind: str,
-                label: str, payload: Any) -> int:
-        raise NotImplementedError
-
-    def link(self, parent: int, child: int) -> None:
-        raise NotImplementedError
-
-
-class GraphAssembler(_AssemblerBase):
-    """Incrementally builds an :class:`ExecutionGraph`.
-
-    Tracks the tail of every (device, stream) chain so consecutive tasks
-    on one stream serialise via explicit edges — the paper's "execution
-    order within each GPU must be modeled" requirement.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.nodes: list[TaskNode] = []
-
-    def _append(self, device: int, stream: str, duration: float, kind: str,
-                label: str, payload: Any) -> int:
-        task_id = len(self.nodes)
-        self.nodes.append(TaskNode(task_id=task_id, device=device,
-                                   stream=stream, duration=duration,
-                                   kind=kind, label=label, payload=payload))
-        return task_id
-
     def link(self, parent: int, child: int) -> None:
         """Add a dependency edge parent -> child."""
         if parent == child:
@@ -165,101 +145,62 @@ class GraphAssembler(_AssemblerBase):
                metadata: dict[str, Any] | None = None) -> "ExecutionGraph":
         """Freeze the assembled nodes into an ExecutionGraph."""
         return ExecutionGraph(nodes=self.nodes, num_devices=num_devices,
-                              metadata=dict(metadata or {}))
+                              metadata=dict(metadata or {}),
+                              slots=self.slots)
 
 
-class FlatAssembler(_AssemblerBase):
-    """Column-oriented assembler feeding :meth:`compile` directly.
-
-    Behaviourally identical to :class:`GraphAssembler` (same task ids,
-    same edges in the same order) but stores per-task attributes in
-    parallel lists, so compiling a :class:`GraphStructure` skips
-    :class:`TaskNode` allocation entirely — the builder's fast path when
-    the caller wants a compiled structure rather than a node graph.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.device: list[int] = []
-        self.stream: list[str] = []
-        self.duration: list[float] = []
-        self.kind: list[str] = []
-        self.label: list[str] = []
-        self.payload: list[Any] = []
-        self.children: list[list[int]] = []
-        self.num_parents: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.device)
-
-    def _append(self, device: int, stream: str, duration: float, kind: str,
-                label: str, payload: Any) -> int:
-        task_id = len(self.device)
-        self.device.append(device)
-        self.stream.append(stream)
-        self.duration.append(duration)
-        self.kind.append(kind)
-        self.label.append(label)
-        self.payload.append(payload)
-        self.children.append([])
-        self.num_parents.append(0)
-        return task_id
-
-    def link(self, parent: int, child: int) -> None:
-        """Add a dependency edge parent -> child."""
-        if parent == child:
-            raise SimulationError("a task cannot depend on itself")
-        self.children[parent].append(child)
-        self.num_parents[child] += 1
-
-    def compile(self, num_devices: int,
-                metadata: dict[str, Any] | None = None) -> "GraphStructure":
-        """Compile the assembled columns into a :class:`GraphStructure`.
-
-        Raises:
-            SimulationError: Device out of range, or a dependency cycle
-                (reported with the reference engine's deadlock message).
-        """
-        num_tasks = len(self.device)
-        for task_id, device in enumerate(self.device):
-            if not 0 <= device < num_devices:
-                raise SimulationError(
-                    f"task {task_id} ({self.label[task_id]!r}) runs on "
-                    f"device {device}, outside the graph's "
-                    f"{num_devices} devices")
-        order = _replay_order(self.children, self.num_parents)
-        if len(order) != num_tasks:
-            raise SimulationError(
-                f"task graph deadlocked: {len(order)}/{num_tasks} tasks "
-                "executed (dependency cycle)")
-        return GraphStructure._from_columns(
-            order=order, device=self.device, stream=self.stream,
-            duration=self.duration, kind=self.kind, label=self.label,
-            payload=self.payload, children=self.children,
-            slots=self.slots, num_devices=num_devices,
-            metadata=dict(metadata or {}))
-
-
-def _replay_order(children: list[list[int]],
-                  num_parents: list[int]) -> list[int]:
+def _replay_order(task_ptr: np.ndarray, child: np.ndarray,
+                  indegree: np.ndarray) -> list[int]:
     """Kahn's algorithm with a FIFO queue — the exact pop order of the
-    reference engine's Algorithm-1 loop, which is purely structural."""
-    ref = list(num_parents)
-    queue: deque[int] = deque(task for task, parents in enumerate(ref)
-                              if parents == 0)
-    order: list[int] = []
-    order_append = order.append
-    queue_pop = queue.popleft
-    queue_push = queue.append
-    while queue:
-        task = queue_pop()
-        order_append(task)
-        for child in children[task]:
-            remaining = ref[child] - 1
-            ref[child] = remaining
+    reference engine's Algorithm-1 loop, which is purely structural.
+
+    Children of task ``t`` are ``child[task_ptr[t]:task_ptr[t + 1]]`` in
+    insertion order. The returned list doubles as the queue: a FIFO
+    queue's pops are exactly its pushes, in push order.
+    """
+    ref = indegree.tolist()
+    ptr = task_ptr.tolist()
+    children = child.tolist()
+    order = np.flatnonzero(indegree == 0).tolist()
+    push = order.append
+    for task in order:
+        lo = ptr[task]
+        hi = ptr[task + 1]
+        if hi - lo == 1:  # most tasks: one child, no slice needed
+            kid = children[lo]
+            remaining = ref[kid] - 1
+            ref[kid] = remaining
             if not remaining:
-                queue_push(child)
+                push(kid)
+            continue
+        for kid in children[lo:hi]:
+            remaining = ref[kid] - 1
+            ref[kid] = remaining
+            if not remaining:
+                push(kid)
     return order
+
+
+def _by_first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``codes`` (all in ``range(size)``), in
+    order of first appearance."""
+    first = np.full(size, codes.size, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(codes.size, dtype=np.intp))
+    present = np.flatnonzero(first < codes.size)
+    return present[np.argsort(first[present], kind="stable")]
+
+
+def _first_appearance(codes: np.ndarray,
+                      table: Sequence[Any]) -> tuple[np.ndarray, tuple]:
+    """Renumber ``codes`` (indices into ``table``) by first appearance.
+
+    Returns the renumbered codes and the used table entries in that
+    order, so the result is independent of how ``table`` was ordered.
+    """
+    ranked = _by_first_appearance(codes, len(table))
+    remap = np.zeros(len(table), dtype=np.intp)
+    remap[ranked] = np.arange(ranked.size, dtype=np.intp)
+    return remap[codes], tuple(table[code] for code in ranked.tolist())
 
 
 @dataclass
@@ -269,6 +210,10 @@ class ExecutionGraph:
     nodes: list[TaskNode]
     num_devices: int
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: Timing-slot key per node as the assembler recorded it (pass to
+    #: :meth:`GraphStructure.compile` for a retimeable structure).
+    slots: list[str | None] | None = field(default=None, repr=False,
+                                           compare=False)
     _compiled: "GraphStructure | None" = field(default=None, init=False,
                                                repr=False, compare=False)
 
@@ -366,6 +311,12 @@ class GraphStructure:
     (``child_ptr``/``child_idx``), so the replay engine touches no
     dicts, deques, or node objects.
 
+    The constructor is the one compile path: it takes per-task columns
+    in original task order — from :meth:`compile` (an
+    :class:`ExecutionGraph`) or from the builder's tiled
+    :meth:`~repro.graph.builder.GraphBuilder.compile` — runs the FIFO
+    pass, and permutes everything with array operations.
+
     The baseline ``duration`` vector captured at compile time is one
     valid timing; :meth:`retime` derives fresh vectors from a timing
     table via the per-task ``slot`` keys the builder recorded, which is
@@ -382,78 +333,120 @@ class GraphStructure:
             ``child_idx[child_ptr[k]:child_ptr[k + 1]]``.
         duration: Baseline durations per position (``float64``,
             read-only).
-        stream / label / payload: Per-position tuples (used only when a
-            replay records its timeline, or by retiming consumers).
-            Note that on a structure served from the process-wide cache
-            these are *representative* of the build that compiled it —
-            payloads in particular may belong to a different plan with
-            the same topology. Consumers needing exact per-plan
+        stream / label / payload: Per-position tuples, materialized on
+            first access (only timelines, traces, and the testbed read
+            them). Note that on a structure served from the process-wide
+            cache these are *representative* of the build that compiled
+            it — payloads in particular may belong to a different plan
+            with the same topology. Consumers needing exact per-plan
             operators must resolve through ``slot_keys`` against their
             own builder (see ``GraphBuilder.slot_kernel_counts``).
-        slot_keys: Distinct timing-slot keys, or ``None`` when the
-            source assembler recorded no slots.
+        slot_keys: Distinct timing-slot keys in first-appearance order,
+            or ``None`` when the source recorded no slots.
         slot_index: Index into ``slot_keys`` per position, or ``None``.
         metadata: The source graph's metadata (replays may override).
     """
 
-    def __init__(self, *, task_ids: list[int], device_ids: list[int],
-                 kinds: tuple[str, ...], kind_ids: list[int],
-                 children: list[list[int]], duration_view: list[float],
-                 stream: tuple[str, ...], label: tuple[str, ...],
-                 payload: tuple[Any, ...], num_devices: int,
-                 device_kind_order: tuple[tuple[int, ...], ...],
-                 slot_keys: tuple[str, ...] | None,
-                 slot_ids: list[int] | None,
+    def __init__(self, *, num_devices: int, device: np.ndarray,
+                 kinds: Sequence[str], kind: np.ndarray,
+                 src: np.ndarray, dst: np.ndarray, duration: np.ndarray,
+                 slot_keys: Sequence[str] | None, slot: np.ndarray | None,
+                 stream: Sequence[str] | Mapping[str, str],
+                 payload: Sequence[Any] | Mapping[str, Any],
+                 label: Sequence[str] | Callable[[], Sequence[str]],
                  metadata: dict[str, Any]) -> None:
-        num_tasks = len(task_ids)
+        """Compile per-task columns (original task order) into replay
+        order.
+
+        Args:
+            device / kind / duration / slot: Per-task arrays; ``kind``
+                and ``slot`` index into ``kinds`` and ``slot_keys``.
+            src / dst: Every dependency edge, grouped by parent in
+                ascending task id and, within a parent, in the order its
+                children were linked (that order decides the FIFO
+                replay order).
+            stream / payload: Per-task sequences, or per-slot mappings
+                from slot key to value.
+            label: Per-task labels, or a zero-argument callable
+                producing them on first use.
+
+        Raises:
+            SimulationError: A device out of range, or a dependency
+                cycle (reported with the reference engine's deadlock
+                message).
+        """
+        num_tasks = len(device)
         self.num_tasks = num_tasks
         self.num_devices = num_devices
-        # Python-native views for the replay hot loop (plain-list
-        # iteration beats CSR index arithmetic in CPython; the CSR
-        # arrays below stay the canonical, exportable representation).
-        self.task_ids = task_ids
-        self.device_ids = device_ids
-        self.children_view = children
-        self.duration_view = duration_view
-        self.kinds = kinds
-        self.stream = stream
-        self.label = label
-        self.payload = payload
         self.metadata = metadata
-        # Flat-array form: per-task attributes and CSR adjacency.
-        self.task_id = np.array(task_ids, dtype=np.intp)
-        self.device = np.array(device_ids, dtype=np.intp)
-        self.kind_index = np.array(kind_ids, dtype=np.intp)
-        self.duration = np.array(duration_view, dtype=np.float64)
-        self.duration.setflags(write=False)
+        self._sources = {"stream": stream, "payload": payload,
+                         "label": label}
+        self._columns: dict[str, tuple] = {}
+        outside = np.flatnonzero((device < 0) | (device >= num_devices))
+        if outside.size:
+            task = int(outside[0])
+            labels = label() if callable(label) else label
+            raise SimulationError(
+                f"task {task} ({labels[task]!r}) runs on device "
+                f"{int(device[task])}, outside the graph's {num_devices} "
+                "devices")
+
+        counts = np.bincount(src, minlength=num_tasks)
+        task_ptr = np.zeros(num_tasks + 1, dtype=np.intp)
+        np.cumsum(counts, out=task_ptr[1:])
+        order = _replay_order(task_ptr, dst,
+                              np.bincount(dst, minlength=num_tasks))
+        if len(order) != num_tasks:
+            raise SimulationError(
+                f"task graph deadlocked: {len(order)}/{num_tasks} tasks "
+                "executed (dependency cycle)")
+        task_id = np.fromiter(order, dtype=np.intp, count=num_tasks)
+        position = np.empty(num_tasks, dtype=np.intp)
+        position[task_id] = np.arange(num_tasks, dtype=np.intp)
+        self.task_id = task_id
+
+        # CSR over replay positions: row k is task_id[k]'s child run,
+        # gathered whole and renumbered into positions.
+        row_counts = counts[task_id]
         child_ptr = np.zeros(num_tasks + 1, dtype=np.intp)
-        if num_tasks:
-            np.cumsum(np.fromiter(map(len, children), dtype=np.intp,
-                                  count=num_tasks), out=child_ptr[1:])
-        self.child_ptr = child_ptr
+        np.cumsum(row_counts, out=child_ptr[1:])
         num_edges = int(child_ptr[-1])
+        gather = (np.repeat(task_ptr[:-1][task_id] - child_ptr[:-1],
+                            row_counts)
+                  + np.arange(num_edges, dtype=np.intp))
+        self.child_ptr = child_ptr
+        self.child_idx = position[dst[gather]]
         self.num_edges = num_edges
-        self.child_idx = np.fromiter(
-            (child for kids in children for child in kids),
-            dtype=np.intp, count=num_edges)
+
+        self.device = device[task_id].astype(np.intp, copy=False)
+        self.kind_index, self.kinds = _first_appearance(kind[task_id], kinds)
+        self.duration = np.asarray(duration, dtype=np.float64)[task_id]
+        self.duration.setflags(write=False)
+        if slot is None or slot_keys is None:
+            self.slot_index = None
+            self.slot_keys = None
+        else:
+            self.slot_index, self.slot_keys = _first_appearance(
+                slot[task_id], slot_keys)
         # Flat (device, kind) bucket per position for one-pass busy
         # accounting; device_kind_order lists each device's kinds in
         # first-appearance order so replay results reproduce the
         # reference engine's dict layout.
-        self.busy_index = self.device * len(kinds) + self.kind_index
-        self.device_kind_order = device_kind_order
-        self.slot_keys = slot_keys
-        self.slot_index = (np.array(slot_ids, dtype=np.intp)
-                           if slot_ids is not None else None)
+        num_kinds = len(self.kinds)
+        self.busy_index = self.device * num_kinds + self.kind_index
+        kind_order: list[list[int]] = [[] for _ in range(num_devices)]
+        for bucket in _by_first_appearance(
+                self.busy_index, num_devices * num_kinds).tolist():
+            kind_order[bucket // num_kinds].append(bucket % num_kinds)
+        self.device_kind_order = tuple(tuple(kinds_) for kinds_ in kind_order)
         self._batch_plan: BatchSweepPlan | None = None
+        self._edge_lists: tuple[list[int], list[int]] | None = None
+        self._digest: str | None = None
 
     @classmethod
     def compile(cls, graph: ExecutionGraph,
                 slots: list[str | None] | None = None) -> "GraphStructure":
         """Flatten ``graph`` into its compiled replay form.
-
-        (Builders that only need the compiled form should prefer a
-        :class:`FlatAssembler`, which skips node objects entirely.)
 
         Args:
             slots: Per-task timing-slot keys in *original* task order
@@ -467,96 +460,99 @@ class GraphStructure:
         """
         nodes = graph.nodes
         num_tasks = len(nodes)
-        children = [node.children for node in nodes]
-        order = _replay_order(children,
-                              [node.num_parents for node in nodes])
-        if len(order) != num_tasks:
-            raise SimulationError(
-                f"task graph deadlocked: {len(order)}/{num_tasks} tasks "
-                "executed (dependency cycle)")
-        return cls._from_columns(
-            order=order,
-            device=[node.device for node in nodes],
-            stream=[node.stream for node in nodes],
-            duration=[node.duration for node in nodes],
-            kind=[node.kind for node in nodes],
-            label=[node.label for node in nodes],
-            payload=[node.payload for node in nodes],
-            children=children,
-            slots=slots,
+        kind_of: dict[str, int] = {}
+        kind = np.fromiter((kind_of.setdefault(node.kind, len(kind_of))
+                            for node in nodes), dtype=np.intp,
+                           count=num_tasks)
+        counts = np.fromiter((len(node.children) for node in nodes),
+                             dtype=np.intp, count=num_tasks)
+        dst = np.fromiter((child for node in nodes
+                           for child in node.children),
+                          dtype=np.intp, count=int(counts.sum()))
+        slot_keys = slot = None
+        if (slots is not None and len(slots) == num_tasks
+                and None not in slots):
+            slot_of: dict[str, int] = {}
+            slot = np.fromiter((slot_of.setdefault(key, len(slot_of))
+                                for key in slots), dtype=np.intp,
+                               count=num_tasks)
+            slot_keys = tuple(slot_of)
+        return cls(
             num_devices=graph.num_devices,
+            device=np.fromiter((node.device for node in nodes),
+                               dtype=np.intp, count=num_tasks),
+            kinds=tuple(kind_of), kind=kind,
+            src=np.repeat(np.arange(num_tasks, dtype=np.intp), counts),
+            dst=dst,
+            duration=np.fromiter((node.duration for node in nodes),
+                                 dtype=np.float64, count=num_tasks),
+            slot_keys=slot_keys, slot=slot,
+            stream=[node.stream for node in nodes],
+            payload=[node.payload for node in nodes],
+            label=[node.label for node in nodes],
             metadata=dict(graph.metadata))
 
-    @classmethod
-    def _from_columns(cls, *, order: list[int], device: list[int],
-                      stream: list[str], duration: list[float],
-                      kind: list[str], label: list[str],
-                      payload: list[Any], children: list[list[int]],
-                      slots: list[str | None] | None, num_devices: int,
-                      metadata: dict[str, Any]) -> "GraphStructure":
-        """Permute original-order columns into a replay-order structure."""
-        num_tasks = len(device)
-        position = [0] * num_tasks
-        for pos, task in enumerate(order):
-            position[task] = pos
+    def _column(self, name: str) -> tuple:
+        """One per-position attribute column, materialized on first use."""
+        column = self._columns.get(name)
+        if column is None:
+            source = self._sources[name]
+            if isinstance(source, Mapping):
+                table = [source[key] for key in self.slot_keys]
+                column = tuple(map(table.__getitem__,
+                                   self.slot_index.tolist()))
+            else:
+                if callable(source):
+                    source = source()
+                column = tuple(map(source.__getitem__,
+                                   self.task_id.tolist()))
+            self._columns[name] = column
+        return column
 
-        use_slots = (slots is not None and len(slots) == num_tasks
-                     and None not in slots)
-        kinds: list[str] = []
-        kind_of: dict[str, int] = {}
-        slot_list: list[str] = []
-        slot_of: dict[str, int] = {}
-        device_ids: list[int] = []
-        kind_ids: list[int] = []
-        durations: list[float] = []
-        streams: list[str] = []
-        labels: list[str] = []
-        payloads: list[Any] = []
-        children_view: list[list[int]] = []
-        slot_ids: list[int] | None = [] if use_slots else None
-        kind_order: list[list[int]] = [[] for _ in range(num_devices)]
-        seen_busy: set[tuple[int, int]] = set()
+    @property
+    def stream(self) -> tuple[str, ...]:
+        """Stream per replay position."""
+        return self._column("stream")
 
-        for task in order:
-            dev = device[task]
-            device_ids.append(dev)
-            kind_id = kind_of.get(kind[task])
-            if kind_id is None:
-                kind_id = kind_of[kind[task]] = len(kinds)
-                kinds.append(kind[task])
-            kind_ids.append(kind_id)
-            if (dev, kind_id) not in seen_busy:
-                seen_busy.add((dev, kind_id))
-                kind_order[dev].append(kind_id)
-            durations.append(duration[task])
-            streams.append(stream[task])
-            labels.append(label[task])
-            payloads.append(payload[task])
-            children_view.append([position[child]
-                                  for child in children[task]])
-            if slot_ids is not None:
-                slot_key = slots[task]
-                slot = slot_of.get(slot_key)
-                if slot is None:
-                    slot = slot_of[slot_key] = len(slot_list)
-                    slot_list.append(slot_key)
-                slot_ids.append(slot)
+    @property
+    def label(self) -> tuple[str, ...]:
+        """Task label per replay position."""
+        return self._column("label")
 
-        return cls(
-            task_ids=order,
-            device_ids=device_ids,
-            kinds=tuple(kinds),
-            kind_ids=kind_ids,
-            children=children_view,
-            duration_view=durations,
-            stream=tuple(streams),
-            label=tuple(labels),
-            payload=tuple(payloads),
-            num_devices=num_devices,
-            device_kind_order=tuple(tuple(order_) for order_ in kind_order),
-            slot_keys=tuple(slot_list) if use_slots else None,
-            slot_ids=slot_ids,
-            metadata=metadata)
+    @property
+    def payload(self) -> tuple[Any, ...]:
+        """Originating operator/kernel/collective per replay position."""
+        return self._column("payload")
+
+    def edge_lists(self) -> tuple[list[int], list[int]]:
+        """Every edge as flat ``(parent, child)`` replay-position lists,
+        grouped by parent in replay order (memoized; the scalar replay
+        loop walks these instead of per-task child lists)."""
+        if self._edge_lists is None:
+            parents = np.repeat(np.arange(self.num_tasks, dtype=np.intp),
+                                np.diff(self.child_ptr))
+            self._edge_lists = (parents.tolist(), self.child_idx.tolist())
+        return self._edge_lists
+
+    def digest(self) -> str:
+        """SHA-256 of the topology: CSR adjacency plus the device, kind,
+        and slot-key columns, all in replay order (memoized).
+
+        Durations, labels, and payloads are excluded, so two builds
+        with equal structure fingerprints must have equal digests — the
+        check that the structure cache never serves a wrong topology.
+        """
+        if self._digest is None:
+            sha = hashlib.sha256(json.dumps(
+                [self.num_tasks, self.num_devices, list(self.kinds),
+                 None if self.slot_keys is None else list(self.slot_keys)]
+            ).encode())
+            for array in (self.child_ptr, self.child_idx, self.device,
+                          self.kind_index, self.slot_index):
+                if array is not None:
+                    sha.update(array.astype("<i8").tobytes())
+            self._digest = sha.hexdigest()
+        return self._digest
 
     def retime(self, timings: Mapping[str, float]) -> np.ndarray:
         """Duration vector (replay order) from a fresh timing table.
@@ -593,18 +589,6 @@ class GraphStructure:
         if self._batch_plan is None:
             self._batch_plan = BatchSweepPlan(self)
         return self._batch_plan
-
-    def nbytes_estimate(self) -> int:
-        """Rough memory footprint (cache budgeting)."""
-        arrays = (self.task_id, self.device, self.kind_index,
-                  self.child_ptr, self.child_idx, self.duration,
-                  self.busy_index)
-        total = sum(array.nbytes for array in arrays)
-        if self.slot_index is not None:
-            total += self.slot_index.nbytes
-        # Tuples, label strings, and the children view dominate beyond
-        # the arrays; ~200 bytes/task is a measured ballpark.
-        return total + 200 * self.num_tasks
 
 
 class BatchSweepPlan:

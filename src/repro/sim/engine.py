@@ -85,7 +85,7 @@ def simulate(graph: ExecutionGraph | GraphStructure, *,
     # scaled/mutated durations (sensitivity studies) must see the
     # current values, exactly as the reference engine does.
     nodes = graph.nodes
-    durations = [nodes[task].duration for task in structure.task_ids]
+    durations = [nodes[task].duration for task in structure.task_id.tolist()]
     return simulate_retimed(structure, durations,
                             record_timeline=record_timeline,
                             metadata=graph.metadata)
@@ -124,7 +124,6 @@ def simulate_retimed(structure: GraphStructure,
         raise SimulationError("cannot simulate an empty graph")
     if durations is None or durations is structure.duration:
         durations_np = structure.duration
-        duration_list = structure.duration_view
     else:
         durations_np = np.asarray(durations, dtype=np.float64)
         if durations_np.shape != (num_tasks,):
@@ -133,20 +132,19 @@ def simulate_retimed(structure: GraphStructure,
                 f"structure has {num_tasks} tasks")
         if durations_np.size and float(durations_np.min()) < 0.0:
             raise SimulationError("durations must be non-negative")
-        duration_list = durations_np.tolist()
+    duration_list = durations_np.tolist()
 
-    # Hot loop: finish-time propagation in precompiled replay order.
-    # Children always sit at later positions, so each task's start is
-    # final when visited. Same float operations in the same order as
-    # the reference engine's queue loop.
+    # Hot loop: finish-time propagation over the flat edge lists, which
+    # are grouped by parent in replay order. Every parent of a task sits
+    # at an earlier position, so its start is final before its first
+    # outgoing edge; each edge recomputes the parent's finish with the
+    # same single addition as the reference engine's queue loop.
     start = [0.0] * num_tasks
-    position = 0
-    for children in structure.children_view:
-        finish = start[position] + duration_list[position]
-        for child in children:
-            if start[child] < finish:
-                start[child] = finish
-        position += 1
+    parents, children = structure.edge_lists()
+    for parent, child in zip(parents, children):
+        finish = start[parent] + duration_list[parent]
+        if start[child] < finish:
+            start[child] = finish
 
     finish_np = np.asarray(start, dtype=np.float64) + durations_np
     makespan = float(finish_np.max())
@@ -164,7 +162,7 @@ def simulate_retimed(structure: GraphStructure,
                           kind=kinds[kind], label=label, start=task_start,
                           finish=task_finish)
             for task_id, device, stream, kind, label, task_start, task_finish
-            in zip(structure.task_ids, structure.device_ids,
+            in zip(structure.task_id.tolist(), structure.device.tolist(),
                    structure.stream, structure.kind_index.tolist(),
                    structure.label, start, finish_np.tolist())]
 

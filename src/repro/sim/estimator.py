@@ -85,15 +85,15 @@ class PredictTiming:
         previously cold calls could leave >30% of ``total_s``
         unaccounted for.
         """
-        return (self.memory_check_s + self.builder_init_s
-                + self.structure_s + self.fill_s + self.replay_s)
+        return sum(self.phases().values())
 
     def phases(self) -> dict[str, float]:
-        """Ordered phase-name -> seconds mapping for reports."""
+        """Ordered phase-name -> seconds mapping for reports, named like
+        the layers of the per-layer performance breakdown."""
         return {
             "memory check": self.memory_check_s,
-            "network setup": self.builder_init_s,
-            "structure": self.structure_s,
+            "builder init": self.builder_init_s,
+            "structure build": self.structure_s,
             "duration fill": self.fill_s,
             "replay": self.replay_s,
         }

@@ -344,7 +344,7 @@ class TestbedEmulator:
         perturbed: list[float] = []
         for duration, kind_index, label, device, num_kernels in zip(
                 durations.tolist(), structure.kind_index.tolist(),
-                structure.label, structure.device_ids, kernel_counts):
+                structure.label, structure.device.tolist(), kernel_counts):
             kind = kinds[kind_index]
             key = f"{session}/{label}"
             if kind in (KIND_COMPUTE, KIND_WEIGHT_UPDATE):

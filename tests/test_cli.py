@@ -85,10 +85,11 @@ class TestPredict:
     def test_timing_includes_network_setup_phase(self, description_file,
                                                  capsys):
         # A cold predict spends real time constructing the network model
-        # inside GraphBuilder; the breakdown must account for it rather
-        # than leave a gap between the phases and the total.
+        # inside GraphBuilder; the breakdown must account for it (as the
+        # "builder init" layer) rather than leave a gap between the
+        # phases and the total.
         assert main(["predict", str(description_file), "--timing"]) == 0
-        assert "network setup" in capsys.readouterr().out
+        assert "builder init" in capsys.readouterr().out
 
     def test_predict_needs_description_xor_preset(self, description_file,
                                                   capsys):

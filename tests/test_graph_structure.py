@@ -150,9 +150,21 @@ class TestGraphStructure:
         assert ptr[0] == 0
         assert ptr[-1] == structure.num_edges == graph.num_edges
         assert all(lo <= hi for lo, hi in zip(ptr, ptr[1:]))
-        for pos, children in enumerate(structure.children_view):
+        position = {task: pos
+                    for pos, task in enumerate(structure.task_id.tolist())}
+        for pos, task in enumerate(structure.task_id.tolist()):
             lo, hi = ptr[pos], ptr[pos + 1]
-            assert structure.child_idx.tolist()[lo:hi] == list(children)
+            assert structure.child_idx.tolist()[lo:hi] == [
+                position[child] for child in graph.nodes[task].children]
+
+    def test_edge_lists_follow_csr(self):
+        asm, graph = self._diamond()
+        structure = GraphStructure.compile(graph, slots=asm.slots)
+        parents, children = structure.edge_lists()
+        assert children == structure.child_idx.tolist()
+        assert parents == [pos for pos in range(structure.num_tasks)
+                           for _ in range(structure.child_ptr[pos],
+                                          structure.child_ptr[pos + 1])]
 
     def test_slots_interned_and_retimed(self):
         asm, graph = self._diamond()
@@ -225,5 +237,41 @@ class TestStructureCache:
             assert structure_cache_get("a") is not None
             assert structure_cache_get("c") is not None
             assert structure_cache_stats()["evictions"] == 1
+        finally:
+            clear_structure_cache()
+
+    @pytest.mark.parametrize("raw", ["lots", "-5", "1e6", ""])
+    def test_malformed_budget_raises(self, monkeypatch, raw):
+        """A bad REPRO_STRUCTURE_CACHE_TASKS fails loudly, naming the
+        variable and its value, instead of silently using a default."""
+        from repro.errors import ConfigError
+        from repro.graph.builder import (clear_structure_cache,
+                                         structure_cache_put)
+        monkeypatch.setenv("REPRO_STRUCTURE_CACHE_TASKS", raw)
+        asm = GraphAssembler()
+        asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
+        structure = GraphStructure.compile(asm.finish(num_devices=1))
+        clear_structure_cache()
+        try:
+            with pytest.raises(ConfigError) as excinfo:
+                structure_cache_put("k", structure)
+            assert "REPRO_STRUCTURE_CACHE_TASKS" in str(excinfo.value)
+            assert repr(raw) in str(excinfo.value)
+        finally:
+            clear_structure_cache()
+
+    def test_zero_budget_keeps_only_the_newest(self, monkeypatch):
+        from repro.graph.builder import (clear_structure_cache,
+                                         structure_cache_put,
+                                         structure_cache_stats)
+        monkeypatch.setenv("REPRO_STRUCTURE_CACHE_TASKS", "0")
+        asm = GraphAssembler()
+        asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
+        structure = GraphStructure.compile(asm.finish(num_devices=1))
+        clear_structure_cache()
+        try:
+            structure_cache_put("a", structure)
+            structure_cache_put("b", structure)
+            assert structure_cache_stats()["entries"] == 1
         finally:
             clear_structure_cache()

@@ -1,0 +1,250 @@
+"""The tiled compile path equals the per-task reference emitter.
+
+``GraphBuilder.compile()`` stamps chunk-body templates over every
+stage's issue order with array operations; ``GraphBuilder.build()``
+emits the same step task by task through ``GraphAssembler``. Compiling
+the reference graph must give the tiled structure back exactly — replay
+order, CSR, devices, kinds, slots, durations, metadata, and the lazily
+produced labels, streams, and payloads — at every granularity,
+schedule, ``v``, and workload phase.
+
+The structural digest turns that equality into the structure cache's
+safety check: two builds with equal ``structure_fingerprint`` must have
+equal digests, or the cache would serve one plan the other's topology.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, event, given
+from hypothesis import strategies as st
+
+from repro.config.model import ModelConfig
+from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
+                                      TrainingConfig)
+from repro.config.system import multi_node
+from repro.errors import (ConfigError, InfeasibleConfigError,
+                          SimulationError)
+from repro.graph.builder import Granularity, GraphBuilder
+from repro.graph.structure import GraphStructure
+from repro.sim.estimator import VTrain
+from repro.workload import DECODE, PREFILL, InferenceWorkload
+
+ARRAYS = ("task_id", "device", "kind_index", "child_ptr", "child_idx",
+          "duration", "busy_index", "slot_index")
+VALUES = ("num_tasks", "num_devices", "num_edges", "kinds",
+          "device_kind_order", "slot_keys", "metadata", "label", "stream",
+          "payload")
+
+#: The plans whose training graphs are pinned by digest goldens in
+#: test_workload_graph.py.
+GOLDEN_PLANS = {
+    "tp2dp2pp2": ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                   micro_batch_size=2),
+    "tp1dp1pp4": ParallelismConfig(tensor=1, data=1, pipeline=4,
+                                   micro_batch_size=4),
+    "tp2dp1pp2v2": ParallelismConfig(tensor=2, data=1, pipeline=2,
+                                     micro_batch_size=2, virtual_stages=2),
+}
+
+MODELS = {
+    "tiny": ModelConfig(hidden_size=512, num_layers=4, seq_length=128,
+                        num_heads=8, vocab_size=32_000, name="tiny"),
+    "tiny-wide": ModelConfig(hidden_size=1024, num_layers=4,
+                             seq_length=128, num_heads=16,
+                             vocab_size=32_000, name="tiny-wide"),
+    "small": ModelConfig(hidden_size=1024, num_layers=8, seq_length=512,
+                         num_heads=16, vocab_size=32_000, name="small"),
+}
+TRAINING = TrainingConfig(global_batch_size=16, total_tokens=10_000_000)
+WORKLOAD = InferenceWorkload(batch_size=8, prompt_len=128, gen_len=64)
+PHASES = (None, PREFILL, DECODE)
+SYSTEM = multi_node(4)
+VTRAINS = {granularity: VTrain(SYSTEM, granularity=granularity,
+                               check_memory_feasibility=False)
+           for granularity in Granularity}
+
+
+def make_builder(model: ModelConfig, plan: ParallelismConfig,
+                 granularity: Granularity,
+                 phase: str | None) -> GraphBuilder:
+    vtrain = VTRAINS[granularity]
+    return GraphBuilder(model, SYSTEM, plan,
+                        TRAINING if phase is None else None, vtrain.lookup,
+                        vtrain.nccl, granularity,
+                        workload=None if phase is None else WORKLOAD,
+                        phase=phase)
+
+
+def assert_same_structure(tiled: GraphStructure,
+                          reference: GraphStructure) -> None:
+    for name in ARRAYS:
+        expected = getattr(reference, name)
+        actual = getattr(tiled, name)
+        assert actual.dtype == expected.dtype, name
+        assert np.array_equal(actual, expected), name
+    for name in VALUES:
+        assert getattr(tiled, name) == getattr(reference, name), name
+    assert tiled.digest() == reference.digest()
+
+
+def assert_compile_matches_build(builder: GraphBuilder) -> None:
+    graph = builder.build()
+    assert_same_structure(builder.compile(),
+                          GraphStructure.compile(graph, graph.slots))
+
+
+class TestTiledCompile:
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    @pytest.mark.parametrize("plan_name,phase", [
+        (name, phase) for name, plan in GOLDEN_PLANS.items()
+        for phase in PHASES
+        # Inference graphs have no virtual stages.
+        if phase is None or plan.virtual_stages == 1])
+    def test_golden_plans_match_reference(self, plan_name, phase,
+                                          granularity):
+        assert_compile_matches_build(
+            make_builder(MODELS["tiny"], GOLDEN_PLANS[plan_name],
+                         granularity, phase))
+
+    @pytest.mark.parametrize("schedule", list(PipelineSchedule))
+    def test_bucketing_and_schedules_match_reference(self, schedule):
+        for buckets, bucketing in ((3, True), (1, True), (2, False)):
+            plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                     micro_batch_size=1, schedule=schedule,
+                                     num_gradient_buckets=buckets,
+                                     gradient_bucketing=bucketing)
+            for granularity in Granularity:
+                assert_compile_matches_build(
+                    make_builder(MODELS["small"], plan, granularity, None))
+
+    @pytest.mark.slow
+    def test_wide_grid_matches_reference(self):
+        """Every valid plan of a small grid, both models, every
+        granularity and phase (the slow lane)."""
+        checked = 0
+        grid = itertools.product(
+            ("tiny", "small"), (1, 2), (1, 2), (1, 2, 4), (1, 2),
+            list(PipelineSchedule), (1, 2), (True, False), (1, 3))
+        for (model, t, d, p, mbs, schedule, v, bucketing,
+             buckets) in grid:
+            if v > 1 and (schedule is PipelineSchedule.GPIPE or p == 1):
+                continue
+            for granularity, phase in itertools.product(Granularity,
+                                                        PHASES):
+                try:
+                    plan = ParallelismConfig(
+                        tensor=t, data=d, pipeline=p, micro_batch_size=mbs,
+                        schedule=schedule, virtual_stages=v,
+                        gradient_bucketing=bucketing,
+                        num_gradient_buckets=buckets)
+                    builder = make_builder(MODELS[model], plan, granularity,
+                                           phase)
+                except (ConfigError, InfeasibleConfigError):
+                    continue
+                assert_compile_matches_build(builder)
+                checked += 1
+        assert checked > 1000
+
+    def test_negative_duration_names_the_first_task(self):
+        builder = make_builder(MODELS["tiny"], GOLDEN_PLANS["tp2dp2pp2"],
+                               Granularity.OPERATOR, None)
+        builder.timings["tp_ar"] = -1.0
+        with pytest.raises(SimulationError) as tiled:
+            builder.compile()
+        with pytest.raises(SimulationError) as reference:
+            builder.build()
+        assert str(tiled.value) == str(reference.value)
+        assert "s0/F0/embed_ar" in str(tiled.value)
+
+    def test_labels_are_produced_on_demand(self):
+        """Compiling formats no label; the first read formats them all."""
+        builder = make_builder(MODELS["tiny"], GOLDEN_PLANS["tp2dp2pp2"],
+                               Granularity.OPERATOR, None)
+        structure = builder.compile()
+        source = structure._sources["label"]
+        assert callable(source)
+        assert "label" not in structure._columns
+        assert structure.label[0] == "s0/F0/embed"
+        assert structure.label is structure.label
+
+
+class TestStructureDigest:
+    def test_digest_is_memoized_hex(self):
+        structure = make_builder(MODELS["tiny"], GOLDEN_PLANS["tp2dp2pp2"],
+                                 Granularity.STAGE, None).compile()
+        digest = structure.digest()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert structure.digest() is digest
+
+    def test_digest_tracks_topology(self):
+        """Plans differing in a structural knob differ in digest."""
+        digests = {
+            make_builder(MODELS["tiny"], plan, Granularity.OPERATOR,
+                         None).compile().digest()
+            for plan in (ParallelismConfig(tensor=1, data=1, pipeline=2),
+                         ParallelismConfig(tensor=1, data=1, pipeline=2,
+                                           virtual_stages=2),
+                         ParallelismConfig(tensor=1, data=2, pipeline=2),
+                         ParallelismConfig(tensor=2, data=1, pipeline=2))}
+        assert len(digests) == 4
+
+    def test_digest_ignores_timing(self):
+        """Tensor degree and hidden size only scale durations."""
+        narrow = make_builder(MODELS["tiny"],
+                              ParallelismConfig(tensor=2, data=1,
+                                                pipeline=2),
+                              Granularity.OPERATOR, None).compile()
+        wide = make_builder(MODELS["tiny-wide"],
+                            ParallelismConfig(tensor=4, data=1,
+                                              pipeline=2),
+                            Granularity.OPERATOR, None).compile()
+        assert not np.array_equal(narrow.duration, wide.duration)
+        assert narrow.digest() == wide.digest()
+
+    @given(data=st.data())
+    def test_equal_fingerprints_have_equal_digests(self, data):
+        """The structure cache's safety property: whenever two builds
+        share a fingerprint (and so a cache entry), their topologies —
+        CSR, devices, kinds, slot keys — are identical."""
+        granularity = data.draw(st.sampled_from(list(Granularity)))
+        phase = data.draw(st.sampled_from(PHASES))
+        pipeline = data.draw(st.sampled_from((1, 2, 4)))
+        schedule = data.draw(st.sampled_from(list(PipelineSchedule)))
+        v = 1
+        if (phase is None and pipeline > 1
+                and schedule is PipelineSchedule.ONE_F_ONE_B):
+            v = data.draw(st.sampled_from((1, 2)))
+        bucketing = data.draw(st.booleans())
+        buckets = data.draw(st.sampled_from((1, 2, 3)))
+        layers = data.draw(st.sampled_from((4, 8)))
+        models = [name for name, model in MODELS.items()
+                  if model.num_layers == layers]
+        builders = []
+        for _ in range(2):
+            # Each twin redraws only knobs the fingerprint treats as
+            # timing-only (or encodes): TP/DP degree beyond on/off, the
+            # micro-batch split of a fixed per-pipeline batch, and the
+            # model's width.
+            tensor = data.draw(st.sampled_from((1, 2, 4)))
+            data_degree, micro_batch = data.draw(st.sampled_from(
+                ((1, 1), (1, 2), (2, 1), (2, 2), (4, 1))))
+            model = MODELS[data.draw(st.sampled_from(models))]
+            try:
+                plan = ParallelismConfig(
+                    tensor=tensor, data=data_degree, pipeline=pipeline,
+                    micro_batch_size=micro_batch, schedule=schedule,
+                    virtual_stages=v, gradient_bucketing=bucketing,
+                    num_gradient_buckets=buckets)
+                builders.append(make_builder(model, plan, granularity,
+                                             phase))
+            except (ConfigError, InfeasibleConfigError):
+                assume(False)
+        first, second = builders
+        shared = first.structure_key == second.structure_key
+        event(f"fingerprints shared: {shared}")
+        if shared:
+            assert first.compile().digest() == second.compile().digest()

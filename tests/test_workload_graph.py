@@ -180,13 +180,12 @@ def task_rows(structure, labels=None) -> Counter:
     optionally restricted to a label set. ``kind`` deliberately
     excluded: it is the one field allowed to differ."""
     rows: Counter = Counter()
-    for position in range(structure.num_tasks):
-        if labels is not None and structure.label[position] not in labels:
+    for label, device, stream, duration in zip(
+            structure.label, structure.device.tolist(), structure.stream,
+            structure.duration.tolist()):
+        if labels is not None and label not in labels:
             continue
-        rows[(structure.label[position],
-              int(structure.device_ids[position]),
-              structure.stream[position],
-              repr(structure.duration_view[position]))] += 1
+        rows[(label, device, stream, repr(duration))] += 1
     return rows
 
 
