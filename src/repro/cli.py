@@ -97,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print a phase breakdown of where the "
                               "prediction's wall time went (memory check, "
                               "builder init, structure build on a cache "
-                              "miss or duration fill on a hit, replay)")
+                              "miss or duration fill on a hit, replay; "
+                              "summed over the prefill and decode graphs "
+                              "of an inference workload)")
     predict.add_argument("--trace", type=Path, metavar="PATH",
                          help="write a Chrome Trace Event Format JSON "
                               "file holding the simulated device timeline "
@@ -393,13 +395,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
           f"{100 * prediction.gpu_compute_utilization:.2f} %")
     print(f"memory per GPU   : {prediction.memory_per_gpu / GIB:.2f} GiB")
     if args.timing:
-        timing = vtrain.last_predict_timing
-        print("timing breakdown :")
-        for phase, seconds in timing.phases().items():
-            source = (f" ({timing.structure_source})"
-                      if phase == "structure build" else "")
-            print(f"  {phase:<15}: {seconds * 1e3:.2f} ms{source}")
-        print(f"  {'total':<15}: {timing.total_s * 1e3:.2f} ms")
+        _print_timing(vtrain)
     if args.trace:
         payload = combined_trace(
             prediction.simulation,
@@ -425,10 +421,6 @@ def _predict_inference(args: argparse.Namespace,
                        description: InputDescription,
                        workload, vtrain: VTrain) -> int:
     """``predict --workload inference``: serving latency report."""
-    if args.timing:
-        raise ReproError(
-            "--timing breaks down the training predict path; inference "
-            "predictions replay two phase graphs and do not report it")
     prediction = vtrain.predict_inference(
         description.model, description.plan, workload,
         record_timeline=args.trace is not None)
@@ -449,6 +441,8 @@ def _predict_inference(args: argparse.Namespace,
     print(f"cost             : "
           f"${prediction.cost_per_million_tokens(rate):.3f}/Mtok "
           f"(${rate:,.0f}/hour)")
+    if args.timing:
+        _print_timing(vtrain)
     if args.trace:
         payload = combined_trace(
             prediction.decode_simulation,
@@ -464,6 +458,18 @@ def _predict_inference(args: argparse.Namespace,
               f"{len(payload['traceEvents'])} decode-phase events to "
               f"{args.trace}")
     return 0
+
+
+def _print_timing(vtrain: VTrain) -> None:
+    """``predict --timing``: the last predict's phase breakdown (summed
+    over the prefill and decode graphs of an inference prediction)."""
+    timing = vtrain.last_predict_timing
+    print("timing breakdown :")
+    for phase, seconds in timing.phases().items():
+        source = (f" ({timing.structure_source})"
+                  if phase == "structure build" else "")
+        print(f"  {phase:<15}: {seconds * 1e3:.2f} ms{source}")
+    print(f"  {'total':<15}: {timing.total_s * 1e3:.2f} ms")
 
 
 def _parse_endpoint(spec: str) -> tuple[str, int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from repro import obs
 from repro.config.model import ModelConfig
@@ -25,6 +25,7 @@ from repro.graph.builder import Granularity
 from repro.dse.space import (SearchSpace, enumerate_plans,
                              enumerate_serving_plans)
 from repro.sim.estimator import VTrain
+from repro.workload import INFERENCE, TRAINING, InferenceWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dse.cache import PredictionCache
@@ -257,6 +258,55 @@ class DSEResult:
         return candidates
 
 
+def evaluate_plans(vtrain: VTrain, model: ModelConfig,
+                   plans: Sequence[ParallelismConfig],
+                   training: TrainingConfig | None = None, *,
+                   workload: InferenceWorkload | None = None,
+                   ) -> list[DesignPoint]:
+    """Predict ``plans`` on one simulator as :class:`DesignPoint` rows.
+
+    The one place a prediction becomes a design point, shared by
+    :meth:`DesignSpaceExplorer.evaluate_batch` and the serving daemon.
+    Every plan goes through :meth:`VTrain.prepare_checked` (the training
+    recipe, or the inference ``workload``, shapes it); plans it rejects
+    become ``feasible=False`` rows carrying the reason, and the rest
+    replay together in one :meth:`VTrain.predict_prepared` call. Rows
+    come back in ``plans`` order.
+    """
+    kind = INFERENCE if workload is not None else TRAINING
+    points: list[DesignPoint | None] = [None] * len(plans)
+    positions, entries = [], []
+    for position, plan in enumerate(plans):
+        try:
+            entries.append(vtrain.prepare_checked(model, plan, training,
+                                                  workload=workload))
+        except (InfeasibleConfigError, ConfigError) as exc:
+            points[position] = DesignPoint(plan=plan, feasible=False,
+                                           infeasible_reason=str(exc),
+                                           workload=kind)
+        else:
+            positions.append(position)
+    predictions = vtrain.predict_prepared(entries) if entries else []
+    for position, prediction in zip(positions, predictions):
+        plan = plans[position]
+        memory_gib = prediction.memory_per_gpu / float(1 << 30)
+        if kind == INFERENCE:
+            points[position] = DesignPoint(
+                plan=plan, feasible=True,
+                iteration_time=prediction.decode_step_time,
+                memory_gib=memory_gib, workload=kind,
+                tokens_per_s=prediction.tokens_per_second,
+                ttft_s=prediction.prefill_time,
+                tpot_s=prediction.decode_step_time)
+        else:
+            points[position] = DesignPoint(
+                plan=plan, feasible=True,
+                iteration_time=prediction.iteration_time,
+                utilization=prediction.gpu_compute_utilization,
+                memory_gib=memory_gib)
+    return points
+
+
 class DesignSpaceExplorer:
     """Sweeps plans for one model/training recipe.
 
@@ -281,7 +331,7 @@ class DesignSpaceExplorer:
         workload: An :class:`~repro.workload.InferenceWorkload` turns
             the sweep into a serving exploration — plans come from
             :func:`repro.dse.space.enumerate_serving_plans`, each is
-            evaluated by :meth:`VTrain.predict_inference`, and
+            predicted for that workload (prefill + decode graphs), and
             ``training`` may be ``None``.
     """
 
@@ -333,81 +383,37 @@ class DesignSpaceExplorer:
         """Evaluate a single plan into a DesignPoint (never raises for
         infeasible or structurally invalid plans — both become
         ``feasible=False`` rows, so one bad plan cannot abort a sweep)."""
-        if self.workload is not None:
-            return self._evaluate_serving(plan)
-        simulator = self._simulator_for(plan.total_gpus)
-        try:
-            prediction = simulator.predict(self.model, plan, self.training)
-        except (InfeasibleConfigError, ConfigError) as exc:
-            return DesignPoint(plan=plan, feasible=False,
-                               infeasible_reason=str(exc))
-        return DesignPoint(
-            plan=plan, feasible=True,
-            iteration_time=prediction.iteration_time,
-            utilization=prediction.gpu_compute_utilization,
-            memory_gib=prediction.memory_per_gpu / float(1 << 30))
-
-    def _evaluate_serving(self, plan: ParallelismConfig) -> DesignPoint:
-        """Evaluate one serving plan against the inference workload."""
-        simulator = self._simulator_for(plan.total_gpus)
-        try:
-            prediction = simulator.predict_inference(self.model, plan,
-                                                     self.workload)
-        except (InfeasibleConfigError, ConfigError) as exc:
-            return DesignPoint(plan=plan, feasible=False,
-                               infeasible_reason=str(exc),
-                               workload="inference")
-        return DesignPoint(
-            plan=plan, feasible=True,
-            iteration_time=prediction.decode_step_time,
-            memory_gib=prediction.memory_per_gpu / float(1 << 30),
-            workload="inference",
-            tokens_per_s=prediction.tokens_per_second,
-            ttft_s=prediction.prefill_time,
-            tpot_s=prediction.decode_step_time)
+        return self.evaluate_batch([plan])[0]
 
     def evaluate_batch(self, plans: list[ParallelismConfig],
                        ) -> list[DesignPoint]:
         """Evaluate several plans, replaying shared structures in batch.
 
-        The batched counterpart of :meth:`evaluate`: infeasible and
-        structurally invalid plans still become ``feasible=False`` rows,
-        while the survivors are prepared up front and handed to
-        :meth:`VTrain.predict_prepared`, which stacks runs sharing one
-        compiled structure into a single vectorized
-        :func:`~repro.sim.engine.simulate_retimed_batch` sweep. Points
-        come back in ``plans`` order, bit-identical to
+        Plans are split by the simulator their GPU count runs on, and
+        each simulator's share goes through :func:`evaluate_plans` once:
+        infeasible and structurally invalid plans become
+        ``feasible=False`` rows, and phase graphs sharing one compiled
+        structure replay in a single vectorized sweep. Points come back
+        in ``plans`` order, bit-identical to
         ``[self.evaluate(p) for p in plans]``.
         """
         points: list[DesignPoint | None] = [None] * len(plans)
-        survivors: dict[int, tuple[VTrain, list[int], list]] = {}
+        shares: dict[int, tuple[VTrain, list[int]]] = {}
         with obs.span("dse.evaluate_batch", category="dse",
                       plans=len(plans)):
             for position, plan in enumerate(plans):
                 simulator = self._simulator_for(plan.total_gpus)
-                try:
-                    footprint, prepared = simulator.prepare_checked(
-                        self.model, plan, self.training)
-                except (InfeasibleConfigError, ConfigError) as exc:
-                    points[position] = DesignPoint(
-                        plan=plan, feasible=False,
-                        infeasible_reason=str(exc))
-                    obs.count("dse.plans_infeasible")
-                    continue
-                _, positions, entries = survivors.setdefault(
-                    id(simulator), (simulator, [], []))
-                positions.append(position)
-                entries.append((plan, footprint, prepared))
-            for simulator, positions, entries in survivors.values():
-                predictions = simulator.predict_prepared(
-                    self.model, self.training, entries)
-                for position, prediction in zip(positions, predictions):
-                    points[position] = DesignPoint(
-                        plan=plans[position], feasible=True,
-                        iteration_time=prediction.iteration_time,
-                        utilization=prediction.gpu_compute_utilization,
-                        memory_gib=prediction.memory_per_gpu
-                        / float(1 << 30))
+                shares.setdefault(id(simulator),
+                                  (simulator, []))[1].append(position)
+            for simulator, positions in shares.values():
+                evaluated = evaluate_plans(
+                    simulator, self.model, [plans[p] for p in positions],
+                    self.training, workload=self.workload)
+                for position, point in zip(positions, evaluated):
+                    points[position] = point
+        infeasible = sum(not point.feasible for point in points)
+        if infeasible:
+            obs.count("dse.plans_infeasible", infeasible)
         obs.count("dse.plans_evaluated", len(plans))
         return points
 
@@ -485,8 +491,9 @@ class DesignSpaceExplorer:
 
         Serial by design — phase graphs are small (no backward half) and
         the process-wide structure cache already collapses repeat
-        topologies — but honours the same cache / checkpoint / progress
-        contract as the training sweep.
+        topologies, so each uncached plan is one :meth:`evaluate` call —
+        but honours the same cache / checkpoint / progress contract as
+        the training sweep.
         """
         from repro.dse.cache import PredictionCache, fingerprint
 
@@ -503,7 +510,7 @@ class DesignSpaceExplorer:
         with obs.span("dse.explore_serving", category="dse",
                       plans=len(plan_list)):
             for completed, plan in enumerate(plan_list, start=1):
-                key = None
+                key = point = None
                 if cache is not None:
                     key = fingerprint(self.model, plan, self.training,
                                       self.system_for(plan.total_gpus),
@@ -511,20 +518,15 @@ class DesignSpaceExplorer:
                                       zero_stage=self.zero_stage,
                                       workload=self.workload)
                     point = cache.get(key)
-                    if point is not None:
-                        result.points.append(point)
-                        if progress is not None:
-                            progress(completed, len(plan_list))
-                        continue
-                point = self._evaluate_serving(plan)
+                if point is None:
+                    point = self.evaluate(plan)
+                    if cache is not None:
+                        cache.put(key, point)
                 result.points.append(point)
-                if cache is not None:
-                    cache.put(key, point)
                 if progress is not None:
                     progress(completed, len(plan_list))
             if cache is not None and checkpoint_path is not None:
                 cache.save(checkpoint_path)
-        obs.count("dse.plans_evaluated", len(plan_list))
         return result
 
     def _affinity_groups(self, plans: list[ParallelismConfig],

@@ -134,14 +134,6 @@ def last_stage_params(model: ModelConfig, plan: ParallelismConfig) -> int:
     return params
 
 
-def _resolve_zero_stage(zero1_sharding: bool, zero_stage: int | None) -> int:
-    if zero_stage is None:
-        zero_stage = 1 if zero1_sharding else 0
-    if not 0 <= zero_stage <= 3:
-        raise InfeasibleConfigError(f"unknown ZeRO stage {zero_stage}")
-    return zero_stage
-
-
 def _stage_footprint(model: ModelConfig, plan: ParallelismConfig,
                      training: TrainingConfig, stage: int,
                      zero_stage: int) -> MemoryFootprint:
@@ -188,8 +180,7 @@ def _stage_footprint(model: ModelConfig, plan: ParallelismConfig,
 
 def memory_footprint(model: ModelConfig, plan: ParallelismConfig,
                      training: TrainingConfig, *,
-                     zero1_sharding: bool = True,
-                     zero_stage: int | None = None) -> MemoryFootprint:
+                     zero_stage: int = 1) -> MemoryFootprint:
     """Peak per-GPU footprint of a plan.
 
     Evaluated at both boundary stages — stage 0 (embedding + deepest
@@ -198,9 +189,7 @@ def memory_footprint(model: ModelConfig, plan: ParallelismConfig,
     configurations are not under-checked.
 
     Args:
-        zero1_sharding: Legacy switch: True means ZeRO stage 1. Ignored
-            when ``zero_stage`` is given.
-        zero_stage: Explicit ZeRO stage: 0 = no sharding; 1 = optimizer
+        zero_stage: ZeRO stage: 0 = no sharding; 1 = optimizer
             states sharded across the data-parallel group
             (Megatron-DeepSpeed's default); 2 = plus gradient sharding;
             3 = plus parameter sharding. Stages 2/3 model the *memory*
@@ -209,34 +198,34 @@ def memory_footprint(model: ModelConfig, plan: ParallelismConfig,
             :class:`~repro.profiling.nccl.NcclModel` exposes
             ``allgather_time`` / ``reduce_scatter_time`` for that
             extension).
+
+    Raises:
+        InfeasibleConfigError: ``zero_stage`` outside 0-3.
     """
-    resolved = _resolve_zero_stage(zero1_sharding, zero_stage)
-    first = _stage_footprint(model, plan, training, 0, resolved)
+    if not 0 <= zero_stage <= 3:
+        raise InfeasibleConfigError(f"unknown ZeRO stage {zero_stage}")
+    first = _stage_footprint(model, plan, training, 0, zero_stage)
     if plan.pipeline == 1:
         return first
     last = _stage_footprint(model, plan, training, plan.pipeline - 1,
-                            resolved)
+                            zero_stage)
     return last if last.total > first.total else first
 
 
 def fits_in_memory(model: ModelConfig, plan: ParallelismConfig,
                    training: TrainingConfig, system: SystemConfig, *,
-                   zero1_sharding: bool = True,
-                   zero_stage: int | None = None) -> bool:
+                   zero_stage: int = 1) -> bool:
     """Whether the plan's peak footprint fits the GPU's usable HBM."""
     footprint = memory_footprint(model, plan, training,
-                                 zero1_sharding=zero1_sharding,
                                  zero_stage=zero_stage)
     return footprint.total <= system.gpu.memory_bytes * USABLE_MEMORY_FRACTION
 
 
 def check_memory(model: ModelConfig, plan: ParallelismConfig,
                  training: TrainingConfig, system: SystemConfig, *,
-                 zero1_sharding: bool = True,
-                 zero_stage: int | None = None) -> MemoryFootprint:
+                 zero_stage: int = 1) -> MemoryFootprint:
     """Footprint if feasible, else :class:`InfeasibleConfigError`."""
     footprint = memory_footprint(model, plan, training,
-                                 zero1_sharding=zero1_sharding,
                                  zero_stage=zero_stage)
     budget = system.gpu.memory_bytes * USABLE_MEMORY_FRACTION
     if footprint.total > budget:

@@ -17,9 +17,11 @@ fast under concurrency:
   exactly one simulation (``serve.dedup.coalesced`` counts followers).
 
 * **Micro-batching.** Admitted jobs queue into a bounded-delay batcher;
-  each flush groups jobs by resident simulator and model/recipe and
-  replays them through :meth:`VTrain.predict_prepared`, which stacks
-  runs sharing one cached structure into a single ``(tasks x N)``
+  each flush groups jobs by resident simulator and model/recipe/workload
+  and predicts each group through
+  :func:`~repro.dse.explorer.evaluate_plans`, whose
+  :meth:`VTrain.predict_prepared` stacks training or inference phase
+  graphs sharing one cached structure into a single ``(tasks x N)``
   :func:`~repro.sim.engine.simulate_retimed_batch` sweep instead of N
   scalar replays. The flush delay is bounded by ``batch_window_s``
   (default 2 ms) so single requests stay interactive.
@@ -69,7 +71,8 @@ from repro.config.parallelism import TrainingConfig
 from repro.config.presets import MODEL_ZOO
 from repro.config.system import NetworkSpec
 from repro.dse.cache import PredictionCache, fingerprint
-from repro.dse.explorer import DesignPoint, DesignSpaceExplorer
+from repro.dse.explorer import (DesignPoint, DesignSpaceExplorer,
+                                evaluate_plans)
 from repro.dse.space import SearchSpace
 from repro.errors import ConfigError, InfeasibleConfigError, ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
@@ -79,7 +82,8 @@ from repro.obs.stitch import wire_span
 from repro.obs.timeseries import ServingTimeSeries
 from repro.serve import protocol
 from repro.sim.estimator import VTrain
-from repro.workload import InferenceWorkload, workload_from_dict
+from repro.workload import (INFERENCE, TRAINING, InferenceWorkload,
+                            workload_from_dict)
 
 GIB = float(1 << 30)
 
@@ -500,54 +504,23 @@ class PredictionService:
         vtrain = self._vtrain_for(jobs[0].description,
                                   jobs[0].granularity,
                                   jobs[0].zero_stage)
-        if jobs[0].workload is not None:
-            # Inference jobs: two small phase-graph replays each; the
-            # shared structure cache already collapses repeat
-            # topologies, so there is no batched-replay path to ride.
-            workload = jobs[0].workload
-            for job in jobs:
-                try:
-                    job.description.validate()
-                    prediction = vtrain.predict_inference(
-                        model, job.description.plan, workload)
-                except (InfeasibleConfigError, ConfigError) as exc:
-                    job.point = DesignPoint(plan=job.description.plan,
-                                            feasible=False,
-                                            infeasible_reason=str(exc),
-                                            workload="inference")
-                    continue
-                job.point = DesignPoint(
-                    plan=job.description.plan, feasible=True,
-                    iteration_time=prediction.decode_step_time,
-                    memory_gib=prediction.memory_per_gpu / GIB,
-                    workload="inference",
-                    tokens_per_s=prediction.tokens_per_second,
-                    ttft_s=prediction.prefill_time,
-                    tpot_s=prediction.decode_step_time)
-            return
-        survivors: list[_Job] = []
-        entries = []
+        workload = jobs[0].workload
+        valid: list[_Job] = []
         for job in jobs:
             try:
                 job.description.validate()
-                footprint, prepared = vtrain.prepare_checked(
-                    model, job.description.plan, training)
             except (InfeasibleConfigError, ConfigError) as exc:
-                job.point = DesignPoint(plan=job.description.plan,
-                                        feasible=False,
-                                        infeasible_reason=str(exc))
-                continue
-            survivors.append(job)
-            entries.append((job.description.plan, footprint, prepared))
-        if survivors:
-            predictions = vtrain.predict_prepared(model, training,
-                                                  entries)
-            for job, prediction in zip(survivors, predictions):
                 job.point = DesignPoint(
-                    plan=job.description.plan, feasible=True,
-                    iteration_time=prediction.iteration_time,
-                    utilization=prediction.gpu_compute_utilization,
-                    memory_gib=prediction.memory_per_gpu / GIB)
+                    plan=job.description.plan, feasible=False,
+                    infeasible_reason=str(exc),
+                    workload=INFERENCE if workload is not None else TRAINING)
+            else:
+                valid.append(job)
+        points = evaluate_plans(vtrain, model,
+                                [job.description.plan for job in valid],
+                                training, workload=workload)
+        for job, point in zip(valid, points):
+            job.point = point
 
     # ------------------------------------------------------------------
     # predict_batch

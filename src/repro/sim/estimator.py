@@ -9,6 +9,11 @@ calls::
     prediction = vtrain.predict(model, plan, training)       # one iteration
     estimate = vtrain.estimate_training(model, plan, training)  # end-to-end
 
+Every prediction — ``predict``, ``predict_inference``, each DSE point
+and each served job — takes the same two stages:
+:meth:`VTrain.prepare_checked` (memory check, then compile or fetch the
+phase graphs) and :meth:`VTrain.predict_prepared` (replay, then wrap).
+
 The profiling state (CUPTI traces, operator-to-task table, NCCL profile
 tables) is shared across predictions, so sweeping thousands of plans only
 profiles each necessary operator once — the Section III-F performance
@@ -20,6 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -46,13 +52,15 @@ from repro.profiling.nccl import NcclModel
 from repro.sim.engine import simulate_retimed, simulate_retimed_batch
 from repro.sim.results import (InferencePrediction, IterationPrediction,
                                SimulationResult, TrainingEstimate)
-from repro.workload import (DECODE, PREFILL, InferenceWorkload,
+from repro.workload import (DECODE, PREFILL, TRAINING, InferenceWorkload,
                             TrainingWorkload, Workload)
 
 
 @dataclass(frozen=True)
 class PredictTiming:
-    """Phase breakdown of one :meth:`VTrain.predict` call (seconds).
+    """Phase breakdown of one :meth:`VTrain.predict_prepared` call
+    (seconds), summed over its plans and their phase graphs, including
+    the :meth:`VTrain.prepare_checked` work behind them.
 
     ``builder_init_s`` is builder construction — network-model setup
     (NCCL timing tables) plus per-operator timing resolution — which
@@ -60,6 +68,7 @@ class PredictTiming:
     cold breakdowns didn't add up. ``structure_s`` is graph assembly +
     compilation when the structure cache missed, ``0.0`` on a hit;
     ``fill_s`` is the slot-broadcast duration refill (hits only).
+    ``structure_cache_hit`` holds when every phase graph was a hit.
     Surfaced by ``repro predict --timing``.
     """
 
@@ -123,6 +132,27 @@ class PreparedPlan:
     builder_init_s: float = 0.0
 
 
+@dataclass(frozen=True)
+class CheckedPlan:
+    """A memory-checked plan with every phase graph it replays prepared.
+
+    Built by :meth:`VTrain.prepare_checked`, consumed by
+    :meth:`VTrain.predict_prepared`. ``phases`` is the training
+    iteration graph alone, or the prefill and decode graphs (in that
+    order) of an inference ``workload``. ``prepare_s`` is the wall time
+    of the whole preparation, memory check included.
+    """
+
+    model: ModelConfig
+    plan: ParallelismConfig
+    training: TrainingConfig | None
+    workload: InferenceWorkload | None
+    footprint: MemoryFootprint
+    phases: tuple[PreparedPlan, ...]
+    memory_check_s: float
+    prepare_s: float
+
+
 class VTrain:
     """Profiling-driven LLM training-time simulator (the paper's system).
 
@@ -141,9 +171,6 @@ class VTrain:
             :class:`~repro.network.model.TopologyAwareNcclModel` for
             ``rail`` / ``fat-tree:<ratio>`` fabrics.
         check_memory_feasibility: Reject plans that exceed GPU memory.
-        zero1_sharding: Deprecated alias for ``zero_stage``: True means
-            ZeRO stage 1, False stage 0. Ignored when ``zero_stage`` is
-            given.
         zero_stage: ZeRO sharding stage (0-3) assumed by the memory
             model (see :func:`repro.memory.footprint.memory_footprint`).
             Defaults to stage 1, Megatron-DeepSpeed's configuration.
@@ -154,8 +181,7 @@ class VTrain:
                  device: DeviceModel | None = None,
                  nccl: NcclModel | None = None,
                  check_memory_feasibility: bool = True,
-                 zero1_sharding: bool = True,
-                 zero_stage: int | None = None) -> None:
+                 zero_stage: int = 1) -> None:
         self.system = system
         self.granularity = granularity
         self.device = device if device is not None else DeviceModel(system.gpu)
@@ -163,9 +189,7 @@ class VTrain:
         self.lookup = OperatorToTaskTable(self.tracer)
         self.nccl = nccl if nccl is not None else nccl_model_for(system)
         self.check_memory_feasibility = check_memory_feasibility
-        self.zero_stage = (zero_stage if zero_stage is not None
-                           else (1 if zero1_sharding else 0))
-        self.zero1_sharding = self.zero_stage >= 1  # legacy alias
+        self.zero_stage = zero_stage
         self.num_predictions = 0
         self.structure_cache_hits = 0
         self.structure_cache_misses = 0
@@ -252,7 +276,7 @@ class VTrain:
                             builder_init_s=builder_init_s)
 
     # ------------------------------------------------------------------
-    # Prediction
+    # Prediction: prepare_checked -> predict_prepared
     # ------------------------------------------------------------------
     def predict(self, model: ModelConfig, plan: ParallelismConfig,
                 training: TrainingConfig | None = None, *,
@@ -266,62 +290,23 @@ class VTrain:
         path and returns an :class:`IterationPrediction`. Passing
         ``workload=TrainingWorkload(...)`` is the same path with the
         training shape drawn from the workload object. Passing an
-        :class:`~repro.workload.InferenceWorkload` dispatches to
-        :meth:`predict_inference` and returns an
-        :class:`InferencePrediction`.
+        :class:`~repro.workload.InferenceWorkload` replays its prefill
+        and decode graphs and returns an :class:`InferencePrediction`
+        (see :meth:`predict_inference`).
+
+        One :meth:`prepare_checked` followed by one
+        :meth:`predict_prepared`, inside a ``predict`` span.
 
         Raises:
             InfeasibleConfigError: Structural violation, or (when memory
                 checking is enabled) per-GPU memory overflow.
         """
-        if isinstance(workload, InferenceWorkload):
-            return self.predict_inference(model, plan, workload,
-                                          record_timeline=record_timeline)
-        if isinstance(workload, TrainingWorkload):
-            training = workload.training
-        if training is None:
-            raise SimulationError(
-                "predict() needs a TrainingConfig (or a workload)")
-        with self._stats_lock:
-            self.num_predictions += 1
-        started = time.perf_counter()
-        with obs.span(
-                "predict",
-                plan=f"t{plan.tensor} d{plan.data} p{plan.pipeline}") as span:
-            with obs.span("memory_check"):
-                if self.check_memory_feasibility:
-                    footprint = check_memory(model, plan, training,
-                                             self.system,
-                                             zero_stage=self.zero_stage)
-                else:
-                    footprint = memory_footprint(
-                        model, plan, training, zero_stage=self.zero_stage)
-            memory_s = time.perf_counter() - started
-            prepared = self.prepare(model, plan, training)
-            tick = time.perf_counter()
-            with obs.span("replay", tasks=prepared.structure.num_tasks):
-                result = simulate_retimed(prepared.structure,
-                                          prepared.durations,
-                                          record_timeline=record_timeline,
-                                          metadata=prepared.metadata)
-            replay_s = time.perf_counter() - tick
-            span["structure"] = ("cache hit" if prepared.structure_cache_hit
-                                 else "built")
-        total_s = time.perf_counter() - started
-        obs.observe("sim.replay_s", replay_s)
-        obs.observe("sim.predict_total_s", total_s)
-        if replay_s > 0.0:
-            obs.observe("sim.replay_tasks_per_s",
-                        prepared.structure.num_tasks / replay_s)
-        self.last_predict_timing = PredictTiming(
-            memory_check_s=memory_s,
-            builder_init_s=prepared.builder_init_s,
-            structure_s=prepared.structure_s,
-            fill_s=prepared.fill_s,
-            replay_s=replay_s,
-            total_s=total_s,
-            structure_cache_hit=prepared.structure_cache_hit)
-        return self._prediction(model, plan, training, footprint, result)
+        with obs.span("predict",
+                      plan=f"t{plan.tensor} d{plan.data} p{plan.pipeline}"):
+            checked = self.prepare_checked(model, plan, training,
+                                           workload=workload)
+            return self.predict_prepared(
+                [checked], record_timeline=record_timeline)[0]
 
     def predict_inference(self, model: ModelConfig, plan: ParallelismConfig,
                           workload: InferenceWorkload, *,
@@ -341,58 +326,157 @@ class VTrain:
             InfeasibleConfigError: Structural violation, or (when memory
                 checking is enabled) weights + KV cache exceeding HBM.
         """
-        with self._stats_lock:
-            self.num_predictions += 1
-        with obs.span(
-                "predict_inference",
-                plan=f"t{plan.tensor} d{plan.data} p{plan.pipeline}"):
-            with obs.span("memory_check"):
-                if self.check_memory_feasibility:
-                    footprint = check_inference_memory(model, plan, workload,
-                                                       self.system)
-                else:
-                    footprint = inference_memory_footprint(model, plan,
-                                                           workload)
-            phases = {}
-            for phase in (PREFILL, DECODE):
-                prepared = self.prepare(model, plan, None,
-                                        workload=workload, phase=phase)
-                with obs.span("replay", phase=phase,
-                              tasks=prepared.structure.num_tasks):
-                    phases[phase] = simulate_retimed(
-                        prepared.structure, prepared.durations,
+        return self.predict(model, plan, workload=workload,
+                            record_timeline=record_timeline)
+
+    def prepare_checked(self, model: ModelConfig, plan: ParallelismConfig,
+                        training: TrainingConfig | None = None, *,
+                        workload: Workload | None = None) -> CheckedPlan:
+        """The front half of every prediction: memory check, then compile.
+
+        The memory check comes first, so an infeasible plan raises
+        before any graph work: the KV-cache check for an
+        :class:`~repro.workload.InferenceWorkload` (``training`` is
+        then ignored), the training check otherwise. Then every phase
+        graph the workload replays is prepared (:meth:`prepare`). Hand
+        the results to :meth:`predict_prepared`.
+
+        Raises:
+            InfeasibleConfigError: Structural violation, or (when memory
+                checking is enabled) per-GPU memory overflow.
+            SimulationError: A training prediction without a
+                :class:`TrainingConfig`.
+        """
+        started = time.perf_counter()
+        if isinstance(workload, TrainingWorkload):
+            training = workload.training
+        if not isinstance(workload, InferenceWorkload):
+            workload = None
+        if workload is None and training is None:
+            raise SimulationError(
+                "predict() needs a TrainingConfig (or a workload)")
+        with obs.span("memory_check"):
+            if workload is not None:
+                footprint = (
+                    check_inference_memory(model, plan, workload, self.system)
+                    if self.check_memory_feasibility
+                    else inference_memory_footprint(model, plan, workload))
+            elif self.check_memory_feasibility:
+                footprint = check_memory(model, plan, training, self.system,
+                                         zero_stage=self.zero_stage)
+            else:
+                footprint = memory_footprint(model, plan, training,
+                                             zero_stage=self.zero_stage)
+        memory_check_s = time.perf_counter() - started
+        if workload is None:
+            phases = (self.prepare(model, plan, training),)
+        else:
+            phases = tuple(self.prepare(model, plan, None, workload=workload,
+                                        phase=phase)
+                           for phase in (PREFILL, DECODE))
+        return CheckedPlan(model=model, plan=plan, training=training,
+                           workload=workload, footprint=footprint,
+                           phases=phases, memory_check_s=memory_check_s,
+                           prepare_s=time.perf_counter() - started)
+
+    def predict_prepared(self, entries: Sequence[CheckedPlan], *,
+                         record_timeline: bool = False,
+                         ) -> list[IterationPrediction | InferencePrediction]:
+        """The back half of every prediction: replay, then wrap.
+
+        ``entries`` come from :meth:`prepare_checked`. Phase graphs are
+        grouped by compiled :class:`~repro.graph.structure.GraphStructure`
+        object (the process-wide structure cache returns one instance
+        per topology). A structure replayed once goes through the scalar
+        :func:`~repro.sim.engine.simulate_retimed`; two or more columns
+        sharing a structure are stacked into a ``(tasks x N)`` matrix
+        for one :func:`~repro.sim.engine.simulate_retimed_batch` sweep.
+        ``record_timeline`` replays every phase on its own (only the
+        scalar engine records events). Either engine yields
+        bit-identical predictions, returned in entry order.
+
+        Also records the replay spans and histograms, counts one
+        prediction per entry, and sets :attr:`last_predict_timing` to
+        the breakdown summed over all entries and their phases.
+        """
+        started = time.perf_counter()
+        groups: dict[object, list[tuple[int, int]]] = {}
+        for index, entry in enumerate(entries):
+            for phase, prepared in enumerate(entry.phases):
+                key = ((index, phase) if record_timeline
+                       else id(prepared.structure))
+                groups.setdefault(key, []).append((index, phase))
+        results: list[list[SimulationResult | None]] = [
+            [None] * len(entry.phases) for entry in entries]
+        replay_s = 0.0
+        for members in groups.values():
+            prepared = [entries[index].phases[phase]
+                        for index, phase in members]
+            structure = prepared[0].structure
+            tags = {"tasks": structure.num_tasks,
+                    "phase": prepared[0].metadata.get("phase", TRAINING)}
+            tick = time.perf_counter()
+            if len(members) == 1:
+                with obs.span("replay", **tags):
+                    replayed = [simulate_retimed(
+                        structure, prepared[0].durations,
                         record_timeline=record_timeline,
-                        metadata=prepared.metadata)
-        return InferencePrediction(
-            prefill_time=phases[PREFILL].iteration_time,
-            decode_step_time=phases[DECODE].iteration_time,
-            batch_size=workload.batch_size,
-            prompt_len=workload.prompt_len,
-            gen_len=workload.gen_len,
-            num_replicas=plan.data,
-            num_gpus=plan.total_gpus,
-            memory_per_gpu=footprint.total,
-            prefill_simulation=phases[PREFILL],
-            decode_simulation=phases[DECODE],
-        )
+                        metadata=prepared[0].metadata)]
+            else:
+                matrix = np.stack([p.durations for p in prepared], axis=1)
+                with obs.span("replay_batch", columns=len(members), **tags):
+                    batch = simulate_retimed_batch(structure, matrix)
+                replayed = [batch.column(column, metadata=p.metadata)
+                            for column, p in enumerate(prepared)]
+                obs.observe("sim.batch_columns", len(members))
+            elapsed = time.perf_counter() - tick
+            replay_s += elapsed
+            obs.observe("sim.replay_s", elapsed)
+            if elapsed > 0.0:
+                obs.observe("sim.replay_tasks_per_s",
+                            structure.num_tasks * len(members) / elapsed)
+            for (index, phase), result in zip(members, replayed):
+                results[index][phase] = result
+        predictions = [self._prediction(entry, phase_results)
+                       for entry, phase_results in zip(entries, results)]
+        phases = [prepared for entry in entries for prepared in entry.phases]
+        total_s = (sum(entry.prepare_s for entry in entries)
+                   + time.perf_counter() - started)
+        obs.observe("sim.predict_total_s", total_s)
+        self.last_predict_timing = PredictTiming(
+            memory_check_s=sum(entry.memory_check_s for entry in entries),
+            builder_init_s=sum(p.builder_init_s for p in phases),
+            structure_s=sum(p.structure_s for p in phases),
+            fill_s=sum(p.fill_s for p in phases),
+            replay_s=replay_s,
+            total_s=total_s,
+            structure_cache_hit=all(p.structure_cache_hit for p in phases))
+        with self._stats_lock:
+            self.num_predictions += len(entries)
+        return predictions
 
-    @staticmethod
-    def _observe_replay(tasks: int, columns: int, elapsed: float) -> None:
-        """Record replay latency/throughput histograms (gated; a batch
-        sweep counts ``tasks x columns`` replayed tasks)."""
-        if not obs.enabled():
-            return
-        obs.observe("sim.replay_s", elapsed)
-        if elapsed > 0.0:
-            obs.observe("sim.replay_tasks_per_s",
-                        tasks * columns / elapsed)
-
-    def _prediction(self, model: ModelConfig, plan: ParallelismConfig,
-                    training: TrainingConfig, footprint: MemoryFootprint,
-                    result: SimulationResult) -> IterationPrediction:
-        """Wrap one replay result in the predict() output contract."""
-        tokens = training.tokens_per_iteration(model)
-        model_flops = model.model_flops_per_iteration(tokens)
+    def _prediction(self, entry: CheckedPlan,
+                    results: list[SimulationResult],
+                    ) -> IterationPrediction | InferencePrediction:
+        """Wrap one entry's phase replays in the predict() output."""
+        plan, workload = entry.plan, entry.workload
+        if workload is not None:
+            prefill, decode = results
+            return InferencePrediction(
+                prefill_time=prefill.iteration_time,
+                decode_step_time=decode.iteration_time,
+                batch_size=workload.batch_size,
+                prompt_len=workload.prompt_len,
+                gen_len=workload.gen_len,
+                num_replicas=plan.data,
+                num_gpus=plan.total_gpus,
+                memory_per_gpu=entry.footprint.total,
+                prefill_simulation=prefill,
+                decode_simulation=decode,
+            )
+        [result] = results
+        tokens = entry.training.tokens_per_iteration(entry.model)
+        model_flops = entry.model.model_flops_per_iteration(tokens)
         peak = plan.total_gpus * self.system.gpu.peak_fp16_flops
         utilization = model_flops / (peak * result.iteration_time)
         return IterationPrediction(
@@ -401,101 +485,9 @@ class VTrain:
             tokens_per_iteration=tokens,
             model_flops=model_flops,
             num_gpus=plan.total_gpus,
-            memory_per_gpu=footprint.total,
+            memory_per_gpu=entry.footprint.total,
             simulation=result,
         )
-
-    def prepare_checked(self, model: ModelConfig, plan: ParallelismConfig,
-                        training: TrainingConfig,
-                        ) -> tuple[MemoryFootprint, PreparedPlan]:
-        """:meth:`predict`'s front half: memory check, then compile.
-
-        Performs exactly the checks :meth:`predict` performs, in the
-        same order (so infeasible plans raise before any graph work),
-        and returns the pieces a batched replay needs. Callers that
-        group several structure-affine plans hand the results to
-        :meth:`predict_prepared`.
-
-        Raises:
-            InfeasibleConfigError: Structural violation, or (when memory
-                checking is enabled) per-GPU memory overflow.
-        """
-        if self.check_memory_feasibility:
-            footprint = check_memory(model, plan, training, self.system,
-                                     zero_stage=self.zero_stage)
-        else:
-            footprint = memory_footprint(model, plan, training,
-                                         zero_stage=self.zero_stage)
-        return footprint, self.prepare(model, plan, training)
-
-    def predict_prepared(
-            self, model: ModelConfig, training: TrainingConfig,
-            entries: list[tuple[ParallelismConfig, MemoryFootprint,
-                                PreparedPlan]],
-    ) -> list[IterationPrediction]:
-        """Replay already-prepared plans, batching structure-affine runs.
-
-        ``entries`` come from :meth:`prepare_checked`. Runs sharing one
-        compiled :class:`~repro.graph.structure.GraphStructure` object
-        (the common case inside an affinity-sorted DSE sweep, where the
-        process-wide structure cache returns the same instance) are
-        stacked into a ``(tasks x N)`` matrix and replayed by a single
-        :func:`~repro.sim.engine.simulate_retimed_batch` sweep; the rest
-        replay through the scalar engine. Either path yields
-        bit-identical :class:`IterationPrediction` values, returned in
-        entry order.
-        """
-        groups: dict[int, list[int]] = {}
-        for position, (_, _, prepared) in enumerate(entries):
-            groups.setdefault(id(prepared.structure), []).append(position)
-        results: list[SimulationResult | None] = [None] * len(entries)
-        for positions in groups.values():
-            if len(positions) == 1:
-                _, _, prepared = entries[positions[0]]
-                tick = time.perf_counter()
-                with obs.span("replay", tasks=prepared.structure.num_tasks):
-                    results[positions[0]] = simulate_retimed(
-                        prepared.structure, prepared.durations,
-                        metadata=prepared.metadata)
-                self._observe_replay(prepared.structure.num_tasks, 1,
-                                     time.perf_counter() - tick)
-                continue
-            structure = entries[positions[0]][2].structure
-            matrix = np.stack(
-                [entries[p][2].durations for p in positions], axis=1)
-            tick = time.perf_counter()
-            with obs.span("replay_batch", tasks=structure.num_tasks,
-                          columns=len(positions)):
-                batch = simulate_retimed_batch(structure, matrix)
-            self._observe_replay(structure.num_tasks, len(positions),
-                                 time.perf_counter() - tick)
-            obs.observe("sim.batch_columns", len(positions))
-            for column, position in enumerate(positions):
-                results[position] = batch.column(
-                    column, metadata=entries[position][2].metadata)
-        with self._stats_lock:
-            self.num_predictions += len(entries)
-        return [self._prediction(model, plan, training, footprint, result)
-                for (plan, footprint, _), result in zip(entries, results)]
-
-    def predict_batch(self, model: ModelConfig,
-                      plans: list[ParallelismConfig],
-                      training: TrainingConfig) -> list[IterationPrediction]:
-        """Predict several plans for one model, batching shared structures.
-
-        Equivalent to ``[self.predict(model, p, training) for p in
-        plans]`` — bit-identical predictions in plan order — but plans
-        whose compiled structures coincide replay in one vectorized
-        sweep. Like :meth:`predict`, raises on the first infeasible
-        plan; callers that need per-plan feasibility (the DSE explorers)
-        call :meth:`prepare_checked` / :meth:`predict_prepared`
-        themselves.
-        """
-        entries = []
-        for plan in plans:
-            footprint, prepared = self.prepare_checked(model, plan, training)
-            entries.append((plan, footprint, prepared))
-        return self.predict_prepared(model, training, entries)
 
     def predict_description(self, description: InputDescription,
                             ) -> IterationPrediction:

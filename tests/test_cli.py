@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -251,10 +252,22 @@ class TestInferenceCli:
         err = capsys.readouterr().err
         assert "--workload inference" in err
 
-    def test_predict_inference_timing_flag_rejected(
+    def test_predict_inference_timing_prints_breakdown(
             self, description_file, capsys):
+        # The breakdown sums both phase graphs (prefill + decode); its
+        # phases must cover the total up to bookkeeping and rounding.
         assert main(["predict", str(description_file),
-                     "--workload", "inference", "--timing"]) == 1
+                     "--workload", "inference", "--timing"]) == 0
+        out = capsys.readouterr().out
+        assert "TTFT (prefill)" in out and "timing breakdown" in out
+        rows = dict(re.findall(r"^  (\w[\w ]*?)\s*: ([\d.]+) ms", out,
+                               re.MULTILINE))
+        phases = ("memory check", "builder init", "structure build",
+                  "duration fill", "replay")
+        assert set(rows) == set(phases) | {"total"}
+        accounted = sum(float(rows[phase]) for phase in phases)
+        total = float(rows["total"])
+        assert 0.7 * total <= accounted <= total + 0.03
 
     def test_predict_inference_writes_decode_trace(
             self, description_file, tmp_path, capsys, restore_obs):

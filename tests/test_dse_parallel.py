@@ -85,13 +85,14 @@ class TestCacheAccounting:
         cache.hits = cache.misses = 0
 
         calls = []
-        original = VTrain.predict
+        original = VTrain.predict_prepared
 
         def counting_predict(self, *args, **kwargs):
             calls.append(args)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(VTrain, "predict", counting_predict)
+        # Every DSE prediction replays through predict_prepared.
+        monkeypatch.setattr(VTrain, "predict_prepared", counting_predict)
         engine = ParallelExplorer(model, training, workers=1, cache=cache)
         result = engine.explore(max_gpus=8, space=space)
         assert not calls  # every point served from the cache

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
+from repro.config.presets import GPT3_175B
 from repro.config.system import single_node
 from repro.cost.pricing import DEFAULT_PRICING
 from repro.dse.cache import PredictionCache, fingerprint
@@ -149,6 +150,27 @@ class TestServingExploration:
         capped = serving_result.best_by_throughput(max_gpus=2)
         assert capped.num_gpus <= 2
         assert best.tokens_per_s >= capped.tokens_per_s
+
+    def test_evaluate_batch_equals_per_plan_evaluate(self):
+        """Regression: a serving explorer's evaluate_batch used to read
+        the absent training recipe (AttributeError on None) while
+        evaluate() answered. Feasible and memory-infeasible plans must
+        come back exactly as per-plan evaluate() rows, in order."""
+        workload = InferenceWorkload(batch_size=16, prompt_len=512,
+                                     gen_len=128)
+        plans = [ParallelismConfig(tensor=t, data=d, pipeline=p,
+                                   micro_batch_size=m)
+                 for t, d, p, m in ((8, 1, 1, 16), (1, 1, 1, 16),
+                                    (8, 1, 1, 8), (4, 2, 1, 16),
+                                    (8, 1, 2, 16), (2, 1, 1, 16))]
+        batched = DesignSpaceExplorer(GPT3_175B, None, workload=workload
+                                      ).evaluate_batch(plans)
+        explorer = DesignSpaceExplorer(GPT3_175B, None, workload=workload)
+        assert batched == [explorer.evaluate(plan) for plan in plans]
+        assert [point.feasible for point in batched] == [
+            True, False, True, False, True, False]
+        assert all(point.workload == "inference" for point in batched)
+        assert "GiB/GPU" in batched[1].infeasible_reason
 
     def test_explorer_needs_training_or_workload(self, tiny_model):
         with pytest.raises(ConfigError):

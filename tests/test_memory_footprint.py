@@ -22,17 +22,15 @@ class TestModelStates:
     def test_zero1_divides_optimizer_by_d(self, tiny_model, training):
         base = ParallelismConfig(tensor=1, data=1, pipeline=1)
         sharded = ParallelismConfig(tensor=1, data=4, pipeline=1)
-        full = memory_footprint(tiny_model, base, training,
-                                zero1_sharding=True)
-        split = memory_footprint(tiny_model, sharded, training,
-                                 zero1_sharding=True)
+        full = memory_footprint(tiny_model, base, training, zero_stage=1)
+        split = memory_footprint(tiny_model, sharded, training, zero_stage=1)
         assert split.optimizer_states == pytest.approx(
             full.optimizer_states / 4)
 
     def test_without_zero1_optimizer_unsharded(self, tiny_model, training):
         plan = ParallelismConfig(tensor=1, data=4, pipeline=1)
         footprint = memory_footprint(tiny_model, plan, training,
-                                     zero1_sharding=False)
+                                     zero_stage=0)
         assert footprint.optimizer_states == pytest.approx(
             12.0 * stage_zero_params(tiny_model, plan))
 

@@ -53,15 +53,14 @@ class TestZeroStages:
         fp3 = memory_footprint(tiny_model, plan, batch, zero_stage=3)
         assert fp0.activations == fp3.activations
 
-    def test_legacy_bool_maps_to_stage1(self, tiny_model, plan, batch):
-        legacy = memory_footprint(tiny_model, plan, batch,
-                                  zero1_sharding=True)
+    def test_default_is_stage1(self, tiny_model, plan, batch):
+        default = memory_footprint(tiny_model, plan, batch)
         explicit = memory_footprint(tiny_model, plan, batch, zero_stage=1)
-        assert legacy.total == explicit.total
-        legacy_off = memory_footprint(tiny_model, plan, batch,
-                                      zero1_sharding=False)
-        explicit0 = memory_footprint(tiny_model, plan, batch, zero_stage=0)
-        assert legacy_off.total == explicit0.total
+        assert default.total == explicit.total
+        unsharded = memory_footprint(tiny_model, plan, batch, zero_stage=0)
+        assert unsharded.optimizer_states == pytest.approx(
+            explicit.optimizer_states * plan.data)
+        assert unsharded.total > explicit.total
 
     def test_sharding_pointless_without_data_parallel(self, tiny_model,
                                                       batch):
@@ -137,13 +136,21 @@ class TestZeroStageThreading:
         prediction = sharded.predict(big_model, plan8, batch8)
         assert prediction.iteration_time > 0
 
-    def test_vtrain_legacy_alias_still_works(self):
+    def test_vtrain_zero_stage_is_the_only_setting(self, big_model, plan8,
+                                                   batch8):
         from repro.config.system import single_node
         from repro.sim.estimator import VTrain
-        assert VTrain(single_node(), zero1_sharding=False).zero_stage == 0
-        assert VTrain(single_node(), zero1_sharding=True).zero_stage == 1
-        assert VTrain(single_node(), zero1_sharding=False,
-                      zero_stage=2).zero_stage == 2
+        assert VTrain(single_node()).zero_stage == 1
+        assert VTrain(single_node(), zero_stage=0).zero_stage == 0
+        assert not hasattr(VTrain(single_node()), "zero1_sharding")
+        with pytest.raises(TypeError):
+            VTrain(single_node(), zero1_sharding=False)
+        for stage in (-1, 4):
+            for check in (True, False):
+                vtrain = VTrain(single_node(), zero_stage=stage,
+                                check_memory_feasibility=check)
+                with pytest.raises(InfeasibleConfigError, match="ZeRO"):
+                    vtrain.predict(big_model, plan8, batch8)
 
     def test_explorer_threads_zero_stage(self, big_model, batch8):
         from repro.dse.explorer import DesignSpaceExplorer

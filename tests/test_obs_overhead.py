@@ -83,10 +83,8 @@ class TestEnabledRecords:
         vtrain = VTrain(single_node(), check_memory_feasibility=False)
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        footprint, prepared = vtrain.prepare_checked(tiny_model, plan,
-                                                     training)
+        checked = vtrain.prepare_checked(tiny_model, plan, training)
         before = obs.snapshot()["histograms"]["sim.replay_s"]["count"]
-        vtrain.predict_prepared(tiny_model, training,
-                                [(plan, footprint, prepared)])
+        vtrain.predict_prepared([checked])
         after = obs.snapshot()["histograms"]["sim.replay_s"]["count"]
         assert after == before + 1

@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.config.description import InputDescription
 from repro.config.model import ModelConfig
-from repro.config.parallelism import ParallelismConfig, TrainingConfig
+from repro.config.parallelism import (ParallelismConfig, RecomputeMode,
+                                      TrainingConfig)
 from repro.config.system import single_node
 from repro.dse.cache import PredictionCache, fingerprint
 from repro.dse.explorer import DesignPoint
@@ -708,6 +709,46 @@ class TestInferenceServing:
         assert payload["tpot_s"] == direct.time_per_output_token
         assert payload["tokens_per_s"] == direct.tokens_per_second
         assert payload["num_replicas"] == description.plan.data
+
+    def test_flush_batches_inference_jobs_sharing_phase_graphs(
+            self, monkeypatch):
+        """Two inference jobs of one flush whose plans compile to the
+        same prefill and decode graphs replay as one sweep per phase,
+        bit-identical to direct predictions."""
+        from repro.sim import estimator
+        from repro.workload import InferenceWorkload
+        columns = []
+        batch_engine = estimator.simulate_retimed_batch
+
+        def counting(structure, matrix, **kwargs):
+            columns.append(matrix.shape[1])
+            return batch_engine(structure, matrix, **kwargs)
+
+        monkeypatch.setattr(estimator, "simulate_retimed_batch", counting)
+        base = tiny_description()
+        # Full recomputation changes the plan (and its cache key) but
+        # not a forward-only phase graph.
+        full = InputDescription(model=base.model, system=base.system,
+                                plan=base.plan.replaced(
+                                    recompute=RecomputeMode.FULL),
+                                training=base.training)
+        service = PredictionService(batch_window_s=0.1)
+        try:
+            rows = service.predict_batch({"requests": [
+                {"description": description.to_dict(),
+                 "workload": self.workload_dict()}
+                for description in (base, full)]})["results"]
+            assert service.stats()["batch"]["flushes"] == 1
+        finally:
+            service.close()
+        assert columns == [2, 2]
+        workload = InferenceWorkload.from_dict(self.workload_dict())
+        for description, row in zip((base, full), rows):
+            direct = VTrain(description.system).predict_inference(
+                description.model, description.plan, workload)
+            assert row["result"]["ttft_s"] == direct.time_to_first_token
+            assert row["result"]["tpot_s"] == direct.time_per_output_token
+            assert row["result"]["tokens_per_s"] == direct.tokens_per_second
 
     def test_repeat_is_served_from_cache(self, service):
         description = tiny_description()

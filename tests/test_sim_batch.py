@@ -9,8 +9,9 @@ tests pin that contract — same makespan bits, same per-device timelines,
 same busy accounting (values and dict insertion order) — over randomized
 DAGs (seeded generators plus hypothesis), real builder structures, awkward
 input layouts (N=0, N=1, strided views, Fortran order, float32), and the
-batched consumer surfaces (``VTrain.predict_batch`` and the DSE
-explorer's ``evaluate_batch``).
+batched consumer surfaces (``VTrain.predict_prepared`` and the DSE
+explorer's ``evaluate_batch``), and the engine choice itself: one column
+replays through the scalar engine, shared structures through one sweep.
 """
 
 import random
@@ -212,7 +213,7 @@ class TestBuilderStructures:
         assert batch.column(0, metadata=prepared.metadata).metadata == scalar.metadata
 
 
-class TestPredictBatch:
+class TestPredictPrepared:
     def plans(self):
         plans = [
             ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=m)
@@ -221,11 +222,21 @@ class TestPredictBatch:
         plans.append(ParallelismConfig(tensor=4, data=2, pipeline=1, micro_batch_size=2))
         return plans
 
-    def test_predict_batch_matches_scalar_predict(self, tiny_model, training):
+    def shared_plans(self):
+        """Three plans that compile to one structure, plus one that does not."""
+        return [
+            ParallelismConfig(tensor=2, data=2, pipeline=1, micro_batch_size=2),
+            ParallelismConfig(tensor=2, data=4, pipeline=1, micro_batch_size=1),
+            ParallelismConfig(tensor=4, data=2, pipeline=1, micro_batch_size=2),
+            ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2),
+        ]
+
+    def test_predict_prepared_matches_scalar_predict(self, tiny_model, training):
         scalar_sim = VTrain(single_node())
         scalar = [scalar_sim.predict(tiny_model, plan, training) for plan in self.plans()]
         batch_sim = VTrain(single_node())
-        batched = batch_sim.predict_batch(tiny_model, self.plans(), training)
+        entries = [batch_sim.prepare_checked(tiny_model, plan, training) for plan in self.plans()]
+        batched = batch_sim.predict_prepared(entries)
         assert batch_sim.num_predictions == len(self.plans())
         for one, other in zip(scalar, batched):
             assert one.iteration_time == other.iteration_time
@@ -234,18 +245,75 @@ class TestPredictBatch:
             assert one.simulation.device_timeline == other.simulation.device_timeline
             assert one.simulation.device_busy == other.simulation.device_busy
 
-    def test_predict_prepared_groups_shared_structures(self, tiny_model, training):
+    def test_predict_prepared_groups_shared_structures(self, tiny_model, training, monkeypatch):
         """Plans resolving to one cached structure replay as one batch."""
+        from repro.sim import estimator
+
+        engine_calls = {"scalar": 0, "batched": []}
+        scalar_engine = estimator.simulate_retimed
+        batch_engine = estimator.simulate_retimed_batch
+
+        def scalar(*args, **kwargs):
+            engine_calls["scalar"] += 1
+            return scalar_engine(*args, **kwargs)
+
+        def batched(structure, matrix, **kwargs):
+            engine_calls["batched"].append(matrix.shape[1])
+            return batch_engine(structure, matrix, **kwargs)
+
         vtrain = VTrain(single_node())
-        entries = []
-        for plan in self.plans():
-            footprint, prepared = vtrain.prepare_checked(tiny_model, plan, training)
-            entries.append((plan, footprint, prepared))
-        predictions = vtrain.predict_prepared(tiny_model, training, entries)
-        assert len(predictions) == len(entries)
-        for (plan, _, _), prediction in zip(entries, predictions):
-            reference = VTrain(single_node()).predict(tiny_model, plan, training)
+        entries = [
+            vtrain.prepare_checked(tiny_model, plan, training) for plan in self.shared_plans()
+        ]
+        assert len({id(entry.phases[0].structure) for entry in entries}) == 2
+        monkeypatch.setattr(estimator, "simulate_retimed", scalar)
+        monkeypatch.setattr(estimator, "simulate_retimed_batch", batched)
+        predictions = vtrain.predict_prepared(entries)
+        monkeypatch.undo()
+        assert engine_calls == {"scalar": 1, "batched": [3]}
+        for entry, prediction in zip(entries, predictions):
+            reference = VTrain(single_node()).predict(tiny_model, entry.plan, training)
             assert prediction.iteration_time == reference.iteration_time
+            assert prediction.simulation.device_busy == reference.simulation.device_busy
+
+    def test_inference_phases_sharing_a_structure_batch(self, tiny_model, monkeypatch):
+        """Serving replicas (t=1, p=1) share both phase graphs: one sweep per phase."""
+        from repro.sim import estimator
+        from repro.workload import InferenceWorkload
+
+        workload = InferenceWorkload(batch_size=8, prompt_len=128, gen_len=64)
+        plans = [
+            ParallelismConfig(tensor=1, data=d, pipeline=1, micro_batch_size=2) for d in (2, 4, 8)
+        ]
+        vtrain = VTrain(single_node())
+        entries = [vtrain.prepare_checked(tiny_model, plan, workload=workload) for plan in plans]
+        columns = []
+        batch_engine = estimator.simulate_retimed_batch
+
+        def batched(structure, matrix, **kwargs):
+            columns.append(matrix.shape[1])
+            return batch_engine(structure, matrix, **kwargs)
+
+        monkeypatch.setattr(estimator, "simulate_retimed_batch", batched)
+        predictions = vtrain.predict_prepared(entries)
+        monkeypatch.undo()
+        assert columns == [3, 3]
+        for plan, prediction in zip(plans, predictions):
+            reference = VTrain(single_node()).predict_inference(tiny_model, plan, workload)
+            assert prediction == reference
+
+    def test_one_plan_predict_builds_no_batch_plan(self, tiny_model, training):
+        """A cold single-plan predict stays on the scalar engine, so the
+        structure it builds never pays for a BatchSweepPlan."""
+        from repro.graph.builder import clear_structure_cache
+
+        clear_structure_cache()
+        vtrain = VTrain(single_node())
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2)
+        vtrain.predict(tiny_model, plan, training)
+        assert not vtrain.last_predict_timing.structure_cache_hit
+        structure = vtrain.prepare(tiny_model, plan, training).structure
+        assert structure._batch_plan is None
 
 
 class TestEvaluateBatch:
