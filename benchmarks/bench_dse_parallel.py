@@ -20,7 +20,6 @@ from repro.config.presets import MEGATRON_7_5B
 from repro.config.parallelism import TrainingConfig
 from repro.dse.cache import PredictionCache
 from repro.dse.explorer import DesignSpaceExplorer
-from repro.dse.parallel import ParallelExplorer
 from repro.dse.space import SearchSpace
 from repro.graph.builder import structure_cache_stats
 
@@ -43,17 +42,17 @@ def test_parallel_sweep_matches_serial_and_cache_skips_work(benchmark):
     serial_s = time.perf_counter() - start
 
     cache = PredictionCache()
-    engine = ParallelExplorer(MEGATRON_7_5B, TRAINING, workers=WORKERS,
-                              cache=cache)
+    engine = DesignSpaceExplorer(MEGATRON_7_5B, TRAINING)
     start = time.perf_counter()
-    parallel_result = engine.explore(max_gpus=MAX_GPUS, space=SPACE)
+    parallel_result = engine.explore(max_gpus=MAX_GPUS, space=SPACE,
+                                     workers=WORKERS, cache=cache)
     parallel_s = time.perf_counter() - start
     assert parallel_result.points == serial_result.points
 
-    warm = ParallelExplorer(MEGATRON_7_5B, TRAINING, workers=WORKERS,
-                            cache=cache)
+    warm = DesignSpaceExplorer(MEGATRON_7_5B, TRAINING)
     warm_result = benchmark.pedantic(
-        lambda: warm.explore(max_gpus=MAX_GPUS, space=SPACE),
+        lambda: warm.explore(max_gpus=MAX_GPUS, space=SPACE,
+                             workers=WORKERS, cache=cache),
         rounds=1, iterations=1)
     assert warm_result.points == serial_result.points
     assert cache.hits >= len(serial_result.points)

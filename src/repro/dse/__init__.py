@@ -2,7 +2,6 @@
 
 from repro.dse.cache import PredictionCache, fingerprint
 from repro.dse.explorer import DesignPoint, DesignSpaceExplorer, DSEResult
-from repro.dse.parallel import ParallelExplorer
 from repro.dse.report import load_csv, save_csv, to_csv, to_markdown
 from repro.dse.space import (GridAxes, SearchSpace, count_plans, divisors,
                              enumerate_plans, pipeline_candidates,
@@ -10,7 +9,6 @@ from repro.dse.space import (GridAxes, SearchSpace, count_plans, divisors,
 
 __all__ = [
     "PredictionCache",
-    "ParallelExplorer",
     "fingerprint",
     "load_csv",
     "save_csv",

@@ -12,12 +12,13 @@ reason.
 prediction — to the resulting :class:`~repro.dse.explorer.DesignPoint`.
 It round-trips through strict JSON so caches survive on disk, can be
 shipped between machines, and double as sweep checkpoints
-(:class:`~repro.dse.parallel.ParallelExplorer` saves one periodically so
-interrupted sweeps resume instead of recomputing).
+(:meth:`~repro.dse.explorer.DesignSpaceExplorer.explore` saves one
+periodically so interrupted sweeps resume instead of recomputing).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -53,6 +54,41 @@ _AGG_MISSES = obs.metrics.counter("dse.prediction_cache.misses")
 #: plans written by older releases carry the pre-fix feasibility —
 #: delete the cache file to re-evaluate them.
 CACHE_FORMAT_VERSION = 1
+
+#: JSON types a cache file may hold for each dataclass annotation of a
+#: design point or its plan (enums are stored by value).
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
+               "str": (str,), "PipelineSchedule": (str,),
+               "RecomputeMode": (str,)}
+
+
+def _field_types(cls) -> dict[str, tuple[type, ...]]:
+    return {field.name: _JSON_TYPES.get(field.type, ())
+            for field in dataclasses.fields(cls)}
+
+
+# An infeasible point stores its infinite iteration time as null.
+_POINT_TYPES = {**_field_types(DesignPoint), "plan": (dict,),
+                "iteration_time": (int, float, type(None))}
+_PLAN_TYPES = _field_types(ParallelismConfig)
+
+
+def _check_fields(what: str, payload: Any,
+                  types: Mapping[str, tuple[type, ...]]) -> None:
+    """Raise ConfigError unless ``payload`` is an object whose fields
+    are all in ``types`` and hold one of their JSON types (a JSON
+    boolean is not a number)."""
+    if not isinstance(payload, Mapping):
+        raise ConfigError(f"{what} is not an object")
+    for name, value in payload.items():
+        allowed = types.get(name)
+        if allowed is None:
+            raise ConfigError(f"{what} has an unknown field {name!r}")
+        if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed):
+            raise ConfigError(f"{what} field {name!r} must be "
+                              f"{' or '.join(t.__name__ for t in allowed)}, "
+                              f"got {type(value).__name__}")
 
 
 def fingerprint(model: ModelConfig, plan: ParallelismConfig,
@@ -165,9 +201,20 @@ class PredictionCache:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "PredictionCache":
-        """Rebuild a cache from :meth:`to_dict` output."""
+        """Rebuild a cache from :meth:`to_dict` output.
+
+        Every entry is checked here, once, so :meth:`get` can trust the
+        stored payloads.
+
+        Raises:
+            ConfigError: On any malformed payload: not an object, an
+                unsupported version, no entries map, or an entry with a
+                missing, unknown or wrongly typed field.
+        """
+        if not isinstance(payload, Mapping):
+            raise ConfigError("prediction cache payload is not an object")
         version = payload.get("version")
-        if version != CACHE_FORMAT_VERSION:
+        if type(version) is not int or version != CACHE_FORMAT_VERSION:
             raise ConfigError(
                 f"prediction cache version {version!r} is not supported "
                 f"(expected {CACHE_FORMAT_VERSION})")
@@ -176,7 +223,10 @@ class PredictionCache:
             raise ConfigError("prediction cache payload has no entries map")
         cache = cls()
         for key, entry in entries.items():
-            DesignPoint.from_dict(entry)  # validate eagerly
+            what = f"prediction cache entry {key!r}"
+            _check_fields(what, entry, _POINT_TYPES)
+            _check_fields(f"{what} plan", entry.get("plan"), _PLAN_TYPES)
+            DesignPoint.from_dict(entry)  # missing fields, bad values
             cache._entries[key] = dict(entry)
         return cache
 
@@ -207,11 +257,12 @@ class PredictionCache:
         """Read a cache from a JSON file.
 
         Raises:
-            ConfigError: On malformed JSON or an unsupported version.
+            ConfigError: On malformed JSON or a malformed payload (see
+                :meth:`from_dict`).
         """
         try:
             payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(
                 f"prediction cache {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)

@@ -6,10 +6,19 @@ collects :class:`DesignPoint` rows: iteration time, utilization, memory,
 GPUs, and cost rates. Helpers select the paper's headline artefacts —
 fastest plan, most cost-effective plan under a GPU budget, the Pareto
 frontier of (iteration time, cost), and the Figure-10 heatmap grids.
+
+:meth:`DesignSpaceExplorer.explore` is the one sweep loop, for training
+and serving explorers alike: it serves plans already in a
+:class:`~repro.dse.cache.PredictionCache` (or a checkpoint left by an
+interrupted run), evaluates the rest in structure-affinity groups —
+in-process, or one group per work unit on a process pool — and
+checkpoints and reports progress as groups finish.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ``(tasks x N)`` duration matrix while keeping the vectorized sweep's
 #: per-column amortisation (throughput is flat past a few dozen columns).
 _MAX_EVAL_BATCH = 64
+
+#: A checkpointing sweep saves its cache after every this many
+#: evaluated plans (and once more at the end).
+_CHECKPOINT_EVERY = 8 * _MAX_EVAL_BATCH
 
 
 @dataclass(frozen=True)
@@ -354,20 +367,17 @@ class DesignSpaceExplorer:
         self.granularity = granularity
         self.network = network
         self.zero_stage = zero_stage
-        self.has_custom_system_factory = system_factory is not None
-        self._system_factory = system_factory or self._default_system
+        self._system_factory = system_factory
         self._simulators: dict[int, VTrain] = {}
-
-    def _default_system(self, num_gpus: int) -> SystemConfig:
-        nodes = max(1, -(-num_gpus // self.gpus_per_node))
-        return multi_node(nodes, gpus_per_node=self.gpus_per_node,
-                          network=self.network)
 
     def system_for(self, num_gpus: int) -> SystemConfig:
         """The system a plan occupying ``num_gpus`` GPUs runs on (the
         plan's node count rounded up to whole nodes)."""
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
-        return self._system_factory(nodes * self.gpus_per_node)
+        if self._system_factory is not None:
+            return self._system_factory(nodes * self.gpus_per_node)
+        return multi_node(nodes, gpus_per_node=self.gpus_per_node,
+                          network=self.network)
 
     def _simulator_for(self, num_gpus: int) -> VTrain:
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
@@ -417,124 +427,137 @@ class DesignSpaceExplorer:
         obs.count("dse.plans_evaluated", len(plans))
         return points
 
+    def fingerprint_for(self, plan: ParallelismConfig) -> str:
+        """Prediction-cache key of ``plan`` under this explorer's model,
+        training recipe or workload, derived system, granularity and
+        ZeRO stage (see :func:`repro.dse.cache.fingerprint`)."""
+        from repro.dse.cache import fingerprint
+
+        return fingerprint(self.model, plan, self.training,
+                           self.system_for(plan.total_gpus),
+                           self.granularity, zero_stage=self.zero_stage,
+                           workload=self.workload)
+
     def explore(self, *, space: SearchSpace = SearchSpace(),
                 num_gpus: int | None = None, max_gpus: int | None = None,
                 plans: Iterable[ParallelismConfig] | None = None,
-                workers: int | None = None,
+                workers: int = 1,
                 cache: "PredictionCache | None" = None,
-                checkpoint_path: Any = None,
+                checkpoint_path: str | Path | None = None,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> DSEResult:
-        """Evaluate a plan iterable (or the enumerated search space).
+        """Sweep a plan iterable (or the enumerated search space).
+
+        Plans already in ``cache`` are served from it; the rest are
+        evaluated in :meth:`_affinity_groups`, one
+        :meth:`evaluate_batch` call per group. Points come back in plan
+        order, bit-identical for every ``workers``/``cache``/
+        ``checkpoint_path``/``progress`` combination: workers run the
+        same evaluation on the same deterministic device model.
 
         Args:
             space / num_gpus / max_gpus / plans: What to sweep (see
-                :func:`repro.dse.space.enumerate_plans`).
-            workers: Evaluate plans on this many worker processes
-                (``> 1`` fans out via :class:`repro.dse.parallel.
-                ParallelExplorer`; results are merged back into plan
-                order, bit-identical to the serial sweep).
-            cache: A :class:`~repro.dse.cache.PredictionCache`; plans
-                whose fingerprint is already cached skip simulation.
-            checkpoint_path: JSON file the sweep's cache is periodically
-                saved to, and resumed from when it already exists.
-            progress: Callback ``progress(completed, total)`` invoked as
-                the sweep advances.
+                :func:`repro.dse.space.enumerate_plans`, or
+                :func:`~repro.dse.space.enumerate_serving_plans` for a
+                serving explorer).
+            workers: Processes evaluating the groups. ``1`` evaluates
+                in-process; ``> 1`` submits each group as one work unit
+                to a process pool whose workers each host one
+                long-lived explorer (profiling tables and structure
+                cache warm once per worker).
+            cache: A :class:`~repro.dse.cache.PredictionCache` consulted
+                by :meth:`fingerprint_for` before evaluating and updated
+                after. Without a cache or checkpoint no fingerprint is
+                computed.
+            checkpoint_path: JSON file merged into the cache (a private
+                one when ``cache`` is ``None``) when it exists, and
+                saved every ``_CHECKPOINT_EVERY`` (512) evaluated plans
+                and at the end, so an interrupted sweep resumes.
+            progress: Callback ``progress(completed, total)``, invoked
+                after the cache scan and as each group finishes.
+
+        Raises:
+            ConfigError: ``workers`` is below 1.
         """
-        if self.workload is not None:
-            return self._explore_serving(space=space, num_gpus=num_gpus,
-                                         max_gpus=max_gpus, plans=plans,
-                                         cache=cache,
-                                         checkpoint_path=checkpoint_path,
-                                         progress=progress)
-        if (workers is not None and workers > 1) or cache is not None \
-                or checkpoint_path is not None or progress is not None:
-            from repro.dse.parallel import ParallelExplorer
-            engine = ParallelExplorer(
-                self.model, self.training,
-                workers=workers if workers is not None else 1,
-                gpus_per_node=self.gpus_per_node,
-                granularity=self.granularity,
-                network=self.network,
-                system_factory=(self._system_factory
-                                if self.has_custom_system_factory else None),
-                zero_stage=self.zero_stage,
-                cache=cache, checkpoint_path=checkpoint_path,
-                progress=progress)
-            return engine.explore(space=space, num_gpus=num_gpus,
-                                  max_gpus=max_gpus, plans=plans)
-        if plans is None:
-            plans = enumerate_plans(self.model, self.training, space=space,
-                                    num_gpus=num_gpus, max_gpus=max_gpus)
-        plan_list = list(plans)
-        result = DSEResult(model=self.model, training=self.training,
-                           points=[None] * len(plan_list))
-        # Evaluate in structure-affinity groups: plans sharing a
-        # compiled graph topology run together, so each group compiles
-        # once and replays every member in one vectorized batch
-        # (predictions are order-independent, and results are restored
-        # to plan order below).
-        for group in self._affinity_groups(plan_list):
-            evaluated = self.evaluate_batch([plan_list[i] for i in group])
-            for index, point in zip(group, evaluated):
-                result.points[index] = point
-        return result
+        from repro.dse.cache import PredictionCache
 
-    def _explore_serving(self, *, space: SearchSpace,
-                         num_gpus: int | None, max_gpus: int | None,
-                         plans: Iterable[ParallelismConfig] | None,
-                         cache: "PredictionCache | None",
-                         checkpoint_path: Any,
-                         progress: Callable[[int, int], None] | None,
-                         ) -> DSEResult:
-        """Serving sweep: each plan replays a prefill + decode graph.
-
-        Serial by design — phase graphs are small (no backward half) and
-        the process-wide structure cache already collapses repeat
-        topologies, so each uncached plan is one :meth:`evaluate` call —
-        but honours the same cache / checkpoint / progress contract as
-        the training sweep.
-        """
-        from repro.dse.cache import PredictionCache, fingerprint
-
-        if plans is None:
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers!r}")
+        if plans is None and self.workload is not None:
             plans = enumerate_serving_plans(self.model, self.workload,
                                             space=space, num_gpus=num_gpus,
                                             max_gpus=max_gpus)
+        elif plans is None:
+            plans = enumerate_plans(self.model, self.training, space=space,
+                                    num_gpus=num_gpus, max_gpus=max_gpus)
         plan_list = list(plans)
-        if cache is None and checkpoint_path is not None:
-            cache = (PredictionCache.load(checkpoint_path)
-                     if Path(checkpoint_path).exists() else PredictionCache())
-        result = DSEResult(model=self.model, training=self.training,
-                           points=[])
-        with obs.span("dse.explore_serving", category="dse",
-                      plans=len(plan_list)):
-            for completed, plan in enumerate(plan_list, start=1):
-                key = point = None
-                if cache is not None:
-                    key = fingerprint(self.model, plan, self.training,
-                                      self.system_for(plan.total_gpus),
-                                      self.granularity,
-                                      zero_stage=self.zero_stage,
-                                      workload=self.workload)
-                    point = cache.get(key)
-                if point is None:
-                    point = self.evaluate(plan)
-                    if cache is not None:
-                        cache.put(key, point)
-                result.points.append(point)
-                if progress is not None:
-                    progress(completed, len(plan_list))
-            if cache is not None and checkpoint_path is not None:
+        total = len(plan_list)
+        with obs.span("dse.sweep", category="dse", plans=total,
+                      workers=workers):
+            if checkpoint_path is not None:
+                checkpoint_path = Path(checkpoint_path)
+                if cache is None:
+                    cache = PredictionCache()
+                if checkpoint_path.exists():
+                    cache.merge(PredictionCache.load(checkpoint_path))
+            points: list[DesignPoint | None] = [None] * total
+            if cache is not None:
+                keys = [self.fingerprint_for(plan) for plan in plan_list]
+                points = [cache.get(key) for key in keys]
+            pending = [index for index, point in enumerate(points)
+                       if point is None]
+            groups = self._affinity_groups(plan_list, pending)
+            done = total - len(pending)
+            if progress is not None:
+                progress(done, total)
+            unsaved = 0
+            with contextlib.ExitStack() as stack:
+                if workers > 1 and groups:
+                    options = dict(gpus_per_node=self.gpus_per_node,
+                                   granularity=self.granularity,
+                                   network=self.network,
+                                   system_factory=self._system_factory,
+                                   zero_stage=self.zero_stage,
+                                   workload=self.workload)
+                    pool = stack.enter_context(
+                        concurrent.futures.ProcessPoolExecutor(
+                            max_workers=min(workers, len(groups)),
+                            initializer=_init_worker,
+                            initargs=(self.model, self.training, options)))
+                    futures = {pool.submit(_evaluate_group,
+                                           [plan_list[i] for i in group]):
+                               group for group in groups}
+                    finished = ((futures[future], future.result())
+                                for future in
+                                concurrent.futures.as_completed(futures))
+                else:
+                    finished = ((group, self.evaluate_batch(
+                        [plan_list[i] for i in group])) for group in groups)
+                for group, evaluated in finished:
+                    for index, point in zip(group, evaluated):
+                        points[index] = point
+                        if cache is not None:
+                            cache.put(keys[index], point)
+                    done += len(group)
+                    unsaved += len(group)
+                    if progress is not None:
+                        progress(done, total)
+                    if (checkpoint_path is not None
+                            and unsaved >= _CHECKPOINT_EVERY):
+                        cache.save(checkpoint_path)
+                        unsaved = 0
+            if checkpoint_path is not None:
                 cache.save(checkpoint_path)
-        return result
+        return DSEResult(model=self.model, training=self.training,
+                         points=points)
 
     def _affinity_groups(self, plans: list[ParallelismConfig],
-                         ) -> list[list[int]]:
-        """Indices of ``plans`` grouped to co-locate shared structures.
+                         indices: list[int]) -> list[list[int]]:
+        """``indices`` into ``plans``, grouped to co-locate shared
+        structures.
 
         Groups are emitted in affinity-sorted order (ties and
-        un-fingerprintable plans keep their original order, so the
+        un-fingerprintable plans keep their plan order, so the
         flattened sequence matches the historical evaluation order);
         consecutive plans sharing a structure fingerprint share a group,
         capped at ``_MAX_EVAL_BATCH``, while un-fingerprintable plans
@@ -542,10 +565,13 @@ class DesignSpaceExplorer:
         """
         from repro.graph.builder import structure_affinity
 
+        # Serving plans have no training affinity key, so each replays
+        # alone (its phase graphs are small, one scalar replay each).
+        training = self.training if self.workload is None else None
         keyed = sorted(
-            ((structure_affinity(self.model, plans[index], self.training,
+            ((structure_affinity(self.model, plans[index], training,
                                  self.granularity), index)
-             for index in range(len(plans))),
+             for index in indices),
             key=lambda row: ("~" if row[0] is None else row[0], row[1]))
         groups: list[list[int]] = []
         previous_key = None
@@ -558,3 +584,23 @@ class DesignSpaceExplorer:
                 groups.append([index])
             previous_key = key
         return groups
+
+
+# Worker-process side of a ``workers > 1`` sweep (module-level so it
+# pickles). Observability state is per-process: a worker's spans and
+# counters stay in the worker; cache hits are counted by the parent.
+_WORKER_EXPLORER: DesignSpaceExplorer | None = None
+
+
+def _init_worker(model: ModelConfig, training: TrainingConfig | None,
+                 options: dict[str, Any]) -> None:
+    """Build this worker's long-lived explorer from the caller's
+    constructor arguments."""
+    global _WORKER_EXPLORER
+    _WORKER_EXPLORER = DesignSpaceExplorer(model, training, **options)
+
+
+def _evaluate_group(plans: list[ParallelismConfig]) -> list[DesignPoint]:
+    """Evaluate one affinity group on this worker's explorer."""
+    assert _WORKER_EXPLORER is not None, "worker initializer did not run"
+    return _WORKER_EXPLORER.evaluate_batch(plans)

@@ -93,8 +93,9 @@ class Granularity(enum.Enum):
 # different tensor degree with tensor parallelism still on, a perturbed
 # device or NCCL model, or simply a repeated VTrain.predict of the same
 # plan — share one compiled topology and only refill the duration
-# vector. The cache is per-process by design (ParallelExplorer workers
-# each warm their own), LRU-evicted against a total-task budget.
+# vector. The cache is per-process by design (the workers of a
+# ``DesignSpaceExplorer.explore(workers=N)`` sweep each warm their own),
+# LRU-evicted against a total-task budget.
 #
 # All cache operations hold _STRUCTURE_CACHE_LOCK: the `repro serve`
 # daemon retimes one shared cache from many handler threads, and the
@@ -283,14 +284,17 @@ def structure_fingerprint(model: ModelConfig, plan: ParallelismConfig,
 
 
 def structure_affinity(model: ModelConfig, plan: ParallelismConfig,
-                       training: TrainingConfig,
+                       training: TrainingConfig | None,
                        granularity: Granularity) -> str | None:
     """Best-effort :func:`structure_fingerprint` for sweep grouping.
 
-    Returns ``None`` for plans whose fingerprint cannot be computed
-    (structurally invalid — they fail fast during evaluation anyway);
-    sweep engines sort those last in their original order.
+    Returns ``None`` when the fingerprint cannot be computed: for
+    structurally invalid plans (they fail fast during evaluation anyway)
+    and without a training recipe (serving sweeps). The sweep loop sorts
+    those last in their original order.
     """
+    if training is None:
+        return None
     try:
         return structure_fingerprint(model, plan, training, granularity)
     except (ArithmeticError, ValueError):

@@ -1,7 +1,7 @@
 """Span tracer: records the engine's own execution as Chrome trace events.
 
 A *span* is a named, tagged wall-clock interval — ``structure_build``,
-``duration_fill``, ``replay``, ``dse.chunk`` — opened with the
+``duration_fill``, ``replay``, ``dse.sweep`` — opened with the
 :meth:`SpanTracer.span` context manager. Spans are thread-safe and
 nestable (nesting depth is tracked per thread and recorded on each
 span, so flame-graph viewers reconstruct the stack without B/E event
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 from contextlib import contextmanager
 
+from repro.errors import ConfigError
 from repro.obs.context import current_trace_id
 
 #: Synthetic process id for the engine's own spans in exported traces.
@@ -47,7 +48,27 @@ ENGINE_PID = 1
 #: Spans retained by a tracer before the oldest are dropped
 #: (``REPRO_OBS_MAX_SPANS`` overrides). Sized so a busy daemon holds
 #: minutes of serving spans in a few tens of MB, never unbounded.
-DEFAULT_MAX_SPANS = int(os.environ.get("REPRO_OBS_MAX_SPANS", "65536"))
+DEFAULT_MAX_SPANS = 65536
+
+
+def _max_spans_from_env() -> int:
+    """The ring capacity, from REPRO_OBS_MAX_SPANS if set.
+
+    Raises:
+        ConfigError: The variable is not an integer >= 1.
+    """
+    raw = os.environ.get("REPRO_OBS_MAX_SPANS")
+    if raw is None:
+        return DEFAULT_MAX_SPANS
+    try:
+        max_spans = int(raw)
+    except ValueError:
+        max_spans = 0
+    if max_spans < 1:
+        raise ConfigError("REPRO_OBS_MAX_SPANS must be an integer >= 1 "
+                          f"span count, got {raw!r}")
+    return max_spans
+
 
 _MICROS = 1_000_000.0
 
@@ -79,12 +100,17 @@ class SpanTracer:
     Args:
         max_spans: Ring capacity; once full, each new span evicts the
             oldest and bumps :attr:`dropped` (and :attr:`on_drop`, when
-            set). Defaults to :data:`DEFAULT_MAX_SPANS`.
+            set). Defaults to ``REPRO_OBS_MAX_SPANS`` when set, else
+            :data:`DEFAULT_MAX_SPANS`.
+
+    Raises:
+        ConfigError: ``max_spans`` is omitted and ``REPRO_OBS_MAX_SPANS``
+            is not an integer >= 1.
     """
 
     def __init__(self, max_spans: int | None = None) -> None:
         self._lock = threading.Lock()
-        self.max_spans = (DEFAULT_MAX_SPANS if max_spans is None
+        self.max_spans = (_max_spans_from_env() if max_spans is None
                           else max(1, int(max_spans)))
         self._spans: deque[Span] = deque(maxlen=self.max_spans)
         self._dropped = 0

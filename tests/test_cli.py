@@ -160,6 +160,12 @@ class TestDse:
         second = capsys.readouterr().out
         assert "0 misses" in second
 
+    def test_dse_corrupt_cache_fails_cleanly(self, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        cache.write_text("[1, 2]")
+        assert main(self.ARGS + ["--cache", str(cache)]) == 1
+        assert "error: prediction cache" in capsys.readouterr().err
+
     def test_dse_writes_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "points.csv"
         assert main(self.ARGS + ["--csv", str(csv_path)]) == 0
@@ -291,6 +297,17 @@ class TestInferenceCli:
         assert "tok/s" in out
         assert "$/Mtok" in out
         assert "pareto" in out.lower()
+
+    def test_dse_inference_resumes_from_checkpoint(self, tmp_path, capsys):
+        """Regression: serving sweeps ignored --checkpoint whenever a
+        cache was passed, which `repro dse` always does."""
+        args = ["dse", "megatron-1.7b", "--workload", "inference",
+                "--max-gpus", "4", "--max-pipeline", "2", "--quiet",
+                "--checkpoint", str(tmp_path / "serving.ck.json")]
+        assert main(args) == 0
+        assert "0 hits" in capsys.readouterr().out
+        assert main(args) == 0
+        assert " 0 misses" in capsys.readouterr().out
 
     def test_dse_inference_writes_serving_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "serving.csv"

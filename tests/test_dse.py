@@ -174,15 +174,14 @@ class TestExplorer:
                                    flat.feasible_points))
 
     def test_network_parallel_engine_matches_serial(self, model, training):
-        from repro.dse.parallel import ParallelExplorer
         space = SearchSpace(max_tensor=4, max_data=4, max_pipeline=2,
                             micro_batch_sizes=(1,))
         serial = DesignSpaceExplorer(
             model, training, network="fat-tree:4").explore(
             num_gpus=16, space=space)
-        parallel = ParallelExplorer(
-            model, training, workers=2, network="fat-tree:4").explore(
-            num_gpus=16, space=space)
+        parallel = DesignSpaceExplorer(
+            model, training, network="fat-tree:4").explore(
+            num_gpus=16, space=space, workers=2)
         assert parallel.points == serial.points
 
     def test_heatmap_keys_are_ways(self, model, training):

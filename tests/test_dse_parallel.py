@@ -1,20 +1,29 @@
-"""Tests for the parallel, cache-aware sweep engine.
+"""Tests for the sweep loop's worker, cache and checkpoint options.
 
-Covers the determinism contract (parallel == serial, bit-identical),
-cache hit/miss accounting, checkpoint interrupt/resume, and the progress
-callback.
+Covers the determinism contract (every combination of ``workers``,
+``cache``, ``checkpoint_path`` and ``progress`` returns the serial
+sweep's points, bit-identical), cache hit/miss accounting, checkpoint
+interrupt/resume, and the progress callback — each for a training
+explorer and a serving explorer, which share one sweep loop.
 """
+
+import concurrent.futures
+import itertools
+import os
 
 import pytest
 
 from repro.config.model import ModelConfig
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
+from repro.dse import explorer as explorer_module
 from repro.dse.cache import PredictionCache
 from repro.dse.explorer import DesignSpaceExplorer
-from repro.dse.parallel import ParallelExplorer
-from repro.dse.space import SearchSpace, enumerate_plans
+from repro.dse.space import SearchSpace
 from repro.errors import ConfigError
 from repro.sim.estimator import VTrain
+from repro.workload import InferenceWorkload
+
+WORKLOAD = InferenceWorkload(batch_size=4, prompt_len=64, gen_len=16)
 
 
 @pytest.fixture
@@ -34,53 +43,69 @@ def space():
                        micro_batch_sizes=(1, 2))
 
 
+@pytest.fixture(params=["training", "serving"])
+def make_explorer(request, model, training):
+    """Builds fresh explorers of one kind: a training sweep, or a serving
+    sweep of the same model (a prefill + decode graph per plan)."""
+    if request.param == "training":
+        return lambda: DesignSpaceExplorer(model, training)
+    return lambda: DesignSpaceExplorer(model, None, workload=WORKLOAD)
+
+
 @pytest.fixture
-def serial_result(model, training, space):
-    return DesignSpaceExplorer(model, training).explore(max_gpus=8,
-                                                        space=space)
+def serial_result(make_explorer, space):
+    return make_explorer().explore(max_gpus=8, space=space)
 
 
 class TestParity:
-    def test_parallel_matches_serial_bit_identical(self, model, training,
+    def test_parallel_matches_serial_bit_identical(self, make_explorer,
                                                    space, serial_result):
-        engine = ParallelExplorer(model, training, workers=2)
-        result = engine.explore(max_gpus=8, space=space)
+        result = make_explorer().explore(max_gpus=8, space=space, workers=2)
         assert result.points == serial_result.points
 
-    def test_explore_workers_kwarg_delegates(self, model, training, space,
-                                             serial_result):
-        explorer = DesignSpaceExplorer(model, training)
-        result = explorer.explore(max_gpus=8, space=space, workers=2)
-        assert result.points == serial_result.points
-
-    def test_single_worker_matches_serial(self, model, training, space,
+    def test_single_worker_matches_serial(self, make_explorer, space,
                                           serial_result):
-        engine = ParallelExplorer(model, training, workers=1)
-        result = engine.explore(max_gpus=8, space=space)
+        result = make_explorer().explore(max_gpus=8, space=space, workers=1)
         assert result.points == serial_result.points
 
-    def test_points_follow_enumeration_order(self, model, training, space):
-        plans = list(enumerate_plans(model, training, max_gpus=8,
-                                     space=space))
-        engine = ParallelExplorer(model, training, workers=2, chunk_size=3)
-        result = engine.explore(plans=plans)
+    def test_points_follow_enumeration_order(self, make_explorer,
+                                             serial_result):
+        plans = [point.plan for point in serial_result.points]
+        result = make_explorer().explore(plans=plans, workers=2)
         assert [p.plan for p in result.points] == plans
+
+    @pytest.mark.parametrize(
+        "workers,use_cache,use_checkpoint,use_progress",
+        [combo for combo in itertools.product((1, 2), (False, True),
+                                              (False, True), (False, True))
+         if combo[0] == 1 or combo[1:] in ((False,) * 3, (True,) * 3)])
+    def test_every_option_combination_matches_serial(
+            self, make_explorer, space, serial_result, tmp_path, workers,
+            use_cache, use_checkpoint, use_progress):
+        seen = []
+        result = make_explorer().explore(
+            max_gpus=8, space=space, workers=workers,
+            cache=PredictionCache() if use_cache else None,
+            checkpoint_path=tmp_path / "ck.json" if use_checkpoint else None,
+            progress=((lambda done, total: seen.append(done))
+                      if use_progress else None))
+        assert result.points == serial_result.points
+        assert bool(seen) == use_progress
 
 
 class TestCacheAccounting:
-    def test_cold_sweep_is_all_misses(self, model, training, space):
+    def test_cold_sweep_is_all_misses(self, make_explorer, space):
         cache = PredictionCache()
-        engine = ParallelExplorer(model, training, workers=1, cache=cache)
-        result = engine.explore(max_gpus=8, space=space)
+        result = make_explorer().explore(max_gpus=8, space=space,
+                                         cache=cache)
         assert cache.misses == len(result.points)
         assert cache.hits == 0
         assert len(cache) == len(result.points)
 
-    def test_warm_sweep_skips_all_predict_calls(self, model, training,
-                                                space, monkeypatch):
+    def test_warm_sweep_skips_all_predict_calls(self, make_explorer, space,
+                                                monkeypatch):
         cache = PredictionCache()
-        ParallelExplorer(model, training, workers=1,
-                         cache=cache).explore(max_gpus=8, space=space)
+        make_explorer().explore(max_gpus=8, space=space, cache=cache)
         entries = len(cache)
         cache.hits = cache.misses = 0
 
@@ -93,8 +118,8 @@ class TestCacheAccounting:
 
         # Every DSE prediction replays through predict_prepared.
         monkeypatch.setattr(VTrain, "predict_prepared", counting_predict)
-        engine = ParallelExplorer(model, training, workers=1, cache=cache)
-        result = engine.explore(max_gpus=8, space=space)
+        result = make_explorer().explore(max_gpus=8, space=space,
+                                         cache=cache)
         assert not calls  # every point served from the cache
         assert cache.hits == len(result.points) == entries
         assert cache.misses == 0
@@ -106,111 +131,161 @@ class TestCacheAccounting:
         cache = PredictionCache()
         first = TrainingConfig(global_batch_size=16)
         second = TrainingConfig(global_batch_size=8)
-        ParallelExplorer(model, first, workers=1,
-                         cache=cache).explore(max_gpus=8, space=space)
+        DesignSpaceExplorer(model, first).explore(max_gpus=8, space=space,
+                                                  cache=cache)
         cache.hits = cache.misses = 0
-        result = ParallelExplorer(model, second, workers=1,
-                                  cache=cache).explore(max_gpus=8,
-                                                       space=space)
+        result = DesignSpaceExplorer(model, second).explore(
+            max_gpus=8, space=space, cache=cache)
         assert cache.hits == 0
         assert cache.misses == len(result.points)
 
-    def test_warm_parallel_sweep_serves_from_cache(self, model, training,
+    def test_changed_workload_misses_stale_cache(self, model, space):
+        """The serving twin: a different inference workload must not
+        reuse predictions computed for the old one."""
+        cache = PredictionCache()
+        DesignSpaceExplorer(model, None, workload=WORKLOAD).explore(
+            max_gpus=8, space=space, cache=cache)
+        cache.hits = cache.misses = 0
+        longer = InferenceWorkload(batch_size=4, prompt_len=64, gen_len=32)
+        result = DesignSpaceExplorer(model, None, workload=longer).explore(
+            max_gpus=8, space=space, cache=cache)
+        assert cache.hits == 0
+        assert cache.misses == len(result.points)
+
+    def test_warm_parallel_sweep_serves_from_cache(self, make_explorer,
                                                    space):
         cache = PredictionCache()
-        cold = ParallelExplorer(model, training, workers=2, cache=cache)
-        expected = cold.explore(max_gpus=8, space=space)
+        expected = make_explorer().explore(max_gpus=8, space=space,
+                                           workers=2, cache=cache)
         cache.hits = cache.misses = 0
-        warm = ParallelExplorer(model, training, workers=2, cache=cache)
-        result = warm.explore(max_gpus=8, space=space)
+        result = make_explorer().explore(max_gpus=8, space=space,
+                                         workers=2, cache=cache)
         assert result.points == expected.points
         assert cache.hits == len(result.points)
         assert cache.misses == 0
 
+    def test_no_cache_computes_no_fingerprints(self, make_explorer, space,
+                                               monkeypatch):
+        def fail(self, plan):
+            raise AssertionError("fingerprinted without a cache")
+
+        monkeypatch.setattr(DesignSpaceExplorer, "fingerprint_for", fail)
+        assert make_explorer().explore(max_gpus=8, space=space).points
+
 
 class TestCheckpointResume:
-    def test_interrupted_sweep_resumes_from_checkpoint(self, model, training,
-                                                       space, tmp_path):
+    def test_interrupted_sweep_resumes_from_checkpoint(self, make_explorer,
+                                                       serial_result,
+                                                       tmp_path):
         checkpoint = tmp_path / "sweep.json"
-        plans = list(enumerate_plans(model, training, max_gpus=8,
-                                     space=space))
+        plans = [point.plan for point in serial_result.points]
         # First run covers only a prefix of the space (an "interrupted"
         # sweep that checkpointed before dying).
-        partial = ParallelExplorer(model, training, workers=1,
-                                   checkpoint_path=checkpoint)
-        partial.explore(plans=plans[:5])
+        make_explorer().explore(plans=plans[:5], checkpoint_path=checkpoint)
         assert checkpoint.exists()
 
         resumed_cache = PredictionCache()
-        resumed = ParallelExplorer(model, training, workers=1,
-                                   cache=resumed_cache,
-                                   checkpoint_path=checkpoint)
-        result = resumed.explore(plans=plans)
+        result = make_explorer().explore(plans=plans, cache=resumed_cache,
+                                         checkpoint_path=checkpoint)
         # The checkpointed prefix is served from disk, the rest computed.
         assert resumed_cache.hits == 5
         assert resumed_cache.misses == len(plans) - 5
-        serial = DesignSpaceExplorer(model, training).explore(plans=plans)
-        assert result.points == serial.points
+        assert result.points == serial_result.points
 
-    def test_checkpoint_written_mid_sweep(self, model, training, space,
-                                          tmp_path):
-        checkpoint = tmp_path / "mid.json"
-        engine = ParallelExplorer(model, training, workers=1,
-                                  checkpoint_path=checkpoint,
-                                  checkpoint_every=1, chunk_size=4)
-        result = engine.explore(max_gpus=8, space=space)
-        saved = PredictionCache.load(checkpoint)
-        assert len(saved) == len(result.points)
-
-    def test_full_checkpoint_round_trip(self, model, training, space,
+    def test_full_checkpoint_round_trip(self, make_explorer, space,
                                         tmp_path, serial_result):
         checkpoint = tmp_path / "done.json"
-        ParallelExplorer(model, training, workers=2,
-                         checkpoint_path=checkpoint).explore(max_gpus=8,
-                                                             space=space)
+        make_explorer().explore(max_gpus=8, space=space, workers=2,
+                                checkpoint_path=checkpoint)
         rerun_cache = PredictionCache()
-        rerun = ParallelExplorer(model, training, workers=1,
-                                 cache=rerun_cache,
-                                 checkpoint_path=checkpoint)
-        result = rerun.explore(max_gpus=8, space=space)
+        result = make_explorer().explore(max_gpus=8, space=space,
+                                         cache=rerun_cache,
+                                         checkpoint_path=checkpoint)
         assert rerun_cache.misses == 0
         assert result.points == serial_result.points
 
+    def test_checkpoint_saved_at_cadence_and_end(self, make_explorer, space,
+                                                 tmp_path, monkeypatch):
+        """The checkpoint is saved once ``_CHECKPOINT_EVERY`` plans have
+        been evaluated since the last save, and again at the end."""
+        monkeypatch.setattr(explorer_module, "_CHECKPOINT_EVERY", 4)
+        saved_sizes = []
+        original = PredictionCache.save
+
+        def recording_save(self, path):
+            saved_sizes.append(len(self))
+            original(self, path)
+
+        monkeypatch.setattr(PredictionCache, "save", recording_save)
+        checkpoint = tmp_path / "cadence.json"
+        result = make_explorer().explore(max_gpus=8, space=space,
+                                         checkpoint_path=checkpoint)
+        total = len(result.points)
+        assert saved_sizes[-1] == total
+        assert len(saved_sizes) > 2
+        assert saved_sizes[0] < total
+        assert saved_sizes == sorted(saved_sizes)
+        assert len(PredictionCache.load(checkpoint)) == total
+
 
 class TestProgress:
-    def test_progress_reaches_total(self, model, training, space):
+    def test_progress_reaches_total(self, make_explorer, space):
         seen = []
-        engine = ParallelExplorer(model, training, workers=1, chunk_size=4,
-                                  progress=lambda done, total:
-                                  seen.append((done, total)))
-        result = engine.explore(max_gpus=8, space=space)
+        result = make_explorer().explore(
+            max_gpus=8, space=space,
+            progress=lambda done, total: seen.append((done, total)))
         total = len(result.points)
         assert seen[-1] == (total, total)
         dones = [done for done, _ in seen]
         assert dones == sorted(dones)
+        assert len(dones) > 2
         assert all(t == total for _, t in seen)
 
-    def test_progress_threads_through_explore(self, model, training, space):
+    def test_progress_threads_through_explore(self, make_explorer, space):
         seen = []
-        explorer = DesignSpaceExplorer(model, training)
-        explorer.explore(max_gpus=8, space=space,
-                         progress=lambda done, total:
-                         seen.append((done, total)))
+        make_explorer().explore(max_gpus=8, space=space, workers=2,
+                                progress=lambda done, total:
+                                seen.append((done, total)))
         assert seen and seen[-1][0] == seen[-1][1]
 
 
+class TestWorkerProcesses:
+    def test_serving_sweep_runs_on_worker_processes(self, model, space,
+                                                    monkeypatch):
+        """Regression: serving sweeps used to ignore ``workers``."""
+        serial = DesignSpaceExplorer(model, None, workload=WORKLOAD).explore(
+            max_gpus=8, space=space)
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        in_process = []
+        original = DesignSpaceExplorer.evaluate_batch
+
+        def recording_evaluate_batch(self, plans):
+            in_process.append(os.getpid())
+            return original(self, plans)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        monkeypatch.setattr(DesignSpaceExplorer, "evaluate_batch",
+                            recording_evaluate_batch)
+        result = DesignSpaceExplorer(model, None, workload=WORKLOAD).explore(
+            max_gpus=8, space=space, workers=2)
+        assert pools == [2]
+        assert not in_process  # every group ran in a worker process
+        assert result.points == serial.points
+
+
 class TestValidation:
-    def test_rejects_bad_worker_count(self, model, training):
-        with pytest.raises(ConfigError):
-            ParallelExplorer(model, training, workers=0)
-
-    def test_rejects_bad_chunk_size(self, model, training):
-        with pytest.raises(ConfigError):
-            ParallelExplorer(model, training, workers=1, chunk_size=0)
-
-    def test_rejects_bad_checkpoint_cadence(self, model, training):
-        with pytest.raises(ConfigError):
-            ParallelExplorer(model, training, workers=1, checkpoint_every=0)
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_bad_worker_count(self, make_explorer, space, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            make_explorer().explore(max_gpus=8, space=space,
+                                    workers=workers)
 
 
 class TestStructurallyInvalidPlans:
@@ -222,8 +297,8 @@ class TestStructurallyInvalidPlans:
                                 micro_batch_size=64)
         good = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        engine = ParallelExplorer(model, training, workers=2)
-        result = engine.explore(plans=[bad, good])
+        result = DesignSpaceExplorer(model, training).explore(
+            plans=[bad, good], workers=2)
         assert not result.points[0].feasible
         assert result.points[0].infeasible_reason
         assert result.points[1].feasible

@@ -168,13 +168,12 @@ class TestZeroStageThreading:
         """Different ZeRO stages must not share cached predictions; the
         default stage keeps the pre-existing fingerprint."""
         from repro.dse.cache import fingerprint
-        from repro.dse.parallel import ParallelExplorer
+        from repro.dse.explorer import DesignSpaceExplorer
         plan = ParallelismConfig(tensor=1, data=8, pipeline=1)
-        default = ParallelExplorer(big_model, batch8, workers=1)
-        stage3 = ParallelExplorer(big_model, batch8, workers=1,
-                                  zero_stage=3)
+        default = DesignSpaceExplorer(big_model, batch8)
+        stage3 = DesignSpaceExplorer(big_model, batch8, zero_stage=3)
         assert default.fingerprint_for(plan) != stage3.fingerprint_for(plan)
-        system = default._serial.system_for(plan.total_gpus)
+        system = default.system_for(plan.total_gpus)
         from repro.graph.builder import Granularity
         assert default.fingerprint_for(plan) == fingerprint(
             big_model, plan, batch8, system, Granularity.STAGE)

@@ -131,6 +131,23 @@ class TestSpanRing:
         assert tracer.dropped == 0
         assert not tracer.spans
 
+    def test_env_sets_ring_capacity(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_MAX_SPANS", "3")
+        assert SpanTracer().max_spans == 3
+        assert SpanTracer(max_spans=5).max_spans == 5
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "1e6", ""])
+    def test_malformed_env_capacity_raises(self, monkeypatch, raw):
+        """A bad REPRO_OBS_MAX_SPANS fails loudly, naming the variable
+        and its value; it used to raise a bare ValueError at import, or
+        (``0``) keep no spans at all."""
+        from repro.errors import ConfigError
+        monkeypatch.setenv("REPRO_OBS_MAX_SPANS", raw)
+        with pytest.raises(ConfigError) as excinfo:
+            SpanTracer()
+        assert "REPRO_OBS_MAX_SPANS" in str(excinfo.value)
+        assert repr(raw) in str(excinfo.value)
+
 
 # ---------------------------------------------------------------------------
 # Prometheus rendering
