@@ -2,20 +2,22 @@
 
 Models the inter-node fabric as an explicit graph (NVSwitch nodes,
 rail-optimized fabrics, oversubscribed fat trees), costs collectives by
-walking routed paths with per-link contention counting, auto-selects
-among ring / binomial-tree / two-level hierarchical algorithms the way
-NCCL's tuning does, and packages the whole thing as
+walking routed paths with per-link contention counting (routed once per
+group into payload-free plans), auto-selects among ring / binomial-tree
+/ two-level hierarchical algorithms the way NCCL's tuning does, and
+packages the whole thing as
 :class:`TopologyAwareNcclModel` — a drop-in behind the flat
 :class:`~repro.profiling.nccl.NcclModel` selected per system via
 ``SystemConfig.network`` (``flat`` / ``rail`` / ``fat-tree:<ratio>``).
 """
 
-from repro.network.collectives import (Flow, flat_ring_lower_bound,
+from repro.network.collectives import (StepPlan, flat_ring_lower_bound,
                                        hierarchical_allreduce_time,
+                                       point_to_point_time,
                                        ring_allgather_time,
                                        ring_allreduce_time,
                                        ring_reduce_scatter_time,
-                                       transfer_time, tree_allreduce_time)
+                                       tree_allreduce_time)
 from repro.network.model import (GroupPlacement, TopologyAwareNcclModel,
                                  nccl_model_for, place_group)
 from repro.network.selection import (CollectiveAlgorithm, select_algorithm,
@@ -28,11 +30,11 @@ from repro.network.topology import (FatTreeTopology, Link,
 __all__ = [
     "CollectiveAlgorithm",
     "FatTreeTopology",
-    "Flow",
     "GroupPlacement",
     "Link",
     "NvSwitchNodeTopology",
     "RailOptimizedTopology",
+    "StepPlan",
     "Topology",
     "TopologyAwareNcclModel",
     "build_topology",
@@ -41,11 +43,11 @@ __all__ = [
     "hierarchical_allreduce_time",
     "nccl_model_for",
     "place_group",
+    "point_to_point_time",
     "ring_allgather_time",
     "ring_allreduce_time",
     "ring_reduce_scatter_time",
     "select_algorithm",
-    "transfer_time",
     "tree_allreduce_time",
     "tree_threshold",
 ]

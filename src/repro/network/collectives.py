@@ -1,13 +1,13 @@
-"""Collective algorithms costed by walking routed topology paths.
+"""Collective algorithms costed from routed, load-counted plans.
 
-Every algorithm here is costed the same way: build the set of flows
-(routed source→destination paths plus a payload) that are on the wire
-*concurrently*, charge each link for the flows crossing it — a link of
-bandwidth ``B`` carrying ``k`` concurrent flows delivers ``B / k`` to
-each — and take the slowest flow as the step time. Serial steps then sum.
-This is the link-level contention model Echo and Charon argue is needed
-for accurate large-scale collectives, applied to the three algorithms
-NCCL actually runs:
+Every algorithm here is costed the same way: route the flows that are
+on the wire *concurrently* (source→destination paths), charge each link
+for the flows crossing it — a link of bandwidth ``B`` carrying ``k``
+concurrent flows delivers ``B / k`` to each — and take the slowest flow
+as the step time. Serial steps then sum. This is the link-level
+contention model Echo and Charon argue is needed for accurate
+large-scale collectives, applied to the three algorithms NCCL actually
+runs:
 
 * **Ring** — ``2(n-1)`` steps of neighbor exchange, payload split over
   ``channels`` parallel rings (NCCL channels map onto HCA rails, which
@@ -18,66 +18,143 @@ NCCL actually runs:
 * **Two-level hierarchical** (NCCL's multi-node All-Reduce): intra-node
   reduce-scatter over NVLink, one inter-node ring per local rank over
   its own rail, intra-node all-gather.
+
+Routes and link loads depend only on the group, never on the payload,
+so each algorithm splits in two. A payload-free :class:`StepPlan` holds
+every concurrent flow's bottleneck share and summed latency; it is
+routed once per topology × algorithm × members × channels and memoized
+on the :class:`~repro.network.topology.Topology` (whose ``add_link``
+drops it). Costing a call is then arithmetic on the plan.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import ConfigError
 from repro.hardware.interconnect import RingParameters, log2_ceil
 from repro.network.topology import Link, Topology
 
+#: ``(src, dst, channel, parts)``: a flow to route, and how many parts
+#: the step payload splits into for it (its ring length; 1 for a
+#: full-payload hop).
+Hop = tuple[str, str, int, int]
+
 
 @dataclass(frozen=True)
-class Flow:
-    """One concurrent transfer: a routed path and its payload."""
+class StepPlan:
+    """The concurrent flows of one collective step, routed once.
 
-    links: tuple[Link, ...]
-    size_bytes: float
-
-
-def transfer_time(flows: list[Flow]) -> float:
-    """Completion time of a set of concurrent flows.
-
-    Each link is shared equally among the flows crossing it; a flow's
-    bandwidth is its bottleneck share along the path, its time is
-    payload over bandwidth plus the path's summed link latencies, and
-    the transfer finishes when the slowest flow does.
+    Attributes:
+        flows: One ``(bandwidth, latency, parts)`` triple per distinct
+            flow: its bottleneck share ``min(link.bandwidth / load)``
+            over its path (``None`` for an empty path), the summed
+            latency of its links, and how many parts the step payload
+            splits into for it. Flows with equal triples cost the same,
+            so each is kept once: the slowest of a set is the slowest of
+            its distinct members.
     """
-    load: Counter[Link] = Counter()
-    for flow in flows:
-        load.update(flow.links)
-    worst = 0.0
-    for flow in flows:
-        latency = sum(link.latency for link in flow.links)
-        if flow.links and flow.size_bytes > 0:
-            bandwidth = min(link.bandwidth / load[link]
-                            for link in flow.links)
-            worst = max(worst, flow.size_bytes / bandwidth + latency)
-        else:
-            worst = max(worst, latency)
-    return worst
 
+    flows: tuple[tuple[float | None, float, int], ...]
 
-def _ring_step_flows(topology: Topology, gpus: list[str],
-                     chunk_bytes: float, channels: int) -> list[Flow]:
-    """Flows of one ring step: every member sends a chunk to its
-    successor, simultaneously on every channel."""
-    count = len(gpus)
-    flows = []
-    for channel in range(channels):
-        for index in range(count):
-            path = topology.route(gpus[index], gpus[(index + 1) % count],
-                                  channel=channel)
-            flows.append(Flow(tuple(path), chunk_bytes))
-    return flows
+    @classmethod
+    def route(cls, topology: Topology, hops: Iterable[Hop]) -> "StepPlan":
+        """Route ``hops`` on ``topology`` and count every link's load."""
+        paths = [(tuple(topology.route(src, dst, channel=channel)), parts)
+                 for src, dst, channel, parts in hops]
+        load: Counter[Link] = Counter()
+        for links, _ in paths:
+            load.update(links)
+        flows: dict[tuple[float | None, float, int], None] = {}
+        for links, parts in paths:
+            bandwidth = (min(link.bandwidth / load[link] for link in links)
+                         if links else None)
+            latency = sum((link.latency for link in links), 0.0)
+            flows[(bandwidth, latency, parts)] = None
+        return cls(tuple(flows))
+
+    def time(self, payload: float) -> float:
+        """Completion time of the step when it moves ``payload``.
+
+        A flow carries ``payload / parts`` bytes; its time is that over
+        its bandwidth plus its latency, and the step ends when the
+        slowest flow does.
+        """
+        worst = 0.0
+        for bandwidth, latency, parts in self.flows:
+            chunk = payload / parts
+            if bandwidth is not None and chunk > 0:
+                flow = chunk / bandwidth + latency
+            else:
+                flow = latency
+            if flow > worst:
+                worst = flow
+        return worst
 
 
 def _check_group(gpus: list[str]) -> None:
     if len(set(gpus)) != len(gpus):
         raise ConfigError("collective group has repeated members")
+
+
+def _check_channels(channels: int) -> None:
+    if channels < 1:
+        raise ConfigError("channels must be >= 1")
+
+
+def _ring_plan(topology: Topology, gpus: list[str],
+               channels: int) -> StepPlan:
+    """One ring step: every member sends a chunk to its successor,
+    simultaneously on every channel (the step All-Reduce, All-Gather and
+    Reduce-Scatter all repeat)."""
+    def build() -> StepPlan:
+        _check_group(gpus)
+        _check_channels(channels)
+        count = len(gpus)
+        return StepPlan.route(topology, [
+            (gpus[index], gpus[(index + 1) % count], channel, count)
+            for channel in range(channels) for index in range(count)])
+    return topology.plan(("ring", tuple(gpus), channels), build)
+
+
+def _tree_plan(topology: Topology, gpus: list[str],
+               channels: int) -> tuple[StepPlan, ...]:
+    """The reduce rounds of a binomial tree: round ``k`` pairs members
+    ``2^k`` apart, each pair exchanging the full per-channel payload."""
+    def build() -> tuple[StepPlan, ...]:
+        _check_group(gpus)
+        _check_channels(channels)
+        count = len(gpus)
+        rounds = []
+        for round_index in range(log2_ceil(max(count, 1))):
+            distance = 1 << round_index
+            rounds.append(StepPlan.route(topology, [
+                (gpus[receiver + distance], gpus[receiver], channel, 1)
+                for channel in range(channels)
+                for receiver in range(0, count - distance, 2 * distance)]))
+        return tuple(rounds)
+    return topology.plan(("tree", tuple(gpus), channels), build)
+
+
+def _hierarchical_plan(topology: Topology,
+                       node_slots: list[list[str]]) -> StepPlan:
+    """The inter-node step of the two-level All-Reduce: slot ``s`` runs
+    one ring over the nodes that have it, on channel ``s`` (its own
+    rail; slots sharing a rail contend)."""
+    def build() -> StepPlan:
+        _check_group([gpu for slots in node_slots for gpu in slots])
+        hops = []
+        for slot in range(max(len(slots) for slots in node_slots)):
+            ring = [slots[slot] for slots in node_slots if slot < len(slots)]
+            if len(ring) < 2:
+                continue  # this shard lives on one node; nothing inter-node
+            hops += [(ring[index], ring[(index + 1) % len(ring)], slot,
+                      len(ring)) for index in range(len(ring))]
+        return StepPlan.route(topology, hops)
+    key = tuple(tuple(slots) for slots in node_slots)
+    return topology.plan(("hierarchical", key), build)
 
 
 def ring_allreduce_time(topology: Topology, gpus: list[str],
@@ -89,29 +166,21 @@ def ring_allreduce_time(topology: Topology, gpus: list[str],
     ``1/n`` chunk per member. All steps are identical by symmetry, so
     the total is ``2(n-1)`` times the contention-costed step.
     """
-    _check_group(gpus)
+    step = _ring_plan(topology, gpus, channels)
     count = len(gpus)
     if count <= 1 or size_bytes <= 0:
         return 0.0
-    if channels < 1:
-        raise ConfigError("channels must be >= 1")
-    chunk = size_bytes / channels / count
-    step = transfer_time(_ring_step_flows(topology, gpus, chunk, channels))
-    return 2 * (count - 1) * step
+    return 2 * (count - 1) * step.time(size_bytes / channels)
 
 
 def ring_allgather_time(topology: Topology, gpus: list[str],
                         size_bytes: float, *, channels: int = 1) -> float:
     """Ring All-Gather: ``n-1`` steps, each member forwarding one chunk."""
-    _check_group(gpus)
+    step = _ring_plan(topology, gpus, channels)
     count = len(gpus)
     if count <= 1 or size_bytes <= 0:
         return 0.0
-    if channels < 1:
-        raise ConfigError("channels must be >= 1")
-    chunk = size_bytes / channels / count
-    step = transfer_time(_ring_step_flows(topology, gpus, chunk, channels))
-    return (count - 1) * step
+    return (count - 1) * step.time(size_bytes / channels)
 
 
 def ring_reduce_scatter_time(topology: Topology, gpus: list[str],
@@ -132,25 +201,13 @@ def tree_allreduce_time(topology: Topology, gpus: list[str],
     n)`` rounds against the ring's ``2(n-1)`` steps, which is why tree
     wins when latency dominates.
     """
-    _check_group(gpus)
-    count = len(gpus)
-    if count <= 1 or size_bytes <= 0:
+    rounds = _tree_plan(topology, gpus, channels)
+    if len(gpus) <= 1 or size_bytes <= 0:
         return 0.0
-    if channels < 1:
-        raise ConfigError("channels must be >= 1")
     payload = size_bytes / channels
     total = 0.0
-    for round_index in range(log2_ceil(count)):
-        distance = 1 << round_index
-        flows = []
-        for channel in range(channels):
-            for receiver in range(0, count, 2 * distance):
-                sender = receiver + distance
-                if sender < count:
-                    path = topology.route(gpus[sender], gpus[receiver],
-                                          channel=channel)
-                    flows.append(Flow(tuple(path), payload))
-        total += transfer_time(flows)
+    for step in rounds:
+        total += step.time(payload)
     return 2 * total
 
 
@@ -158,8 +215,7 @@ def hierarchical_allreduce_time(topology: Topology,
                                 node_slots: list[list[str]],
                                 size_bytes: float, *,
                                 intra_ring: RingParameters,
-                                intra_interference: float = 1.0,
-                                channels: int = 1) -> float:
+                                intra_interference: float = 1.0) -> float:
     """NCCL-style two-level All-Reduce over ``node_slots``.
 
     ``node_slots[n][s]`` is the GPU of local rank (slot) ``s`` on the
@@ -182,7 +238,6 @@ def hierarchical_allreduce_time(topology: Topology,
     decomposition reduces to exactly (phase 2 vanishes and phases 1+3
     are the table's ring).
     """
-    del channels  # phase 2 parallelism is one ring per local slot
     num_nodes = len(node_slots)
     if num_nodes < 2:
         raise ConfigError(
@@ -190,33 +245,29 @@ def hierarchical_allreduce_time(topology: Topology,
             "use the profiled NVLink table")
     if intra_interference < 1.0:
         raise ConfigError("intra_interference must be >= 1.0")
-    local = max(len(slots) for slots in node_slots)
     if any(not slots for slots in node_slots):
         raise ConfigError("every node must contribute at least one slot")
-    _check_group([gpu for slots in node_slots for gpu in slots])
+    inter_step = _hierarchical_plan(topology, node_slots)
     if size_bytes <= 0:
         return 0.0
+    local = max(len(slots) for slots in node_slots)
 
     intra = 0.0
     if local > 1:
         intra = (intra_ring.reduce_scatter_time(size_bytes, local)
                  + intra_ring.allgather_time(size_bytes, local)
                  ) * intra_interference
-
-    shard = size_bytes / local
-    flows = []
-    for slot in range(local):
-        ring = [slots[slot] for slots in node_slots if slot < len(slots)]
-        if len(ring) < 2:
-            continue  # this shard lives on one node; nothing inter-node
-        chunk = shard / len(ring)
-        for index in range(len(ring)):
-            path = topology.route(ring[index],
-                                  ring[(index + 1) % len(ring)],
-                                  channel=slot)
-            flows.append(Flow(tuple(path), chunk))
-    inter = 2 * (num_nodes - 1) * transfer_time(flows)
+    inter = 2 * (num_nodes - 1) * inter_step.time(size_bytes / local)
     return intra + inter
+
+
+def point_to_point_time(topology: Topology, src: str, dst: str,
+                        size_bytes: float) -> float:
+    """Point-to-point transfer: one uncontended routed flow on channel 0."""
+    step = topology.plan(
+        ("sendrecv", src, dst),
+        lambda: StepPlan.route(topology, [(src, dst, 0, 1)]))
+    return step.time(size_bytes)
 
 
 def flat_ring_lower_bound(bandwidth: float, size_bytes: float,

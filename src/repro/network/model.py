@@ -18,7 +18,9 @@ The split of responsibilities mirrors the paper's two regimes:
   machine by ``num_nodes / span``), an algorithm is auto-selected
   (:mod:`repro.network.selection`), and the chosen algorithm's routed
   flows are charged per-link contention
-  (:mod:`repro.network.collectives`).
+  (:mod:`repro.network.collectives`). Routing happens once per group:
+  the topology memoizes each algorithm's payload-free plan, and every
+  call applies its payload to that plan arithmetically.
 
 Like the flat model, one collective is costed in isolation — concurrent
 *other* groups of the same job are the dynamic interference the paper
@@ -32,9 +34,10 @@ from dataclasses import dataclass
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError
 from repro.hardware.interconnect import LinkType, nvlink_ring
-from repro.network.collectives import (Flow, hierarchical_allreduce_time,
+from repro.network.collectives import (hierarchical_allreduce_time,
+                                       point_to_point_time,
                                        ring_allgather_time,
-                                       ring_allreduce_time, transfer_time,
+                                       ring_allreduce_time,
                                        tree_allreduce_time)
 from repro.network.selection import CollectiveAlgorithm, select_algorithm
 from repro.network.topology import Topology, build_topology, gpu_id
@@ -122,9 +125,17 @@ class TopologyAwareNcclModel(NcclModel):
     def _channels(self) -> int:
         return self.system.nics_per_node
 
+    def _place(self, group_size: int) -> GroupPlacement:
+        system = self.system
+        if group_size > system.num_gpus:
+            raise ConfigError(
+                f"a collective group of {group_size} GPUs does not fit the "
+                f"{system.num_nodes} x {system.gpus_per_node}-GPU machine")
+        return place_group(group_size, system.num_nodes)
+
     def _select(self, size_bytes: float, group_size: int,
                 ) -> tuple[GroupPlacement, CollectiveAlgorithm]:
-        placement = place_group(group_size, self.system.num_nodes)
+        placement = self._place(group_size)
         algorithm = select_algorithm(
             size_bytes, group_size,
             nodes_spanned=placement.nodes_spanned,
@@ -138,8 +149,7 @@ class TopologyAwareNcclModel(NcclModel):
             intra = nvlink_ring(self.system, placement.ranks_per_node)
             return hierarchical_allreduce_time(
                 self.topology, placement.node_slots(), size_bytes,
-                intra_ring=intra, intra_interference=self.interference,
-                channels=self._channels())
+                intra_ring=intra, intra_interference=self.interference)
         if algorithm is CollectiveAlgorithm.TREE:
             return tree_allreduce_time(self.topology, placement.members(),
                                        size_bytes,
@@ -160,7 +170,7 @@ class TopologyAwareNcclModel(NcclModel):
         if (link is LinkType.INTRA_NODE or group_size <= 1
                 or size_bytes <= 0 or self.system.num_nodes < 2):
             return super().allgather_time(size_bytes, group_size, link)
-        placement = place_group(group_size, self.system.num_nodes)
+        placement = self._place(group_size)
         return ring_allgather_time(self.topology, placement.members(),
                                    size_bytes, channels=self._channels())
 
@@ -174,8 +184,8 @@ class TopologyAwareNcclModel(NcclModel):
         if (link is LinkType.INTRA_NODE or size_bytes <= 0
                 or self.system.num_nodes < 2):
             return super().sendrecv_time(size_bytes, link)
-        path = self.topology.route(gpu_id(0, 0), gpu_id(1, 0), channel=0)
-        return transfer_time([Flow(tuple(path), size_bytes)])
+        return point_to_point_time(self.topology, gpu_id(0, 0), gpu_id(1, 0),
+                                   size_bytes)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Hashable, TypeVar
 
 from repro.errors import ConfigError
 
@@ -43,6 +43,8 @@ if TYPE_CHECKING:  # imported lazily to avoid a config <-> network cycle
 
 #: Modeled latency of traversing a switch ASIC (port-to-port).
 SWITCH_HOP_LATENCY = 0.5e-6
+
+Plan = TypeVar("Plan")
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class Link:
         dst: Id of the receiving element.
         bandwidth: Link capacity in bytes/s. A link carrying ``k``
             concurrent flows delivers ``bandwidth / k`` to each (see
-            :func:`repro.network.collectives.transfer_time`).
+            :class:`repro.network.collectives.StepPlan`).
         latency: Propagation + serialization latency of one traversal.
     """
 
@@ -84,6 +86,9 @@ class Topology:
     override :meth:`route` with closed-form, channel-aware paths; the
     base implementation is a deterministic breadth-first shortest path
     (ties broken by sorted neighbor id) that ignores the channel.
+
+    The topology also memoizes the collective plans routed on it
+    (:meth:`plan`), so each group is routed once per topology.
     """
 
     name = "topology"
@@ -91,13 +96,18 @@ class Topology:
     def __init__(self) -> None:
         self._links: dict[tuple[str, str], Link] = {}
         self._neighbors: dict[str, list[str]] = {}
+        self._plans: dict[Hashable, Any] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_link(self, src: str, dst: str, bandwidth: float,
                  latency: float, *, bidirectional: bool = True) -> None:
-        """Add a link (both directions unless ``bidirectional=False``)."""
+        """Add a link (both directions unless ``bidirectional=False``).
+
+        Drops every memoized plan: routes and loads may change.
+        """
+        self._plans.clear()
         ends = [(src, dst), (dst, src)] if bidirectional else [(src, dst)]
         for u, v in ends:
             if (u, v) in self._links:
@@ -131,6 +141,21 @@ class Topology:
         if element not in self._neighbors:
             raise ConfigError(f"unknown element {element!r} in {self.name}")
         return sorted(self._neighbors[element])
+
+    # ------------------------------------------------------------------
+    # Collective plans
+    # ------------------------------------------------------------------
+    def plan(self, key: Hashable, build: Callable[[], Plan]) -> Plan:
+        """The collective plan memoized under ``key``, from ``build()``
+        on first use.
+
+        Plans are immutable, so threads may share them; two threads that
+        miss the same key at once just build equal plans twice.
+        """
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = build()
+        return plan
 
     # ------------------------------------------------------------------
     # Routing

@@ -4,12 +4,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.hardware.interconnect import RingParameters
-from repro.network.collectives import (Flow, flat_ring_lower_bound,
+from repro.network.collectives import (StepPlan, flat_ring_lower_bound,
                                        hierarchical_allreduce_time,
+                                       point_to_point_time,
                                        ring_allgather_time,
                                        ring_allreduce_time,
                                        ring_reduce_scatter_time,
-                                       transfer_time, tree_allreduce_time)
+                                       tree_allreduce_time)
 from repro.network.topology import (RailOptimizedTopology, Topology, gpu_id)
 
 MIB = float(1 << 20)
@@ -28,36 +29,53 @@ def one_per_node(topo, count):
 
 
 class TestTransferTime:
+    """A routed step's transfer time (:class:`StepPlan`)."""
+
     def test_single_flow_is_payload_over_bandwidth(self):
         topo = Topology()
         topo.add_link("a", "b", 100e9, 2e-6)
-        flow = Flow(tuple(topo.route("a", "b")), 100e9)
-        assert transfer_time([flow]) == pytest.approx(1.0 + 2e-6)
+        step = StepPlan.route(topo, [("a", "b", 0, 1)])
+        assert step.time(100e9) == pytest.approx(1.0 + 2e-6)
 
     def test_contended_link_splits_bandwidth(self):
         """Two flows over one link each get B/2 — twice the time."""
         topo = Topology()
         topo.add_link("a", "b", 100e9, 0.0)
-        flow = Flow(tuple(topo.route("a", "b")), 100e9)
-        assert transfer_time([flow, flow]) == pytest.approx(2.0)
+        step = StepPlan.route(topo, [("a", "b", 0, 1)] * 2)
+        assert step.time(100e9) == pytest.approx(2.0)
 
     def test_disjoint_flows_do_not_contend(self):
         topo = Topology()
         topo.add_link("a", "b", 100e9, 0.0)
         topo.add_link("c", "d", 100e9, 0.0)
-        flows = [Flow(tuple(topo.route("a", "b")), 100e9),
-                 Flow(tuple(topo.route("c", "d")), 100e9)]
-        assert transfer_time(flows) == pytest.approx(1.0)
+        step = StepPlan.route(topo, [("a", "b", 0, 1), ("c", "d", 0, 1)])
+        assert step.time(100e9) == pytest.approx(1.0)
 
     def test_bottleneck_is_the_minimum_share(self):
         topo = Topology()
         topo.add_link("a", "b", 100e9, 0.0)
         topo.add_link("b", "c", 10e9, 0.0)  # narrow second hop
-        flow = Flow(tuple(topo.route("a", "c")), 10e9)
-        assert transfer_time([flow]) == pytest.approx(1.0)
+        step = StepPlan.route(topo, [("a", "c", 0, 1)])
+        assert step.time(10e9) == pytest.approx(1.0)
 
     def test_empty_flow_costs_its_latency(self):
-        assert transfer_time([Flow((), 0.0)]) == 0.0
+        topo = Topology()
+        topo.add_link("a", "b", 100e9, 2e-6)
+        assert StepPlan.route(topo, [("a", "a", 0, 1)]).time(0.0) == 0.0
+
+    def test_parts_split_the_payload(self):
+        """A flow of a ``parts``-member ring carries ``payload / parts``."""
+        topo = Topology()
+        topo.add_link("a", "b", 100e9, 0.0)
+        step = StepPlan.route(topo, [("a", "b", 0, 4)])
+        assert step.time(400e9) == pytest.approx(1.0)
+
+    def test_equal_flows_are_kept_once(self):
+        topo = Topology()
+        topo.add_link("a", "b", 100e9, 1e-6)
+        topo.add_link("c", "d", 100e9, 1e-6)
+        step = StepPlan.route(topo, [("a", "b", 0, 2), ("c", "d", 0, 2)])
+        assert step.flows == ((100e9, 1e-6, 2),)
 
 
 class TestRingAllReduce:
@@ -120,8 +138,7 @@ class TestTreeAllReduce:
         topo = rail(num_nodes=2)
         gpus = one_per_node(topo, 2)
         time = tree_allreduce_time(topo, gpus, 4 * MIB, channels=1)
-        path = topo.route(gpus[1], gpus[0])
-        single = transfer_time([Flow(tuple(path), 4 * MIB)])
+        single = point_to_point_time(topo, gpus[1], gpus[0], 4 * MIB)
         assert time == pytest.approx(2 * single)
 
 

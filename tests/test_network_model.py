@@ -1,5 +1,8 @@
 """Tests for the topology-aware drop-in NCCL model and its selection."""
 
+import sys
+import threading
+
 import pytest
 
 from repro import ParallelismConfig, TrainingConfig, VTrain, multi_node
@@ -10,6 +13,7 @@ from repro.network.model import (TopologyAwareNcclModel, nccl_model_for,
                                  place_group)
 from repro.network.selection import (CollectiveAlgorithm, select_algorithm,
                                      tree_threshold)
+from repro.network.topology import Topology, gpu_id
 from repro.profiling.nccl import NcclModel
 
 MIB = float(1 << 20)
@@ -165,12 +169,126 @@ class TestTopologyAwareModel:
         falls back to the base model."""
         assert rail_model.explain(MIB, 1)["algorithm"] == "flat-fallback"
 
+    @pytest.mark.parametrize("call", ["allreduce_time", "allgather_time"])
+    def test_group_larger_than_machine_is_a_clear_error(self, call):
+        """Regression: a 24-GPU group on a 16-GPU machine used to fail
+        deep in routing with a missing-link error."""
+        model = TopologyAwareNcclModel(multi_node(2, network="fat-tree"))
+        with pytest.raises(ConfigError, match=r"24 GPUs.*2 x 8-GPU"):
+            getattr(model, call)(64 * MIB, 24, LinkType.INTER_NODE)
+
     def test_interference_scales_hierarchical_intra_phases(self):
         system = multi_node(8, network="rail")
         quiet = TopologyAwareNcclModel(system)
         noisy = TopologyAwareNcclModel(system, interference=1.3)
         assert noisy.allreduce_time(256 * MIB, 32, LinkType.INTER_NODE) > \
             quiet.allreduce_time(256 * MIB, 32, LinkType.INTER_NODE)
+
+
+#: (operation, payload, group size) on an 8-node machine: ring, tree and
+#: hierarchical All-Reduce, ring All-Gather/Reduce-Scatter and send/recv.
+#: Scaling a payload by 1.25 keeps each case on its algorithm.
+CASES = [("allreduce_time", 256 * MIB, 8), ("allreduce_time", 64 * 1024, 8),
+         ("allreduce_time", 256 * MIB, 32), ("allreduce_time", 64 * MIB, 12),
+         ("allreduce_time", 2 * MIB, 5), ("allgather_time", 96 * MIB, 8),
+         ("reduce_scatter_time", MIB, 12), ("sendrecv_time", 32 * MIB, None)]
+
+
+def cost(model, operation, size, group):
+    if group is None:
+        return model.sendrecv_time(size, LinkType.INTER_NODE)
+    return getattr(model, operation)(size, group, LinkType.INTER_NODE)
+
+
+def hub_topology(*, shortcut: bool) -> Topology:
+    """Two 8-GPU nodes, each GPU on its node's hub, the hubs joined by a
+    slow link; ``shortcut`` adds a fast direct gpu:0:0 <-> gpu:1:0 link
+    (the breadth-first route then takes it)."""
+    topology = Topology()
+    for node in range(2):
+        for local in range(8):
+            topology.add_link(gpu_id(node, local), f"hub:{node}", 300e9,
+                              1e-6)
+    topology.add_link("hub:0", "hub:1", 10e9, 5e-6)
+    if shortcut:
+        topology.add_link(gpu_id(0, 0), gpu_id(1, 0), 100e9, 1e-6)
+    return topology
+
+
+class TestPlanMemo:
+    """Collective plans are routed once per topology and group."""
+
+    @pytest.mark.parametrize("case", CASES,
+                             ids=lambda case: f"{case[0]}-{case[2]}")
+    def test_second_cost_of_a_group_does_not_route(self, monkeypatch, case):
+        model = TopologyAwareNcclModel(multi_node(8, network="rail"))
+        route = type(model.topology).route
+        calls = []
+
+        def counting_route(self, src, dst, *, channel=0):
+            calls.append((src, dst, channel))
+            return route(self, src, dst, channel=channel)
+
+        monkeypatch.setattr(type(model.topology), "route", counting_route)
+        operation, size, group = case
+        first = cost(model, operation, size, group)
+        routed = len(calls)
+        assert routed > 0
+        assert cost(model, operation, size, group) == first
+        assert cost(model, operation, 1.25 * size, group) > first
+        assert len(calls) == routed
+
+    def test_add_link_drops_stale_plans(self):
+        cases = [("allreduce_time", 256 * MIB, 2),
+                 ("allreduce_time", 64 * 1024, 2),
+                 ("allreduce_time", 256 * MIB, 16),
+                 ("allgather_time", 96 * MIB, 2),
+                 ("sendrecv_time", 32 * MIB, None)]
+        system = multi_node(2, network="rail")
+        topology = hub_topology(shortcut=False)
+        model = TopologyAwareNcclModel(system, topology=topology)
+        before = [cost(model, *case) for case in cases]
+        topology.add_link(gpu_id(0, 0), gpu_id(1, 0), 100e9, 1e-6)
+        after = [cost(model, *case) for case in cases]
+        fresh = TopologyAwareNcclModel(
+            system, topology=hub_topology(shortcut=True))
+        assert after == [cost(fresh, *case) for case in cases]
+        assert all(new < old for new, old in zip(after, before))
+
+    def test_threads_sharing_a_model_get_sequential_results(self):
+        """The daemon shares one model across request threads; a plan
+        missed by several threads at once may be built twice but never
+        costs differently."""
+        system = multi_node(8, network="fat-tree:4")
+        expected = [cost(TopologyAwareNcclModel(system), *case)
+                    for case in CASES]
+        shared = TopologyAwareNcclModel(system)
+        start = threading.Barrier(8)
+        results, errors = [], []
+
+        def worker():
+            try:
+                start.wait(timeout=10)
+                for _ in range(20):
+                    results.append([cost(shared, *case) for case in CASES])
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, daemon=True)
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 8 * 20
+        assert all(result == expected for result in results)
 
 
 class TestVTrainIntegration:

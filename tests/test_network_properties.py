@@ -1,26 +1,41 @@
-"""Property-based invariants of the collective cost model (ISSUE 2).
+"""Property-based invariants of the collective cost model.
 
-Three contracts hold for every algorithm on every topology:
+Four contracts hold for every algorithm on every topology:
 
 * time is monotone (non-decreasing) in payload size;
 * on an *uncontended* topology, no algorithm beats the flat-ring lower
   bound ``S/B * 2(n-1)/n`` at the node's aggregate egress bandwidth
   (the Equation-1 transfer term with zero latency);
 * a group confined to one node reduces exactly to the profiled NVLink
-  ring table (the paper's intra-node regime).
+  ring table (the paper's intra-node regime);
+* costing from a memoized plan equals routing every flow on every call,
+  bit for bit (the routed oracle below).
+
+Two metamorphic relations pin the fabric axis: more inter-node bandwidth
+never slows a collective, and more fat-tree oversubscription never
+speeds up a training iteration.
 """
 
+import functools
+from collections import Counter
+from dataclasses import dataclass, replace
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import ParallelismConfig, TrainingConfig, VTrain
+from repro.config.presets import MEGATRON_7_5B
 from repro.config.system import multi_node
-from repro.hardware.interconnect import LinkType, nvlink_ring
+from repro.graph.builder import Granularity
+from repro.hardware.interconnect import LinkType, log2_ceil, nvlink_ring
 from repro.network.collectives import (flat_ring_lower_bound,
                                        hierarchical_allreduce_time,
                                        ring_allreduce_time,
                                        tree_allreduce_time)
 from repro.network.model import TopologyAwareNcclModel, place_group
-from repro.network.topology import build_topology, gpu_id
+from repro.network.selection import CollectiveAlgorithm, select_algorithm
+from repro.network.topology import Link, build_topology, gpu_id
 from repro.profiling.nccl import NcclModel
 
 MIB = float(1 << 20)
@@ -47,6 +62,153 @@ def algorithm_times(network: str, size: float, span: int):
     hierarchical = hierarchical_allreduce_time(
         topology, slots, size, intra_ring=nvlink_ring(system, 4))
     return ring, tree, hierarchical
+
+
+# ----------------------------------------------------------------------
+# Routed oracle: every call routes every flow and recounts link loads
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Flow:
+    """One concurrent transfer: a routed path and its payload."""
+
+    links: tuple[Link, ...]
+    size_bytes: float
+
+
+def transfer_time(flows: list[Flow]) -> float:
+    """Slowest of a set of concurrent flows sharing links equally."""
+    load: Counter[Link] = Counter()
+    for flow in flows:
+        load.update(flow.links)
+    worst = 0.0
+    for flow in flows:
+        latency = sum(link.latency for link in flow.links)
+        if flow.links and flow.size_bytes > 0:
+            bandwidth = min(link.bandwidth / load[link]
+                            for link in flow.links)
+            worst = max(worst, flow.size_bytes / bandwidth + latency)
+        else:
+            worst = max(worst, latency)
+    return worst
+
+
+def routed_ring_step(topology, gpus, chunk, channels):
+    count = len(gpus)
+    return transfer_time([
+        Flow(tuple(topology.route(gpus[index], gpus[(index + 1) % count],
+                                  channel=channel)), chunk)
+        for channel in range(channels) for index in range(count)])
+
+
+def routed_tree(topology, gpus, size, channels):
+    count = len(gpus)
+    payload = size / channels
+    total = 0.0
+    for round_index in range(log2_ceil(count)):
+        distance = 1 << round_index
+        flows = []
+        for channel in range(channels):
+            for receiver in range(0, count, 2 * distance):
+                sender = receiver + distance
+                if sender < count:
+                    flows.append(Flow(tuple(topology.route(
+                        gpus[sender], gpus[receiver], channel=channel)),
+                        payload))
+        total += transfer_time(flows)
+    return 2 * total
+
+
+def routed_hierarchical(topology, node_slots, size, intra_ring,
+                        interference):
+    local = max(len(slots) for slots in node_slots)
+    intra = 0.0
+    if local > 1:
+        intra = (intra_ring.reduce_scatter_time(size, local)
+                 + intra_ring.allgather_time(size, local)) * interference
+    shard = size / local
+    flows = []
+    for slot in range(local):
+        ring = [slots[slot] for slots in node_slots if slot < len(slots)]
+        if len(ring) < 2:
+            continue
+        chunk = shard / len(ring)
+        for index in range(len(ring)):
+            flows.append(Flow(tuple(topology.route(
+                ring[index], ring[(index + 1) % len(ring)], channel=slot)),
+                chunk))
+    return intra + 2 * (len(node_slots) - 1) * transfer_time(flows)
+
+
+def routed_cost(model, operation, size, group):
+    """What ``model`` charges for one inter-node call, routed afresh."""
+    system, topology = model.system, model.topology
+    channels = system.nics_per_node
+    if operation == "sendrecv_time":
+        path = topology.route(gpu_id(0, 0), gpu_id(1, 0), channel=0)
+        return transfer_time([Flow(tuple(path), size)])
+    placement = place_group(group, system.num_nodes)
+    members = placement.members()
+    count = len(members)
+    if operation != "allreduce_time":  # All-Gather and Reduce-Scatter
+        chunk = size / channels / count
+        return (count - 1) * routed_ring_step(topology, members, chunk,
+                                              channels)
+    algorithm = select_algorithm(
+        size, group, nodes_spanned=placement.nodes_spanned,
+        ranks_per_node=placement.ranks_per_node)
+    if algorithm is CollectiveAlgorithm.HIERARCHICAL:
+        return routed_hierarchical(
+            topology, placement.node_slots(), size,
+            nvlink_ring(system, placement.ranks_per_node),
+            model.interference)
+    if algorithm is CollectiveAlgorithm.TREE:
+        return routed_tree(topology, members, size, channels)
+    chunk = size / channels / count
+    return 2 * (count - 1) * routed_ring_step(topology, members, chunk,
+                                              channels)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_model(network: str, num_nodes: int) -> TopologyAwareNcclModel:
+    """One model per machine across examples, so later examples cost
+    from plans earlier ones memoized."""
+    return model_for(network, num_nodes)
+
+
+@st.composite
+def inter_node_calls(draw):
+    """(network, nodes, operation, group, payloads): groups up to the
+    machine, ragged ones included; payloads from 1 KiB to 8 GiB reach
+    tree, ring and hierarchical All-Reduce."""
+    network = draw(st.sampled_from(
+        ["rail", "fat-tree", "fat-tree:2", "fat-tree:4", "fat-tree:8"]))
+    num_nodes = draw(st.integers(min_value=2, max_value=32))
+    operation = draw(st.sampled_from(
+        ["allreduce_time", "allgather_time", "reduce_scatter_time",
+         "sendrecv_time"]))
+    group = draw(st.one_of(st.integers(min_value=2, max_value=num_nodes),
+                           st.integers(min_value=2,
+                                       max_value=8 * num_nodes)))
+    payloads = draw(st.lists(
+        st.builds(lambda mantissa, exponent: mantissa * 2.0 ** exponent,
+                  st.floats(min_value=1.0, max_value=2.0),
+                  st.integers(min_value=10, max_value=32)),
+        min_size=4, max_size=8))
+    return network, num_nodes, operation, group, payloads
+
+
+class TestPlanCostingMatchesRouting:
+    @given(call=inter_node_calls())
+    def test_bit_identical_to_routed_oracle(self, call):
+        network, num_nodes, operation, group, payloads = call
+        model = shared_model(network, num_nodes)
+        for size in payloads:
+            if operation == "sendrecv_time":
+                planned = model.sendrecv_time(size, LinkType.INTER_NODE)
+            else:
+                planned = getattr(model, operation)(size, group,
+                                                    LinkType.INTER_NODE)
+            assert planned == routed_cost(model, operation, size, group)
 
 
 class TestMonotoneInPayload:
@@ -101,3 +263,41 @@ class TestSingleNodeReducesToNvlinkTable:
         flat_model = NcclModel(multi_node(16))
         assert topo_model.allreduce_time(size, group, LinkType.INTRA_NODE) \
             == flat_model.allreduce_time(size, group, LinkType.INTRA_NODE)
+
+
+class TestMoreBandwidthNeverSlower:
+    @given(network=networks, num_nodes=st.integers(min_value=2, max_value=16),
+           group=st.integers(min_value=2, max_value=128), size=sizes,
+           factor=st.floats(min_value=1.0, max_value=16.0))
+    def test_allreduce_and_allgather(self, network, num_nodes, group, size,
+                                     factor):
+        """Raising ``internode_bandwidth`` never increases an inter-node
+        All-Reduce or All-Gather time."""
+        slow = multi_node(num_nodes, network=network)
+        fast = replace(slow,
+                       internode_bandwidth=slow.internode_bandwidth * factor)
+        group = min(group, slow.num_gpus)
+        for call in ("allreduce_time", "allgather_time"):
+            times = [getattr(TopologyAwareNcclModel(system), call)(
+                size, group, LinkType.INTER_NODE) for system in (slow, fast)]
+            assert times[1] <= times[0]
+
+
+class TestOversubscriptionNeverFaster:
+    TRAINING = TrainingConfig(global_batch_size=128)
+
+    @pytest.mark.parametrize("tensor,data,pipeline",
+                             [(2, 8, 2), (8, 4, 2), (4, 16, 1)])
+    def test_megatron_stage_iteration(self, tensor, data, pipeline):
+        """1:1 -> 2:1 -> 4:1 -> 8:1 fat-tree uplinks never shorten an
+        iteration; plans spanning more than one leaf get slower."""
+        plan = ParallelismConfig(tensor=tensor, data=data, pipeline=pipeline,
+                                 micro_batch_size=1)
+        num_nodes = plan.total_gpus // 8
+        times = [VTrain(multi_node(num_nodes, network=f"fat-tree:{ratio}"),
+                        granularity=Granularity.STAGE).predict(
+                            MEGATRON_7_5B, plan, self.TRAINING).iteration_time
+                 for ratio in (1, 2, 4, 8)]
+        assert times == sorted(times)
+        if num_nodes > 4:  # more than one leaf: the spine is in play
+            assert times[-1] > times[0]
