@@ -1,11 +1,12 @@
 """Design-space exploration driver (Section V-A, Figures 10/11, Table I).
 
-Evaluates every plan in a search space with one shared vTrain instance
-(so each necessary operator is profiled once across the whole sweep) and
-collects :class:`DesignPoint` rows: iteration time, utilization, memory,
-GPUs, and cost rates. Helpers select the paper's headline artefacts —
-fastest plan, most cost-effective plan under a GPU budget, the Pareto
-frontier of (iteration time, cost), and the Figure-10 heatmap grids.
+Evaluates every plan in a search space on simulators that share one
+profiling stack per GPU (so each necessary operator is profiled once
+across the whole sweep) and collects :class:`DesignPoint` rows:
+iteration time, utilization, memory, GPUs, and cost rates. Helpers
+select the paper's headline artefacts — fastest plan, most
+cost-effective plan under a GPU budget, the Pareto frontier of
+(iteration time, cost), and the Figure-10 heatmap grids.
 
 :meth:`DesignSpaceExplorer.explore` is the one sweep loop, for training
 and serving explorers alike: it serves plans already in a
@@ -323,10 +324,16 @@ def evaluate_plans(vtrain: VTrain, model: ModelConfig,
 class DesignSpaceExplorer:
     """Sweeps plans for one model/training recipe.
 
-    A single profiling stack (device model, CUPTI tracer, lookup table,
-    NCCL tables) is shared across the sweep, so the whole exploration
-    profiles each necessary operator exactly once — the property that
-    makes the paper's "full design space in under 200 seconds" possible.
+    Plans run on one simulator per node count. The first simulator
+    built for a GPU owns the profiling stack (device model, CUPTI
+    tracer, operator-to-task table), and every later node count on that
+    GPU is derived from it with :meth:`VTrain.for_system`, so the whole
+    exploration profiles each necessary operator exactly once — the
+    property that makes the paper's "full design space in under 200
+    seconds" possible. What depends on the system stays per node count:
+    the communication model (NCCL tables, topology, collective plans
+    and cost memo) and the prediction counters. A ``system_factory``
+    that mixes GPUs gets one stack per GPU.
 
     Args:
         model: Target LLM.
@@ -380,12 +387,17 @@ class DesignSpaceExplorer:
                           network=self.network)
 
     def _simulator_for(self, num_gpus: int) -> VTrain:
+        """The node count's simulator, derived from the first one built
+        for its GPU (see the class docstring)."""
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
         simulator = self._simulators.get(nodes)
         if simulator is None:
-            simulator = VTrain(self.system_for(num_gpus),
-                               granularity=self.granularity,
-                               zero_stage=self.zero_stage)
+            system = self.system_for(num_gpus)
+            first = next((other for other in self._simulators.values()
+                          if other.system.gpu == system.gpu), None)
+            simulator = (first.for_system(system) if first is not None
+                         else VTrain(system, granularity=self.granularity,
+                                     zero_stage=self.zero_stage))
             self._simulators[nodes] = simulator
         return simulator
 

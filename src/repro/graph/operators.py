@@ -16,6 +16,7 @@ representative per signature is enough (Section III-C).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from repro.config.parallelism import RecomputeMode
@@ -100,9 +101,12 @@ class CompOperator:
         if self.kv_length < 0:
             raise ConfigError("kv_length must be non-negative")
 
-    @property
+    @functools.cached_property
     def signature(self) -> tuple:
-        """Hashable profiling key — equal signature means equal kernels."""
+        """Hashable profiling key — equal signature means equal kernels.
+
+        Computed once per instance: the builder looks each necessary
+        operator up several times per plan."""
         base = (self.kind.value, self.micro_batch, self.seq_length,
                 self.hidden_size, self.num_heads, self.tensor_parallel,
                 self.vocab_size, self.recompute.value, self.num_params)
@@ -183,9 +187,11 @@ class CommOperator:
         if self.kind is CommKind.SEND_RECV and self.group_size != 2:
             raise ConfigError("SEND_RECV involves exactly 2 workers")
 
-    @property
+    @functools.cached_property
     def signature(self) -> tuple:
-        """Hashable key for communication-latency caching."""
+        """Hashable key for communication-latency caching (the key
+        :meth:`repro.profiling.nccl.NcclModel.time` memoizes costs
+        under), computed once per instance."""
         return (self.kind.value, self.scope.value, float(self.size_bytes),
                 self.group_size, self.link.value, self.concurrent_groups)
 

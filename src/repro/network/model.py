@@ -16,11 +16,14 @@ The split of responsibilities mirrors the paper's two regimes:
   (:mod:`repro.network.topology`): the group is placed onto nodes the
   way the 3D-parallel rank mapping places it (members stride across the
   machine by ``num_nodes / span``), an algorithm is auto-selected
-  (:mod:`repro.network.selection`), and the chosen algorithm's routed
-  flows are charged per-link contention
-  (:mod:`repro.network.collectives`). Routing happens once per group:
-  the topology memoizes each algorithm's payload-free plan, and every
-  call applies its payload to that plan arithmetically.
+  (:mod:`repro.network.selection`; a selected tree is charged only
+  where it beats the ring), and the chosen algorithm's routed flows are
+  charged per-link contention (:mod:`repro.network.collectives`).
+  Routing happens once per group: the topology memoizes each
+  algorithm's payload-free plan, and every call applies its payload to
+  that plan arithmetically. The costs
+  :meth:`~repro.profiling.nccl.NcclModel.time` memoizes live next to
+  those plans, so ``Topology.add_link`` drops both.
 
 Like the flat model, one collective is costed in isolation — concurrent
 *other* groups of the same job are the dynamic interference the paper
@@ -119,6 +122,12 @@ class TopologyAwareNcclModel(NcclModel):
         self.topology = (topology if topology is not None
                          else build_topology(system))
 
+    def _cost_memo(self) -> dict[tuple, float]:
+        """This model's :meth:`time` memo, kept among the topology's
+        plans under the model itself, so ``add_link`` drops costs
+        together with the plans they came from."""
+        return self.topology.plan(self, dict)
+
     # ------------------------------------------------------------------
     # Inter-node collective timing over the topology
     # ------------------------------------------------------------------
@@ -143,19 +152,32 @@ class TopologyAwareNcclModel(NcclModel):
         return placement, algorithm
 
     def _inter_allreduce(self, placement: GroupPlacement,
-                         algorithm: CollectiveAlgorithm,
-                         size_bytes: float) -> float:
+                         algorithm: CollectiveAlgorithm, size_bytes: float,
+                         ) -> tuple[CollectiveAlgorithm, float]:
+        """The algorithm charged for one inter-node All-Reduce, and its
+        time.
+
+        A tree selection is a candidate only: the ring is charged
+        wherever it is not slower, as NCCL's tuner takes the faster
+        algorithm. The selection threshold overshoots the real crossover
+        (for two members the ring always wins), and charging the tree
+        past the crossover would let a larger payload cost less than a
+        smaller one.
+        """
         if algorithm is CollectiveAlgorithm.HIERARCHICAL:
             intra = nvlink_ring(self.system, placement.ranks_per_node)
-            return hierarchical_allreduce_time(
+            return algorithm, hierarchical_allreduce_time(
                 self.topology, placement.node_slots(), size_bytes,
                 intra_ring=intra, intra_interference=self.interference)
+        members = placement.members()
+        ring = ring_allreduce_time(self.topology, members, size_bytes,
+                                   channels=self._channels())
         if algorithm is CollectiveAlgorithm.TREE:
-            return tree_allreduce_time(self.topology, placement.members(),
-                                       size_bytes,
+            tree = tree_allreduce_time(self.topology, members, size_bytes,
                                        channels=self._channels())
-        return ring_allreduce_time(self.topology, placement.members(),
-                                   size_bytes, channels=self._channels())
+            if tree < ring:
+                return algorithm, tree
+        return CollectiveAlgorithm.RING, ring
 
     def allreduce_time(self, size_bytes: float, group_size: int,
                        link: LinkType) -> float:
@@ -163,7 +185,7 @@ class TopologyAwareNcclModel(NcclModel):
                 or size_bytes <= 0 or self.system.num_nodes < 2):
             return super().allreduce_time(size_bytes, group_size, link)
         placement, algorithm = self._select(size_bytes, group_size)
-        return self._inter_allreduce(placement, algorithm, size_bytes)
+        return self._inter_allreduce(placement, algorithm, size_bytes)[1]
 
     def allgather_time(self, size_bytes: float, group_size: int,
                        link: LinkType) -> float:
@@ -206,13 +228,15 @@ class TopologyAwareNcclModel(NcclModel):
                                             LinkType.INTER_NODE),
             }
         placement, algorithm = self._select(size_bytes, group_size)
+        charged, time = self._inter_allreduce(placement, algorithm,
+                                              size_bytes)
         return {
             "topology": self.topology.name,
-            "algorithm": algorithm.value,
+            "algorithm": charged.value,
             "nodes_spanned": placement.nodes_spanned,
             "ranks_per_node": placement.ranks_per_node,
             "node_stride": placement.node_stride,
-            "time": self._inter_allreduce(placement, algorithm, size_bytes),
+            "time": time,
         }
 
 

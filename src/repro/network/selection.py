@@ -38,7 +38,12 @@ class CollectiveAlgorithm(enum.Enum):
 
 
 def tree_threshold(group_size: int) -> float:
-    """Payload below which the tree beats the ring for this group."""
+    """Payload up to which the tree is selected for this group.
+
+    An upper bound on the tree/ring crossover, not the crossover itself:
+    :class:`~repro.network.model.TopologyAwareNcclModel` charges a
+    selected tree only where it beats the ring on the actual topology.
+    """
     if group_size < 2:
         return 0.0
     return TREE_THRESHOLD_BYTES * log2_ceil(group_size)

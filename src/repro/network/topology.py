@@ -88,7 +88,8 @@ class Topology:
     (ties broken by sorted neighbor id) that ignores the channel.
 
     The topology also memoizes the collective plans routed on it
-    (:meth:`plan`), so each group is routed once per topology.
+    (:meth:`plan`), so each group is routed once per topology, and each
+    model's collective costs next to them.
     """
 
     name = "topology"
@@ -150,7 +151,9 @@ class Topology:
         on first use.
 
         Plans are immutable, so threads may share them; two threads that
-        miss the same key at once just build equal plans twice.
+        miss the same key at once just build equal plans twice. A model's
+        cost memo (a dict it fills) is stored the same way, so a memo
+        lost to such a race only costs recomputation.
         """
         plan = self._plans.get(key)
         if plan is None:

@@ -17,29 +17,45 @@ from repro.profiling.cupti import CuptiTracer
 
 
 class OperatorToTaskTable:
-    """Caches operator -> (kernels, total duration), profiling on miss."""
+    """Caches operator -> (kernels, total duration), profiling on miss.
+
+    One table can serve several simulators: profiles depend only on the
+    device model, so every system built on the same GPU may share it
+    (see :meth:`repro.sim.estimator.VTrain.for_system`).
+    """
 
     def __init__(self, tracer: CuptiTracer) -> None:
         self._tracer = tracer
-        self._table: dict[tuple, tuple[Kernel, ...]] = {}
+        self._table: dict[tuple, tuple[tuple[Kernel, ...], float]] = {}
         self._hits = 0
         self._misses = 0
 
     def tasks_for(self, op: CompOperator) -> tuple[Kernel, ...]:
-        """Kernels for ``op``, profiling the first representative only."""
+        """Kernels for ``op``, profiling the first representative only.
+
+        The only place an operator is profiled; its kernel-duration
+        total is stored with the kernels for :meth:`duration_of`.
+        """
         key = op.signature
         cached = self._table.get(key)
         if cached is not None:
             self._hits += 1
-            return cached
+            return cached[0]
         self._misses += 1
         kernels = self._tracer.trace_operator(op)
-        self._table[key] = kernels
+        self._table[key] = (kernels,
+                            sum(kernel.duration for kernel in kernels))
         return kernels
 
     def duration_of(self, op: CompOperator) -> float:
-        """Total device time of ``op`` (its kernels run back-to-back)."""
-        return sum(kernel.duration for kernel in self.tasks_for(op))
+        """Total device time of ``op`` (its kernels run back-to-back),
+        summed once when the operator was profiled."""
+        cached = self._table.get(op.signature)
+        if cached is None:
+            self.tasks_for(op)
+            return self._table[op.signature][1]
+        self._hits += 1
+        return cached[1]
 
     # ------------------------------------------------------------------
     # Introspection (tested to demonstrate the O(1) property)

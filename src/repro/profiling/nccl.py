@@ -53,6 +53,7 @@ class NcclModel:
         self.system = system
         self.interference = interference
         self._tables: dict[int, tuple[list[float], list[float]]] = {}
+        self._costs: dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
     # Intra-node profile table
@@ -131,8 +132,27 @@ class NcclModel:
         """Point-to-point Send-Receive latency (pipeline boundaries)."""
         return p2p_time(self.system, size_bytes, link)
 
+    def _cost_memo(self) -> dict[tuple, float]:
+        """Where :meth:`time` memoizes this model's costs, keyed by
+        :attr:`~repro.graph.operators.CommOperator.signature`."""
+        return self._costs
+
     def time(self, comm: CommOperator) -> float:
-        """Latency of any communication operator."""
+        """Latency of any communication operator.
+
+        Memoized per model by ``comm.signature``: a sweep costs the
+        same few hundred collectives thousands of times. Threads that
+        miss one signature at once just compute equal costs twice.
+        """
+        costs = self._cost_memo()
+        key = comm.signature
+        cost = costs.get(key)
+        if cost is None:
+            cost = costs[key] = self._dispatch(comm)
+        return cost
+
+    def _dispatch(self, comm: CommOperator) -> float:
+        """Cost ``comm`` with its per-kind method, bypassing the memo."""
         if comm.kind is CommKind.ALL_REDUCE:
             return self.allreduce_time(comm.size_bytes, comm.group_size,
                                        comm.link)

@@ -15,9 +15,10 @@ and each served job — takes the same two stages:
 phase graphs) and :meth:`VTrain.predict_prepared` (replay, then wrap).
 
 The profiling state (CUPTI traces, operator-to-task table, NCCL profile
-tables) is shared across predictions, so sweeping thousands of plans only
-profiles each necessary operator once — the Section III-F performance
-story.
+tables) is shared across predictions, and :meth:`VTrain.for_system`
+shares the first three across systems built on one GPU, so sweeping
+thousands of plans over many node counts only profiles each necessary
+operator once — the Section III-F performance story.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import SystemConfig
 from repro.cost.pricing import (DEFAULT_PRICING, SECONDS_PER_DAY,
                                 SECONDS_PER_HOUR, PricingModel)
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.graph.builder import (Granularity, GraphBuilder,
                                  structure_cache_evict, structure_cache_get,
                                  structure_cache_put)
@@ -199,6 +200,32 @@ class VTrain:
         # load/store, so keep the accounting exact under contention.
         # last_predict_timing stays last-writer-wins by design.
         self._stats_lock = threading.Lock()
+
+    def for_system(self, system: SystemConfig) -> "VTrain":
+        """A simulator for ``system`` on this simulator's profiling stack.
+
+        Profiles depend only on the GPU, so the result shares this
+        simulator's device model, CUPTI tracer and operator-to-task
+        table: each necessary operator is profiled once across every
+        system derived this way. It keeps this simulator's granularity,
+        ZeRO stage and memory-check setting; its communication model is
+        :func:`~repro.network.model.nccl_model_for` ``(system)``, and
+        its prediction counters start at zero.
+
+        Raises:
+            ConfigError: ``system.gpu`` differs from this system's GPU.
+        """
+        if system.gpu != self.system.gpu:
+            raise ConfigError(
+                f"cannot share profiles of {self.system.gpu.name} with a "
+                f"{system.gpu.name} system")
+        derived = VTrain(
+            system, granularity=self.granularity, device=self.device,
+            check_memory_feasibility=self.check_memory_feasibility,
+            zero_stage=self.zero_stage)
+        derived.tracer = self.tracer
+        derived.lookup = self.lookup
+        return derived
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -529,7 +556,14 @@ class VTrain:
     @property
     def profiling_stats(self) -> dict[str, int]:
         """Necessary-operator counters proving the O(1) profiling cost,
-        plus this instance's structure-cache hit/miss split."""
+        plus this instance's structure-cache hit/miss split.
+
+        The profiling counters (``operators_profiled``,
+        ``lookups_served_from_table``, ``kernels_traced``) describe the
+        shared profiling stack: every simulator derived with
+        :meth:`for_system` reports the same totals. ``predictions`` and
+        the structure-cache counts are this instance's own.
+        """
         return {
             "operators_profiled": self.lookup.num_profiled,
             "lookups_served_from_table": self.lookup.num_reused,

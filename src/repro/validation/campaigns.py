@@ -187,8 +187,11 @@ def run_campaign(points: Sequence[ValidationPoint], *,
                  ) -> CampaignResult:
     """Predict and measure every point; returns the paired results.
 
-    One vTrain instance and one testbed emulator are shared per system
-    size, so profiling cost is amortised exactly as in a real campaign.
+    One vTrain predictor and one testbed emulator serve each system
+    size. The first predictor owns the profiling stack and the later
+    ones are derived from it with :meth:`VTrain.for_system`, so the
+    campaign profiles each necessary operator once, exactly as in a
+    real campaign. Each emulator keeps its own perturbed profiles.
     """
     result = CampaignResult()
     simulators: dict[int, VTrain] = {}
@@ -197,8 +200,11 @@ def run_campaign(points: Sequence[ValidationPoint], *,
         system = point.system()
         key = point.num_nodes
         if key not in simulators:
-            simulators[key] = VTrain(system, granularity=granularity,
-                                     check_memory_feasibility=False)
+            simulators[key] = (
+                next(iter(simulators.values())).for_system(system)
+                if simulators
+                else VTrain(system, granularity=granularity,
+                            check_memory_feasibility=False))
             testbeds[key] = TestbedEmulator(system, config=testbed_config,
                                             granularity=granularity)
         prediction = simulators[key].predict(point.model, point.plan,

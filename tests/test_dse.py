@@ -4,11 +4,16 @@ import pytest
 
 from repro.config.model import ModelConfig
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.dse.explorer import DesignSpaceExplorer
+from repro.config.system import multi_node
+from repro.dse.explorer import DesignSpaceExplorer, evaluate_plans
 from repro.dse.space import (SearchSpace, count_plans, divisors,
                              enumerate_plans, pipeline_candidates,
                              powers_of_two, tensor_candidates)
 from repro.errors import ConfigError, InfeasibleConfigError
+from repro.graph.builder import Granularity
+from repro.hardware.gpu import A100_80GB, H100_80GB
+from repro.sim.estimator import VTrain
+from repro.workload import InferenceWorkload
 
 
 @pytest.fixture
@@ -240,3 +245,82 @@ class TestExplorer:
         collapsed = result.best_micro_batch_per_way()
         ways = [p.plan.way for p in result.feasible_points]
         assert set(collapsed) == set(ways)
+
+
+#: Plans on 1 to 4 nodes: four node counts, so four simulators per sweep.
+SHARED_SPACE = SearchSpace(max_tensor=4, max_data=8, max_pipeline=2,
+                           micro_batch_sizes=(1, 2))
+
+
+def independent_points(explorer, plans):
+    """``plans`` evaluated one by one, each on a simulator of its own."""
+    return [point
+            for plan in plans
+            for point in evaluate_plans(
+                VTrain(explorer.system_for(plan.total_gpus),
+                       granularity=explorer.granularity,
+                       zero_stage=explorer.zero_stage),
+                explorer.model, [plan], explorer.training,
+                workload=explorer.workload)]
+
+
+class TestSharedProfilingStack:
+    """A sweep's node counts share one profiling stack per GPU."""
+
+    @pytest.mark.parametrize("network", ["flat", "rail"])
+    def test_one_stack_per_gpu(self, model, training, network):
+        explorer = DesignSpaceExplorer(model, training, network=network)
+        explorer.explore(max_gpus=32, space=SHARED_SPACE)
+        simulators = list(explorer._simulators.values())
+        assert len(simulators) >= 3
+        first = simulators[0]
+        for simulator in simulators:
+            assert simulator.lookup is first.lookup
+            assert simulator.tracer is first.tracer
+            assert simulator.device is first.device
+        tracers = {id(s.tracer): s.tracer for s in simulators}.values()
+        profiled = sum(tracer.stats.operators_profiled for tracer in tracers)
+        distinct = set().union(*(s.lookup.signatures for s in simulators))
+        assert profiled == first.lookup.num_profiled == len(distinct)
+
+    def test_no_sharing_across_gpus(self, model, training):
+        def system_factory(num_gpus):
+            gpu = A100_80GB if num_gpus <= 16 else H100_80GB
+            return multi_node(num_gpus // 8, gpu=gpu)
+
+        explorer = DesignSpaceExplorer(model, training,
+                                       system_factory=system_factory)
+        explorer.explore(max_gpus=32, space=SHARED_SPACE)
+        lookups: dict[str, set[int]] = {}
+        for simulator in explorer._simulators.values():
+            assert simulator.device.spec == simulator.system.gpu
+            lookups.setdefault(simulator.system.gpu.name,
+                               set()).add(id(simulator.lookup))
+        assert sorted(lookups) == sorted([A100_80GB.name, H100_80GB.name])
+        assert all(len(ids) == 1 for ids in lookups.values())
+        assert len(set().union(*lookups.values())) == 2
+
+    @pytest.mark.parametrize("granularity",
+                             [Granularity.STAGE, Granularity.OPERATOR])
+    @pytest.mark.parametrize("network", ["flat", "rail", "fat-tree:4"])
+    def test_points_match_independent_simulators(self, model, training,
+                                                  network, granularity):
+        explorer = DesignSpaceExplorer(model, training, network=network,
+                                       granularity=granularity)
+        result = explorer.explore(max_gpus=32, space=SHARED_SPACE)
+        expected = independent_points(
+            explorer, [point.plan for point in result.points])
+        assert [point.to_dict() for point in result.points] == \
+            [point.to_dict() for point in expected]
+
+    def test_serving_points_match_independent_simulators(self, model):
+        workload = InferenceWorkload(batch_size=8, prompt_len=128,
+                                     gen_len=64)
+        explorer = DesignSpaceExplorer(model, None, workload=workload,
+                                       network="rail")
+        result = explorer.explore(max_gpus=32, space=SHARED_SPACE)
+        assert len(explorer._simulators) >= 3
+        expected = independent_points(
+            explorer, [point.plan for point in result.points])
+        assert [point.to_dict() for point in result.points] == \
+            [point.to_dict() for point in expected]

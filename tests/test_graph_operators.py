@@ -23,6 +23,11 @@ class TestCompOperator:
     def test_signature_differs_by_tensor_degree(self):
         assert self._mha().signature != self._mha(tensor_parallel=4).signature
 
+    def test_signature_is_computed_once_and_leaves_equality_alone(self):
+        op = self._mha()
+        assert op.signature is op.signature
+        assert op == self._mha() and hash(op) == hash(self._mha())
+
     def test_signature_differs_by_recompute(self):
         bwd = dict(kind=OpKind.BWD_MHA, micro_batch=1, seq_length=8,
                    hidden_size=64, num_heads=2, tensor_parallel=1)
@@ -81,6 +86,11 @@ class TestCommOperator:
             CommOperator(kind=CommKind.ALL_REDUCE, scope=CommScope.DATA,
                          size_bytes=-1, group_size=2,
                          link=LinkType.INTRA_NODE)
+
+    def test_signature_is_computed_once(self):
+        op = tensor_allreduce(1, 128, 512, 4, LinkType.INTRA_NODE)
+        assert op.signature is op.signature
+        assert op == tensor_allreduce(1, 128, 512, 4, LinkType.INTRA_NODE)
 
     def test_signature_is_hashable_and_distinct(self):
         a = tensor_allreduce(1, 128, 512, 4, LinkType.INTRA_NODE)

@@ -8,6 +8,9 @@ import pytest
 from repro import ParallelismConfig, TrainingConfig, VTrain, multi_node
 from repro.config.presets import MEGATRON_7_5B
 from repro.errors import ConfigError
+from repro.graph.operators import (CommKind, CommOperator, CommScope,
+                                   data_allreduce, pipeline_send_recv,
+                                   tensor_allreduce)
 from repro.hardware.interconnect import LinkType
 from repro.network.model import (TopologyAwareNcclModel, nccl_model_for,
                                  place_group)
@@ -200,6 +203,53 @@ def cost(model, operation, size, group):
     return getattr(model, operation)(size, group, LinkType.INTER_NODE)
 
 
+KINDS = {"allreduce_time": CommKind.ALL_REDUCE,
+         "allgather_time": CommKind.ALL_GATHER,
+         "reduce_scatter_time": CommKind.REDUCE_SCATTER,
+         "sendrecv_time": CommKind.SEND_RECV}
+
+
+def comm(operation, size, group):
+    """The operator whose ``time`` is ``cost(model, operation, size,
+    group)``."""
+    return CommOperator(kind=KINDS[operation], scope=CommScope.DATA,
+                        size_bytes=size,
+                        group_size=2 if group is None else group,
+                        link=LinkType.INTER_NODE)
+
+
+def hammer(work, *, threads=8, rounds=20):
+    """``work()`` run ``rounds`` times on each of ``threads`` threads
+    released together under a short switch interval; returns every
+    result, after checking that no thread hung or raised."""
+    start = threading.Barrier(threads)
+    results, errors = [], []
+
+    def worker():
+        try:
+            start.wait(timeout=10)
+            for _ in range(rounds):
+                results.append(work())
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker, daemon=True)
+                for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert errors == []
+    assert len(results) == threads * rounds
+    return results
+
+
 def hub_topology(*, shortcut: bool) -> Topology:
     """Two 8-GPU nodes, each GPU on its node's hub, the hubs joined by a
     slow link; ``shortcut`` adds a fast direct gpu:0:0 <-> gpu:1:0 link
@@ -248,11 +298,14 @@ class TestPlanMemo:
         topology = hub_topology(shortcut=False)
         model = TopologyAwareNcclModel(system, topology=topology)
         before = [cost(model, *case) for case in cases]
+        assert [model.time(comm(*case)) for case in cases] == before
         topology.add_link(gpu_id(0, 0), gpu_id(1, 0), 100e9, 1e-6)
+        memoized = [model.time(comm(*case)) for case in cases]
         after = [cost(model, *case) for case in cases]
         fresh = TopologyAwareNcclModel(
             system, topology=hub_topology(shortcut=True))
         assert after == [cost(fresh, *case) for case in cases]
+        assert memoized == [fresh.time(comm(*case)) for case in cases]
         assert all(new < old for new, old in zip(after, before))
 
     def test_threads_sharing_a_model_get_sequential_results(self):
@@ -263,31 +316,51 @@ class TestPlanMemo:
         expected = [cost(TopologyAwareNcclModel(system), *case)
                     for case in CASES]
         shared = TopologyAwareNcclModel(system)
-        start = threading.Barrier(8)
-        results, errors = [], []
+        results = hammer(lambda: [cost(shared, *case) for case in CASES])
+        assert all(result == expected for result in results)
 
-        def worker():
-            try:
-                start.wait(timeout=10)
-                for _ in range(20):
-                    results.append([cost(shared, *case) for case in CASES])
-            except Exception as error:  # reported below
-                errors.append(error)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, daemon=True)
-                       for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(results) == 8 * 20
+def operators():
+    """Operators of every kind, intra- and inter-node, built afresh per
+    call so memo hits come from equal operators, not the same one."""
+    return [tensor_allreduce(2, 2048, 4096, 8, LinkType.INTRA_NODE),
+            data_allreduce(256 * MIB, 32, LinkType.INTER_NODE),
+            data_allreduce(64 * 1024, 8, LinkType.INTER_NODE),
+            pipeline_send_recv(1, 2048, 4096, LinkType.INTER_NODE),
+            comm("allgather_time", 96 * MIB, 8),
+            comm("reduce_scatter_time", MIB, 12)]
+
+
+class TestCostMemo:
+    """NcclModel.time costs each operator signature once per model."""
+
+    @pytest.mark.parametrize("network", ["flat", "rail", "fat-tree:4"])
+    def test_second_time_of_an_equal_operator_does_not_recompute(
+            self, monkeypatch, network):
+        model = nccl_model_for(multi_node(8, network=network))
+        calls = []
+        for name in ("allreduce_time", "allgather_time",
+                     "reduce_scatter_time", "sendrecv_time"):
+            method = getattr(type(model), name)
+
+            def counting(self, *args, method=method):
+                calls.append(args)
+                return method(self, *args)
+
+            monkeypatch.setattr(type(model), name, counting)
+        first = [model.time(op) for op in operators()]
+        computed = len(calls)
+        assert computed >= len(first)
+        assert [model.time(op) for op in operators()] == first
+        assert len(calls) == computed
+
+    def test_threads_costing_through_time_get_sequential_results(self):
+        system = multi_node(8, network="fat-tree:4")
+        fresh = TopologyAwareNcclModel(system)
+        expected = [fresh.time(comm(*case)) for case in CASES]
+        shared = TopologyAwareNcclModel(system)
+        results = hammer(lambda: [shared.time(comm(*case))
+                                  for case in CASES])
         assert all(result == expected for result in results)
 
 

@@ -9,7 +9,9 @@ Four contracts hold for every algorithm on every topology:
 * a group confined to one node reduces exactly to the profiled NVLink
   ring table (the paper's intra-node regime);
 * costing from a memoized plan equals routing every flow on every call,
-  bit for bit (the routed oracle below).
+  bit for bit (the routed oracle below);
+* ``NcclModel.time``, which memoizes costs by operator signature,
+  equals the per-kind method on a fresh model, bit for bit.
 
 Two metamorphic relations pin the fabric axis: more inter-node bandwidth
 never slows a collective, and more fat-tree oversubscription never
@@ -28,12 +30,14 @@ from repro import ParallelismConfig, TrainingConfig, VTrain
 from repro.config.presets import MEGATRON_7_5B
 from repro.config.system import multi_node
 from repro.graph.builder import Granularity
+from repro.graph.operators import CommKind, CommOperator, CommScope
 from repro.hardware.interconnect import LinkType, log2_ceil, nvlink_ring
 from repro.network.collectives import (flat_ring_lower_bound,
                                        hierarchical_allreduce_time,
                                        ring_allreduce_time,
                                        tree_allreduce_time)
-from repro.network.model import TopologyAwareNcclModel, place_group
+from repro.network.model import (TopologyAwareNcclModel, nccl_model_for,
+                                 place_group)
 from repro.network.selection import CollectiveAlgorithm, select_algorithm
 from repro.network.topology import Link, build_topology, gpu_id
 from repro.profiling.nccl import NcclModel
@@ -41,6 +45,10 @@ from repro.profiling.nccl import NcclModel
 MIB = float(1 << 20)
 
 sizes = st.floats(min_value=1024.0, max_value=1024 * MIB)
+#: 1 KiB to 8 GiB, reaching tree, ring and hierarchical All-Reduce.
+payloads = st.builds(lambda mantissa, exponent: mantissa * 2.0 ** exponent,
+                     st.floats(min_value=1.0, max_value=2.0),
+                     st.integers(min_value=10, max_value=32))
 group_sizes = st.sampled_from([2, 4, 8, 16])
 networks = st.sampled_from(["rail", "fat-tree", "fat-tree:4"])
 
@@ -161,11 +169,12 @@ def routed_cost(model, operation, size, group):
             topology, placement.node_slots(), size,
             nvlink_ring(system, placement.ranks_per_node),
             model.interference)
-    if algorithm is CollectiveAlgorithm.TREE:
-        return routed_tree(topology, members, size, channels)
     chunk = size / channels / count
-    return 2 * (count - 1) * routed_ring_step(topology, members, chunk,
+    ring = 2 * (count - 1) * routed_ring_step(topology, members, chunk,
                                               channels)
+    if algorithm is CollectiveAlgorithm.TREE:
+        return min(routed_tree(topology, members, size, channels), ring)
+    return ring
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,12 +198,8 @@ def inter_node_calls(draw):
     group = draw(st.one_of(st.integers(min_value=2, max_value=num_nodes),
                            st.integers(min_value=2,
                                        max_value=8 * num_nodes)))
-    payloads = draw(st.lists(
-        st.builds(lambda mantissa, exponent: mantissa * 2.0 ** exponent,
-                  st.floats(min_value=1.0, max_value=2.0),
-                  st.integers(min_value=10, max_value=32)),
-        min_size=4, max_size=8))
-    return network, num_nodes, operation, group, payloads
+    sizes = draw(st.lists(payloads, min_size=4, max_size=8))
+    return network, num_nodes, operation, group, sizes
 
 
 class TestPlanCostingMatchesRouting:
@@ -209,6 +214,65 @@ class TestPlanCostingMatchesRouting:
                 planned = getattr(model, operation)(size, group,
                                                     LinkType.INTER_NODE)
             assert planned == routed_cost(model, operation, size, group)
+
+
+@functools.lru_cache(maxsize=None)
+def memoizing_model(network: str, num_nodes: int) -> NcclModel:
+    """One model per machine across examples, so later examples cost
+    from signatures earlier ones memoized."""
+    return nccl_model_for(multi_node(num_nodes, network=network))
+
+
+@st.composite
+def comm_operator(draw, num_nodes: int) -> CommOperator:
+    """Any kind on an intra- or inter-node link, with a group from 1 to
+    the node (intra) or the machine (inter) and a payload of 0 or 1 KiB
+    to 8 GiB."""
+    kind = draw(st.sampled_from(list(CommKind)))
+    link = draw(st.sampled_from(list(LinkType)))
+    largest = 8 if link is LinkType.INTRA_NODE else 8 * num_nodes
+    group = (2 if kind is CommKind.SEND_RECV
+             else draw(st.integers(min_value=1, max_value=largest)))
+    return CommOperator(
+        kind=kind, scope=draw(st.sampled_from(list(CommScope))),
+        size_bytes=draw(st.one_of(st.just(0.0), payloads)),
+        group_size=group, link=link,
+        concurrent_groups=draw(st.integers(min_value=1, max_value=4)))
+
+
+@st.composite
+def comm_operators(draw):
+    """(network, nodes, operators) on flat, rail and fat-tree:k
+    machines of 1 to 32 nodes."""
+    network = draw(st.sampled_from(
+        ["flat", "rail", "fat-tree", "fat-tree:2", "fat-tree:4",
+         "fat-tree:8"]))
+    num_nodes = draw(st.integers(min_value=1, max_value=32))
+    operators = draw(st.lists(comm_operator(num_nodes), min_size=2,
+                              max_size=6))
+    return network, num_nodes, operators
+
+
+def direct_cost(model: NcclModel, op: CommOperator) -> float:
+    """``op`` costed by its per-kind method, bypassing ``time``."""
+    if op.kind is CommKind.SEND_RECV:
+        return model.sendrecv_time(op.size_bytes, op.link)
+    method = {CommKind.ALL_REDUCE: model.allreduce_time,
+              CommKind.ALL_GATHER: model.allgather_time,
+              CommKind.REDUCE_SCATTER: model.reduce_scatter_time}[op.kind]
+    return method(op.size_bytes, op.group_size, op.link)
+
+
+class TestMemoizedTimeMatchesDirectCosting:
+    @given(case=comm_operators())
+    def test_bit_identical_to_a_fresh_model(self, case):
+        network, num_nodes, operators = case
+        memoizing = memoizing_model(network, num_nodes)
+        fresh = nccl_model_for(multi_node(num_nodes, network=network))
+        for op in operators:
+            expected = direct_cost(fresh, op)
+            assert memoizing.time(op) == expected
+            assert memoizing.time(replace(op)) == expected  # a memo hit
 
 
 class TestMonotoneInPayload:
@@ -228,6 +292,20 @@ class TestMonotoneInPayload:
         hi = model.allreduce_time(small * factor, group,
                                   LinkType.INTER_NODE)
         assert hi >= lo
+
+    @pytest.mark.parametrize("network,group,small", [
+        ("rail", 2, 699_051.0), ("fat-tree", 2, 699_051.0),
+        ("fat-tree:4", 2, 699_051.0), ("rail", 8, 2.75 * MIB)])
+    def test_across_the_tree_threshold(self, network, group, small):
+        """Regression: payloads the selection sends to the tree although
+        the ring is cheaper used to cost more than a larger payload past
+        the threshold (rail, 2 members: 699,051 B cost 31.98 us on the
+        tree, 1,048,576.5 B 28.49 us on the ring)."""
+        model = model_for(network)
+        lo = model.allreduce_time(small, group, LinkType.INTER_NODE)
+        hi = model.allreduce_time(small * 1.5, group, LinkType.INTER_NODE)
+        assert hi >= lo
+        assert model.explain(small, group)["algorithm"] == "ring"
 
 
 class TestFlatRingLowerBound:

@@ -162,6 +162,26 @@ class TestLookupTable:
         assert table.duration_of(op) == pytest.approx(
             sum(k.duration for k in table.tasks_for(op)))
 
+    def test_duration_is_summed_once_when_profiled(self, monkeypatch):
+        """``duration_of`` profiles through ``tasks_for`` on a miss and
+        afterwards returns the total stored then, bit for bit."""
+        table = OperatorToTaskTable(CuptiTracer(DeviceModel(A100_80GB)))
+        tasks_for = OperatorToTaskTable.tasks_for
+        calls = []
+
+        def counting_tasks_for(self, op):
+            calls.append(op)
+            return tasks_for(self, op)
+
+        monkeypatch.setattr(OperatorToTaskTable, "tasks_for",
+                            counting_tasks_for)
+        first = table.duration_of(ffn())
+        assert len(calls) == 1
+        assert table.duration_of(ffn()) == first
+        assert len(calls) == 1
+        assert first == sum(k.duration for k in table.tasks_for(ffn()))
+        assert (table.num_profiled, table.num_reused) == (1, 2)
+
     def test_contains(self):
         table = OperatorToTaskTable(CuptiTracer(DeviceModel(A100_80GB)))
         op = mha()

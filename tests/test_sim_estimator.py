@@ -4,10 +4,12 @@ import pytest
 
 from repro.config.description import InputDescription
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.config.system import single_node
+from repro.config.system import multi_node, single_node
 from repro.cost.pricing import PricingModel
-from repro.errors import InfeasibleConfigError
+from repro.errors import ConfigError, InfeasibleConfigError
 from repro.graph.builder import Granularity
+from repro.hardware.gpu import H100_80GB
+from repro.network.model import TopologyAwareNcclModel
 from repro.sim.estimator import (VTrain, cost_for_utilization,
                                  training_days_for_utilization)
 
@@ -149,6 +151,44 @@ class TestProfilingAmortisation:
         assert second.iteration_time == first.iteration_time
         assert second.simulation.device_timeline == \
             first.simulation.device_timeline
+
+
+class TestForSystem:
+    def test_shares_the_profiling_stack_and_settings(self, tiny_model,
+                                                     training):
+        base = VTrain(single_node(), granularity=Granularity.STAGE,
+                      check_memory_feasibility=False, zero_stage=2)
+        derived = base.for_system(multi_node(4, network="rail"))
+        assert derived.system == multi_node(4, network="rail")
+        assert (derived.device, derived.tracer, derived.lookup) == \
+            (base.device, base.tracer, base.lookup)
+        assert derived.granularity is Granularity.STAGE
+        assert derived.zero_stage == 2
+        assert derived.check_memory_feasibility is False
+        assert isinstance(derived.nccl, TopologyAwareNcclModel)
+        assert derived.nccl.system == derived.system
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2)
+        base.predict(tiny_model, plan, training)
+        profiled = base.profiling_stats["operators_profiled"]
+        derived.predict(tiny_model, plan, training)
+        assert derived.profiling_stats["operators_profiled"] == profiled
+        assert derived.profiling_stats["predictions"] == 1
+
+    def test_predictions_match_an_independent_simulator(self, small_model,
+                                                        training):
+        base = VTrain(single_node(), granularity=Granularity.OPERATOR)
+        plan = ParallelismConfig(tensor=2, data=4, pipeline=2)
+        for network in ("flat", "rail", "fat-tree:4"):
+            system = multi_node(2, network=network)
+            shared = base.for_system(system).predict(small_model, plan,
+                                                     training)
+            alone = VTrain(system).predict(small_model, plan, training)
+            assert shared.iteration_time == alone.iteration_time
+
+    def test_rejects_another_gpu(self):
+        base = VTrain(single_node())
+        with pytest.raises(ConfigError, match="H100"):
+            base.for_system(multi_node(2, gpu=H100_80GB))
 
 
 class TestFigure1Helpers:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.graph.builder import Granularity
+from repro.sim.estimator import VTrain
 from repro.validation.campaigns import (multi_node_points, run_campaign,
                                         single_node_points)
 from repro.validation.metrics import (accuracy, mape, mean_signed_error,
@@ -104,3 +105,31 @@ class TestCampaignRun:
         assert len(result.predicted) == 3
         assert len(result.measured) == 3
         assert all(m > p for m, p in zip(result.measured, result.predicted))
+
+    def test_predictors_profile_each_signature_once(self, monkeypatch):
+        """The per-node-count predictors share one profiling stack, so a
+        signature met on several node counts is profiled once; the
+        predictions equal those of a fresh simulator per point."""
+        points = multi_node_points()[::16]
+        predictors: dict[int, VTrain] = {}
+        predict = VTrain.predict
+
+        def recording_predict(self, *args, **kwargs):
+            predictors[id(self)] = self
+            return predict(self, *args, **kwargs)
+
+        monkeypatch.setattr(VTrain, "predict", recording_predict)
+        result = run_campaign(points)
+        monkeypatch.undo()
+        simulators = list(predictors.values())
+        assert len(simulators) == len({point.num_nodes for point in points})
+        first = simulators[0]
+        assert all(simulator.lookup is first.lookup
+                   for simulator in simulators)
+        distinct = first.tracer.stats.signatures
+        assert first.tracer.stats.operators_profiled == len(distinct)
+        assert set(first.lookup.signatures) == distinct
+        assert result.predicted == [
+            VTrain(point.system(), check_memory_feasibility=False).predict(
+                point.model, point.plan, point.training).iteration_time
+            for point in points]
