@@ -80,13 +80,13 @@ class SearchSpace:
         if not self.micro_batch_sizes:
             raise ConfigError("micro_batch_sizes must not be empty")
         for size in self.micro_batch_sizes:
-            if not isinstance(size, int) or size < 1:
+            if type(size) is not int or size < 1:
                 raise ConfigError(
                     f"micro-batch sizes must be positive ints, got {size!r}")
         if not self.virtual_stages:
             raise ConfigError("virtual_stages must not be empty")
         for count in self.virtual_stages:
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:
                 raise ConfigError(
                     f"virtual-stage counts must be positive ints, "
                     f"got {count!r}")

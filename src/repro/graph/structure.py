@@ -69,7 +69,6 @@ class TaskNode:
         label: Human-readable name for traces and debugging.
         children: Task ids that depend on this task.
         num_parents: In-degree (Algorithm 1's initial ``ref`` count).
-        payload: Optional reference to the originating operator/kernel.
     """
 
     task_id: int
@@ -80,7 +79,6 @@ class TaskNode:
     label: str
     children: list[int] = field(default_factory=list)
     num_parents: int = 0
-    payload: Any = None
 
 
 class GraphAssembler:
@@ -100,7 +98,7 @@ class GraphAssembler:
 
     def add(self, device: int, stream: str, duration: float, kind: str,
             label: str, *, deps: Iterable[int] = (), chain: bool = True,
-            payload: Any = None, slot: str | None = None) -> int:
+            slot: str | None = None) -> int:
         """Append a task; returns its id.
 
         Args:
@@ -118,7 +116,7 @@ class GraphAssembler:
         task_id = len(self.nodes)
         self.nodes.append(TaskNode(task_id=task_id, device=device,
                                    stream=stream, duration=duration,
-                                   kind=kind, label=label, payload=payload))
+                                   kind=kind, label=label))
         self.slots.append(slot)
         parents: set[int] = set(deps)
         if chain:
@@ -322,6 +320,13 @@ class GraphStructure:
     table via the per-task ``slot`` keys the builder recorded, which is
     what makes retime-without-rebuild sweeps possible.
 
+    A structure the builder compiles is a function of its
+    :class:`~repro.graph.builder.StructureKey`, except for ``duration``
+    and ``metadata``: only those come from the build that compiled it.
+    On a structure served from the process-wide cache, take both from
+    the plan's own builder, and resolve any other per-plan value (e.g.
+    ``GraphBuilder.slot_kernel_counts``) through ``slot_keys``.
+
     Attributes:
         num_tasks / num_devices / num_edges: Sizes.
         task_id: Original task id at each replay position (``intp``).
@@ -333,14 +338,8 @@ class GraphStructure:
             ``child_idx[child_ptr[k]:child_ptr[k + 1]]``.
         duration: Baseline durations per position (``float64``,
             read-only).
-        stream / label / payload: Per-position tuples, materialized on
-            first access (only timelines, traces, and the testbed read
-            them). Note that on a structure served from the process-wide
-            cache these are *representative* of the build that compiled
-            it — payloads in particular may belong to a different plan
-            with the same topology. Consumers needing exact per-plan
-            operators must resolve through ``slot_keys`` against their
-            own builder (see ``GraphBuilder.slot_kernel_counts``).
+        stream / label: Per-position tuples, materialized on first
+            access (only timelines, traces, and the testbed read them).
         slot_keys: Distinct timing-slot keys in first-appearance order,
             or ``None`` when the source recorded no slots.
         slot_index: Index into ``slot_keys`` per position, or ``None``.
@@ -352,7 +351,6 @@ class GraphStructure:
                  src: np.ndarray, dst: np.ndarray, duration: np.ndarray,
                  slot_keys: Sequence[str] | None, slot: np.ndarray | None,
                  stream: Sequence[str] | Mapping[str, str],
-                 payload: Sequence[Any] | Mapping[str, Any],
                  label: Sequence[str] | Callable[[], Sequence[str]],
                  metadata: dict[str, Any]) -> None:
         """Compile per-task columns (original task order) into replay
@@ -365,8 +363,8 @@ class GraphStructure:
                 ascending task id and, within a parent, in the order its
                 children were linked (that order decides the FIFO
                 replay order).
-            stream / payload: Per-task sequences, or per-slot mappings
-                from slot key to value.
+            stream: Per-task streams, or a per-slot mapping from slot
+                key to stream.
             label: Per-task labels, or a zero-argument callable
                 producing them on first use.
 
@@ -379,8 +377,7 @@ class GraphStructure:
         self.num_tasks = num_tasks
         self.num_devices = num_devices
         self.metadata = metadata
-        self._sources = {"stream": stream, "payload": payload,
-                         "label": label}
+        self._sources = {"stream": stream, "label": label}
         self._columns: dict[str, tuple] = {}
         outside = np.flatnonzero((device < 0) | (device >= num_devices))
         if outside.size:
@@ -488,7 +485,6 @@ class GraphStructure:
                                  dtype=np.float64, count=num_tasks),
             slot_keys=slot_keys, slot=slot,
             stream=[node.stream for node in nodes],
-            payload=[node.payload for node in nodes],
             label=[node.label for node in nodes],
             metadata=dict(graph.metadata))
 
@@ -519,11 +515,6 @@ class GraphStructure:
         """Task label per replay position."""
         return self._column("label")
 
-    @property
-    def payload(self) -> tuple[Any, ...]:
-        """Originating operator/kernel/collective per replay position."""
-        return self._column("payload")
-
     def edge_lists(self) -> tuple[list[int], list[int]]:
         """Every edge as flat ``(parent, child)`` replay-position lists,
         grouped by parent in replay order (memoized; the scalar replay
@@ -538,9 +529,9 @@ class GraphStructure:
         """SHA-256 of the topology: CSR adjacency plus the device, kind,
         and slot-key columns, all in replay order (memoized).
 
-        Durations, labels, and payloads are excluded, so two builds
-        with equal structure fingerprints must have equal digests — the
-        check that the structure cache never serves a wrong topology.
+        Durations and labels are excluded, so two builds with equal
+        structure keys must have equal digests — the check that the
+        structure cache never serves a wrong topology.
         """
         if self._digest is None:
             sha = hashlib.sha256(json.dumps(

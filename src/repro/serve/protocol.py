@@ -153,7 +153,7 @@ def parse_request(message: dict[str, Any]) -> tuple[int | None, str,
             with an ``INVALID_REQUEST`` error).
     """
     request_id = message.get("id")
-    if request_id is not None and not isinstance(request_id, (int, str)):
+    if request_id is not None and reply_id(message) is None:
         raise ProtocolError("request id must be an integer or string")
     method = message.get("method")
     if not isinstance(method, str) or not method:
@@ -162,6 +162,13 @@ def parse_request(message: dict[str, Any]) -> tuple[int | None, str,
     if not isinstance(params, dict):
         raise ProtocolError("request params must be an object")
     return request_id, method, params
+
+
+def reply_id(message: dict[str, Any]) -> int | str | None:
+    """The id a reply to ``message`` carries: its own when it is an
+    integer or a string, else ``null`` (JSON-RPC 2.0 §5)."""
+    request_id = message.get("id")
+    return request_id if type(request_id) in (int, str) else None
 
 
 def trace_id_of(message: dict[str, Any]) -> str | None:

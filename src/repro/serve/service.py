@@ -100,6 +100,31 @@ DEFAULT_MAX_BATCH = 64
 Notify = Callable[[dict[str, Any]], None]
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean",
+               dict: "an object", list: "an array"}
+
+
+def _param(params: dict[str, Any], name: str, kind: type,
+           default: Any = None) -> Any:
+    """``params[name]`` (``default`` when absent), which must be a JSON
+    ``kind``: an integer parameter refuses ``true``, ``8.9`` and ``"8"``
+    rather than coerce them into an answer to a different question
+    (ConfigError, answered with ``INVALID_PARAMS``)."""
+    value = params.get(name, default)
+    if type(value) is not kind:
+        raise ConfigError(
+            f"'{name}' must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _granularity(params: dict[str, Any], default: str) -> Granularity:
+    """The ``granularity`` parameter (``default`` when absent)."""
+    try:
+        return Granularity(_param(params, "granularity", str, default))
+    except ValueError as exc:
+        raise ConfigError(f"unknown granularity: {exc}") from None
+
+
 def _preset_description(preset: str) -> InputDescription:
     """Resolve a preset key the same way the CLI does (import deferred:
     cli imports serve for the ``--connect`` path)."""
@@ -242,29 +267,25 @@ class PredictionService:
     # ------------------------------------------------------------------
     def _parse_predict(self, params: dict[str, Any]) -> tuple[
             InputDescription, Granularity, int, InferenceWorkload | None]:
+        """Validate every predict parameter; raises ConfigError."""
         if ("description" in params) == ("preset" in params):
             raise ConfigError(
                 "predict needs exactly one of 'description' or 'preset'")
         if "preset" in params:
-            description = _preset_description(str(params["preset"]))
+            description = _preset_description(_param(params, "preset", str))
         else:
-            payload = params["description"]
-            if not isinstance(payload, dict):
-                raise ConfigError("'description' must be an object")
-            description = InputDescription.from_dict(payload)
-        try:
-            granularity = Granularity(
-                params.get("granularity", self.default_granularity.value))
-        except ValueError as exc:
-            raise ConfigError(f"unknown granularity: {exc}") from None
-        zero_stage = params.get("zero_stage", 1)
+            description = InputDescription.from_dict(
+                _param(params, "description", dict))
+        granularity = _granularity(params, self.default_granularity.value)
+        zero_stage = _param(params, "zero_stage", int, 1)
         if zero_stage not in (0, 1, 2, 3):
             raise ConfigError("zero_stage must be 0..3")
+        _param(params, "trace", bool, False)
         # The workload envelope arrives exactly as the client serialised
-        # it (None / training / inference); parsing is the only
+        # it (absent / training / inference); parsing is the only
         # transformation it undergoes on the way to the simulator.
-        workload = workload_from_dict(params.get("workload"))
-        return description, granularity, int(zero_stage), workload
+        workload = workload_from_dict(_param(params, "workload", dict, {}))
+        return description, granularity, zero_stage, workload
 
     def _vtrain_for(self, description: InputDescription,
                     granularity: Granularity, zero_stage: int) -> VTrain:
@@ -294,7 +315,7 @@ class PredictionService:
         """
         description, granularity, zero_stage, workload = \
             self._parse_predict(params)
-        trace = bool(params.get("trace"))
+        trace = params.get("trace", False)
         trace_id = obs.current_trace_id() or protocol.trace_id_of(params)
         if trace and trace_id is None:
             trace_id = obs.new_trace_id()  # daemon-minted fallback
@@ -534,8 +555,10 @@ class PredictionService:
         (one infeasible plan cannot fail its neighbours).
         """
         requests = params.get("requests")
-        if not isinstance(requests, list):
-            raise ConfigError("predict_batch needs a 'requests' array")
+        if (type(requests) is not list
+                or any(type(entry) is not dict for entry in requests)):
+            raise ConfigError("predict_batch needs a 'requests' array of "
+                              "predict params objects")
         parsed = [self._parse_predict(entry) for entry in requests]
         admissions = [self._admit(*inputs) for inputs in parsed]
         rows: list[dict[str, Any]] = []
@@ -568,31 +591,30 @@ class PredictionService:
         overlapping sweeps skip already-predicted plans.
         """
         self._dses.increment()
-        model_key = params.get("model")
-        if not isinstance(model_key, str):
-            raise ConfigError("dse needs a 'model' preset key")
-        model = self._dse_model(model_key)
-        num_gpus = params.get("num_gpus")
-        max_gpus = params.get("max_gpus")
-        if (num_gpus is None) == (max_gpus is None):
+        model = self._dse_model(_param(params, "model", str))
+        gpus = {name: _param(params, name, int)
+                for name in ("num_gpus", "max_gpus") if name in params}
+        if len(gpus) != 1:
             raise ConfigError(
                 "dse needs exactly one of 'num_gpus' or 'max_gpus'")
-        network = str(params.get("network", "flat"))
+        network = _param(params, "network", str, "flat")
         NetworkSpec.parse(network)
-        try:
-            granularity = Granularity(params.get("granularity", "stage"))
-        except ValueError as exc:
-            raise ConfigError(f"unknown granularity: {exc}") from None
+        granularity = _granularity(params, "stage")
         training = TrainingConfig(
-            global_batch_size=int(params.get("global_batch", 64)),
-            total_tokens=int(params.get("total_tokens", 0)))
+            global_batch_size=_param(params, "global_batch", int, 64),
+            total_tokens=_param(params, "total_tokens", int, 0))
         space = SearchSpace(
-            max_tensor=int(params.get("max_tensor", 16)),
-            max_data=int(params.get("max_data", 32)),
-            max_pipeline=int(params.get("max_pipeline", 105)),
-            micro_batch_sizes=tuple(
-                params.get("micro_batches", (1, 2, 4, 8, 16))),
-            virtual_stages=tuple(params.get("virtual_stages", (1,))))
+            max_tensor=_param(params, "max_tensor", int, 16),
+            max_data=_param(params, "max_data", int, 32),
+            max_pipeline=_param(params, "max_pipeline", int, 105),
+            micro_batch_sizes=tuple(_param(params, "micro_batches", list,
+                                           [1, 2, 4, 8, 16])),
+            virtual_stages=tuple(_param(params, "virtual_stages", list,
+                                        [1])))
+        gpus_per_node = _param(params, "gpus_per_node", int, 8)
+        zero_stage = _param(params, "zero_stage", int, 1)
+        top = _param(params, "top", int, 10)
+        include_points = _param(params, "include_points", bool, False)
 
         last_emitted = -1
 
@@ -608,17 +630,11 @@ class PredictionService:
                 "dse.progress", {"done": done, "total": total}))
 
         explorer = DesignSpaceExplorer(
-            model, training,
-            gpus_per_node=int(params.get("gpus_per_node", 8)),
-            granularity=granularity, network=network,
-            zero_stage=int(params.get("zero_stage", 1)))
-        result = explorer.explore(
-            space=space,
-            num_gpus=int(num_gpus) if num_gpus is not None else None,
-            max_gpus=int(max_gpus) if max_gpus is not None else None,
-            cache=self.cache, progress=progress)
+            model, training, gpus_per_node=gpus_per_node,
+            granularity=granularity, network=network, zero_stage=zero_stage)
+        result = explorer.explore(space=space, **gpus, cache=self.cache,
+                                  progress=progress)
 
-        top = int(params.get("top", 10))
         feasible = sorted(result.feasible_points,
                           key=lambda point: point.iteration_time)
         payload: dict[str, Any] = {
@@ -629,7 +645,7 @@ class PredictionService:
         if result.num_feasible:
             payload["fastest"] = result.best_by_iteration_time().to_dict()
             payload["cheapest"] = result.best_by_cost().to_dict()
-        if params.get("include_points"):
+        if include_points:
             payload["points"] = [point.to_dict()
                                  for point in result.points]
         return payload
@@ -741,7 +757,8 @@ class PredictionService:
         except protocol.ProtocolError as exc:
             self._request_errors.increment()
             response = protocol.error_response(
-                message.get("id"), protocol.INVALID_REQUEST, str(exc))
+                protocol.reply_id(message), protocol.INVALID_REQUEST,
+                str(exc))
             self._log_access(message.get("method"), message.get("id"),
                              protocol.trace_id_of(message), response,
                              0.0, peer)

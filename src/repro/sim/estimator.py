@@ -116,11 +116,12 @@ class PreparedPlan:
     ``durations`` is in the structure's replay order; consumers such as
     the testbed emulator perturb it and call
     :func:`~repro.sim.engine.simulate_retimed` without ever rebuilding
-    the graph. ``builder`` is the plan's own (graph-free) builder —
-    resolve anything plan-specific (timing table, per-slot kernel
-    counts) through it, not through the cached structure's
-    representative ``payload`` objects, which may originate from a
-    different build sharing the same topology.
+    the graph. ``structure`` may come from the structure cache, compiled
+    by another plan with an equal structure key: everything in it but
+    its baseline durations and metadata is this plan's too. ``durations``
+    and ``metadata`` are this plan's own, and ``builder`` is the plan's
+    (graph-free) builder — resolve anything else plan-specific, such as
+    per-slot kernel counts, through it.
     """
 
     structure: GraphStructure
@@ -247,8 +248,8 @@ class VTrain:
         duration vector is refilled from this builder's timing table
         (retime-without-rebuild); on a miss the graph is assembled,
         compiled, and cached for every later predict that shares its
-        structural fingerprint — across micro-batch sizes, parallel
-        degrees, systems, and VTrain instances alike.
+        :class:`~repro.graph.builder.StructureKey` — across micro-batch
+        sizes, parallel degrees, systems, and VTrain instances alike.
 
         Pass ``workload``/``phase`` together to compile an inference
         phase graph (prefill or decode) instead of the training
@@ -260,7 +261,7 @@ class VTrain:
                                    self.lookup, self.nccl, self.granularity,
                                    workload=workload, phase=phase)
         builder_init_s = time.perf_counter() - tick
-        key = builder.structure_key
+        key = str(builder.key)
         structure = structure_cache_get(key)
         cache_hit = structure is not None
         build_s = 0.0
@@ -271,8 +272,8 @@ class VTrain:
                 with obs.span("duration_fill", tasks=structure.num_tasks):
                     durations = builder.fill_durations(structure)
             except SimulationError:
-                # Structural drift the fingerprint failed to capture:
-                # drop the stale entry and rebuild from scratch.
+                # Structural drift the key failed to capture: drop the
+                # stale entry and rebuild from scratch.
                 structure_cache_evict(key)
                 structure = None
                 cache_hit = False

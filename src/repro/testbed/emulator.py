@@ -35,7 +35,6 @@ from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError
 from repro.graph.builder import Granularity
-from repro.graph.operators import CompOperator
 from repro.graph.structure import (GraphStructure, KIND_COMPUTE, KIND_DP_COMM,
                                    KIND_PP_COMM, KIND_TP_COMM,
                                    KIND_WEIGHT_UPDATE)
@@ -254,20 +253,14 @@ class TestbedEmulator:
         replay order, resolved for the plan being measured.
 
         Counts come from the prepared plan's *own* builder via timing
-        slots — a cached structure's ``payload`` objects may belong to
-        a different build with the same topology (e.g. another
-        recompute mode, which changes kernel counts), so they are only
-        used as a fallback for slot-less structures.
+        slots: a cached structure may have been compiled by another
+        plan with the same structure key, e.g. another recompute mode,
+        which changes an operator's kernel count but not the key.
         """
         structure = prepared.structure
-        if structure.slot_keys is not None and structure.slot_index is not None:
-            table = prepared.builder.slot_kernel_counts()
-            per_slot = [table.get(key, 1) for key in structure.slot_keys]
-            return [per_slot[slot]
-                    for slot in structure.slot_index.tolist()]
-        return [len(self._vtrain.lookup.tasks_for(payload))
-                if isinstance(payload, CompOperator) else 1
-                for payload in structure.payload]
+        table = prepared.builder.slot_kernel_counts()
+        per_slot = [table.get(key, 1) for key in structure.slot_keys]
+        return [per_slot[slot] for slot in structure.slot_index.tolist()]
 
     def _straggler(self, session: str, device: int, num_peers: int) -> float:
         """Slowdown of the slowest folded replica of one logical stage.

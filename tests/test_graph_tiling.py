@@ -5,16 +5,17 @@ stage's issue order with array operations; ``GraphBuilder.build()``
 emits the same step task by task through ``GraphAssembler``. Compiling
 the reference graph must give the tiled structure back exactly — replay
 order, CSR, devices, kinds, slots, durations, metadata, and the lazily
-produced labels, streams, and payloads — at every granularity,
-schedule, ``v``, and workload phase.
+produced labels and streams — at every granularity, schedule, ``v``,
+and workload phase.
 
-The structural digest turns that equality into the structure cache's
-safety check: two builds with equal ``structure_fingerprint`` must have
-equal digests, or the cache would serve one plan the other's topology.
+The structure cache's safety check: two builds with equal
+``StructureKey`` must compile equal structures (digest, labels, streams,
+kinds, slot keys), or the cache would serve one plan the other's.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -24,20 +25,20 @@ from hypothesis import strategies as st
 
 from repro.config.model import ModelConfig
 from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
-                                      TrainingConfig)
+                                      RecomputeMode, TrainingConfig)
 from repro.config.system import multi_node
 from repro.errors import (ConfigError, InfeasibleConfigError,
                           SimulationError)
 from repro.graph.builder import Granularity, GraphBuilder
 from repro.graph.structure import GraphStructure
+from repro.hardware.gpu import A100_40GB, A100_80GB, H100_80GB, V100_32GB
 from repro.sim.estimator import VTrain
 from repro.workload import DECODE, PREFILL, InferenceWorkload
 
 ARRAYS = ("task_id", "device", "kind_index", "child_ptr", "child_idx",
           "duration", "busy_index", "slot_index")
 VALUES = ("num_tasks", "num_devices", "num_edges", "kinds",
-          "device_kind_order", "slot_keys", "metadata", "label", "stream",
-          "payload")
+          "device_kind_order", "slot_keys", "metadata", "label", "stream")
 
 #: The plans whose training graphs are pinned by digest goldens in
 #: test_workload_graph.py.
@@ -63,16 +64,21 @@ TRAINING = TrainingConfig(global_batch_size=16, total_tokens=10_000_000)
 WORKLOAD = InferenceWorkload(batch_size=8, prompt_len=128, gen_len=64)
 PHASES = (None, PREFILL, DECODE)
 SYSTEM = multi_node(4)
-VTRAINS = {granularity: VTrain(SYSTEM, granularity=granularity,
-                               check_memory_feasibility=False)
-           for granularity in Granularity}
+GPUS = (A100_80GB, A100_40GB, V100_32GB, H100_80GB)
+NETWORKS = ("flat", "rail", "fat-tree:4")
+
+
+@functools.cache
+def vtrain_for(system, granularity: Granularity) -> VTrain:
+    return VTrain(system, granularity=granularity,
+                  check_memory_feasibility=False)
 
 
 def make_builder(model: ModelConfig, plan: ParallelismConfig,
-                 granularity: Granularity,
-                 phase: str | None) -> GraphBuilder:
-    vtrain = VTRAINS[granularity]
-    return GraphBuilder(model, SYSTEM, plan,
+                 granularity: Granularity, phase: str | None,
+                 system=SYSTEM) -> GraphBuilder:
+    vtrain = vtrain_for(system, granularity)
+    return GraphBuilder(model, system, plan,
                         TRAINING if phase is None else None, vtrain.lookup,
                         vtrain.nccl, granularity,
                         workload=None if phase is None else WORKLOAD,
@@ -206,10 +212,11 @@ class TestStructureDigest:
         assert narrow.digest() == wide.digest()
 
     @given(data=st.data())
-    def test_equal_fingerprints_have_equal_digests(self, data):
+    def test_equal_keys_give_equal_structures(self, data):
         """The structure cache's safety property: whenever two builds
-        share a fingerprint (and so a cache entry), their topologies —
-        CSR, devices, kinds, slot keys — are identical."""
+        share a key (and so a cache entry), their structures — CSR,
+        devices, kinds, slot keys, labels, streams — are identical, and
+        each builder can re-time the other's structure."""
         granularity = data.draw(st.sampled_from(list(Granularity)))
         phase = data.draw(st.sampled_from(PHASES))
         pipeline = data.draw(st.sampled_from((1, 2, 4)))
@@ -225,10 +232,12 @@ class TestStructureDigest:
                   if model.num_layers == layers]
         builders = []
         for _ in range(2):
-            # Each twin redraws only knobs the fingerprint treats as
-            # timing-only (or encodes): TP/DP degree beyond on/off, the
-            # micro-batch split of a fixed per-pipeline batch, and the
-            # model's width.
+            # Each twin redraws only knobs the key treats as timing-only
+            # (or encodes): the GPU and the fabric, TP/DP degree beyond
+            # on/off, the micro-batch split of a fixed per-pipeline
+            # batch, the model's width, and the recompute mode.
+            system = multi_node(4, gpu=data.draw(st.sampled_from(GPUS)),
+                                network=data.draw(st.sampled_from(NETWORKS)))
             tensor = data.draw(st.sampled_from((1, 2, 4)))
             data_degree, micro_batch = data.draw(st.sampled_from(
                 ((1, 1), (1, 2), (2, 1), (2, 2), (4, 1))))
@@ -238,13 +247,20 @@ class TestStructureDigest:
                     tensor=tensor, data=data_degree, pipeline=pipeline,
                     micro_batch_size=micro_batch, schedule=schedule,
                     virtual_stages=v, gradient_bucketing=bucketing,
-                    num_gradient_buckets=buckets)
+                    num_gradient_buckets=buckets,
+                    recompute=data.draw(st.sampled_from(list(RecomputeMode))))
                 builders.append(make_builder(model, plan, granularity,
-                                             phase))
+                                             phase, system))
             except (ConfigError, InfeasibleConfigError):
                 assume(False)
         first, second = builders
-        shared = first.structure_key == second.structure_key
-        event(f"fingerprints shared: {shared}")
+        shared = first.key == second.key
+        assert shared == (str(first.key) == str(second.key))
+        event(f"keys shared: {shared}")
         if shared:
-            assert first.compile().digest() == second.compile().digest()
+            ours, theirs = first.compile(), second.compile()
+            assert ours.digest() == theirs.digest()
+            for name in ("label", "stream", "kinds", "slot_keys"):
+                assert getattr(ours, name) == getattr(theirs, name), name
+            first.fill_durations(theirs)
+            second.fill_durations(ours)

@@ -13,9 +13,8 @@ from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
                                       TrainingConfig, validate_plan)
 from repro.config.system import single_node
 from repro.errors import ConfigError, InfeasibleConfigError
-from repro.graph.builder import (Granularity, GraphBuilder,
-                                 clear_structure_cache,
-                                 structure_fingerprint)
+from repro.graph.builder import (Granularity, GraphBuilder, StructureKey,
+                                 clear_structure_cache)
 from repro.graph.pipeline import (FORWARD, pipeline_bubble_fraction,
                                   schedule_order)
 from repro.graph.structure import (COMPUTE_STREAM, GraphAssembler,
@@ -88,13 +87,13 @@ class TestFingerprint:
     def test_v1_fingerprint_unchanged(self, deep_model, batch):
         """The v=1 fingerprint carries no v part — cached pre-interleaving
         structures stay addressable under their exact old keys."""
-        fp = structure_fingerprint(deep_model, interleaved_plan(1), batch,
-                                   Granularity.OPERATOR)
+        fp = str(StructureKey.of(deep_model, interleaved_plan(1), batch,
+                                 Granularity.OPERATOR))
         assert "v=" not in fp
 
     def test_v_distinguishes_structures(self, deep_model, batch):
-        fps = {structure_fingerprint(deep_model, interleaved_plan(v), batch,
-                                     Granularity.OPERATOR)
+        fps = {str(StructureKey.of(deep_model, interleaved_plan(v), batch,
+                                   Granularity.OPERATOR))
                for v in (1, 2, 4)}
         assert len(fps) == 3
 

@@ -20,7 +20,7 @@ import io
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -30,7 +30,7 @@ from repro.config.parallelism import (ParallelismConfig, RecomputeMode,
                                       TrainingConfig)
 from repro.config.system import single_node
 from repro.dse.cache import PredictionCache, fingerprint
-from repro.dse.explorer import DesignPoint
+from repro.dse.explorer import DesignPoint, DesignSpaceExplorer
 from repro.errors import ReproError
 from repro.graph.builder import (Granularity, clear_structure_cache,
                                  structure_cache_get, structure_cache_put,
@@ -99,6 +99,21 @@ class TestProtocol:
     def test_parse_request_rejects_missing_method(self):
         with pytest.raises(protocol.ProtocolError, match="method"):
             protocol.parse_request({"jsonrpc": "2.0", "id": 1})
+
+    @pytest.mark.parametrize("frame,match", [
+        (b'{"jsonrpc":"2.0","id":1', "mid-message"),
+        (b'{"id": 1, "method": "ping"}' + b" " * 64 + b"\n", "exceeds"),
+        (b'{"method": "\xff\xfe"}\n', "invalid message frame"),
+        (b"[1, 2]\n", "object"),
+        (b'"ping"\n', "object"),
+        (b"null\n", "object"),
+    ], ids=["truncated", "oversized", "non-utf8", "array", "string",
+            "null"])
+    def test_read_message_rejects_bad_frames(self, monkeypatch, frame,
+                                             match):
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 64)
+        with pytest.raises(protocol.ProtocolError, match=match):
+            protocol.read_message(io.BytesIO(frame))
 
     def test_stream_of_messages(self):
         stream = io.BytesIO(protocol.encode(protocol.request(1, "ping"))
@@ -313,12 +328,32 @@ class TestDispatch:
             protocol.request(5, "shutdown"), lambda note: None)
         assert response["result"] == {"ok": True} and shutdown
 
-    def test_dispatch_never_raises_on_internal_error(self, service):
-        response, _ = service.dispatch(
-            protocol.request(6, "dse", {"model": "megatron-1.7b",
-                                        "num_gpus": "not-a-number"}),
-            lambda note: None)
+    def test_dispatch_never_raises_on_internal_error(self, service,
+                                                     monkeypatch):
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "stats", broken)
+        response, _ = service.dispatch(protocol.request(6, "stats"),
+                                       lambda note: None)
         assert response["error"]["code"] == protocol.INTERNAL_ERROR
+        assert "RuntimeError: boom" in response["error"]["message"]
+
+    @pytest.mark.parametrize("bad_id", [True, False, 1.5, [1], {"a": 1}])
+    def test_invalid_id_is_answered_with_null(self, service, bad_id):
+        """JSON-RPC 2.0 section 5: an id that cannot be read back is
+        answered as null, never echoed."""
+        response, _ = service.dispatch(
+            {"jsonrpc": "2.0", "id": bad_id, "method": "ping"},
+            lambda note: None)
+        assert response["error"]["code"] == protocol.INVALID_REQUEST
+        assert response["id"] is None
+
+    def test_invalid_request_echoes_a_valid_id(self, service):
+        response, _ = service.dispatch({"jsonrpc": "2.0", "id": "a7"},
+                                       lambda note: None)
+        assert response["error"]["code"] == protocol.INVALID_REQUEST
+        assert response["id"] == "a7"
 
     def test_stats_shape(self, service):
         service.predict({"description": tiny_description().to_dict()})
@@ -331,6 +366,100 @@ class TestDispatch:
                 "cache_served"} <= set(stats["dedup"])
         assert stats["resident_simulators"] == 1
         assert stats["structure_cache"]["entries"] >= 1
+
+
+#: Values of each JSON type that no documented parameter accepts: the
+#: strings name no preset, granularity or fabric, and the arrays hold
+#: no integer and no params object.
+WRONG = {
+    bool: st.booleans(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(alphabet="~!@#", max_size=6),
+    list: st.lists(st.one_of(st.booleans(), st.text(max_size=2),
+                             st.none()), min_size=1, max_size=3),
+    dict: st.dictionaries(st.sampled_from(["a", "model", "kind"]),
+                          st.sampled_from([1, "x", None]), max_size=2),
+    type(None): st.none(),
+}
+BASE_PARAMS = {
+    "predict": {"preset": "megatron-1.7b", "granularity": "stage"},
+    "predict_batch": {"requests": []},
+    "dse": {"model": "megatron-1.7b", "num_gpus": 8, "global_batch": 16},
+}
+#: Every documented parameter and the JSON type it accepts.
+PARAMS = [
+    ("predict", "preset", str), ("predict", "description", dict),
+    ("predict", "granularity", str), ("predict", "zero_stage", int),
+    ("predict", "workload", dict), ("predict", "trace", bool),
+    ("predict_batch", "requests", list),
+    ("dse", "model", str), ("dse", "num_gpus", int),
+    ("dse", "max_gpus", int), ("dse", "network", str),
+    ("dse", "granularity", str), ("dse", "global_batch", int),
+    ("dse", "total_tokens", int), ("dse", "max_tensor", int),
+    ("dse", "max_data", int), ("dse", "max_pipeline", int),
+    ("dse", "micro_batches", list), ("dse", "virtual_stages", list),
+    ("dse", "gpus_per_node", int), ("dse", "zero_stage", int),
+    ("dse", "top", int), ("dse", "include_points", bool),
+]
+
+
+class TestParameterValidation:
+    """A wrongly typed parameter is answered with INVALID_PARAMS before
+    any work: never coerced into another question, never an internal
+    error after a sweep."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrong_types_are_invalid_params(self, service, monkeypatch,
+                                            data):
+        def no_work(*args, **kwargs):
+            raise AssertionError("validation let a request through")
+
+        monkeypatch.setattr(DesignSpaceExplorer, "explore", no_work)
+        monkeypatch.setattr(service, "_admit", no_work)
+        method, name, accepted = data.draw(st.sampled_from(PARAMS))
+        wrong = [values for kind, values in WRONG.items()
+                 if kind is not accepted]
+        if name == "workload":  # an object whose kind is unknown
+            wrong.append(st.fixed_dictionaries(
+                {"kind": st.sampled_from([1, "x", None])}))
+        elif accepted is not bool and accepted is not int:
+            wrong.append(WRONG[accepted])
+        params = dict(BASE_PARAMS[method])
+        params.pop({"description": "preset",
+                    "max_gpus": "num_gpus"}.get(name), None)
+        params[name] = data.draw(st.one_of(wrong))
+        response, _ = service.dispatch(
+            protocol.request(1, method, params), lambda note: None)
+        assert response["error"]["code"] == protocol.INVALID_PARAMS, \
+            response["error"]
+
+    @pytest.mark.parametrize("params", [
+        {"num_gpus": 8.9}, {"num_gpus": True},
+        {"num_gpus": 8, "global_batch": 32.7},
+        {"num_gpus": 8, "top": "x"}, {"num_gpus": 8, "micro_batches": 4},
+    ])
+    def test_dse_no_longer_coerces(self, service, params):
+        """Each used to sweep another question (8 GPUs, 1 GPU, batch
+        32) or answer INTERNAL_ERROR, after the full sweep for ``top``;
+        now none of them sweeps."""
+        response, _ = service.dispatch(
+            protocol.request(1, "dse", {"model": "megatron-1.7b",
+                                        "global_batch": 16, **params}),
+            lambda note: None)
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert service.cache.stats["entries"] == 0
+
+    def test_predict_batch_entries_must_be_objects(self, service):
+        response, _ = service.dispatch(
+            protocol.request(1, "predict_batch", {"requests": [1]}),
+            lambda note: None)
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+
+    def test_zero_stage_true_is_not_stage_1(self, service):
+        with pytest.raises(ReproError, match="'zero_stage' must be an "
+                                             "integer"):
+            service.predict({"preset": "megatron-1.7b", "zero_stage": True})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,305 @@
+"""The structure key is the emitter's only input.
+
+* The emitter's constructor takes one argument, a ``StructureKey``, so
+  it cannot read a setting the key lacks.
+* ``str(key)`` is byte-identical to the hand-written fingerprint the
+  structure cache used before the key existed (kept below as the
+  oracle), except at KERNEL granularity, where a digest of the kernel
+  names replaces the recompute/shape parts that stood in for them.
+* Those parts missed the GPU: a KERNEL structure compiled on one GPU
+  was served to a same-shape plan on another, with the first GPU's
+  kernel names in its labels — and the testbed keys its noise by label.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import inspect
+import json
+import typing
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from repro.config.model import ModelConfig
+from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
+                                      TrainingConfig, layers_per_stage,
+                                      num_micro_batches)
+from repro.config.presets import MEGATRON_1_7B
+from repro.config.system import multi_node, single_node
+from repro.errors import ConfigError
+from repro.graph import builder as builder_module
+from repro.graph.builder import (Granularity, GraphBuilder, StructureKey,
+                                 _Emitter, clear_structure_cache,
+                                 structure_affinity)
+from repro.hardware.gpu import A100_80GB, H100_80GB, V100_32GB
+from repro.sim.estimator import VTrain
+from repro.testbed.emulator import TestbedEmulator
+from repro.workload import (DECODE, INFERENCE_PHASES, PREFILL,
+                            InferenceWorkload)
+
+
+def structure_fingerprint(model: ModelConfig, plan: ParallelismConfig,
+                          training: TrainingConfig,
+                          granularity: Granularity, *,
+                          workload: InferenceWorkload | None = None,
+                          phase: str | None = None) -> str:
+    """Fingerprint of everything that shapes a plan's emitted topology.
+
+    Two (model, plan, training, granularity) tuples with equal
+    fingerprints produce graphs with identical node sequences, edges,
+    devices, streams, labels, and timing slots — only slot *values*
+    (durations) may differ. The fingerprint deliberately excludes pure
+    timing inputs (hidden size, tensor/data degree magnitudes,
+    interconnects, the device model, recompute outside KERNEL
+    granularity) so sweeps re-time one compiled structure instead of
+    rebuilding:
+
+    * model shape enters as layers-per-stage (the only model property
+      emission reads);
+    * plan way enters as pipeline depth plus *whether* TP/DP
+      collectives exist (their degree only scales durations);
+    * micro-batch count and schedule fix the chunk issue order;
+    * the gradient-bucket layout fixes DP All-Reduce tasks;
+    * granularity fixes the stream layout; KERNEL graphs add the
+      recompute mode because it changes the kernel sequence itself.
+
+    Computable without any profiling state, so sweep engines use it to
+    group plans for cache affinity before evaluating them.
+
+    Inference phase graphs (``workload``/``phase`` set) append a
+    workload tag so a prefill or decode structure is never confused
+    with — or silently served for — a training structure, and vice
+    versa; training fingerprints omit the tag entirely and stay
+    byte-identical to every pre-workload release. For inference,
+    ``training`` is the workload's proxy config
+    (:meth:`~repro.workload.InferenceWorkload.training_proxy`).
+    """
+    lps = layers_per_stage(model, plan)
+    nmb = num_micro_batches(plan, training)
+    if plan.gradient_bucketing:
+        buckets = min(plan.num_gradient_buckets, lps)
+    else:
+        buckets = 1
+    base, extra = divmod(lps, buckets)  # mirrors the builder's layout
+    sizes = [base + (1 if k < extra else 0) for k in range(buckets)]
+    parts = [
+        f"g={granularity.value}",
+        f"sched={plan.schedule.value}",
+        f"p={plan.pipeline}",
+        f"lps={lps}",
+        f"nmb={nmb}",
+        f"tp={int(plan.tensor > 1)}",
+        f"dp={int(plan.data > 1)}",
+        f"buckets={','.join(str(size) for size in sizes)}",
+    ]
+    if plan.virtual_stages > 1:
+        # Interleaving changes the chunk issue order, the per-chunk
+        # layer slices, and adds wrap-around P2P tasks; a v=1 structure
+        # silently reused for v>1 (or vice versa) would be wrong. The
+        # part is omitted at v=1 so pre-interleaving fingerprints are
+        # byte-identical.
+        parts.append(f"v={plan.virtual_stages}")
+    if granularity is Granularity.KERNEL:
+        # Kernel graphs bake shape into the structure itself: the
+        # recompute mode changes the kernel sequence, and kernel task
+        # labels carry names derived from the sharded GEMM shapes.
+        parts.append(f"rc={plan.recompute.value}")
+        parts.append(f"shape={model.hidden_size}x{model.num_heads}"
+                     f"x{model.seq_length}"
+                     f"x{model.padded_vocab_size(plan.tensor)}")
+        parts.append(f"mbs={plan.micro_batch_size}")
+        parts.append(f"t={plan.tensor}")
+    if phase is not None:
+        if workload is None or phase not in INFERENCE_PHASES:
+            raise ConfigError(
+                f"inference fingerprint needs a workload and a phase in "
+                f"{INFERENCE_PHASES}, got workload={workload!r} "
+                f"phase={phase!r}")
+        # Inference phase graphs carry their own sequence shape (the
+        # prompt length for prefill, one token + KV depth for decode)
+        # rather than the model's training seq_length, so the phase,
+        # the per-phase sequence length, and the decode KV depth all
+        # enter the fingerprint. Conservative on purpose: two decode
+        # graphs differing only in KV depth share topology, but their
+        # kernel labels differ, so they are cached separately.
+        parts.append("wl=inference")
+        parts.append(f"ph={phase}")
+        if phase == PREFILL:
+            parts.append(f"seq={workload.prompt_len}")
+        else:
+            parts.append(f"seq=1;kv={workload.decode_kv_length}")
+    return ";".join(parts)
+
+
+#: Stand-in kernel names for KERNEL keys (the oracle never read them).
+KERNELS = {"fwd_mha": ["gemm_a", "softmax"], "fwd_ffn": ["gemm_b", "gelu"]}
+
+
+def kernel_digest(key: StructureKey) -> str:
+    return hashlib.sha256(json.dumps(key.kernels).encode()).hexdigest()[:16]
+
+
+class TestEmitterTakesOnlyTheKey:
+    def test_constructor_takes_exactly_one_structure_key(self):
+        parameters = list(inspect.signature(_Emitter).parameters.values())
+        assert [parameter.name for parameter in parameters] == ["key"]
+        hints = typing.get_type_hints(_Emitter.__init__)
+        assert hints["key"] is StructureKey
+
+    def test_hand_written_fingerprint_is_gone(self):
+        assert not hasattr(builder_module, "structure_fingerprint")
+        assert not hasattr(GraphBuilder, "structure_key")
+
+    def test_key_is_frozen_and_hashable(self):
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2)
+        key = StructureKey.of(MEGATRON_1_7B, plan,
+                              TrainingConfig(global_batch_size=16),
+                              Granularity.STAGE)
+        with pytest.raises(AttributeError):
+            key.pipeline = 4
+        assert {key: 1}[key] == 1
+
+    def test_kernel_key_needs_kernel_names(self):
+        plan = ParallelismConfig(tensor=1, data=1, pipeline=1)
+        with pytest.raises(ConfigError, match="kernel names"):
+            StructureKey.of(MEGATRON_1_7B, plan,
+                            TrainingConfig(global_batch_size=4),
+                            Granularity.KERNEL)
+
+    def test_affinity_is_none_at_kernel_granularity(self):
+        plan = ParallelismConfig(tensor=1, data=1, pipeline=1)
+        training = TrainingConfig(global_batch_size=4)
+        assert structure_affinity(MEGATRON_1_7B, plan, training,
+                                  Granularity.KERNEL) is None
+        assert structure_affinity(MEGATRON_1_7B, plan, training,
+                                  Granularity.STAGE) == str(StructureKey.of(
+                                      MEGATRON_1_7B, plan, training,
+                                      Granularity.STAGE))
+
+
+class TestByteIdentity:
+    @given(data=st.data())
+    def test_key_string_equals_the_fingerprint(self, data):
+        """OPERATOR and STAGE keys read exactly like the fingerprint;
+        KERNEL keys swap its rc/shape/mbs/t parts for the digest."""
+        granularity = data.draw(st.sampled_from(list(Granularity)))
+        phase = data.draw(st.sampled_from((None, PREFILL, DECODE)))
+        schedule = data.draw(st.sampled_from(list(PipelineSchedule)))
+        pipeline = data.draw(st.sampled_from((1, 2, 4)))
+        v = 1
+        if (phase is None and pipeline > 1
+                and schedule is PipelineSchedule.ONE_F_ONE_B):
+            v = data.draw(st.sampled_from((1, 2, 4)))
+        layers = data.draw(st.sampled_from((8, 16, 24)))
+        model = ModelConfig(hidden_size=512, num_layers=layers,
+                            seq_length=128, num_heads=8, vocab_size=32_000)
+        plan = ParallelismConfig(
+            tensor=data.draw(st.sampled_from((1, 2, 8))),
+            data=data.draw(st.sampled_from((1, 2, 4))), pipeline=pipeline,
+            micro_batch_size=data.draw(st.sampled_from((1, 2))),
+            schedule=schedule, virtual_stages=v,
+            gradient_bucketing=data.draw(st.booleans()),
+            num_gradient_buckets=data.draw(st.integers(1, 7)))
+        workload = None
+        training = TrainingConfig(
+            global_batch_size=data.draw(st.sampled_from((16, 32, 64))))
+        if phase is not None:
+            workload = InferenceWorkload(
+                batch_size=8, prompt_len=data.draw(st.sampled_from((64, 256))),
+                gen_len=data.draw(st.sampled_from((16, 32))))
+            training = workload.training_proxy(plan.data)
+        assume(layers % (pipeline * v) == 0)
+        key = StructureKey.of(model, plan, training, granularity,
+                              workload=workload, phase=phase,
+                              kernels=KERNELS)
+        expected = structure_fingerprint(model, plan, training, granularity,
+                                         workload=workload, phase=phase)
+        if granularity is Granularity.KERNEL:
+            parts = expected.split(";")
+            first = next(index for index, part in enumerate(parts)
+                         if part.startswith("rc="))
+            parts[first:first + 4] = [f"kernels={kernel_digest(key)}"]
+            expected = ";".join(parts)
+        assert str(key) == expected
+
+    def test_kernel_digest_follows_the_names(self):
+        plan = ParallelismConfig(tensor=1, data=1, pipeline=1)
+        training = TrainingConfig(global_batch_size=4)
+        keys = {str(StructureKey.of(MEGATRON_1_7B, plan, training,
+                                    Granularity.KERNEL, kernels=kernels))
+                for kernels in (KERNELS, {**KERNELS, "fwd_ffn": ["gemm_c"]},
+                                dict(reversed(KERNELS.items())))}
+        assert len(keys) == 2  # the mapping's order does not matter
+
+
+#: Megatron 1.7B on one 8-GPU node, t=2 d=2 p=2, micro-batch 2, B=16.
+PLAN = ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2)
+TRAINING = TrainingConfig(global_batch_size=16)
+
+
+def kernel_vtrain(gpu) -> VTrain:
+    return VTrain(single_node(gpu=gpu), granularity=Granularity.KERNEL,
+                  check_memory_feasibility=False)
+
+
+class TestKernelKeysFollowTheGpu:
+    """KERNEL labels carry GEMM kernel names whose tile follows the SM
+    count, so a structure compiled on one GPU must not serve another."""
+
+    @pytest.mark.parametrize("gpu", [H100_80GB, V100_32GB],
+                             ids=lambda gpu: gpu.name)
+    def test_reused_structure_carries_fresh_labels(self, gpu):
+        clear_structure_cache()
+        try:
+            fresh = kernel_vtrain(gpu).prepare(MEGATRON_1_7B, PLAN, TRAINING)
+            fresh_labels = fresh.structure.label
+            clear_structure_cache()
+            kernel_vtrain(A100_80GB).prepare(MEGATRON_1_7B, PLAN, TRAINING)
+            after = kernel_vtrain(gpu).prepare(MEGATRON_1_7B, PLAN, TRAINING)
+            assert after.structure.label == fresh_labels
+            assert not after.structure_cache_hit
+        finally:
+            clear_structure_cache()
+
+    def test_testbed_measures_the_same_after_another_gpu(self):
+        def measure(gpu) -> float:
+            emulator = TestbedEmulator(single_node(gpu=gpu),
+                                       granularity=Granularity.KERNEL)
+            return emulator.measure_time(MEGATRON_1_7B, PLAN, TRAINING)
+
+        clear_structure_cache()
+        try:
+            fresh = measure(H100_80GB)
+            clear_structure_cache()
+            measure(A100_80GB)
+            assert measure(H100_80GB) == fresh == 0.27348748006965873
+        finally:
+            clear_structure_cache()
+
+    def test_same_gpu_still_shares_the_structure(self):
+        """Kernel names depend on the GPU and the sharded shapes, not on
+        the node count, so the same plan on a larger system still hits."""
+        clear_structure_cache()
+        try:
+            kernel_vtrain(A100_80GB).prepare(MEGATRON_1_7B, PLAN, TRAINING)
+            larger = VTrain(multi_node(2), granularity=Granularity.KERNEL,
+                            check_memory_feasibility=False)
+            assert larger.prepare(MEGATRON_1_7B, PLAN,
+                                  TRAINING).structure_cache_hit
+        finally:
+            clear_structure_cache()
+
+
+def test_builder_key_matches_of():
+    """The builder derives its key through ``StructureKey.of``, with the
+    kernel names its lookup profiled."""
+    vtrain = kernel_vtrain(A100_80GB)
+    builder = GraphBuilder(MEGATRON_1_7B, vtrain.system, PLAN, TRAINING,
+                           vtrain.lookup, vtrain.nccl, Granularity.KERNEL)
+    names = {op.kind.value: [kernel.name for kernel
+                             in vtrain.lookup.tasks_for(op)]
+             for op in builder._comp_ops}
+    assert builder.key == StructureKey.of(MEGATRON_1_7B, PLAN, TRAINING,
+                                          Granularity.KERNEL, kernels=names)

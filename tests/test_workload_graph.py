@@ -30,8 +30,8 @@ from hypothesis import strategies as st
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import single_node
 from repro.errors import ConfigError
-from repro.graph.builder import (Granularity, clear_structure_cache,
-                                 structure_fingerprint)
+from repro.graph.builder import (Granularity, StructureKey,
+                                 clear_structure_cache)
 from repro.obs.export import events_from_trace, simulation_trace_events
 from repro.sim.estimator import VTrain
 from repro.workload import (DECODE, INFERENCE_PHASES, PREFILL,
@@ -167,8 +167,8 @@ class TestTrainingGoldens:
 
     def test_training_fingerprint_carries_no_workload_tag(
             self, tiny_model, training, plan):
-        fingerprint = structure_fingerprint(tiny_model, plan, training,
-                                            Granularity.OPERATOR)
+        fingerprint = str(StructureKey.of(tiny_model, plan, training,
+                                          Granularity.OPERATOR))
         assert "wl=" not in fingerprint and "ph=" not in fingerprint
 
 
@@ -326,14 +326,14 @@ class TestWorkloadFingerprints:
     def test_phases_and_training_all_distinct(self, tiny_model, training,
                                               plan, workload):
         fingerprints = {
-            "training": structure_fingerprint(
-                tiny_model, plan, training, Granularity.OPERATOR),
-            PREFILL: structure_fingerprint(
+            "training": str(StructureKey.of(
+                tiny_model, plan, training, Granularity.OPERATOR)),
+            PREFILL: str(StructureKey.of(
                 tiny_model, plan, workload.training_proxy(plan.data),
-                Granularity.OPERATOR, workload=workload, phase=PREFILL),
-            DECODE: structure_fingerprint(
+                Granularity.OPERATOR, workload=workload, phase=PREFILL)),
+            DECODE: str(StructureKey.of(
                 tiny_model, plan, workload.training_proxy(plan.data),
-                Granularity.OPERATOR, workload=workload, phase=DECODE),
+                Granularity.OPERATOR, workload=workload, phase=DECODE)),
         }
         assert len(set(fingerprints.values())) == 3
         assert f"ph={PREFILL}" in fingerprints[PREFILL]
@@ -344,12 +344,12 @@ class TestWorkloadFingerprints:
                                     gen_len=64)
         deep = InferenceWorkload(batch_size=8, prompt_len=512, gen_len=64)
         proxy = shallow.training_proxy(plan.data)
-        fp_shallow = structure_fingerprint(
+        fp_shallow = str(StructureKey.of(
             tiny_model, plan, proxy, Granularity.OPERATOR,
-            workload=shallow, phase=DECODE)
-        fp_deep = structure_fingerprint(
+            workload=shallow, phase=DECODE))
+        fp_deep = str(StructureKey.of(
             tiny_model, plan, proxy, Granularity.OPERATOR,
-            workload=deep, phase=DECODE)
+            workload=deep, phase=DECODE))
         assert fp_shallow != fp_deep
 
     def test_structure_cache_never_crosses_workloads(
