@@ -23,7 +23,8 @@ import numpy as np
 from _helpers import emit_table
 
 from repro.graph.builder import Granularity
-from repro.sim.engine import simulate_retimed, simulate_retimed_batch
+from repro.sim.engine import (simulate_retimed, simulate_retimed_batch,
+                              use_batched_replay)
 from repro.sim.estimator import VTrain
 from repro.testbed.emulator import TestbedConfig, TestbedEmulator
 from repro.validation.campaigns import multi_node_points
@@ -44,9 +45,8 @@ def _sweep(points, testbed_config):
                                                    point.training))
     # Alpha only rescales communication durations — all five deratings
     # of one point share one compiled structure, so each point is a
-    # natural batch: five duration columns, one vectorized replay
-    # (bit-identical per column to the scalar predicts this sweep ran
-    # before the batch engine existed).
+    # natural batch: five duration columns, replayed on the engine the
+    # width rule picks for them (either is bit-identical per column).
     simulators = {}
     predicted = {alpha: [] for alpha in ALPHAS}
     for point in points:
@@ -67,17 +67,17 @@ def _sweep(points, testbed_config):
             groups.setdefault(id(prepared.structure),
                               []).append((alpha, prepared))
         for group in groups.values():
-            if len(group) == 1:
-                alpha, prepared = group[0]
-                predicted[alpha].append(simulate_retimed(
-                    prepared.structure, prepared.durations).iteration_time)
-                continue
             structure = group[0][1].structure
-            matrix = np.stack([prepared.durations for _, prepared in group],
-                              axis=1)
-            batch = simulate_retimed_batch(structure, matrix)
-            for (alpha, _), makespan in zip(group,
-                                            batch.iteration_times()):
+            if use_batched_replay(structure, len(group)):
+                matrix = np.stack([prepared.durations
+                                   for _, prepared in group], axis=1)
+                makespans = simulate_retimed_batch(
+                    structure, matrix).iteration_times()
+            else:
+                makespans = [simulate_retimed(
+                    structure, prepared.durations).iteration_time
+                    for _, prepared in group]
+            for (alpha, _), makespan in zip(group, makespans):
                 predicted[alpha].append(makespan)
     return {alpha: mape(measured, predicted[alpha]) for alpha in ALPHAS}
 

@@ -9,10 +9,10 @@ iteration-level variation stays far below the kernel-level amplitude —
 the paper's justification for single-iteration measurements.
 
 The sampling runs through ``TestbedEmulator.measure_samples``: all K
-perturbed duration vectors of one configuration replay as columns of a
-single ``simulate_retimed_batch`` sweep (each column bit-identical to a
-scalar measurement, sample 0 to ``measure()`` itself), so the sweep also
-exercises the batched measurement path end to end.
+perturbed duration vectors of one configuration replay on the engine
+``use_batched_replay`` picks for K columns of that structure (either
+engine bit-identical to scalar measurements, sample 0 to ``measure()``
+itself), so the sweep also exercises the measurement path end to end.
 """
 
 import dataclasses

@@ -242,7 +242,7 @@ def test_batch_retime_throughput_and_regression_gate():
     matrix = np.ascontiguousarray(
         base[:, None] * rng.uniform(0.9, 1.1,
                                     (structure.num_tasks, BATCH_COLUMNS)))
-    structure.batch_plan()  # compile the chunked schedule outside timing
+    structure.level_plan().packed()  # build the level plan outside timing
 
     scalar_results = [simulate_retimed(structure,
                                        np.ascontiguousarray(matrix[:, col]))

@@ -120,6 +120,14 @@ class SystemConfig:
     network: str = "flat"
 
     def __post_init__(self) -> None:
+        # Range checks below let NaN through (every comparison with it
+        # is false), and a NaN latency becomes a NaN prediction.
+        for name in ("num_gpus", "gpus_per_node", "internode_bandwidth",
+                     "internode_latency", "bandwidth_effectiveness",
+                     "intranode_latency", "nics_per_node"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.num_gpus <= 0:
             raise ConfigError("num_gpus must be positive")
         if self.gpus_per_node <= 0:

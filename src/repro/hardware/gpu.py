@@ -9,6 +9,7 @@ stands in for CUPTI profiling — see DESIGN.md, "Substitutions".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -48,6 +49,10 @@ class GPUSpec:
     def __post_init__(self) -> None:
         numeric_fields = ("peak_fp16_flops", "memory_bytes", "memory_bandwidth",
                           "kernel_launch_overhead", "nvlink_bandwidth")
+        for field in numeric_fields + ("num_sms",):
+            value = getattr(self, field)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{field} must be finite, got {value!r}")
         for field in numeric_fields:
             if getattr(self, field) < 0:
                 raise ConfigError(f"{field} must be non-negative")

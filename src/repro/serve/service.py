@@ -20,11 +20,11 @@ fast under concurrency:
   each flush groups jobs by resident simulator and model/recipe/workload
   and predicts each group through
   :func:`~repro.dse.explorer.evaluate_plans`, whose
-  :meth:`VTrain.predict_prepared` stacks training or inference phase
-  graphs sharing one cached structure into a single ``(tasks x N)``
-  :func:`~repro.sim.engine.simulate_retimed_batch` sweep instead of N
-  scalar replays. The flush delay is bounded by ``batch_window_s``
-  (default 2 ms) so single requests stay interactive.
+  :meth:`VTrain.predict_prepared` groups training or inference phase
+  graphs sharing one cached structure and replays each group on the
+  engine :func:`~repro.sim.engine.use_batched_replay` picks for its
+  columns. The flush delay is bounded by ``batch_window_s`` (default
+  2 ms) so single requests stay interactive.
 
 * **Result caching.** Every computed point lands in the prediction
   cache, so repeats — including requests arriving *after* their

@@ -13,43 +13,61 @@ so a gradient-bucket All-Reduce's start time is bound only by its data
 dependency, letting it run concurrently with backward compute — exactly
 the behaviour line 12 of Algorithm 1 must "faithfully model".
 
-Two engines implement the algorithm:
+Three functions implement the algorithm:
 
 * :func:`simulate_reference` — the verbatim per-task Python loop over
   :class:`~repro.graph.structure.TaskNode` objects, kept as the
   executable specification and equivalence-test oracle.
-* :func:`simulate` / :func:`simulate_retimed` — the compiled engine.
+* :func:`simulate` / :func:`simulate_retimed` — the scalar engine.
   The FIFO pop order of Algorithm 1 is purely structural (durations
   never change which task is popped next), so it is precomputed once
   when a graph is compiled into a
-  :class:`~repro.graph.structure.GraphStructure`; replay is then a
-  single array pass in that order — no dicts, no deque, no per-task
-  object churn, :class:`~repro.sim.results.TimelineEvent` objects
-  materialized only when ``record_timeline=True``. Results are
+  :class:`~repro.graph.structure.GraphStructure`; replay is then one
+  Python loop over the edges in that order — no dicts, no deque, no
+  per-task object churn, :class:`~repro.sim.results.TimelineEvent`
+  objects materialized only when ``record_timeline=True``. Results are
   bit-identical to the reference engine (same floating-point operations
   in the same order; see ``tests/test_sim_equivalence.py``).
+* :func:`simulate_retimed_batch` — level replay of N duration columns
+  at once over the structure's chain-compressed
+  :class:`~repro.graph.structure.LevelPlan`: one max-fold per level
+  sets the chain heads' starts, one running sum per block of chains
+  produces their finishes. Every column is bit-identical to a scalar
+  replay of it (``tests/test_sim_batch.py``).
 
 Neither engine mutates the graph, so one built graph can be replayed
 many times — and one *compiled structure* can be replayed with many
-duration vectors (``simulate_retimed``), which is what design-space
-sweeps and perturbed-hardware studies exploit. When a consumer holds a
-whole *batch* of duration vectors for one structure — a group of
-structure-affine DSE candidates, K testbed perturbation samples, an
-alpha ablation's derating grid — :func:`simulate_retimed_batch` sweeps
-all of them in one pass over a ``(tasks x N)`` matrix, bit-identical
-column-for-column to the scalar engine (``tests/test_sim_batch.py``).
+duration vectors, which is what design-space sweeps and
+perturbed-hardware studies exploit. :func:`use_batched_replay` is the
+one rule choosing between the two engines for a group of columns that
+share a structure: level replay pays once the columns hold
+:data:`WIDTH` tasks per level, so wide structures (MT-NLG at OPERATOR
+granularity, 186 tasks per level) take it even for one column, while
+narrow ones stay on the scalar loop until enough columns share them.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.structure import (COMPUTE_STREAM, ExecutionGraph,
-                                   GraphStructure)
+                                   GraphStructure, PackedLevels)
 from repro.sim.results import SimulationResult, TimelineEvent
+
+#: Tasks per level at which level replay beats the scalar loop: a level
+#: sweep costs about 10 µs per level, the scalar loop about 0.2 µs per
+#: edge per column, and builder graphs carry about one edge per task.
+WIDTH = 64
+
+#: Block width (chains x columns) from which a running sum goes row by
+#: row: ``np.add.accumulate`` down axis 0 runs one inner loop per
+#: column, a few ns per cell, while one row add costs about 1.5 µs
+#: whatever its width. Both add in the same order.
+_ROW_ADD_WIDTH = 256
 
 
 def simulate(graph: ExecutionGraph | GraphStructure, *,
@@ -117,21 +135,19 @@ def simulate_retimed(structure: GraphStructure,
 
     Raises:
         SimulationError: Empty structure, wrong-length duration vector,
-            or negative durations.
+            or negative or non-finite durations.
     """
     num_tasks = structure.num_tasks
     if num_tasks == 0:
         raise SimulationError("cannot simulate an empty graph")
-    if durations is None or durations is structure.duration:
-        durations_np = structure.duration
-    else:
-        durations_np = np.asarray(durations, dtype=np.float64)
-        if durations_np.shape != (num_tasks,):
-            raise SimulationError(
-                f"duration vector has {durations_np.shape} entries, "
-                f"structure has {num_tasks} tasks")
-        if durations_np.size and float(durations_np.min()) < 0.0:
-            raise SimulationError("durations must be non-negative")
+    durations_np = np.asarray(
+        structure.duration if durations is None else durations,
+        dtype=np.float64)
+    if durations_np.shape != (num_tasks,):
+        raise SimulationError(
+            f"duration vector has {durations_np.shape} entries, "
+            f"structure has {num_tasks} tasks")
+    _check_durations(durations_np)
     duration_list = durations_np.tolist()
 
     # Hot loop: finish-time propagation over the flat edge lists, which
@@ -172,6 +188,41 @@ def simulate_retimed(structure: GraphStructure,
                             events=events, metadata=dict(source))
 
 
+def _check_durations(durations: np.ndarray) -> None:
+    """Reject negative and non-finite durations.
+
+    A NaN would make the engines disagree (the scalar loop's ``<``
+    skips it, ``np.maximum`` propagates it), so both reject it.
+    """
+    if durations.size:
+        low = float(durations.min())
+        high = float(durations.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise SimulationError("durations must be finite")
+        if low < 0.0:
+            raise SimulationError("durations must be non-negative")
+
+
+def use_batched_replay(structure: GraphStructure, columns: int, *,
+                       record_timeline: bool = False) -> bool:
+    """Whether ``columns`` replays of ``structure`` take one
+    :func:`simulate_retimed_batch` sweep rather than one scalar
+    :func:`simulate_retimed` loop each.
+
+    The one engine rule, for every caller that holds a group of
+    duration columns sharing a structure: level replay when the columns
+    hold at least :data:`WIDTH` tasks per level
+    (``columns * tasks >= WIDTH * levels``), the scalar loop otherwise
+    and whenever a timeline is recorded (only the scalar engine records
+    events). Reads the level count only, so a structure the rule sends
+    to the scalar loop never builds its packed layout.
+    """
+    if record_timeline:
+        return False
+    return (columns * structure.num_tasks
+            >= WIDTH * structure.level_plan().num_levels)
+
+
 def _busy_dict(structure: GraphStructure,
                durations_np: np.ndarray) -> dict[int, dict[str, float]]:
     """Per-device, per-kind busy accounting for one duration vector.
@@ -195,16 +246,16 @@ class BatchSimulationResult:
 
     ``makespans[j]`` is bit-identical to
     ``simulate_retimed(structure, durations_matrix[:, j]).iteration_time``
-    — the batched sweep performs the same IEEE-754 operations as the
-    scalar engine, only grouped across columns (see
-    :class:`~repro.graph.structure.BatchSweepPlan`). Full per-column
+    — the level sweep performs the same IEEE-754 operations as the
+    scalar engine, only grouped across chains and columns (see
+    :class:`~repro.graph.structure.LevelPlan`). Full per-column
     :class:`SimulationResult` objects (timeline and busy dicts in the
     scalar engine's exact layout) are materialized on demand via
     :meth:`column`, so makespan-only consumers — DSE objective sweeps,
     throughput benches — never pay for N dict constructions. The device
     timeline matrix is likewise computed lazily on first access (it
-    needs a full gather of the finish matrix, comparable in cost to the
-    whole chunked sweep) and the finish matrix is released afterwards.
+    needs a full gather of the finish cells) and the packed cells are
+    released afterwards.
 
     Attributes:
         makespans: Per-column iteration times, shape ``(batch_size,)``.
@@ -214,11 +265,11 @@ class BatchSimulationResult:
     """
 
     def __init__(self, *, structure: GraphStructure, makespans: np.ndarray,
-                 finish_matrix: np.ndarray, durations_matrix: np.ndarray,
+                 cells: np.ndarray | None, durations_matrix: np.ndarray,
                  metadata: dict) -> None:
         self._structure = structure
         self._durations = durations_matrix
-        self._finish = finish_matrix
+        self._cells = cells
         self._device_timeline: np.ndarray | None = None
         self.makespans = makespans
         self.num_tasks = structure.num_tasks
@@ -232,18 +283,18 @@ class BatchSimulationResult:
         Each value is the exact maximum of its device's finish times —
         the same quantity the scalar engine accumulates with
         ``np.maximum.at`` — computed here by one segmented fold over
-        the device-sorted finish rows.
+        the device-grouped finish cells.
         """
         if self._device_timeline is None:
-            plan = self._structure.batch_plan()
             timeline = np.zeros((self._structure.num_devices,
                                  self.batch_size), dtype=np.float64)
             if self.batch_size:
-                timeline[plan.present_devices] = np.maximum.reduceat(
-                    self._finish[plan.device_order], plan.device_seg,
-                    axis=0)
+                packed = self._structure.level_plan().packed()
+                timeline[packed.present_devices] = np.maximum.reduceat(
+                    np.take(self._cells, packed.device_cells, axis=0),
+                    packed.device_seg, axis=0)
             self._device_timeline = timeline
-            self._finish = None  # free the (tasks x N) buffer
+            self._cells = None  # free the (cells x N) buffer
         return self._device_timeline
 
     def __len__(self) -> int:
@@ -280,24 +331,31 @@ def simulate_retimed_batch(structure: GraphStructure,
                            durations_matrix: "np.ndarray | list", *,
                            metadata: dict | None = None,
                            ) -> BatchSimulationResult:
-    """Replay a compiled structure under N duration vectors in one pass.
+    """Replay a compiled structure under N duration columns in one sweep.
 
-    The batched core of the replay engine: one sweep over the
-    structure's chunked schedule (:meth:`GraphStructure.batch_plan`)
-    propagates all N columns' finish times together, so the graph walk
-    — the scalar engine's per-task Python cost — is amortized across
-    the whole batch. Design-space sweeps evaluating structure-affine
-    candidate groups, the testbed emulator's perturbation samples, and
-    alpha/noise ablations all feed dozens of timing vectors for one
-    topology; batched replay keeps their per-vector cost near the
-    memory-bandwidth floor (~10x scalar throughput at N=64 on the
-    MT-NLG structure, gated in ``benchmarks/bench_sim_speed.py``).
+    Level replay over the structure's
+    :class:`~repro.graph.structure.LevelPlan`: the durations are packed
+    into cells, one row of N columns per cell, and each level then
+
+    1. gathers the finishes of its heads' cross-chain parents,
+    2. folds them with ``np.maximum.reduceat`` where a head has several,
+    3. writes them into the head-start cells, and
+    4. adds down each of its blocks of chains: one ``np.add.accumulate``
+       per block, or one add per row for blocks wider than
+       ``_ROW_ADD_WIDTH`` cells.
+
+    The graph walk — the scalar engine's per-edge Python cost — becomes
+    a few numpy calls per level, shared by all N columns. On the MT-NLG
+    (8, 8, 35) OPERATOR structure one column replays in about a third
+    of the scalar loop's time, and N=64 columns keep the per-column cost
+    gated in ``benchmarks/bench_sim_speed.py``.
+    :func:`use_batched_replay` decides when this beats the scalar loop.
 
     Every column is **bit-identical** to a scalar
-    :func:`simulate_retimed` of that column: finishes are produced by
-    the same single IEEE-754 addition, and all cross-task combination
-    is through ``max``, which is exact and order-independent
-    (property-enforced in ``tests/test_sim_batch.py``).
+    :func:`simulate_retimed` of that column: a chain's running sum
+    repeats the scalar loop's additions in its order, and every
+    cross-chain combination is a ``max``, which is exact and
+    order-independent (property-enforced in ``tests/test_sim_batch.py``).
 
     Args:
         structure: Compiled topology.
@@ -310,7 +368,7 @@ def simulate_retimed_batch(structure: GraphStructure,
 
     Raises:
         SimulationError: Empty structure, wrong-shape matrix, or
-            negative durations.
+            negative or non-finite durations.
     """
     num_tasks = structure.num_tasks
     if num_tasks == 0:
@@ -321,34 +379,55 @@ def simulate_retimed_batch(structure: GraphStructure,
             f"durations matrix has shape {matrix.shape}, expected "
             f"({num_tasks}, N) — one replay-order column per batched "
             "replay")
-    if matrix.size and float(matrix.min()) < 0.0:
-        raise SimulationError("durations must be non-negative")
+    _check_durations(matrix)
 
-    batch = matrix.shape[1]
-    plan = structure.batch_plan()
-    start = np.zeros((num_tasks, batch), dtype=np.float64)
-    finish = np.empty((num_tasks, batch), dtype=np.float64)
-    for a, b, src, seg, dst in plan.chunks:
-        # All parents of [a, b) live in earlier chunks, so these starts
-        # are final; finish rows use the same single addition as the
-        # scalar hot loop.
-        np.add(start[a:b], matrix[a:b], out=finish[a:b])
-        if src is None:
-            continue
-        contribution = finish[src]
-        if seg is not None:
-            # Duplicate targets within the chunk: fold them first.
-            contribution = np.maximum.reduceat(contribution, seg, axis=0)
-        np.maximum(start[dst], contribution, out=contribution)
-        start[dst] = contribution
-
-    makespans = finish.max(axis=0) if batch else np.zeros(0)
+    cells = None
+    makespans = np.zeros(0)
+    if matrix.shape[1]:
+        cells = _level_sweep(structure.level_plan().packed(), matrix)
+        # Head-start cells never exceed their chain's finishes, so the
+        # maximum over all cells is the maximum finish.
+        makespans = cells.max(axis=0)
 
     source = structure.metadata if metadata is None else metadata
     return BatchSimulationResult(structure=structure, makespans=makespans,
-                                 finish_matrix=finish,
-                                 durations_matrix=matrix,
+                                 cells=cells, durations_matrix=matrix,
                                  metadata=dict(source))
+
+
+def _level_sweep(packed: PackedLevels, matrix: np.ndarray) -> np.ndarray:
+    """Every task's finish, in its packed cell, for each column of
+    ``matrix``."""
+    cells = np.take(matrix, packed.cell_task, axis=0)
+    cells[packed.root_cells] = 0.0
+    edge_cell = packed.edge_cell
+    head_seg = packed.head_seg
+    head_cell = packed.head_cell
+    edge_ptr = packed.edge_ptr.tolist()
+    head_ptr = packed.head_ptr.tolist()
+    block_ptr = packed.block_ptr.tolist()
+    block_cell = packed.block_cell.tolist()
+    block_rows = packed.block_rows.tolist()
+    for level in range(packed.num_levels):
+        # Every head's cross parents sit in earlier levels, so their
+        # finishes are final.
+        first, last = edge_ptr[level], edge_ptr[level + 1]
+        if first < last:
+            low, high = head_ptr[level], head_ptr[level + 1]
+            finish = np.take(cells, edge_cell[first:last], axis=0)
+            if high - low < last - first:
+                finish = np.maximum.reduceat(finish, head_seg[low:high],
+                                             axis=0)
+            cells[head_cell[low:high]] = finish
+        for block in range(block_ptr[level], block_ptr[level + 1]):
+            rows = cells[block_cell[block]:block_cell[block + 1]].reshape(
+                block_rows[block], -1)
+            if rows.shape[1] < _ROW_ADD_WIDTH:
+                np.add.accumulate(rows, axis=0, out=rows)
+            else:
+                for row in range(1, rows.shape[0]):
+                    np.add(rows[row - 1], rows[row], out=rows[row])
+    return cells
 
 
 def simulate_reference(graph: ExecutionGraph, *,

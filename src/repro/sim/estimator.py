@@ -50,7 +50,8 @@ from repro.network.model import nccl_model_for
 from repro.profiling.cupti import CuptiTracer
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.profiling.nccl import NcclModel
-from repro.sim.engine import simulate_retimed, simulate_retimed_batch
+from repro.sim.engine import (simulate_retimed, simulate_retimed_batch,
+                              use_batched_replay)
 from repro.sim.results import (InferencePrediction, IterationPrediction,
                                SimulationResult, TrainingEstimate)
 from repro.workload import (DECODE, PREFILL, TRAINING, InferenceWorkload,
@@ -415,25 +416,28 @@ class VTrain:
         ``entries`` come from :meth:`prepare_checked`. Phase graphs are
         grouped by compiled :class:`~repro.graph.structure.GraphStructure`
         object (the process-wide structure cache returns one instance
-        per topology). A structure replayed once goes through the scalar
-        :func:`~repro.sim.engine.simulate_retimed`; two or more columns
-        sharing a structure are stacked into a ``(tasks x N)`` matrix
-        for one :func:`~repro.sim.engine.simulate_retimed_batch` sweep.
-        ``record_timeline`` replays every phase on its own (only the
-        scalar engine records events). Either engine yields
-        bit-identical predictions, returned in entry order.
+        per topology), and :func:`~repro.sim.engine.use_batched_replay`
+        picks each group's engine: columns holding at least
+        :data:`~repro.sim.engine.WIDTH` tasks per level are stacked into
+        a ``(tasks x N)`` matrix for one
+        :func:`~repro.sim.engine.simulate_retimed_batch` sweep — a wide
+        structure such as MT-NLG at OPERATOR granularity even for one
+        column — and every other group replays column by column on the
+        scalar :func:`~repro.sim.engine.simulate_retimed`, as does every
+        phase when ``record_timeline`` is set (only the scalar engine
+        records events). Either engine yields bit-identical predictions,
+        returned in entry order.
 
         Also records the replay spans and histograms, counts one
         prediction per entry, and sets :attr:`last_predict_timing` to
         the breakdown summed over all entries and their phases.
         """
         started = time.perf_counter()
-        groups: dict[object, list[tuple[int, int]]] = {}
+        groups: dict[int, list[tuple[int, int]]] = {}
         for index, entry in enumerate(entries):
             for phase, prepared in enumerate(entry.phases):
-                key = ((index, phase) if record_timeline
-                       else id(prepared.structure))
-                groups.setdefault(key, []).append((index, phase))
+                groups.setdefault(id(prepared.structure), []).append(
+                    (index, phase))
         results: list[list[SimulationResult | None]] = [
             [None] * len(entry.phases) for entry in entries]
         replay_s = 0.0
@@ -444,19 +448,22 @@ class VTrain:
             tags = {"tasks": structure.num_tasks,
                     "phase": prepared[0].metadata.get("phase", TRAINING)}
             tick = time.perf_counter()
-            if len(members) == 1:
-                with obs.span("replay", **tags):
-                    replayed = [simulate_retimed(
-                        structure, prepared[0].durations,
-                        record_timeline=record_timeline,
-                        metadata=prepared[0].metadata)]
-            else:
+            if use_batched_replay(structure, len(members),
+                                  record_timeline=record_timeline):
                 matrix = np.stack([p.durations for p in prepared], axis=1)
                 with obs.span("replay_batch", columns=len(members), **tags):
                     batch = simulate_retimed_batch(structure, matrix)
                 replayed = [batch.column(column, metadata=p.metadata)
                             for column, p in enumerate(prepared)]
                 obs.observe("sim.batch_columns", len(members))
+            else:
+                replayed = []
+                for p in prepared:
+                    with obs.span("replay", **tags):
+                        replayed.append(simulate_retimed(
+                            structure, p.durations,
+                            record_timeline=record_timeline,
+                            metadata=p.metadata))
             elapsed = time.perf_counter() - tick
             replay_s += elapsed
             obs.observe("sim.replay_s", elapsed)

@@ -40,7 +40,8 @@ from repro.graph.structure import (GraphStructure, KIND_COMPUTE, KIND_DP_COMM,
                                    KIND_WEIGHT_UPDATE)
 from repro.hardware.cluster import ClusterTopology
 from repro.hardware.interconnect import LinkType
-from repro.sim.engine import simulate_retimed, simulate_retimed_batch
+from repro.sim.engine import (simulate_retimed, simulate_retimed_batch,
+                              use_batched_replay)
 from repro.sim.estimator import VTrain
 from repro.testbed import noise
 
@@ -178,10 +179,10 @@ class TestbedEmulator:
         the derived session ``<session>/it<k>``, re-drawing every
         run-to-run effect (kernel jitter, stragglers, overheads) while
         the campaign-level draws (:class:`_SessionDraws`) are shared —
-        exactly how repeated iterations on one allocation behave. All K
-        perturbed duration vectors replay through one
-        :func:`~repro.sim.engine.simulate_retimed_batch` sweep, whose
-        columns are bit-identical to K scalar replays.
+        exactly how repeated iterations on one allocation behave. The K
+        perturbed duration vectors replay on the engine
+        :func:`~repro.sim.engine.use_batched_replay` picks for K columns
+        of this structure; both give bit-identical makespans.
         """
         if num_samples < 1:
             raise ConfigError("num_samples must be >= 1")
@@ -201,19 +202,16 @@ class TestbedEmulator:
         kernel_counts = self._kernel_counts(prepared)
         sessions = [session if k == 0 else f"{session}/it{k}"
                     for k in range(num_samples)]
-        columns = [self._perturb(prepared.structure, prepared.durations,
+        structure = prepared.structure
+        columns = [self._perturb(structure, prepared.durations,
                                  kernel_counts, plan, sample_session, draws)
                    for sample_session in sessions]
-        if num_samples == 1:
-            result = simulate_retimed(prepared.structure, columns[0],
-                                      metadata=prepared.metadata)
-            makespans = [result.iteration_time]
+        if use_batched_replay(structure, num_samples):
+            makespans = simulate_retimed_batch(
+                structure, np.stack(columns, axis=1)).iteration_times()
         else:
-            matrix = np.stack([np.asarray(column, dtype=np.float64)
-                               for column in columns], axis=1)
-            batch = simulate_retimed_batch(prepared.structure, matrix,
-                                           metadata=prepared.metadata)
-            makespans = batch.iteration_times()
+            makespans = [simulate_retimed(structure, column).iteration_time
+                         for column in columns]
         measurements = []
         for sample_session, makespan in zip(sessions, makespans):
             overhead = self.config.iteration_overhead * noise.one_sided(
@@ -230,7 +228,7 @@ class TestbedEmulator:
                                  sample_session + "/sync_overhead", 0.3))
             measurements.append(MeasuredIteration(
                 iteration_time=makespan + overhead,
-                num_tasks=prepared.structure.num_tasks,
+                num_tasks=structure.num_tasks,
                 session_key=sample_session))
         return measurements
 

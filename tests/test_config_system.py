@@ -1,5 +1,8 @@
 """Unit tests for the training-system configuration."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.config.system import GBPS, SystemConfig, multi_node, single_node
@@ -50,6 +53,28 @@ class TestSystemConfig:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ConfigError):
             multi_node(0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "num_gpus", "gpus_per_node", "internode_bandwidth",
+        "internode_latency", "bandwidth_effectiveness", "intranode_latency",
+        "nics_per_node"])
+    def test_rejects_non_finite_fields(self, name, value):
+        """NaN used to pass every range check (``nan <= 0`` is false)
+        and come back as a NaN iteration time."""
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            replace(single_node(), **{name: value})
+        payload = single_node().to_dict() | {name: value}
+        with pytest.raises(ConfigError, match=name):
+            SystemConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "peak_fp16_flops", "memory_bytes", "memory_bandwidth", "num_sms",
+        "kernel_launch_overhead", "nvlink_bandwidth"])
+    def test_gpu_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            replace(A100_80GB, **{name: value})
 
     def test_describe_mentions_gpu_and_nodes(self):
         text = multi_node(2, gpu=A100_40GB).describe()

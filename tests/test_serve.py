@@ -339,6 +339,26 @@ class TestDispatch:
         assert response["error"]["code"] == protocol.INTERNAL_ERROR
         assert "RuntimeError: boom" in response["error"]["message"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", ["internode_bandwidth",
+                                      "internode_latency",
+                                      "intranode_latency"])
+    def test_non_finite_system_is_invalid_params(self, service, name,
+                                                 value):
+        """The frame decoder reads NaN and Infinity literals. A system
+        holding one used to be answered with ``"iteration_time": NaN``,
+        which is not JSON (RFC 8259)."""
+        description = tiny_description().to_dict()
+        description["system"][name] = value
+        frame = protocol.encode(protocol.request(
+            8, "predict", {"description": description}))
+        response, _ = service.dispatch(protocol.decode_line(frame),
+                                       lambda note: None)
+        assert "result" not in response
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert name in response["error"]["message"]
+
     @pytest.mark.parametrize("bad_id", [True, False, 1.5, [1], {"a": 1}])
     def test_invalid_id_is_answered_with_null(self, service, bad_id):
         """JSON-RPC 2.0 section 5: an id that cannot be read back is
@@ -842,18 +862,18 @@ class TestInferenceServing:
     def test_flush_batches_inference_jobs_sharing_phase_graphs(
             self, monkeypatch):
         """Two inference jobs of one flush whose plans compile to the
-        same prefill and decode graphs replay as one sweep per phase,
-        bit-identical to direct predictions."""
+        same prefill and decode graphs replay as one group of two
+        columns per phase, bit-identical to direct predictions."""
         from repro.sim import estimator
         from repro.workload import InferenceWorkload
         columns = []
-        batch_engine = estimator.simulate_retimed_batch
+        rule = estimator.use_batched_replay
 
-        def counting(structure, matrix, **kwargs):
-            columns.append(matrix.shape[1])
-            return batch_engine(structure, matrix, **kwargs)
+        def recording(structure, count, **kwargs):
+            columns.append(count)
+            return rule(structure, count, **kwargs)
 
-        monkeypatch.setattr(estimator, "simulate_retimed_batch", counting)
+        monkeypatch.setattr(estimator, "use_batched_replay", recording)
         base = tiny_description()
         # Full recomputation changes the plan (and its cache key) but
         # not a forward-only phase graph.

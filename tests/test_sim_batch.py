@@ -1,17 +1,19 @@
 """Batched-engine equivalence: every simulate_retimed_batch column is
 bit-identical to a scalar simulate_retimed replay of that column.
 
-The batched sweep groups replay positions into chunks and propagates all
-N duration columns together, but each column still performs the exact
-float operations of the scalar engine: one IEEE-754 add per finish time
-and exact, order-independent maxima everywhere tasks combine. These
-tests pin that contract — same makespan bits, same per-device timelines,
-same busy accounting (values and dict insertion order) — over randomized
-DAGs (seeded generators plus hypothesis), real builder structures, awkward
-input layouts (N=0, N=1, strided views, Fortran order, float32), and the
-batched consumer surfaces (``VTrain.predict_prepared`` and the DSE
-explorer's ``evaluate_batch``), and the engine choice itself: one column
-replays through the scalar engine, shared structures through one sweep.
+The batched sweep replays chains of tasks level by level and propagates
+all N duration columns together, but each column still performs the
+exact float operations of the scalar engine: the same IEEE-754 adds in
+the same order along every chain, and exact, order-independent maxima
+everywhere chains combine. These tests pin that contract — same makespan
+bits, same per-device timelines, same busy accounting (values and dict
+insertion order) — over randomized DAGs (seeded generators plus
+hypothesis), real builder structures, awkward input layouts (N=0, N=1,
+strided views, Fortran order, float32), and the batched consumer
+surfaces (``VTrain.predict_prepared`` and the DSE explorer's
+``evaluate_batch``), which group the columns sharing a structure.
+Per-task finishes and the engine rule are pinned in
+``tests/test_sim_levels.py``.
 """
 
 import random
@@ -246,38 +248,34 @@ class TestPredictPrepared:
             assert one.simulation.device_busy == other.simulation.device_busy
 
     def test_predict_prepared_groups_shared_structures(self, tiny_model, training, monkeypatch):
-        """Plans resolving to one cached structure replay as one batch."""
+        """Plans resolving to one cached structure are one engine choice
+        of three columns."""
         from repro.sim import estimator
 
-        engine_calls = {"scalar": 0, "batched": []}
-        scalar_engine = estimator.simulate_retimed
-        batch_engine = estimator.simulate_retimed_batch
+        asked = []
+        rule = estimator.use_batched_replay
 
-        def scalar(*args, **kwargs):
-            engine_calls["scalar"] += 1
-            return scalar_engine(*args, **kwargs)
-
-        def batched(structure, matrix, **kwargs):
-            engine_calls["batched"].append(matrix.shape[1])
-            return batch_engine(structure, matrix, **kwargs)
+        def recording(structure, columns, **kwargs):
+            asked.append(columns)
+            return rule(structure, columns, **kwargs)
 
         vtrain = VTrain(single_node())
         entries = [
             vtrain.prepare_checked(tiny_model, plan, training) for plan in self.shared_plans()
         ]
         assert len({id(entry.phases[0].structure) for entry in entries}) == 2
-        monkeypatch.setattr(estimator, "simulate_retimed", scalar)
-        monkeypatch.setattr(estimator, "simulate_retimed_batch", batched)
+        monkeypatch.setattr(estimator, "use_batched_replay", recording)
         predictions = vtrain.predict_prepared(entries)
         monkeypatch.undo()
-        assert engine_calls == {"scalar": 1, "batched": [3]}
+        assert asked == [3, 1]
         for entry, prediction in zip(entries, predictions):
             reference = VTrain(single_node()).predict(tiny_model, entry.plan, training)
             assert prediction.iteration_time == reference.iteration_time
             assert prediction.simulation.device_busy == reference.simulation.device_busy
 
     def test_inference_phases_sharing_a_structure_batch(self, tiny_model, monkeypatch):
-        """Serving replicas (t=1, p=1) share both phase graphs: one sweep per phase."""
+        """Serving replicas (t=1, p=1) share both phase graphs: one
+        engine choice of three columns per phase."""
         from repro.sim import estimator
         from repro.workload import InferenceWorkload
 
@@ -287,33 +285,20 @@ class TestPredictPrepared:
         ]
         vtrain = VTrain(single_node())
         entries = [vtrain.prepare_checked(tiny_model, plan, workload=workload) for plan in plans]
-        columns = []
-        batch_engine = estimator.simulate_retimed_batch
+        asked = []
+        rule = estimator.use_batched_replay
 
-        def batched(structure, matrix, **kwargs):
-            columns.append(matrix.shape[1])
-            return batch_engine(structure, matrix, **kwargs)
+        def recording(structure, columns, **kwargs):
+            asked.append(columns)
+            return rule(structure, columns, **kwargs)
 
-        monkeypatch.setattr(estimator, "simulate_retimed_batch", batched)
+        monkeypatch.setattr(estimator, "use_batched_replay", recording)
         predictions = vtrain.predict_prepared(entries)
         monkeypatch.undo()
-        assert columns == [3, 3]
+        assert asked == [3, 3]
         for plan, prediction in zip(plans, predictions):
             reference = VTrain(single_node()).predict_inference(tiny_model, plan, workload)
             assert prediction == reference
-
-    def test_one_plan_predict_builds_no_batch_plan(self, tiny_model, training):
-        """A cold single-plan predict stays on the scalar engine, so the
-        structure it builds never pays for a BatchSweepPlan."""
-        from repro.graph.builder import clear_structure_cache
-
-        clear_structure_cache()
-        vtrain = VTrain(single_node())
-        plan = ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2)
-        vtrain.predict(tiny_model, plan, training)
-        assert not vtrain.last_predict_timing.structure_cache_hit
-        structure = vtrain.prepare(tiny_model, plan, training).structure
-        assert structure._batch_plan is None
 
 
 class TestEvaluateBatch:
