@@ -1,23 +1,17 @@
-"""Serving-tier telemetry: scrape liveness, stitched traces, and the
-obs-disabled overhead gate for served predicts.
+"""Serving-tier telemetry: stitched traces and the obs-disabled overhead
+gate for served predicts.
 
-The telemetry PR's contract is that the whole observability surface —
-trace propagation, the time-series sampler, the SLO tracker, the
-Prometheus scrape listener — stays off the prediction hot path. This
-bench exercises the surface end-to-end and gates the cost:
+The serving tier's telemetry — trace propagation, request-scoped spans,
+the access-log hook and the always-on ``serve.*`` instruments — must
+stay off the prediction hot path. This bench exercises it end-to-end
+and gates the cost:
 
 * ``test_serve_telemetry_and_overhead_gate`` starts an in-process
-  daemon with the HTTP scrape sidecar and a fast sampler, drives a
-  concurrent warm workload, and *mid-run*:
-
-  - scrapes ``GET /metrics`` and asserts a well-formed Prometheus text
-    exposition naming the serving instruments and SLO gauges;
-  - requests one traced predict, stitches the client and daemon span
-    streams into a Chrome trace, and validates it against
-    ``schemas/chrome_trace.schema.json`` (flow events included);
-  - writes the daemon's time-series ring to
-    ``benchmarks/results/OBS_serve_timeseries.json`` and validates it
-    against ``schemas/obs_timeseries.schema.json``.
+  daemon, drives a concurrent warm workload, then requests one traced
+  predict, stitches the client and daemon span streams into a Chrome
+  trace, validates it against ``schemas/chrome_trace.schema.json``
+  (flow events included) and writes it to
+  ``benchmarks/results/OBS_serve_trace.json``.
 
   Two gates, both against the committed baseline (``entries[0]`` of
   ``benchmarks/results/BENCH_serve_telemetry.json``):
@@ -46,7 +40,6 @@ import os
 import statistics
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 from _helpers import committed_baseline, emit_table
@@ -59,14 +52,12 @@ from repro.config.system import single_node
 from repro.graph.builder import clear_structure_cache
 from repro.obs.schema import validate
 from repro.obs.stitch import stitch_trace
-from repro.serve import (MetricsHTTPServer, PredictionService, ServeClient,
-                         ServeDaemon, protocol)
+from repro.serve import PredictionService, ServeClient, ServeDaemon, protocol
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS = Path(__file__).parent / "results"
 BENCH_FILE = RESULTS / "BENCH_serve_telemetry.json"
-TIMESERIES_FILE = RESULTS / "OBS_serve_timeseries.json"
 TRACE_FILE = RESULTS / "OBS_serve_trace.json"
 BENCH_SCHEMA = 1
 
@@ -78,9 +69,8 @@ BENCH_SCHEMA = 1
 REGRESSION_HEADROOM = 2.0
 #: The telemetry bound: with observability disabled (the default),
 #: the in-process dispatch/predict ratio must stay within 3% of the
-#: committed baseline — trace plumbing, the access log hook, the
-#: sampler, and the SLO tracker must be free when nothing asks for
-#: them.
+#: committed baseline — trace plumbing and the access log hook must be
+#: free when nothing asks for them.
 OBS_DISABLED_HEADROOM = 1.03
 #: Keep the perf trajectory bounded; entries[0] is the baseline.
 TRAJECTORY_LIMIT = 50
@@ -88,7 +78,6 @@ TRAJECTORY_LIMIT = 50
 DRIVERS = 3 if QUICK else 4
 REQUESTS_PER_DRIVER = 15 if QUICK else 40
 WARM_ROUNDS = 60 if QUICK else 120
-SAMPLE_INTERVAL_S = 0.1
 #: The gated dispatch/predict ratio is deliberately measured the same
 #: way in quick and full lanes: its stability is what makes the 3%
 #: bound honest, so the rounds are not subsampled. Deep minima pin the
@@ -118,7 +107,7 @@ def _descriptions() -> list[InputDescription]:
 
 
 def _drive(address: tuple, descriptions: list[InputDescription]) -> None:
-    """Concurrent warm traffic (populates rates, quantiles, the ring)."""
+    """Concurrent warm traffic (populates the latency quantiles)."""
     host, port = address
     errors: list[BaseException] = []
 
@@ -140,16 +129,6 @@ def _drive(address: tuple, descriptions: list[InputDescription]) -> None:
     for thread in threads:
         thread.join()
     assert not errors, errors[0]
-
-
-def _scrape(address: tuple, path: str) -> tuple[str, str]:
-    """GET one scrape endpoint; returns (body, content-type)."""
-    host, port = address
-    with urllib.request.urlopen(f"http://{host}:{port}{path}",
-                                timeout=10.0) as response:
-        assert response.status == 200
-        return (response.read().decode("utf-8"),
-                response.headers.get("Content-Type", ""))
 
 
 def _schema(name: str) -> dict:
@@ -232,24 +211,12 @@ def test_serve_telemetry_and_overhead_gate():
 
     descriptions = _descriptions()
     traced_description, workload = descriptions[0], descriptions[1:]
-    service = PredictionService(sample_interval_s=SAMPLE_INTERVAL_S)
+    service = PredictionService()
     daemon = ServeDaemon(service, port=0)
     daemon.start()
-    scraper = MetricsHTTPServer(service, port=0)
-    scraper.start()
     try:
         address = daemon.address
-
-        # -- Warm traffic, then a mid-run Prometheus scrape. -------------
         _drive(address, workload)
-        time.sleep(3 * SAMPLE_INTERVAL_S)  # let the ring accumulate
-        text, content_type = _scrape(scraper.address, "/metrics")
-        assert content_type.startswith("text/plain")
-        assert "repro_serve_requests " in text
-        assert "repro_serve_predict_s{quantile=\"0.99\"}" in text
-        assert "repro_serve_slo_burn_rate " in text
-        health, _ = _scrape(scraper.address, "/healthz")
-        assert json.loads(health)["ok"] is True
 
         # -- One traced predict, stitched and schema-validated. ----------
         trace_id = obs.new_trace_id()
@@ -288,23 +255,16 @@ def test_serve_telemetry_and_overhead_gate():
             inprocess_warm_s = min(inprocess_warm_s,
                                    time.perf_counter() - tick)
 
-        # -- Time-series artifact. ---------------------------------------
-        ring = service.timeseries.payload()
-        validate(ring, _schema("obs_timeseries.schema.json"))
-        assert len(ring["samples"]) >= 2
         RESULTS.mkdir(exist_ok=True)
-        TIMESERIES_FILE.write_text(json.dumps(ring, indent=1) + "\n")
         TRACE_FILE.write_text(json.dumps(stitched, indent=1) + "\n")
     finally:
-        scraper.stop()
         daemon.stop()
         service.close()
 
     # -- The obs-disabled gated metric, on a quiet service. --------------
-    # Measured after the daemon, the scrape sidecar, and the sampler
-    # thread are gone, so nothing wakes up mid-round; the process-wide
-    # structure cache keeps the request warm.
-    quiet = PredictionService(sample_interval_s=0.0)
+    # Measured after the daemon is gone, so nothing wakes up mid-round;
+    # the process-wide structure cache keeps the request warm.
+    quiet = PredictionService()
     try:
         warm_params = {"description": workload[0].to_dict(),
                        "granularity": "stage"}
@@ -321,14 +281,13 @@ def test_serve_telemetry_and_overhead_gate():
         "served_over_inprocess": round(ratio, 4),
         "dispatch_over_predict": round(dispatch_over_predict, 4),
         "served_p99_s": round(stats["latency"]["predict_s"]["p99"], 6),
-        "scrape_bytes": len(text.encode("utf-8")),
         "stitched_events": len(stitched["traceEvents"]),
     }
 
     baseline = _baseline()
     emit_table(
         "serve_telemetry",
-        "Serving telemetry: scrape + stitched trace + overhead gate",
+        "Serving telemetry: stitched trace + overhead gate",
         [entry | {"baseline_ratio": baseline["served_over_inprocess"]}],
         notes="served = warm predict round trip over loopback TCP; "
               "in-process = the same cached predict called directly on "

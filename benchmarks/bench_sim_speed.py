@@ -115,27 +115,11 @@ def test_sim_speed_operator_granularity(benchmark):
 
 
 def _load_store():
-    """The perf-trajectory store, migrating the schema-1 layout in place.
-
-    Schema 1 held a single warm-predict trajectory at the top level;
-    schema 2 keys one trajectory per benchmark under ``benchmarks`` so
-    the batch-retime gate shares the file. A schema-1 baseline becomes
-    the ``warm_predict`` section unchanged — its committed entries (and
-    the gate that compares against ``entries[0]``) carry over.
-    """
+    """The perf-trajectory store: one trajectory per benchmark under
+    ``benchmarks`` (schema 2)."""
     if not BENCH_FILE.exists():
         return {"schema": BENCH_SCHEMA, "benchmarks": {}}
     payload = json.loads(BENCH_FILE.read_text())
-    if payload.get("schema") == 1 and payload.get("entries"):
-        section = {"benchmark": payload.get("benchmark",
-                                            "sim_speed_warm_predict"),
-                   "gated_metric": payload.get("gated_metric",
-                                               "warm_over_reference"),
-                   "regression_headroom": payload.get("regression_headroom",
-                                                      REGRESSION_HEADROOM),
-                   "entries": payload["entries"]}
-        return {"schema": BENCH_SCHEMA,
-                "benchmarks": {"warm_predict": section}}
     if payload.get("schema") != BENCH_SCHEMA:
         return {"schema": BENCH_SCHEMA, "benchmarks": {}}
     payload.setdefault("benchmarks", {})

@@ -7,8 +7,6 @@ Usage::
 
 Each file is matched to a schema by shape — a ``traceEvents`` key means
 a Chrome trace (``schemas/chrome_trace.schema.json``); a
-``kind: obs_timeseries`` marker means the serving time-series ring
-(``schemas/obs_timeseries.schema.json``); a
 ``benchmark: service_throughput`` marker means the serving-tier store
 (``schemas/bench_service_throughput.schema.json``); a
 ``benchmark: serve_telemetry`` marker means the telemetry-overhead
@@ -41,8 +39,6 @@ def schema_for(payload: object) -> Path:
     if isinstance(payload, dict):
         if "traceEvents" in payload:
             return SCHEMA_DIR / "chrome_trace.schema.json"
-        if payload.get("kind") == "obs_timeseries":
-            return SCHEMA_DIR / "obs_timeseries.schema.json"
         if payload.get("benchmark") == "service_throughput":
             return SCHEMA_DIR / "bench_service_throughput.schema.json"
         if payload.get("benchmark") == "serve_telemetry":

@@ -14,7 +14,8 @@ Commands:
   prints and saves the observability registry snapshot.
 * ``stats`` — pretty-print a saved metrics snapshot (cache hit rates,
   replay-throughput histograms with p50/p99), or — with ``--connect
-  HOST:PORT`` — the *live* instruments of a running daemon.
+  HOST:PORT`` — the *live* metrics registry of a running daemon (its
+  ``metrics`` RPC).
 * ``serve`` — run the long-lived prediction daemon: one resident
   process owning the warm structure cache and a persistent prediction
   cache, serving concurrent predict/DSE requests over TCP
@@ -23,13 +24,8 @@ Commands:
   ``predict --connect HOST:PORT`` routes a prediction through a
   running daemon instead of paying cold start; add ``--trace out.json``
   to get a *stitched* Chrome trace showing the request end-to-end
-  across both processes. ``--metrics-port`` opens a Prometheus scrape
-  endpoint, ``--access-log`` writes structured JSON request logs, and
-  ``--slo-latency-ms``/``--slo-availability`` set the objectives the
-  daemon's SLO tracker evaluates.
-* ``top`` — live terminal dashboard of a running daemon (req/s,
-  latency quantiles, cache hit rate, batch occupancy, SLO state),
-  refreshed from the daemon's time-series ring.
+  across both processes. ``--access-log`` writes structured JSON
+  request logs.
 * ``example <name>`` — write a ready-to-edit description file for a
   preset model (``gpt3-175b``, ``mt-nlg-530b``, ...).
 * ``presets`` — list the bundled model presets.
@@ -38,6 +34,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -141,32 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "single vectorized sweep (default: 2.0)")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="requests per batcher flush (default: 64)")
-    serve.add_argument("--metrics-port", type=int, metavar="PORT",
-                       help="also serve GET /metrics (Prometheus text "
-                            "exposition), /healthz, /timeseries and /slo "
-                            "over HTTP on this port (0 picks a free "
-                            "port); scrapes run off the prediction path")
     serve.add_argument("--access-log", type=Path, metavar="PATH",
                        help="append one structured JSON line per request "
                             "(method, request/trace IDs, status, "
                             "latency, peer) to this file; '-' for "
                             "stderr")
-    serve.add_argument("--sample-interval", type=float, default=1.0,
-                       metavar="SECONDS",
-                       help="cadence of the background time-series "
-                            "sampler feeding `repro top` and the SLO "
-                            "tracker; 0 disables the thread "
-                            "(default: 1.0)")
-    serve.add_argument("--slo-latency-ms", type=float, default=250.0,
-                       help="served-predict p99 latency objective in "
-                            "milliseconds (default: 250)")
-    serve.add_argument("--slo-availability", type=float, default=0.999,
-                       help="fraction of requests that must succeed "
-                            "(default: 0.999)")
-    serve.add_argument("--slo-window", type=float, default=600.0,
-                       metavar="SECONDS",
-                       help="rolling SLO evaluation window in seconds "
-                            "(default: 600)")
 
     dse = commands.add_parser(
         "dse", help="sweep the 3D-parallelism design space for a preset "
@@ -259,19 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="read the live metrics registry of a running "
                             "`repro serve` daemon instead of a snapshot "
                             "file")
-
-    top = commands.add_parser(
-        "top", help="live terminal dashboard of a running daemon "
-                    "(req/s, latency, cache hit rate, batch occupancy, "
-                    "SLO state)")
-    top.add_argument("--connect", metavar="HOST:PORT", required=True,
-                     help="daemon endpoint to watch")
-    top.add_argument("--interval", type=float, default=2.0,
-                     metavar="SECONDS",
-                     help="refresh cadence (default: 2.0)")
-    top.add_argument("--iterations", type=int, default=0, metavar="N",
-                     help="render N frames then exit (default: run "
-                          "until interrupted)")
 
     example = commands.add_parser(
         "example", help="write an editable example description file")
@@ -558,61 +521,46 @@ def _predict_connected(args: argparse.Namespace,
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the prediction daemon until interrupted or shut down."""
-    from repro.obs.slo import SLOConfig
-    from repro.serve import (MetricsHTTPServer, PredictionService,
-                             ServeDaemon, serve_stdio)
+    from repro.serve import PredictionService, ServeDaemon, serve_stdio
 
     obs.enable()  # the serving tier exists to report latency metrics
     cache = (PredictionCache.load(args.cache)
              if args.cache and args.cache.exists() else PredictionCache())
-    access_log = None
-    if args.access_log is not None:
-        access_log = (sys.stderr if str(args.access_log) == "-"
-                      else open(args.access_log, "a", encoding="utf-8"))
-    service = PredictionService(
-        cache=cache,
-        batch_window_s=args.batch_window_ms / 1e3,
-        max_batch=args.max_batch,
-        default_granularity=Granularity(args.granularity),
-        sample_interval_s=args.sample_interval,
-        slo=SLOConfig(latency_objective_s=args.slo_latency_ms / 1e3,
-                      availability_objective=args.slo_availability,
-                      window_s=args.slo_window),
-        access_log=access_log)
-    metrics_server = None
-    try:
-        if args.metrics_port is not None:
-            metrics_server = MetricsHTTPServer(service, host=args.host,
-                                               port=args.metrics_port)
-            metrics_server.start()
-            mhost, mport = metrics_server.address
-            print(f"repro serve: metrics on http://{mhost}:{mport}/metrics",
-                  file=sys.stderr, flush=True)
-        if args.stdio:
-            print("repro serve: stdio session open", file=sys.stderr)
-            serve_stdio(service, sys.stdin.buffer, sys.stdout.buffer)
-        else:
-            daemon = ServeDaemon(service, host=args.host, port=args.port)
-            host, port = daemon.address
-            print(f"repro serve: listening on {host}:{port} "
-                  f"(cache: {len(cache)} entries)", file=sys.stderr,
-                  flush=True)
-            try:
-                daemon.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            finally:
-                daemon.server_close()
-    finally:
-        if metrics_server is not None:
-            metrics_server.stop()
-        service.close()
-        if access_log is not None and access_log is not sys.stderr:
-            access_log.close()
-        if args.cache:
-            cache.save(args.cache)
-            print(f"repro serve: saved {len(cache)} cache entries to "
-                  f"{args.cache}", file=sys.stderr)
+    with contextlib.ExitStack() as stack:
+        access_log = None
+        if args.access_log is not None:
+            access_log = (sys.stderr if str(args.access_log) == "-"
+                          else stack.enter_context(open(
+                              args.access_log, "a", encoding="utf-8")))
+        service = PredictionService(
+            cache=cache,
+            batch_window_s=args.batch_window_ms / 1e3,
+            max_batch=args.max_batch,
+            default_granularity=Granularity(args.granularity),
+            access_log=access_log)
+        try:
+            if args.stdio:
+                print("repro serve: stdio session open", file=sys.stderr)
+                serve_stdio(service, sys.stdin.buffer, sys.stdout.buffer)
+            else:
+                daemon = ServeDaemon(service, host=args.host,
+                                     port=args.port)
+                host, port = daemon.address
+                print(f"repro serve: listening on {host}:{port} "
+                      f"(cache: {len(cache)} entries)", file=sys.stderr,
+                      flush=True)
+                try:
+                    daemon.serve_forever()
+                except KeyboardInterrupt:
+                    pass
+                finally:
+                    daemon.server_close()
+        finally:
+            service.close()
+            if args.cache:
+                cache.save(args.cache)
+                print(f"repro serve: saved {len(cache)} cache entries to "
+                      f"{args.cache}", file=sys.stderr)
     return 0
 
 
@@ -760,82 +708,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-_SPARK_BARS = " ▁▂▃▄▅▆▇█"
-
-
-def _sparkline(values: list[float], width: int = 30) -> str:
-    """Render the tail of ``values`` as a unicode sparkline."""
-    tail = values[-width:]
-    if not tail:
-        return ""
-    top = max(tail)
-    if top <= 0:
-        return _SPARK_BARS[0] * len(tail)
-    scale = len(_SPARK_BARS) - 1
-    return "".join(
-        _SPARK_BARS[min(scale, round(value / top * scale))]
-        for value in tail)
-
-
-def _top_frame(endpoint: str, series: dict, slo: dict) -> str:
-    """One rendered ``repro top`` frame."""
-    samples = series["samples"]
-    last = samples[-1]
-    req = [s["req_per_s"] for s in samples]
-    p99 = [s["p99_s"] for s in samples]
-    hit = [s["cache_hit_rate"] for s in samples]
-    batch = [s["batch_mean"] for s in samples]
-    budget = slo["error_budget"]
-    lines = [
-        f"repro top — {endpoint}   "
-        f"({len(samples)} samples @ {series['interval_s']:g}s)",
-        "",
-        f"  req/s      {last['req_per_s']:>9.2f}  {_sparkline(req)}",
-        f"  p99 (ms)   {last['p99_s'] * 1e3:>9.2f}  {_sparkline(p99)}",
-        f"  p50 (ms)   {last['p50_s'] * 1e3:>9.2f}",
-        f"  cache hit  {100 * last['cache_hit_rate']:>8.1f}%  "
-        f"{_sparkline(hit)}",
-        f"  batch occ  {last['batch_mean']:>9.2f}  {_sparkline(batch)}",
-        f"  errors     {last['errors']:>9d}",
-        "",
-        f"  SLO: latency {'OK ' if slo['latency']['ok'] else 'VIOLATED'} "
-        f"(p99 {slo['latency']['p99_s'] * 1e3:.1f}ms vs "
-        f"{slo['latency']['objective_s'] * 1e3:.0f}ms)   "
-        f"budget {100 * budget['remaining']:.1f}% left   "
-        f"burn {budget['burn_rate']:.2f}x",
-    ]
-    return "\n".join(lines)
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live dashboard over the daemon's time-series ring."""
-    import time as _time
-
-    from repro.serve import ServeClient
-
-    host, port = _parse_endpoint(args.connect)
-    endpoint = f"{host}:{port}"
-    frames = 0
-    with ServeClient.connect(host, port) as client:
-        while True:
-            series = client.timeseries(sample=True)
-            slo = client.slo()
-            frame = _top_frame(endpoint, series, slo)
-            if frames and args.iterations == 0:
-                # \x1b[H\x1b[2J = cursor home + clear, a dependency-free
-                # full-screen refresh (plain frames when iterating for
-                # tests/pipes).
-                print("\x1b[H\x1b[2J", end="")
-            print(frame, flush=True)
-            frames += 1
-            if args.iterations and frames >= args.iterations:
-                return 0
-            try:
-                _time.sleep(args.interval)
-            except KeyboardInterrupt:
-                return 0
-
-
 def _cmd_example(args: argparse.Namespace) -> int:
     model = _preset_by_key(args.model)
     plan = ParallelismConfig(tensor=min(8, model.num_heads), data=4,
@@ -866,8 +738,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {"predict": _cmd_predict, "dse": _cmd_dse,
                 "stats": _cmd_stats, "serve": _cmd_serve,
-                "top": _cmd_top, "example": _cmd_example,
-                "presets": _cmd_presets}
+                "example": _cmd_example, "presets": _cmd_presets}
     try:
         return handlers[args.command](args)
     except (ReproError, FileNotFoundError) as exc:

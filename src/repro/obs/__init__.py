@@ -6,15 +6,15 @@ One process-wide :class:`~repro.obs.metrics.MetricsRegistry`
 
 * ``REPRO_OBS=1`` in the environment, or :func:`enable` at runtime;
 * disabled by default — a disabled :func:`span` returns a shared no-op
-  context manager and :func:`observe`/:func:`set_gauge` return
-  immediately, so instrumented hot paths stay within the committed
-  perf baselines (enforced by ``benchmarks/bench_sim_speed.py``).
+  context manager and :func:`observe` returns immediately, so
+  instrumented hot paths stay within the committed perf baselines
+  (enforced by ``benchmarks/bench_sim_speed.py``).
 
 Cache hit/miss/eviction *counters* are always on — they pre-date this
 module as bare ints and cost the same — via direct
 :meth:`~repro.obs.metrics.MetricsRegistry.counter` references held by
-the caches themselves. Everything time-based (spans, histograms,
-gauges) is gated.
+the caches themselves. Everything time-based (spans, histograms) is
+gated.
 
 Typical use::
 
@@ -38,16 +38,16 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.errors import ConfigError
 from repro.obs.context import bind_trace, current_trace_id, new_trace_id
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               hit_rates)
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, hit_rates
 from repro.obs.tracer import ENGINE_PID, NULL_SPAN, Span, SpanTracer
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "Span",
+    "Counter", "Histogram", "MetricsRegistry", "Span",
     "SpanTracer", "ENGINE_PID", "metrics", "tracer",
     "enable", "disable", "enabled", "span", "count", "observe",
-    "set_gauge", "snapshot", "reset", "save_snapshot", "load_snapshot",
+    "snapshot", "reset", "save_snapshot", "load_snapshot",
     "format_snapshot", "default_snapshot_path", "hit_rates",
     "bind_trace", "current_trace_id", "new_trace_id",
 ]
@@ -75,13 +75,13 @@ _enabled = os.environ.get(ENV_SWITCH, "").strip().lower() not in (
 
 
 def enable() -> None:
-    """Turn span tracing and histogram/gauge recording on."""
+    """Turn span tracing and histogram recording on."""
     global _enabled
     _enabled = True
 
 
 def disable() -> None:
-    """Turn span tracing and histogram/gauge recording off."""
+    """Turn span tracing and histogram recording off."""
     global _enabled
     _enabled = False
 
@@ -111,12 +111,6 @@ def observe(name: str, value: float) -> None:
     """Record ``value`` in the registry histogram ``name`` (gated)."""
     if _enabled:
         metrics.histogram(name).observe(value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set the registry gauge ``name`` to ``value`` (gated)."""
-    if _enabled:
-        metrics.gauge(name).set(value)
 
 
 # ----------------------------------------------------------------------
@@ -153,16 +147,30 @@ def save_snapshot(path: str | Path | None = None) -> Path:
 
 
 def load_snapshot(path: str | Path | None = None) -> dict[str, Any]:
-    """Read back a snapshot written by :func:`save_snapshot`."""
+    """Read back a snapshot written by :func:`save_snapshot`.
+
+    Raises:
+        FileNotFoundError: No file at ``path``.
+        ConfigError: The file cannot be read, or does not hold a JSON
+            object.
+    """
     path = Path(path) if path is not None else default_snapshot_path()
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        snap = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(
+            f"metrics snapshot {path} cannot be read as JSON: {exc}") from exc
+    if not isinstance(snap, dict):
+        raise ConfigError(f"metrics snapshot {path} is not a JSON object")
+    return snap
 
 
 def format_snapshot(snap: dict[str, Any]) -> str:
     """Human-readable rendering of a snapshot (``repro stats``)."""
     lines: list[str] = []
     counters = snap.get("counters", {})
-    gauges = snap.get("gauges", {})
     histograms = snap.get("histograms", {})
     rates = snap.get("derived", {}).get("hit_rates")
     if rates is None:
@@ -176,10 +184,6 @@ def format_snapshot(snap: dict[str, Any]) -> str:
         lines.append("hit rates")
         for name in sorted(rates):
             lines.append(f"  {name:<42} {100.0 * rates[name]:.1f}%")
-    if gauges:
-        lines.append("gauges")
-        for name in sorted(gauges):
-            lines.append(f"  {name:<42} {gauges[name]:g}")
     if histograms:
         lines.append("histograms (p50 / p90 / p99)")
         for name in sorted(histograms):

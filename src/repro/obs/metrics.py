@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, and histograms.
+"""Process-wide metrics registry: counters and histograms.
 
 The engine's many ad-hoc counters (structure-cache hits, prediction-cache
 hits, per-instance predict counts) historically lived in scattered dicts
@@ -12,7 +12,6 @@ Instruments are deliberately minimal:
 
 * :class:`Counter` — a monotonically increasing count (cache hits,
   plans evaluated, scheduler events);
-* :class:`Gauge` — a last-value-wins measurement (cache entry counts);
 * :class:`Histogram` — a bounded-reservoir distribution with
   count/sum/min/max plus p50/p90/p99 quantiles at snapshot time
   (replay latencies, retime throughput, batch sizes).
@@ -64,32 +63,6 @@ class Counter:
         """Zero the counter (tests and benchmark harnesses)."""
         with self._lock:
             self._value = 0
-
-
-class Gauge:
-    """A named last-value-wins measurement."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> float:
-        """Most recently set value."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Record the current level of the measured quantity."""
-        with self._lock:
-            self._value = float(value)
-
-    def reset(self) -> None:
-        """Return the gauge to zero."""
-        with self._lock:
-            self._value = 0.0
 
 
 class Histogram:
@@ -182,7 +155,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -191,10 +163,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         """The counter registered under ``name`` (created on first use)."""
         return self._instrument(name, self._counters, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under ``name`` (created on first use)."""
-        return self._instrument(name, self._gauges, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         """The histogram registered under ``name`` (created on first use)."""
@@ -206,8 +174,7 @@ class MetricsRegistry:
         with self._lock:
             instrument = table.get(name)
             if instrument is None:
-                for other in (self._counters, self._gauges,
-                              self._histograms):
+                for other in (self._counters, self._histograms):
                     if other is not table and name in other:
                         raise ValueError(
                             f"metric {name!r} already registered as a "
@@ -222,12 +189,10 @@ class MetricsRegistry:
         """JSON-ready view of every instrument's current state."""
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
         return {
             "counters": {name: counters[name].value
                          for name in sorted(counters)},
-            "gauges": {name: gauges[name].value for name in sorted(gauges)},
             "histograms": {name: histograms[name].summary()
                            for name in sorted(histograms)},
         }
@@ -237,7 +202,6 @@ class MetricsRegistry:
         held by hot paths stay valid)."""
         with self._lock:
             instruments = (list(self._counters.values())
-                           + list(self._gauges.values())
                            + list(self._histograms.values()))
         for instrument in instruments:
             instrument.reset()

@@ -13,13 +13,11 @@ concurrent retimes into vectorized sweeps. See
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.daemon import (MetricsHTTPServer, ServeDaemon,
-                                serve_stdio, wait_for_port)
+from repro.serve.daemon import ServeDaemon, serve_stdio, wait_for_port
 from repro.serve.protocol import ProtocolError, RemoteError
 from repro.serve.service import PredictionService
 
 __all__ = [
-    "MetricsHTTPServer", "PredictionService", "ProtocolError",
-    "RemoteError", "ServeClient", "ServeDaemon", "serve_stdio",
-    "wait_for_port",
+    "PredictionService", "ProtocolError", "RemoteError", "ServeClient",
+    "ServeDaemon", "serve_stdio", "wait_for_port",
 ]

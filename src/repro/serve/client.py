@@ -225,24 +225,10 @@ class ServeClient:
         """The daemon's serving metrics (req/s, p50/p99, hit rates)."""
         return self.call("stats")
 
-    def metrics(self, format: str = "snapshot") -> dict[str, Any]:  # noqa: A002
-        """The daemon's full metrics registry (``snapshot`` JSON or
-        ``prometheus`` text exposition)."""
-        return self.call("metrics", {"format": format})
-
-    def healthz(self) -> dict[str, Any]:
-        """Liveness + basic vitals."""
-        return self.call("healthz")
-
-    def timeseries(self, *, sample: bool = False) -> dict[str, Any]:
-        """The daemon's time-series ring (``repro top``'s data source);
-        ``sample=True`` forces a fresh sample first."""
-        params = {"sample": True} if sample else {}
-        return self.call("timeseries", params)
-
-    def slo(self) -> dict[str, Any]:
-        """The daemon's SLO verdict over its configured window."""
-        return self.call("slo")
+    def metrics(self) -> dict[str, Any]:
+        """The daemon's full metrics registry as a snapshot
+        (``repro stats --connect`` prints it)."""
+        return self.call("metrics")
 
     def shutdown(self) -> None:
         """Ask the daemon to stop accepting and exit."""

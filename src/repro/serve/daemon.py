@@ -14,20 +14,10 @@ protocol over stdin/stdout for subprocess embedding (the vLLM-style
 "serving tier as a child process" idiom) — requests are handled
 sequentially in arrival order, which keeps the parent's pipe framing
 trivial. A parent wanting concurrency opens the TCP transport.
-
-``repro serve --metrics-port N`` additionally binds a
-:class:`MetricsHTTPServer` — a minimal stdlib HTTP sidecar serving
-``GET /metrics`` (Prometheus text exposition), ``/healthz``,
-``/timeseries``, and ``/slo`` off the same service, so standard
-scrapers and load-balancer health checks work without speaking
-JSON-RPC. It shares no state with the RPC transports beyond the
-service object itself and stays entirely off the prediction path.
 """
 
 from __future__ import annotations
 
-import http.server
-import json
 import socket
 import socketserver
 import threading
@@ -116,87 +106,6 @@ class ServeDaemon(socketserver.ThreadingTCPServer):
 
     def stop(self) -> None:
         """Stop the accept loop and close the listening socket."""
-        self.shutdown()
-        self.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-            self._serve_thread = None
-
-
-class _MetricsHandler(http.server.BaseHTTPRequestHandler):
-    """GET-only scrape endpoints backed by the prediction service."""
-
-    server: "MetricsHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        service = self.server.service
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        try:
-            if path == "/metrics":
-                payload = service.metrics_payload({"format": "prometheus"})
-                body = payload["text"].encode("utf-8")
-                content_type = payload["content_type"]
-            elif path == "/healthz":
-                body = (json.dumps(service.healthz()) + "\n").encode("utf-8")
-                content_type = "application/json"
-            elif path == "/timeseries":
-                body = (json.dumps(service.timeseries_payload())
-                        + "\n").encode("utf-8")
-                content_type = "application/json"
-            elif path == "/slo":
-                body = (json.dumps(service.slo_status()) + "\n").encode(
-                    "utf-8")
-                content_type = "application/json"
-            else:
-                self.send_error(404, "unknown path (metrics, healthz, "
-                                     "timeseries, slo)")
-                return
-        except Exception as exc:  # noqa: BLE001 - a scrape never crashes
-            self.send_error(500, f"{type(exc).__name__}: {exc}")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # scrapes are periodic; stderr chatter helps no one
-
-
-class MetricsHTTPServer(http.server.ThreadingHTTPServer):
-    """Optional HTTP sidecar for scrapers (``--metrics-port``).
-
-    Args:
-        service: The shared prediction service.
-        host: Bind address (default loopback).
-        port: Bind port; ``0`` picks a free port.
-    """
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, service: PredictionService, *,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        self.service = service
-        super().__init__((host, port), _MetricsHandler)
-        self._serve_thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)``."""
-        return self.socket.getsockname()[:2]
-
-    def start(self) -> None:
-        """Serve scrapes in a background thread."""
-        self._serve_thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve-metrics",
-            daemon=True)
-        self._serve_thread.start()
-
-    def stop(self) -> None:
-        """Stop the scrape listener and close its socket."""
         self.shutdown()
         self.server_close()
         if self._serve_thread is not None:

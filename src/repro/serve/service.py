@@ -46,17 +46,15 @@ dedup/batch decision is stamped onto the job it routed to, and a
 daemon-side wall-clock spans back in the response — including the
 micro-batch queueing interval and, for coalesced followers, the
 leader's trace ID — for the stitcher to merge with the client's spans.
-A background :class:`~repro.obs.timeseries.ServingTimeSeries` sampler
-turns the lifetime ``serve.*`` aggregates into bounded req/s and
-latency history, the :class:`~repro.obs.slo.SLOTracker` evaluates the
-latency/error-budget objectives over that ring, and the ``metrics`` /
-``healthz`` / ``timeseries`` / ``slo`` RPCs (plus the optional HTTP
-scrape listener in :mod:`repro.serve.daemon`) expose all of it.
+The always-on ``serve.*`` instruments have one read path: the ``stats``
+RPC summarises serving health, and the ``metrics`` RPC returns the
+whole registry snapshot (what ``repro stats --connect`` prints).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -76,10 +74,7 @@ from repro.dse.explorer import (DesignPoint, DesignSpaceExplorer,
 from repro.dse.space import SearchSpace
 from repro.errors import ConfigError, InfeasibleConfigError, ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
-from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.stitch import wire_span
-from repro.obs.timeseries import ServingTimeSeries
 from repro.serve import protocol
 from repro.sim.estimator import VTrain
 from repro.workload import (INFERENCE, TRAINING, InferenceWorkload,
@@ -98,6 +93,12 @@ DEFAULT_BATCH_WINDOW_S = 0.002
 DEFAULT_MAX_BATCH = 64
 
 Notify = Callable[[dict[str, Any]], None]
+
+
+class ShuttingDownError(ReproError):
+    """The service is closed and admits no more work (answered with
+    ``SHUTTING_DOWN``, so a client knows to retry elsewhere rather than
+    fix its parameters)."""
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean",
@@ -174,31 +175,37 @@ class PredictionService:
         cache: Persistent prediction cache (a fresh empty one when
             omitted). The caller owns persistence — ``repro serve``
             loads/saves it around the daemon's lifetime.
-        batch_window_s: Bounded delay of one batcher flush; ``0``
-            flushes as soon as the batcher thread wakes.
-        max_batch: Jobs per flush.
+        batch_window_s: Bounded delay of one batcher flush, in seconds
+            (finite, ``>= 0``); ``0`` flushes as soon as the batcher
+            thread wakes.
+        max_batch: Jobs per flush (an integer ``>= 1``).
         default_granularity: Granularity for requests that do not name
             one.
-        sample_interval_s: Cadence of the background time-series
-            sampler; ``0`` disables the thread (the ``timeseries`` RPC
-            can still sample on demand).
-        timeseries_capacity: Samples kept in the time-series ring.
-        slo: Serving objectives the SLO tracker evaluates (defaults to
-            :class:`~repro.obs.slo.SLOConfig`'s defaults).
         access_log: Writable text stream receiving one JSON line per
             dispatched request (method, request/trace IDs, status,
             latency); the caller owns the stream's lifetime.
+
+    Raises:
+        ConfigError: A batcher setting that would hang every predict:
+            ``max_batch`` below 1 or not an integer, or a negative or
+            non-finite ``batch_window_s``.
     """
 
     def __init__(self, *, cache: PredictionCache | None = None,
                  batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  default_granularity: Granularity = Granularity.OPERATOR,
-                 sample_interval_s: float = 1.0,
-                 timeseries_capacity: int | None = None,
-                 slo: SLOConfig | None = None,
                  access_log: TextIO | None = None,
                  ) -> None:
+        # A flush pops min(queued, max_batch) jobs, so 0 never drains
+        # the queue; time.sleep raises OverflowError on an infinite
+        # window, killing the batcher thread.
+        if type(max_batch) is not int or max_batch < 1:
+            raise ConfigError(
+                f"max_batch must be an integer >= 1, got {max_batch!r}")
+        if not (math.isfinite(batch_window_s) and batch_window_s >= 0):
+            raise ConfigError(f"batch_window_s must be finite and >= 0, "
+                              f"got {batch_window_s!r}")
         self.cache = cache if cache is not None else PredictionCache()
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
@@ -237,26 +244,11 @@ class PredictionService:
         self._predict_latency = m.histogram("serve.predict_s")
         self._batch_size = m.histogram("serve.batch.size")
 
-        # Time-series + SLO: history and objectives over the always-on
-        # serve.* instruments above. The sampler runs off the request
-        # path; disabling it (interval 0) leaves on-demand sampling.
-        ts_kwargs: dict[str, Any] = {}
-        if timeseries_capacity is not None:
-            ts_kwargs["capacity"] = timeseries_capacity
-        if sample_interval_s > 0:
-            ts_kwargs["interval_s"] = sample_interval_s
-        self.timeseries = ServingTimeSeries(m, **ts_kwargs)
-        self.slo = SLOTracker(slo if slo is not None else SLOConfig(),
-                              registry=m)
-        if sample_interval_s > 0:
-            self.timeseries.start()
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the sampler and the batcher (after draining its queue)."""
-        self.timeseries.stop()
+        """Stop the batcher (after draining its queue)."""
         with self._wake:
             self._closed = True
             self._wake.notify_all()
@@ -405,7 +397,11 @@ class PredictionService:
             if self._closed:
                 with self._inflight_lock:
                     self._inflight.pop(key, None)
-                raise ReproError("service is shutting down")
+                # Followers that coalesced onto this job before the pop
+                # wait on its latch: refuse them too.
+                job.error = ShuttingDownError("service is shutting down")
+                job.done.set()
+                raise job.error
             self._queue.append(job)
             self._wake.notify()
         return None, job, "computed"
@@ -690,50 +686,17 @@ class PredictionService:
             "prediction_cache": self.cache.stats,
             "structure_cache": structure_cache_stats(),
             "resident_simulators": len(self._vtrains),
-            "slo": self.slo_status(),
         }
 
-    # ------------------------------------------------------------------
-    # Telemetry endpoints
-    # ------------------------------------------------------------------
-    def metrics_payload(self, params: dict[str, Any] | None = None,
-                        ) -> dict[str, Any]:
-        """The ``metrics`` RPC: the full registry, as a JSON snapshot
-        (default) or Prometheus text exposition."""
-        fmt = str((params or {}).get("format", "snapshot"))
-        # Refresh the serve.slo.* gauges so a Prometheus-only consumer
-        # (nothing ever calling the slo RPC) still scrapes live values.
-        self.slo_status()
-        if fmt == "snapshot":
-            return {"format": fmt, "snapshot": obs.snapshot()}
-        if fmt == "prometheus":
-            return {"format": fmt,
-                    "content_type": PROMETHEUS_CONTENT_TYPE,
-                    "text": render_prometheus(obs.snapshot())}
-        raise ConfigError(
-            f"unknown metrics format {fmt!r} (snapshot or prometheus)")
-
-    def healthz(self) -> dict[str, Any]:
-        """Liveness + basic vitals (also ``GET /healthz`` on the HTTP
-        scrape listener)."""
-        return {"ok": True,
-                "uptime_s": time.monotonic() - self.started_at,
-                "requests": self._requests.value,
-                "resident_simulators": len(self._vtrains)}
-
-    def timeseries_payload(self, params: dict[str, Any] | None = None,
-                           ) -> dict[str, Any]:
-        """The ``timeseries`` RPC: the sampler ring (``repro top``'s
-        data source). ``params["sample"]`` forces a fresh sample first
-        — useful when the background sampler is disabled or the caller
-        wants zero staleness."""
-        if (params or {}).get("sample") or not self.timeseries.samples():
-            self.timeseries.sample_now()
-        return self.timeseries.payload()
-
-    def slo_status(self) -> dict[str, Any]:
-        """The SLO verdict over the current time-series window."""
-        return self.slo.evaluate(self.timeseries.samples())
+    def metrics_payload(self, params: dict[str, Any]) -> dict[str, Any]:
+        """The ``metrics`` RPC: the full registry as a JSON snapshot.
+        ``snapshot`` is the only ``format``; any other is refused, so a
+        client asking for another exposition gets an error rather than
+        JSON it did not ask for."""
+        fmt = _param(params, "format", str, "snapshot")
+        if fmt != "snapshot":
+            raise ConfigError(f"unknown metrics format {fmt!r} (snapshot)")
+        return {"format": fmt, "snapshot": obs.snapshot()}
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -781,12 +744,6 @@ class PredictionService:
                     result = self.stats()
                 elif method == "metrics":
                     result = self.metrics_payload(params)
-                elif method == "healthz":
-                    result = self.healthz()
-                elif method == "timeseries":
-                    result = self.timeseries_payload(params)
-                elif method == "slo":
-                    result = self.slo_status()
                 elif method == "shutdown":
                     result = {"ok": True}
                     shutdown = True
@@ -803,6 +760,10 @@ class PredictionService:
                 self._request_errors.increment()
                 response = protocol.error_response(
                     request_id, protocol.INFEASIBLE, str(exc))
+            except ShuttingDownError as exc:
+                self._request_errors.increment()
+                response = protocol.error_response(
+                    request_id, protocol.SHUTTING_DOWN, str(exc))
             except (ConfigError, ReproError) as exc:
                 self._request_errors.increment()
                 response = protocol.error_response(

@@ -220,6 +220,22 @@ class TestStats:
         assert "error:" in err
         assert "--metrics" in err
 
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", None],
+                             ids=["invalid-json", "array", "directory"])
+    def test_stats_bad_snapshot_fails_cleanly(self, tmp_path, capsys,
+                                              content):
+        """Invalid JSON, a non-object and a directory used to end in a
+        traceback; now each names the file."""
+        path = tmp_path / "snap.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        assert main(["stats", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: metrics snapshot")
+        assert str(path) in err
+
 
 class TestExampleAndPresets:
     def test_example_round_trips_through_predict(self, tmp_path, capsys):

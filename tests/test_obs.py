@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs.metrics import (HISTOGRAM_RESERVOIR, Counter, Gauge, Histogram,
+from repro.obs.metrics import (HISTOGRAM_RESERVOIR, Counter, Histogram,
                                MetricsRegistry, hit_rates)
 from repro.obs.tracer import ENGINE_PID, NULL_SPAN, SpanTracer
 
@@ -41,20 +41,6 @@ class TestCounter:
         counter.increment(7)
         counter.reset()
         assert counter.value == 0
-
-
-class TestGauge:
-    def test_last_value_wins(self):
-        gauge = Gauge("g")
-        gauge.set(3.5)
-        gauge.set(1.25)
-        assert gauge.value == 1.25
-
-    def test_reset(self):
-        gauge = Gauge("g")
-        gauge.set(9)
-        gauge.reset()
-        assert gauge.value == 0.0
 
 
 class TestHistogram:
@@ -120,8 +106,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("a.b")
         with pytest.raises(ValueError, match="different instrument type"):
-            registry.gauge("a.b")
-        with pytest.raises(ValueError):
             registry.histogram("a.b")
 
     def test_empty_name_rejected(self):
@@ -132,12 +116,11 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("z.count").increment(2)
         registry.counter("a.count").increment(1)
-        registry.gauge("g.level").set(0.5)
         registry.histogram("h.lat").observe(1.0)
         snap = registry.snapshot()
+        assert list(snap) == ["counters", "histograms"]
         assert list(snap["counters"]) == ["a.count", "z.count"]
         assert snap["counters"]["z.count"] == 2
-        assert snap["gauges"]["g.level"] == 0.5
         assert snap["histograms"]["h.lat"]["count"] == 1
 
     def test_reset_keeps_registrations(self):
@@ -177,19 +160,13 @@ class TestGlobalSwitch:
         assert spans[0].category == "test"
         assert spans[0].tags == {"plan": "t2 d2 p2", "extra": 1}
 
-    def test_observe_and_gauge_are_gated(self, clean_obs):
+    def test_observe_is_gated(self, clean_obs):
         obs.disable()
         obs.observe("test.lat", 1.0)
-        obs.set_gauge("test.level", 5.0)
-        snap = obs.snapshot()
-        assert "test.lat" not in snap["histograms"]
-        assert "test.level" not in snap["gauges"]
+        assert "test.lat" not in obs.snapshot()["histograms"]
         obs.enable()
         obs.observe("test.lat", 1.0)
-        obs.set_gauge("test.level", 5.0)
-        snap = obs.snapshot()
-        assert snap["histograms"]["test.lat"]["count"] == 1
-        assert snap["gauges"]["test.level"] == 5.0
+        assert obs.snapshot()["histograms"]["test.lat"]["count"] == 1
 
     def test_count_is_always_on(self, clean_obs):
         obs.disable()

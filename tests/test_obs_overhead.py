@@ -42,8 +42,6 @@ class TestDisabledRecordsNothing:
         snap = obs.snapshot()
         assert snap["spans_recorded"] == 0
         assert all(h["count"] == 0 for h in snap["histograms"].values())
-        assert snap["gauges"] == {} or all(
-            v == 0.0 for v in snap["gauges"].values())
 
     def test_disabled_span_is_one_shared_object(self, clean_obs):
         obs.disable()

@@ -2,10 +2,9 @@
 
 Unit coverage for the request-scoped pieces the serving tier composes:
 trace-ID context propagation, the tracer's bounded span ring (with the
-``obs.spans.dropped`` self-accounting counter), the Prometheus text
-renderer, the time-series sampler, the SLO tracker's error-budget
-arithmetic, and the cross-process trace stitcher. The serve-level
-integration of all of these lives in ``tests/test_serve_telemetry.py``.
+``obs.spans.dropped`` self-accounting counter), and the cross-process
+trace stitcher. The serve-level integration of all of these lives in
+``tests/test_serve_telemetry.py``.
 """
 
 from __future__ import annotations
@@ -18,13 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.prometheus import (PROMETHEUS_CONTENT_TYPE, metric_name,
-                                  render_prometheus)
 from repro.obs.schema import validate
-from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.stitch import stitch_trace, wire_span
-from repro.obs.timeseries import ServingTimeSeries
 from repro.obs.tracer import SpanTracer
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -147,180 +141,6 @@ class TestSpanRing:
             SpanTracer()
         assert "REPRO_OBS_MAX_SPANS" in str(excinfo.value)
         assert repr(raw) in str(excinfo.value)
-
-
-# ---------------------------------------------------------------------------
-# Prometheus rendering
-# ---------------------------------------------------------------------------
-class TestPrometheus:
-    def test_metric_name_sanitisation(self):
-        assert metric_name("serve.requests") == "repro_serve_requests"
-        assert metric_name("serve.p99-ms") == "repro_serve_p99_ms"
-        assert metric_name("9lives") == "repro__9lives"
-
-    def test_render_counters_gauges_histograms(self):
-        registry = MetricsRegistry()
-        registry.counter("serve.requests").increment(3)
-        registry.gauge("serve.slo.burn_rate").set(0.25)
-        for value in (0.1, 0.2, 0.3):
-            registry.histogram("serve.predict_s").observe(value)
-        snap = registry.snapshot()
-        text = render_prometheus(snap)
-        assert "# TYPE repro_serve_requests counter" in text
-        assert "repro_serve_requests 3" in text
-        assert "# TYPE repro_serve_slo_burn_rate gauge" in text
-        assert "# TYPE repro_serve_predict_s summary" in text
-        assert 'repro_serve_predict_s{quantile="0.99"}' in text
-        assert "repro_serve_predict_s_count 3" in text
-        assert text.endswith("\n")
-
-    def test_derived_hit_rates_render_as_gauges(self):
-        registry = MetricsRegistry()
-        registry.counter("cache.hits").increment(3)
-        registry.counter("cache.misses").increment(1)
-        snap = registry.snapshot()
-        snap["derived"] = {"hit_rates": {"cache.hit_rate": 0.75}}
-        text = render_prometheus(snap)
-        assert "# TYPE repro_cache_hit_rate gauge" in text
-        assert "repro_cache_hit_rate 0.75" in text
-
-    def test_content_type_pins_exposition_version(self):
-        assert "version=0.0.4" in PROMETHEUS_CONTENT_TYPE
-
-
-# ---------------------------------------------------------------------------
-# Time series
-# ---------------------------------------------------------------------------
-class TestTimeSeries:
-    def test_windowed_rates_between_samples(self):
-        registry = MetricsRegistry()
-        series = ServingTimeSeries(registry, capacity=10)
-        registry.counter("serve.requests").increment(10)
-        series.sample_now()
-        registry.counter("serve.requests").increment(20)
-        time.sleep(0.02)
-        sample = series.sample_now()
-        assert sample["requests"] == 30
-        assert sample["req_per_s"] > 0
-        # First sample has no previous window: rate pinned to zero.
-        assert series.samples()[0]["req_per_s"] == 0.0
-
-    def test_ring_eviction_counts(self):
-        registry = MetricsRegistry()
-        series = ServingTimeSeries(registry, capacity=3)
-        for _ in range(5):
-            series.sample_now()
-        assert len(series.samples()) == 3
-        assert registry.counter("obs.ts.evicted").value == 2
-        assert registry.counter("obs.ts.samples").value == 5
-
-    def test_cache_hit_rate_and_batch_mean(self):
-        registry = MetricsRegistry()
-        series = ServingTimeSeries(registry, capacity=10)
-        series.sample_now()
-        registry.counter("serve.requests.predict").increment(4)
-        registry.counter("serve.cache.served").increment(2)
-        registry.counter("serve.dedup.coalesced").increment(1)
-        registry.counter("serve.batch.jobs").increment(6)
-        registry.counter("serve.batch.flushes").increment(2)
-        sample = series.sample_now()
-        assert sample["cache_hit_rate"] == pytest.approx(0.75)
-        assert sample["batch_mean"] == pytest.approx(3.0)
-
-    def test_background_sampler_thread(self):
-        registry = MetricsRegistry()
-        series = ServingTimeSeries(registry, capacity=50, interval_s=0.01)
-        series.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            while (len(series.samples()) < 3
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-        finally:
-            series.stop()
-        assert len(series.samples()) >= 3
-        series.stop()  # idempotent
-
-    def test_payload_matches_schema(self):
-        registry = MetricsRegistry()
-        series = ServingTimeSeries(registry, capacity=5)
-        series.sample_now()
-        series.sample_now()
-        validate(series.payload(), load_schema("obs_timeseries.schema.json"))
-
-
-# ---------------------------------------------------------------------------
-# SLO tracking
-# ---------------------------------------------------------------------------
-def _sample(t: float, requests: int, errors: int,
-            p99: float) -> dict:
-    return {"t_unix": t, "requests": requests, "errors": errors,
-            "p99_s": p99}
-
-
-class TestSLO:
-    def test_healthy_window(self):
-        tracker = SLOTracker(SLOConfig(latency_objective_s=0.25,
-                                       availability_objective=0.999,
-                                       window_s=600.0))
-        verdict = tracker.evaluate([
-            _sample(0.0, 0, 0, 0.01),
-            _sample(60.0, 1000, 0, 0.02),
-        ])
-        assert verdict["latency"]["ok"]
-        assert verdict["availability"]["ok"]
-        assert verdict["error_budget"]["remaining"] == pytest.approx(1.0)
-        assert verdict["error_budget"]["burn_rate"] == pytest.approx(0.0)
-
-    def test_burn_rate_of_exactly_on_budget(self):
-        tracker = SLOTracker(SLOConfig(availability_objective=0.99))
-        verdict = tracker.evaluate([
-            _sample(0.0, 0, 0, 0.0),
-            _sample(60.0, 1000, 10, 0.0),  # 1% errors vs 1% allowed
-        ])
-        assert verdict["error_budget"]["burn_rate"] == pytest.approx(1.0)
-        assert verdict["error_budget"]["consumed"] == pytest.approx(1.0)
-
-    def test_latency_violation(self):
-        tracker = SLOTracker(SLOConfig(latency_objective_s=0.1))
-        verdict = tracker.evaluate([
-            _sample(0.0, 0, 0, 0.05),
-            _sample(1.0, 10, 0, 0.5),
-        ])
-        assert not verdict["latency"]["ok"]
-        assert verdict["latency"]["p99_s"] == 0.5
-
-    def test_window_excludes_old_samples(self):
-        tracker = SLOTracker(SLOConfig(window_s=100.0))
-        verdict = tracker.evaluate([
-            _sample(0.0, 0, 0, 9.9),       # outside the window
-            _sample(1000.0, 500, 0, 0.01),
-            _sample(1060.0, 600, 0, 0.01),
-        ])
-        assert verdict["window"]["samples"] == 2
-        assert verdict["window"]["requests"] == 100
-        assert verdict["latency"]["ok"]
-
-    def test_empty_ring_is_healthy_no_data(self):
-        tracker = SLOTracker(SLOConfig())
-        verdict = tracker.evaluate([])
-        assert verdict["window"]["samples"] == 0
-        assert verdict["latency"]["ok"]
-        assert verdict["error_budget"]["remaining"] == 1.0
-
-    def test_gauges_published_on_registry(self):
-        registry = MetricsRegistry()
-        tracker = SLOTracker(SLOConfig(availability_objective=0.9),
-                             registry=registry)
-        tracker.evaluate([
-            _sample(0.0, 0, 0, 0.0),
-            _sample(1.0, 100, 20, 0.0),  # 20% errors vs 10% allowed
-        ])
-        assert registry.gauge("serve.slo.burn_rate").value == pytest.approx(
-            2.0)
-        assert registry.gauge(
-            "serve.slo.error_budget_remaining").value == pytest.approx(0.0)
-        assert registry.gauge("serve.slo.latency_ok").value == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ from repro.obs.schema import SchemaError, validate
 
 REPO_ROOT = Path(__file__).parent.parent
 SCHEMA_DIR = REPO_ROOT / "schemas"
-BENCH_STORE = REPO_ROOT / "benchmarks" / "results" / "BENCH_sim_speed.json"
+RESULTS = REPO_ROOT / "benchmarks" / "results"
+BENCH_STORE = RESULTS / "BENCH_sim_speed.json"
+#: Every committed perf store: the baselines CI's bench gates read.
+COMMITTED_STORES = [RESULTS / f"BENCH_{name}.json" for name in (
+    "inference_dse", "serve_telemetry", "service_throughput", "sim_speed")]
 
 
 def load_schema(name: str) -> dict:
@@ -121,8 +125,10 @@ class TestValidateArtifactsScript:
         with pytest.raises(SchemaError):
             tool.schema_for({"unrelated": 1})
 
-    def test_main_accepts_committed_store(self, tool, capsys):
-        assert tool.main([str(BENCH_STORE)]) == 0
+    @pytest.mark.parametrize("store", COMMITTED_STORES,
+                             ids=[path.stem for path in COMMITTED_STORES])
+    def test_main_accepts_committed_store(self, tool, capsys, store):
+        assert tool.main([str(store)]) == 0
         assert "ok" in capsys.readouterr().out
 
     def test_main_fails_on_invalid_file(self, tool, tmp_path, capsys):

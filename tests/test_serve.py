@@ -17,6 +17,8 @@ The load-bearing claims under test:
 from __future__ import annotations
 
 import io
+import json
+import math
 import threading
 
 import pytest
@@ -24,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.cli import main
 from repro.config.description import InputDescription
 from repro.config.model import ModelConfig
 from repro.config.parallelism import (ParallelismConfig, RecomputeMode,
@@ -31,12 +34,13 @@ from repro.config.parallelism import (ParallelismConfig, RecomputeMode,
 from repro.config.system import single_node
 from repro.dse.cache import PredictionCache, fingerprint
 from repro.dse.explorer import DesignPoint, DesignSpaceExplorer
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.graph.builder import (Granularity, clear_structure_cache,
                                  structure_cache_get, structure_cache_put,
                                  structure_cache_stats)
 from repro.serve import (PredictionService, RemoteError, ServeClient,
                          ServeDaemon, protocol, serve_stdio)
+from repro.serve.service import ShuttingDownError
 from repro.sim.estimator import VTrain
 
 
@@ -299,16 +303,95 @@ class TestServiceErrors:
             svc.predict({"description": tiny_description().to_dict()})
 
 
+class TestLifecycle:
+    def test_follower_of_a_refused_leader_is_refused_too(self, monkeypatch):
+        """A request that coalesces onto a leader which the closed
+        service then refuses gets the same refusal; it used to wait on
+        a job that was never queued, forever."""
+        svc = PredictionService()
+        svc.close()
+        description = tiny_description()
+        follower = {}
+        wake = svc._wake
+
+        class FollowerArrivesFirst:
+            """Admits a follower once the leader's job is in flight but
+            before the leader checks for shutdown."""
+
+            def __enter__(self):
+                follower["admission"] = svc._admit(
+                    description, Granularity.OPERATOR, 1)
+                return wake.__enter__()
+
+            def __exit__(self, *exc):
+                return wake.__exit__(*exc)
+
+        monkeypatch.setattr(svc, "_wake", FollowerArrivesFirst())
+        with pytest.raises(ShuttingDownError):
+            svc._admit(description, Granularity.OPERATOR, 1)
+        _, job, source = follower["admission"]
+        assert source == "coalesced"
+        assert job.done.wait(timeout=5.0)
+        assert isinstance(job.error, ShuttingDownError)
+
+    def test_starts_only_the_batcher_and_close_joins_it(self):
+        before = set(threading.enumerate())
+        svc = PredictionService()
+        started = [t for t in threading.enumerate() if t not in before]
+        svc.close()
+        assert [t.name for t in started] == ["repro-serve-batcher"]
+        assert not started[0].is_alive()
+
+    @pytest.mark.parametrize("name,value", [
+        ("max_batch", 0), ("max_batch", -1), ("max_batch", True),
+        ("max_batch", 2.0), ("batch_window_s", math.inf),
+        ("batch_window_s", math.nan), ("batch_window_s", -0.001),
+    ])
+    def test_settings_that_would_hang_are_rejected(self, name, value):
+        """``max_batch=0`` never drained the queue, and an infinite
+        window killed the batcher thread (``time.sleep`` overflow): every
+        predict hung. NaN and negative windows silently acted as 0."""
+        with pytest.raises(ConfigError, match=name):
+            PredictionService(**{name: value})
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-batch", "0"), ("--batch-window-ms", "inf"),
+        ("--batch-window-ms", "nan"),
+    ])
+    def test_serve_cli_rejects_them_at_startup(self, monkeypatch, capsys,
+                                              flag, value):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO()))
+        assert main(["serve", "--stdio", flag, value]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestDispatch:
     def test_ping(self, service):
         response, shutdown = service.dispatch(
             protocol.request(1, "ping"), lambda note: None)
         assert response["result"] == {"ok": True} and not shutdown
 
-    def test_unknown_method_maps_to_method_not_found(self, service):
+    @pytest.mark.parametrize("method", ["frobnicate", "healthz",
+                                        "timeseries", "slo"])
+    def test_unknown_method_maps_to_method_not_found(self, service, method):
         response, _ = service.dispatch(
-            protocol.request(2, "frobnicate"), lambda note: None)
+            protocol.request(2, method), lambda note: None)
         assert response["error"]["code"] == protocol.METHOD_NOT_FOUND
+
+    @pytest.mark.parametrize("method", ["predict", "predict_batch"])
+    def test_refused_admission_answers_shutting_down(self, method):
+        """A closed service's refusal says "retry elsewhere", not
+        INVALID_PARAMS, on the wire and in the access log."""
+        sink = io.StringIO()
+        svc = PredictionService(batch_window_s=0.0, access_log=sink)
+        svc.close()
+        params = {"description": tiny_description().to_dict()}
+        if method == "predict_batch":
+            params = {"requests": [params]}
+        response, _ = svc.dispatch(protocol.request(1, method, params),
+                                   lambda note: None)
+        assert response["error"]["code"] == protocol.SHUTTING_DOWN
+        assert json.loads(sink.getvalue())["code"] == protocol.SHUTTING_DOWN
 
     def test_malformed_request_maps_to_invalid_request(self, service):
         response, _ = service.dispatch({"jsonrpc": "2.0", "id": 3},
@@ -405,6 +488,7 @@ BASE_PARAMS = {
     "predict": {"preset": "megatron-1.7b", "granularity": "stage"},
     "predict_batch": {"requests": []},
     "dse": {"model": "megatron-1.7b", "num_gpus": 8, "global_batch": 16},
+    "metrics": {},
 }
 #: Every documented parameter and the JSON type it accepts.
 PARAMS = [
@@ -420,6 +504,7 @@ PARAMS = [
     ("dse", "micro_batches", list), ("dse", "virtual_stages", list),
     ("dse", "gpus_per_node", int), ("dse", "zero_stage", int),
     ("dse", "top", int), ("dse", "include_points", bool),
+    ("metrics", "format", str),
 ]
 
 

@@ -10,10 +10,8 @@ The load-bearing claims under test:
   and daemon as two processes, flow events across the RPC boundary,
   micro-batch queueing visible — that round-trips through
   ``schemas/chrome_trace.schema.json``;
-* the ``metrics``/``healthz``/``timeseries``/``slo`` RPCs, the HTTP
-  scrape listener, the JSON access log, and the ``repro stats
-  --connect`` / ``repro top`` CLI surfaces all read the same
-  instruments.
+* the ``metrics`` RPC and ``repro stats --connect`` read the live
+  registry, and the JSON access log records every request.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import io
 import json
 import threading
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -35,8 +32,8 @@ from repro.config.system import single_node
 from repro.graph.builder import clear_structure_cache
 from repro.obs.schema import validate
 from repro.obs.stitch import stitch_trace
-from repro.serve import (MetricsHTTPServer, PredictionService, RemoteError,
-                         ServeClient, ServeDaemon, protocol)
+from repro.serve import (PredictionService, RemoteError, ServeClient,
+                         ServeDaemon, protocol)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -56,7 +53,7 @@ def clean_slate():
 
 @pytest.fixture
 def service():
-    svc = PredictionService(batch_window_s=0.001, sample_interval_s=0.0)
+    svc = PredictionService(batch_window_s=0.001)
     yield svc
     svc.close()
 
@@ -147,8 +144,7 @@ class TestTracePropagation:
     def test_coalesced_followers_report_the_leaders_trace_id(self):
         """A dedup burst: every coalesced follower's response names the
         leader's trace ID as the computation that served it."""
-        service = PredictionService(batch_window_s=0.05,
-                                    sample_interval_s=0.0)
+        service = PredictionService(batch_window_s=0.05)
         try:
             description = tiny_description()
             burst = 6
@@ -269,100 +265,14 @@ class TestTelemetryRPCs:
         assert payload["format"] == "snapshot"
         assert payload["snapshot"]["counters"]["serve.requests"] >= 1
 
-    def test_metrics_prometheus_format(self, daemon):
-        with ServeClient.connect(*daemon.address) as client:
-            client.ping()
-            payload = client.metrics(format="prometheus")
-        assert payload["content_type"].startswith("text/plain")
-        assert "# TYPE repro_serve_requests counter" in payload["text"]
-        # The scrape itself refreshes the SLO gauges: a Prometheus-only
-        # consumer must never see stale zeros.
-        assert "repro_serve_slo_latency_ok 1.0" in payload["text"]
-        assert "repro_serve_slo_error_budget_remaining 1.0" in payload["text"]
-
-    def test_metrics_unknown_format_rejected(self, daemon):
+    @pytest.mark.parametrize("fmt", ["xml", "prometheus"])
+    def test_metrics_unknown_format_rejected(self, daemon, fmt):
+        """``snapshot`` is the only format: a client asking for another
+        exposition gets an error, never JSON it did not ask for."""
         with ServeClient.connect(*daemon.address) as client:
             with pytest.raises(RemoteError) as excinfo:
-                client.metrics(format="xml")
+                client.call("metrics", {"format": fmt})
         assert excinfo.value.code == protocol.INVALID_PARAMS
-
-    def test_healthz(self, daemon):
-        with ServeClient.connect(*daemon.address) as client:
-            health = client.healthz()
-        assert health["ok"] is True
-        assert health["uptime_s"] >= 0.0
-
-    def test_timeseries_on_demand_sample(self, daemon):
-        with ServeClient.connect(*daemon.address) as client:
-            client.predict(description=tiny_description().to_dict(),
-                           granularity="stage")
-            ring = client.timeseries(sample=True)
-        assert ring["kind"] == "obs_timeseries"
-        validate(ring, load_schema("obs_timeseries.schema.json"))
-        assert ring["samples"][-1]["requests"] >= 1
-
-    def test_slo_rpc_shape(self, daemon):
-        with ServeClient.connect(*daemon.address) as client:
-            client.timeseries(sample=True)
-            verdict = client.slo()
-        assert verdict["latency"]["objective_s"] > 0
-        assert 0.0 <= verdict["error_budget"]["remaining"] <= 1.0
-
-    def test_stats_carries_slo(self, daemon):
-        with ServeClient.connect(*daemon.address) as client:
-            stats = client.stats()
-        assert "slo" in stats
-        assert "error_budget" in stats["slo"]
-
-
-# ---------------------------------------------------------------------------
-# HTTP scrape listener
-# ---------------------------------------------------------------------------
-class TestHTTPListener:
-    @pytest.fixture
-    def scraper(self, service):
-        server = MetricsHTTPServer(service, port=0)
-        server.start()
-        yield server
-        server.stop()
-
-    def _get(self, scraper, path):
-        host, port = scraper.address
-        with urllib.request.urlopen(f"http://{host}:{port}{path}",
-                                    timeout=10.0) as response:
-            return (response.status,
-                    response.headers.get("Content-Type", ""),
-                    response.read().decode("utf-8"))
-
-    def test_metrics_scrape(self, service, scraper):
-        service.predict(predict_params(tiny_description()))
-        status, content_type, body = self._get(scraper, "/metrics")
-        assert status == 200
-        assert content_type.startswith("text/plain")
-        assert "repro_serve_requests_predict 1" in body
-        assert "repro_serve_slo_burn_rate" in body
-
-    def test_healthz_scrape(self, scraper):
-        status, content_type, body = self._get(scraper, "/healthz")
-        assert status == 200
-        assert content_type == "application/json"
-        assert json.loads(body)["ok"] is True
-
-    def test_timeseries_and_slo_scrapes(self, scraper):
-        status, _, body = self._get(scraper, "/timeseries")
-        assert status == 200
-        validate(json.loads(body),
-                 load_schema("obs_timeseries.schema.json"))
-        status, _, body = self._get(scraper, "/slo")
-        assert status == 200
-        assert "error_budget" in json.loads(body)
-
-    def test_unknown_path_is_404(self, scraper):
-        host, port = scraper.address
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"http://{host}:{port}/nope",
-                                   timeout=10.0)
-        assert excinfo.value.code == 404
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +281,7 @@ class TestHTTPListener:
 class TestAccessLog:
     def test_one_json_line_per_request(self):
         sink = io.StringIO()
-        service = PredictionService(batch_window_s=0.001,
-                                    sample_interval_s=0.0,
-                                    access_log=sink)
+        service = PredictionService(batch_window_s=0.001, access_log=sink)
         try:
             service.dispatch(protocol.request(1, "ping"), no_notify,
                              peer="10.0.0.9:1234")
@@ -399,9 +307,7 @@ class TestAccessLog:
 
     def test_torn_log_sink_never_fails_the_request(self):
         sink = io.StringIO()
-        service = PredictionService(batch_window_s=0.001,
-                                    sample_interval_s=0.0,
-                                    access_log=sink)
+        service = PredictionService(batch_window_s=0.001, access_log=sink)
         try:
             sink.close()  # writes now raise ValueError
             response, _ = service.dispatch(protocol.request(1, "ping"),
@@ -431,17 +337,24 @@ class TestCLI:
         assert f"live daemon      : {host}:{port}" in out
         assert "serve.requests" in out
 
-    def test_top_renders_frames(self, daemon, capsys):
-        host, port = daemon.address
-        with ServeClient.connect(host, port) as client:
-            client.predict(description=tiny_description().to_dict(),
-                           granularity="stage")
-        assert main(["top", "--connect", f"{host}:{port}",
-                     "--interval", "0.01", "--iterations", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("repro top —") == 2
-        assert "req/s" in out
-        assert "SLO:" in out
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--stdio", "--metrics-port", "0"],
+        ["serve", "--stdio", "--sample-interval", "1"],
+        ["serve", "--stdio", "--slo-latency-ms", "250"],
+        ["serve", "--stdio", "--slo-availability", "0.999"],
+        ["serve", "--stdio", "--slo-window", "600"],
+        ["top", "--connect", "127.0.0.1:7915"],
+    ], ids=["metrics-port", "sample-interval", "slo-latency-ms",
+            "slo-availability", "slo-window", "top"])
+    def test_retired_dashboard_surface_fails_like_any_unknown_one(
+            self, argv, capsys):
+        """No compatibility shims: the retired flags and ``repro top``
+        are rejected by the argument parser before anything starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
     def test_predict_connect_trace_writes_stitched_file(
             self, daemon, tmp_path, capsys, restore_obs):
