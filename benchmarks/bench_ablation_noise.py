@@ -16,10 +16,9 @@ itself), so the sweep also exercises the measurement path end to end.
 """
 
 import dataclasses
-import os
 import statistics
 
-from _helpers import emit_table
+from _helpers import QUICK, emit_table
 
 from repro.sim.estimator import VTrain
 from repro.testbed.emulator import TestbedConfig, TestbedEmulator
@@ -27,7 +26,6 @@ from repro.validation.campaigns import single_node_points
 
 JITTERS = (0.0, 0.02, 0.05, 0.10)
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 NUM_SAMPLES = 8 if QUICK else 16
 NUM_POINTS = 3 if QUICK else 6
 

@@ -14,7 +14,7 @@ Set ``REPRO_BENCH_QUICK=1`` to shrink the swept space for CI smoke runs.
 import os
 import time
 
-from _helpers import emit_table
+from _helpers import QUICK, emit_table
 
 from repro.config.presets import MEGATRON_7_5B
 from repro.config.parallelism import TrainingConfig
@@ -22,8 +22,6 @@ from repro.dse.cache import PredictionCache
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.space import SearchSpace
 from repro.graph.builder import structure_cache_stats
-
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 TRAINING = TrainingConfig(global_batch_size=128)
 SPACE = (SearchSpace(max_tensor=8, max_data=8, max_pipeline=6,

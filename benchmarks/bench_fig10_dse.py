@@ -13,16 +13,12 @@ grid that still contains the paper's baseline (8, 8, 35) and the extreme
 corner (16, 16, 105), so the shape checks run in seconds.
 """
 
-import os
-
-from _helpers import emit_table
+from _helpers import QUICK, emit_table
 
 from repro.config.presets import MT_NLG_530B, MT_NLG_TRAINING
 from repro.config.parallelism import ParallelismConfig
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.space import GridAxes
-
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 #: Subsampled grid for the CI smoke lane: keeps the baseline-class plans
 #: and the extreme corner, drops the interior.

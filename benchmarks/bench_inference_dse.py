@@ -26,12 +26,8 @@ timing rounds; the model stays GPT-3-sized so the gate measures the
 real workload).
 """
 
-import json
-import os
-import time
-from pathlib import Path
-
-from _helpers import committed_baseline, emit_table
+from _helpers import (QUICK, RESULTS_DIR, Bound, Trajectory, emit_table,
+                      load_store, save_store, timed)
 
 from repro.config.parallelism import ParallelismConfig
 from repro.config.presets import GPT3_175B
@@ -42,57 +38,22 @@ from repro.graph.builder import Granularity, clear_structure_cache
 from repro.sim.estimator import VTrain
 from repro.workload import InferenceWorkload
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-BENCH_FILE = Path(__file__).parent / "results" / "BENCH_inference_dse.json"
-BENCH_SCHEMA = 1
+BENCH_FILE = RESULTS_DIR / "BENCH_inference_dse.json"
 #: Allowed regression vs the committed baseline's warm/cold ratio.
 REGRESSION_HEADROOM = 1.25
 #: Minimum speedup of a warm (structure-cached) predict_inference over
 #: a cold one that compiles both phase graphs.
 MIN_WARM_SPEEDUP = 2.0
-#: Keep the gated trajectory bounded.
-TRAJECTORY_LIMIT = 50
 
 WORKLOAD = InferenceWorkload(batch_size=16, prompt_len=512, gen_len=128)
 #: Warm-gate plan: TP across one node, two pipeline stages (16 GPUs).
 GATE_PLAN = ParallelismConfig(tensor=8, data=1, pipeline=2,
                               micro_batch_size=16)
 
-
-def _load_store():
-    if not BENCH_FILE.exists():
-        return {"benchmark": "inference_dse", "schema": BENCH_SCHEMA,
-                "sweep": {}, "gates": {}}
-    payload = json.loads(BENCH_FILE.read_text())
-    if payload.get("schema") != BENCH_SCHEMA:
-        return {"benchmark": "inference_dse", "schema": BENCH_SCHEMA,
-                "sweep": {}, "gates": {}}
-    payload.setdefault("sweep", {})
-    payload.setdefault("gates", {})
-    return payload
-
-
-def _save_store(store) -> None:
-    BENCH_FILE.parent.mkdir(exist_ok=True)
-    BENCH_FILE.write_text(json.dumps(store, indent=1) + "\n")
-
-
-def _record_gate(gate_name, defaults, entry) -> None:
-    """Append a passing entry, always keeping ``entries[0]`` — the
-    committed baseline the regression gate compares against."""
-    store = _load_store()
-    section = store["gates"].setdefault(gate_name,
-                                        defaults | {"entries": []})
-    tail = section["entries"][1:] + [entry]
-    section["entries"] = (section["entries"][:1]
-                          + tail[-(TRAJECTORY_LIMIT - 1):])
-    _save_store(store)
-
-
-def _gate_baseline(gate_name):
-    section = _load_store()["gates"].get(gate_name, {})
-    return committed_baseline(section.get("entries", []), BENCH_FILE,
-                              gate_name)
+WARM_DECODE = Trajectory(BENCH_FILE, "warm_decode", (
+    Bound("speedup", floor=MIN_WARM_SPEEDUP),
+    Bound("warm_over_cold", "lower", headroom=REGRESSION_HEADROOM),
+))
 
 
 def test_inference_dse_sweep_writes_store():
@@ -143,7 +104,7 @@ def test_inference_dse_sweep_writes_store():
                      "TP buys TPOT at a worse cost rate, replicas buy "
                      "tokens/s at an unchanged rate")
 
-    store = _load_store()
+    store = load_store(BENCH_FILE)
     store["sweep"] = {
         "quick": QUICK,
         "model": GPT3_175B.name,
@@ -155,7 +116,7 @@ def test_inference_dse_sweep_writes_store():
         "feasible": result.num_feasible,
         "pareto": pareto_rows,
     }
-    _save_store(store)
+    save_store(BENCH_FILE, store)
 
 
 def test_warm_decode_predict_latency_gate():
@@ -165,10 +126,10 @@ def test_warm_decode_predict_latency_gate():
     vtrain = VTrain(system, granularity=Granularity.OPERATOR)
 
     clear_structure_cache()
-    cold_s = _timed(lambda: vtrain.predict_inference(GPT3_175B, GATE_PLAN,
-                                                     WORKLOAD))
+    cold_s = timed(lambda: vtrain.predict_inference(GPT3_175B, GATE_PLAN,
+                                                    WORKLOAD))
     prediction = vtrain.predict_inference(GPT3_175B, GATE_PLAN, WORKLOAD)
-    warm_s = min(_timed(lambda: vtrain.predict_inference(
+    warm_s = min(timed(lambda: vtrain.predict_inference(
         GPT3_175B, GATE_PLAN, WORKLOAD)) for _ in range(rounds))
 
     speedup = cold_s / warm_s
@@ -182,7 +143,7 @@ def test_warm_decode_predict_latency_gate():
         "warm_over_cold": round(ratio, 6),
     }
 
-    baseline = _gate_baseline("warm_decode")
+    baseline = WARM_DECODE.baseline()
     emit_table("inference_dse_warm",
                "Warm decode predict: structure cache vs phase compile",
                [entry | {"baseline_ratio": baseline["warm_over_cold"]}],
@@ -190,25 +151,5 @@ def test_warm_decode_predict_latency_gate():
                      "two compiled replays on the cached prefill/decode "
                      "structures; cold compiles both phase graphs")
 
-    assert speedup >= MIN_WARM_SPEEDUP, (
-        f"warm predict_inference only {speedup:.2f}x faster than a cold "
-        f"compile (need >= {MIN_WARM_SPEEDUP}x)")
-    limit = baseline["warm_over_cold"] * REGRESSION_HEADROOM
-    assert ratio <= limit, (
-        f"warm decode-predict latency regressed: warm/cold "
-        f"{ratio:.4f} exceeds committed baseline "
-        f"{baseline['warm_over_cold']} by more than "
-        f"{REGRESSION_HEADROOM}x")
-
-    # Record only passing runs.
-    _record_gate("warm_decode",
-                 {"gated_metric": "warm_over_cold",
-                  "min_speedup": MIN_WARM_SPEEDUP,
-                  "regression_headroom": REGRESSION_HEADROOM},
-                 entry)
-
-
-def _timed(thunk):
-    tick = time.perf_counter()
-    thunk()
-    return time.perf_counter() - tick
+    WARM_DECODE.check(baseline, speedup=speedup, warm_over_cold=ratio)
+    WARM_DECODE.record(entry)

@@ -14,9 +14,7 @@ fat-tree topology models of :mod:`repro.network` on two axes:
 Set ``REPRO_BENCH_QUICK=1`` to shrink both sweeps for CI smoke runs.
 """
 
-import os
-
-from _helpers import emit_table
+from _helpers import QUICK, emit_table
 
 from repro.config.presets import (MT_NLG_530B, MT_NLG_BASELINE_PLANS,
                                   MT_NLG_TRAINING)
@@ -25,8 +23,6 @@ from repro.graph.builder import Granularity
 from repro.hardware.interconnect import LinkType
 from repro.network.model import nccl_model_for
 from repro.sim.estimator import VTrain
-
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 MIB = float(1 << 20)
 NETWORKS = (("flat", "flat ring (Eq. 1)"), ("rail", None),

@@ -14,6 +14,7 @@ and gates the cost:
   ``benchmarks/results/OBS_serve_trace.json``.
 
   Two gates, both against the committed baseline (``entries[0]`` of
+  the ``served_overhead`` trajectory in
   ``benchmarks/results/BENCH_serve_telemetry.json``):
 
   - **Regression tracking** — the warm served round trip, normalized
@@ -42,7 +43,7 @@ import threading
 import time
 from pathlib import Path
 
-from _helpers import committed_baseline, emit_table
+from _helpers import QUICK, RESULTS_DIR, Bound, Trajectory, emit_table
 
 from repro import obs
 from repro.config.description import InputDescription
@@ -54,12 +55,8 @@ from repro.obs.schema import validate
 from repro.obs.stitch import stitch_trace
 from repro.serve import PredictionService, ServeClient, ServeDaemon, protocol
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS = Path(__file__).parent / "results"
-BENCH_FILE = RESULTS / "BENCH_serve_telemetry.json"
-TRACE_FILE = RESULTS / "OBS_serve_trace.json"
-BENCH_SCHEMA = 1
+TRACE_FILE = RESULTS_DIR / "OBS_serve_trace.json"
 
 #: Allowed growth of the served/in-process latency ratio vs the
 #: committed baseline (catches a gross serving-layer regression
@@ -72,8 +69,14 @@ REGRESSION_HEADROOM = 2.0
 #: committed baseline — trace plumbing and the access log hook must be
 #: free when nothing asks for them.
 OBS_DISABLED_HEADROOM = 1.03
-#: Keep the perf trajectory bounded; entries[0] is the baseline.
-TRAJECTORY_LIMIT = 50
+
+SERVED_OVERHEAD = Trajectory(
+    RESULTS_DIR / "BENCH_serve_telemetry.json", "served_overhead", (
+        Bound("served_over_inprocess", "lower",
+              headroom=REGRESSION_HEADROOM),
+        Bound("dispatch_over_predict", "lower",
+              headroom=OBS_DISABLED_HEADROOM, obs_off_only=True),
+    ))
 
 DRIVERS = 3 if QUICK else 4
 REQUESTS_PER_DRIVER = 15 if QUICK else 40
@@ -174,37 +177,6 @@ def _dispatch_over_predict(service: PredictionService,
     return statistics.median(ratios)
 
 
-def _fresh_store():
-    return {"schema": BENCH_SCHEMA, "benchmark": "serve_telemetry",
-            "gates": {"regression_headroom": REGRESSION_HEADROOM,
-                      "obs_disabled_headroom": OBS_DISABLED_HEADROOM},
-            "entries": []}
-
-
-def _load_store():
-    if not BENCH_FILE.exists():
-        return _fresh_store()
-    payload = json.loads(BENCH_FILE.read_text())
-    if payload.get("schema") != BENCH_SCHEMA:
-        return _fresh_store()
-    return payload
-
-
-def _baseline():
-    return committed_baseline(_load_store().get("entries", []), BENCH_FILE,
-                              "served_over_inprocess")
-
-
-def _record(entry: dict) -> None:
-    """Append a passing entry, keeping ``entries[0]`` (the committed
-    baseline) when truncating."""
-    store = _load_store()
-    tail = store["entries"][1:] + [entry]
-    store["entries"] = store["entries"][:1] + tail[-(TRAJECTORY_LIMIT - 1):]
-    RESULTS.mkdir(exist_ok=True)
-    BENCH_FILE.write_text(json.dumps(store, indent=1) + "\n")
-
-
 def test_serve_telemetry_and_overhead_gate():
     clear_structure_cache()
     obs.reset()
@@ -255,7 +227,7 @@ def test_serve_telemetry_and_overhead_gate():
             inprocess_warm_s = min(inprocess_warm_s,
                                    time.perf_counter() - tick)
 
-        RESULTS.mkdir(exist_ok=True)
+        RESULTS_DIR.mkdir(exist_ok=True)
         TRACE_FILE.write_text(json.dumps(stitched, indent=1) + "\n")
     finally:
         daemon.stop()
@@ -284,7 +256,7 @@ def test_serve_telemetry_and_overhead_gate():
         "stitched_events": len(stitched["traceEvents"]),
     }
 
-    baseline = _baseline()
+    baseline = SERVED_OVERHEAD.baseline()
     emit_table(
         "serve_telemetry",
         "Serving telemetry: stitched trace + overhead gate",
@@ -295,22 +267,7 @@ def test_serve_telemetry_and_overhead_gate():
               "3% gate (both sides share the dominant code path, so "
               "machine speed and scheduler noise cancel)")
 
-    limit = baseline["served_over_inprocess"] * REGRESSION_HEADROOM
-    assert ratio <= limit, (
-        f"served-predict overhead regressed: served/in-process "
-        f"{ratio:.3f} exceeds committed baseline "
-        f"{baseline['served_over_inprocess']} by more than "
-        f"{REGRESSION_HEADROOM}x")
-    if not obs.enabled():
-        obs_limit = baseline["dispatch_over_predict"] * OBS_DISABLED_HEADROOM
-        assert dispatch_over_predict <= obs_limit, (
-            f"disabled telemetry is taxing the request path: "
-            f"dispatch/predict {dispatch_over_predict:.4f} exceeds "
-            f"committed baseline "
-            f"{baseline['dispatch_over_predict']} by more than "
-            f"{OBS_DISABLED_HEADROOM}x — request-scoped telemetry "
-            f"must be free when off")
-
-    # Record only passing runs.
-    _record(entry)
+    SERVED_OVERHEAD.check(baseline, served_over_inprocess=ratio,
+                          dispatch_over_predict=dispatch_over_predict)
+    SERVED_OVERHEAD.record(entry)
     obs.reset()

@@ -21,16 +21,17 @@ This bench measures and gates exactly that:
     absolute req/s floor (loopback TCP + cache hits; generous against
     CI machine variance);
   - **regression** — the warm speedup must stay within headroom of the
-    committed baseline (``entries[0]`` in the trajectory store).
+    committed baseline (``entries[0]`` of the ``warm_served``
+    trajectory).
 
-Measurements append to ``benchmarks/results/BENCH_service_throughput
-.json`` (schema: ``schemas/bench_service_throughput.schema.json``,
-checked by ``benchmarks/validate_artifacts.py``). Set
+Measurements append to that trajectory in
+``benchmarks/results/BENCH_service_throughput.json`` (schema:
+``schemas/bench_store.schema.json``, checked by
+``benchmarks/validate_artifacts.py``). Set
 ``REPRO_BENCH_QUICK=1`` in CI smoke/perf lanes for fewer clients and
 rounds.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -38,7 +39,7 @@ import threading
 import time
 from pathlib import Path
 
-from _helpers import committed_baseline, emit_table
+from _helpers import QUICK, RESULTS_DIR, Bound, Trajectory, emit_table
 
 from repro import obs
 from repro.config.description import InputDescription
@@ -48,10 +49,7 @@ from repro.config.system import single_node
 from repro.graph.builder import clear_structure_cache
 from repro.serve import PredictionService, ServeClient, ServeDaemon
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_FILE = Path(__file__).parent / "results" / "BENCH_service_throughput.json"
-BENCH_SCHEMA = 1
 
 #: A served warm predict must beat a cold one-shot CLI invocation of
 #: the same prediction by at least this factor (the PR's acceptance
@@ -66,8 +64,13 @@ MIN_WARM_REQ_PER_S = 25.0
 #: Allowed shrink of the warm speedup vs the committed baseline.
 #: Generous because the cold side is a subprocess measurement.
 REGRESSION_HEADROOM = 2.0
-#: Keep the perf trajectory bounded; entries[0] is the baseline.
-TRAJECTORY_LIMIT = 50
+
+WARM_SERVED = Trajectory(
+    RESULTS_DIR / "BENCH_service_throughput.json", "warm_served", (
+        Bound("warm_speedup", floor=MIN_WARM_SPEEDUP),
+        Bound("req_per_s", floor=MIN_WARM_REQ_PER_S),
+        Bound("warm_speedup", headroom=REGRESSION_HEADROOM),
+    ))
 
 #: Cold/warm comparison workload: one preset prediction the CLI can
 #: run in a single shot.
@@ -185,38 +188,6 @@ def _dedup_burst(address: tuple, request: dict) -> list[dict]:
     return results
 
 
-def _fresh_store():
-    return {"schema": BENCH_SCHEMA, "benchmark": "service_throughput",
-            "gates": {"min_warm_speedup": MIN_WARM_SPEEDUP,
-                      "min_warm_req_per_s": MIN_WARM_REQ_PER_S,
-                      "regression_headroom": REGRESSION_HEADROOM},
-            "entries": []}
-
-
-def _load_store():
-    if not BENCH_FILE.exists():
-        return _fresh_store()
-    payload = json.loads(BENCH_FILE.read_text())
-    if payload.get("schema") != BENCH_SCHEMA:
-        return _fresh_store()
-    return payload
-
-
-def _baseline():
-    return committed_baseline(_load_store().get("entries", []), BENCH_FILE,
-                              "warm_speedup")
-
-
-def _record(entry: dict) -> None:
-    """Append a passing entry, keeping ``entries[0]`` (the committed
-    baseline) when truncating."""
-    store = _load_store()
-    tail = store["entries"][1:] + [entry]
-    store["entries"] = store["entries"][:1] + tail[-(TRAJECTORY_LIMIT - 1):]
-    BENCH_FILE.parent.mkdir(exist_ok=True)
-    BENCH_FILE.write_text(json.dumps(store, indent=1) + "\n")
-
-
 def test_service_throughput_and_gates():
     clear_structure_cache()
     obs.reset()
@@ -285,7 +256,7 @@ def test_service_throughput_and_gates():
         "mean_batch_size": round(mean_batch, 3),
     }
 
-    baseline = _baseline()
+    baseline = WARM_SERVED.baseline()
     emit_table(
         "service_throughput",
         "Serving tier: warm daemon vs cold one-shot CLI",
@@ -294,19 +265,6 @@ def test_service_throughput_and_gates():
               "round trip against the resident daemon (loopback TCP); "
               "p50/p99 from the daemon's serve.predict_s histogram")
 
-    # -- Gates. -----------------------------------------------------------
-    assert speedup >= MIN_WARM_SPEEDUP, (
-        f"warm served predict only {speedup:.1f}x faster than a cold CLI "
-        f"one-shot (need >= {MIN_WARM_SPEEDUP}x)")
-    assert req_per_s >= MIN_WARM_REQ_PER_S, (
-        f"concurrent warm throughput {req_per_s:.1f} req/s is below the "
-        f"{MIN_WARM_REQ_PER_S} req/s floor")
-    floor = baseline["warm_speedup"] / REGRESSION_HEADROOM
-    assert speedup >= floor, (
-        f"warm speedup {speedup:.1f}x fell more than "
-        f"{REGRESSION_HEADROOM}x below the committed baseline "
-        f"{baseline['warm_speedup']}x")
-
-    # Record only passing runs.
-    _record(entry)
+    WARM_SERVED.check(baseline, warm_speedup=speedup, req_per_s=req_per_s)
+    WARM_SERVED.record(entry)
     obs.reset()

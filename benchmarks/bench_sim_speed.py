@@ -35,15 +35,11 @@ rounds; the model and plan stay MT-NLG-sized so the gates measure the
 real workload).
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
-from _helpers import committed_baseline, emit_table
+from _helpers import QUICK, RESULTS_DIR, Bound, Trajectory, emit_table, timed
 
-from repro import obs
 from repro.config.presets import (MT_NLG_530B, MT_NLG_BASELINE_PLANS,
                                   MT_NLG_TRAINING)
 from repro.config.system import multi_node
@@ -54,9 +50,7 @@ from repro.sim.estimator import VTrain
 
 PLAN = MT_NLG_BASELINE_PLANS[0]  # (8, 8, 35) on 2,240 GPUs
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-BENCH_FILE = Path(__file__).parent / "results" / "BENCH_sim_speed.json"
-BENCH_SCHEMA = 2
+BENCH_FILE = RESULTS_DIR / "BENCH_sim_speed.json"
 #: Allowed regression vs a committed baseline's gated ratio.
 REGRESSION_HEADROOM = 1.25
 #: Tighter bound for the observability instrumentation specifically:
@@ -74,8 +68,17 @@ MIN_SPEEDUP = 3.0
 MIN_BATCH_SPEEDUP = 5.0
 #: Columns per batched replay in the throughput gate.
 BATCH_COLUMNS = 64
-#: Keep each perf trajectory bounded.
-TRAJECTORY_LIMIT = 50
+
+WARM_PREDICT = Trajectory(BENCH_FILE, "warm_predict", (
+    Bound("speedup", floor=MIN_SPEEDUP),
+    Bound("warm_over_reference", "lower", headroom=REGRESSION_HEADROOM),
+    Bound("warm_over_reference", "lower", headroom=OBS_DISABLED_HEADROOM,
+          obs_off_only=True),
+))
+BATCH_RETIME = Trajectory(BENCH_FILE, "batch_retime", (
+    Bound("batch_speedup", floor=MIN_BATCH_SPEEDUP),
+    Bound("batch_speedup", headroom=REGRESSION_HEADROOM),
+))
 
 
 def _simulator(granularity):
@@ -114,46 +117,12 @@ def test_sim_speed_operator_granularity(benchmark):
     assert prediction.simulation.num_tasks > 100_000
 
 
-def _load_store():
-    """The perf-trajectory store: one trajectory per benchmark under
-    ``benchmarks`` (schema 2)."""
-    if not BENCH_FILE.exists():
-        return {"schema": BENCH_SCHEMA, "benchmarks": {}}
-    payload = json.loads(BENCH_FILE.read_text())
-    if payload.get("schema") != BENCH_SCHEMA:
-        return {"schema": BENCH_SCHEMA, "benchmarks": {}}
-    payload.setdefault("benchmarks", {})
-    return payload
-
-
-def _record(section_name, defaults, entry):
-    """Append a passing entry to one trajectory and save the store.
-
-    Always keeps ``entries[0]`` — the committed baseline the gates
-    compare against — when truncating to ``TRAJECTORY_LIMIT``.
-    """
-    store = _load_store()
-    section = store["benchmarks"].setdefault(section_name,
-                                             defaults | {"entries": []})
-    tail = section["entries"][1:] + [entry]
-    section["entries"] = (section["entries"][:1]
-                          + tail[-(TRAJECTORY_LIMIT - 1):])
-    BENCH_FILE.parent.mkdir(exist_ok=True)
-    BENCH_FILE.write_text(json.dumps(store, indent=1) + "\n")
-
-
-def _baseline(section_name):
-    section = _load_store()["benchmarks"].get(section_name, {})
-    return committed_baseline(section.get("entries", []), BENCH_FILE,
-                              section_name)
-
-
 def test_warm_predict_speedup_and_regression_gate():
     """Structure-cache warm predict vs pre-split rebuild-every-time."""
     rounds = 3 if QUICK else 5
     vtrain = _simulator(Granularity.OPERATOR)  # also caches the structure
 
-    warm_s = min(_timed(lambda: vtrain.predict(
+    warm_s = min(timed(lambda: vtrain.predict(
         MT_NLG_530B, PLAN, MT_NLG_TRAINING)) for _ in range(rounds))
     assert vtrain.last_predict_timing.structure_cache_hit
 
@@ -162,7 +131,7 @@ def test_warm_predict_speedup_and_regression_gate():
     tick = time.perf_counter()
     graph = vtrain.build_graph(MT_NLG_530B, PLAN, MT_NLG_TRAINING)
     build_s = time.perf_counter() - tick
-    replay_s = min(_timed(lambda: simulate_reference(graph))
+    replay_s = min(timed(lambda: simulate_reference(graph))
                    for _ in range(rounds))
     reference_s = build_s + replay_s
 
@@ -177,7 +146,7 @@ def test_warm_predict_speedup_and_regression_gate():
         "warm_over_reference": round(ratio, 6),
     }
 
-    baseline = _baseline("warm_predict")
+    baseline = WARM_PREDICT.baseline()
     emit_table("sim_speed_warm",
                "Warm predict: structure cache vs full rebuild",
                [entry | {"baseline_ratio": baseline["warm_over_reference"]}],
@@ -185,29 +154,8 @@ def test_warm_predict_speedup_and_regression_gate():
                      "replay; reference = graph rebuild + reference "
                      "Algorithm-1 loop (the pre-split warm-predict cost)")
 
-    assert speedup >= MIN_SPEEDUP, (
-        f"warm predict only {speedup:.2f}x faster than a rebuild "
-        f"(need >= {MIN_SPEEDUP}x)")
-    limit = baseline["warm_over_reference"] * REGRESSION_HEADROOM
-    assert ratio <= limit, (
-        f"warm-predict latency regressed: warm/reference {ratio:.4f} "
-        f"exceeds committed baseline {baseline['warm_over_reference']} "
-        f"by more than {REGRESSION_HEADROOM}x")
-    if not obs.enabled():
-        obs_limit = baseline["warm_over_reference"] * OBS_DISABLED_HEADROOM
-        assert ratio <= obs_limit, (
-            f"disabled observability is taxing warm predict: "
-            f"warm/reference {ratio:.4f} exceeds committed baseline "
-            f"{baseline['warm_over_reference']} by more than "
-            f"{OBS_DISABLED_HEADROOM}x — instrumentation must be "
-            f"free when off")
-
-    # Record only passing runs.
-    _record("warm_predict",
-            {"benchmark": "sim_speed_warm_predict",
-             "gated_metric": "warm_over_reference",
-             "regression_headroom": REGRESSION_HEADROOM},
-            entry)
+    WARM_PREDICT.check(baseline, speedup=speedup, warm_over_reference=ratio)
+    WARM_PREDICT.record(entry)
 
 
 def test_batch_retime_throughput_and_regression_gate():
@@ -231,13 +179,13 @@ def test_batch_retime_throughput_and_regression_gate():
     scalar_results = [simulate_retimed(structure,
                                        np.ascontiguousarray(matrix[:, col]))
                       for col in range(scalar_columns)]
-    scalar_s = min(_timed(lambda: [
+    scalar_s = min(timed(lambda: [
         simulate_retimed(structure, np.ascontiguousarray(matrix[:, col]))
         for col in range(scalar_columns)]) for _ in range(rounds))
     scalar_per_retime = scalar_s / scalar_columns
 
     batch = simulate_retimed_batch(structure, matrix)
-    batch_s = min(_timed(lambda: simulate_retimed_batch(structure, matrix))
+    batch_s = min(timed(lambda: simulate_retimed_batch(structure, matrix))
                   for _ in range(rounds))
     batch_per_retime = batch_s / BATCH_COLUMNS
 
@@ -257,7 +205,7 @@ def test_batch_retime_throughput_and_regression_gate():
         "batch_speedup": round(speedup, 3),
     }
 
-    baseline = _baseline("batch_retime")
+    baseline = BATCH_RETIME.baseline()
     emit_table("sim_speed_batch",
                "Batched retime: one N=64 sweep vs scalar replays",
                [entry | {"baseline_speedup": baseline["batch_speedup"]}],
@@ -265,25 +213,5 @@ def test_batch_retime_throughput_and_regression_gate():
                      "structure; batch columns verified bit-identical "
                      "to the scalar replays they are timed against")
 
-    assert speedup >= MIN_BATCH_SPEEDUP, (
-        f"batched retime only {speedup:.2f}x scalar throughput "
-        f"(need >= {MIN_BATCH_SPEEDUP}x per column at N={BATCH_COLUMNS})")
-    floor = baseline["batch_speedup"] / REGRESSION_HEADROOM
-    assert speedup >= floor, (
-        f"batch throughput regressed: speedup {speedup:.2f}x is more "
-        f"than {REGRESSION_HEADROOM}x below the committed baseline "
-        f"{baseline['batch_speedup']}x")
-
-    # Record only passing runs.
-    _record("batch_retime",
-            {"benchmark": "sim_speed_batch_retime",
-             "gated_metric": "batch_speedup",
-             "min_speedup": MIN_BATCH_SPEEDUP,
-             "regression_headroom": REGRESSION_HEADROOM},
-            entry)
-
-
-def _timed(thunk):
-    tick = time.perf_counter()
-    thunk()
-    return time.perf_counter() - tick
+    BATCH_RETIME.check(baseline, batch_speedup=speedup)
+    BATCH_RETIME.record(entry)

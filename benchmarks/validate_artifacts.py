@@ -6,18 +6,12 @@ Usage::
     PYTHONPATH=src python benchmarks/validate_artifacts.py FILE [FILE ...]
 
 Each file is matched to a schema by shape — a ``traceEvents`` key means
-a Chrome trace (``schemas/chrome_trace.schema.json``); a
-``benchmark: service_throughput`` marker means the serving-tier store
-(``schemas/bench_service_throughput.schema.json``); a
-``benchmark: serve_telemetry`` marker means the telemetry-overhead
-store (``schemas/bench_serve_telemetry.schema.json``); a
-``benchmark: inference_dse`` marker means the serving-DSE store
-(``schemas/bench_inference_dse.schema.json``); a
-``schema``/``benchmarks`` pair means the perf-trajectory store
-(``schemas/bench_sim_speed.schema.json``) — and validated with
+a Chrome trace (``schemas/chrome_trace.schema.json``); a ``schema`` key
+means a ``BENCH_*.json`` perf store (``schemas/bench_store.schema.json``,
+which rejects any other layout version) — and validated with
 :mod:`repro.obs.schema`. Exits non-zero on the first invalid file, so
-the CI bench lane fails when an export or the trajectory store drifts
-from its published format.
+the CI bench lane fails when an export or a perf store drifts from its
+published format.
 """
 
 from __future__ import annotations
@@ -39,14 +33,8 @@ def schema_for(payload: object) -> Path:
     if isinstance(payload, dict):
         if "traceEvents" in payload:
             return SCHEMA_DIR / "chrome_trace.schema.json"
-        if payload.get("benchmark") == "service_throughput":
-            return SCHEMA_DIR / "bench_service_throughput.schema.json"
-        if payload.get("benchmark") == "serve_telemetry":
-            return SCHEMA_DIR / "bench_serve_telemetry.schema.json"
-        if payload.get("benchmark") == "inference_dse":
-            return SCHEMA_DIR / "bench_inference_dse.schema.json"
-        if "schema" in payload and "benchmarks" in payload:
-            return SCHEMA_DIR / "bench_sim_speed.schema.json"
+        if "schema" in payload:
+            return SCHEMA_DIR / "bench_store.schema.json"
     raise SchemaError("payload matches no known artifact shape "
                       "(expected a Chrome trace or a BENCH store)")
 

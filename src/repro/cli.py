@@ -51,7 +51,7 @@ from repro.dse.cache import PredictionCache
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.report import save_csv, to_markdown
 from repro.dse.space import SearchSpace
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
 from repro.obs.export import combined_trace, write_trace
 from repro.sim.estimator import VTrain
@@ -567,6 +567,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_dse(args: argparse.Namespace) -> int:
     model = _preset_by_key(args.model)
     NetworkSpec.parse(args.network)  # reject bad specs before sweeping
+    if args.top < 0:
+        raise ConfigError(f"--top must be >= 0, got {args.top}")
     if args.metrics is not None:
         obs.enable()
     workload = _workload_from_args(args)

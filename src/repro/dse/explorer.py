@@ -367,6 +367,9 @@ class DesignSpaceExplorer:
         if training is None and workload is None:
             raise ConfigError(
                 "DesignSpaceExplorer needs a training recipe or a workload")
+        if gpus_per_node < 1:
+            raise ConfigError(
+                f"gpus_per_node must be at least 1, got {gpus_per_node}")
         self.model = model
         self.training = training
         self.workload = workload

@@ -8,9 +8,7 @@ reporting. Edges encode both data dependencies and the paper's explicit
 intra-GPU execution-order constraints (Section III-B).
 
 The structure is deliberately lightweight (plain lists, integer node ids)
-because Figure-10-scale design-space sweeps simulate hundreds of graphs;
-:meth:`ExecutionGraph.to_networkx` exports to networkx for analysis and
-tests.
+because Figure-10-scale design-space sweeps simulate hundreds of graphs.
 
 **Structure/timing split.** A :class:`GraphStructure` is the *compiled*
 form of an execution graph: every per-task attribute flattened into
@@ -37,7 +35,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import SimulationError
@@ -284,18 +281,6 @@ class ExecutionGraph:
             raise SimulationError(
                 f"execution graph has a cycle ({visited}/{len(self.nodes)} "
                 "tasks reachable)")
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a networkx DiGraph (tests and analysis)."""
-        graph = nx.DiGraph()
-        for node in self.nodes:
-            graph.add_node(node.task_id, device=node.device,
-                           stream=node.stream, duration=node.duration,
-                           kind=node.kind, label=node.label)
-        for node in self.nodes:
-            for child in node.children:
-                graph.add_edge(node.task_id, child)
-        return graph
 
 
 class GraphStructure:

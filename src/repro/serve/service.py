@@ -610,6 +610,8 @@ class PredictionService:
         gpus_per_node = _param(params, "gpus_per_node", int, 8)
         zero_stage = _param(params, "zero_stage", int, 1)
         top = _param(params, "top", int, 10)
+        if top < 0:
+            raise ConfigError(f"'top' must be >= 0, got {top}")
         include_points = _param(params, "include_points", bool, False)
 
         last_emitted = -1

@@ -12,6 +12,7 @@ from repro.config.description import InputDescription
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.presets import MT_NLG_530B
 from repro.config.system import single_node
+from repro.dse.explorer import DesignSpaceExplorer
 from repro.obs.export import load_trace
 from repro.obs.schema import validate
 from repro.obs.tracer import ENGINE_PID
@@ -171,6 +172,26 @@ class TestDse:
         assert main(self.ARGS + ["--csv", str(csv_path)]) == 0
         assert csv_path.exists()
         assert "tensor" in csv_path.read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--top", "-2", "--top"), ("--gpus-per-node", "0", "gpus_per_node"),
+        ("--gpus-per-node", "-8", "gpus_per_node")])
+    def test_dse_rejects_out_of_range_values_before_sweeping(
+            self, monkeypatch, capsys, flag, value, named):
+        """``--top -2`` used to sweep, then print all but two rows;
+        ``--gpus-per-node 0`` ended in a ZeroDivisionError traceback."""
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(DesignSpaceExplorer, "explore", no_sweep)
+        assert main(self.ARGS + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    def test_dse_top_zero_prints_no_rows(self, capsys):
+        assert main(self.ARGS + ["--top", "0"]) == 0
+        table = capsys.readouterr().out.split("top 0 by cost:\n")[1]
+        assert len(table.strip().splitlines()) == 2  # header and rule only
 
     def test_dse_requires_a_gpu_budget(self, capsys):
         with pytest.raises(SystemExit):

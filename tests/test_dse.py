@@ -203,6 +203,15 @@ class TestExplorer:
         with pytest.raises(ConfigError):
             result.heatmap("power")
 
+    @pytest.mark.parametrize("gpus_per_node", [0, -8])
+    def test_rejects_gpus_per_node_below_one(self, model, training,
+                                             gpus_per_node):
+        """0 used to divide by zero in ``system_for``, and -8 reached
+        the sweep as "num_gpus must be positive"."""
+        with pytest.raises(ConfigError, match="gpus_per_node must be at "
+                                              "least 1"):
+            DesignSpaceExplorer(model, training, gpus_per_node=gpus_per_node)
+
     def test_no_match_raises(self, model, training):
         explorer = DesignSpaceExplorer(model, training)
         result = explorer.explore(max_gpus=8)

@@ -99,13 +99,6 @@ class TestExecutionGraph:
         with pytest.raises(SimulationError, match="cycle"):
             graph.validate_acyclic()
 
-    def test_networkx_export(self):
-        nx_graph = self._diamond().to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 4
-        import networkx as nx
-        assert nx.is_directed_acyclic_graph(nx_graph)
-
     def test_device_out_of_range_rejected_at_build(self):
         """A task on a device >= num_devices is a build-time error (the
         old engine silently invented timeline entries for it)."""

@@ -18,10 +18,10 @@ from repro.obs.schema import SchemaError, validate
 REPO_ROOT = Path(__file__).parent.parent
 SCHEMA_DIR = REPO_ROOT / "schemas"
 RESULTS = REPO_ROOT / "benchmarks" / "results"
-BENCH_STORE = RESULTS / "BENCH_sim_speed.json"
 #: Every committed perf store: the baselines CI's bench gates read.
 COMMITTED_STORES = [RESULTS / f"BENCH_{name}.json" for name in (
     "inference_dse", "serve_telemetry", "service_throughput", "sim_speed")]
+STORE_IDS = [path.stem for path in COMMITTED_STORES]
 
 
 def load_schema(name: str) -> dict:
@@ -90,15 +90,29 @@ class TestValidator:
 
 
 class TestCommittedArtifacts:
-    def test_bench_store_matches_schema(self):
-        payload = json.loads(BENCH_STORE.read_text(encoding="utf-8"))
-        validate(payload, load_schema("bench_sim_speed.schema.json"))
+    @pytest.mark.parametrize("store", COMMITTED_STORES, ids=STORE_IDS)
+    def test_bench_store_matches_schema(self, store):
+        payload = json.loads(store.read_text(encoding="utf-8"))
+        validate(payload, load_schema("bench_store.schema.json"))
 
-    def test_bench_schema_rejects_wrong_version(self):
-        payload = json.loads(BENCH_STORE.read_text(encoding="utf-8"))
-        payload["schema"] = 3
-        with pytest.raises(SchemaError):
-            validate(payload, load_schema("bench_sim_speed.schema.json"))
+    @pytest.mark.parametrize("version", [2, 4])
+    def test_bench_schema_rejects_wrong_version(self, version):
+        payload = json.loads(COMMITTED_STORES[-1].read_text(encoding="utf-8"))
+        payload["schema"] = version
+        with pytest.raises(SchemaError, match="not in"):
+            validate(payload, load_schema("bench_store.schema.json"))
+
+    @pytest.mark.parametrize("store", COMMITTED_STORES, ids=STORE_IDS)
+    def test_committed_entries_hold_their_gated_metrics(self, store):
+        """The rule the recorder enforces on every new entry holds for
+        every committed one: ``quick`` and the trajectory's gated
+        metrics."""
+        payload = json.loads(store.read_text(encoding="utf-8"))
+        assert payload["trajectories"]
+        for name, trajectory in payload["trajectories"].items():
+            required = {"quick", *trajectory["gated_metrics"]}
+            for index, entry in enumerate(trajectory["entries"]):
+                assert required <= entry.keys(), (name, index)
 
     def test_trace_schema_rejects_unknown_phase(self):
         payload = {"traceEvents": [
@@ -121,12 +135,17 @@ class TestValidateArtifactsScript:
         assert tool.schema_for({"traceEvents": []}).name \
             == "chrome_trace.schema.json"
         assert tool.schema_for({"schema": 2, "benchmarks": {}}).name \
-            == "bench_sim_speed.schema.json"
+            == "bench_store.schema.json"
         with pytest.raises(SchemaError):
             tool.schema_for({"unrelated": 1})
 
-    @pytest.mark.parametrize("store", COMMITTED_STORES,
-                             ids=[path.stem for path in COMMITTED_STORES])
+    @pytest.mark.parametrize("store", COMMITTED_STORES, ids=STORE_IDS)
+    def test_schema_for_maps_every_store_to_the_store_schema(self, tool,
+                                                             store):
+        payload = json.loads(store.read_text(encoding="utf-8"))
+        assert tool.schema_for(payload).name == "bench_store.schema.json"
+
+    @pytest.mark.parametrize("store", COMMITTED_STORES, ids=STORE_IDS)
     def test_main_accepts_committed_store(self, tool, capsys, store):
         assert tool.main([str(store)]) == 0
         assert "ok" in capsys.readouterr().out

@@ -555,6 +555,37 @@ class TestParameterValidation:
         assert response["error"]["code"] == protocol.INVALID_PARAMS
         assert service.cache.stats["entries"] == 0
 
+    @pytest.mark.parametrize("params, named", [
+        ({"top": -1}, "'top'"), ({"top": -1000}, "'top'"),
+        ({"gpus_per_node": 0}, "gpus_per_node"),
+        ({"gpus_per_node": -8}, "gpus_per_node")])
+    def test_dse_out_of_range_values_are_invalid_params(
+            self, service, monkeypatch, params, named):
+        """A negative ``top`` used to sweep and then drop rows from the
+        end; ``gpus_per_node`` 0 answered INTERNAL_ERROR and -8 blamed
+        ``num_gpus``."""
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(DesignSpaceExplorer, "explore", no_sweep)
+        response, _ = service.dispatch(
+            protocol.request(1, "dse", {"model": "megatron-1.7b",
+                                        "num_gpus": 8, "global_batch": 16,
+                                        **params}),
+            lambda note: None)
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert named in response["error"]["message"]
+
+    def test_dse_top_zero_answers_no_rows(self, service):
+        response, _ = service.dispatch(
+            protocol.request(1, "dse", {
+                "model": "megatron-1.7b", "max_gpus": 4, "global_batch": 8,
+                "max_tensor": 2, "max_data": 2, "max_pipeline": 2,
+                "micro_batches": [1], "top": 0}),
+            lambda note: None)
+        assert response["result"]["num_feasible"] > 0
+        assert response["result"]["top"] == []
+
     def test_predict_batch_entries_must_be_objects(self, service):
         response, _ = service.dispatch(
             protocol.request(1, "predict_batch", {"requests": [1]}),
