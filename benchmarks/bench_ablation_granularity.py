@@ -1,11 +1,11 @@
 """Ablation: graph granularity (kernel vs operator vs stage).
 
 The paper replays kernel-granularity task graphs; this reproduction adds
-two aggregation levels (DESIGN.md). The ablation quantifies the
-accuracy/speed trade-off: kernel and operator granularity agree exactly
-(kernels run back-to-back on one stream, so summation is lossless), and
-the stage fast path stays within a couple of percent while simulating an
-order of magnitude fewer tasks.
+two aggregation levels (README.md, "Substitutions"). The ablation
+quantifies the accuracy/speed trade-off: kernel and operator granularity
+agree exactly (kernels run back-to-back on one stream, so summation is
+lossless), and the stage fast path stays within a couple of percent
+while simulating an order of magnitude fewer tasks.
 """
 
 import time

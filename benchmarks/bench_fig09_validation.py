@@ -5,7 +5,7 @@
 (b) multi-node validation — 116 points on up to 512 A100s, MAPE 14.73%,
     R^2 0.9887.
 
-Our "measured" side is the testbed emulator (DESIGN.md, Substitutions).
+Our "measured" side is the testbed emulator (README.md, "Substitutions").
 The shape to reproduce: strong linear fit on both, multi-node error
 roughly double the single-node error, and systematic underestimation.
 """

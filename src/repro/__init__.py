@@ -1,8 +1,9 @@
 """repro — a reproduction of vTrain (MICRO 2024).
 
 A profiling-driven simulation framework for evaluating cost-effective and
-compute-optimal large language model training. See README.md for a tour
-and DESIGN.md for the system inventory.
+compute-optimal large language model training. See README.md for a tour,
+its "Layout" section for the module inventory, and its "Substitutions"
+section for what stands in for the paper's hardware and traces.
 
 Quickstart::
 

@@ -4,7 +4,7 @@ The paper models job arrivals by sampling N consecutive arrival points
 from Microsoft's internal ITP cluster traces; those traces are not
 available offline, so this module synthesises arrival processes with the
 same character — bursty, heavy-tailed inter-arrival gaps inside a fixed
-submission window — deterministically from a trace id (DESIGN.md,
+submission window — deterministically from a trace id (README.md,
 "Substitutions").
 
 Per the paper's methodology:

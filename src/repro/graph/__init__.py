@@ -13,9 +13,7 @@ from repro.graph.pipeline import (ScheduledChunk, gpipe_order,
                                   one_f_one_b_order,
                                   pipeline_bubble_fraction, schedule_order,
                                   warmup_forwards)
-from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   ExecutionGraph, GraphAssembler,
-                                   GraphStructure, TaskNode)
+from repro.graph.structure import COMM_STREAM, COMPUTE_STREAM, GraphStructure
 
 __all__ = [
     "COMM_STREAM",
@@ -24,16 +22,13 @@ __all__ = [
     "CommOperator",
     "CommScope",
     "CompOperator",
-    "ExecutionGraph",
     "Granularity",
-    "GraphAssembler",
     "GraphBuilder",
     "GraphStructure",
     "OpKind",
     "clear_structure_cache",
     "structure_cache_stats",
     "ScheduledChunk",
-    "TaskNode",
     "data_allreduce",
     "gpipe_order",
     "interleaved_order",

@@ -42,9 +42,8 @@ profiles determine: the duration behind every timing slot.
 thousands of times (MT-NLG: 35 stages x 480 units). The emitter defines
 one body per unit role; :meth:`GraphBuilder.compile` stamps the bodies
 over every stage's issue order with numpy offsets and wires the
-inter-chunk edges as arrays, while :meth:`GraphBuilder.build` emits the
-same bodies task by task through a :class:`GraphAssembler` and serves
-as the reference the tiled path is tested against.
+inter-chunk edges as arrays. The test suite holds it to a per-task
+reference emitter built from the same bodies (``tests/graph_oracle.py``).
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from repro.graph.operators import (CompOperator, OpKind, data_allreduce,
 from repro.graph.pipeline import (FORWARD, ScheduledChunk,
                                   last_backward_micro_batch, schedule_order)
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   ExecutionGraph, GraphAssembler,
                                    GraphStructure, KIND_COMPUTE,
                                    KIND_DP_COMM, KIND_PP_COMM, KIND_TP_COMM,
                                    KIND_WEIGHT_UPDATE)
@@ -223,14 +221,17 @@ class StructureKey:
     stages, gradient-bucket sizes and *whether* TP/DP collectives exist.
     A KERNEL key adds each computation operator's kernel names, which
     end every KERNEL label and follow the recompute mode, the sharded
-    shapes and the GPU. An inference phase adds its sequence shape (the
-    prompt for prefill, one token and the KV depth for decode) —
-    conservatively: decode graphs differing only in KV depth share
-    topology but are cached apart.
+    shapes and the GPU. An inference phase adds its phase tag and drops
+    what its emitter never reads: a phase graph issues its forwards in
+    micro-batch order under any schedule and syncs no gradients, so its
+    key holds no schedule, DP flag or bucket sizes, and its sequence
+    shape (prompt length, KV depth) reaches the graph only through
+    durations and, at KERNEL, kernel names.
     """
 
     granularity: Granularity
-    schedule: PipelineSchedule
+    #: ``None`` for inference phases.
+    schedule: PipelineSchedule | None
     pipeline: int
     layers_per_stage: int
     micro_batches: int
@@ -240,9 +241,8 @@ class StructureKey:
     virtual_stages: int = 1
     #: Sorted ``(operator kind, kernel names)`` pairs; KERNEL keys only.
     kernels: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    #: Inference phase and its ``(sequence length, KV depth)``.
+    #: Inference phase, ``None`` for training.
     phase: str | None = None
-    phase_shape: tuple[int, int] | None = None
 
     @classmethod
     def of(cls, model: ModelConfig, plan: ParallelismConfig,
@@ -261,9 +261,6 @@ class StructureKey:
                 ``INFERENCE_PHASES``, or a KERNEL key without kernels.
         """
         lps = layers_per_stage(model, plan)
-        buckets = (min(plan.num_gradient_buckets, lps)
-                   if plan.gradient_bucketing else 1)
-        base, extra = divmod(lps, buckets)
         names: tuple[tuple[str, tuple[str, ...]], ...] = ()
         if granularity is Granularity.KERNEL:
             if kernels is None:
@@ -271,35 +268,40 @@ class StructureKey:
                                   "names of its computation operators")
             names = tuple(sorted((kind, tuple(kernel_names))
                                  for kind, kernel_names in kernels.items()))
-        shape = None
-        if phase is not None:
+        if phase is None:
+            buckets = (min(plan.num_gradient_buckets, lps)
+                       if plan.gradient_bucketing else 1)
+            base, extra = divmod(lps, buckets)
+            schedule, data_parallel = plan.schedule, plan.data > 1
+            bucket_sizes = tuple(base + (1 if k < extra else 0)
+                                 for k in range(buckets))
+        else:
             if workload is None or phase not in INFERENCE_PHASES:
                 raise ConfigError(
                     f"inference structure key needs a workload and a phase "
                     f"in {INFERENCE_PHASES}, got workload={workload!r} "
                     f"phase={phase!r}")
-            shape = _phase_shape(model, workload, phase)
-        return cls(granularity=granularity, schedule=plan.schedule,
+            schedule, data_parallel, bucket_sizes = None, False, ()
+        return cls(granularity=granularity, schedule=schedule,
                    pipeline=plan.pipeline, layers_per_stage=lps,
                    micro_batches=num_micro_batches(plan, training),
                    tensor_parallel=plan.tensor > 1,
-                   data_parallel=plan.data > 1,
-                   bucket_sizes=tuple(base + (1 if k < extra else 0)
-                                      for k in range(buckets)),
+                   data_parallel=data_parallel, bucket_sizes=bucket_sizes,
                    virtual_stages=plan.virtual_stages, kernels=names,
-                   phase=phase, phase_shape=shape)
+                   phase=phase)
 
     def __str__(self) -> str:
-        parts = [
-            f"g={self.granularity.value}",
-            f"sched={self.schedule.value}",
-            f"p={self.pipeline}",
-            f"lps={self.layers_per_stage}",
-            f"nmb={self.micro_batches}",
-            f"tp={int(self.tensor_parallel)}",
-            f"dp={int(self.data_parallel)}",
-            f"buckets={','.join(str(size) for size in self.bucket_sizes)}",
-        ]
+        training = self.phase is None
+        parts = [f"g={self.granularity.value}"]
+        if training:
+            parts.append(f"sched={self.schedule.value}")
+        parts += [f"p={self.pipeline}", f"lps={self.layers_per_stage}",
+                  f"nmb={self.micro_batches}",
+                  f"tp={int(self.tensor_parallel)}"]
+        if training:
+            parts.append(f"dp={int(self.data_parallel)}")
+            parts.append("buckets=" + ",".join(str(size) for size
+                                               in self.bucket_sizes))
         # Optional parts are omitted at their defaults, so v=1 training
         # keys read as they did before interleaving and inference.
         if self.virtual_stages > 1:
@@ -307,12 +309,9 @@ class StructureKey:
         if self.kernels:
             digest = hashlib.sha256(json.dumps(self.kernels).encode())
             parts.append(f"kernels={digest.hexdigest()[:16]}")
-        if self.phase is not None:
-            seq, kv = self.phase_shape
+        if not training:
             parts.append("wl=inference")
             parts.append(f"ph={self.phase}")
-            parts.append(f"seq={seq}" if self.phase == PREFILL
-                         else f"seq={seq};kv={kv}")
         return ";".join(parts)
 
     def bucket_layers(self) -> list[range]:
@@ -595,10 +594,12 @@ class _Emitter:
 
         Each distinct chunk body is emitted once (:meth:`chunk_body`)
         and tiled over every stage's issue order with numpy offsets, in
-        exactly :meth:`GraphBuilder.build`'s task-id order; the
-        stream-chain, pipeline Send-Receive, gradient-bucket, and
-        weight-update edges are added as arrays. Kinds and streams come
-        from per-slot tables, and :meth:`labels` runs on first use.
+        the task-id order a per-task emitter gives them: every stage's
+        units in issue order, then the pipeline Send-Receives, then
+        each stage's gradient sync and weight update. The stream-chain,
+        pipeline Send-Receive, gradient-bucket, and weight-update edges
+        are added as arrays. Kinds and streams come from per-slot
+        tables, and :meth:`labels` runs on first use.
         """
         key = self.key
         p, v, nmb = key.pipeline, key.virtual_stages, key.micro_batches
@@ -666,8 +667,8 @@ class _Emitter:
                               for slot in slot_keys], dtype=np.intp)
         src = np.concatenate(table.src)
         dst = np.concatenate(table.dst)
-        # Children in ascending task id within each parent: the order
-        # GraphAssembler links them in.
+        # Children in ascending task id within each parent: the order a
+        # per-task emitter links them in.
         edge_order = np.lexsort((dst, src))
         self._units = (orders, u_body, [body.suffixes for body in bodies])
         return dict(
@@ -679,9 +680,9 @@ class _Emitter:
             label=self.labels)
 
     def labels(self) -> list[str]:
-        """:meth:`GraphBuilder.build`'s task labels for the last
-        :meth:`emit`, formatted only when a timeline, trace or the
-        testbed asks for them."""
+        """Task labels of the last :meth:`emit`, in task-id order,
+        formatted only when a timeline, trace or the testbed asks for
+        them."""
         key = self.key
         p, v, nmb = key.pipeline, key.virtual_stages, key.micro_batches
         orders, u_body, suffixes = self._units
@@ -716,10 +717,10 @@ class _Emitter:
     def _tile_pipeline_comm(self, table: _TaskTable, f_entry: np.ndarray,
                             f_exit: np.ndarray, b_entry: np.ndarray,
                             b_exit: np.ndarray) -> None:
-        """Send-Receive tasks at every stage boundary, in
-        :meth:`GraphBuilder._emit_pipeline_comm` order; ``*_entry`` /
-        ``*_exit`` map (stage, chunk, micro-batch) to a unit's first/last
-        task."""
+        """Send-Receive tasks at every stage boundary, boundary-major,
+        then micro-batch, then chunk, followed by the wrap-around hops;
+        ``*_entry`` / ``*_exit`` map (stage, chunk, micro-batch) to a
+        unit's first/last task."""
         key = self.key
         p, v, nmb = key.pipeline, key.virtual_stages, key.micro_batches
         pp_slot = table.slot_ids(f"pp:{boundary}" for boundary in range(p - 1))
@@ -1107,9 +1108,8 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     def compile(self) -> GraphStructure:
         """Compile the step: the emitter's columns plus this builder's
-        durations and metadata. The result equals
-        ``GraphStructure.compile(self.build(), slots)`` array for array,
-        and any builder with an equal :attr:`key` can re-time it.
+        durations and metadata. Any builder with an equal :attr:`key`
+        can re-time the result.
 
         Raises:
             SimulationError: A negative slot duration (named by the
@@ -1127,134 +1127,3 @@ class GraphBuilder:
         return GraphStructure(**columns,
                               duration=slot_duration[columns["slot"]],
                               metadata=self.graph_metadata())
-
-    # ------------------------------------------------------------------
-    # Reference emission (tests hold compile() to this)
-    # ------------------------------------------------------------------
-    def build(self) -> ExecutionGraph:
-        """Assemble the step's execution graph task by task.
-
-        The reference emitter: every task goes through
-        :meth:`GraphAssembler.add`, which wires stream chains and
-        explicit dependencies one edge at a time. Predictions compile
-        through :meth:`compile` instead; the test suite holds the two
-        to identical structures.
-        """
-        emitter = _Emitter(self.key)
-        asm = GraphAssembler()
-        timings = self.timings
-        attributes = {slot: emitter.attributes(slot) for slot in timings}
-        last_b = emitter.last_backward()
-        bodies: dict[tuple[int, bool, int, bool], _ChunkBody] = {}
-        # Task-id maps keyed by (stage, chunk, micro_batch); chunk is
-        # always 0 outside the interleaved schedule.
-        f_entry: dict[tuple[int, int, int], int] = {}
-        f_exit: dict[tuple[int, int, int], int] = {}
-        b_entry: dict[tuple[int, int, int], int] = {}
-        b_exit: dict[tuple[int, int, int], int] = {}
-        # Gradient-readiness anchors: (stage, bucket) -> task id.
-        bucket_anchor: dict[tuple[int, int], int] = {}
-        for stage, units in enumerate(emitter.issue_orders()):
-            for phase, mb, chunk in units:
-                forward = phase == FORWARD
-                key = (stage, forward, chunk, not forward and mb == last_b)
-                body = bodies.get(key)
-                if body is None:
-                    body = bodies[key] = emitter.chunk_body(*key)
-                prefix = _chunk_prefix(stage, chunk, phase, mb, self.v)
-                entry = len(asm.nodes)
-                for slot, suffix in zip(body.slots, body.suffixes):
-                    kind, stream = attributes[slot]
-                    asm.add(stage, stream, timings[slot], kind,
-                            prefix + suffix, slot=slot)
-                entries, exits = ((f_entry, f_exit) if forward
-                                  else (b_entry, b_exit))
-                entries[(stage, chunk, mb)] = entry
-                exits[(stage, chunk, mb)] = len(asm.nodes) - 1
-                for bucket, offset in body.anchors.items():
-                    bucket_anchor[(stage, bucket)] = entry + offset
-        if self.phase is not None:
-            self._emit_forward_sends(asm, f_exit, f_entry)
-        else:
-            self._emit_pipeline_comm(asm, f_exit, f_entry, b_exit, b_entry)
-            self._emit_gradient_sync(asm, b_exit, bucket_anchor, last_b)
-        return asm.finish(num_devices=self.plan.pipeline,
-                          metadata=self.graph_metadata())
-
-    def _emit_forward_sends(self, asm, f_exit, f_entry) -> None:
-        """Inference: only the forward half of the pipeline P2P pass."""
-        for boundary in range(self.plan.pipeline - 1):
-            for mb in range(self.nmb):
-                send = asm.add(boundary, COMM_STREAM,
-                               self.send_time[boundary], KIND_PP_COMM,
-                               f"s{boundary}->s{boundary + 1}/F{mb}",
-                               deps=(f_exit[(boundary, 0, mb)],),
-                               chain=False, slot=f"pp:{boundary}")
-                asm.link(send, f_entry[(boundary + 1, 0, mb)])
-
-    def _emit_pipeline_comm(self, asm, f_exit, f_entry, b_exit, b_entry):
-        """Insert Send-Receive tasks at every stage boundary (Figure 6).
-
-        Interleaved plans carry every chunk across each boundary, plus
-        the wrap-around hops: forward output of chunk ``c`` on the last
-        stage feeds chunk ``c+1`` on stage 0, and chunk ``c+1``'s
-        gradient on stage 0 feeds chunk ``c``'s backward on the last
-        stage.
-        """
-        p, v = self.plan.pipeline, self.v
-        for boundary in range(p - 1):
-            for mb in range(self.nmb):
-                for chunk in range(v):
-                    mid = "" if v == 1 else f"/c{chunk}"
-                    send = asm.add(boundary, COMM_STREAM,
-                                   self.send_time[boundary], KIND_PP_COMM,
-                                   f"s{boundary}->s{boundary + 1}{mid}/F{mb}",
-                                   deps=(f_exit[(boundary, chunk, mb)],),
-                                   chain=False, slot=f"pp:{boundary}")
-                    asm.link(send, f_entry[(boundary + 1, chunk, mb)])
-                    recv = asm.add(boundary + 1, COMM_STREAM,
-                                   self.send_time[boundary], KIND_PP_COMM,
-                                   f"s{boundary + 1}->s{boundary}{mid}/B{mb}",
-                                   deps=(b_exit[(boundary + 1, chunk, mb)],),
-                                   chain=False, slot=f"pp:{boundary}")
-                    asm.link(recv, b_entry[(boundary, chunk, mb)])
-        for chunk in range(v - 1):
-            for mb in range(self.nmb):
-                send = asm.add(p - 1, COMM_STREAM, self.wrap_time,
-                               KIND_PP_COMM,
-                               f"s{p - 1}/c{chunk}->s0/c{chunk + 1}/F{mb}",
-                               deps=(f_exit[(p - 1, chunk, mb)],),
-                               chain=False, slot="pp:wrap")
-                asm.link(send, f_entry[(0, chunk + 1, mb)])
-                recv = asm.add(0, COMM_STREAM, self.wrap_time,
-                               KIND_PP_COMM,
-                               f"s0/c{chunk + 1}->s{p - 1}/c{chunk}/B{mb}",
-                               deps=(b_exit[(0, chunk + 1, mb)],),
-                               chain=False, slot="pp:wrap")
-                asm.link(recv, b_entry[(p - 1, chunk, mb)])
-
-    def _emit_gradient_sync(self, asm, b_exit, bucket_anchor,
-                            last_b) -> None:
-        """Insert DP gradient All-Reduces (Figure 5) and weight updates."""
-        plan = self.plan
-        d = plan.data
-        num_buckets = len(self.bucket_layers)
-        for stage in range(plan.pipeline):
-            wu_deps: list[int] = []
-            if d > 1:
-                last_ar = None
-                for bucket in reversed(range(num_buckets)):
-                    anchor = bucket_anchor[(stage, bucket)]
-                    last_ar = asm.add(stage, COMM_STREAM,
-                                      self.timings[f"dp:{stage}:{bucket}"],
-                                      KIND_DP_COMM,
-                                      f"s{stage}/dp_ar/bucket{bucket}",
-                                      deps=(anchor,),
-                                      slot=f"dp:{stage}:{bucket}")
-                wu_deps.append(last_ar)
-            # Chunk 0's backward is the final backward in every
-            # schedule's issue order (backward walks chunks descending).
-            wu_deps.append(b_exit[(stage, 0, last_b)])
-            asm.add(stage, COMPUTE_STREAM, self.timings[f"wu:{stage}"],
-                    KIND_WEIGHT_UPDATE, f"s{stage}/weight_update",
-                    deps=tuple(wu_deps), slot=f"wu:{stage}")

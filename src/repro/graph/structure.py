@@ -1,39 +1,34 @@
-"""Execution-graph data structures shared by all granularities.
+"""The compiled execution graph shared by all granularities.
 
-An :class:`ExecutionGraph` is a DAG of :class:`TaskNode` objects. Nodes
-carry a device (a logical pipeline stage), a stream (``compute`` or
-``comm`` — modelling CUDA streams so DP All-Reduce can overlap backward
-compute, Figure 5a), a duration, and a kind tag used for time-breakdown
-reporting. Edges encode both data dependencies and the paper's explicit
-intra-GPU execution-order constraints (Section III-B).
+An execution graph is a DAG of tasks. Each task carries a device (a
+logical pipeline stage), a stream (``compute`` or ``comm`` — modelling
+CUDA streams so DP All-Reduce can overlap backward compute, Figure 5a),
+a duration, and a kind tag used for time-breakdown reporting. Edges
+encode both data dependencies and the paper's explicit intra-GPU
+execution-order constraints (Section III-B).
 
-The structure is deliberately lightweight (plain lists, integer node ids)
-because Figure-10-scale design-space sweeps simulate hundreds of graphs.
+**Structure/timing split.** A :class:`GraphStructure` is the graph's one
+form: every per-task attribute flattened into CSR-style arrays,
+renumbered into the replay order Algorithm 1's FIFO queue would visit
+(which is purely structural — task durations never influence it), with
+the per-task duration vector kept separate. Replays become a single
+array pass (:func:`repro.sim.engine.simulate_retimed`), and because the
+topology is immutable, one compiled structure can be re-timed with fresh
+duration vectors — a perturbed device model, a new NCCL table, a
+different tensor-parallel degree with the same shape — without
+rebuilding or re-sorting anything.
 
-**Structure/timing split.** A :class:`GraphStructure` is the *compiled*
-form of an execution graph: every per-task attribute flattened into
-CSR-style arrays, renumbered into the replay order Algorithm 1's FIFO
-queue would visit (which is purely structural — task durations never
-influence it), with the per-task duration vector kept separate. Replays
-become a single array pass (:func:`repro.sim.engine.simulate_retimed`),
-and because the topology is immutable, one compiled structure can be
-re-timed with fresh duration vectors — a perturbed device model, a new
-NCCL table, a different tensor-parallel degree with the same shape —
-without rebuilding or re-sorting anything.
-
-Structures are compiled from per-task *arrays*: either flattened from an
-:class:`ExecutionGraph` (:meth:`GraphStructure.compile`, the test-oracle
-path) or tiled directly from chunk templates by
-:meth:`repro.graph.builder.GraphBuilder.compile`, which never builds
-node objects or per-task lists.
+Structures are compiled from per-task *arrays*, tiled directly from
+chunk templates by :meth:`repro.graph.builder.GraphBuilder.compile`,
+which never builds node objects or per-task lists.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,97 +46,6 @@ KIND_WEIGHT_UPDATE = "weight_update"
 
 ALL_KINDS = (KIND_COMPUTE, KIND_TP_COMM, KIND_DP_COMM, KIND_PP_COMM,
              KIND_WEIGHT_UPDATE)
-
-
-@dataclass
-class TaskNode:
-    """One schedulable unit of work (a task in Algorithm 1).
-
-    Attributes:
-        task_id: Index of this node in the graph's node list.
-        device: Logical device (pipeline-stage index) executing the task.
-        stream: ``compute`` or ``comm`` stream on that device.
-        duration: Execution latency in seconds.
-        kind: Category tag (see module constants).
-        label: Human-readable name for traces and debugging.
-        children: Task ids that depend on this task.
-        num_parents: In-degree (Algorithm 1's initial ``ref`` count).
-    """
-
-    task_id: int
-    device: int
-    stream: str
-    duration: float
-    kind: str
-    label: str
-    children: list[int] = field(default_factory=list)
-    num_parents: int = 0
-
-
-class GraphAssembler:
-    """Incrementally builds an :class:`ExecutionGraph`.
-
-    Tracks the tail of every (device, stream) chain so consecutive tasks
-    on one stream serialise via explicit edges — the paper's "execution
-    order within each GPU must be modeled" requirement. This per-task
-    path is the reference the builder's tiled
-    :meth:`~repro.graph.builder.GraphBuilder.compile` is tested against.
-    """
-
-    def __init__(self) -> None:
-        self.nodes: list[TaskNode] = []
-        self.slots: list[str | None] = []
-        self._chain_tail: dict[tuple[int, str], int] = {}
-
-    def add(self, device: int, stream: str, duration: float, kind: str,
-            label: str, *, deps: Iterable[int] = (), chain: bool = True,
-            slot: str | None = None) -> int:
-        """Append a task; returns its id.
-
-        Args:
-            deps: Explicit extra dependencies (cross-device or
-                cross-stream edges).
-            chain: Serialise after the previous task on this
-                (device, stream) pair.
-            slot: Optional timing-slot key naming the duration's source,
-                so a compiled :class:`GraphStructure` can re-derive the
-                duration vector from a fresh timing table
-                (:meth:`GraphStructure.retime`).
-        """
-        if duration < 0:
-            raise SimulationError(f"negative duration for task {label!r}")
-        task_id = len(self.nodes)
-        self.nodes.append(TaskNode(task_id=task_id, device=device,
-                                   stream=stream, duration=duration,
-                                   kind=kind, label=label))
-        self.slots.append(slot)
-        parents: set[int] = set(deps)
-        if chain:
-            tail = self._chain_tail.get((device, stream))
-            if tail is not None:
-                parents.add(tail)
-            self._chain_tail[(device, stream)] = task_id
-        for parent in parents:
-            self.link(parent, task_id)
-        return task_id
-
-    def chain_tail(self, device: int, stream: str) -> int | None:
-        """Latest task id on a stream, or None if the stream is empty."""
-        return self._chain_tail.get((device, stream))
-
-    def link(self, parent: int, child: int) -> None:
-        """Add a dependency edge parent -> child."""
-        if parent == child:
-            raise SimulationError("a task cannot depend on itself")
-        self.nodes[parent].children.append(child)
-        self.nodes[child].num_parents += 1
-
-    def finish(self, num_devices: int,
-               metadata: dict[str, Any] | None = None) -> "ExecutionGraph":
-        """Freeze the assembled nodes into an ExecutionGraph."""
-        return ExecutionGraph(nodes=self.nodes, num_devices=num_devices,
-                              metadata=dict(metadata or {}),
-                              slots=self.slots)
 
 
 def _replay_order(task_ptr: np.ndarray, child: np.ndarray,
@@ -198,91 +102,6 @@ def _first_appearance(codes: np.ndarray,
     return remap[codes], tuple(table[code] for code in ranked.tolist())
 
 
-@dataclass
-class ExecutionGraph:
-    """A frozen task DAG ready for Algorithm-1 replay."""
-
-    nodes: list[TaskNode]
-    num_devices: int
-    metadata: dict[str, Any] = field(default_factory=dict)
-    #: Timing-slot key per node as the assembler recorded it (pass to
-    #: :meth:`GraphStructure.compile` for a retimeable structure).
-    slots: list[str | None] | None = field(default=None, repr=False,
-                                           compare=False)
-    _compiled: "GraphStructure | None" = field(default=None, init=False,
-                                               repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.num_devices < 0:
-            raise SimulationError("num_devices must be non-negative")
-        for node in self.nodes:
-            if not 0 <= node.device < self.num_devices:
-                raise SimulationError(
-                    f"task {node.task_id} ({node.label!r}) runs on device "
-                    f"{node.device}, outside the graph's "
-                    f"{self.num_devices} devices")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def compiled(self) -> "GraphStructure":
-        """The compiled replay form of this graph (built once, memoized).
-
-        Memoization freezes the *topology* at the first call — edges
-        added afterwards are not seen by later replays. Durations are
-        not frozen: :func:`~repro.sim.engine.simulate` re-reads them
-        from the nodes on every call, so mutating ``node.duration``
-        between replays (sensitivity studies) behaves exactly like the
-        reference engine.
-
-        Raises:
-            SimulationError: If the graph contains a dependency cycle.
-        """
-        if self._compiled is None:
-            self._compiled = GraphStructure.compile(self)
-        return self._compiled
-
-    @property
-    def num_edges(self) -> int:
-        """Total dependency-edge count."""
-        return sum(len(node.children) for node in self.nodes)
-
-    def roots(self) -> list[int]:
-        """Tasks with no dependencies (Algorithm 1's initial queue)."""
-        return [node.task_id for node in self.nodes if node.num_parents == 0]
-
-    def total_duration_by_kind(self) -> dict[str, float]:
-        """Sum of task durations per kind tag (all devices)."""
-        totals = {kind: 0.0 for kind in ALL_KINDS}
-        for node in self.nodes:
-            totals[node.kind] = totals.get(node.kind, 0.0) + node.duration
-        return totals
-
-    def device_durations(self) -> dict[int, float]:
-        """Sum of task durations per device (busy-time upper bound)."""
-        totals: dict[int, float] = {}
-        for node in self.nodes:
-            totals[node.device] = totals.get(node.device, 0.0) + node.duration
-        return totals
-
-    def validate_acyclic(self) -> None:
-        """Raise :class:`SimulationError` if the graph has a cycle."""
-        indegree = [node.num_parents for node in self.nodes]
-        stack = [i for i, deg in enumerate(indegree) if deg == 0]
-        visited = 0
-        while stack:
-            current = stack.pop()
-            visited += 1
-            for child in self.nodes[current].children:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    stack.append(child)
-        if visited != len(self.nodes):
-            raise SimulationError(
-                f"execution graph has a cycle ({visited}/{len(self.nodes)} "
-                "tasks reachable)")
-
-
 class GraphStructure:
     """Immutable compiled topology of an execution graph.
 
@@ -295,10 +114,10 @@ class GraphStructure:
     dicts, deques, or node objects.
 
     The constructor is the one compile path: it takes per-task columns
-    in original task order — from :meth:`compile` (an
-    :class:`ExecutionGraph`) or from the builder's tiled
-    :meth:`~repro.graph.builder.GraphBuilder.compile` — runs the FIFO
-    pass, and permutes everything with array operations.
+    in original task order — from the builder's tiled
+    :meth:`~repro.graph.builder.GraphBuilder.compile`, or a hand-built
+    DAG — runs the FIFO pass, and permutes everything with array
+    operations.
 
     The baseline ``duration`` vector captured at compile time is one
     valid timing; :meth:`retime` derives fresh vectors from a timing
@@ -424,54 +243,6 @@ class GraphStructure:
         self._level_plan: LevelPlan | None = None
         self._edge_lists: tuple[list[int], list[int]] | None = None
         self._digest: str | None = None
-
-    @classmethod
-    def compile(cls, graph: ExecutionGraph,
-                slots: list[str | None] | None = None) -> "GraphStructure":
-        """Flatten ``graph`` into its compiled replay form.
-
-        Args:
-            slots: Per-task timing-slot keys in *original* task order
-                (from :attr:`GraphAssembler.slots`); omit (or include
-                any ``None``) to compile a structure that replays but
-                cannot :meth:`retime` by slot.
-
-        Raises:
-            SimulationError: If the graph contains a dependency cycle
-                (reported with the reference engine's deadlock message).
-        """
-        nodes = graph.nodes
-        num_tasks = len(nodes)
-        kind_of: dict[str, int] = {}
-        kind = np.fromiter((kind_of.setdefault(node.kind, len(kind_of))
-                            for node in nodes), dtype=np.intp,
-                           count=num_tasks)
-        counts = np.fromiter((len(node.children) for node in nodes),
-                             dtype=np.intp, count=num_tasks)
-        dst = np.fromiter((child for node in nodes
-                           for child in node.children),
-                          dtype=np.intp, count=int(counts.sum()))
-        slot_keys = slot = None
-        if (slots is not None and len(slots) == num_tasks
-                and None not in slots):
-            slot_of: dict[str, int] = {}
-            slot = np.fromiter((slot_of.setdefault(key, len(slot_of))
-                                for key in slots), dtype=np.intp,
-                               count=num_tasks)
-            slot_keys = tuple(slot_of)
-        return cls(
-            num_devices=graph.num_devices,
-            device=np.fromiter((node.device for node in nodes),
-                               dtype=np.intp, count=num_tasks),
-            kinds=tuple(kind_of), kind=kind,
-            src=np.repeat(np.arange(num_tasks, dtype=np.intp), counts),
-            dst=dst,
-            duration=np.fromiter((node.duration for node in nodes),
-                                 dtype=np.float64, count=num_tasks),
-            slot_keys=slot_keys, slot=slot,
-            stream=[node.stream for node in nodes],
-            label=[node.label for node in nodes],
-            metadata=dict(graph.metadata))
 
     def _column(self, name: str) -> tuple:
         """One per-position attribute column, materialized on first use."""

@@ -4,7 +4,7 @@ The paper targets NVIDIA A100 GPUs (AWS p4d instances for single-node
 validation, DGX A100 nodes for the 512-GPU cluster). Because this
 reproduction has no physical GPU, the specification below feeds a
 deterministic analytical device model (:mod:`repro.hardware.kernels`) that
-stands in for CUPTI profiling — see DESIGN.md, "Substitutions".
+stands in for CUPTI profiling — see README.md, "Substitutions".
 """
 
 from __future__ import annotations

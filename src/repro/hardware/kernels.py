@@ -1,7 +1,7 @@
 """Deterministic analytical GPU kernel-timing model.
 
 This module is the substitution for the paper's CUPTI profiling of real
-CUDA kernels on an A100 (DESIGN.md, "Substitutions"). It models each kernel
+CUDA kernels on an A100 (README.md, "Substitutions"). It models each kernel
 class the way the hardware behaves:
 
 * **GEMM kernels** use a roofline with tile and wave quantization: the GEMM

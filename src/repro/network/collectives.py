@@ -109,21 +109,21 @@ def _ring_plan(topology: Topology, gpus: list[str],
     """One ring step: every member sends a chunk to its successor,
     simultaneously on every channel (the step All-Reduce, All-Gather and
     Reduce-Scatter all repeat)."""
-    def build() -> StepPlan:
+    def route() -> StepPlan:
         _check_group(gpus)
         _check_channels(channels)
         count = len(gpus)
         return StepPlan.route(topology, [
             (gpus[index], gpus[(index + 1) % count], channel, count)
             for channel in range(channels) for index in range(count)])
-    return topology.plan(("ring", tuple(gpus), channels), build)
+    return topology.plan(("ring", tuple(gpus), channels), route)
 
 
 def _tree_plan(topology: Topology, gpus: list[str],
                channels: int) -> tuple[StepPlan, ...]:
     """The reduce rounds of a binomial tree: round ``k`` pairs members
     ``2^k`` apart, each pair exchanging the full per-channel payload."""
-    def build() -> tuple[StepPlan, ...]:
+    def route() -> tuple[StepPlan, ...]:
         _check_group(gpus)
         _check_channels(channels)
         count = len(gpus)
@@ -135,7 +135,7 @@ def _tree_plan(topology: Topology, gpus: list[str],
                 for channel in range(channels)
                 for receiver in range(0, count - distance, 2 * distance)]))
         return tuple(rounds)
-    return topology.plan(("tree", tuple(gpus), channels), build)
+    return topology.plan(("tree", tuple(gpus), channels), route)
 
 
 def _hierarchical_plan(topology: Topology,
@@ -143,7 +143,7 @@ def _hierarchical_plan(topology: Topology,
     """The inter-node step of the two-level All-Reduce: slot ``s`` runs
     one ring over the nodes that have it, on channel ``s`` (its own
     rail; slots sharing a rail contend)."""
-    def build() -> StepPlan:
+    def route() -> StepPlan:
         _check_group([gpu for slots in node_slots for gpu in slots])
         hops = []
         for slot in range(max(len(slots) for slots in node_slots)):
@@ -154,7 +154,7 @@ def _hierarchical_plan(topology: Topology,
                       len(ring)) for index in range(len(ring))]
         return StepPlan.route(topology, hops)
     key = tuple(tuple(slots) for slots in node_slots)
-    return topology.plan(("hierarchical", key), build)
+    return topology.plan(("hierarchical", key), route)
 
 
 def ring_allreduce_time(topology: Topology, gpus: list[str],

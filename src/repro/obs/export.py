@@ -45,11 +45,12 @@ def simulation_trace_events(result: SimulationResult
 
     Devices map to pids, streams to tids, kinds to categories. Raises
     :class:`~repro.errors.SimulationError` when the result has no
-    recorded events (``simulate(..., record_timeline=True)`` required).
+    recorded events (predict with ``record_timeline=True`` first).
     """
     if result.events is None:
         raise SimulationError(
-            "trace export needs simulate(..., record_timeline=True)")
+            "trace export needs a recorded timeline: pass "
+            "record_timeline=True to VTrain.predict or simulate_retimed")
     events = result.events
     tids = _stream_tids(events)
     devices = sorted({e.device for e in events})

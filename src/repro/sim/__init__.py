@@ -5,10 +5,7 @@ from repro.sim.analysis import (DeviceProfile, critical_device,
                                 pipeline_bubble_time,
                                 stage_utilization_profile, summarize)
 from repro.sim.engine import (BatchSimulationResult, compute_idle_fraction,
-                              critical_path_length, simulate,
-                              simulate_reference, simulate_retimed,
-                              simulate_retimed_batch,
-                              stream_serialisation_check)
+                              simulate_retimed, simulate_retimed_batch)
 from repro.sim.estimator import (PredictTiming, PreparedPlan, VTrain,
                                  cost_for_utilization,
                                  training_days_for_utilization)
@@ -33,11 +30,7 @@ __all__ = [
     "BatchSimulationResult",
     "compute_idle_fraction",
     "cost_for_utilization",
-    "critical_path_length",
-    "simulate",
-    "simulate_reference",
     "simulate_retimed",
     "simulate_retimed_batch",
-    "stream_serialisation_check",
     "training_days_for_utilization",
 ]

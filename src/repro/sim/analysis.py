@@ -12,8 +12,9 @@ results:
   embedding/LM-head extras, interior stages idle in the bubble);
 * the critical device (the stage that sets the iteration time).
 
-All functions take the :class:`~repro.sim.results.SimulationResult` of
-``simulate(graph, record_timeline=True)``.
+All functions take a :class:`~repro.sim.results.SimulationResult` with
+a recorded timeline: ``VTrain.predict(..., record_timeline=True)``'s
+``simulation``, or ``simulate_retimed(..., record_timeline=True)``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ COMPUTE_KINDS = (KIND_COMPUTE, KIND_WEIGHT_UPDATE)
 def _require_events(result: SimulationResult) -> list[TimelineEvent]:
     if result.events is None:
         raise SimulationError(
-            "timeline analysis needs simulate(..., record_timeline=True)")
+            "timeline analysis needs a recorded timeline: pass "
+            "record_timeline=True to VTrain.predict or simulate_retimed")
     return result.events
 
 

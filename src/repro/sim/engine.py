@@ -13,21 +13,18 @@ so a gradient-bucket All-Reduce's start time is bound only by its data
 dependency, letting it run concurrently with backward compute — exactly
 the behaviour line 12 of Algorithm 1 must "faithfully model".
 
-Three functions implement the algorithm:
+Two engines implement the algorithm:
 
-* :func:`simulate_reference` — the verbatim per-task Python loop over
-  :class:`~repro.graph.structure.TaskNode` objects, kept as the
-  executable specification and equivalence-test oracle.
-* :func:`simulate` / :func:`simulate_retimed` — the scalar engine.
-  The FIFO pop order of Algorithm 1 is purely structural (durations
-  never change which task is popped next), so it is precomputed once
-  when a graph is compiled into a
-  :class:`~repro.graph.structure.GraphStructure`; replay is then one
-  Python loop over the edges in that order — no dicts, no deque, no
+* :func:`simulate_retimed` — the scalar engine. The FIFO pop order of
+  Algorithm 1 is purely structural (durations never change which task
+  is popped next), so it is precomputed once when a graph is compiled
+  into a :class:`~repro.graph.structure.GraphStructure`; replay is then
+  one Python loop over the edges in that order — no dicts, no deque, no
   per-task object churn, :class:`~repro.sim.results.TimelineEvent`
   objects materialized only when ``record_timeline=True``. Results are
-  bit-identical to the reference engine (same floating-point operations
-  in the same order; see ``tests/test_sim_equivalence.py``).
+  bit-identical to the per-task reference loop kept in
+  ``tests/graph_oracle.py`` (same floating-point operations in the same
+  order; see ``tests/test_sim_equivalence.py``).
 * :func:`simulate_retimed_batch` — level replay of N duration columns
   at once over the structure's chain-compressed
   :class:`~repro.graph.structure.LevelPlan`: one max-fold per level
@@ -35,10 +32,9 @@ Three functions implement the algorithm:
   produces their finishes. Every column is bit-identical to a scalar
   replay of it (``tests/test_sim_batch.py``).
 
-Neither engine mutates the graph, so one built graph can be replayed
-many times — and one *compiled structure* can be replayed with many
-duration vectors, which is what design-space sweeps and
-perturbed-hardware studies exploit. :func:`use_batched_replay` is the
+Neither engine mutates the structure, so one compiled structure can be
+replayed with many duration vectors, which is what design-space sweeps
+and perturbed-hardware studies exploit. :func:`use_batched_replay` is the
 one rule choosing between the two engines for a group of columns that
 share a structure: level replay pays once the columns hold
 :data:`WIDTH` tasks per level, so wide structures (MT-NLG at OPERATOR
@@ -49,13 +45,11 @@ narrow ones stay on the scalar loop until enough columns share them.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.graph.structure import (COMPUTE_STREAM, ExecutionGraph,
-                                   GraphStructure, PackedLevels)
+from repro.graph.structure import GraphStructure, PackedLevels
 from repro.sim.results import SimulationResult, TimelineEvent
 
 #: Tasks per level at which level replay beats the scalar loop: a level
@@ -68,45 +62,6 @@ WIDTH = 64
 #: column, a few ns per cell, while one row add costs about 1.5 µs
 #: whatever its width. Both add in the same order.
 _ROW_ADD_WIDTH = 256
-
-
-def simulate(graph: ExecutionGraph | GraphStructure, *,
-             record_timeline: bool = False) -> SimulationResult:
-    """Estimate single-iteration training time from a task graph.
-
-    Compiles the graph into its :class:`GraphStructure` replay form
-    (memoized on the graph object) and replays it with the compiled
-    engine. Results are bit-identical to :func:`simulate_reference`.
-
-    Args:
-        graph: Execution graph from
-            :class:`~repro.graph.builder.GraphBuilder`, or an
-            already-compiled :class:`GraphStructure`.
-        record_timeline: Also record per-task (start, finish) events —
-            costs memory on large graphs, invaluable for tests and traces.
-
-    Returns:
-        A :class:`~repro.sim.results.SimulationResult` whose
-        ``iteration_time`` is the predicted single-iteration latency.
-
-    Raises:
-        SimulationError: If the graph contains a dependency cycle (some
-            tasks never become ready).
-    """
-    if isinstance(graph, GraphStructure):
-        return simulate_retimed(graph, record_timeline=record_timeline)
-    if len(graph.nodes) == 0:
-        raise SimulationError("cannot simulate an empty graph")
-    structure = graph.compiled()
-    # The compiled topology is memoized on the graph, but durations are
-    # re-read from the nodes every call: replaying one graph with
-    # scaled/mutated durations (sensitivity studies) must see the
-    # current values, exactly as the reference engine does.
-    nodes = graph.nodes
-    durations = [nodes[task].duration for task in structure.task_id.tolist()]
-    return simulate_retimed(structure, durations,
-                            record_timeline=record_timeline,
-                            metadata=graph.metadata)
 
 
 def simulate_retimed(structure: GraphStructure,
@@ -124,8 +79,7 @@ def simulate_retimed(structure: GraphStructure,
 
     Args:
         structure: Compiled topology
-            (:meth:`~repro.graph.structure.GraphStructure.compile` or
-            :meth:`~repro.graph.builder.GraphBuilder.compile`).
+            (:meth:`~repro.graph.builder.GraphBuilder.compile`).
         durations: Per-task durations in *replay order* (as produced by
             :meth:`~repro.graph.structure.GraphStructure.retime`).
             Defaults to the structure's baseline durations.
@@ -430,99 +384,6 @@ def _level_sweep(packed: PackedLevels, matrix: np.ndarray) -> np.ndarray:
     return cells
 
 
-def simulate_reference(graph: ExecutionGraph, *,
-                       record_timeline: bool = False) -> SimulationResult:
-    """Reference Algorithm-1 implementation (per-task Python loop).
-
-    Kept verbatim as the executable specification: the compiled engine
-    (:func:`simulate` / :func:`simulate_retimed`) must be bit-identical
-    to this on makespan, per-device timelines, busy accounting, and
-    recorded event order (property-tested in
-    ``tests/test_sim_equivalence.py``). Prefer :func:`simulate` for
-    anything performance-sensitive.
-    """
-    nodes = graph.nodes
-    num_tasks = len(nodes)
-    if num_tasks == 0:
-        raise SimulationError("cannot simulate an empty graph")
-
-    ref = [node.num_parents for node in nodes]
-    start = [0.0] * num_tasks
-    queue: deque[int] = deque(node.task_id for node in nodes
-                              if node.num_parents == 0)
-
-    timeline: dict[int, float] = {device: 0.0
-                                  for device in range(graph.num_devices)}
-    busy: dict[int, dict[str, float]] = {
-        device: {} for device in range(graph.num_devices)}
-    events: list[TimelineEvent] | None = [] if record_timeline else None
-    executed = 0
-    makespan = 0.0
-
-    while queue:
-        task_id = queue.popleft()  # fetch a task in FIFO order
-        node = nodes[task_id]
-        task_start = start[task_id]
-        finish = task_start + node.duration
-        device_clock = timeline.get(node.device, 0.0)
-        timeline[node.device] = max(device_clock, finish)
-        makespan = max(makespan, finish)
-        executed += 1
-
-        device_busy = busy.setdefault(node.device, {})
-        device_busy[node.kind] = device_busy.get(node.kind, 0.0) + node.duration
-        if events is not None:
-            events.append(TimelineEvent(task_id=task_id, device=node.device,
-                                        stream=node.stream, kind=node.kind,
-                                        label=node.label, start=task_start,
-                                        finish=finish))
-
-        for child in node.children:
-            if start[child] < finish:
-                start[child] = finish
-            ref[child] -= 1
-            if ref[child] == 0:
-                queue.append(child)
-
-    if executed != num_tasks:
-        raise SimulationError(
-            f"task graph deadlocked: {executed}/{num_tasks} tasks executed "
-            "(dependency cycle)")
-
-    return SimulationResult(iteration_time=makespan, num_tasks=num_tasks,
-                            device_timeline=timeline, device_busy=busy,
-                            events=events, metadata=dict(graph.metadata))
-
-
-def critical_path_length(graph: ExecutionGraph) -> float:
-    """Longest dependency chain (ignoring stream serialisation).
-
-    A lower bound on the iteration time, useful as a simulation
-    cross-check: ``critical_path <= simulate(...).iteration_time``.
-    """
-    nodes = graph.nodes
-    finish = [0.0] * len(nodes)
-    ref = [node.num_parents for node in nodes]
-    queue: deque[int] = deque(graph.roots())
-    visited = 0
-    best = 0.0
-    while queue:
-        task_id = queue.popleft()
-        node = nodes[task_id]
-        end = finish[task_id] + node.duration
-        best = max(best, end)
-        visited += 1
-        for child in node.children:
-            if finish[child] < end:
-                finish[child] = end
-            ref[child] -= 1
-            if ref[child] == 0:
-                queue.append(child)
-    if visited != len(nodes):
-        raise SimulationError("graph has a cycle; critical path undefined")
-    return best
-
-
 def compute_idle_fraction(result: SimulationResult) -> float:
     """Average fraction of the iteration each device's compute sits idle.
 
@@ -541,22 +402,3 @@ def compute_idle_fraction(result: SimulationResult) -> float:
     if not fractions:
         return 0.0
     return sum(fractions) / len(fractions)
-
-
-def stream_serialisation_check(graph: ExecutionGraph,
-                               result: SimulationResult) -> bool:
-    """Verify no two compute tasks of one device overlap in a recorded
-    timeline — the invariant the chain edges are meant to guarantee."""
-    if result.events is None:
-        raise SimulationError("run simulate(record_timeline=True) first")
-    by_device: dict[int, list[TimelineEvent]] = {}
-    for event in result.events:
-        if event.stream == COMPUTE_STREAM:
-            by_device.setdefault(event.device, []).append(event)
-    tolerance = 1e-12
-    for device_events in by_device.values():
-        device_events.sort(key=lambda e: e.start)
-        for earlier, later in zip(device_events, device_events[1:]):
-            if later.start < earlier.finish - tolerance:
-                return False
-    return True

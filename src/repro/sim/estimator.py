@@ -41,7 +41,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.graph.builder import (Granularity, GraphBuilder,
                                  structure_cache_evict, structure_cache_get,
                                  structure_cache_put)
-from repro.graph.structure import ExecutionGraph, GraphStructure
+from repro.graph.structure import GraphStructure
 from repro.hardware.kernels import DeviceModel
 from repro.memory.footprint import (MemoryFootprint, check_inference_memory,
                                     check_memory, inference_memory_footprint,
@@ -115,8 +115,8 @@ class PreparedPlan:
     """A compiled, timed plan ready for (re-)replay.
 
     ``durations`` is in the structure's replay order; consumers such as
-    the testbed emulator perturb it and call
-    :func:`~repro.sim.engine.simulate_retimed` without ever rebuilding
+    the testbed emulator replace it with perturbed copies and replay
+    them through :meth:`VTrain.predict_prepared` without ever rebuilding
     the graph. ``structure`` may come from the structure cache, compiled
     by another plan with an equal structure key: everything in it but
     its baseline durations and metadata is this plan's too. ``durations``
@@ -232,13 +232,6 @@ class VTrain:
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
-    def build_graph(self, model: ModelConfig, plan: ParallelismConfig,
-                    training: TrainingConfig) -> ExecutionGraph:
-        """Build the execution graph for one iteration of this plan."""
-        builder = GraphBuilder(model, self.system, plan, training,
-                               self.lookup, self.nccl, self.granularity)
-        return builder.build()
-
     def prepare(self, model: ModelConfig, plan: ParallelismConfig,
                 training: TrainingConfig | None, *,
                 workload: InferenceWorkload | None = None,

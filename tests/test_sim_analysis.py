@@ -1,6 +1,7 @@
 """Unit tests for timeline analysis."""
 
 import pytest
+from graph_oracle import build_graph, simulate
 
 from repro.config.parallelism import ParallelismConfig, PipelineSchedule
 from repro.config.system import single_node
@@ -9,14 +10,13 @@ from repro.sim.analysis import (critical_device, device_profiles,
                                 exposed_dp_fraction, pipeline_bubble_time,
                                 stage_utilization_profile, summarize,
                                 _interval_overlap, _merge_intervals)
-from repro.sim.engine import simulate
 from repro.sim.estimator import VTrain
 from repro.sim.results import SimulationResult, TimelineEvent
 
 
 def predict_with_timeline(model, plan, training):
     vtrain = VTrain(single_node(), check_memory_feasibility=False)
-    graph = vtrain.build_graph(model, plan, training)
+    graph = build_graph(vtrain, model, plan, training)
     return simulate(graph, record_timeline=True)
 
 
@@ -42,7 +42,7 @@ class TestProfiles:
         vtrain = VTrain(single_node())
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        graph = vtrain.build_graph(tiny_model, plan, training)
+        graph = build_graph(vtrain, tiny_model, plan, training)
         result = simulate(graph)  # no timeline
         with pytest.raises(SimulationError):
             device_profiles(result)

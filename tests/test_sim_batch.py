@@ -20,13 +20,14 @@ import random
 
 import numpy as np
 import pytest
+from graph_oracle import GraphAssembler
 from hypothesis import given, strategies as st
 
 from repro.config.parallelism import ParallelismConfig
 from repro.config.system import single_node
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.errors import SimulationError
-from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM, GraphAssembler
+from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM
 from repro.sim.engine import simulate_retimed, simulate_retimed_batch
 from repro.sim.estimator import VTrain
 

@@ -3,7 +3,7 @@ reference Algorithm-1 loop.
 
 The compiled engine (precompiled replay order + flat arrays,
 :func:`repro.sim.engine.simulate_retimed`) must reproduce
-:func:`repro.sim.engine.simulate_reference` *exactly* — same makespan
+``graph_oracle.simulate_reference`` *exactly* — same makespan
 bits, same per-device timelines, same busy accounting (values and dict
 insertion order), same recorded events in the same order — on arbitrary
 DAGs, not just builder-shaped ones. These tests drive both engines over
@@ -14,15 +14,16 @@ builder output at every granularity.
 import random
 
 import pytest
+from graph_oracle import (GraphAssembler, build_graph, compile_graph,
+                          simulate, simulate_reference)
 from hypothesis import given, strategies as st
 
 from repro.config.parallelism import ParallelismConfig, PipelineSchedule
 from repro.config.system import single_node
 from repro.errors import SimulationError
 from repro.graph.builder import Granularity
-from repro.graph.structure import (ALL_KINDS, COMM_STREAM, COMPUTE_STREAM,
-                                   GraphAssembler, GraphStructure)
-from repro.sim.engine import simulate, simulate_reference, simulate_retimed
+from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM
+from repro.sim.engine import simulate_retimed
 from repro.sim.estimator import VTrain
 
 STREAMS = (COMPUTE_STREAM, COMM_STREAM)
@@ -104,7 +105,7 @@ class TestBuilderGraphs:
         vtrain = VTrain(single_node(), granularity=granularity)
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        assert_bit_identical(vtrain.build_graph(tiny_model, plan, training))
+        assert_bit_identical(build_graph(vtrain, tiny_model, plan, training))
 
     @pytest.mark.parametrize("plan", [
         ParallelismConfig(tensor=1, data=1, pipeline=4, micro_batch_size=2),
@@ -116,7 +117,7 @@ class TestBuilderGraphs:
     ])
     def test_plan_shapes(self, plan, tiny_model, training):
         vtrain = VTrain(single_node())
-        assert_bit_identical(vtrain.build_graph(tiny_model, plan, training))
+        assert_bit_identical(build_graph(vtrain, tiny_model, plan, training))
 
 
 class TestRetime:
@@ -126,7 +127,7 @@ class TestRetime:
         vtrain = VTrain(single_node())
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        graph = vtrain.build_graph(tiny_model, plan, training)
+        graph = build_graph(vtrain, tiny_model, plan, training)
         structure = graph.compiled()
         retimed = simulate_retimed(structure, structure.duration * 2.0)
         for node in graph.nodes:
@@ -208,7 +209,6 @@ class TestStructureDispatch:
             simulate(asm.finish(num_devices=1))
 
     def test_empty_structure_rejected(self):
-        structure = GraphStructure.compile(
-            GraphAssembler().finish(num_devices=0))
+        structure = compile_graph(GraphAssembler().finish(num_devices=0))
         with pytest.raises(SimulationError, match="empty"):
             simulate_retimed(structure)

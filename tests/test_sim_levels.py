@@ -18,6 +18,7 @@ import weakref
 
 import numpy as np
 import pytest
+from graph_oracle import GraphAssembler
 from hypothesis import given, strategies as st
 
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
@@ -25,11 +26,10 @@ from repro.config.presets import MEGATRON_1_7B
 from repro.config.system import multi_node, single_node
 from repro.errors import SimulationError
 from repro.graph.builder import Granularity, clear_structure_cache
-from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM, GraphAssembler
+from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM
 from repro.sim import engine, estimator
 from repro.sim.engine import WIDTH, simulate_retimed, simulate_retimed_batch, use_batched_replay
 from repro.sim.estimator import VTrain
-from repro.testbed import emulator
 from repro.testbed.emulator import TestbedEmulator
 
 STREAMS = (COMPUTE_STREAM, COMM_STREAM)
@@ -282,7 +282,7 @@ class TestEngineRule:
         narrow = vtrain.prepare(MEGATRON_1_7B, NARROW_PLAN, TRAINING).structure
         needed = columns_to_batch(narrow)
         assert needed > 1
-        calls = count_engines(monkeypatch, emulator)
+        calls = count_engines(monkeypatch, estimator)
         wide = testbed.measure_samples(MEGATRON_1_7B, WIDE_PLAN, TRAINING, 1)
         assert calls == {"scalar": 0, "batched": [1]}
         fewer = testbed.measure_samples(MEGATRON_1_7B, NARROW_PLAN, TRAINING, needed - 1)

@@ -2,24 +2,28 @@
 
 * The emitter's constructor takes one argument, a ``StructureKey``, so
   it cannot read a setting the key lacks.
-* ``str(key)`` is byte-identical to the hand-written fingerprint the
-  structure cache used before the key existed (kept below as the
-  oracle), except at KERNEL granularity, where a digest of the kernel
-  names replaces the recompute/shape parts that stood in for them.
+* A training key's ``str(key)`` is byte-identical to the hand-written
+  fingerprint the structure cache used before the key existed (kept
+  below as the oracle), except at KERNEL granularity, where a digest of
+  the kernel names replaces the recompute/shape parts that stood in for
+  them.
 * Those parts missed the GPU: a KERNEL structure compiled on one GPU
   was served to a same-shape plan on another, with the first GPU's
   kernel names in its labels — and the testbed keys its noise by label.
+* An inference key holds only what a phase graph's emitter reads: no
+  schedule, DP flag, bucket sizes or sequence shape.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
 import typing
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from repro.config.model import ModelConfig
@@ -36,15 +40,12 @@ from repro.graph.builder import (Granularity, GraphBuilder, StructureKey,
 from repro.hardware.gpu import A100_80GB, H100_80GB, V100_32GB
 from repro.sim.estimator import VTrain
 from repro.testbed.emulator import TestbedEmulator
-from repro.workload import (DECODE, INFERENCE_PHASES, PREFILL,
-                            InferenceWorkload)
+from repro.workload import INFERENCE_PHASES, InferenceWorkload
 
 
 def structure_fingerprint(model: ModelConfig, plan: ParallelismConfig,
                           training: TrainingConfig,
-                          granularity: Granularity, *,
-                          workload: InferenceWorkload | None = None,
-                          phase: str | None = None) -> str:
+                          granularity: Granularity) -> str:
     """Fingerprint of everything that shapes a plan's emitted topology.
 
     Two (model, plan, training, granularity) tuples with equal
@@ -67,14 +68,6 @@ def structure_fingerprint(model: ModelConfig, plan: ParallelismConfig,
 
     Computable without any profiling state, so sweep engines use it to
     group plans for cache affinity before evaluating them.
-
-    Inference phase graphs (``workload``/``phase`` set) append a
-    workload tag so a prefill or decode structure is never confused
-    with — or silently served for — a training structure, and vice
-    versa; training fingerprints omit the tag entirely and stay
-    byte-identical to every pre-workload release. For inference,
-    ``training`` is the workload's proxy config
-    (:meth:`~repro.workload.InferenceWorkload.training_proxy`).
     """
     lps = layers_per_stage(model, plan)
     nmb = num_micro_batches(plan, training)
@@ -111,25 +104,6 @@ def structure_fingerprint(model: ModelConfig, plan: ParallelismConfig,
                      f"x{model.padded_vocab_size(plan.tensor)}")
         parts.append(f"mbs={plan.micro_batch_size}")
         parts.append(f"t={plan.tensor}")
-    if phase is not None:
-        if workload is None or phase not in INFERENCE_PHASES:
-            raise ConfigError(
-                f"inference fingerprint needs a workload and a phase in "
-                f"{INFERENCE_PHASES}, got workload={workload!r} "
-                f"phase={phase!r}")
-        # Inference phase graphs carry their own sequence shape (the
-        # prompt length for prefill, one token + KV depth for decode)
-        # rather than the model's training seq_length, so the phase,
-        # the per-phase sequence length, and the decode KV depth all
-        # enter the fingerprint. Conservative on purpose: two decode
-        # graphs differing only in KV depth share topology, but their
-        # kernel labels differ, so they are cached separately.
-        parts.append("wl=inference")
-        parts.append(f"ph={phase}")
-        if phase == PREFILL:
-            parts.append(f"seq={workload.prompt_len}")
-        else:
-            parts.append(f"seq=1;kv={workload.decode_kv_length}")
     return ";".join(parts)
 
 
@@ -182,15 +156,14 @@ class TestEmitterTakesOnlyTheKey:
 class TestByteIdentity:
     @given(data=st.data())
     def test_key_string_equals_the_fingerprint(self, data):
-        """OPERATOR and STAGE keys read exactly like the fingerprint;
-        KERNEL keys swap its rc/shape/mbs/t parts for the digest."""
+        """OPERATOR and STAGE training keys read exactly like the
+        fingerprint; KERNEL keys swap its rc/shape/mbs/t parts for the
+        digest."""
         granularity = data.draw(st.sampled_from(list(Granularity)))
-        phase = data.draw(st.sampled_from((None, PREFILL, DECODE)))
         schedule = data.draw(st.sampled_from(list(PipelineSchedule)))
         pipeline = data.draw(st.sampled_from((1, 2, 4)))
         v = 1
-        if (phase is None and pipeline > 1
-                and schedule is PipelineSchedule.ONE_F_ONE_B):
+        if pipeline > 1 and schedule is PipelineSchedule.ONE_F_ONE_B:
             v = data.draw(st.sampled_from((1, 2, 4)))
         layers = data.draw(st.sampled_from((8, 16, 24)))
         model = ModelConfig(hidden_size=512, num_layers=layers,
@@ -202,20 +175,12 @@ class TestByteIdentity:
             schedule=schedule, virtual_stages=v,
             gradient_bucketing=data.draw(st.booleans()),
             num_gradient_buckets=data.draw(st.integers(1, 7)))
-        workload = None
         training = TrainingConfig(
             global_batch_size=data.draw(st.sampled_from((16, 32, 64))))
-        if phase is not None:
-            workload = InferenceWorkload(
-                batch_size=8, prompt_len=data.draw(st.sampled_from((64, 256))),
-                gen_len=data.draw(st.sampled_from((16, 32))))
-            training = workload.training_proxy(plan.data)
         assume(layers % (pipeline * v) == 0)
         key = StructureKey.of(model, plan, training, granularity,
-                              workload=workload, phase=phase,
                               kernels=KERNELS)
-        expected = structure_fingerprint(model, plan, training, granularity,
-                                         workload=workload, phase=phase)
+        expected = structure_fingerprint(model, plan, training, granularity)
         if granularity is Granularity.KERNEL:
             parts = expected.split(";")
             first = next(index for index, part in enumerate(parts)
@@ -232,6 +197,80 @@ class TestByteIdentity:
                 for kernels in (KERNELS, {**KERNELS, "fwd_ffn": ["gemm_c"]},
                                 dict(reversed(KERNELS.items())))}
         assert len(keys) == 2  # the mapping's order does not matter
+
+
+#: 16 layers split over every pipeline depth below; 32 GPUs hold every
+#: drawn plan.
+PHASE_MODEL = ModelConfig(hidden_size=512, num_layers=16, seq_length=128,
+                          num_heads=8, vocab_size=32_000, name="phase16")
+PHASE_SYSTEM = multi_node(4)
+
+
+@functools.cache
+def phase_vtrain(granularity: Granularity) -> VTrain:
+    return VTrain(PHASE_SYSTEM, granularity=granularity,
+                  check_memory_feasibility=False)
+
+
+def phase_twins(data, granularity: Granularity) -> list[GraphBuilder]:
+    """Two builders of one phase graph whose plans and workloads share
+    the pipeline depth, TP degree and micro-batch size, and each draw
+    their own schedule, data degree, bucket count, prompt length and
+    generation length."""
+    phase = data.draw(st.sampled_from(INFERENCE_PHASES))
+    tensor = data.draw(st.sampled_from((1, 2)))
+    pipeline = data.draw(st.sampled_from((1, 2, 4)))
+    micro_batch = data.draw(st.sampled_from((1, 2)))
+    vtrain = phase_vtrain(granularity)
+    builders = []
+    for _ in range(2):
+        plan = ParallelismConfig(
+            tensor=tensor, data=data.draw(st.sampled_from((1, 2, 4))),
+            pipeline=pipeline, micro_batch_size=micro_batch,
+            schedule=data.draw(st.sampled_from(list(PipelineSchedule))),
+            gradient_bucketing=data.draw(st.booleans()),
+            num_gradient_buckets=data.draw(st.integers(1, 7)))
+        workload = InferenceWorkload(
+            batch_size=8, prompt_len=data.draw(st.sampled_from((64, 256))),
+            gen_len=data.draw(st.sampled_from((16, 32))))
+        builders.append(GraphBuilder(
+            PHASE_MODEL, PHASE_SYSTEM, plan, None, vtrain.lookup,
+            vtrain.nccl, granularity, workload=workload, phase=phase))
+    return builders
+
+
+def assert_same_structure(first: GraphBuilder,
+                          second: GraphBuilder) -> None:
+    ours, theirs = first.compile(), second.compile()
+    assert ours.digest() == theirs.digest()
+    for name in ("label", "stream", "kinds"):
+        assert getattr(ours, name) == getattr(theirs, name), name
+
+
+class TestInferenceKeys:
+    """A phase graph's emitter issues forwards in micro-batch order under
+    any schedule and syncs no gradients, and the sequence shape reaches
+    the graph only through durations (and KERNEL names), so none of
+    them may split a phase's cache entry."""
+
+    @given(data=st.data())
+    def test_keys_ignore_what_the_emitter_never_reads(self, data):
+        granularity = data.draw(st.sampled_from((Granularity.OPERATOR,
+                                                 Granularity.STAGE)))
+        first, second = phase_twins(data, granularity)
+        assert first.key == second.key
+        assert str(first.key) == str(second.key)
+        assert_same_structure(first, second)
+
+    @given(data=st.data())
+    def test_kernel_keys_are_equal_exactly_when_the_names_are(self, data):
+        first, second = phase_twins(data, Granularity.KERNEL)
+        shared = first.key == second.key
+        event(f"keys shared: {shared}")
+        assert shared == (first.key.kernels == second.key.kernels)
+        assert shared == (str(first.key) == str(second.key))
+        if shared:
+            assert_same_structure(first, second)
 
 
 #: Megatron 1.7B on one 8-GPU node, t=2 d=2 p=2, micro-batch 2, B=16.

@@ -22,12 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from graph_oracle import build_graph
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config.parallelism import ParallelismConfig, TrainingConfig
+from repro.config.parallelism import ParallelismConfig
 from repro.config.system import single_node
 from repro.errors import ConfigError
 from repro.graph.builder import (Granularity, StructureKey,
@@ -139,7 +141,7 @@ class TestTrainingGoldens:
             GOLDENS[(plan_name, granularity)])
         vtrain = make_vtrain(granularity)
         plan = GOLDEN_PLANS[plan_name]
-        graph = vtrain.build_graph(tiny_model, plan, training)
+        graph = build_graph(vtrain, tiny_model, plan, training)
         assert len(graph.nodes) == expect_tasks
         assert graph_digest(graph) == expect_digest
         estimate = vtrain.predict(tiny_model, plan, training)
@@ -339,18 +341,27 @@ class TestWorkloadFingerprints:
         assert f"ph={PREFILL}" in fingerprints[PREFILL]
         assert f"ph={DECODE}" in fingerprints[DECODE]
 
-    def test_decode_fingerprint_carries_kv_depth(self, tiny_model, plan):
-        shallow = InferenceWorkload(batch_size=8, prompt_len=128,
-                                    gen_len=64)
-        deep = InferenceWorkload(batch_size=8, prompt_len=512, gen_len=64)
-        proxy = shallow.training_proxy(plan.data)
-        fp_shallow = str(StructureKey.of(
-            tiny_model, plan, proxy, Granularity.OPERATOR,
-            workload=shallow, phase=DECODE))
-        fp_deep = str(StructureKey.of(
-            tiny_model, plan, proxy, Granularity.OPERATOR,
-            workload=deep, phase=DECODE))
-        assert fp_shallow != fp_deep
+    def test_more_replicas_reuse_the_decode_structure(self, tiny_model,
+                                                      workload):
+        """Replicas never reach a phase graph's topology: a decode
+        predict at d=2 after the same plan at d=1 is a structure-cache
+        hit, and predicts bit-identically to a cold compile."""
+        single = ParallelismConfig(tensor=2, data=1, pipeline=2,
+                                   micro_batch_size=2)
+        double = replace(single, data=2)
+        vtrain = make_vtrain()
+        vtrain.predict_inference(tiny_model, single, workload)
+        checked = vtrain.prepare_checked(tiny_model, double,
+                                         workload=workload)
+        decode = checked.phases[1]
+        assert decode.metadata["phase"] == DECODE
+        assert decode.structure_cache_hit
+        [warm] = vtrain.predict_prepared([checked])
+        clear_structure_cache()
+        cold_vtrain = make_vtrain()
+        cold = cold_vtrain.predict_inference(tiny_model, double, workload)
+        assert not cold_vtrain.last_predict_timing.structure_cache_hit
+        assert warm == cold
 
     def test_structure_cache_never_crosses_workloads(
             self, tiny_model, training, plan, workload):
