@@ -92,11 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the per-GPU memory feasibility check")
     predict.add_argument("--timing", action="store_true",
                          help="print a phase breakdown of where the "
-                              "prediction's wall time went (memory check, "
-                              "builder init, structure build on a cache "
-                              "miss or duration fill on a hit, replay; "
-                              "summed over the prefill and decode graphs "
-                              "of an inference workload)")
+                              "prediction's wall time went, under the "
+                              "repository benchmark's layer names "
+                              "(memory.check_s, graph.builder_init_s, "
+                              "graph.structure_build_s on a cache miss or "
+                              "graph.duration_fill_s on a hit, "
+                              "sim.replay_s; summed over the prefill and "
+                              "decode graphs of an inference workload)")
     predict.add_argument("--trace", type=Path, metavar="PATH",
                          help="write a Chrome Trace Event Format JSON "
                               "file holding the simulated device timeline "
@@ -430,9 +432,9 @@ def _print_timing(vtrain: VTrain) -> None:
     print("timing breakdown :")
     for phase, seconds in timing.phases().items():
         source = (f" ({timing.structure_source})"
-                  if phase == "structure build" else "")
-        print(f"  {phase:<15}: {seconds * 1e3:.2f} ms{source}")
-    print(f"  {'total':<15}: {timing.total_s * 1e3:.2f} ms")
+                  if phase == "graph.structure_build_s" else "")
+        print(f"  {phase:<23}: {seconds * 1e3:.2f} ms{source}")
+    print(f"  {'total':<23}: {timing.total_s * 1e3:.2f} ms")
 
 
 def _parse_endpoint(spec: str) -> tuple[str, int]:

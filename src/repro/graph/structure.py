@@ -9,14 +9,18 @@ execution-order constraints (Section III-B).
 
 **Structure/timing split.** A :class:`GraphStructure` is the graph's one
 form: every per-task attribute flattened into CSR-style arrays,
-renumbered into the replay order Algorithm 1's FIFO queue would visit
-(which is purely structural — task durations never influence it), with
-the per-task duration vector kept separate. Replays become a single
-array pass (:func:`repro.sim.engine.simulate_retimed`), and because the
-topology is immutable, one compiled structure can be re-timed with fresh
-duration vectors — a perturbed device model, a new NCCL table, a
-different tensor-parallel degree with the same shape — without
-rebuilding or re-sorting anything.
+renumbered chain by chain into a topological order (one FIFO pass over
+the graph's chains, not its tasks), with the per-task duration vector
+kept separate. Any topological order replays Algorithm 1's starts and
+finishes bit for bit — a start is a max of finishes, which is exact,
+and a finish is one addition — so replays become a single array pass
+(:func:`repro.sim.engine.simulate_retimed`). Algorithm 1's own
+task-level pop order, which busy sums and recorded timelines follow, is
+computed only when one of them is first read (:class:`FifoOrder`).
+Because the topology is immutable, one compiled structure can be
+re-timed with fresh duration vectors — a perturbed device model, a new
+NCCL table, a different tensor-parallel degree with the same shape —
+without rebuilding or re-sorting anything.
 
 Structures are compiled from per-task *arrays*, tiled directly from
 chunk templates by :meth:`repro.graph.builder.GraphBuilder.compile`,
@@ -48,19 +52,96 @@ ALL_KINDS = (KIND_COMPUTE, KIND_TP_COMM, KIND_DP_COMM, KIND_PP_COMM,
              KIND_WEIGHT_UPDATE)
 
 
-def _replay_order(task_ptr: np.ndarray, child: np.ndarray,
-                  indegree: np.ndarray) -> list[int]:
-    """Kahn's algorithm with a FIFO queue — the exact pop order of the
-    reference engine's Algorithm-1 loop, which is purely structural.
+def _chains(src: np.ndarray, dst: np.ndarray, out_degree: np.ndarray,
+            in_degree: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chains of a task graph: every task's chain head, its rank
+    (distance from the head), and the in-chain edge mask.
 
-    Children of task ``t`` are ``child[task_ptr[t]:task_ptr[t + 1]]`` in
-    insertion order. The returned list doubles as the queue: a FIFO
+    An edge lies inside a chain when it runs from a task with one child
+    to a task with one parent. Pointer jumping finds the heads: ``head``
+    starts as each task's in-chain parent and ``rank`` as the distance
+    to it, and each round doubles the distance covered. A closed ring of
+    in-chain edges has no head, so the rounds stop at ``ceil(log2 n) +
+    1`` (enough to reach every head of an acyclic graph), and each task
+    of a ring becomes a one-task chain that the chain pass never pops.
+    """
+    num_tasks = in_degree.size
+    inner = (out_degree[src] == 1) & (in_degree[dst] == 1)
+    inner_child = dst[inner]
+    head = np.arange(num_tasks, dtype=np.intp)
+    head[inner_child] = src[inner]
+    rank = np.zeros(num_tasks, dtype=np.intp)
+    rank[inner_child] = 1
+    for _ in range((max(num_tasks, 1) - 1).bit_length() + 1):
+        step = rank[head]
+        if not step.any():
+            break
+        rank += step
+        head = head[head]
+    else:
+        ring = rank[head] != 0
+        inner &= ~ring[src]
+        head[ring] = np.flatnonzero(ring)
+        rank[ring] = 0
+    return head, rank, inner
+
+
+def _chain_order(chain_ptr: np.ndarray, child: np.ndarray,
+                 indegree: np.ndarray) -> tuple[list[int], list[int]]:
+    """Kahn's algorithm with a FIFO queue over the chain graph.
+
+    Children of chain ``c`` are ``child[chain_ptr[c]:chain_ptr[c + 1]]``.
+    A FIFO queue pops chains level by level, where a chain's level is
+    one more than its highest cross parent's (0 without any): a chain is
+    pushed when its last cross parent pops. So the queue is walked one
+    level at a time, and the pass returns the pop order together with
+    where each level starts in it (a final entry closes the last level).
+    """
+    ref = indegree.tolist()
+    ptr = chain_ptr.tolist()
+    children = child.tolist()
+    level = np.flatnonzero(indegree == 0).tolist()
+    order: list[int] = []
+    level_ptr = [0]
+    while level:
+        order += level
+        level_ptr.append(len(order))
+        ready: list[int] = []
+        push = ready.append
+        for chain in level:
+            lo = ptr[chain]
+            hi = ptr[chain + 1]
+            if hi - lo == 1:  # most chains: one child, no slice needed
+                kid = children[lo]
+                remaining = ref[kid] - 1
+                ref[kid] = remaining
+                if not remaining:
+                    push(kid)
+                continue
+            for kid in children[lo:hi]:
+                remaining = ref[kid] - 1
+                ref[kid] = remaining
+                if not remaining:
+                    push(kid)
+        level = ready
+    return order, level_ptr
+
+
+def _replay_order(child_ptr: np.ndarray, child_idx: np.ndarray,
+                  indegree: np.ndarray, roots: np.ndarray) -> list[int]:
+    """Kahn's algorithm with a FIFO queue seeded with ``roots`` — the
+    exact pop order of the reference engine's Algorithm-1 loop, which is
+    purely structural.
+
+    Children of ``k`` are ``child_idx[child_ptr[k]:child_ptr[k + 1]]``
+    in insertion order. The returned list doubles as the queue: a FIFO
     queue's pops are exactly its pushes, in push order.
     """
     ref = indegree.tolist()
-    ptr = task_ptr.tolist()
-    children = child.tolist()
-    order = np.flatnonzero(indegree == 0).tolist()
+    ptr = child_ptr.tolist()
+    children = child_idx.tolist()
+    order = roots.tolist()
     push = order.append
     for task in order:
         lo = ptr[task]
@@ -105,19 +186,23 @@ def _first_appearance(codes: np.ndarray,
 class GraphStructure:
     """Immutable compiled topology of an execution graph.
 
-    Tasks are renumbered into *replay order* — the exact order
-    Algorithm 1's FIFO queue pops them (Kahn's algorithm with a FIFO
-    queue seeded in node order), which depends only on the edge
+    Tasks are renumbered into *replay positions*, chain by chain: a
+    chain (see :class:`LevelPlan`) occupies consecutive positions, and
+    chains follow the order a FIFO queue pops them from the chain graph,
+    so every edge runs forward. Positions depend only on the edge
     structure, never on durations. Every per-task attribute is a flat
-    array indexed by replay position, and children are stored CSR-style
+    array indexed by position, and children are stored CSR-style
     (``child_ptr``/``child_idx``), so the replay engine touches no
     dicts, deques, or node objects.
 
     The constructor is the one compile path: it takes per-task columns
     in original task order — from the builder's tiled
     :meth:`~repro.graph.builder.GraphBuilder.compile`, or a hand-built
-    DAG — runs the FIFO pass, and permutes everything with array
-    operations.
+    DAG — finds the chains with array operations, runs the FIFO pass
+    over them (which also yields their levels, kept as the
+    :meth:`level_plan`), and permutes everything with array operations.
+    Algorithm 1's task-level pop order is a view computed on first use
+    (:attr:`fifo`), for busy accounting and recorded timelines only.
 
     The baseline ``duration`` vector captured at compile time is one
     valid timing; :meth:`retime` derives fresh vectors from a timing
@@ -133,11 +218,11 @@ class GraphStructure:
 
     Attributes:
         num_tasks / num_devices / num_edges: Sizes.
-        task_id: Original task id at each replay position (``intp``).
+        task_id: Original task id at each position (``intp``).
         device: Executing device per position (``intp``).
         kinds: Distinct kind tags, in first-appearance order.
         kind_index: Index into ``kinds`` per position (``intp``).
-        child_ptr / child_idx: CSR adjacency over replay positions —
+        child_ptr / child_idx: CSR adjacency over positions —
             children of position ``k`` are
             ``child_idx[child_ptr[k]:child_ptr[k + 1]]``.
         duration: Baseline durations per position (``float64``,
@@ -147,6 +232,12 @@ class GraphStructure:
         slot_keys: Distinct timing-slot keys in first-appearance order,
             or ``None`` when the source recorded no slots.
         slot_index: Index into ``slot_keys`` per position, or ``None``.
+        busy_index: Flat ``device * len(kinds) + kind`` bucket per
+            position.
+        device_kind_order: Each device's kind indices in the order
+            Algorithm 1 first runs them (computed on first read).
+        fifo: Algorithm 1's pop order and the busy accounting that
+            follows it (:class:`FifoOrder`).
         metadata: The source graph's metadata (replays may override).
     """
 
@@ -157,16 +248,16 @@ class GraphStructure:
                  stream: Sequence[str] | Mapping[str, str],
                  label: Sequence[str] | Callable[[], Sequence[str]],
                  metadata: dict[str, Any]) -> None:
-        """Compile per-task columns (original task order) into replay
-        order.
+        """Compile per-task columns (original task order) into
+        positions.
 
         Args:
             device / kind / duration / slot: Per-task arrays; ``kind``
                 and ``slot`` index into ``kinds`` and ``slot_keys``.
             src / dst: Every dependency edge, grouped by parent in
                 ascending task id and, within a parent, in the order its
-                children were linked (that order decides the FIFO
-                replay order).
+                children were linked (that order decides Algorithm
+                1's pop order).
             stream: Per-task streams, or a per-slot mapping from slot
                 key to stream.
             label: Per-task labels, or a zero-argument callable
@@ -193,21 +284,47 @@ class GraphStructure:
                 "devices")
 
         counts = np.bincount(src, minlength=num_tasks)
+        in_degree = np.bincount(dst, minlength=num_tasks)
         task_ptr = np.zeros(num_tasks + 1, dtype=np.intp)
         np.cumsum(counts, out=task_ptr[1:])
-        order = _replay_order(task_ptr, dst,
-                              np.bincount(dst, minlength=num_tasks))
-        if len(order) != num_tasks:
+        # 1. Chains, numbered by tail in task order. Cross edges leave a
+        # tail and enter a head, so grouped by parent they come grouped
+        # by chain: they are the chain graph's CSR as they stand.
+        head, rank, inner = _chains(src, dst, counts, in_degree)
+        leads = np.zeros(num_tasks, dtype=bool)
+        leads[src[inner]] = True
+        tails = np.flatnonzero(~leads)
+        num_chains = tails.size
+        chain_of = np.empty(num_tasks, dtype=np.intp)
+        chain_of[head[tails]] = np.arange(num_chains, dtype=np.intp)
+        chain = chain_of[head]
+        cross = ~inner
+        cross_target = chain[dst[cross]]
+        chain_ptr = np.zeros(num_chains + 1, dtype=np.intp)
+        np.cumsum(counts[tails], out=chain_ptr[1:])
+        # 2. One FIFO pass over the chain graph: a topological order of
+        # chains, and their levels.
+        popped, level_ptr = _chain_order(chain_ptr, cross_target,
+                                         in_degree[head[tails]])
+        order = np.fromiter(popped, dtype=np.intp, count=len(popped))
+        length = np.bincount(chain, minlength=num_chains)[order]
+        if order.size != num_chains:
             raise SimulationError(
-                f"task graph deadlocked: {len(order)}/{num_tasks} tasks "
-                "executed (dependency cycle)")
-        task_id = np.fromiter(order, dtype=np.intp, count=num_tasks)
-        position = np.empty(num_tasks, dtype=np.intp)
-        position[task_id] = np.arange(num_tasks, dtype=np.intp)
+                f"task graph deadlocked: {int(length.sum())}/{num_tasks} "
+                "tasks executed (dependency cycle)")
+        # 3. Tasks laid out chain by chain, in pop order: every edge runs
+        # forward, and each chain's tasks sit at consecutive positions.
+        fifo_chain = np.empty(num_chains, dtype=np.intp)
+        fifo_chain[order] = np.arange(num_chains, dtype=np.intp)
+        start = np.zeros(num_chains, dtype=np.intp)
+        np.cumsum(length[:-1], out=start[1:])
+        position = start[fifo_chain[chain]] + rank
+        task_id = np.empty(num_tasks, dtype=np.intp)
+        task_id[position] = np.arange(num_tasks, dtype=np.intp)
         self.task_id = task_id
 
-        # CSR over replay positions: row k is task_id[k]'s child run,
-        # gathered whole and renumbered into positions.
+        # CSR over positions: row k is task_id[k]'s child run, gathered
+        # whole and renumbered into positions.
         row_counts = counts[task_id]
         child_ptr = np.zeros(num_tasks + 1, dtype=np.intp)
         np.cumsum(row_counts, out=child_ptr[1:])
@@ -230,17 +347,16 @@ class GraphStructure:
             self.slot_index, self.slot_keys = _first_appearance(
                 slot[task_id], slot_keys)
         # Flat (device, kind) bucket per position for one-pass busy
-        # accounting; device_kind_order lists each device's kinds in
-        # first-appearance order so replay results reproduce the
-        # reference engine's dict layout.
-        num_kinds = len(self.kinds)
-        self.busy_index = self.device * num_kinds + self.kind_index
-        kind_order: list[list[int]] = [[] for _ in range(num_devices)]
-        for bucket in _by_first_appearance(
-                self.busy_index, num_devices * num_kinds).tolist():
-            kind_order[bucket // num_kinds].append(bucket % num_kinds)
-        self.device_kind_order = tuple(tuple(kinds_) for kinds_ in kind_order)
-        self._level_plan: LevelPlan | None = None
+        # accounting.
+        self.busy_index = self.device * len(self.kinds) + self.kind_index
+        self.fifo = FifoOrder(child_ptr=child_ptr, child_idx=self.child_idx,
+                              task_id=task_id, busy_index=self.busy_index,
+                              kinds=self.kinds, num_devices=num_devices)
+        self._level_plan = LevelPlan(
+            device=self.device, num_devices=num_devices, start=start,
+            length=length, level_ptr=level_ptr,
+            cross_parent=position[src[cross]],
+            cross_target=fifo_chain[cross_target])
         self._edge_lists: tuple[list[int], list[int]] | None = None
         self._digest: str | None = None
 
@@ -324,20 +440,94 @@ class GraphStructure:
                 "structure does not match this builder") from exc
         return np.asarray(values, dtype=np.float64)[self.slot_index]
 
-    def level_plan(self) -> "LevelPlan":
-        """The chain-compressed level schedule of this structure
-        (memoized).
+    @property
+    def device_kind_order(self) -> tuple[tuple[int, ...], ...]:
+        """Each device's kind indices in the order Algorithm 1 first
+        runs them (the busy dicts' layout; computed on first read)."""
+        return self.fifo.device_kind_order()
 
-        Purely structural, like the replay order, so every
-        :func:`~repro.sim.engine.simulate_retimed_batch` call on this
-        structure reuses it. Its level count is computed here; the cell
-        layout a sweep runs on is built on the first
+    def level_plan(self) -> "LevelPlan":
+        """The chain-compressed level schedule of this structure.
+
+        Built by the compile, from the chains and levels its chain pass
+        found, so :func:`~repro.sim.engine.use_batched_replay` reads the
+        level count for free and every
+        :func:`~repro.sim.engine.simulate_retimed_batch` call reuses it.
+        The cell layout a sweep runs on is built on the first
         :meth:`LevelPlan.packed` call, so structures that only ever
         replay on the scalar loop never build it.
         """
-        if self._level_plan is None:
-            self._level_plan = LevelPlan(self)
         return self._level_plan
+
+
+class FifoOrder:
+    """Algorithm 1's task-level pop order of one structure, and the busy
+    accounting that follows it, both computed on first use.
+
+    A structure's positions are a topological order, which gives every
+    start and finish bit for bit, but not Algorithm 1's pop order. Two
+    outputs follow that order: busy sums (added in pop order) with the
+    busy dicts' layout, and recorded timelines. Only they run the
+    per-task FIFO pass, once per structure.
+
+    It holds the arrays the pass and the accounting read, not the
+    structure, so a result whose busy dict is still unread keeps these
+    arrays alive rather than the whole structure.
+    """
+
+    def __init__(self, *, child_ptr: np.ndarray, child_idx: np.ndarray,
+                 task_id: np.ndarray, busy_index: np.ndarray,
+                 kinds: tuple[str, ...], num_devices: int) -> None:
+        self._child_ptr = child_ptr
+        self._child_idx = child_idx
+        self._task_id = task_id
+        self._busy_index = busy_index
+        self._kinds = kinds
+        self._num_devices = num_devices
+        self._positions: np.ndarray | None = None
+        self._kind_order: tuple[tuple[int, ...], ...] | None = None
+
+    def positions(self) -> np.ndarray:
+        """Positions in the order Algorithm 1's FIFO queue pops them —
+        seeded with the dependency-free tasks in task id order
+        (memoized)."""
+        if self._positions is None:
+            num_tasks = self._task_id.size
+            indegree = np.bincount(self._child_idx, minlength=num_tasks)
+            roots = np.flatnonzero(indegree == 0)
+            roots = roots[np.argsort(self._task_id[roots], kind="stable")]
+            self._positions = np.fromiter(
+                _replay_order(self._child_ptr, self._child_idx, indegree,
+                              roots), dtype=np.intp, count=num_tasks)
+        return self._positions
+
+    def device_kind_order(self) -> tuple[tuple[int, ...], ...]:
+        """Each device's kind indices in first-appearance pop order."""
+        if self._kind_order is None:
+            num_kinds = len(self._kinds)
+            kind_order: list[list[int]] = [[] for _ in
+                                           range(self._num_devices)]
+            for bucket in _by_first_appearance(
+                    self._busy_index[self.positions()],
+                    self._num_devices * num_kinds).tolist():
+                kind_order[bucket // num_kinds].append(bucket % num_kinds)
+            self._kind_order = tuple(map(tuple, kind_order))
+        return self._kind_order
+
+    def busy(self, durations: np.ndarray) -> dict[int, dict[str, float]]:
+        """Per-device, per-kind busy seconds under ``durations`` (in
+        position order): sums added in pop order, dicts laid out as the
+        reference engine lays them out."""
+        order = self.positions()
+        kind_order = self.device_kind_order()
+        num_kinds = len(self._kinds)
+        busy_flat = np.bincount(
+            self._busy_index[order], weights=durations[order],
+            minlength=self._num_devices * num_kinds).tolist()
+        kinds = self._kinds
+        return {device: {kinds[kind]: busy_flat[device * num_kinds + kind]
+                         for kind in kind_order[device]}
+                for device in range(self._num_devices)}
 
 
 class LevelPlan:
@@ -353,65 +543,47 @@ class LevelPlan:
     highest level among its cross parents (0 without any), so a level's
     heads depend only on earlier levels.
 
-    Construction finds the chains and their as-soon-as-possible levels
-    (enough for :func:`~repro.sim.engine.use_batched_replay` to weigh
-    the level count); :meth:`packed` lays the chains out for the sweep.
-    On MT-NLG (8, 8, 35) at OPERATOR granularity, 186,375 of 235,650
-    edges lie inside chains, leaving 32,885 chains in 1,180 levels.
+    :class:`GraphStructure`'s compile finds the chains and their
+    as-soon-as-possible levels, and lays each chain's tasks out at
+    consecutive positions; this plan keeps what it found (enough for
+    :func:`~repro.sim.engine.use_batched_replay` to weigh the level
+    count), and :meth:`packed` lays the chains out for the sweep. On
+    MT-NLG (8, 8, 35) at OPERATOR granularity, 186,375 of 235,650 edges
+    lie inside chains, leaving 32,885 chains in 1,180 levels.
 
     Attributes:
         num_levels: Number of levels (0 for an empty structure).
         num_chains: Number of chains.
     """
 
-    def __init__(self, structure: GraphStructure) -> None:
-        # Keep the columns packing needs, not the structure: a reference
-        # back to it would be a cycle, leaving an evicted structure to
-        # the cyclic collector.
-        self._device = structure.device
-        self._num_devices = structure.num_devices
-        num_tasks = structure.num_tasks
-        child_ptr = structure.child_ptr
-        child_idx = structure.child_idx
-        # 1. Degrees and the in-chain edge mask (edges in CSR order).
-        out_degree = np.diff(child_ptr)
-        in_degree = np.bincount(child_idx, minlength=num_tasks)
-        parent = np.repeat(np.arange(num_tasks, dtype=np.intp), out_degree)
-        inner = (out_degree[parent] == 1) & (in_degree[child_idx] == 1)
-        # 2. Chain heads and ranks by pointer jumping: ``head`` starts as
-        # each task's in-chain parent (itself at a head) and ``rank`` as
-        # the distance to it; each round doubles the distance covered,
-        # until every pointer reaches a head (rank 0).
-        head = np.arange(num_tasks, dtype=np.intp)
-        head[child_idx[inner]] = parent[inner]
-        rank = (head != np.arange(num_tasks)).astype(np.intp)
-        while True:
-            step = rank[head]
-            if not step.any():
-                break
-            rank += step
-            head = head[head]
-        heads = np.flatnonzero(rank == 0)
-        chain_of = np.empty(num_tasks, dtype=np.intp)
-        chain_of[heads] = np.arange(heads.size, dtype=np.intp)
-        # 3. As-soon-as-possible levels. Edges come grouped by parent in
-        # replay order, and every edge into a chain (at its head) leaves
-        # an earlier position than any edge out of it (at its tail), so
-        # a chain's level is final before its first outgoing edge.
-        cross = ~inner
-        self._cross_parent = parent[cross]
-        self._cross_target = chain_of[child_idx[cross]]
-        self._chain = chain_of[head]
-        self._rank = rank
-        level = [0] * heads.size
-        for source, target in zip(self._chain[self._cross_parent].tolist(),
-                                  self._cross_target.tolist()):
-            reach = level[source] + 1
-            if level[target] < reach:
-                level[target] = reach
-        self._level = np.asarray(level, dtype=np.intp)
-        self.num_chains = int(heads.size)
-        self.num_levels = max(level) + 1 if level else 0
+    def __init__(self, *, device: np.ndarray, num_devices: int,
+                 start: np.ndarray, length: np.ndarray,
+                 level_ptr: list[int], cross_parent: np.ndarray,
+                 cross_target: np.ndarray) -> None:
+        """Keep the chains and levels a compile found.
+
+        Args:
+            device: Device per position.
+            start / length: First position and task count of each chain,
+                chains numbered in level order.
+            level_ptr: Where each level's chains start, then the chain
+                count.
+            cross_parent / cross_target: Each cross edge's parent
+                position and target chain.
+        """
+        # Columns only, never the structure: a reference back to it
+        # would be a cycle, leaving an evicted structure to the cyclic
+        # collector.
+        self._device = device
+        self._num_devices = num_devices
+        self._start = start
+        self._length = length
+        self._level = np.repeat(np.arange(len(level_ptr) - 1, dtype=np.intp),
+                                np.diff(level_ptr))
+        self._cross_parent = cross_parent
+        self._cross_target = cross_target
+        self.num_chains = int(start.size)
+        self.num_levels = len(level_ptr) - 1
         self._packed: PackedLevels | None = None
 
     def packed(self) -> "PackedLevels":
@@ -423,9 +595,11 @@ class LevelPlan:
     def _pack(self) -> "PackedLevels":
         num_chains = self.num_chains
         level = self._level
-        chain = self._chain
-        length = np.bincount(chain, minlength=num_chains)
-        # 4. Blocks of chains sharing (level, length), in that order; a
+        length = self._length
+        heads = self._start
+        chain = np.repeat(np.arange(num_chains, dtype=np.intp), length)
+        rank = np.arange(chain.size, dtype=np.intp) - heads[chain]
+        # 1. Blocks of chains sharing (level, length), in that order; a
         # block of c chains of length w owns (w + 1) * c cells: row 0
         # holds the c head starts, row k + 1 the chains' k-th tasks.
         key = level * (int(length.max()) + 1) + length
@@ -442,13 +616,13 @@ class LevelPlan:
                              - first[block])
         stride = np.empty(num_chains, dtype=np.intp)
         stride[order] = count[block]
-        task_cell = start_cell[chain] + (self._rank + 1) * stride[chain]
+        task_cell = start_cell[chain] + (rank + 1) * stride[chain]
         cell_task = np.empty(int(block_cell[-1]), dtype=np.intp)
         cell_task[task_cell] = np.arange(chain.size, dtype=np.intp)
-        cell_task[start_cell] = np.flatnonzero(self._rank == 0)
+        cell_task[start_cell] = heads
         levels = np.arange(self.num_levels + 1)
-        # 5. Cross edges by target head. Head start cells run in (level,
-        # length, head) order, so sorting by them groups each level's
+        # 2. Cross edges by target head. Head start cells run in (level,
+        # length, chain) order, so sorting by them groups each level's
         # edges and each head's edges at once.
         target_cell = start_cell[self._cross_target]
         edge_order = np.argsort(target_cell, kind="stable")
@@ -457,7 +631,7 @@ class LevelPlan:
         edge_level = level[self._cross_target[edge_order]]
         edge_ptr = np.searchsorted(edge_level, levels)
         head_level = edge_level[head_first]
-        # 6. Task cells grouped by device, for the device timelines. A
+        # 3. Task cells grouped by device, for the device timelines. A
         # stable sort is the same at any integer width; the narrowest
         # one takes numpy's radix sort.
         device = self._device

@@ -15,16 +15,21 @@ the behaviour line 12 of Algorithm 1 must "faithfully model".
 
 Two engines implement the algorithm:
 
-* :func:`simulate_retimed` — the scalar engine. The FIFO pop order of
-  Algorithm 1 is purely structural (durations never change which task
-  is popped next), so it is precomputed once when a graph is compiled
-  into a :class:`~repro.graph.structure.GraphStructure`; replay is then
-  one Python loop over the edges in that order — no dicts, no deque, no
-  per-task object churn, :class:`~repro.sim.results.TimelineEvent`
-  objects materialized only when ``record_timeline=True``. Results are
-  bit-identical to the per-task reference loop kept in
-  ``tests/graph_oracle.py`` (same floating-point operations in the same
-  order; see ``tests/test_sim_equivalence.py``).
+* :func:`simulate_retimed` — the scalar engine. A compiled
+  :class:`~repro.graph.structure.GraphStructure` numbers its tasks in a
+  topological order, and any topological order gives Algorithm 1's
+  starts and finishes bit for bit: a start is the max of its parents'
+  finishes, which is exact, and a finish is one addition. Replay is
+  then one Python loop over the edges in position order — no dicts, no
+  deque, no per-task object churn. Algorithm 1's own FIFO pop order,
+  which is purely structural, decides only the order of busy sums and
+  recorded events; it is computed once per structure, when a busy dict
+  is first read or a timeline recorded
+  (:class:`~repro.graph.structure.FifoOrder`), and
+  :class:`~repro.sim.results.TimelineEvent` objects are materialized
+  only when ``record_timeline=True``. Results are bit-identical to the
+  per-task reference loop kept in ``tests/graph_oracle.py``
+  (``tests/test_sim_equivalence.py``).
 * :func:`simulate_retimed_batch` — level replay of N duration columns
   at once over the structure's chain-compressed
   :class:`~repro.graph.structure.LevelPlan`: one max-fold per level
@@ -50,7 +55,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.structure import GraphStructure, PackedLevels
-from repro.sim.results import SimulationResult, TimelineEvent
+from repro.sim.results import DeviceBusy, SimulationResult, TimelineEvent
 
 #: Tasks per level at which level replay beats the scalar loop: a level
 #: sweep costs about 10 µs per level, the scalar loop about 0.2 µs per
@@ -70,12 +75,12 @@ def simulate_retimed(structure: GraphStructure,
                      metadata: dict | None = None) -> SimulationResult:
     """Replay a compiled structure under a given duration vector.
 
-    This is the compiled engine's core: one pass over the precomputed
-    replay order propagating finish times through the CSR child arrays,
-    then vectorized reductions for the per-device timelines and busy
-    accounting. Sweeps that only change task *timings* (micro-batch
-    size re-timing, perturbed device/NCCL models, testbed noise) call
-    this directly and skip graph construction entirely.
+    This is the compiled engine's core: one pass over the positions
+    propagating finish times through the CSR child arrays, then a
+    vectorized reduction for the per-device timelines; busy accounting
+    waits for its first read. Sweeps that only change task *timings*
+    (micro-batch size re-timing, perturbed device/NCCL models, testbed
+    noise) call this directly and skip graph construction entirely.
 
     Args:
         structure: Compiled topology
@@ -83,7 +88,8 @@ def simulate_retimed(structure: GraphStructure,
         durations: Per-task durations in *replay order* (as produced by
             :meth:`~repro.graph.structure.GraphStructure.retime`).
             Defaults to the structure's baseline durations.
-        record_timeline: Materialize per-task TimelineEvents.
+        record_timeline: Materialize per-task TimelineEvents, in
+            Algorithm 1's pop order.
         metadata: Override the result metadata (defaults to the
             structure's compile-time metadata).
 
@@ -94,7 +100,9 @@ def simulate_retimed(structure: GraphStructure,
     num_tasks = structure.num_tasks
     if num_tasks == 0:
         raise SimulationError("cannot simulate an empty graph")
-    durations_np = np.asarray(
+    # A copy: the busy dict reads it on first use, after the caller may
+    # have reused its vector.
+    durations_np = np.array(
         structure.duration if durations is None else durations,
         dtype=np.float64)
     if durations_np.shape != (num_tasks,):
@@ -105,7 +113,7 @@ def simulate_retimed(structure: GraphStructure,
     duration_list = durations_np.tolist()
 
     # Hot loop: finish-time propagation over the flat edge lists, which
-    # are grouped by parent in replay order. Every parent of a task sits
+    # are grouped by parent in position order. Every parent of a task sits
     # at an earlier position, so its start is final before its first
     # outgoing edge; each edge recomputes the parent's finish with the
     # same single addition as the reference engine's queue loop.
@@ -116,29 +124,36 @@ def simulate_retimed(structure: GraphStructure,
         if start[child] < finish:
             start[child] = finish
 
-    finish_np = np.asarray(start, dtype=np.float64) + durations_np
+    start_np = np.asarray(start, dtype=np.float64)
+    finish_np = start_np + durations_np
     makespan = float(finish_np.max())
     num_devices = structure.num_devices
     timeline_np = np.zeros(num_devices, dtype=np.float64)
     np.maximum.at(timeline_np, structure.device, finish_np)
     timeline = dict(enumerate(timeline_np.tolist()))
-    busy = _busy_dict(structure, durations_np)
 
     events: list[TimelineEvent] | None = None
     if record_timeline:
+        order = structure.fifo.positions()
         kinds = structure.kinds
+        stream = structure.stream
+        label = structure.label
         events = [
-            TimelineEvent(task_id=task_id, device=device, stream=stream,
-                          kind=kinds[kind], label=label, start=task_start,
+            TimelineEvent(task_id=task_id, device=device,
+                          stream=stream[position], kind=kinds[kind],
+                          label=label[position], start=task_start,
                           finish=task_finish)
-            for task_id, device, stream, kind, label, task_start, task_finish
-            in zip(structure.task_id.tolist(), structure.device.tolist(),
-                   structure.stream, structure.kind_index.tolist(),
-                   structure.label, start, finish_np.tolist())]
+            for position, task_id, device, kind, task_start, task_finish
+            in zip(order.tolist(), structure.task_id[order].tolist(),
+                   structure.device[order].tolist(),
+                   structure.kind_index[order].tolist(),
+                   start_np[order].tolist(), finish_np[order].tolist())]
 
     source = structure.metadata if metadata is None else metadata
     return SimulationResult(iteration_time=makespan, num_tasks=num_tasks,
-                            device_timeline=timeline, device_busy=busy,
+                            device_timeline=timeline,
+                            device_busy=DeviceBusy(structure.fifo,
+                                                   durations_np),
                             events=events, metadata=dict(source))
 
 
@@ -175,24 +190,6 @@ def use_batched_replay(structure: GraphStructure, columns: int, *,
         return False
     return (columns * structure.num_tasks
             >= WIDTH * structure.level_plan().num_levels)
-
-
-def _busy_dict(structure: GraphStructure,
-               durations_np: np.ndarray) -> dict[int, dict[str, float]]:
-    """Per-device, per-kind busy accounting for one duration vector.
-
-    Shared by the scalar and batched engines so a batch column's busy
-    dict is produced by the byte-for-byte same accumulation (and dict
-    insertion order) as a scalar replay of that column.
-    """
-    num_devices = structure.num_devices
-    num_kinds = len(structure.kinds)
-    busy_flat = np.bincount(structure.busy_index, weights=durations_np,
-                            minlength=num_devices * num_kinds).tolist()
-    kinds = structure.kinds
-    return {device: {kinds[kind]: busy_flat[device * num_kinds + kind]
-                     for kind in structure.device_kind_order[device]}
-            for device in range(num_devices)}
 
 
 class BatchSimulationResult:
@@ -260,8 +257,7 @@ class BatchSimulationResult:
 
     def device_busy(self, column: int) -> dict[int, dict[str, float]]:
         """Busy accounting of one column (scalar engine's dict layout)."""
-        return _busy_dict(self._structure,
-                          np.ascontiguousarray(self._durations[:, column]))
+        return self._structure.fifo.busy(self._durations[:, column])
 
     def column(self, column: int, *,
                metadata: dict | None = None) -> SimulationResult:
@@ -276,7 +272,9 @@ class BatchSimulationResult:
             num_tasks=self.num_tasks,
             device_timeline=dict(enumerate(
                 self.device_timeline[:, column].tolist())),
-            device_busy=self.device_busy(column),
+            device_busy=DeviceBusy(
+                self._structure.fifo,
+                np.ascontiguousarray(self._durations[:, column])),
             events=None,
             metadata=dict(source))
 

@@ -68,8 +68,9 @@ class PredictTiming:
     (NCCL timing tables) plus per-operator timing resolution — which
     runs on *every* predict, hit or miss; it used to go unreported, so
     cold breakdowns didn't add up. ``structure_s`` is graph assembly +
-    compilation when the structure cache missed, ``0.0`` on a hit;
-    ``fill_s`` is the slot-broadcast duration refill (hits only).
+    compilation, level plan included, when the structure cache missed,
+    ``0.0`` on a hit; ``fill_s`` is the slot-broadcast duration refill
+    (hits only).
     ``structure_cache_hit`` holds when every phase graph was a hit.
     Surfaced by ``repro predict --timing``.
     """
@@ -99,14 +100,15 @@ class PredictTiming:
         return sum(self.phases().values())
 
     def phases(self) -> dict[str, float]:
-        """Ordered phase-name -> seconds mapping for reports, named like
-        the layers of the per-layer performance breakdown."""
+        """Ordered phase-name -> seconds mapping for reports, under the
+        layer names of the repository benchmark's per-layer breakdown
+        (``perfbench``, ``BENCHMARK.json``)."""
         return {
-            "memory check": self.memory_check_s,
-            "builder init": self.builder_init_s,
-            "structure build": self.structure_s,
-            "duration fill": self.fill_s,
-            "replay": self.replay_s,
+            "memory.check_s": self.memory_check_s,
+            "graph.builder_init_s": self.builder_init_s,
+            "graph.structure_build_s": self.structure_s,
+            "graph.duration_fill_s": self.fill_s,
+            "sim.replay_s": self.replay_s,
         }
 
 

@@ -17,8 +17,9 @@ to:
 * :func:`simulate_reference` — Algorithm 1 verbatim, the executable
   specification; :func:`simulate` — compile (memoized on the graph) and
   replay on the scalar engine;
-* :func:`critical_path_length` and :func:`stream_serialisation_check` —
-  checks on a graph and its recorded timeline.
+* :func:`critical_path_length`, :func:`chain_levels` and
+  :func:`stream_serialisation_check` — checks on a graph, its chains and
+  its recorded timeline.
 
 Tests import it as ``graph_oracle`` (pytest puts ``tests/`` on
 ``sys.path``); benchmarks load it by path.
@@ -511,6 +512,54 @@ def critical_path_length(graph: ExecutionGraph) -> float:
     if visited != len(nodes):
         raise SimulationError("graph has a cycle; critical path undefined")
     return best
+
+
+def chain_levels(graph: ExecutionGraph) -> list[tuple[list[int], int]]:
+    """Every chain of ``graph`` with its as-soon-as-possible level.
+
+    A chain is a maximal path whose edges each run from a task with one
+    child to a task with one parent; it is listed as its task ids from
+    head to tail. A chain's level is one more than the highest level
+    among the chains of its head's parents (0 without any): a task's
+    level is the most edges *between* chains on any path into it, found
+    here by one FIFO walk over the tasks.
+
+    Raises:
+        SimulationError: If the graph has a cycle.
+    """
+    nodes = graph.nodes
+
+    def in_chain(parent: int, child: int) -> bool:
+        return (len(nodes[parent].children) == 1
+                and nodes[child].num_parents == 1)
+
+    level = [0] * len(nodes)
+    ref = [node.num_parents for node in nodes]
+    queue: deque[int] = deque(graph.roots())
+    visited = 0
+    while queue:
+        task_id = queue.popleft()
+        visited += 1
+        for child in nodes[task_id].children:
+            reach = level[task_id] + (0 if in_chain(task_id, child) else 1)
+            level[child] = max(level[child], reach)
+            ref[child] -= 1
+            if ref[child] == 0:
+                queue.append(child)
+    if visited != len(nodes):
+        raise SimulationError("graph has a cycle; chain levels undefined")
+    has_chain_parent = {child for node in nodes for child in node.children
+                        if in_chain(node.task_id, child)}
+    chains = []
+    for node in nodes:
+        if node.task_id in has_chain_parent:
+            continue
+        tasks = [node.task_id]
+        while (len(nodes[tasks[-1]].children) == 1
+               and in_chain(tasks[-1], nodes[tasks[-1]].children[0])):
+            tasks.append(nodes[tasks[-1]].children[0])
+        chains.append((tasks, level[node.task_id]))
+    return chains
 
 
 def stream_serialisation_check(graph: ExecutionGraph,

@@ -74,8 +74,8 @@ class TestPredict:
         assert main(["predict", str(description_file), "--timing"]) == 0
         out = capsys.readouterr().out
         assert "timing breakdown" in out
-        for phase in ("memory check", "structure", "duration fill",
-                      "replay", "total"):
+        for phase in ("memory.check_s", "graph.structure_build_s",
+                      "graph.duration_fill_s", "sim.replay_s", "total"):
             assert phase in out
         assert "built" in out or "cache hit" in out
 
@@ -88,10 +88,10 @@ class TestPredict:
                                                  capsys):
         # A cold predict spends real time constructing the network model
         # inside GraphBuilder; the breakdown must account for it (as the
-        # "builder init" layer) rather than leave a gap between the
-        # phases and the total.
+        # graph.builder_init_s layer) rather than leave a gap between
+        # the phases and the total.
         assert main(["predict", str(description_file), "--timing"]) == 0
-        assert "builder init" in capsys.readouterr().out
+        assert "graph.builder_init_s" in capsys.readouterr().out
 
     def test_predict_needs_description_xor_preset(self, description_file,
                                                   capsys):
@@ -303,10 +303,11 @@ class TestInferenceCli:
                      "--workload", "inference", "--timing"]) == 0
         out = capsys.readouterr().out
         assert "TTFT (prefill)" in out and "timing breakdown" in out
-        rows = dict(re.findall(r"^  (\w[\w ]*?)\s*: ([\d.]+) ms", out,
+        rows = dict(re.findall(r"^  (\w[\w. ]*?)\s*: ([\d.]+) ms", out,
                                re.MULTILINE))
-        phases = ("memory check", "builder init", "structure build",
-                  "duration fill", "replay")
+        phases = ("memory.check_s", "graph.builder_init_s",
+                  "graph.structure_build_s", "graph.duration_fill_s",
+                  "sim.replay_s")
         assert set(rows) == set(phases) | {"total"}
         accounted = sum(float(rows[phase]) for phase in phases)
         total = float(rows["total"])

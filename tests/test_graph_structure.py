@@ -3,14 +3,21 @@ assembler."""
 
 import importlib
 
+import numpy as np
 import pytest
-from graph_oracle import GraphAssembler, compile_graph
+from graph_oracle import (GraphAssembler, build_reference, chain_levels,
+                          compile_graph)
+from hypothesis import given, strategies as st
 
 import repro.graph
 import repro.sim
+from repro.config.parallelism import ParallelismConfig
+from repro.config.presets import (MT_NLG_530B, MT_NLG_BASELINE_PLANS,
+                                  MT_NLG_TRAINING)
+from repro.config.system import multi_node, single_node
 from repro.errors import SimulationError
-from repro.graph.builder import GraphBuilder
-from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
+from repro.graph.builder import Granularity, GraphBuilder
+from repro.graph.structure import (ALL_KINDS, COMM_STREAM, COMPUTE_STREAM,
                                    KIND_COMPUTE, KIND_DP_COMM,
                                    GraphStructure)
 from repro.sim.estimator import VTrain
@@ -304,3 +311,84 @@ class TestStructureCache:
             assert structure_cache_stats()["entries"] == 1
         finally:
             clear_structure_cache()
+
+
+@st.composite
+def dags(draw):
+    """Random DAGs: up to three earlier dependencies per task, and
+    stream-serialising chain edges on some tasks."""
+    num_devices = draw(st.integers(1, 3), label="num_devices")
+    asm = GraphAssembler()
+    for index in range(draw(st.integers(1, 40), label="num_tasks")):
+        deps = (draw(st.sets(st.integers(0, index - 1), max_size=3))
+                if index else set())
+        asm.add(draw(st.integers(0, num_devices - 1)),
+                draw(st.sampled_from((COMPUTE_STREAM, COMM_STREAM))), 1.0,
+                draw(st.sampled_from(ALL_KINDS)), f"t{index}", deps=deps,
+                chain=draw(st.booleans()))
+    return asm.finish(num_devices=num_devices)
+
+
+def plan_levels(structure: GraphStructure) -> dict[int, int]:
+    """Head position -> level, as the level plan's packed layout holds
+    them: row 0 of every block names its chains' heads."""
+    packed = structure.level_plan().packed()
+    levels = {}
+    for level in range(packed.num_levels):
+        for block in range(packed.block_ptr[level],
+                           packed.block_ptr[level + 1]):
+            first = packed.block_cell[block]
+            chains = ((packed.block_cell[block + 1] - first)
+                      // packed.block_rows[block])
+            for cell in range(first, first + chains):
+                levels[int(packed.cell_task[cell])] = level
+    return levels
+
+
+def assert_chain_layout(graph, structure: GraphStructure) -> None:
+    """Edges run forward, every chain sits at consecutive positions, and
+    the level plan gives each chain the level the oracle's
+    as-soon-as-possible pass finds."""
+    num_tasks = structure.num_tasks
+    position = np.empty(num_tasks, dtype=np.intp)
+    position[structure.task_id] = np.arange(num_tasks)
+    parents = np.repeat(np.arange(num_tasks), np.diff(structure.child_ptr))
+    assert (parents < structure.child_idx).all()
+    chains = chain_levels(graph)
+    for tasks, _ in chains:
+        assert (np.diff(position[tasks]) == 1).all(), tasks
+    assert structure.level_plan().num_chains == len(chains)
+    assert plan_levels(structure) == {int(position[tasks[0]]): level
+                                      for tasks, level in chains}
+
+
+class TestChainLayout:
+    """Positions are laid out chain by chain, in a topological order of
+    chains, and the compile's chain pass yields the level plan."""
+
+    @given(graph=dags())
+    def test_random_dags(self, graph):
+        assert_chain_layout(graph, compile_graph(graph))
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    @pytest.mark.parametrize("plan", [
+        ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2),
+        ParallelismConfig(tensor=2, data=1, pipeline=2, micro_batch_size=2,
+                          virtual_stages=2)])
+    def test_builder_graphs(self, tiny_model, training, granularity, plan):
+        vtrain = VTrain(single_node(), granularity=granularity)
+        builder = GraphBuilder(tiny_model, vtrain.system, plan, training,
+                               vtrain.lookup, vtrain.nccl, granularity)
+        assert_chain_layout(build_reference(builder), builder.compile())
+
+    def test_mtnlg_keeps_its_chains_and_levels(self):
+        """The engine rule weighs tasks against levels: the paper's
+        headline plan keeps both, so its engine cannot move."""
+        vtrain = VTrain(multi_node(280), granularity=Granularity.OPERATOR)
+        structure = GraphBuilder(
+            MT_NLG_530B, vtrain.system, MT_NLG_BASELINE_PLANS[0],
+            MT_NLG_TRAINING, vtrain.lookup, vtrain.nccl,
+            Granularity.OPERATOR).compile()
+        plan = structure.level_plan()
+        assert (structure.num_tasks, plan.num_chains, plan.num_levels) == \
+            (219_260, 32_885, 1_180)

@@ -12,10 +12,12 @@ builder output at every granularity.
 """
 
 import random
+import sys
+import threading
 
 import pytest
-from graph_oracle import (GraphAssembler, build_graph, compile_graph,
-                          simulate, simulate_reference)
+from graph_oracle import (GraphAssembler, build_graph, chain_levels,
+                          compile_graph, simulate, simulate_reference)
 from hypothesis import given, strategies as st
 
 from repro.config.parallelism import ParallelismConfig, PipelineSchedule
@@ -62,6 +64,62 @@ def assert_bit_identical(graph):
     assert compiled.events == reference.events
     assert [event.task_id for event in compiled.events] == \
         [event.task_id for event in reference.events]
+
+
+def descendants(graph, task: int) -> list[int]:
+    """Every task reachable from ``task``, in ascending id."""
+    seen: set[int] = set()
+    stack = [task]
+    while stack:
+        for child in graph.nodes[stack.pop()].children:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return sorted(seen)
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """A random DAG with 1-3 injected back edges, each closing a cycle
+    of one drawn shape: a closed ring of one-in/one-out tasks (a new
+    component with no head), a cycle entered at a chain head, or a cycle
+    through several chains."""
+    num_devices = draw(st.integers(1, 3), label="num_devices")
+    asm = GraphAssembler()
+
+    def add(label, deps=(), chain=False):
+        return asm.add(draw(st.integers(0, num_devices - 1)),
+                       draw(st.sampled_from(STREAMS)),
+                       draw(st.sampled_from([0.0, 1.0, 2.5])),
+                       draw(st.sampled_from(ALL_KINDS)), label, deps=deps,
+                       chain=chain)
+
+    for index in range(draw(st.integers(1, 30), label="num_tasks")):
+        deps = (draw(st.sets(st.integers(0, index - 1), max_size=3))
+                if index else set())
+        add(f"t{index}", deps, draw(st.booleans()))
+    dag = asm.finish(num_devices=num_devices)
+    chain_of = {task: tasks[0] for tasks, _ in chain_levels(dag)
+                for task in tasks}
+    shape = draw(st.sampled_from(["ring", "head", "chains"]), label="shape")
+    if shape == "head":
+        targets = {head: descendants(dag, head)
+                   for head in set(chain_of.values())}
+    else:
+        targets = {task: [child for child in descendants(dag, task)
+                          if chain_of[child] != chain_of[task]]
+                   for task in chain_of}
+    targets = {task: kids for task, kids in targets.items() if kids}
+    for _ in range(draw(st.integers(1, 3), label="back_edges")):
+        if shape == "ring" or not targets:
+            first = add("ring0")
+            for index in range(1, draw(st.integers(2, 5))):
+                add(f"ring{index}", (first + index - 1,))
+            asm.link(len(asm.nodes) - 1, first)
+        else:
+            target = draw(st.sampled_from(sorted(targets)))
+            asm.link(draw(st.sampled_from(targets[target])), target)
+    return asm.finish(num_devices=num_devices)
 
 
 class TestRandomizedDags:
@@ -118,6 +176,46 @@ class TestBuilderGraphs:
     def test_plan_shapes(self, plan, tiny_model, training):
         vtrain = VTrain(single_node())
         assert_bit_identical(build_graph(vtrain, tiny_model, plan, training))
+
+
+class TestConcurrentFirstReads:
+    def test_racing_busy_reads_see_the_reference(self, tiny_model,
+                                                 training):
+        """Threads racing on a fresh structure's first FIFO pass and on
+        one result's first busy read all see the reference engine's busy
+        dict, values and layout (the daemon shares cached structures)."""
+        vtrain = VTrain(single_node())
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                 micro_batch_size=2)
+        graph = build_graph(vtrain, tiny_model, plan, training)
+        expected = simulate_reference(graph).device_busy
+        layout = {device: list(kinds) for device, kinds in expected.items()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(60):
+                structure = compile_graph(graph)
+                results = [simulate_retimed(structure) for _ in range(2)]
+                seen = []
+                barrier = threading.Barrier(8)
+
+                def read(result):
+                    barrier.wait(timeout=30)
+                    busy = result.device_busy
+                    seen.append(({device: list(busy[device])
+                                  for device in busy}, dict(busy)))
+
+                threads = [threading.Thread(target=read,
+                                            args=(results[index % 2],))
+                           for index in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [(layout, expected)] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRetime:
@@ -207,6 +305,18 @@ class TestStructureDispatch:
         asm.link(b, a)
         with pytest.raises(SimulationError, match="deadlock"):
             simulate(asm.finish(num_devices=1))
+
+    @given(graph=cyclic_graphs())
+    def test_cycles_report_the_reference_deadlock(self, graph):
+        """The compile's chain pass stops on every cycle, rings of
+        one-in/one-out tasks included, and counts executed tasks as
+        Algorithm 1 does."""
+        with pytest.raises(SimulationError) as reference:
+            simulate_reference(graph)
+        with pytest.raises(SimulationError) as compiled:
+            simulate(graph)
+        assert str(compiled.value) == str(reference.value)
+        assert "tasks executed (dependency cycle)" in str(compiled.value)
 
     def test_empty_structure_rejected(self):
         structure = compile_graph(GraphAssembler().finish(num_devices=0))

@@ -57,7 +57,8 @@ def assert_finishes_match_scalar(structure, matrix):
     finishes = engine._level_sweep(packed, matrix)[packed.task_cell]
     for column in range(matrix.shape[1]):
         scalar = simulate_retimed(structure, matrix[:, column], record_timeline=True)
-        expected = [event.finish for event in scalar.events]
+        finish_of = {event.task_id: event.finish for event in scalar.events}
+        expected = [finish_of[task] for task in structure.task_id.tolist()]
         assert np.array_equal(bits(finishes[:, column]), bits(expected)), column
         result = batch.column(column)
         assert bits(result.iteration_time) == bits(scalar.iteration_time)
@@ -162,6 +163,34 @@ class TestLevelPlan:
         try:
             del structure
             assert collected() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("read", [False, True])
+    def test_results_keep_no_structure_alive(self, batched, read):
+        """Results of either engine never keep their structure: an
+        unread busy dict keeps only the FIFO view's arrays, and a read
+        one nothing."""
+        structure = independent_tasks(8)
+        expected = [{0: {ALL_KINDS[0]: 8.0}}] * 2
+        if batched:
+            batch = simulate_retimed_batch(structure, np.ones((8, 2)))
+            results = [batch.column(0), batch.column(1)]
+            del batch
+        else:
+            results = [simulate_retimed(structure), simulate_retimed(structure)]
+        if read:
+            assert [dict(result.device_busy) for result in results] == expected
+        collected = weakref.ref(structure)
+        fifo = weakref.ref(structure.fifo)
+        gc.disable()
+        try:
+            del structure
+            assert collected() is None
+            assert (fifo() is None) == read
+            assert [result.device_busy for result in results] == expected
+            assert fifo() is None
         finally:
             gc.enable()
 
