@@ -32,11 +32,14 @@ splitting only the last backward chunk per bucket so gradient-bucket
 overlap stays modelled.
 
 **Key, emitter, timings.** A plan's :class:`StructureKey` names
-everything its graph's shape depends on. The emitter turns the key —
-and nothing else — into task, edge and label arrays, so plans with
-equal keys share one compiled structure by construction. The
-:class:`GraphBuilder` adds what only its own model, plan, system and
-profiles determine: the duration behind every timing slot.
+everything its graph's shape depends on, and lists the graph's timing
+slots once (:meth:`StructureKey.slot_layout`). The emitter turns the
+key — and nothing else — into task, edge and label arrays whose slot
+ids index that layout, so plans with equal keys share one compiled
+structure by construction. The :class:`GraphBuilder` adds what only its
+own model, plan, system and profiles determine: one duration vector
+over the layout, computed once per stage role rather than per stage.
+Refilling a cached structure is one gather through its slot ids.
 
 **Template tiling.** A pipeline repeats a handful of chunk bodies
 thousands of times (MT-NLG: 35 stages x 480 units). The emitter defines
@@ -49,6 +52,7 @@ reference emitter built from the same bodies (``tests/graph_oracle.py``).
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import itertools
 import json
@@ -352,6 +356,66 @@ class StructureKey:
             parts.append(str(bucket))
         return ":".join(parts)
 
+    def slot_layout(self) -> tuple[str, ...]:
+        """Every timing slot of this key's graph, once, in the order of
+        :attr:`GraphBuilder.slot_durations` (memoized per key).
+
+        The slots every stage shares come first: the computation
+        operators (their kernels at KERNEL), the TP All-Reduce outside
+        STAGE, each pipeline hop, then the wrap-around hop. One row of
+        per-stage slots per stage follows, all rows alike: the STAGE
+        forward, backward and last-backward bucket chunks, the DP bucket
+        All-Reduces, and the weight update. Each slot backs at least one
+        task, and the emitter's slot ids index into this tuple.
+        """
+        return _slot_layout(self)
+
+
+#: Computation operators of a training step, in slot-layout order;
+#: inference phases run the four forward ones.
+_COMPUTE_OPS = (OpKind.FWD_EMBEDDING, OpKind.FWD_MHA, OpKind.FWD_FFN,
+                OpKind.FWD_LM_HEAD, OpKind.BWD_LM_HEAD, OpKind.BWD_FFN,
+                OpKind.BWD_MHA, OpKind.BWD_EMBEDDING)
+
+
+@functools.lru_cache(maxsize=1024)
+def _slot_layout(key: StructureKey) -> tuple[str, ...]:
+    """:meth:`StructureKey.slot_layout`, shared by equal keys."""
+    training = key.phase is None
+    kinds = [op.value for op in (_COMPUTE_OPS if training
+                                 else _COMPUTE_OPS[:4])]
+    slots: list[str] = []
+    if key.granularity is Granularity.OPERATOR:
+        slots += [f"op:{kind}" for kind in kinds]
+    elif key.granularity is Granularity.KERNEL:
+        kernels = dict(key.kernels)
+        slots += [f"k:{kind}:{index}" for kind in kinds
+                  for index in range(len(kernels[kind]))]
+    if key.tensor_parallel and key.granularity is not Granularity.STAGE:
+        slots.append("tp_ar")
+    slots += [f"pp:{boundary}" for boundary in range(key.pipeline - 1)]
+    if key.virtual_stages > 1:
+        slots.append("pp:wrap")
+    chunks = range(key.virtual_stages)
+    for stage in range(key.pipeline):
+        if key.granularity is Granularity.STAGE:
+            slots += [key.stage_slot("sf", stage, chunk) for chunk in chunks]
+            if training:
+                # Every backward is the last-synchronising one when there
+                # is one micro-batch, so no plain backward chunk exists.
+                if key.micro_batches > 1:
+                    slots += [key.stage_slot("sb", stage, chunk)
+                              for chunk in chunks]
+                slots += [key.stage_slot("sbl", stage, chunk, bucket)
+                          for chunk in chunks
+                          for bucket, _ in key.bucket_segments(chunk)]
+        if training:
+            if key.data_parallel:
+                slots += [f"dp:{stage}:{bucket}"
+                          for bucket in range(len(key.bucket_sizes))]
+            slots.append(f"wu:{stage}")
+    return tuple(slots)
+
 
 def structure_affinity(model: ModelConfig, plan: ParallelismConfig,
                        training: TrainingConfig | None,
@@ -403,18 +467,17 @@ class _TaskTable:
     """Per-task columns and edges of a tiled build, grown block by block
     in task-id order."""
 
-    def __init__(self) -> None:
+    def __init__(self, slot_layout: tuple[str, ...]) -> None:
         self.device: list[np.ndarray] = []
         self.slot: list[np.ndarray] = []
         self.src: list[np.ndarray] = []
         self.dst: list[np.ndarray] = []
-        self.slot_of: dict[str, int] = {}
+        self.slot_of = {key: index for index, key in enumerate(slot_layout)}
         self.num_tasks = 0
 
     def slot_ids(self, keys) -> np.ndarray:
-        """Interned ids of timing-slot ``keys``."""
-        return np.array([self.slot_of.setdefault(key, len(self.slot_of))
-                         for key in keys], dtype=np.intp)
+        """Positions of timing-slot ``keys`` in the key's slot layout."""
+        return np.array([self.slot_of[key] for key in keys], dtype=np.intp)
 
     def add(self, device: np.ndarray, slot: np.ndarray) -> np.ndarray:
         """Append one block of tasks; returns their task ids."""
@@ -598,8 +661,9 @@ class _Emitter:
         units in issue order, then the pipeline Send-Receives, then
         each stage's gradient sync and weight update. The stream-chain,
         pipeline Send-Receive, gradient-bucket, and weight-update edges
-        are added as arrays. Kinds and streams come from per-slot
-        tables, and :meth:`labels` runs on first use.
+        are added as arrays. Task slots are positions in the key's
+        :meth:`~StructureKey.slot_layout`, kinds and streams come from
+        per-slot tables, and :meth:`labels` runs on first use.
         """
         key = self.key
         p, v, nmb = key.pipeline, key.virtual_stages, key.micro_batches
@@ -625,7 +689,8 @@ class _Emitter:
                   for unit in first.tolist()]
 
         # Chunk tasks: each unit's body, stamped at the unit's offset.
-        table = _TaskTable()
+        slot_keys = key.slot_layout()
+        table = _TaskTable(slot_keys)
         body_len = np.array([len(body.slots) for body in bodies],
                             dtype=np.intp)
         body_start = np.cumsum(body_len) - body_len
@@ -659,7 +724,6 @@ class _Emitter:
             self._tile_gradient_sync(
                 table, anchor, u_end[np.cumsum(units_per_stage) - 1] - 1)
 
-        slot_keys = tuple(table.slot_of)
         task_slot = np.concatenate(table.slot)
         kind_of: dict[str, int] = {}
         slot_kind = np.array([kind_of.setdefault(self.attributes(slot)[0],
@@ -803,6 +867,11 @@ class GraphBuilder:
 
     Both phases reuse the TP All-Reduce and PP Send-Receive timing from
     the network layer, sized to the phase's sequence length.
+
+    Attributes:
+        key: The plan's :class:`StructureKey`.
+        slot_durations: Seconds behind each slot of
+            ``key.slot_layout()`` (float64, one entry per slot).
     """
 
     def __init__(self, model: ModelConfig, system: SystemConfig,
@@ -860,9 +929,8 @@ class GraphBuilder:
         self.v = self.key.virtual_stages
         self.lpc = self.lps // self.v
         self.bucket_layers = self.key.bucket_layers()
-        self._init_comm_times()
-        self._init_stage_params()
-        self._init_timings()
+        self.tp_ar_time = self._tensor_allreduce_time()
+        self.slot_durations = self._slot_durations()
 
     # ------------------------------------------------------------------
     # Precomputation
@@ -892,7 +960,7 @@ class GraphBuilder:
                    self.op_fwd_head)
         if self.phase is not None:
             # Inference phases are forward-only: no backward, optimizer,
-            # or gradient-sync slots exist in the table at all.
+            # or gradient-sync slots exist in their layout at all.
             self.op_bwd_mha = None
             self.op_bwd_ffn = None
             self.op_bwd_embed = None
@@ -910,123 +978,157 @@ class GraphBuilder:
         self._comp_ops = forward + (self.op_bwd_head, self.op_bwd_ffn,
                                     self.op_bwd_mha, self.op_bwd_embed)
 
-    def _init_comm_times(self) -> None:
-        """Pre-time every communication operator the graph will use."""
-        model, plan = self.model, self.plan
-        b, s, h = plan.micro_batch_size, self._seq, model.hidden_size
-        self.tp_ar_time = 0.0
-        if plan.tensor > 1:
-            link = self.topology.tensor_link()
-            self.tp_ar_time = self.nccl.time(
-                tensor_allreduce(b, s, h, plan.tensor, link))
-        self.send_time: list[float] = []
-        for boundary in range(plan.pipeline - 1):
-            link = self.topology.pipeline_hop_link(boundary)
-            comm = pipeline_send_recv(b, s, h, link)
-            self.send_time.append(self.nccl.time(comm))
-        if self.v > 1:
-            link = self.topology.pipeline_wrap_link()
-            self.wrap_time = self.nccl.time(pipeline_send_recv(b, s, h, link))
-        else:
-            self.wrap_time = 0.0
-
-    def _init_stage_params(self) -> None:
-        """Per-stage parameter counts per GPU."""
-        model, plan = self.model, self.plan
-        per_layer = model.params_per_layer() // plan.tensor
-        embed = model.embedding_params() // plan.tensor
-        final_norm = 2 * model.hidden_size
-        self.stage_params: list[int] = []
-        for stage in range(plan.pipeline):
-            params = self.lps * per_layer
-            if stage == 0:
-                params += embed
-            if stage == plan.pipeline - 1:
-                params += final_norm
-            self.stage_params.append(params)
-
-    def _bucket_bytes(self, stage: int, bucket: int) -> float:
-        """FP16 gradient payload of one bucket on one stage."""
-        model, plan = self.model, self.plan
-        per_layer = model.params_per_layer() // plan.tensor
-        params = len(self.bucket_layers[bucket]) * per_layer
-        if stage == 0 and 0 in self.bucket_layers[bucket]:
-            params += model.embedding_params() // plan.tensor
-        if stage == plan.pipeline - 1 and bucket == len(self.bucket_layers) - 1:
-            params += 2 * model.hidden_size
-        return FP16 * params
-
-    def _init_timings(self) -> None:
-        """Build the timing table: slot key -> duration in seconds.
-
-        Every task the emitter produces draws its duration from exactly
-        one slot here, and the compiled :class:`GraphStructure` records
-        that slot key per task; a structure can therefore be *re-timed*
-        — its duration vector refilled from a fresh builder's table —
-        without re-running graph assembly.
-        """
+    def _tensor_allreduce_time(self) -> float:
+        """Latency of one TP All-Reduce (0.0 without tensor parallelism)."""
         plan = self.plan
-        timings: dict[str, float] = {}
-        ops = self._comp_ops
-        for op in ops:
-            timings[f"op:{op.kind.value}"] = self.lookup.duration_of(op)
-        if self.granularity is Granularity.KERNEL:
-            for op in ops:
-                for index, kernel in enumerate(self.lookup.tasks_for(op)):
-                    timings[f"k:{op.kind.value}:{index}"] = kernel.duration
-        timings["tp_ar"] = self.tp_ar_time
-        for boundary, seconds in enumerate(self.send_time):
-            timings[f"pp:{boundary}"] = seconds
+        if plan.tensor == 1:
+            return 0.0
+        return self.nccl.time(tensor_allreduce(
+            plan.micro_batch_size, self._seq, self.model.hidden_size,
+            plan.tensor, self.topology.tensor_link()))
+
+    def _slot_durations(self) -> np.ndarray:
+        """The duration behind every slot of the key's
+        :meth:`~StructureKey.slot_layout`, as one float64 vector.
+
+        Per-stage slots differ only by stage role: the first stage holds
+        the embedding, the last the LM head and final norm, and the
+        stages between hold neither (a one-stage pipeline's stage holds
+        both). Each role's row is computed once and broadcast over its
+        stages; each operator is looked up, and each distinct
+        pipeline-hop link and DP payload costed, once. Every value keeps
+        the float operations, in their order, of the per-slot reference
+        table in ``tests/graph_oracle.py``, so the two agree bit for bit.
+        """
+        plan, key, lookup = self.plan, self.key, self.lookup
+        p = plan.pipeline
+        op_time = {op.kind: lookup.duration_of(op) for op in self._comp_ops}
+        shared: list[float] = []
+        if self.granularity is Granularity.OPERATOR:
+            shared += [op_time[op.kind] for op in self._comp_ops]
+        elif self.granularity is Granularity.KERNEL:
+            shared += [kernel.duration for op in self._comp_ops
+                       for kernel in lookup.tasks_for(op)]
+        if key.tensor_parallel and self.granularity is not Granularity.STAGE:
+            shared.append(self.tp_ar_time)
+        links = [self.topology.pipeline_hop_link(boundary)
+                 for boundary in range(p - 1)]
         if self.v > 1:
-            timings["pp:wrap"] = self.wrap_time
+            links.append(self.topology.pipeline_wrap_link())
+        hop_time = {link: self.nccl.time(pipeline_send_recv(
+                        plan.micro_batch_size, self._seq,
+                        self.model.hidden_size, link))
+                    for link in dict.fromkeys(links)}
+        shared += [hop_time[link] for link in links]
 
-        if plan.data > 1 and self.phase is None:
-            dp_link = self.topology.data_link()
-            dp_concurrency = self.topology.concurrent_data_groups_per_node()
-            for stage in range(plan.pipeline):
-                for bucket in range(len(self.bucket_layers)):
-                    comm = data_allreduce(
-                        self._bucket_bytes(stage, bucket), plan.data, dp_link,
-                        concurrent_groups=dp_concurrency)
-                    timings[f"dp:{stage}:{bucket}"] = self.nccl.time(comm)
-
-        self._wu_ops: dict[int, CompOperator] = {}
+        # Stage roles as (holds the embedding, holds the LM head).
+        roles = [(True, p == 1)]
+        if p > 2:
+            roles.append((False, False))
+        if p > 1:
+            roles.append((False, True))
+        segments = [key.bucket_segments(chunk) for chunk in range(self.v)]
+        rows = [self._stage_chunks(op_time, segments, embed, head)
+                for embed, head in roles]
         if self.phase is None:
-            for stage in range(plan.pipeline):
-                wu_op = CompOperator(OpKind.WEIGHT_UPDATE,
-                                     num_params=self.stage_params[stage])
-                self._wu_ops[stage] = wu_op
-                timings[f"wu:{stage}"] = self.lookup.duration_of(wu_op)
+            if key.data_parallel:
+                payloads = [self._bucket_bytes(embed, head)
+                            for embed, head in roles]
+                link = self.topology.data_link()
+                groups = self.topology.concurrent_data_groups_per_node()
+                dp_time = {payload: self.nccl.time(data_allreduce(
+                               payload, plan.data, link,
+                               concurrent_groups=groups))
+                           for payload in dict.fromkeys(
+                               itertools.chain.from_iterable(payloads))}
+                for row, role_payloads in zip(rows, payloads):
+                    row += [dp_time[payload] for payload in role_payloads]
+            for row, (embed, head) in zip(rows, roles):
+                row.append(lookup.duration_of(
+                    self._weight_update(embed, head)))
+        stage_role = np.ones(p, dtype=np.intp)
+        stage_role[0] = 0
+        stage_role[-1] = len(roles) - 1
+        return np.concatenate((np.array(shared, dtype=np.float64),
+                               np.array(rows, dtype=np.float64)[
+                                   stage_role].ravel()))
 
-        if self.granularity is Granularity.STAGE:
-            slot = self.key.stage_slot
-            for stage in range(plan.pipeline):
-                for chunk in range(self.v):
-                    timings[slot("sf", stage, chunk)] = \
-                        self._forward_stage_duration(stage, chunk)
-                    if self.phase is None:
-                        timings[slot("sb", stage, chunk)] = \
-                            self._backward_stage_duration(stage, chunk)
-            if self.phase is None:
-                layer_dur = self._backward_layer_duration()
-                for stage in range(plan.pipeline):
-                    for chunk in range(self.v):
-                        for seg_index, (bucket, width) in enumerate(
-                                self.key.bucket_segments(chunk)):
-                            duration = width * layer_dur
-                            if (seg_index == 0 and stage == plan.pipeline - 1
-                                    and chunk == self.v - 1):
-                                duration += self.lookup.duration_of(
-                                    self.op_bwd_head)
-                            if bucket == 0 and stage == 0 and chunk == 0:
-                                duration += self.lookup.duration_of(
-                                    self.op_bwd_embed)
-                            timings[slot("sbl", stage, chunk,
-                                         bucket)] = duration
-        self.timings = timings
+    def _stage_chunks(self, op_time: Mapping[OpKind, float],
+                      segments: list[list[tuple[int, int]]], embed: bool,
+                      head: bool) -> list[float]:
+        """STAGE chunk durations of a stage role, in slot-layout order
+        (empty at the other granularities); ``segments`` holds each
+        chunk's :meth:`StructureKey.bucket_segments`. A chunk fuses its
+        compute with its TP All-Reduces:
+
+        * each chunk's forward;
+        * each chunk's backward, with more than one micro-batch;
+        * the last backward's bucket segments, chunk by chunk.
+        """
+        if self.granularity is not Granularity.STAGE:
+            return []
+        tp, lpc, last = self.tp_ar_time, self.lpc, self.v - 1
+        row: list[float] = []
+        for chunk in range(self.v):
+            dur = lpc * (op_time[OpKind.FWD_MHA] + op_time[OpKind.FWD_FFN]
+                         + 2 * tp)
+            if embed and chunk == 0:
+                dur += op_time[OpKind.FWD_EMBEDDING] + tp
+            if head and chunk == last:
+                dur += op_time[OpKind.FWD_LM_HEAD]
+            row.append(dur)
+        if self.phase is not None:
+            return row
+        # One decoder layer's backward.
+        layer = op_time[OpKind.BWD_FFN] + op_time[OpKind.BWD_MHA] + 2 * tp
+        if self.nmb > 1:
+            for chunk in range(self.v):
+                dur = lpc * layer
+                if head and chunk == last:
+                    dur += op_time[OpKind.BWD_LM_HEAD]
+                if embed and chunk == 0:
+                    dur += op_time[OpKind.BWD_EMBEDDING]
+                row.append(dur)
+        for chunk, chunk_segments in enumerate(segments):
+            for index, (bucket, width) in enumerate(chunk_segments):
+                dur = width * layer
+                if index == 0 and head and chunk == last:
+                    dur += op_time[OpKind.BWD_LM_HEAD]
+                if bucket == 0 and embed and chunk == 0:
+                    dur += op_time[OpKind.BWD_EMBEDDING]
+                row.append(dur)
+        return row
+
+    def _weight_update(self, embed: bool, head: bool) -> CompOperator:
+        """The optimizer step over one GPU's parameters on a stage
+        holding the embedding and/or the LM head (whose final norm it
+        also holds)."""
+        model, plan = self.model, self.plan
+        params = self.lps * (model.params_per_layer() // plan.tensor)
+        if embed:
+            params += model.embedding_params() // plan.tensor
+        if head:
+            params += 2 * model.hidden_size
+        return CompOperator(OpKind.WEIGHT_UPDATE, num_params=params)
+
+    def _bucket_bytes(self, embed: bool, head: bool) -> list[float]:
+        """FP16 gradient payload of each bucket on a stage role."""
+        model, plan = self.model, self.plan
+        per_layer = model.params_per_layer() // plan.tensor
+        embedding = model.embedding_params() // plan.tensor
+        last = len(self.bucket_layers) - 1
+        payloads: list[float] = []
+        for bucket, layers in enumerate(self.bucket_layers):
+            params = len(layers) * per_layer
+            if embed and 0 in layers:
+                params += embedding
+            if head and bucket == last:
+                params += 2 * model.hidden_size
+            payloads.append(FP16 * params)
+        return payloads
 
     # ------------------------------------------------------------------
-    # Metadata and retiming
+    # Metadata and refilling
     # ------------------------------------------------------------------
     def graph_metadata(self) -> dict:
         """The metadata dict a freshly built graph would carry."""
@@ -1059,49 +1161,33 @@ class GraphBuilder:
         if self.granularity is Granularity.OPERATOR:
             for op in self._comp_ops:
                 counts[f"op:{op.kind.value}"] = len(self.lookup.tasks_for(op))
-        for stage, wu_op in self._wu_ops.items():
-            counts[f"wu:{stage}"] = len(self.lookup.tasks_for(wu_op))
+        if self.phase is None:
+            last = self.plan.pipeline - 1
+            for stage in range(self.plan.pipeline):
+                wu_op = self._weight_update(stage == 0, stage == last)
+                counts[f"wu:{stage}"] = len(self.lookup.tasks_for(wu_op))
         return counts
 
     def fill_durations(self, structure: GraphStructure) -> np.ndarray:
         """Duration vector for ``structure`` under this builder's timings.
 
-        The retime-without-rebuild fast path: broadcast this builder's
-        timing table through the structure's per-task slot indices. The
-        structure must have been compiled from a builder with an equal
-        :attr:`key` (a missing slot raises SimulationError — callers
-        fall back to a full rebuild).
+        The refill-without-rebuild fast path: one gather of
+        :attr:`slot_durations` through the structure's per-task slot
+        ids, valid only when the structure's slots are this key's
+        layout — the same tuple whenever the key's layout is still
+        memoized, else an equal one.
+
+        Raises:
+            SimulationError: The structure was compiled for another key
+                (callers fall back to a full rebuild).
         """
-        return structure.retime(self.timings)
-
-    # ------------------------------------------------------------------
-    # Stage-granularity chunk durations
-    # ------------------------------------------------------------------
-    def _forward_stage_duration(self, stage: int, chunk: int = 0) -> float:
-        """Forward latency of one stage chunk (compute + TP AR)."""
-        dur = self.lpc * (self.lookup.duration_of(self.op_fwd_mha)
-                          + self.lookup.duration_of(self.op_fwd_ffn)
-                          + 2 * self.tp_ar_time)
-        if stage == 0 and chunk == 0:
-            dur += self.lookup.duration_of(self.op_fwd_embed) + self.tp_ar_time
-        if stage == self.plan.pipeline - 1 and chunk == self.v - 1:
-            dur += self.lookup.duration_of(self.op_fwd_head)
-        return dur
-
-    def _backward_layer_duration(self) -> float:
-        """Backward latency of one decoder layer (compute + TP AR)."""
-        return (self.lookup.duration_of(self.op_bwd_ffn)
-                + self.lookup.duration_of(self.op_bwd_mha)
-                + 2 * self.tp_ar_time)
-
-    def _backward_stage_duration(self, stage: int, chunk: int = 0) -> float:
-        """Backward latency of one stage chunk."""
-        dur = self.lpc * self._backward_layer_duration()
-        if stage == self.plan.pipeline - 1 and chunk == self.v - 1:
-            dur += self.lookup.duration_of(self.op_bwd_head)
-        if stage == 0 and chunk == 0:
-            dur += self.lookup.duration_of(self.op_bwd_embed)
-        return dur
+        layout = self.key.slot_layout()
+        slot_keys = structure.slot_keys
+        if slot_keys is not layout and slot_keys != layout:
+            raise SimulationError(
+                "structure's timing slots are not the slot layout of "
+                f"{self.key}; the structure does not match this builder")
+        return self.slot_durations[structure.slot_index]
 
     # ------------------------------------------------------------------
     # Tiled compilation (the production path)
@@ -1109,21 +1195,18 @@ class GraphBuilder:
     def compile(self) -> GraphStructure:
         """Compile the step: the emitter's columns plus this builder's
         durations and metadata. Any builder with an equal :attr:`key`
-        can re-time the result.
+        can refill the result.
 
         Raises:
             SimulationError: A negative slot duration (named by the
                 label of the first task using it).
         """
         columns = _Emitter(self.key).emit()
-        slot_duration = np.array([self.timings[key]
-                                  for key in columns["slot_keys"]],
-                                 dtype=np.float64)
-        negative = np.flatnonzero(slot_duration < 0)
+        duration = self.slot_durations[columns["slot"]]
+        negative = np.flatnonzero(duration < 0)
         if negative.size:
-            task = int(np.flatnonzero(np.isin(columns["slot"], negative))[0])
+            task = int(negative[0])
             raise SimulationError(
                 f"negative duration for task {columns['label']()[task]!r}")
-        return GraphStructure(**columns,
-                              duration=slot_duration[columns["slot"]],
+        return GraphStructure(**columns, duration=duration,
                               metadata=self.graph_metadata())

@@ -205,9 +205,11 @@ class GraphStructure:
     (:attr:`fifo`), for busy accounting and recorded timelines only.
 
     The baseline ``duration`` vector captured at compile time is one
-    valid timing; :meth:`retime` derives fresh vectors from a timing
-    table via the per-task ``slot`` keys the builder recorded, which is
-    what makes retime-without-rebuild sweeps possible.
+    valid timing. Every position names its timing slot, an index into
+    ``slot_keys``, so a fresh duration vector is one gather of a
+    per-slot vector through ``slot_index``
+    (:meth:`~repro.graph.builder.GraphBuilder.fill_durations`), which is
+    what makes refill-without-rebuild sweeps possible.
 
     A structure the builder compiles is a function of its
     :class:`~repro.graph.builder.StructureKey`, except for ``duration``
@@ -229,9 +231,12 @@ class GraphStructure:
             read-only).
         stream / label: Per-position tuples, materialized on first
             access (only timelines, traces, and the testbed read them).
-        slot_keys: Distinct timing-slot keys in first-appearance order,
-            or ``None`` when the source recorded no slots.
-        slot_index: Index into ``slot_keys`` per position, or ``None``.
+        slot_keys: Timing-slot keys as the source gave them — for a
+            builder's compile, its key's
+            :meth:`~repro.graph.builder.StructureKey.slot_layout` — or
+            ``None`` when the source recorded no slots.
+        slot_index: Index into ``slot_keys`` per position, as given, or
+            ``None``.
         busy_index: Flat ``device * len(kinds) + kind`` bucket per
             position.
         device_kind_order: Each device's kind indices in the order
@@ -344,8 +349,8 @@ class GraphStructure:
             self.slot_index = None
             self.slot_keys = None
         else:
-            self.slot_index, self.slot_keys = _first_appearance(
-                slot[task_id], slot_keys)
+            self.slot_index = slot[task_id]
+            self.slot_keys = tuple(slot_keys)
         # Flat (device, kind) bucket per position for one-pass busy
         # accounting.
         self.busy_index = self.device * len(self.kinds) + self.kind_index
@@ -403,42 +408,25 @@ class GraphStructure:
 
         Durations and labels are excluded, so two builds with equal
         structure keys must have equal digests — the check that the
-        structure cache never serves a wrong topology.
+        structure cache never serves a wrong topology. Slots are
+        renumbered by first appearance first, so the digest names each
+        position's slot key, not how the source numbered its slots.
         """
         if self._digest is None:
+            slot_index = slot_keys = None
+            if self.slot_index is not None:
+                slot_index, slot_keys = _first_appearance(self.slot_index,
+                                                          self.slot_keys)
             sha = hashlib.sha256(json.dumps(
                 [self.num_tasks, self.num_devices, list(self.kinds),
-                 None if self.slot_keys is None else list(self.slot_keys)]
+                 None if slot_keys is None else list(slot_keys)]
             ).encode())
             for array in (self.child_ptr, self.child_idx, self.device,
-                          self.kind_index, self.slot_index):
+                          self.kind_index, slot_index):
                 if array is not None:
                     sha.update(array.astype("<i8").tobytes())
             self._digest = sha.hexdigest()
         return self._digest
-
-    def retime(self, timings: Mapping[str, float]) -> np.ndarray:
-        """Duration vector (replay order) from a fresh timing table.
-
-        Args:
-            timings: Slot key -> duration in seconds. Must cover every
-                slot key this structure references.
-
-        Raises:
-            SimulationError: If the structure was compiled without slot
-                keys, or ``timings`` is missing one of them.
-        """
-        if self.slot_keys is None or self.slot_index is None:
-            raise SimulationError(
-                "structure was compiled without timing slots; "
-                "pass an explicit duration vector instead")
-        try:
-            values = [timings[key] for key in self.slot_keys]
-        except KeyError as exc:
-            raise SimulationError(
-                f"timing table is missing slot {exc.args[0]!r}; the "
-                "structure does not match this builder") from exc
-        return np.asarray(values, dtype=np.float64)[self.slot_index]
 
     @property
     def device_kind_order(self) -> tuple[tuple[int, ...], ...]:

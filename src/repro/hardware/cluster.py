@@ -103,26 +103,32 @@ class ClusterTopology:
         return (LinkType.INTRA_NODE if len(nodes) <= 1
                 else LinkType.INTER_NODE)
 
+    def _span_link(self, first: int, last: int) -> LinkType:
+        """Link type of a group whose ranks ascend from ``first`` to
+        ``last``: a node holds consecutive ranks, so the group stays on
+        one node iff its two ends do. The helpers below apply it to the
+        groups holding rank 0, and equal :meth:`group_link` over them
+        without listing their ranks."""
+        per_node = self.system.gpus_per_node
+        return (LinkType.INTRA_NODE if first // per_node == last // per_node
+                else LinkType.INTER_NODE)
+
     def tensor_link(self) -> LinkType:
         """Link type of tensor-parallel All-Reduces."""
-        if self.plan.tensor == 1:
-            return LinkType.INTRA_NODE
-        return self.group_link(self.tensor_group(0, 0))
+        return self._span_link(0, self.plan.tensor - 1)
 
     def data_link(self) -> LinkType:
         """Link type of data-parallel gradient All-Reduces."""
-        if self.plan.data == 1:
-            return LinkType.INTRA_NODE
-        return self.group_link(self.data_group(0, 0))
+        plan = self.plan
+        return self._span_link(
+            0, plan.tensor * plan.pipeline * (plan.data - 1))
 
     def pipeline_hop_link(self, p_idx: int) -> LinkType:
         """Link type of the Send-Receive between stage p_idx and p_idx+1."""
         if p_idx < 0 or p_idx >= self.plan.pipeline - 1:
             raise ConfigError(f"no pipeline hop after stage {p_idx}")
-        here = self.rank_of(RankCoordinates(0, 0, p_idx))
-        there = self.rank_of(RankCoordinates(0, 0, p_idx + 1))
-        return (LinkType.INTRA_NODE if self.node_of(here) == self.node_of(there)
-                else LinkType.INTER_NODE)
+        t = self.plan.tensor
+        return self._span_link(t * p_idx, t * (p_idx + 1))
 
     def pipeline_wrap_link(self) -> LinkType:
         """Link type of the interleaved schedule's wrap-around hop.
@@ -135,10 +141,7 @@ class ClusterTopology:
         """
         if self.plan.pipeline <= 1:
             raise ConfigError("no wrap-around hop in a 1-stage pipeline")
-        first = self.rank_of(RankCoordinates(0, 0, 0))
-        last = self.rank_of(RankCoordinates(0, 0, self.plan.pipeline - 1))
-        return (LinkType.INTRA_NODE if self.node_of(first) == self.node_of(last)
-                else LinkType.INTER_NODE)
+        return self._span_link(0, self.plan.tensor * (self.plan.pipeline - 1))
 
     # ------------------------------------------------------------------
     # Contention diagnostics (used by the testbed emulator)

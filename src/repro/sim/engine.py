@@ -86,7 +86,7 @@ def simulate_retimed(structure: GraphStructure,
         structure: Compiled topology
             (:meth:`~repro.graph.builder.GraphBuilder.compile`).
         durations: Per-task durations in *replay order* (as produced by
-            :meth:`~repro.graph.structure.GraphStructure.retime`).
+            :meth:`~repro.graph.builder.GraphBuilder.fill_durations`).
             Defaults to the structure's baseline durations.
         record_timeline: Materialize per-task TimelineEvents, in
             Algorithm 1's pop order.

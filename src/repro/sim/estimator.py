@@ -69,7 +69,7 @@ class PredictTiming:
     runs on *every* predict, hit or miss; it used to go unreported, so
     cold breakdowns didn't add up. ``structure_s`` is graph assembly +
     compilation, level plan included, when the structure cache missed,
-    ``0.0`` on a hit; ``fill_s`` is the slot-broadcast duration refill
+    ``0.0`` on a hit; ``fill_s`` is the duration refill, one gather
     (hits only).
     ``structure_cache_hit`` holds when every phase graph was a hit.
     Surfaced by ``repro predict --timing``.
@@ -241,9 +241,11 @@ class VTrain:
         """Compiled structure + durations for one plan, ready to replay.
 
         Consults the process-wide structure cache: on a hit only the
-        duration vector is refilled from this builder's timing table
-        (retime-without-rebuild); on a miss the graph is assembled,
-        compiled, and cached for every later predict that shares its
+        duration vector is refilled, one gather of this builder's
+        per-slot durations (refill-without-rebuild); a cached structure
+        whose slots are not this key's layout is evicted and rebuilt.
+        On a miss the graph is assembled, compiled, and cached for
+        every later predict that shares its
         :class:`~repro.graph.builder.StructureKey` — across micro-batch
         sizes, parallel degrees, systems, and VTrain instances alike.
 
@@ -268,8 +270,9 @@ class VTrain:
                 with obs.span("duration_fill", tasks=structure.num_tasks):
                     durations = builder.fill_durations(structure)
             except SimulationError:
-                # Structural drift the key failed to capture: drop the
-                # stale entry and rebuild from scratch.
+                # A structure compiled for another key (its slots are
+                # not this key's layout): drop the stale entry and
+                # rebuild from scratch.
                 structure_cache_evict(key)
                 structure = None
                 cache_hit = False
@@ -286,12 +289,12 @@ class VTrain:
         if cache_hit:
             with self._stats_lock:
                 self.structure_cache_hits += 1
-            obs.observe("sim.duration_fill_s", fill_s)
+            obs.observe("graph.duration_fill_s", fill_s)
         else:
             with self._stats_lock:
                 self.structure_cache_misses += 1
-            obs.observe("sim.structure_build_s", build_s)
-        obs.observe("sim.builder_init_s", builder_init_s)
+            obs.observe("graph.structure_build_s", build_s)
+        obs.observe("graph.builder_init_s", builder_init_s)
         return PreparedPlan(structure=structure, durations=durations,
                             metadata=builder.graph_metadata(),
                             builder=builder,

@@ -11,6 +11,8 @@ to:
   — a DAG of node objects, built one task and one edge at a time;
 * :func:`compile_graph` — flattens an :class:`ExecutionGraph` into a
   :class:`~repro.graph.structure.GraphStructure`;
+* :func:`reference_timings` — a builder's timing table built slot by
+  slot and stage by stage (the tests hold ``slot_durations`` to it);
 * :func:`build_reference` — a builder's step emitted task by task
   through a :class:`GraphAssembler`, from the same emitter's chunk
   bodies (``tests/test_graph_tiling.py`` holds ``compile()`` to it);
@@ -34,8 +36,10 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.graph.builder import (GraphBuilder, _ChunkBody, _chunk_prefix,
-                                 _Emitter)
+from repro.graph.builder import (FP16, Granularity, GraphBuilder, _ChunkBody,
+                                 _chunk_prefix, _Emitter)
+from repro.graph.operators import (CompOperator, OpKind, data_allreduce,
+                                   pipeline_send_recv, tensor_allreduce)
 from repro.graph.pipeline import FORWARD
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM, KIND_DP_COMM,
                                    KIND_PP_COMM, KIND_WEIGHT_UPDATE,
@@ -96,9 +100,7 @@ class GraphAssembler:
             chain: Serialise after the previous task on this
                 (device, stream) pair.
             slot: Optional timing-slot key naming the duration's source,
-                so a compiled :class:`GraphStructure` can re-derive the
-                duration vector from a fresh timing table
-                (:meth:`GraphStructure.retime`).
+                recorded per task for :func:`compile_graph`.
         """
         if duration < 0:
             raise SimulationError(f"negative duration for task {label!r}")
@@ -140,7 +142,7 @@ class ExecutionGraph:
     num_devices: int
     metadata: dict[str, Any] = field(default_factory=dict)
     #: Timing-slot key per node as the assembler recorded it (pass to
-    #: :func:`compile_graph` for a retimeable structure).
+    #: :func:`compile_graph` for a structure with slots).
     slots: list[str | None] | None = field(default=None, repr=False,
                                            compare=False)
     _compiled: "GraphStructure | None" = field(default=None, init=False,
@@ -208,9 +210,9 @@ def compile_graph(graph: ExecutionGraph,
 
     Args:
         slots: Per-task timing-slot keys in *original* task order (from
-            :attr:`GraphAssembler.slots`); omit (or include any
-            ``None``) to compile a structure that replays but cannot
-            :meth:`~GraphStructure.retime` by slot.
+            :attr:`GraphAssembler.slots`), numbered by first appearance
+            in that order; omit (or include any ``None``) to compile a
+            structure without slots.
 
     Raises:
         SimulationError: If the graph contains a dependency cycle
@@ -251,6 +253,171 @@ def compile_graph(graph: ExecutionGraph,
 
 
 # ---------------------------------------------------------------------------
+# The per-slot timing table
+# ---------------------------------------------------------------------------
+def reference_timings(builder: GraphBuilder) -> dict[str, float]:
+    """``builder``'s timing table built slot by slot, every stage on its
+    own: slot key -> duration in seconds.
+
+    ``builder.slot_durations`` computes each value once per stage role
+    and costs each distinct collective once; the tests hold it to this
+    table bit for bit. Besides the slots of the key's layout, the table
+    holds unused ones (``op:*`` at STAGE, a zero ``tp_ar`` without
+    tensor parallelism, ...).
+    """
+    table = _ReferenceTimings(builder)
+    table._init_comm_times()
+    table._init_stage_params()
+    table._init_timings()
+    return table.timings
+
+
+class _ReferenceTimings:
+    """Per-slot timing loops over a builder's inputs (its model, plan,
+    topology, profiles and operators, read through the builder)."""
+
+    def __init__(self, builder: GraphBuilder) -> None:
+        self.builder = builder
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.builder, name)
+
+    def _init_comm_times(self) -> None:
+        """Pre-time every communication operator the graph will use."""
+        model, plan = self.model, self.plan
+        b, s, h = plan.micro_batch_size, self._seq, model.hidden_size
+        self.tp_ar_time = 0.0
+        if plan.tensor > 1:
+            link = self.topology.tensor_link()
+            self.tp_ar_time = self.nccl.time(
+                tensor_allreduce(b, s, h, plan.tensor, link))
+        self.send_time: list[float] = []
+        for boundary in range(plan.pipeline - 1):
+            link = self.topology.pipeline_hop_link(boundary)
+            comm = pipeline_send_recv(b, s, h, link)
+            self.send_time.append(self.nccl.time(comm))
+        if self.v > 1:
+            link = self.topology.pipeline_wrap_link()
+            self.wrap_time = self.nccl.time(pipeline_send_recv(b, s, h, link))
+        else:
+            self.wrap_time = 0.0
+
+    def _init_stage_params(self) -> None:
+        """Per-stage parameter counts per GPU."""
+        model, plan = self.model, self.plan
+        per_layer = model.params_per_layer() // plan.tensor
+        embed = model.embedding_params() // plan.tensor
+        final_norm = 2 * model.hidden_size
+        self.stage_params: list[int] = []
+        for stage in range(plan.pipeline):
+            params = self.lps * per_layer
+            if stage == 0:
+                params += embed
+            if stage == plan.pipeline - 1:
+                params += final_norm
+            self.stage_params.append(params)
+
+    def _bucket_bytes(self, stage: int, bucket: int) -> float:
+        """FP16 gradient payload of one bucket on one stage."""
+        model, plan = self.model, self.plan
+        per_layer = model.params_per_layer() // plan.tensor
+        params = len(self.bucket_layers[bucket]) * per_layer
+        if stage == 0 and 0 in self.bucket_layers[bucket]:
+            params += model.embedding_params() // plan.tensor
+        if stage == plan.pipeline - 1 and bucket == len(self.bucket_layers) - 1:
+            params += 2 * model.hidden_size
+        return FP16 * params
+
+    def _init_timings(self) -> None:
+        """Build the timing table: slot key -> duration in seconds."""
+        plan = self.plan
+        timings: dict[str, float] = {}
+        ops = self._comp_ops
+        for op in ops:
+            timings[f"op:{op.kind.value}"] = self.lookup.duration_of(op)
+        if self.granularity is Granularity.KERNEL:
+            for op in ops:
+                for index, kernel in enumerate(self.lookup.tasks_for(op)):
+                    timings[f"k:{op.kind.value}:{index}"] = kernel.duration
+        timings["tp_ar"] = self.tp_ar_time
+        for boundary, seconds in enumerate(self.send_time):
+            timings[f"pp:{boundary}"] = seconds
+        if self.v > 1:
+            timings["pp:wrap"] = self.wrap_time
+
+        if plan.data > 1 and self.phase is None:
+            dp_link = self.topology.data_link()
+            dp_concurrency = self.topology.concurrent_data_groups_per_node()
+            for stage in range(plan.pipeline):
+                for bucket in range(len(self.bucket_layers)):
+                    comm = data_allreduce(
+                        self._bucket_bytes(stage, bucket), plan.data, dp_link,
+                        concurrent_groups=dp_concurrency)
+                    timings[f"dp:{stage}:{bucket}"] = self.nccl.time(comm)
+
+        self._wu_ops: dict[int, CompOperator] = {}
+        if self.phase is None:
+            for stage in range(plan.pipeline):
+                wu_op = CompOperator(OpKind.WEIGHT_UPDATE,
+                                     num_params=self.stage_params[stage])
+                self._wu_ops[stage] = wu_op
+                timings[f"wu:{stage}"] = self.lookup.duration_of(wu_op)
+
+        if self.granularity is Granularity.STAGE:
+            slot = self.key.stage_slot
+            for stage in range(plan.pipeline):
+                for chunk in range(self.v):
+                    timings[slot("sf", stage, chunk)] = \
+                        self._forward_stage_duration(stage, chunk)
+                    if self.phase is None:
+                        timings[slot("sb", stage, chunk)] = \
+                            self._backward_stage_duration(stage, chunk)
+            if self.phase is None:
+                layer_dur = self._backward_layer_duration()
+                for stage in range(plan.pipeline):
+                    for chunk in range(self.v):
+                        for seg_index, (bucket, width) in enumerate(
+                                self.key.bucket_segments(chunk)):
+                            duration = width * layer_dur
+                            if (seg_index == 0 and stage == plan.pipeline - 1
+                                    and chunk == self.v - 1):
+                                duration += self.lookup.duration_of(
+                                    self.op_bwd_head)
+                            if bucket == 0 and stage == 0 and chunk == 0:
+                                duration += self.lookup.duration_of(
+                                    self.op_bwd_embed)
+                            timings[slot("sbl", stage, chunk,
+                                         bucket)] = duration
+        self.timings = timings
+
+    def _forward_stage_duration(self, stage: int, chunk: int = 0) -> float:
+        """Forward latency of one stage chunk (compute + TP AR)."""
+        dur = self.lpc * (self.lookup.duration_of(self.op_fwd_mha)
+                          + self.lookup.duration_of(self.op_fwd_ffn)
+                          + 2 * self.tp_ar_time)
+        if stage == 0 and chunk == 0:
+            dur += self.lookup.duration_of(self.op_fwd_embed) + self.tp_ar_time
+        if stage == self.plan.pipeline - 1 and chunk == self.v - 1:
+            dur += self.lookup.duration_of(self.op_fwd_head)
+        return dur
+
+    def _backward_layer_duration(self) -> float:
+        """Backward latency of one decoder layer (compute + TP AR)."""
+        return (self.lookup.duration_of(self.op_bwd_ffn)
+                + self.lookup.duration_of(self.op_bwd_mha)
+                + 2 * self.tp_ar_time)
+
+    def _backward_stage_duration(self, stage: int, chunk: int = 0) -> float:
+        """Backward latency of one stage chunk."""
+        dur = self.lpc * self._backward_layer_duration()
+        if stage == self.plan.pipeline - 1 and chunk == self.v - 1:
+            dur += self.lookup.duration_of(self.op_bwd_head)
+        if stage == 0 and chunk == 0:
+            dur += self.lookup.duration_of(self.op_bwd_embed)
+        return dur
+
+
+# ---------------------------------------------------------------------------
 # The per-task emitter
 # ---------------------------------------------------------------------------
 def build_graph(vtrain, model, plan, training) -> ExecutionGraph:
@@ -261,17 +428,22 @@ def build_graph(vtrain, model, plan, training) -> ExecutionGraph:
     return build_reference(builder)
 
 
-def build_reference(builder: GraphBuilder) -> ExecutionGraph:
+def build_reference(builder: GraphBuilder,
+                    timings: dict[str, float] | None = None
+                    ) -> ExecutionGraph:
     """Assemble ``builder``'s step graph task by task.
 
     Every task goes through :meth:`GraphAssembler.add`, which wires
-    stream chains and explicit dependencies one edge at a time.
-    Predictions compile through :meth:`GraphBuilder.compile` instead;
-    the tests hold the two to identical structures.
+    stream chains and explicit dependencies one edge at a time, and
+    takes its duration from ``timings`` (default:
+    :func:`reference_timings`). Predictions compile through
+    :meth:`GraphBuilder.compile` instead; the tests hold the two to
+    identical structures.
     """
     emitter = _Emitter(builder.key)
     asm = GraphAssembler()
-    timings = builder.timings
+    if timings is None:
+        timings = reference_timings(builder)
     attributes = {slot: emitter.attributes(slot) for slot in timings}
     last_b = emitter.last_backward()
     bodies: dict[tuple[int, bool, int, bool], _ChunkBody] = {}
@@ -303,27 +475,30 @@ def build_reference(builder: GraphBuilder) -> ExecutionGraph:
             for bucket, offset in body.anchors.items():
                 bucket_anchor[(stage, bucket)] = entry + offset
     if builder.phase is not None:
-        _emit_forward_sends(builder, asm, f_exit, f_entry)
+        _emit_forward_sends(builder, asm, timings, f_exit, f_entry)
     else:
-        _emit_pipeline_comm(builder, asm, f_exit, f_entry, b_exit, b_entry)
-        _emit_gradient_sync(builder, asm, b_exit, bucket_anchor, last_b)
+        _emit_pipeline_comm(builder, asm, timings, f_exit, f_entry, b_exit,
+                            b_entry)
+        _emit_gradient_sync(builder, asm, timings, b_exit, bucket_anchor,
+                            last_b)
     return asm.finish(num_devices=builder.plan.pipeline,
                       metadata=builder.graph_metadata())
 
 
-def _emit_forward_sends(builder, asm, f_exit, f_entry) -> None:
+def _emit_forward_sends(builder, asm, timings, f_exit, f_entry) -> None:
     """Inference: only the forward half of the pipeline P2P pass."""
     for boundary in range(builder.plan.pipeline - 1):
         for mb in range(builder.nmb):
             send = asm.add(boundary, COMM_STREAM,
-                           builder.send_time[boundary], KIND_PP_COMM,
+                           timings[f"pp:{boundary}"], KIND_PP_COMM,
                            f"s{boundary}->s{boundary + 1}/F{mb}",
                            deps=(f_exit[(boundary, 0, mb)],),
                            chain=False, slot=f"pp:{boundary}")
             asm.link(send, f_entry[(boundary + 1, 0, mb)])
 
 
-def _emit_pipeline_comm(builder, asm, f_exit, f_entry, b_exit, b_entry):
+def _emit_pipeline_comm(builder, asm, timings, f_exit, f_entry, b_exit,
+                        b_entry):
     """Insert Send-Receive tasks at every stage boundary (Figure 6).
 
     Interleaved plans carry every chunk across each boundary, plus the
@@ -337,26 +512,26 @@ def _emit_pipeline_comm(builder, asm, f_exit, f_entry, b_exit, b_entry):
             for chunk in range(v):
                 mid = "" if v == 1 else f"/c{chunk}"
                 send = asm.add(boundary, COMM_STREAM,
-                               builder.send_time[boundary], KIND_PP_COMM,
+                               timings[f"pp:{boundary}"], KIND_PP_COMM,
                                f"s{boundary}->s{boundary + 1}{mid}/F{mb}",
                                deps=(f_exit[(boundary, chunk, mb)],),
                                chain=False, slot=f"pp:{boundary}")
                 asm.link(send, f_entry[(boundary + 1, chunk, mb)])
                 recv = asm.add(boundary + 1, COMM_STREAM,
-                               builder.send_time[boundary], KIND_PP_COMM,
+                               timings[f"pp:{boundary}"], KIND_PP_COMM,
                                f"s{boundary + 1}->s{boundary}{mid}/B{mb}",
                                deps=(b_exit[(boundary + 1, chunk, mb)],),
                                chain=False, slot=f"pp:{boundary}")
                 asm.link(recv, b_entry[(boundary, chunk, mb)])
     for chunk in range(v - 1):
         for mb in range(builder.nmb):
-            send = asm.add(p - 1, COMM_STREAM, builder.wrap_time,
+            send = asm.add(p - 1, COMM_STREAM, timings["pp:wrap"],
                            KIND_PP_COMM,
                            f"s{p - 1}/c{chunk}->s0/c{chunk + 1}/F{mb}",
                            deps=(f_exit[(p - 1, chunk, mb)],),
                            chain=False, slot="pp:wrap")
             asm.link(send, f_entry[(0, chunk + 1, mb)])
-            recv = asm.add(0, COMM_STREAM, builder.wrap_time,
+            recv = asm.add(0, COMM_STREAM, timings["pp:wrap"],
                            KIND_PP_COMM,
                            f"s0/c{chunk + 1}->s{p - 1}/c{chunk}/B{mb}",
                            deps=(b_exit[(0, chunk + 1, mb)],),
@@ -364,7 +539,7 @@ def _emit_pipeline_comm(builder, asm, f_exit, f_entry, b_exit, b_entry):
             asm.link(recv, b_entry[(p - 1, chunk, mb)])
 
 
-def _emit_gradient_sync(builder, asm, b_exit, bucket_anchor,
+def _emit_gradient_sync(builder, asm, timings, b_exit, bucket_anchor,
                         last_b) -> None:
     """Insert DP gradient All-Reduces (Figure 5) and weight updates."""
     plan = builder.plan
@@ -377,7 +552,7 @@ def _emit_gradient_sync(builder, asm, b_exit, bucket_anchor,
             for bucket in reversed(range(num_buckets)):
                 anchor = bucket_anchor[(stage, bucket)]
                 last_ar = asm.add(stage, COMM_STREAM,
-                                  builder.timings[f"dp:{stage}:{bucket}"],
+                                  timings[f"dp:{stage}:{bucket}"],
                                   KIND_DP_COMM,
                                   f"s{stage}/dp_ar/bucket{bucket}",
                                   deps=(anchor,),
@@ -386,7 +561,7 @@ def _emit_gradient_sync(builder, asm, b_exit, bucket_anchor,
         # Chunk 0's backward is the final backward in every schedule's
         # issue order (backward walks chunks descending).
         wu_deps.append(b_exit[(stage, 0, last_b)])
-        asm.add(stage, COMPUTE_STREAM, builder.timings[f"wu:{stage}"],
+        asm.add(stage, COMPUTE_STREAM, timings[f"wu:{stage}"],
                 KIND_WEIGHT_UPDATE, f"s{stage}/weight_update",
                 deps=tuple(wu_deps), slot=f"wu:{stage}")
 

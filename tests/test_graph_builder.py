@@ -121,9 +121,9 @@ class TestDataParallelComm:
         lookup = OperatorToTaskTable(CuptiTracer(device))
         builder = GraphBuilder(tiny_model, system, plan, training, lookup,
                                NcclModel(system))
-        total = sum(builder._bucket_bytes(0, k)
-                    for k in range(len(builder.bucket_layers)))
-        expected = 2.0 * builder.stage_params[0]
+        # One stage holds both the embedding and the LM head.
+        total = sum(builder._bucket_bytes(True, True))
+        expected = 2.0 * builder._weight_update(True, True).num_params
         assert total == pytest.approx(expected)
 
 

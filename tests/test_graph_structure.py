@@ -188,27 +188,6 @@ class TestGraphStructure:
                            for _ in range(structure.child_ptr[pos],
                                           structure.child_ptr[pos + 1])]
 
-    def test_slots_interned_and_retimed(self):
-        asm, graph = self._diamond()
-        structure = compile_graph(graph, slots=asm.slots)
-        assert set(structure.slot_keys) == {"x", "y", "z"}
-        durations = structure.retime({"x": 5.0, "y": 6.0, "z": 7.0})
-        by_task = dict(zip(structure.task_id.tolist(), durations.tolist()))
-        assert by_task == {0: 5.0, 1: 6.0, 2: 5.0, 3: 7.0}
-
-    def test_retime_missing_slot_raises(self):
-        asm, graph = self._diamond()
-        structure = compile_graph(graph, slots=asm.slots)
-        with pytest.raises(SimulationError, match="missing slot"):
-            structure.retime({"x": 5.0})
-
-    def test_missing_slots_disable_retime(self):
-        _, graph = self._diamond()
-        structure = compile_graph(graph)  # no slots recorded
-        assert structure.slot_keys is None
-        with pytest.raises(SimulationError, match="slot"):
-            structure.retime({"x": 1.0})
-
     def test_baseline_durations_read_only(self):
         asm, graph = self._diamond()
         structure = compile_graph(graph, slots=asm.slots)

@@ -4,9 +4,11 @@
 stage's issue order with array operations; ``graph_oracle``'s
 ``build_reference`` emits the same step task by task through
 ``GraphAssembler``. Compiling the reference graph must give the tiled
-structure back exactly — replay order, CSR, devices, kinds, slots,
-durations, metadata, and the lazily produced labels and streams — at
-every granularity, schedule, ``v``, and workload phase.
+structure back exactly — replay order, CSR, devices, kinds, each
+position's slot key, durations, metadata, and the lazily produced labels
+and streams — at every granularity, schedule, ``v``, and workload phase.
+The builder's per-slot duration vector must equal ``graph_oracle``'s
+slot-by-slot ``reference_timings`` bit for bit.
 
 The structure cache's safety check: two builds with equal
 ``StructureKey`` must compile equal structures (digest, labels, streams,
@@ -20,7 +22,7 @@ import itertools
 
 import numpy as np
 import pytest
-from graph_oracle import build_reference, compile_graph
+from graph_oracle import build_reference, compile_graph, reference_timings
 from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
@@ -37,9 +39,9 @@ from repro.sim.estimator import VTrain
 from repro.workload import DECODE, PREFILL, InferenceWorkload
 
 ARRAYS = ("task_id", "device", "kind_index", "child_ptr", "child_idx",
-          "duration", "busy_index", "slot_index")
+          "duration", "busy_index")
 VALUES = ("num_tasks", "num_devices", "num_edges", "kinds",
-          "device_kind_order", "slot_keys", "metadata", "label", "stream")
+          "device_kind_order", "metadata", "label", "stream")
 
 #: The plans whose training graphs are pinned by digest goldens in
 #: test_workload_graph.py.
@@ -77,13 +79,19 @@ def vtrain_for(system, granularity: Granularity) -> VTrain:
 
 def make_builder(model: ModelConfig, plan: ParallelismConfig,
                  granularity: Granularity, phase: str | None,
-                 system=SYSTEM) -> GraphBuilder:
+                 system=SYSTEM, training=TRAINING) -> GraphBuilder:
     vtrain = vtrain_for(system, granularity)
     return GraphBuilder(model, system, plan,
-                        TRAINING if phase is None else None, vtrain.lookup,
+                        training if phase is None else None, vtrain.lookup,
                         vtrain.nccl, granularity,
                         workload=None if phase is None else WORKLOAD,
                         phase=phase)
+
+
+def slot_column(structure: GraphStructure) -> list[str]:
+    """The slot key of every position."""
+    return [structure.slot_keys[slot]
+            for slot in structure.slot_index.tolist()]
 
 
 def assert_same_structure(tiled: GraphStructure,
@@ -95,13 +103,17 @@ def assert_same_structure(tiled: GraphStructure,
         assert np.array_equal(actual, expected), name
     for name in VALUES:
         assert getattr(tiled, name) == getattr(reference, name), name
+    assert slot_column(tiled) == slot_column(reference)
     assert tiled.digest() == reference.digest()
 
 
 def assert_compile_matches_build(builder: GraphBuilder) -> None:
     graph = build_reference(builder)
-    assert_same_structure(builder.compile(),
-                          compile_graph(graph, graph.slots))
+    tiled = builder.compile()
+    assert_same_structure(tiled, compile_graph(graph, graph.slots))
+    # The tiled slots are the key's layout, each backing some task.
+    assert tiled.slot_keys is builder.key.slot_layout()
+    assert set(slot_column(tiled)) == set(tiled.slot_keys)
 
 
 class TestTiledCompile:
@@ -159,11 +171,14 @@ class TestTiledCompile:
     def test_negative_duration_names_the_first_task(self):
         builder = make_builder(MODELS["tiny"], GOLDEN_PLANS["tp2dp2pp2"],
                                Granularity.OPERATOR, None)
-        builder.timings["tp_ar"] = -1.0
+        slot = builder.key.slot_layout().index("tp_ar")
+        builder.slot_durations[slot] = -1.0
+        timings = reference_timings(builder)
+        timings["tp_ar"] = -1.0
         with pytest.raises(SimulationError) as tiled:
             builder.compile()
         with pytest.raises(SimulationError) as reference:
-            build_reference(builder)
+            build_reference(builder, timings)
         assert str(tiled.value) == str(reference.value)
         assert "s0/F0/embed_ar" in str(tiled.value)
 
@@ -177,6 +192,57 @@ class TestTiledCompile:
         assert "label" not in structure._columns
         assert structure.label[0] == "s0/F0/embed"
         assert structure.label is structure.label
+
+
+#: 24 layers split over 1, 2, 3, 4 or 6 stages, each in one or two chunks.
+DEEP = ModelConfig(hidden_size=512, num_layers=24, seq_length=128,
+                   num_heads=8, vocab_size=32_000, name="deep24")
+
+
+class TestSlotDurations:
+    @given(data=st.data())
+    def test_vector_equals_reference_table(self, data):
+        """Costing each stage role and each distinct collective once
+        gives every slot of the key's layout the slot-by-slot reference
+        table's value, bit for bit (``==`` and ``repr``, so signed
+        zeros count too)."""
+        granularity = data.draw(st.sampled_from(list(Granularity)))
+        phase = data.draw(st.sampled_from(PHASES))
+        pipeline = data.draw(st.sampled_from((1, 2, 3, 4, 6)))
+        schedule = data.draw(st.sampled_from(list(PipelineSchedule)))
+        v = 1
+        if (phase is None and pipeline > 1
+                and schedule is PipelineSchedule.ONE_F_ONE_B):
+            v = data.draw(st.sampled_from((1, 2)))
+        # Two to eight GPUs per node move the groups across node
+        # boundaries.
+        per_node = data.draw(st.sampled_from((2, 4, 8)))
+        system = multi_node(128 // per_node, gpus_per_node=per_node,
+                            network=data.draw(st.sampled_from(NETWORKS)))
+        training = TrainingConfig(
+            global_batch_size=data.draw(st.sampled_from((4, 8, 12, 24, 48))))
+        try:
+            plan = ParallelismConfig(
+                tensor=data.draw(st.sampled_from((1, 2, 4))),
+                data=data.draw(st.sampled_from((1, 2, 4))),
+                pipeline=pipeline,
+                micro_batch_size=data.draw(st.sampled_from((1, 2))),
+                schedule=schedule, virtual_stages=v,
+                gradient_bucketing=data.draw(st.booleans()),
+                num_gradient_buckets=data.draw(st.integers(1, 8)))
+            builder = make_builder(DEEP, plan, granularity, phase, system,
+                                   training)
+        except (ConfigError, InfeasibleConfigError):
+            assume(False)
+        event(f"p={pipeline} v={v} {granularity.value} phase={phase}")
+        layout = builder.key.slot_layout()
+        assert builder.key.slot_layout() is layout
+        vector = builder.slot_durations
+        assert vector.dtype == np.float64 and vector.shape == (len(layout),)
+        table = reference_timings(builder)
+        expected = [table[slot] for slot in layout]
+        assert vector.tolist() == expected
+        assert list(map(repr, vector.tolist())) == list(map(repr, expected))
 
 
 class TestStructureDigest:

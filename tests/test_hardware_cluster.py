@@ -1,5 +1,7 @@
 """Unit tests for cluster topology and rank mapping (Figure 3)."""
 
+import itertools
+
 import pytest
 
 from repro.config.parallelism import ParallelismConfig
@@ -72,6 +74,28 @@ class TestLinkClassification:
     def test_pipeline_hop_bounds(self, figure3):
         with pytest.raises(ConfigError):
             figure3.pipeline_hop_link(2)
+
+    @pytest.mark.parametrize("gpus_per_node", [1, 2, 4, 8])
+    def test_helpers_equal_group_link_over_their_groups(self,
+                                                        gpus_per_node):
+        """Each helper, which reads only a group's first and last rank,
+        classifies its explicit group as group_link does."""
+        degrees = (1, 2, 3, 4, 8, 16)
+        for t, d, p in itertools.product(degrees, repeat=3):
+            nodes = -(-t * d * p // gpus_per_node)
+            topo = ClusterTopology(
+                multi_node(nodes, gpus_per_node=gpus_per_node),
+                ParallelismConfig(tensor=t, data=d, pipeline=p))
+            pipeline = topo.pipeline_group(0, 0)
+            assert topo.tensor_link() is topo.group_link(
+                topo.tensor_group(0, 0))
+            assert topo.data_link() is topo.group_link(topo.data_group(0, 0))
+            for stage in range(p - 1):
+                assert topo.pipeline_hop_link(stage) is topo.group_link(
+                    pipeline[stage:stage + 2])
+            if p > 1:
+                assert topo.pipeline_wrap_link() is topo.group_link(
+                    [pipeline[0], pipeline[-1]])
 
 
 class TestContention:

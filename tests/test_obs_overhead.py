@@ -75,6 +75,27 @@ class TestEnabledRecords:
         assert snap["histograms"]["sim.predict_total_s"]["count"] == 1
         assert snap["histograms"]["sim.replay_tasks_per_s"]["p50"] > 0
 
+    def test_graph_phases_use_the_layer_names(self, clean_obs, tiny_model,
+                                              training):
+        """Builder init, structure build and duration fill record under
+        the ``graph.*`` names ``predict --timing`` and perfbench print:
+        both predicts init a builder, the cold one builds, the warm one
+        refills."""
+        from repro.graph.builder import clear_structure_cache
+        obs.enable()
+        clear_structure_cache()
+        try:
+            run_predict(tiny_model, training)
+            run_predict(tiny_model, training)
+        finally:
+            clear_structure_cache()
+        histograms = obs.snapshot()["histograms"]
+        assert histograms["graph.builder_init_s"]["count"] == 2
+        assert histograms["graph.structure_build_s"]["count"] == 1
+        assert histograms["graph.duration_fill_s"]["count"] == 1
+        assert not {"sim.builder_init_s", "sim.structure_build_s",
+                    "sim.duration_fill_s"} & set(histograms)
+
     def test_predict_prepared_records_replay_throughput(
             self, clean_obs, tiny_model, training):
         obs.enable()

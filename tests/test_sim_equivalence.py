@@ -262,13 +262,6 @@ class TestRetime:
         with pytest.raises(SimulationError, match="non-negative"):
             simulate_retimed(structure, [-1.0])
 
-    def test_retime_without_slots_raises(self):
-        asm = GraphAssembler()
-        asm.add(0, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "a")
-        structure = asm.finish(num_devices=1).compiled()
-        with pytest.raises(SimulationError, match="slot"):
-            structure.retime({"op:any": 1.0})
-
 
 class TestStructureDispatch:
     def test_simulate_accepts_structure(self):

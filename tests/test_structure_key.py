@@ -30,13 +30,14 @@ from repro.config.model import ModelConfig
 from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
                                       TrainingConfig, layers_per_stage,
                                       num_micro_batches)
-from repro.config.presets import MEGATRON_1_7B
+from repro.config.presets import MEGATRON_1_7B, MEGATRON_7_5B
 from repro.config.system import multi_node, single_node
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.graph import builder as builder_module
 from repro.graph.builder import (Granularity, GraphBuilder, StructureKey,
                                  _Emitter, clear_structure_cache,
-                                 structure_affinity)
+                                 structure_affinity, structure_cache_get,
+                                 structure_cache_put)
 from repro.hardware.gpu import A100_80GB, H100_80GB, V100_32GB
 from repro.sim.estimator import VTrain
 from repro.testbed.emulator import TestbedEmulator
@@ -342,3 +343,58 @@ def test_builder_key_matches_of():
              for op in builder._comp_ops}
     assert builder.key == StructureKey.of(MEGATRON_1_7B, PLAN, TRAINING,
                                           Granularity.KERNEL, kernels=names)
+
+
+class TestRefillGuard:
+    """A structure refills only under its own key's slot layout."""
+
+    def test_equal_keys_share_one_layout(self):
+        def key(tensor: int) -> StructureKey:
+            plan = ParallelismConfig(tensor=tensor, data=2, pipeline=2)
+            return StructureKey.of(MEGATRON_1_7B, plan, TRAINING,
+                                   Granularity.STAGE)
+
+        assert key(2) == key(4) and key(2) is not key(4)
+        assert key(2).slot_layout() is key(4).slot_layout()
+
+    def test_an_equal_layout_refills(self):
+        vtrain = VTrain(single_node(), granularity=Granularity.OPERATOR,
+                        check_memory_feasibility=False)
+        builder = GraphBuilder(MEGATRON_1_7B, vtrain.system, PLAN, TRAINING,
+                               vtrain.lookup, vtrain.nccl,
+                               Granularity.OPERATOR)
+        structure = builder.compile()
+        structure.slot_keys = tuple(list(structure.slot_keys))
+        assert structure.slot_keys is not builder.key.slot_layout()
+        assert (builder.fill_durations(structure).tolist()
+                == structure.duration.tolist())
+        structure.slot_keys = None
+        with pytest.raises(SimulationError, match="slot layout"):
+            builder.fill_durations(structure)
+
+    def test_foreign_structure_is_evicted_and_rebuilt(self):
+        """A (t4, d2, p2) structure planted under the (t2, d2, p4) key
+        has slots that are all p = 4 slots too; it must be rebuilt, not
+        refilled into a prediction of the wrong graph."""
+        model = MEGATRON_7_5B
+        training = TrainingConfig(global_batch_size=128)
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=4)
+        foreign = ParallelismConfig(tensor=4, data=2, pipeline=2)
+        vtrain = VTrain(multi_node(4), granularity=Granularity.STAGE,
+                        check_memory_feasibility=False)
+        clear_structure_cache()
+        try:
+            cold = vtrain.predict(model, plan, training).iteration_time
+            key = str(vtrain.prepare(model, plan, training).builder.key)
+            planted = vtrain.prepare(model, foreign, training).structure
+            assert set(planted.slot_keys) < set(
+                structure_cache_get(key).slot_keys)
+            structure_cache_put(key, planted)
+            prepared = vtrain.prepare(model, plan, training)
+            assert not prepared.structure_cache_hit
+            assert prepared.structure is not planted
+            assert structure_cache_get(key) is prepared.structure
+            assert vtrain.predict(model, plan, training).iteration_time \
+                == cold
+        finally:
+            clear_structure_cache()
