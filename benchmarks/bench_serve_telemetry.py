@@ -153,12 +153,9 @@ def _dispatch_over_predict(service: PredictionService,
     """
     request = protocol.request(1, "predict", warm_params)
 
-    def no_notify(_message: dict) -> None:  # pragma: no cover - no dse here
-        raise AssertionError("no notification expected")
-
     def one_dispatch() -> None:
         # A fresh envelope each round, as the wire would deliver it.
-        service.dispatch(json.loads(json.dumps(request)), no_notify)
+        service.dispatch(json.loads(json.dumps(request)))
 
     for _ in range(GATE_WARMUP):
         one_dispatch()

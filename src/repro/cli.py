@@ -18,9 +18,9 @@ Commands:
   ``metrics`` RPC).
 * ``serve`` — run the long-lived prediction daemon: one resident
   process owning the warm structure cache and a persistent prediction
-  cache, serving concurrent predict/DSE requests over TCP
-  (``--port N``) or stdin/stdout (``--stdio``) with in-flight
-  deduplication and micro-batching (see :mod:`repro.serve`).
+  cache, serving concurrent predict requests over TCP (``--port N``)
+  with in-flight deduplication and micro-batching (see
+  :mod:`repro.serve`).
   ``predict --connect HOST:PORT`` routes a prediction through a
   running daemon instead of paying cold start; add ``--trace out.json``
   to get a *stitched* Chrome trace showing the request end-to-end
@@ -121,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7915,
                        help="TCP port to listen on; 0 picks a free port "
                             "(default: 7915)")
-    serve.add_argument("--stdio", action="store_true",
-                       help="serve newline-delimited JSON-RPC on "
-                            "stdin/stdout instead of TCP (subprocess "
-                            "embedding; diagnostics go to stderr)")
     serve.add_argument("--cache", type=Path, metavar="PATH",
                        help="persistent prediction cache (JSON): loaded "
                             "at startup if it exists, saved on shutdown, "
@@ -523,7 +519,7 @@ def _predict_connected(args: argparse.Namespace,
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the prediction daemon until interrupted or shut down."""
-    from repro.serve import PredictionService, ServeDaemon, serve_stdio
+    from repro.serve import PredictionService, ServeDaemon
 
     obs.enable()  # the serving tier exists to report latency metrics
     cache = (PredictionCache.load(args.cache)
@@ -541,22 +537,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             default_granularity=Granularity(args.granularity),
             access_log=access_log)
         try:
-            if args.stdio:
-                print("repro serve: stdio session open", file=sys.stderr)
-                serve_stdio(service, sys.stdin.buffer, sys.stdout.buffer)
-            else:
-                daemon = ServeDaemon(service, host=args.host,
-                                     port=args.port)
-                host, port = daemon.address
-                print(f"repro serve: listening on {host}:{port} "
-                      f"(cache: {len(cache)} entries)", file=sys.stderr,
-                      flush=True)
-                try:
-                    daemon.serve_forever()
-                except KeyboardInterrupt:
-                    pass
-                finally:
-                    daemon.server_close()
+            daemon = ServeDaemon(service, host=args.host, port=args.port)
+            host, port = daemon.address
+            print(f"repro serve: listening on {host}:{port} "
+                  f"(cache: {len(cache)} entries)", file=sys.stderr,
+                  flush=True)
+            try:
+                daemon.serve_forever()
+            except KeyboardInterrupt:
+                pass
+            finally:
+                daemon.server_close()
         finally:
             service.close()
             if args.cache:

@@ -14,11 +14,11 @@ https://ui.perfetto.dev. Engine spans use a fixed synthetic pid
 the simulated device timeline (pids >= 1000, see
 :mod:`repro.obs.export`) in a single combined trace.
 
-The span buffer is a bounded ring (:data:`DEFAULT_MAX_SPANS`, override
-with ``REPRO_OBS_MAX_SPANS``): a long-lived daemon with tracing enabled
-drops its *oldest* spans rather than growing without limit, and counts
-the drops through :attr:`SpanTracer.on_drop` (wired to the
-``obs.spans.dropped`` registry counter by :mod:`repro.obs`).
+The span buffer is a bounded ring (:data:`DEFAULT_MAX_SPANS`): a
+long-lived daemon with tracing enabled drops its *oldest* spans rather
+than growing without limit, and counts the drops through
+:attr:`SpanTracer.on_drop` (wired to the ``obs.spans.dropped``
+registry counter by :mod:`repro.obs`).
 
 Spans recorded while a request context is bound
 (:func:`repro.obs.context.bind_trace`) are tagged with the request's
@@ -29,7 +29,6 @@ every span it touched on that thread.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from collections import deque
@@ -37,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 from contextlib import contextmanager
 
-from repro.errors import ConfigError
 from repro.obs.context import current_trace_id
 
 #: Synthetic process id for the engine's own spans in exported traces.
@@ -45,29 +43,10 @@ from repro.obs.context import current_trace_id
 #: the two timelines never collide in one trace file.
 ENGINE_PID = 1
 
-#: Spans retained by a tracer before the oldest are dropped
-#: (``REPRO_OBS_MAX_SPANS`` overrides). Sized so a busy daemon holds
-#: minutes of serving spans in a few tens of MB, never unbounded.
+#: Spans retained by a tracer before the oldest are dropped. Sized so
+#: a busy daemon holds minutes of serving spans in a few tens of MB,
+#: never unbounded.
 DEFAULT_MAX_SPANS = 65536
-
-
-def _max_spans_from_env() -> int:
-    """The ring capacity, from REPRO_OBS_MAX_SPANS if set.
-
-    Raises:
-        ConfigError: The variable is not an integer >= 1.
-    """
-    raw = os.environ.get("REPRO_OBS_MAX_SPANS")
-    if raw is None:
-        return DEFAULT_MAX_SPANS
-    try:
-        max_spans = int(raw)
-    except ValueError:
-        max_spans = 0
-    if max_spans < 1:
-        raise ConfigError("REPRO_OBS_MAX_SPANS must be an integer >= 1 "
-                          f"span count, got {raw!r}")
-    return max_spans
 
 
 _MICROS = 1_000_000.0
@@ -100,18 +79,12 @@ class SpanTracer:
     Args:
         max_spans: Ring capacity; once full, each new span evicts the
             oldest and bumps :attr:`dropped` (and :attr:`on_drop`, when
-            set). Defaults to ``REPRO_OBS_MAX_SPANS`` when set, else
-            :data:`DEFAULT_MAX_SPANS`.
-
-    Raises:
-        ConfigError: ``max_spans`` is omitted and ``REPRO_OBS_MAX_SPANS``
-            is not an integer >= 1.
+            set).
     """
 
-    def __init__(self, max_spans: int | None = None) -> None:
+    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
         self._lock = threading.Lock()
-        self.max_spans = (_max_spans_from_env() if max_spans is None
-                          else max(1, int(max_spans)))
+        self.max_spans = max(1, int(max_spans))
         self._spans: deque[Span] = deque(maxlen=self.max_spans)
         self._dropped = 0
         self._epoch = time.perf_counter()

@@ -1,12 +1,9 @@
 """Thin client for the ``repro serve`` daemon.
 
 A :class:`ServeClient` wraps one protocol session — a TCP connection
-(:meth:`ServeClient.connect`) or a spawned ``repro serve --stdio``
-subprocess (:meth:`ServeClient.spawn`) — behind typed call methods.
-Each call writes one request line and reads lines until the matching
-response arrives, forwarding any streamed notifications (DSE progress)
-to an optional callback, so long sweeps render progress without
-polling.
+(:meth:`ServeClient.connect`) — behind typed call methods. Each call
+writes one request line and reads lines until the matching response
+arrives.
 
 One client is one session and is **not** thread-safe; concurrent
 callers each open their own (connections are cheap — the expensive
@@ -24,17 +21,13 @@ spans a traced ``predict`` returns.
 from __future__ import annotations
 
 import socket
-import subprocess
-import sys
 import time
-from typing import Any, BinaryIO, Callable, Sequence
+from typing import Any, BinaryIO, Callable
 
 from repro.errors import ReproError
 from repro.obs.stitch import wire_span
 from repro.serve import protocol
 from repro.serve.protocol import RemoteError
-
-Progress = Callable[[dict[str, Any]], None]
 
 
 class ServeClient:
@@ -78,28 +71,6 @@ class ServeClient:
 
         return cls(reader, writer, on_close=close)
 
-    @classmethod
-    def spawn(cls, extra_args: Sequence[str] = (),
-              ) -> tuple["ServeClient", subprocess.Popen]:
-        """Spawn a ``repro serve --stdio`` child and attach to it.
-
-        Returns the client and the child process; the caller owns the
-        child's lifetime (send :meth:`shutdown` or terminate it).
-        """
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--stdio",
-             *extra_args],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-
-        def close() -> None:
-            for stream in (process.stdin, process.stdout):
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-
-        return cls(process.stdout, process.stdin, on_close=close), process
-
     # ------------------------------------------------------------------
     # Session plumbing
     # ------------------------------------------------------------------
@@ -117,14 +88,11 @@ class ServeClient:
         self.close()
 
     def call(self, method: str, params: dict[str, Any] | None = None, *,
-             on_progress: Progress | None = None,
              trace_id: str | None = None) -> Any:
         """One request/response round trip.
 
-        Notifications received before the response are forwarded to
-        ``on_progress`` (their ``params`` payload). When ``trace_id``
-        is given it rides in the request envelope and the round trip is
-        recorded as a ``client.call`` wire span in
+        When ``trace_id`` is given it rides in the request envelope and
+        the round trip is recorded as a ``client.call`` wire span in
         :attr:`last_call_spans`.
 
         Raises:
@@ -149,10 +117,6 @@ class ServeClient:
                     self.close()
                     raise ReproError(
                         f"server closed the connection during {method!r}")
-                if "method" in message and "id" not in message:
-                    if on_progress is not None:
-                        on_progress(message.get("params", {}))
-                    continue
                 if message.get("id") != request_id:
                     continue  # stale reply from an aborted earlier call
                 error = message.get("error")
@@ -208,18 +172,6 @@ class ServeClient:
         if trace:
             params["trace"] = True
         return self.call("predict", params, trace_id=trace_id)
-
-    def predict_batch(self, requests: list[dict[str, Any]],
-                      ) -> list[dict[str, Any]]:
-        """Predict several plans in one request; returns one row per
-        entry (``{"result": ...}`` or ``{"error": ...}``)."""
-        return self.call("predict_batch",
-                         {"requests": requests})["results"]
-
-    def dse(self, params: dict[str, Any], *,
-            on_progress: Progress | None = None) -> dict[str, Any]:
-        """Run a design-space sweep on the daemon, streaming progress."""
-        return self.call("dse", params, on_progress=on_progress)
 
     def stats(self) -> dict[str, Any]:
         """The daemon's serving metrics (req/s, p50/p99, hit rates)."""

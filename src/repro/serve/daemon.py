@@ -1,34 +1,27 @@
-"""Transports for the prediction service: TCP daemon and stdio loop.
+"""The TCP transport of the prediction service.
 
 ``repro serve --port N`` binds a :class:`ServeDaemon` — a threading TCP
 server whose handler threads all dispatch into one shared
 :class:`~repro.serve.service.PredictionService`, so every connection
 sees the same warm caches, in-flight dedup table, and batcher. A
 connection is a sequential JSON-RPC session: the client writes one
-request line, reads streamed notification lines (if any), then the
-response line, and may keep the connection open for further requests.
-Concurrency comes from concurrent *connections* (one thread each).
-
-``repro serve --stdio`` runs :func:`serve_stdio` instead: the same
-protocol over stdin/stdout for subprocess embedding (the vLLM-style
-"serving tier as a child process" idiom) — requests are handled
-sequentially in arrival order, which keeps the parent's pipe framing
-trivial. A parent wanting concurrency opens the TCP transport.
+request line, reads the response line, and may keep the connection
+open for further requests. Concurrency comes from concurrent
+*connections* (one thread each).
 """
 
 from __future__ import annotations
 
-import socket
 import socketserver
 import threading
-from typing import Any, BinaryIO
+from typing import Any
 
 from repro.serve import protocol
 from repro.serve.service import PredictionService
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One connection: read request lines, stream replies."""
+    """One connection: read request lines, write replies."""
 
     server: "ServeDaemon"
 
@@ -58,7 +51,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if message is None:
                 return
-            response, shutdown = service.dispatch(message, send, peer=peer)
+            response, shutdown = service.dispatch(message, peer=peer)
             try:
                 send(response)
             except OSError:
@@ -111,50 +104,3 @@ class ServeDaemon(socketserver.ThreadingTCPServer):
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
-
-
-def serve_stdio(service: PredictionService, stdin: BinaryIO,
-                stdout: BinaryIO) -> None:
-    """Serve requests over a stdin/stdout pipe until EOF or shutdown.
-
-    Responses (and any streamed notifications) go to ``stdout``; the
-    caller must keep its own prints off that stream.
-    """
-    def send(message: dict[str, Any]) -> None:
-        stdout.write(protocol.encode(message))
-        stdout.flush()
-
-    while True:
-        try:
-            message = protocol.read_message(stdin)
-        except protocol.ProtocolError as exc:
-            send(protocol.error_response(None, protocol.PARSE_ERROR,
-                                         str(exc)))
-            continue
-        if message is None:
-            return
-        response, shutdown = service.dispatch(message, send, peer="stdio")
-        send(response)
-        if shutdown:
-            return
-
-
-def wait_for_port(host: str, port: int, timeout: float = 10.0) -> None:
-    """Block until a TCP server accepts on ``host:port`` (benchmarks
-    and scripts that just spawned a daemon process).
-
-    Raises:
-        TimeoutError: Nothing listening within ``timeout`` seconds.
-    """
-    import time
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            with socket.create_connection((host, port), timeout=0.5):
-                return
-        except OSError:
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"no server on {host}:{port} after {timeout:.0f}s"
-                ) from None
-            time.sleep(0.05)

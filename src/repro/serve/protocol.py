@@ -1,18 +1,13 @@
 """Wire protocol of the ``repro serve`` daemon.
 
-Newline-delimited JSON-RPC 2.0 over a byte stream — the same framing on
-both transports (TCP sockets and the stdio subprocess-embedding mode),
-so one client implementation drives either. Three message shapes:
+Newline-delimited JSON-RPC 2.0 over a TCP byte stream. Two message
+shapes:
 
 * request — ``{"jsonrpc": "2.0", "id": N, "method": "...", "params":
   {...}}``; the client picks ``id`` and the response echoes it.
 * response — ``{"jsonrpc": "2.0", "id": N, "result": {...}}`` on
   success, ``{"jsonrpc": "2.0", "id": N, "error": {"code": C,
   "message": "..."}}`` on failure.
-* notification — ``{"jsonrpc": "2.0", "method": "...", "params":
-  {...}}`` with no ``id``: server-to-client streaming events
-  (``dse.progress`` during long sweeps), emitted *before* the final
-  response of the request that triggered them.
 
 Requests may additionally carry a ``trace_id`` member — a
 client-minted request/trace identifier (see
@@ -39,8 +34,8 @@ from repro.errors import ReproError
 
 JSONRPC_VERSION = "2.0"
 
-#: Maximum accepted message size (a predict_batch of hundreds of full
-#: input descriptions is ~1 MB; anything larger is a framing bug).
+#: Maximum accepted message size (a predict carrying a full input
+#: description is under 1 KB; a frame this large is a framing bug).
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 # JSON-RPC 2.0 pre-defined error codes, plus application codes in the
@@ -137,11 +132,6 @@ def error_response(request_id: int | None, code: int, message: str,
     if data is not None:
         error["data"] = data
     return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "error": error}
-
-
-def notification(method: str, params: dict[str, Any]) -> dict[str, Any]:
-    """Build a server-to-client notification (no ``id``: no reply)."""
-    return {"jsonrpc": JSONRPC_VERSION, "method": method, "params": params}
 
 
 def parse_request(message: dict[str, Any]) -> tuple[int | None, str,

@@ -6,9 +6,8 @@ VTrain` instances (one per distinct system/granularity/ZeRO-stage, so
 profiling tables and NCCL models persist), the process-wide structure
 cache they share, and a persistent
 :class:`~repro.dse.cache.PredictionCache` — and serves concurrent
-``predict`` / ``predict_batch`` / ``dse`` requests from any number of
-transport threads. Three mechanisms make the shared-warm-state story
-fast under concurrency:
+``predict`` requests from any number of transport threads. Three
+mechanisms make the shared-warm-state story fast under concurrency:
 
 * **In-flight deduplication.** Requests are keyed by the same complete
   fingerprint the prediction cache uses; while one is being computed,
@@ -35,9 +34,9 @@ calls: the batched replay engine is column-for-column exact, and the
 response is assembled from the same cached representation on every path
 (computed, coalesced, or cache hit).
 
-The service is transport-agnostic: :meth:`dispatch` maps one parsed
-JSON-RPC request to a response, emitting streamed notifications through
-a callback. ``repro.serve.daemon`` wires it to TCP sockets and stdio.
+Every simulation runs on the one batcher thread. The service is
+transport-agnostic: :meth:`dispatch` maps one parsed JSON-RPC request
+to a response, and ``repro.serve.daemon`` wires it to TCP sockets.
 
 Telemetry (the ``repro.obs`` v2 surface) is request-scoped: the
 envelope's trace ID is bound for the request's lifetime, every
@@ -60,18 +59,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, TextIO
+from typing import Any, TextIO
 
 from repro import obs
 from repro.config.description import InputDescription
 from repro.config.model import ModelConfig
 from repro.config.parallelism import TrainingConfig
-from repro.config.presets import MODEL_ZOO
-from repro.config.system import NetworkSpec
 from repro.dse.cache import PredictionCache, fingerprint
-from repro.dse.explorer import (DesignPoint, DesignSpaceExplorer,
-                                evaluate_plans)
-from repro.dse.space import SearchSpace
+from repro.dse.explorer import DesignPoint, evaluate_plans
 from repro.errors import ConfigError, InfeasibleConfigError, ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
 from repro.obs.stitch import wire_span
@@ -92,8 +87,6 @@ DEFAULT_BATCH_WINDOW_S = 0.002
 #: memory; matches the DSE explorers' sweep cap).
 DEFAULT_MAX_BATCH = 64
 
-Notify = Callable[[dict[str, Any]], None]
-
 
 class ShuttingDownError(ReproError):
     """The service is closed and admits no more work (answered with
@@ -102,7 +95,7 @@ class ShuttingDownError(ReproError):
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean",
-               dict: "an object", list: "an array"}
+               dict: "an object"}
 
 
 def _param(params: dict[str, Any], name: str, kind: type,
@@ -116,14 +109,6 @@ def _param(params: dict[str, Any], name: str, kind: type,
         raise ConfigError(
             f"'{name}' must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
-
-
-def _granularity(params: dict[str, Any], default: str) -> Granularity:
-    """The ``granularity`` parameter (``default`` when absent)."""
-    try:
-        return Granularity(_param(params, "granularity", str, default))
-    except ValueError as exc:
-        raise ConfigError(f"unknown granularity: {exc}") from None
 
 
 def _preset_description(preset: str) -> InputDescription:
@@ -234,7 +219,6 @@ class PredictionService:
         self._requests = m.counter("serve.requests")
         self._request_errors = m.counter("serve.requests.errors")
         self._predicts = m.counter("serve.requests.predict")
-        self._dses = m.counter("serve.requests.dse")
         self._dedup_leaders = m.counter("serve.dedup.leaders")
         self._dedup_coalesced = m.counter("serve.dedup.coalesced")
         self._cache_served = m.counter("serve.cache.served")
@@ -268,7 +252,11 @@ class PredictionService:
         else:
             description = InputDescription.from_dict(
                 _param(params, "description", dict))
-        granularity = _granularity(params, self.default_granularity.value)
+        try:
+            granularity = Granularity(_param(
+                params, "granularity", str, self.default_granularity.value))
+        except ValueError as exc:
+            raise ConfigError(f"unknown granularity: {exc}") from None
         zero_stage = _param(params, "zero_stage", int, 1)
         if zero_stage not in (0, 1, 2, 3):
             raise ConfigError("zero_stage must be 0..3")
@@ -540,122 +528,6 @@ class PredictionService:
             job.point = point
 
     # ------------------------------------------------------------------
-    # predict_batch
-    # ------------------------------------------------------------------
-    def predict_batch(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Serve several predictions through one admission wave.
-
-        Each entry of ``params['requests']`` is an independent predict
-        params object; the response carries one row per entry, either
-        ``{"result": ...}`` or ``{"error": {...}}``, in request order
-        (one infeasible plan cannot fail its neighbours).
-        """
-        requests = params.get("requests")
-        if (type(requests) is not list
-                or any(type(entry) is not dict for entry in requests)):
-            raise ConfigError("predict_batch needs a 'requests' array of "
-                              "predict params objects")
-        parsed = [self._parse_predict(entry) for entry in requests]
-        admissions = [self._admit(*inputs) for inputs in parsed]
-        rows: list[dict[str, Any]] = []
-        for (description, _, _, _), (point, job, source) in zip(parsed,
-                                                                admissions):
-            try:
-                if job is not None:
-                    job.done.wait()
-                    if job.error is not None:
-                        raise job.error
-                    point = job.point
-                rows.append({"result": self._result_from_point(
-                    description, point, source)})
-            except (InfeasibleConfigError, ConfigError) as exc:
-                rows.append({"error": {"code": protocol.INFEASIBLE,
-                                       "message": str(exc)}})
-        return {"results": rows}
-
-    # ------------------------------------------------------------------
-    # DSE
-    # ------------------------------------------------------------------
-    def dse(self, params: dict[str, Any],
-            notify: Notify | None = None) -> dict[str, Any]:
-        """Run a design-space sweep, streaming progress notifications.
-
-        Long sweeps emit ``dse.progress`` notifications (done/total,
-        throttled to ~1% steps) through ``notify`` before the final
-        response, so clients render progress without polling. The sweep
-        shares the daemon's prediction cache: re-submitted or
-        overlapping sweeps skip already-predicted plans.
-        """
-        self._dses.increment()
-        model = self._dse_model(_param(params, "model", str))
-        gpus = {name: _param(params, name, int)
-                for name in ("num_gpus", "max_gpus") if name in params}
-        if len(gpus) != 1:
-            raise ConfigError(
-                "dse needs exactly one of 'num_gpus' or 'max_gpus'")
-        network = _param(params, "network", str, "flat")
-        NetworkSpec.parse(network)
-        granularity = _granularity(params, "stage")
-        training = TrainingConfig(
-            global_batch_size=_param(params, "global_batch", int, 64),
-            total_tokens=_param(params, "total_tokens", int, 0))
-        space = SearchSpace(
-            max_tensor=_param(params, "max_tensor", int, 16),
-            max_data=_param(params, "max_data", int, 32),
-            max_pipeline=_param(params, "max_pipeline", int, 105),
-            micro_batch_sizes=tuple(_param(params, "micro_batches", list,
-                                           [1, 2, 4, 8, 16])),
-            virtual_stages=tuple(_param(params, "virtual_stages", list,
-                                        [1])))
-        gpus_per_node = _param(params, "gpus_per_node", int, 8)
-        zero_stage = _param(params, "zero_stage", int, 1)
-        top = _param(params, "top", int, 10)
-        if top < 0:
-            raise ConfigError(f"'top' must be >= 0, got {top}")
-        include_points = _param(params, "include_points", bool, False)
-
-        last_emitted = -1
-
-        def progress(done: int, total: int) -> None:
-            nonlocal last_emitted
-            if notify is None or not total:
-                return
-            step = max(1, total // 100)
-            if done != total and done - last_emitted < step:
-                return
-            last_emitted = done
-            notify(protocol.notification(
-                "dse.progress", {"done": done, "total": total}))
-
-        explorer = DesignSpaceExplorer(
-            model, training, gpus_per_node=gpus_per_node,
-            granularity=granularity, network=network, zero_stage=zero_stage)
-        result = explorer.explore(space=space, **gpus, cache=self.cache,
-                                  progress=progress)
-
-        feasible = sorted(result.feasible_points,
-                          key=lambda point: point.iteration_time)
-        payload: dict[str, Any] = {
-            "num_plans": len(result.points),
-            "num_feasible": result.num_feasible,
-            "top": [point.to_dict() for point in feasible[:top]],
-        }
-        if result.num_feasible:
-            payload["fastest"] = result.best_by_iteration_time().to_dict()
-            payload["cheapest"] = result.best_by_cost().to_dict()
-        if include_points:
-            payload["points"] = [point.to_dict()
-                                 for point in result.points]
-        return payload
-
-    @staticmethod
-    def _dse_model(key: str) -> ModelConfig:
-        for name, model in MODEL_ZOO.items():
-            if name.lower().replace(" ", "-") == key:
-                return model
-        raise ConfigError(f"unknown preset {key!r}")
-
-    # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -667,7 +539,6 @@ class PredictionService:
             "requests": {
                 "total": total,
                 "predict": self._predicts.value,
-                "dse": self._dses.value,
                 "errors": self._request_errors.value,
                 "per_second": total / uptime,
             },
@@ -703,7 +574,7 @@ class PredictionService:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def dispatch(self, message: dict[str, Any], notify: Notify,
+    def dispatch(self, message: dict[str, Any],
                  peer: str | None = None) -> tuple[dict[str, Any], bool]:
         """Answer one JSON-RPC request.
 
@@ -738,10 +609,6 @@ class PredictionService:
                     result: Any = {"ok": True}
                 elif method == "predict":
                     result = self.predict(params)
-                elif method == "predict_batch":
-                    result = self.predict_batch(params)
-                elif method == "dse":
-                    result = self.dse(params, notify)
                 elif method == "stats":
                     result = self.stats()
                 elif method == "metrics":

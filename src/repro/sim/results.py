@@ -118,24 +118,6 @@ class SimulationResult:
                 for kind in (KIND_COMPUTE, KIND_TP_COMM, KIND_DP_COMM,
                              KIND_PP_COMM, KIND_WEIGHT_UPDATE)}
 
-    def to_chrome_trace(self) -> list[dict[str, Any]]:
-        """Chrome ``chrome://tracing`` JSON events (requires a recorded
-        timeline)."""
-        if self.events is None:
-            return []
-        trace = []
-        for event in self.events:
-            trace.append({
-                "name": event.label,
-                "cat": event.kind,
-                "ph": "X",
-                "ts": event.start * 1e6,
-                "dur": event.duration * 1e6,
-                "pid": event.device,
-                "tid": event.stream,
-            })
-        return trace
-
 
 @dataclass(frozen=True)
 class IterationPrediction:

@@ -10,8 +10,8 @@ The load-bearing claims under test:
 * concurrent ``VTrain.predict`` on a warm structure cache stays
   bit-identical to serial with exact hit counters (the thread-safety
   satellite of the serving PR);
-* the JSON-RPC transports (TCP and stdio) round-trip results and
-  streamed progress without altering them.
+* the JSON-RPC transport (TCP) round-trips results without altering
+  them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
+import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -33,13 +37,13 @@ from repro.config.parallelism import (ParallelismConfig, RecomputeMode,
                                       TrainingConfig)
 from repro.config.system import single_node
 from repro.dse.cache import PredictionCache, fingerprint
-from repro.dse.explorer import DesignPoint, DesignSpaceExplorer
-from repro.errors import ConfigError, ReproError
+from repro.dse.explorer import DesignPoint
+from repro.errors import ConfigError, InfeasibleConfigError, ReproError
 from repro.graph.builder import (Granularity, clear_structure_cache,
                                  structure_cache_get, structure_cache_put,
                                  structure_cache_stats)
 from repro.serve import (PredictionService, RemoteError, ServeClient,
-                         ServeDaemon, protocol, serve_stdio)
+                         ServeDaemon, protocol)
 from repro.serve.service import ShuttingDownError
 from repro.sim.estimator import VTrain
 
@@ -60,6 +64,43 @@ def service():
     svc = PredictionService(batch_window_s=0.001)
     yield svc
     svc.close()
+
+
+#: A batch window long enough that predicts released together by a
+#: barrier are all admitted before the batcher flushes.
+LONG_WINDOW_S = 0.5
+
+
+@pytest.fixture
+def batching_service():
+    svc = PredictionService(batch_window_s=LONG_WINDOW_S)
+    yield svc
+    svc.close()
+
+
+def predict_together(service: PredictionService,
+                     requests: list[dict]) -> list:
+    """Send each params object as its own ``predict``, each from its
+    own thread, all released by one barrier; returns each call's
+    payload, or the exception it raised, in request order."""
+    outcomes: list = [None] * len(requests)
+    barrier = threading.Barrier(len(requests))
+
+    def worker(slot: int) -> None:
+        barrier.wait()
+        try:
+            outcomes[slot] = service.predict(requests[slot])
+        except Exception as exc:  # noqa: BLE001 - returned to the test
+            outcomes[slot] = exc
+
+    threads = [threading.Thread(target=worker, args=(slot,))
+               for slot in range(len(requests))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "a predict never returned"
+    return outcomes
 
 
 def tiny_description(*, tensor: int = 2, data: int = 2, pipeline: int = 2,
@@ -84,10 +125,6 @@ class TestProtocol:
         value = 0.1 + 0.2  # not exactly 0.3
         frame = protocol.encode(protocol.response(1, {"t": value}))
         assert protocol.decode_line(frame[:-1])["result"]["t"] == value
-
-    def test_notification_has_no_id(self):
-        note = protocol.notification("dse.progress", {"done": 1})
-        assert "id" not in note and note["method"] == "dse.progress"
 
     def test_read_message_clean_eof_returns_none(self):
         assert protocol.read_message(io.BytesIO(b"")) is None
@@ -179,27 +216,10 @@ class TestServiceDedup:
         exactly N with one leader — and the resident simulator counts
         exactly one simulation.
         """
-        description = tiny_description()
-        params = {"description": description.to_dict()}
+        params = {"description": tiny_description().to_dict()}
         n = 8
-        results: list[dict] = [None] * n
-        errors: list[BaseException] = []
-        barrier = threading.Barrier(n)
-
-        def worker(slot: int) -> None:
-            try:
-                barrier.wait()
-                results[slot] = service.predict(params)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
+        results = predict_together(service, [params] * n)
+        assert all(isinstance(r, dict) for r in results), results
         # Exactly one simulation ran, no matter how threads interleaved.
         assert [v.num_predictions
                 for v in service._vtrains.values()] == [1]
@@ -232,54 +252,62 @@ class TestServiceDedup:
 
 
 class TestServiceBatching:
-    def test_predict_batch_preserves_order_and_matches_direct(
-            self, service):
+    """Concurrent predicts admitted within one batch window run as one
+    flush of the micro-batcher."""
+
+    def test_flush_preserves_plan_order_and_matches_direct(
+            self, batching_service):
         descriptions = [tiny_description(tensor=2, data=2, pipeline=2),
                         tiny_description(tensor=1, data=4, pipeline=2),
                         tiny_description(tensor=4, data=2, pipeline=1)]
-        rows = service.predict_batch(
-            {"requests": [{"description": d.to_dict()}
-                          for d in descriptions]})["results"]
-        assert len(rows) == 3
+        results = predict_together(
+            batching_service,
+            [{"description": d.to_dict()} for d in descriptions])
+        assert batching_service.stats()["batch"]["flushes"] == 1
+        assert len({r["iteration_time"] for r in results}) == 3
         vtrain = VTrain(descriptions[0].system)
-        for description, row in zip(descriptions, rows):
+        for description, result in zip(descriptions, results):
             direct = vtrain.predict(description.model, description.plan,
                                     description.training)
-            assert row["result"]["iteration_time"] == direct.iteration_time
-            assert row["result"]["memory_per_gpu"] == direct.memory_per_gpu
+            assert result["iteration_time"] == direct.iteration_time
+            assert result["memory_per_gpu"] == direct.memory_per_gpu
 
-    def test_duplicate_entries_in_one_batch_coalesce(self, service):
+    def test_duplicates_in_one_flush_coalesce(self, batching_service):
         params = {"description": tiny_description().to_dict()}
-        rows = service.predict_batch(
-            {"requests": [params, params, params]})["results"]
+        results = predict_together(batching_service, [params] * 3)
         assert [v.num_predictions
-                for v in service._vtrains.values()] == [1]
-        payloads = [{k: v for k, v in row["result"].items()
-                     if k != "served"} for row in rows]
+                for v in batching_service._vtrains.values()] == [1]
+        assert sorted(r["served"]["source"] for r in results) == [
+            "coalesced", "coalesced", "computed"]
+        payloads = [{k: v for k, v in r.items() if k != "served"}
+                    for r in results]
         assert payloads[0] == payloads[1] == payloads[2]
 
-    def test_infeasible_entry_fails_alone(self, service):
+    def test_infeasible_plan_fails_alone(self, batching_service):
         good = {"description": tiny_description().to_dict()}
         bad = {"description":
                tiny_description(tensor=2, data=2, pipeline=3).to_dict()}
-        rows = service.predict_batch({"requests": [good, bad]})["results"]
-        assert "result" in rows[0]
-        assert rows[1]["error"]["code"] == protocol.INFEASIBLE
+        good_result, bad_result = predict_together(batching_service,
+                                                   [good, bad])
+        assert good_result["iteration_time"] > 0
+        assert isinstance(bad_result, InfeasibleConfigError)
+        batch = batching_service.stats()["batch"]
+        assert (batch["flushes"], batch["jobs"]) == (1, 2)
 
-    def test_batched_jobs_flow_through_batch_counters(self, service):
+    def test_batched_jobs_flow_through_batch_counters(
+            self, batching_service):
         descriptions = [tiny_description(tensor=2, data=2, pipeline=2),
                         tiny_description(tensor=1, data=4, pipeline=2)]
-        service.predict_batch(
-            {"requests": [{"description": d.to_dict()}
-                          for d in descriptions]})
-        batch = service.stats()["batch"]
-        assert batch["jobs"] == 2
-        assert batch["flushes"] >= 1
+        predict_together(batching_service,
+                         [{"description": d.to_dict()}
+                          for d in descriptions])
+        batch = batching_service.stats()["batch"]
+        assert (batch["flushes"], batch["jobs"]) == (1, 2)
+        assert batch["size"]["max"] == 2
 
 
 class TestServiceErrors:
     def test_infeasible_plan_raises_like_direct_predict(self, service):
-        from repro.errors import InfeasibleConfigError
         bad = tiny_description(tensor=2, data=2, pipeline=3)  # 12 != 8
         with pytest.raises(InfeasibleConfigError):
             service.predict({"description": bad.to_dict()})
@@ -358,57 +386,72 @@ class TestLifecycle:
         ("--max-batch", "0"), ("--batch-window-ms", "inf"),
         ("--batch-window-ms", "nan"),
     ])
-    def test_serve_cli_rejects_them_at_startup(self, monkeypatch, capsys,
-                                              flag, value):
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO()))
-        assert main(["serve", "--stdio", flag, value]) == 1
+    def test_serve_cli_rejects_them_at_startup(self, capsys, flag, value):
+        assert main(["serve", "--port", "0", flag, value]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_stdio_transport_is_gone(self, capsys):
+        """The daemon serves TCP only: ``--stdio`` is an unknown
+        argument, rejected before anything starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--stdio"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --stdio" in capsys.readouterr().err
 
 
 class TestDispatch:
     def test_ping(self, service):
-        response, shutdown = service.dispatch(
-            protocol.request(1, "ping"), lambda note: None)
+        response, shutdown = service.dispatch(protocol.request(1, "ping"))
         assert response["result"] == {"ok": True} and not shutdown
 
     @pytest.mark.parametrize("method", ["frobnicate", "healthz",
-                                        "timeseries", "slo"])
+                                        "timeseries", "slo",
+                                        "predict_batch", "dse"])
     def test_unknown_method_maps_to_method_not_found(self, service, method):
-        response, _ = service.dispatch(
-            protocol.request(2, method), lambda note: None)
+        response, _ = service.dispatch(protocol.request(2, method))
         assert response["error"]["code"] == protocol.METHOD_NOT_FOUND
 
-    @pytest.mark.parametrize("method", ["predict", "predict_batch"])
-    def test_refused_admission_answers_shutting_down(self, method):
+    def test_refused_admission_answers_shutting_down(self):
         """A closed service's refusal says "retry elsewhere", not
         INVALID_PARAMS, on the wire and in the access log."""
         sink = io.StringIO()
         svc = PredictionService(batch_window_s=0.0, access_log=sink)
         svc.close()
         params = {"description": tiny_description().to_dict()}
-        if method == "predict_batch":
-            params = {"requests": [params]}
-        response, _ = svc.dispatch(protocol.request(1, method, params),
-                                   lambda note: None)
+        response, _ = svc.dispatch(protocol.request(1, "predict", params))
         assert response["error"]["code"] == protocol.SHUTTING_DOWN
         assert json.loads(sink.getvalue())["code"] == protocol.SHUTTING_DOWN
 
     def test_malformed_request_maps_to_invalid_request(self, service):
-        response, _ = service.dispatch({"jsonrpc": "2.0", "id": 3},
-                                       lambda note: None)
+        response, _ = service.dispatch({"jsonrpc": "2.0", "id": 3})
         assert response["error"]["code"] == protocol.INVALID_REQUEST
+
+    @pytest.mark.parametrize("params", [
+        [{"preset": "megatron-1.7b"}], "megatron-1.7b", None,
+    ], ids=["array", "string", "null"])
+    def test_params_must_be_an_object(self, service, monkeypatch, params):
+        """Only by-name params are served: JSON-RPC's positional form,
+        a bare value or an explicit null is INVALID_REQUEST and never
+        reaches admission."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("a non-object params was admitted")
+
+        monkeypatch.setattr(service, "_admit", no_work)
+        response, _ = service.dispatch(
+            {"jsonrpc": "2.0", "id": 9, "method": "predict",
+             "params": params})
+        assert response["error"]["code"] == protocol.INVALID_REQUEST
+        assert "params must be an object" in response["error"]["message"]
+        assert response["id"] == 9
 
     def test_infeasible_maps_to_infeasible_code(self, service):
         bad = tiny_description(tensor=2, data=2, pipeline=3)
         response, _ = service.dispatch(
-            protocol.request(4, "predict",
-                             {"description": bad.to_dict()}),
-            lambda note: None)
+            protocol.request(4, "predict", {"description": bad.to_dict()}))
         assert response["error"]["code"] == protocol.INFEASIBLE
 
     def test_shutdown_sets_the_flag(self, service):
-        response, shutdown = service.dispatch(
-            protocol.request(5, "shutdown"), lambda note: None)
+        response, shutdown = service.dispatch(protocol.request(5, "shutdown"))
         assert response["result"] == {"ok": True} and shutdown
 
     def test_dispatch_never_raises_on_internal_error(self, service,
@@ -417,8 +460,7 @@ class TestDispatch:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(service, "stats", broken)
-        response, _ = service.dispatch(protocol.request(6, "stats"),
-                                       lambda note: None)
+        response, _ = service.dispatch(protocol.request(6, "stats"))
         assert response["error"]["code"] == protocol.INTERNAL_ERROR
         assert "RuntimeError: boom" in response["error"]["message"]
 
@@ -436,8 +478,7 @@ class TestDispatch:
         description["system"][name] = value
         frame = protocol.encode(protocol.request(
             8, "predict", {"description": description}))
-        response, _ = service.dispatch(protocol.decode_line(frame),
-                                       lambda note: None)
+        response, _ = service.dispatch(protocol.decode_line(frame))
         assert "result" not in response
         assert response["error"]["code"] == protocol.INVALID_PARAMS
         assert name in response["error"]["message"]
@@ -447,21 +488,18 @@ class TestDispatch:
         """JSON-RPC 2.0 section 5: an id that cannot be read back is
         answered as null, never echoed."""
         response, _ = service.dispatch(
-            {"jsonrpc": "2.0", "id": bad_id, "method": "ping"},
-            lambda note: None)
+            {"jsonrpc": "2.0", "id": bad_id, "method": "ping"})
         assert response["error"]["code"] == protocol.INVALID_REQUEST
         assert response["id"] is None
 
     def test_invalid_request_echoes_a_valid_id(self, service):
-        response, _ = service.dispatch({"jsonrpc": "2.0", "id": "a7"},
-                                       lambda note: None)
+        response, _ = service.dispatch({"jsonrpc": "2.0", "id": "a7"})
         assert response["error"]["code"] == protocol.INVALID_REQUEST
         assert response["id"] == "a7"
 
     def test_stats_shape(self, service):
         service.predict({"description": tiny_description().to_dict()})
-        response, _ = service.dispatch(protocol.request(7, "stats"),
-                                       lambda note: None)
+        response, _ = service.dispatch(protocol.request(7, "stats"))
         stats = response["result"]
         assert stats["requests"]["total"] >= 1
         assert {"p50", "p99"} <= set(stats["latency"]["predict_s"])
@@ -472,8 +510,7 @@ class TestDispatch:
 
 
 #: Values of each JSON type that no documented parameter accepts: the
-#: strings name no preset, granularity or fabric, and the arrays hold
-#: no integer and no params object.
+#: strings name no preset, granularity or metrics format.
 WRONG = {
     bool: st.booleans(),
     float: st.floats(allow_nan=False, allow_infinity=False),
@@ -486,8 +523,6 @@ WRONG = {
 }
 BASE_PARAMS = {
     "predict": {"preset": "megatron-1.7b", "granularity": "stage"},
-    "predict_batch": {"requests": []},
-    "dse": {"model": "megatron-1.7b", "num_gpus": 8, "global_batch": 16},
     "metrics": {},
 }
 #: Every documented parameter and the JSON type it accepts.
@@ -495,15 +530,6 @@ PARAMS = [
     ("predict", "preset", str), ("predict", "description", dict),
     ("predict", "granularity", str), ("predict", "zero_stage", int),
     ("predict", "workload", dict), ("predict", "trace", bool),
-    ("predict_batch", "requests", list),
-    ("dse", "model", str), ("dse", "num_gpus", int),
-    ("dse", "max_gpus", int), ("dse", "network", str),
-    ("dse", "granularity", str), ("dse", "global_batch", int),
-    ("dse", "total_tokens", int), ("dse", "max_tensor", int),
-    ("dse", "max_data", int), ("dse", "max_pipeline", int),
-    ("dse", "micro_batches", list), ("dse", "virtual_stages", list),
-    ("dse", "gpus_per_node", int), ("dse", "zero_stage", int),
-    ("dse", "top", int), ("dse", "include_points", bool),
     ("metrics", "format", str),
 ]
 
@@ -511,7 +537,7 @@ PARAMS = [
 class TestParameterValidation:
     """A wrongly typed parameter is answered with INVALID_PARAMS before
     any work: never coerced into another question, never an internal
-    error after a sweep."""
+    error after a simulation."""
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -520,7 +546,6 @@ class TestParameterValidation:
         def no_work(*args, **kwargs):
             raise AssertionError("validation let a request through")
 
-        monkeypatch.setattr(DesignSpaceExplorer, "explore", no_work)
         monkeypatch.setattr(service, "_admit", no_work)
         method, name, accepted = data.draw(st.sampled_from(PARAMS))
         wrong = [values for kind, values in WRONG.items()
@@ -531,71 +556,50 @@ class TestParameterValidation:
         elif accepted is not bool and accepted is not int:
             wrong.append(WRONG[accepted])
         params = dict(BASE_PARAMS[method])
-        params.pop({"description": "preset",
-                    "max_gpus": "num_gpus"}.get(name), None)
+        if name == "description":
+            del params["preset"]
         params[name] = data.draw(st.one_of(wrong))
-        response, _ = service.dispatch(
-            protocol.request(1, method, params), lambda note: None)
+        response, _ = service.dispatch(protocol.request(1, method, params))
         assert response["error"]["code"] == protocol.INVALID_PARAMS, \
             response["error"]
-
-    @pytest.mark.parametrize("params", [
-        {"num_gpus": 8.9}, {"num_gpus": True},
-        {"num_gpus": 8, "global_batch": 32.7},
-        {"num_gpus": 8, "top": "x"}, {"num_gpus": 8, "micro_batches": 4},
-    ])
-    def test_dse_no_longer_coerces(self, service, params):
-        """Each used to sweep another question (8 GPUs, 1 GPU, batch
-        32) or answer INTERNAL_ERROR, after the full sweep for ``top``;
-        now none of them sweeps."""
-        response, _ = service.dispatch(
-            protocol.request(1, "dse", {"model": "megatron-1.7b",
-                                        "global_batch": 16, **params}),
-            lambda note: None)
-        assert response["error"]["code"] == protocol.INVALID_PARAMS
-        assert service.cache.stats["entries"] == 0
-
-    @pytest.mark.parametrize("params, named", [
-        ({"top": -1}, "'top'"), ({"top": -1000}, "'top'"),
-        ({"gpus_per_node": 0}, "gpus_per_node"),
-        ({"gpus_per_node": -8}, "gpus_per_node")])
-    def test_dse_out_of_range_values_are_invalid_params(
-            self, service, monkeypatch, params, named):
-        """A negative ``top`` used to sweep and then drop rows from the
-        end; ``gpus_per_node`` 0 answered INTERNAL_ERROR and -8 blamed
-        ``num_gpus``."""
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep started")
-
-        monkeypatch.setattr(DesignSpaceExplorer, "explore", no_sweep)
-        response, _ = service.dispatch(
-            protocol.request(1, "dse", {"model": "megatron-1.7b",
-                                        "num_gpus": 8, "global_batch": 16,
-                                        **params}),
-            lambda note: None)
-        assert response["error"]["code"] == protocol.INVALID_PARAMS
-        assert named in response["error"]["message"]
-
-    def test_dse_top_zero_answers_no_rows(self, service):
-        response, _ = service.dispatch(
-            protocol.request(1, "dse", {
-                "model": "megatron-1.7b", "max_gpus": 4, "global_batch": 8,
-                "max_tensor": 2, "max_data": 2, "max_pipeline": 2,
-                "micro_batches": [1], "top": 0}),
-            lambda note: None)
-        assert response["result"]["num_feasible"] > 0
-        assert response["result"]["top"] == []
-
-    def test_predict_batch_entries_must_be_objects(self, service):
-        response, _ = service.dispatch(
-            protocol.request(1, "predict_batch", {"requests": [1]}),
-            lambda note: None)
-        assert response["error"]["code"] == protocol.INVALID_PARAMS
 
     def test_zero_stage_true_is_not_stage_1(self, service):
         with pytest.raises(ReproError, match="'zero_stage' must be an "
                                              "integer"):
             service.predict({"preset": "megatron-1.7b", "zero_stage": True})
+
+    @pytest.mark.parametrize("params", [
+        {"zero_stage": 1.0}, {"zero_stage": "1"}, {"trace": 1},
+        {"granularity": None}, {"workload": None},
+    ])
+    def test_predict_no_longer_coerces(self, service, params):
+        """Each is one lenient parse away from another question (ZeRO
+        stage 1, a traced call, the default granularity, the training
+        workload); none of them reaches a simulator."""
+        response, _ = service.dispatch(protocol.request(
+            1, "predict", {"description": tiny_description().to_dict(),
+                           **params}))
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert next(iter(params)) in response["error"]["message"]
+        assert service.cache.stats["entries"] == 0
+        assert service._vtrains == {}
+
+    @pytest.mark.parametrize("params, named", [
+        ({"zero_stage": -1}, "zero_stage"), ({"zero_stage": 4}, "zero_stage"),
+        ({"granularity": "layer"}, "granularity"),
+        ({"granularity": "STAGE"}, "granularity")])
+    def test_predict_out_of_range_values_are_invalid_params(
+            self, service, monkeypatch, params, named):
+        """Well-typed values outside a parameter's range are refused
+        before admission, naming the parameter."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("an out-of-range request was admitted")
+
+        monkeypatch.setattr(service, "_admit", no_work)
+        response, _ = service.dispatch(protocol.request(
+            1, "predict", {"preset": "megatron-1.7b", **params}))
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
+        assert named in response["error"]["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -661,20 +665,6 @@ class TestDaemon:
                 client.predict(description=bad.to_dict())
         assert excinfo.value.code == protocol.INFEASIBLE
 
-    def test_dse_streams_progress_and_reuses_the_cache(self, daemon,
-                                                       service):
-        params = {"model": "megatron-1.7b", "num_gpus": 8,
-                  "max_tensor": 4, "max_data": 8, "max_pipeline": 4,
-                  "micro_batches": [1, 2], "granularity": "stage"}
-        events: list[dict] = []
-        with connect(daemon) as client:
-            first = client.dse(params, on_progress=events.append)
-            second = client.dse(params)
-        assert first["num_plans"] > 0
-        assert events and events[-1]["done"] == events[-1]["total"]
-        assert second == first  # replayed fully from the shared cache
-        assert service.cache.stats["hits"] >= first["num_plans"]
-
     def test_shutdown_stops_the_daemon(self, service):
         server = ServeDaemon(service, port=0)
         server.start()
@@ -683,44 +673,139 @@ class TestDaemon:
         # The accept loop winds down; stop() (idempotent) must not hang.
         server.stop()
 
+    @pytest.mark.parametrize("frame", [b"{not json}\n", b"[1, 2]\n"],
+                             ids=["not-json", "array"])
+    def test_bad_frame_is_answered_with_parse_error_then_closed(
+            self, daemon, frame):
+        """A frame the daemon cannot read gets one PARSE_ERROR reply
+        with a null id; the session then ends, since its framing can no
+        longer be trusted."""
+        with socket.create_connection(daemon.address, timeout=30) as sock:
+            sock.sendall(frame)
+            with sock.makefile("rb") as reader:
+                reply = protocol.read_message(reader)
+                assert protocol.read_message(reader) is None
+        assert reply["error"]["code"] == protocol.PARSE_ERROR
+        assert reply["id"] is None
 
-# ---------------------------------------------------------------------------
-# stdio transport
-# ---------------------------------------------------------------------------
-class TestStdio:
-    def test_serve_stdio_round_trip_in_memory(self, service):
-        stdin = io.BytesIO(
-            protocol.encode(protocol.request(1, "ping"))
-            + protocol.encode(protocol.request(
-                2, "predict",
-                {"description": tiny_description().to_dict()}))
-            + protocol.encode(protocol.request(3, "shutdown"))
-            + protocol.encode(protocol.request(4, "ping")))
-        stdout = io.BytesIO()
-        serve_stdio(service, stdin, stdout)
-        stdout.seek(0)
+    def test_pipelined_session_answers_in_order_until_shutdown(
+            self, daemon):
+        """Four requests written at once on one connection: the replies
+        come back in order, the shutdown reply is the last one, and the
+        request after it is never answered."""
+        frames = b"".join(protocol.encode(message) for message in (
+            protocol.request(1, "ping"),
+            protocol.request(2, "predict",
+                             {"description": tiny_description().to_dict()}),
+            protocol.request(3, "shutdown"),
+            protocol.request(4, "ping")))
         replies = []
-        while (message := protocol.read_message(stdout)) is not None:
-            replies.append(message)
-        # The shutdown reply is the last one; request 4 is never read.
+        with socket.create_connection(daemon.address, timeout=30) as sock:
+            sock.sendall(frames)
+            reader = sock.makefile("rb")
+            try:
+                while (message := protocol.read_message(reader)) is not None:
+                    replies.append(message)
+            except ConnectionResetError:
+                pass  # closed with request 4 still unread in the kernel
+            reader.close()
         assert [m["id"] for m in replies] == [1, 2, 3]
         assert replies[1]["result"]["iteration_time"] > 0
 
-    def test_spawned_subprocess_serves_and_exits_cleanly(self):
-        client, process = ServeClient.spawn()
+    def test_cli_daemon_serves_and_exits_cleanly(self):
+        """``repro serve --port 0`` as a child process announces its
+        port, serves, and exits 0 on the ``shutdown`` method."""
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
         try:
-            assert client.ping()
-            served = client.predict(
-                description=tiny_description().to_dict(),
-                granularity="stage")
-            assert served["iteration_time"] > 0
-            client.shutdown()
+            announced = process.stderr.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+)", announced)
+            assert match is not None, announced
+            with ServeClient.connect(match[1], int(match[2]),
+                                     timeout=30) as client:
+                assert client.ping()
+                served = client.predict(
+                    description=tiny_description().to_dict(),
+                    granularity="stage")
+                assert served["iteration_time"] > 0
+                client.shutdown()
             assert process.wait(timeout=30) == 0
         finally:
-            client.close()
             if process.poll() is None:
                 process.kill()
-                process.wait(timeout=10)
+            process.wait(timeout=10)
+            process.stderr.close()
+
+
+class TestClient:
+    """One client session over in-memory streams: what the client
+    writes, and how it reads what comes back."""
+
+    @staticmethod
+    def session(*replies: dict) -> tuple[ServeClient, io.BytesIO, list]:
+        reader = io.BytesIO(b"".join(protocol.encode(r) for r in replies))
+        writer = io.BytesIO()
+        closes: list[bool] = []
+        client = ServeClient(reader, writer,
+                             on_close=lambda: closes.append(True))
+        return client, writer, closes
+
+    @staticmethod
+    def sent(writer: io.BytesIO) -> list[dict]:
+        return [protocol.decode_line(line)
+                for line in writer.getvalue().splitlines()]
+
+    def test_frames_without_the_calls_id_are_skipped(self):
+        """A reply to an aborted earlier call, and a frame with no id
+        at all, are read past until the call's own reply arrives."""
+        client, writer, _ = self.session(
+            protocol.response(7, {"ok": False}),
+            {"jsonrpc": "2.0", "method": "progress",
+             "params": {"done": 1}},
+            protocol.response(1, {"ok": True}))
+        assert client.ping() is True
+        assert [m["id"] for m in self.sent(writer)] == [1]
+
+    def test_server_closing_mid_call_closes_the_session(self):
+        client, _, closes = self.session()
+        with pytest.raises(ReproError, match="closed the connection "
+                                             "during 'ping'"):
+            client.ping()
+        assert closes == [True]
+        with pytest.raises(ReproError, match="session is closed"):
+            client.stats()
+        client.close()
+        assert closes == [True]
+
+    def test_error_reply_raises_remote_error_with_code_and_data(self):
+        client, _, _ = self.session(protocol.error_response(
+            1, protocol.INFEASIBLE, "does not fit", data={"gib": 81.5}))
+        with pytest.raises(RemoteError, match="does not fit") as excinfo:
+            client.call("predict", {"preset": "gpt3"})
+        assert excinfo.value.code == protocol.INFEASIBLE
+        assert excinfo.value.data == {"gib": 81.5}
+
+    def test_predict_sends_only_the_given_params(self):
+        client, writer, _ = self.session(protocol.response(1, {}),
+                                         protocol.response(2, {}))
+        client.predict(preset="megatron-1.7b", granularity="stage")
+        client.predict(preset="megatron-1.7b", zero_stage=0, trace=True)
+        first, second = self.sent(writer)
+        assert first["method"] == second["method"] == "predict"
+        assert first["params"] == {"preset": "megatron-1.7b",
+                                   "granularity": "stage"}
+        assert second["params"] == {"preset": "megatron-1.7b",
+                                    "zero_stage": 0, "trace": True}
+
+    def test_connect_without_a_daemon_names_the_fix(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(ReproError, match=re.escape(
+                f"`repro serve --port {port}`")):
+            ServeClient.connect("127.0.0.1", port, timeout=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +1061,7 @@ class TestInferenceServing:
         assert payload["num_replicas"] == description.plan.data
 
     def test_flush_batches_inference_jobs_sharing_phase_graphs(
-            self, monkeypatch):
+            self, batching_service, monkeypatch):
         """Two inference jobs of one flush whose plans compile to the
         same prefill and decode graphs replay as one group of two
         columns per phase, bit-identical to direct predictions."""
@@ -997,23 +1082,19 @@ class TestInferenceServing:
                                 plan=base.plan.replaced(
                                     recompute=RecomputeMode.FULL),
                                 training=base.training)
-        service = PredictionService(batch_window_s=0.1)
-        try:
-            rows = service.predict_batch({"requests": [
-                {"description": description.to_dict(),
-                 "workload": self.workload_dict()}
-                for description in (base, full)]})["results"]
-            assert service.stats()["batch"]["flushes"] == 1
-        finally:
-            service.close()
+        results = predict_together(batching_service, [
+            {"description": description.to_dict(),
+             "workload": self.workload_dict()}
+            for description in (base, full)])
+        assert batching_service.stats()["batch"]["flushes"] == 1
         assert columns == [2, 2]
         workload = InferenceWorkload.from_dict(self.workload_dict())
-        for description, row in zip((base, full), rows):
+        for description, result in zip((base, full), results):
             direct = VTrain(description.system).predict_inference(
                 description.model, description.plan, workload)
-            assert row["result"]["ttft_s"] == direct.time_to_first_token
-            assert row["result"]["tpot_s"] == direct.time_per_output_token
-            assert row["result"]["tokens_per_s"] == direct.tokens_per_second
+            assert result["ttft_s"] == direct.time_to_first_token
+            assert result["tpot_s"] == direct.time_per_output_token
+            assert result["tokens_per_s"] == direct.tokens_per_second
 
     def test_repeat_is_served_from_cache(self, service):
         description = tiny_description()
@@ -1049,22 +1130,12 @@ class TestInferenceServing:
             service.predict({"description": description.to_dict(),
                              "workload": {"kind": "finetune"}})
 
-    def test_envelope_rides_the_wire_unchanged(self):
-        """Client → stdio transport → daemon: the envelope arrives
-        intact and the serving payload comes back."""
-        client_to_server = io.BytesIO()
-        request = protocol.encode(protocol.request(
-            1, "predict", {"description": tiny_description().to_dict(),
-                           "workload": self.workload_dict()}))
-        client_to_server.write(request)
-        client_to_server.seek(0)
-        server_to_client = io.BytesIO()
-        service = PredictionService(batch_window_s=0.0)
-        try:
-            serve_stdio(service, client_to_server, server_to_client)
-        finally:
-            service.close()
-        server_to_client.seek(0)
-        reply = protocol.read_message(server_to_client)
-        assert reply["result"]["workload"] == "inference"
-        assert reply["result"]["tokens_per_s"] > 0
+    def test_envelope_rides_the_wire_unchanged(self, daemon):
+        """Client → TCP transport → daemon: the envelope arrives intact
+        and the serving payload comes back."""
+        with connect(daemon) as client:
+            reply = client.predict(
+                description=tiny_description().to_dict(),
+                workload=self.workload_dict())
+        assert reply["workload"] == "inference"
+        assert reply["tokens_per_s"] > 0

@@ -76,10 +76,6 @@ def tiny_description(*, tensor: int = 2, data: int = 2, pipeline: int = 2,
                             training=TrainingConfig(global_batch_size=16))
 
 
-def no_notify(_message: dict) -> None:
-    raise AssertionError("no notification expected")
-
-
 def predict_params(description: InputDescription) -> dict:
     return {"description": description.to_dict(), "granularity": "stage"}
 
@@ -92,13 +88,13 @@ class TestTracePropagation:
         request = protocol.request(1, "predict",
                                    predict_params(tiny_description()),
                                    trace_id="feedc0dedeadbeef")
-        response, _ = service.dispatch(request, no_notify)
+        response, _ = service.dispatch(request)
         assert response["result"]["served"]["trace_id"] == "feedc0dedeadbeef"
 
     def test_untraced_request_has_no_trace_id(self, service):
         request = protocol.request(1, "predict",
                                    predict_params(tiny_description()))
-        response, _ = service.dispatch(request, no_notify)
+        response, _ = service.dispatch(request)
         served = response["result"]["served"]
         assert "trace_id" not in served
         assert "spans" not in served
@@ -122,7 +118,7 @@ class TestTracePropagation:
                                        trace_id=trace_id)
             try:
                 barrier.wait()
-                response, _ = service.dispatch(request, no_notify)
+                response, _ = service.dispatch(request)
                 results[trace_id] = response["result"]["served"]
             except BaseException as exc:  # noqa: BLE001 - asserted below
                 errors.append(exc)
@@ -158,7 +154,7 @@ class TestTracePropagation:
                                            trace_id=f"burst{slot:07d}")
                 try:
                     barrier.wait()
-                    response, _ = service.dispatch(request, no_notify)
+                    response, _ = service.dispatch(request)
                     responses[slot] = response["result"]["served"]
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
@@ -283,14 +279,13 @@ class TestAccessLog:
         sink = io.StringIO()
         service = PredictionService(batch_window_s=0.001, access_log=sink)
         try:
-            service.dispatch(protocol.request(1, "ping"), no_notify,
+            service.dispatch(protocol.request(1, "ping"),
                              peer="10.0.0.9:1234")
             service.dispatch(
                 protocol.request(2, "predict",
                                  predict_params(tiny_description()),
-                                 trace_id="aaaabbbbccccdddd"),
-                no_notify)
-            service.dispatch(protocol.request(3, "nosuch"), no_notify)
+                                 trace_id="aaaabbbbccccdddd"))
+            service.dispatch(protocol.request(3, "nosuch"))
         finally:
             service.close()
         lines = [json.loads(line)
@@ -310,8 +305,7 @@ class TestAccessLog:
         service = PredictionService(batch_window_s=0.001, access_log=sink)
         try:
             sink.close()  # writes now raise ValueError
-            response, _ = service.dispatch(protocol.request(1, "ping"),
-                                           no_notify)
+            response, _ = service.dispatch(protocol.request(1, "ping"))
             assert response["result"]["ok"] is True
         finally:
             service.close()
@@ -338,11 +332,11 @@ class TestCLI:
         assert "serve.requests" in out
 
     @pytest.mark.parametrize("argv", [
-        ["serve", "--stdio", "--metrics-port", "0"],
-        ["serve", "--stdio", "--sample-interval", "1"],
-        ["serve", "--stdio", "--slo-latency-ms", "250"],
-        ["serve", "--stdio", "--slo-availability", "0.999"],
-        ["serve", "--stdio", "--slo-window", "600"],
+        ["serve", "--port", "0", "--metrics-port", "0"],
+        ["serve", "--port", "0", "--sample-interval", "1"],
+        ["serve", "--port", "0", "--slo-latency-ms", "250"],
+        ["serve", "--port", "0", "--slo-availability", "0.999"],
+        ["serve", "--port", "0", "--slo-window", "600"],
         ["top", "--connect", "127.0.0.1:7915"],
     ], ids=["metrics-port", "sample-interval", "slo-latency-ms",
             "slo-availability", "slo-window", "top"])

@@ -108,16 +108,6 @@ class TestAccounting:
         assert result.events[0].finish == pytest.approx(1.0)
         assert result.events[1].start == pytest.approx(1.0)
 
-    def test_chrome_trace_export(self):
-        result = simulate(chain_graph([1.0]), record_timeline=True)
-        trace = result.to_chrome_trace()
-        assert trace[0]["ph"] == "X"
-        assert trace[0]["dur"] == pytest.approx(1e6)
-
-    def test_chrome_trace_empty_without_recording(self):
-        result = simulate(chain_graph([1.0]))
-        assert result.to_chrome_trace() == []
-
 
 class TestInvariants:
     def test_critical_path_lower_bounds_iteration(self, tiny_model, training):
