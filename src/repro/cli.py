@@ -728,17 +728,26 @@ def _cmd_presets(_args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Commands that switch observability on (``serve``, ``predict
+    --trace``, ``dse --metrics``) leave the caller's switch as they
+    found it, so an in-process call does not turn spans and histograms
+    on for whatever runs next.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"predict": _cmd_predict, "dse": _cmd_dse,
                 "stats": _cmd_stats, "serve": _cmd_serve,
                 "example": _cmd_example, "presets": _cmd_presets}
+    was_enabled = obs.enabled()
     try:
         return handlers[args.command](args)
     except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        (obs.enable if was_enabled else obs.disable)()
 
 
 if __name__ == "__main__":  # pragma: no cover

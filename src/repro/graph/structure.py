@@ -14,13 +14,13 @@ the graph's chains, not its tasks), with the per-task duration vector
 kept separate. Any topological order replays Algorithm 1's starts and
 finishes bit for bit — a start is a max of finishes, which is exact,
 and a finish is one addition — so replays become a single array pass
-(:func:`repro.sim.engine.simulate_retimed`). Algorithm 1's own
-task-level pop order, which busy sums and recorded timelines follow, is
-computed only when one of them is first read (:class:`FifoOrder`).
-Because the topology is immutable, one compiled structure can be
-re-timed with fresh duration vectors — a perturbed device model, a new
-NCCL table, a different tensor-parallel degree with the same shape —
-without rebuilding or re-sorting anything.
+(:func:`repro.sim.engine.simulate_retimed`). No output follows
+Algorithm 1's task-level pop order: busy sums are added, and recorded
+timelines listed, in position order too. Because the topology is
+immutable, one compiled structure can be re-timed with fresh duration
+vectors — a perturbed device model, a new NCCL table, a different
+tensor-parallel degree with the same shape — without rebuilding or
+re-sorting anything.
 
 Structures are compiled from per-task *arrays*, tiled directly from
 chunk templates by :meth:`repro.graph.builder.GraphBuilder.compile`,
@@ -128,39 +128,6 @@ def _chain_order(chain_ptr: np.ndarray, child: np.ndarray,
     return order, level_ptr
 
 
-def _replay_order(child_ptr: np.ndarray, child_idx: np.ndarray,
-                  indegree: np.ndarray, roots: np.ndarray) -> list[int]:
-    """Kahn's algorithm with a FIFO queue seeded with ``roots`` — the
-    exact pop order of the reference engine's Algorithm-1 loop, which is
-    purely structural.
-
-    Children of ``k`` are ``child_idx[child_ptr[k]:child_ptr[k + 1]]``
-    in insertion order. The returned list doubles as the queue: a FIFO
-    queue's pops are exactly its pushes, in push order.
-    """
-    ref = indegree.tolist()
-    ptr = child_ptr.tolist()
-    children = child_idx.tolist()
-    order = roots.tolist()
-    push = order.append
-    for task in order:
-        lo = ptr[task]
-        hi = ptr[task + 1]
-        if hi - lo == 1:  # most tasks: one child, no slice needed
-            kid = children[lo]
-            remaining = ref[kid] - 1
-            ref[kid] = remaining
-            if not remaining:
-                push(kid)
-            continue
-        for kid in children[lo:hi]:
-            remaining = ref[kid] - 1
-            ref[kid] = remaining
-            if not remaining:
-                push(kid)
-    return order
-
-
 def _by_first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
     """The distinct values of ``codes`` (all in ``range(size)``), in
     order of first appearance."""
@@ -201,8 +168,9 @@ class GraphStructure:
     DAG — finds the chains with array operations, runs the FIFO pass
     over them (which also yields their levels, kept as the
     :meth:`level_plan`), and permutes everything with array operations.
-    Algorithm 1's task-level pop order is a view computed on first use
-    (:attr:`fifo`), for busy accounting and recorded timelines only.
+    Every output follows positions, not Algorithm 1's task-level pop
+    order: busy sums are added, and recorded events listed, in position
+    order.
 
     The baseline ``duration`` vector captured at compile time is one
     valid timing. Every position names its timing slot, an index into
@@ -239,10 +207,8 @@ class GraphStructure:
             ``None``.
         busy_index: Flat ``device * len(kinds) + kind`` bucket per
             position.
-        device_kind_order: Each device's kind indices in the order
-            Algorithm 1 first runs them (computed on first read).
-        fifo: Algorithm 1's pop order and the busy accounting that
-            follows it (:class:`FifoOrder`).
+        device_kind_order: Each device's kind indices in order of first
+            appearance in position order (the busy dicts' layout).
         metadata: The source graph's metadata (replays may override).
     """
 
@@ -261,8 +227,8 @@ class GraphStructure:
                 and ``slot`` index into ``kinds`` and ``slot_keys``.
             src / dst: Every dependency edge, grouped by parent in
                 ascending task id and, within a parent, in the order its
-                children were linked (that order decides Algorithm
-                1's pop order).
+                children were linked (that order decides the chain
+                pass's pop order, and so the positions).
             stream: Per-task streams, or a per-slot mapping from slot
                 key to stream.
             label: Per-task labels, or a zero-argument callable
@@ -339,6 +305,9 @@ class GraphStructure:
                   + np.arange(num_edges, dtype=np.intp))
         self.child_ptr = child_ptr
         self.child_idx = position[dst[gather]]
+        # Freed before the columns below are gathered: a cold predict's
+        # peak memory falls in them.
+        del gather, row_counts
         self.num_edges = num_edges
 
         self.device = device[task_id].astype(np.intp, copy=False)
@@ -352,11 +321,14 @@ class GraphStructure:
             self.slot_index = slot[task_id]
             self.slot_keys = tuple(slot_keys)
         # Flat (device, kind) bucket per position for one-pass busy
-        # accounting.
-        self.busy_index = self.device * len(self.kinds) + self.kind_index
-        self.fifo = FifoOrder(child_ptr=child_ptr, child_idx=self.child_idx,
-                              task_id=task_id, busy_index=self.busy_index,
-                              kinds=self.kinds, num_devices=num_devices)
+        # accounting, and each device's kinds as its buckets first appear.
+        num_kinds = len(self.kinds)
+        self.busy_index = self.device * num_kinds + self.kind_index
+        kind_order: list[list[int]] = [[] for _ in range(num_devices)]
+        for bucket in _by_first_appearance(self.busy_index,
+                                           num_devices * num_kinds).tolist():
+            kind_order[bucket // num_kinds].append(bucket % num_kinds)
+        self.device_kind_order = tuple(map(tuple, kind_order))
         self._level_plan = LevelPlan(
             device=self.device, num_devices=num_devices, start=start,
             length=length, level_ptr=level_ptr,
@@ -428,12 +400,6 @@ class GraphStructure:
             self._digest = sha.hexdigest()
         return self._digest
 
-    @property
-    def device_kind_order(self) -> tuple[tuple[int, ...], ...]:
-        """Each device's kind indices in the order Algorithm 1 first
-        runs them (the busy dicts' layout; computed on first read)."""
-        return self.fifo.device_kind_order()
-
     def level_plan(self) -> "LevelPlan":
         """The chain-compressed level schedule of this structure.
 
@@ -446,76 +412,6 @@ class GraphStructure:
         replay on the scalar loop never build it.
         """
         return self._level_plan
-
-
-class FifoOrder:
-    """Algorithm 1's task-level pop order of one structure, and the busy
-    accounting that follows it, both computed on first use.
-
-    A structure's positions are a topological order, which gives every
-    start and finish bit for bit, but not Algorithm 1's pop order. Two
-    outputs follow that order: busy sums (added in pop order) with the
-    busy dicts' layout, and recorded timelines. Only they run the
-    per-task FIFO pass, once per structure.
-
-    It holds the arrays the pass and the accounting read, not the
-    structure, so a result whose busy dict is still unread keeps these
-    arrays alive rather than the whole structure.
-    """
-
-    def __init__(self, *, child_ptr: np.ndarray, child_idx: np.ndarray,
-                 task_id: np.ndarray, busy_index: np.ndarray,
-                 kinds: tuple[str, ...], num_devices: int) -> None:
-        self._child_ptr = child_ptr
-        self._child_idx = child_idx
-        self._task_id = task_id
-        self._busy_index = busy_index
-        self._kinds = kinds
-        self._num_devices = num_devices
-        self._positions: np.ndarray | None = None
-        self._kind_order: tuple[tuple[int, ...], ...] | None = None
-
-    def positions(self) -> np.ndarray:
-        """Positions in the order Algorithm 1's FIFO queue pops them —
-        seeded with the dependency-free tasks in task id order
-        (memoized)."""
-        if self._positions is None:
-            num_tasks = self._task_id.size
-            indegree = np.bincount(self._child_idx, minlength=num_tasks)
-            roots = np.flatnonzero(indegree == 0)
-            roots = roots[np.argsort(self._task_id[roots], kind="stable")]
-            self._positions = np.fromiter(
-                _replay_order(self._child_ptr, self._child_idx, indegree,
-                              roots), dtype=np.intp, count=num_tasks)
-        return self._positions
-
-    def device_kind_order(self) -> tuple[tuple[int, ...], ...]:
-        """Each device's kind indices in first-appearance pop order."""
-        if self._kind_order is None:
-            num_kinds = len(self._kinds)
-            kind_order: list[list[int]] = [[] for _ in
-                                           range(self._num_devices)]
-            for bucket in _by_first_appearance(
-                    self._busy_index[self.positions()],
-                    self._num_devices * num_kinds).tolist():
-                kind_order[bucket // num_kinds].append(bucket % num_kinds)
-            self._kind_order = tuple(map(tuple, kind_order))
-        return self._kind_order
-
-    def busy(self, durations: np.ndarray) -> dict[int, dict[str, float]]:
-        """Per-device, per-kind busy seconds under ``durations`` (in
-        position order): sums added in pop order, dicts laid out as the
-        reference engine lays them out."""
-        order = self.positions()
-        kind_order = self.device_kind_order()
-        num_kinds = len(self._kinds)
-        busy_flat = np.bincount(
-            self._busy_index[order], weights=durations[order],
-            minlength=self._num_devices * num_kinds).tolist()
-        kinds = self._kinds
-        return {device: {kinds[kind]: busy_flat[device * num_kinds + kind]
-                         for kind in kind_order[device]}
-                for device in range(self._num_devices)}
 
 
 class LevelPlan:

@@ -85,6 +85,16 @@ class ServeDaemon(socketserver.ThreadingTCPServer):
         """The bound ``(host, port)``."""
         return self.socket.getsockname()[:2]
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        """Accept connections until :meth:`shutdown`, checking for it
+        every ``poll_interval`` seconds.
+
+        :meth:`stop` and the ``shutdown`` RPC wait up to one interval
+        for the loop to end; socketserver's 0.5 s default made each of
+        them take half a second.
+        """
+        super().serve_forever(poll_interval)
+
     def start(self) -> None:
         """Serve in a background thread (tests, embedding)."""
         self._serve_thread = threading.Thread(

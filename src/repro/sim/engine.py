@@ -21,15 +21,13 @@ Two engines implement the algorithm:
   starts and finishes bit for bit: a start is the max of its parents'
   finishes, which is exact, and a finish is one addition. Replay is
   then one Python loop over the edges in position order — no dicts, no
-  deque, no per-task object churn. Algorithm 1's own FIFO pop order,
-  which is purely structural, decides only the order of busy sums and
-  recorded events; it is computed once per structure, when a busy dict
-  is first read or a timeline recorded
-  (:class:`~repro.graph.structure.FifoOrder`), and
-  :class:`~repro.sim.results.TimelineEvent` objects are materialized
-  only when ``record_timeline=True``. Results are bit-identical to the
-  per-task reference loop kept in ``tests/graph_oracle.py``
-  (``tests/test_sim_equivalence.py``).
+  deque, no per-task object churn. No output follows Algorithm 1's own
+  FIFO pop order: busy sums are added in position order when a busy
+  dict is first read, and :class:`~repro.sim.results.TimelineEvent`
+  objects, materialized only when ``record_timeline=True``, are listed
+  in position order. Makespans, device timelines and every event's
+  start and finish are bit-identical to the per-task reference loop
+  kept in ``tests/graph_oracle.py`` (``tests/test_sim_equivalence.py``).
 * :func:`simulate_retimed_batch` — level replay of N duration columns
   at once over the structure's chain-compressed
   :class:`~repro.graph.structure.LevelPlan`: one max-fold per level
@@ -88,8 +86,8 @@ def simulate_retimed(structure: GraphStructure,
         durations: Per-task durations in *replay order* (as produced by
             :meth:`~repro.graph.builder.GraphBuilder.fill_durations`).
             Defaults to the structure's baseline durations.
-        record_timeline: Materialize per-task TimelineEvents, in
-            Algorithm 1's pop order.
+        record_timeline: Materialize per-task TimelineEvents, one per
+            position, in position order.
         metadata: Override the result metadata (defaults to the
             structure's compile-time metadata).
 
@@ -134,26 +132,20 @@ def simulate_retimed(structure: GraphStructure,
 
     events: list[TimelineEvent] | None = None
     if record_timeline:
-        order = structure.fifo.positions()
         kinds = structure.kinds
-        stream = structure.stream
-        label = structure.label
         events = [
-            TimelineEvent(task_id=task_id, device=device,
-                          stream=stream[position], kind=kinds[kind],
-                          label=label[position], start=task_start,
+            TimelineEvent(task_id=task_id, device=device, stream=stream,
+                          kind=kinds[kind], label=label, start=task_start,
                           finish=task_finish)
-            for position, task_id, device, kind, task_start, task_finish
-            in zip(order.tolist(), structure.task_id[order].tolist(),
-                   structure.device[order].tolist(),
-                   structure.kind_index[order].tolist(),
-                   start_np[order].tolist(), finish_np[order].tolist())]
+            for task_id, device, stream, kind, label, task_start, task_finish
+            in zip(structure.task_id.tolist(), structure.device.tolist(),
+                   structure.stream, structure.kind_index.tolist(),
+                   structure.label, start, finish_np.tolist())]
 
     source = structure.metadata if metadata is None else metadata
     return SimulationResult(iteration_time=makespan, num_tasks=num_tasks,
                             device_timeline=timeline,
-                            device_busy=DeviceBusy(structure.fifo,
-                                                   durations_np),
+                            device_busy=DeviceBusy(structure, durations_np),
                             events=events, metadata=dict(source))
 
 
@@ -255,10 +247,6 @@ class BatchSimulationResult:
         """Per-column makespans as plain floats."""
         return self.makespans.tolist()
 
-    def device_busy(self, column: int) -> dict[int, dict[str, float]]:
-        """Busy accounting of one column (scalar engine's dict layout)."""
-        return self._structure.fifo.busy(self._durations[:, column])
-
     def column(self, column: int, *,
                metadata: dict | None = None) -> SimulationResult:
         """Materialize one column as a full :class:`SimulationResult`.
@@ -273,7 +261,7 @@ class BatchSimulationResult:
             device_timeline=dict(enumerate(
                 self.device_timeline[:, column].tolist())),
             device_busy=DeviceBusy(
-                self._structure.fifo,
+                self._structure,
                 np.ascontiguousarray(self._durations[:, column])),
             events=None,
             metadata=dict(source))

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.graph.structure import (KIND_COMPUTE, KIND_DP_COMM, KIND_PP_COMM,
                                    KIND_TP_COMM, KIND_WEIGHT_UPDATE,
-                                   FifoOrder)
+                                   GraphStructure)
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -37,22 +37,25 @@ class DeviceBusy(Mapping[int, dict[str, float]]):
     """Per-device, per-kind busy seconds of one replay, computed on
     first read.
 
-    The sums follow Algorithm 1's pop order, which only they and
-    recorded timelines need, so a replay leaves them to the first read
-    (:class:`~repro.graph.structure.FifoOrder`). Reads see the same
-    values and the same dict layout as the reference engine's busy dict,
-    and it compares equal to any mapping holding them.
+    The sums are one ``np.bincount`` over the structure's busy buckets,
+    added in position order, and each device's dict lists its kinds as
+    they first appear in position order (the structure's
+    ``device_kind_order``). A replay leaves them to the first read,
+    since most predictions never read them. It compares equal to any
+    mapping holding the same dicts.
 
-    Until that read, it holds the replay's duration vector and the
-    structure's :class:`~repro.graph.structure.FifoOrder`, whose arrays
-    (CSR adjacency, task ids and busy buckets) stay alive with it, but
-    not the structure. Once read, it holds only the dict.
+    Until that read, it holds the structure's busy buckets, layout and
+    kinds and the replay's own duration vector, never the structure.
+    Once read, it holds only the dict.
     """
 
     __slots__ = ("_source", "_busy")
 
-    def __init__(self, fifo: FifoOrder, durations: np.ndarray) -> None:
-        self._source: tuple[FifoOrder, np.ndarray] | None = (fifo, durations)
+    def __init__(self, structure: GraphStructure,
+                 durations: np.ndarray) -> None:
+        self._source: tuple | None = (
+            structure.busy_index, structure.device_kind_order,
+            structure.kinds, durations)
         self._busy: dict[int, dict[str, float]] | None = None
 
     def _dict(self) -> dict[int, dict[str, float]]:
@@ -63,8 +66,15 @@ class DeviceBusy(Mapping[int, dict[str, float]]):
             source = self._source
             if source is None:
                 return self._busy
-            fifo, durations = source
-            busy = self._busy = fifo.busy(durations)
+            busy_index, kind_order, kinds, durations = source
+            num_kinds = len(kinds)
+            busy_flat = np.bincount(
+                busy_index, weights=durations,
+                minlength=len(kind_order) * num_kinds).tolist()
+            busy = self._busy = {
+                device: {kinds[kind]: busy_flat[device * num_kinds + kind]
+                         for kind in device_kinds}
+                for device, device_kinds in enumerate(kind_order)}
             self._source = None
         return busy
 
@@ -89,14 +99,15 @@ class SimulationResult:
         iteration_time: Predicted single-iteration training time (s).
         num_tasks: Tasks executed.
         device_timeline: Final per-device clock (Algorithm 1's ``T``).
-        device_busy: Per-device, per-kind busy seconds. The engines
-            return a :class:`DeviceBusy`, computed on first read: until
-            then it keeps the replay's duration vector and its
-            structure's FIFO arrays alive (8.5 MB for MT-NLG (8, 8, 35)
-            at OPERATOR granularity, measured after the structure's
-            eviction), never the structure.
-        events: Recorded timeline in Algorithm 1's pop order (None
-            unless requested).
+        device_busy: Per-device, per-kind busy seconds, summed in
+            position order. The engines return a :class:`DeviceBusy`,
+            computed on first read: until then it keeps the replay's
+            duration vector and its structure's busy buckets alive
+            (3.4 MB for MT-NLG (8, 8, 35) at OPERATOR granularity,
+            measured after the structure's eviction), never the
+            structure.
+        events: Recorded timeline, one event per task in position order
+            (None unless requested).
         metadata: Graph metadata (plan, granularity, ...).
     """
 

@@ -17,8 +17,10 @@ to:
   through a :class:`GraphAssembler`, from the same emitter's chunk
   bodies (``tests/test_graph_tiling.py`` holds ``compile()`` to it);
 * :func:`simulate_reference` — Algorithm 1 verbatim, the executable
-  specification; :func:`simulate` — compile (memoized on the graph) and
-  replay on the scalar engine;
+  specification; :func:`position_order_busy` — its busy accounting run
+  in a structure's position order, as the compiled engines add it;
+  :func:`simulate` — compile (memoized on the graph) and replay on the
+  scalar engine;
 * :func:`critical_path_length`, :func:`chain_levels` and
   :func:`stream_serialisation_check` — checks on a graph, its chains and
   its recorded timeline.
@@ -603,9 +605,11 @@ def simulate_reference(graph: ExecutionGraph, *,
     """Reference Algorithm-1 implementation (per-task Python loop).
 
     The executable specification: the compiled engines must be
-    bit-identical to this on makespan, per-device timelines, busy
-    accounting, and recorded event order (property-tested in
-    ``tests/test_sim_equivalence.py``).
+    bit-identical to this on makespan, per-device timelines, and every
+    task's recorded event (property-tested in
+    ``tests/test_sim_equivalence.py``). They add busy sums and list
+    events in position order, not in this loop's pop order:
+    :func:`position_order_busy` holds their busy accounting.
     """
     nodes = graph.nodes
     num_tasks = len(nodes)
@@ -658,6 +662,22 @@ def simulate_reference(graph: ExecutionGraph, *,
     return SimulationResult(iteration_time=makespan, num_tasks=num_tasks,
                             device_timeline=timeline, device_busy=busy,
                             events=events, metadata=dict(graph.metadata))
+
+
+def position_order_busy(graph: ExecutionGraph, structure: GraphStructure
+                        ) -> dict[int, dict[str, float]]:
+    """:func:`simulate_reference`'s busy accounting, run over
+    ``structure.task_id`` (its replay positions) instead of Algorithm
+    1's pop order: the sums and dict layout the compiled engines must
+    match ``==``. Durations are read from the graph's nodes."""
+    nodes = graph.nodes
+    busy: dict[int, dict[str, float]] = {
+        device: {} for device in range(graph.num_devices)}
+    for task_id in structure.task_id.tolist():
+        node = nodes[task_id]
+        device_busy = busy.setdefault(node.device, {})
+        device_busy[node.kind] = device_busy.get(node.kind, 0.0) + node.duration
+    return busy
 
 
 def critical_path_length(graph: ExecutionGraph) -> float:

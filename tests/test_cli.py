@@ -104,9 +104,11 @@ class TestPredict:
     def test_predict_preset_writes_schema_valid_trace(self, tmp_path, capsys,
                                                       restore_obs):
         trace_path = tmp_path / "trace.json"
+        was_enabled = obs.enabled()
         assert main(["predict", "--preset", "megatron-1.7b",
                      "--granularity", "stage",
                      "--trace", str(trace_path)]) == 0
+        assert obs.enabled() == was_enabled
         out = capsys.readouterr().out
         assert "iteration time" in out
         assert "trace" in out
@@ -219,7 +221,9 @@ class TestDse:
     def test_dse_metrics_round_trips_through_stats(self, tmp_path, capsys,
                                                    restore_obs):
         snapshot = tmp_path / "metrics.json"
+        was_enabled = obs.enabled()
         assert main(self.ARGS + ["--metrics", str(snapshot)]) == 0
+        assert obs.enabled() == was_enabled
         out = capsys.readouterr().out
         assert "observability snapshot" in out
         assert "saved metrics" in out

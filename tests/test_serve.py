@@ -24,6 +24,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -387,8 +388,12 @@ class TestLifecycle:
         ("--batch-window-ms", "nan"),
     ])
     def test_serve_cli_rejects_them_at_startup(self, capsys, flag, value):
+        """Rejected before anything starts, and the caller's
+        observability switch is left as it was."""
+        was_enabled = obs.enabled()
         assert main(["serve", "--port", "0", flag, value]) == 1
         assert "error:" in capsys.readouterr().err
+        assert obs.enabled() == was_enabled
 
     def test_stdio_transport_is_gone(self, capsys):
         """The daemon serves TCP only: ``--stdio`` is an unknown
@@ -664,6 +669,15 @@ class TestDaemon:
             with pytest.raises(RemoteError) as excinfo:
                 client.predict(description=bad.to_dict())
         assert excinfo.value.code == protocol.INFEASIBLE
+
+    def test_stop_returns_within_one_short_poll(self, service):
+        """An idle daemon stops without waiting out socketserver's
+        0.5 s default poll interval."""
+        server = ServeDaemon(service, port=0)
+        server.start()
+        began = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - began < 0.25
 
     def test_shutdown_stops_the_daemon(self, service):
         server = ServeDaemon(service, port=0)

@@ -5,7 +5,9 @@ from graph_oracle import (ExecutionGraph, GraphAssembler, build_graph,
                           critical_path_length, simulate,
                           stream_serialisation_check)
 
+from repro.config.parallelism import PipelineSchedule
 from repro.errors import SimulationError
+from repro.graph.builder import Granularity
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
                                    KIND_COMPUTE, KIND_DP_COMM)
 from repro.sim.engine import compute_idle_fraction
@@ -121,12 +123,26 @@ class TestInvariants:
         assert critical_path_length(graph) <= simulate(
             graph).iteration_time + 1e-12
 
-    def test_stream_serialisation_holds(self, tiny_model, training):
+    #: One plan per pipeline schedule on the tiny model's 4 layers
+    #: (interleaving needs pipeline x virtual stages to divide them).
+    SCHEDULES = {
+        "1f1b": dict(pipeline=4),
+        "gpipe": dict(pipeline=4, schedule=PipelineSchedule.GPIPE),
+        "interleaved": dict(pipeline=2, virtual_stages=2),
+    }
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_stream_serialisation_holds(self, granularity, schedule,
+                                        tiny_model, training):
+        """No two compute-stream tasks of one device overlap, at every
+        granularity and under every pipeline schedule: the premise that
+        lets a device's compute busy sum stand for its busy time."""
         from repro.config.parallelism import ParallelismConfig
         from repro.sim.estimator import VTrain
         from repro.config.system import single_node
-        vtrain = VTrain(single_node())
-        plan = ParallelismConfig(tensor=1, data=2, pipeline=4)
+        vtrain = VTrain(single_node(), granularity=granularity)
+        plan = ParallelismConfig(tensor=1, data=2, **self.SCHEDULES[schedule])
         graph = build_graph(vtrain, tiny_model, plan, training)
         result = simulate(graph, record_timeline=True)
         assert stream_serialisation_check(graph, result)

@@ -3,12 +3,15 @@ reference Algorithm-1 loop.
 
 The compiled engine (precompiled replay order + flat arrays,
 :func:`repro.sim.engine.simulate_retimed`) must reproduce
-``graph_oracle.simulate_reference`` *exactly* — same makespan
-bits, same per-device timelines, same busy accounting (values and dict
-insertion order), same recorded events in the same order — on arbitrary
-DAGs, not just builder-shaped ones. These tests drive both engines over
-randomized graphs (seeded generators plus hypothesis) and over real
-builder output at every granularity.
+``graph_oracle.simulate_reference`` *exactly* — same makespan bits,
+same per-device timelines, the same recorded event for every task — on
+arbitrary DAGs, not just builder-shaped ones. Busy sums are added and
+events listed in position order, not in Algorithm 1's pop order, so
+busy accounting (values and dict insertion order) is held ``==`` to
+``graph_oracle.position_order_busy`` and event order to
+``structure.task_id``. These tests drive both engines over randomized
+graphs (seeded generators plus hypothesis) and over real builder output
+at every granularity.
 """
 
 import random
@@ -17,7 +20,8 @@ import threading
 
 import pytest
 from graph_oracle import (GraphAssembler, build_graph, chain_levels,
-                          compile_graph, simulate, simulate_reference)
+                          compile_graph, position_order_busy, simulate,
+                          simulate_reference)
 from hypothesis import given, strategies as st
 
 from repro.config.parallelism import ParallelismConfig, PipelineSchedule
@@ -50,20 +54,26 @@ def random_graph(seed: int):
 
 
 def assert_bit_identical(graph):
-    """Both engines, timeline recorded, every field compared exactly."""
+    """Both engines, timeline recorded, every field compared exactly:
+    starts and finishes to the reference loop, busy accounting to the
+    position-order oracle."""
     reference = simulate_reference(graph, record_timeline=True)
     compiled = simulate(graph, record_timeline=True)
+    structure = graph.compiled()
     assert compiled.iteration_time == reference.iteration_time
     assert compiled.num_tasks == reference.num_tasks
     assert compiled.device_timeline == reference.device_timeline
     assert list(compiled.device_timeline) == list(reference.device_timeline)
-    assert compiled.device_busy == reference.device_busy
-    for device in reference.device_busy:
+    expected_busy = position_order_busy(graph, structure)
+    assert compiled.device_busy == expected_busy
+    for device in expected_busy:
         assert list(compiled.device_busy[device]) == \
-            list(reference.device_busy[device])
-    assert compiled.events == reference.events
+            list(expected_busy[device])
     assert [event.task_id for event in compiled.events] == \
-        [event.task_id for event in reference.events]
+        structure.task_id.tolist()
+    by_task = {event.task_id: event for event in reference.events}
+    assert compiled.events == [by_task[event.task_id]
+                               for event in compiled.events]
 
 
 def descendants(graph, task: int) -> list[int]:
@@ -181,20 +191,20 @@ class TestBuilderGraphs:
 class TestConcurrentFirstReads:
     def test_racing_busy_reads_see_the_reference(self, tiny_model,
                                                  training):
-        """Threads racing on a fresh structure's first FIFO pass and on
-        one result's first busy read all see the reference engine's busy
-        dict, values and layout (the daemon shares cached structures)."""
+        """Threads racing on one result's first busy read all see the
+        position-order oracle's busy dict, values and layout (the daemon
+        shares cached structures)."""
         vtrain = VTrain(single_node())
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
         graph = build_graph(vtrain, tiny_model, plan, training)
-        expected = simulate_reference(graph).device_busy
+        structure = compile_graph(graph)
+        expected = position_order_busy(graph, structure)
         layout = {device: list(kinds) for device, kinds in expected.items()}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(60):
-                structure = compile_graph(graph)
                 results = [simulate_retimed(structure) for _ in range(2)]
                 seen = []
                 barrier = threading.Barrier(8)
@@ -221,7 +231,8 @@ class TestConcurrentFirstReads:
 class TestRetime:
     def test_scaled_durations_match_scaled_graph(self, tiny_model, training):
         """Replaying a structure with 2x durations equals the reference
-        engine on a graph whose node durations were doubled."""
+        engine (busy sums: the position-order oracle) on a graph whose
+        node durations were doubled."""
         vtrain = VTrain(single_node())
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
@@ -233,7 +244,7 @@ class TestRetime:
         reference = simulate_reference(graph)
         assert retimed.iteration_time == reference.iteration_time
         assert retimed.device_timeline == reference.device_timeline
-        assert retimed.device_busy == reference.device_busy
+        assert retimed.device_busy == position_order_busy(graph, structure)
 
     def test_fill_durations_matches_build(self, tiny_model, training):
         """The slot-broadcast refill reproduces build-time durations."""

@@ -4,12 +4,10 @@ import pytest
 
 from repro.config.description import InputDescription
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.config.presets import MEGATRON_1_7B
 from repro.config.system import multi_node, single_node
 from repro.cost.pricing import PricingModel
 from repro.errors import ConfigError, InfeasibleConfigError
-from repro.graph import structure as structure_module
-from repro.graph.builder import Granularity, clear_structure_cache
+from repro.graph.builder import Granularity
 from repro.hardware.gpu import H100_80GB
 from repro.network.model import TopologyAwareNcclModel
 from repro.sim.estimator import (VTrain, cost_for_utilization,
@@ -70,63 +68,6 @@ class TestPredict:
             tiny_model, ParallelismConfig(tensor=1, data=8, pipeline=1),
             training)
         assert fast.iteration_time < slow.iteration_time
-
-
-def count_fifo_passes(monkeypatch) -> list[int]:
-    """Record the task count of every task-level FIFO pass."""
-    calls: list[int] = []
-    original = structure_module._replay_order
-
-    def counted(child_ptr, *args):
-        calls.append(child_ptr.size - 1)
-        return original(child_ptr, *args)
-
-    monkeypatch.setattr(structure_module, "_replay_order", counted)
-    return calls
-
-
-class TestFifoOrderOnDemand:
-    """A cold predict runs Algorithm 1's per-task FIFO pass only for
-    the outputs that follow its order: busy accounting and recorded
-    timelines. Either one runs it once per structure."""
-
-    #: Megatron 1.7B on 2 nodes at OPERATOR granularity: the narrow plan
-    #: replays on the scalar loop, the wide one as one batched column.
-    PLANS = {
-        "scalar": ParallelismConfig(tensor=1, data=2, pipeline=8,
-                                    micro_batch_size=1),
-        "batched": ParallelismConfig(tensor=2, data=4, pipeline=2,
-                                     micro_batch_size=1),
-    }
-
-    def cold_start(self, case, monkeypatch):
-        clear_structure_cache()
-        vtrain = VTrain(multi_node(2), granularity=Granularity.OPERATOR)
-        inputs = (MEGATRON_1_7B, self.PLANS[case],
-                  TrainingConfig(global_batch_size=64))
-        return vtrain, inputs, count_fifo_passes(monkeypatch)
-
-    @pytest.mark.parametrize("case", sorted(PLANS))
-    def test_first_busy_read_runs_it_once(self, case, monkeypatch):
-        vtrain, inputs, calls = self.cold_start(case, monkeypatch)
-        cold = vtrain.predict(*inputs).simulation
-        warm = vtrain.predict(*inputs).simulation
-        assert vtrain.structure_cache_misses == 1
-        assert calls == []
-        assert cold.breakdown() == warm.breakdown()
-        assert calls == [cold.num_tasks]
-        vtrain.predict(*inputs, record_timeline=True)
-        assert calls == [cold.num_tasks]
-
-    @pytest.mark.parametrize("case", sorted(PLANS))
-    def test_recorded_timeline_runs_it_once(self, case, monkeypatch):
-        vtrain, inputs, calls = self.cold_start(case, monkeypatch)
-        recorded = vtrain.predict(*inputs, record_timeline=True).simulation
-        assert calls == [recorded.num_tasks]
-        assert len(recorded.events) == recorded.num_tasks
-        assert recorded.breakdown() == vtrain.predict(
-            *inputs).simulation.breakdown()
-        assert calls == [recorded.num_tasks]
 
 
 class TestGranularities:

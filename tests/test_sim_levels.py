@@ -170,8 +170,8 @@ class TestLevelPlan:
     @pytest.mark.parametrize("read", [False, True])
     def test_results_keep_no_structure_alive(self, batched, read):
         """Results of either engine never keep their structure: an
-        unread busy dict keeps only the FIFO view's arrays, and a read
-        one nothing."""
+        unread busy dict keeps only the structure's busy buckets and
+        layout with its own durations, and a read one nothing."""
         structure = independent_tasks(8)
         expected = [{0: {ALL_KINDS[0]: 8.0}}] * 2
         if batched:
@@ -183,14 +183,11 @@ class TestLevelPlan:
         if read:
             assert [dict(result.device_busy) for result in results] == expected
         collected = weakref.ref(structure)
-        fifo = weakref.ref(structure.fifo)
         gc.disable()
         try:
             del structure
             assert collected() is None
-            assert (fifo() is None) == read
             assert [result.device_busy for result in results] == expected
-            assert fifo() is None
         finally:
             gc.enable()
 
