@@ -39,7 +39,14 @@ ids index that layout, so plans with equal keys share one compiled
 structure by construction. The :class:`GraphBuilder` adds what only its
 own model, plan, system and profiles determine: one duration vector
 over the layout, computed once per stage role rather than per stage.
-Refilling a cached structure is one gather through its slot ids.
+It probes each duration by signature — the profile table for the
+computation operators, the NCCL model's cost memo for the collectives —
+with keys formed from raw numbers by the operator classes' key
+functions (``comp_signature``, ``comm_signature``). Operator objects
+exist only for a first sighting, which is validated, profiled or costed
+and stored, and for a KERNEL key, whose kernel names come from
+profiling its computation operators. Refilling a cached structure is
+one gather through its slot ids.
 
 **Template tiling.** A pipeline repeats a handful of chunk bodies
 thousands of times (MT-NLG: 35 stages x 480 units). The emitter defines
@@ -67,12 +74,14 @@ import numpy as np
 from repro import obs
 from repro.config.model import ModelConfig
 from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
-                                      TrainingConfig, layers_per_stage,
-                                      num_micro_batches, validate_plan)
+                                      RecomputeMode, TrainingConfig,
+                                      layers_per_stage, num_micro_batches,
+                                      validate_plan)
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError, SimulationError
-from repro.graph.operators import (CompOperator, OpKind, data_allreduce,
-                                   pipeline_send_recv, tensor_allreduce)
+from repro.graph.operators import (CommKind, CommOperator, CommScope,
+                                   CompOperator, OpKind, activation_bytes,
+                                   comm_signature, comp_signature)
 from repro.graph.pipeline import (FORWARD, ScheduledChunk,
                                   last_backward_micro_batch, schedule_order)
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
@@ -116,6 +125,9 @@ class Granularity(enum.Enum):
 
 _STRUCTURE_CACHE: "OrderedDict[str, GraphStructure]" = OrderedDict()
 _STRUCTURE_CACHE_LOCK = threading.RLock()
+#: Summed ``num_tasks`` of the cached structures, kept up to date by every
+#: change to the cache (under the lock), so a put sums nothing.
+_cached_tasks = 0
 
 # Hit/miss/eviction accounting lives on the process-wide obs registry
 # (single source of truth for `repro stats`); structure_cache_stats()
@@ -164,21 +176,28 @@ def structure_cache_get(key: str) -> GraphStructure | None:
 def structure_cache_put(key: str, structure: GraphStructure) -> None:
     """Insert a structure, LRU-evicting down to the task budget (a
     malformed budget raises ConfigError before the cache changes)."""
+    global _cached_tasks
     budget = _structure_cache_budget()
     with _STRUCTURE_CACHE_LOCK:
+        replaced = _STRUCTURE_CACHE.get(key)
+        if replaced is not None:
+            _cached_tasks -= replaced.num_tasks
         _STRUCTURE_CACHE[key] = structure
         _STRUCTURE_CACHE.move_to_end(key)
-        total = sum(entry.num_tasks for entry in _STRUCTURE_CACHE.values())
-        while total > budget and len(_STRUCTURE_CACHE) > 1:
+        _cached_tasks += structure.num_tasks
+        while _cached_tasks > budget and len(_STRUCTURE_CACHE) > 1:
             _, evicted = _STRUCTURE_CACHE.popitem(last=False)
-            total -= evicted.num_tasks
+            _cached_tasks -= evicted.num_tasks
             _CACHE_EVICTIONS.increment()
 
 
 def structure_cache_evict(key: str) -> None:
     """Drop one entry (defensive fallback when a refill mismatches)."""
+    global _cached_tasks
     with _STRUCTURE_CACHE_LOCK:
-        _STRUCTURE_CACHE.pop(key, None)
+        dropped = _STRUCTURE_CACHE.pop(key, None)
+        if dropped is not None:
+            _cached_tasks -= dropped.num_tasks
 
 
 def structure_cache_stats() -> dict[str, int]:
@@ -189,14 +208,15 @@ def structure_cache_stats() -> dict[str, int]:
                 "misses": _CACHE_MISSES.value,
                 "evictions": _CACHE_EVICTIONS.value,
                 "entries": len(_STRUCTURE_CACHE),
-                "cached_tasks": sum(entry.num_tasks
-                                    for entry in _STRUCTURE_CACHE.values())}
+                "cached_tasks": _cached_tasks}
 
 
 def clear_structure_cache() -> None:
     """Empty the cache and reset its counters (tests, benchmarks)."""
+    global _cached_tasks
     with _STRUCTURE_CACHE_LOCK:
         _STRUCTURE_CACHE.clear()
+        _cached_tasks = 0
         for counter in (_CACHE_HITS, _CACHE_MISSES, _CACHE_EVICTIONS):
             counter.reset()
 
@@ -295,28 +315,8 @@ class StructureKey:
                    phase=phase)
 
     def __str__(self) -> str:
-        training = self.phase is None
-        parts = [f"g={self.granularity.value}"]
-        if training:
-            parts.append(f"sched={self.schedule.value}")
-        parts += [f"p={self.pipeline}", f"lps={self.layers_per_stage}",
-                  f"nmb={self.micro_batches}",
-                  f"tp={int(self.tensor_parallel)}"]
-        if training:
-            parts.append(f"dp={int(self.data_parallel)}")
-            parts.append("buckets=" + ",".join(str(size) for size
-                                               in self.bucket_sizes))
-        # Optional parts are omitted at their defaults, so v=1 training
-        # keys read as they did before interleaving and inference.
-        if self.virtual_stages > 1:
-            parts.append(f"v={self.virtual_stages}")
-        if self.kernels:
-            digest = hashlib.sha256(json.dumps(self.kernels).encode())
-            parts.append(f"kernels={digest.hexdigest()[:16]}")
-        if not training:
-            parts.append("wl=inference")
-            parts.append(f"ph={self.phase}")
-        return ";".join(parts)
+        """The key as text (memoized per key, as :meth:`slot_layout`)."""
+        return _key_text(self)
 
     def bucket_layers(self) -> list[range]:
         """Local layers of each gradient bucket: a contiguous partition,
@@ -326,7 +326,7 @@ class StructureKey:
         return [range(end - size, end)
                 for size, end in zip(self.bucket_sizes, ends)]
 
-    def bucket_segments(self, chunk: int) -> list[tuple[int, int]]:
+    def bucket_segments(self, chunk: int) -> tuple[tuple[int, int], ...]:
         """``(bucket, layer-count)`` segments of one chunk's final
         backward, deepest layers first (the order backward visits them).
 
@@ -334,16 +334,10 @@ class StructureKey:
         virtual pipelining a bucket can span chunk boundaries, so each
         chunk's last-micro-batch backward is split at the bucket
         intersections that fall inside its layer slice. With ``v == 1``
-        the single chunk yields every bucket at full width.
+        the single chunk yields every bucket at full width. Memoized per
+        key, as :meth:`slot_layout`.
         """
-        lpc = self.layers_per_stage // self.virtual_stages
-        lo, hi = chunk * lpc, (chunk + 1) * lpc
-        segments: list[tuple[int, int]] = []
-        for bucket, layers in reversed(list(enumerate(self.bucket_layers()))):
-            width = len(range(max(lo, layers.start), min(hi, layers.stop)))
-            if width:
-                segments.append((bucket, width))
-        return segments
+        return _chunk_segments(self)[chunk]
 
     def stage_slot(self, tag: str, stage: int, chunk: int,
                    bucket: int | None = None) -> str:
@@ -376,6 +370,54 @@ class StructureKey:
 _COMPUTE_OPS = (OpKind.FWD_EMBEDDING, OpKind.FWD_MHA, OpKind.FWD_FFN,
                 OpKind.FWD_LM_HEAD, OpKind.BWD_LM_HEAD, OpKind.BWD_FFN,
                 OpKind.BWD_MHA, OpKind.BWD_EMBEDDING)
+
+
+# A key's text, bucket segments and slot layout are each memoized on
+# their own: a key's text exists even where its layout does not (a KERNEL
+# key naming the kernels of only some operators).
+@functools.lru_cache(maxsize=1024)
+def _key_text(key: StructureKey) -> str:
+    """``str(key)``, shared by equal keys."""
+    training = key.phase is None
+    parts = [f"g={key.granularity.value}"]
+    if training:
+        parts.append(f"sched={key.schedule.value}")
+    parts += [f"p={key.pipeline}", f"lps={key.layers_per_stage}",
+              f"nmb={key.micro_batches}", f"tp={int(key.tensor_parallel)}"]
+    if training:
+        parts.append(f"dp={int(key.data_parallel)}")
+        parts.append("buckets=" + ",".join(str(size) for size
+                                           in key.bucket_sizes))
+    # Optional parts are omitted at their defaults, so v=1 training keys
+    # read as they did before interleaving and inference.
+    if key.virtual_stages > 1:
+        parts.append(f"v={key.virtual_stages}")
+    if key.kernels:
+        digest = hashlib.sha256(json.dumps(key.kernels).encode())
+        parts.append(f"kernels={digest.hexdigest()[:16]}")
+    if not training:
+        parts.append("wl=inference")
+        parts.append(f"ph={key.phase}")
+    return ";".join(parts)
+
+
+@functools.lru_cache(maxsize=1024)
+def _chunk_segments(key: StructureKey,
+                    ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every chunk's :meth:`StructureKey.bucket_segments`, shared by
+    equal keys."""
+    lpc = key.layers_per_stage // key.virtual_stages
+    deepest_first = list(reversed(list(enumerate(key.bucket_layers()))))
+    chunks = []
+    for chunk in range(key.virtual_stages):
+        lo, hi = chunk * lpc, (chunk + 1) * lpc
+        segments = []
+        for bucket, layers in deepest_first:
+            width = len(range(max(lo, layers.start), min(hi, layers.stop)))
+            if width:
+                segments.append((bucket, width))
+        chunks.append(tuple(segments))
+    return tuple(chunks)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -912,16 +954,19 @@ class GraphBuilder:
 
         self.topology = ClusterTopology(system, plan)
         self.vocab = model.padded_vocab_size(plan.tensor)
-        self._init_operators()
-        kernels = None
+        comp_args = self._comp_args()
+        kernels = names = None
         if granularity is Granularity.KERNEL:
             # KERNEL labels end in kernel names, so KERNEL keys hold
-            # them; the timing table profiles these operators anyway.
-            kernels = {op.kind.value: [k.name for k in lookup.tasks_for(op)]
-                       for op in self._comp_ops}
+            # them: the computation operators are built and profiled,
+            # and their kernels time the KERNEL slots too.
+            kernels = {args[0].value: lookup.tasks_for(CompOperator(*args))
+                       for args in comp_args}
+            names = {kind: [kernel.name for kernel in tasks]
+                     for kind, tasks in kernels.items()}
         self.key = StructureKey.of(model, plan, training, granularity,
                                    workload=workload, phase=phase,
-                                   kernels=kernels)
+                                   kernels=names)
         self.nmb = self.key.micro_batches
         self.lps = self.key.layers_per_stage
         # Virtual pipelining: v model chunks of lpc layers per stage
@@ -929,14 +974,22 @@ class GraphBuilder:
         self.v = self.key.virtual_stages
         self.lpc = self.lps // self.v
         self.bucket_layers = self.key.bucket_layers()
-        self.tp_ar_time = self._tensor_allreduce_time()
-        self.slot_durations = self._slot_durations()
+        # The payload of a TP All-Reduce and of a pipeline hop.
+        self._activation = activation_bytes(plan.micro_batch_size, self._seq,
+                                            model.hidden_size)
+        self.tp_ar_time = 0.0
+        if plan.tensor > 1:
+            self.tp_ar_time = self._comm_time(
+                CommKind.ALL_REDUCE, CommScope.TENSOR, self._activation,
+                plan.tensor, self.topology.tensor_link())
+        self.slot_durations = self._slot_durations(comp_args, kernels)
 
     # ------------------------------------------------------------------
-    # Precomputation
+    # Timing tables
     # ------------------------------------------------------------------
-    def _init_operators(self) -> None:
-        """Instantiate the necessary operators (one per signature).
+    def _comp_args(self) -> list[tuple]:
+        """:class:`CompOperator` arguments, in field order, of each
+        computation operator in slot-layout order (``_COMPUTE_OPS``).
 
         Operators take the *phase* sequence length (== the model's
         seq_length for training), and the forward MHA carries the
@@ -944,80 +997,78 @@ class GraphBuilder:
         training workload.
         """
         model, plan = self.model, self.plan
-        common = dict(micro_batch=plan.micro_batch_size,
-                      seq_length=self._seq,
-                      hidden_size=model.hidden_size,
-                      num_heads=model.num_heads,
-                      tensor_parallel=plan.tensor)
-        self.op_fwd_mha = CompOperator(OpKind.FWD_MHA, kv_length=self._kv,
-                                       **common)
-        self.op_fwd_ffn = CompOperator(OpKind.FWD_FFN, **common)
-        self.op_fwd_embed = CompOperator(OpKind.FWD_EMBEDDING,
-                                         vocab_size=self.vocab, **common)
-        self.op_fwd_head = CompOperator(OpKind.FWD_LM_HEAD,
-                                        vocab_size=self.vocab, **common)
-        forward = (self.op_fwd_embed, self.op_fwd_mha, self.op_fwd_ffn,
-                   self.op_fwd_head)
+        shape = (plan.micro_batch_size, self._seq, model.hidden_size,
+                 model.num_heads, plan.tensor)
+        vocab, plain = self.vocab, RecomputeMode.NONE
+        forward = [(OpKind.FWD_EMBEDDING, *shape, vocab, plain),
+                   (OpKind.FWD_MHA, *shape, 0, plain, 0, self._kv),
+                   (OpKind.FWD_FFN, *shape),
+                   (OpKind.FWD_LM_HEAD, *shape, vocab, plain)]
         if self.phase is not None:
-            # Inference phases are forward-only: no backward, optimizer,
-            # or gradient-sync slots exist in their layout at all.
-            self.op_bwd_mha = None
-            self.op_bwd_ffn = None
-            self.op_bwd_embed = None
-            self.op_bwd_head = None
-            self._comp_ops = forward
-            return
-        self.op_bwd_mha = CompOperator(OpKind.BWD_MHA, recompute=plan.recompute,
-                                       **common)
-        self.op_bwd_ffn = CompOperator(OpKind.BWD_FFN, recompute=plan.recompute,
-                                       **common)
-        self.op_bwd_embed = CompOperator(OpKind.BWD_EMBEDDING,
-                                         vocab_size=self.vocab, **common)
-        self.op_bwd_head = CompOperator(OpKind.BWD_LM_HEAD,
-                                        vocab_size=self.vocab, **common)
-        self._comp_ops = forward + (self.op_bwd_head, self.op_bwd_ffn,
-                                    self.op_bwd_mha, self.op_bwd_embed)
+            return forward
+        recompute = plan.recompute
+        return forward + [(OpKind.BWD_LM_HEAD, *shape, vocab, plain),
+                          (OpKind.BWD_FFN, *shape, 0, recompute),
+                          (OpKind.BWD_MHA, *shape, 0, recompute),
+                          (OpKind.BWD_EMBEDDING, *shape, vocab, plain)]
 
-    def _tensor_allreduce_time(self) -> float:
-        """Latency of one TP All-Reduce (0.0 without tensor parallelism)."""
-        plan = self.plan
-        if plan.tensor == 1:
-            return 0.0
-        return self.nccl.time(tensor_allreduce(
-            plan.micro_batch_size, self._seq, self.model.hidden_size,
-            plan.tensor, self.topology.tensor_link()))
+    def _op_time(self, *args, **fields) -> float:
+        """Profiled duration of ``CompOperator(*args, **fields)``, read
+        from the profile table by signature. The operator is built —
+        validated, profiled and stored — only on its first sighting."""
+        duration = self.lookup.cached_duration(comp_signature(*args,
+                                                              **fields))
+        if duration is None:
+            duration = self.lookup.duration_of(CompOperator(*args, **fields))
+        return duration
 
-    def _slot_durations(self) -> np.ndarray:
+    def _comm_time(self, *args) -> float:
+        """Latency of ``CommOperator(*args)``, read from the NCCL
+        model's cost memo by signature. The operator is built and costed
+        only when the memo lacks it."""
+        cost = self.nccl.cached_time(comm_signature(*args))
+        if cost is None:
+            cost = self.nccl.time(CommOperator(*args))
+        return cost
+
+    def _slot_durations(self, comp_args: list[tuple],
+                        kernels: Mapping[str, Sequence] | None,
+                        ) -> np.ndarray:
         """The duration behind every slot of the key's
-        :meth:`~StructureKey.slot_layout`, as one float64 vector.
+        :meth:`~StructureKey.slot_layout`, as one float64 vector;
+        ``kernels`` maps each computation operator's kind to its
+        profiled kernels at KERNEL granularity.
 
         Per-stage slots differ only by stage role: the first stage holds
         the embedding, the last the LM head and final norm, and the
         stages between hold neither (a one-stage pipeline's stage holds
-        both). Each role's row is computed once and broadcast over its
+        both). Each role's row is computed once and repeated over its
         stages; each operator is looked up, and each distinct
         pipeline-hop link and DP payload costed, once. Every value keeps
         the float operations, in their order, of the per-slot reference
         table in ``tests/graph_oracle.py``, so the two agree bit for bit.
         """
-        plan, key, lookup = self.plan, self.key, self.lookup
+        plan, key = self.plan, self.key
         p = plan.pipeline
-        op_time = {op.kind: lookup.duration_of(op) for op in self._comp_ops}
+        granularity = self.granularity
+        op_time: list[float] = []
         shared: list[float] = []
-        if self.granularity is Granularity.OPERATOR:
-            shared += [op_time[op.kind] for op in self._comp_ops]
-        elif self.granularity is Granularity.KERNEL:
-            shared += [kernel.duration for op in self._comp_ops
-                       for kernel in lookup.tasks_for(op)]
-        if key.tensor_parallel and self.granularity is not Granularity.STAGE:
+        if kernels is not None:
+            shared += [kernel.duration for tasks in kernels.values()
+                       for kernel in tasks]
+        else:
+            op_time = [self._op_time(*args) for args in comp_args]
+            if granularity is Granularity.OPERATOR:
+                shared += op_time
+        if key.tensor_parallel and granularity is not Granularity.STAGE:
             shared.append(self.tp_ar_time)
         links = [self.topology.pipeline_hop_link(boundary)
                  for boundary in range(p - 1)]
         if self.v > 1:
             links.append(self.topology.pipeline_wrap_link())
-        hop_time = {link: self.nccl.time(pipeline_send_recv(
-                        plan.micro_batch_size, self._seq,
-                        self.model.hidden_size, link))
+        hop_time = {link: self._comm_time(CommKind.SEND_RECV,
+                                          CommScope.PIPELINE,
+                                          self._activation, 2, link)
                     for link in dict.fromkeys(links)}
         shared += [hop_time[link] for link in links]
 
@@ -1027,80 +1078,84 @@ class GraphBuilder:
             roles.append((False, False))
         if p > 1:
             roles.append((False, True))
-        segments = [key.bucket_segments(chunk) for chunk in range(self.v)]
-        rows = [self._stage_chunks(op_time, segments, embed, head)
-                for embed, head in roles]
+        if granularity is Granularity.STAGE:
+            segments = _chunk_segments(key)
+            rows = [self._stage_chunks(op_time, segments, embed, head)
+                    for embed, head in roles]
+        else:
+            rows = [[] for _ in roles]
         if self.phase is None:
             if key.data_parallel:
                 payloads = [self._bucket_bytes(embed, head)
                             for embed, head in roles]
                 link = self.topology.data_link()
                 groups = self.topology.concurrent_data_groups_per_node()
-                dp_time = {payload: self.nccl.time(data_allreduce(
-                               payload, plan.data, link,
-                               concurrent_groups=groups))
+                dp_time = {payload: self._comm_time(
+                               CommKind.ALL_REDUCE, CommScope.DATA, payload,
+                               plan.data, link, groups)
                            for payload in dict.fromkeys(
                                itertools.chain.from_iterable(payloads))}
                 for row, role_payloads in zip(rows, payloads):
                     row += [dp_time[payload] for payload in role_payloads]
             for row, (embed, head) in zip(rows, roles):
-                row.append(lookup.duration_of(
-                    self._weight_update(embed, head)))
-        stage_role = np.ones(p, dtype=np.intp)
-        stage_role[0] = 0
-        stage_role[-1] = len(roles) - 1
-        return np.concatenate((np.array(shared, dtype=np.float64),
-                               np.array(rows, dtype=np.float64)[
-                                   stage_role].ravel()))
+                row.append(self._op_time(
+                    OpKind.WEIGHT_UPDATE,
+                    num_params=self._update_params(embed, head)))
+        # Stage 0 takes the first role's row, the last stage the last
+        # role's, and the stages between the middle role's.
+        values = shared + rows[0]
+        if p > 1:
+            values += rows[1] * (p - 2) + rows[-1]
+        return np.array(values, dtype=np.float64)
 
-    def _stage_chunks(self, op_time: Mapping[OpKind, float],
-                      segments: list[list[tuple[int, int]]], embed: bool,
-                      head: bool) -> list[float]:
-        """STAGE chunk durations of a stage role, in slot-layout order
-        (empty at the other granularities); ``segments`` holds each
-        chunk's :meth:`StructureKey.bucket_segments`. A chunk fuses its
-        compute with its TP All-Reduces:
+    def _stage_chunks(self, op_time: Sequence[float],
+                      segments: Sequence[Sequence[tuple[int, int]]],
+                      embed: bool, head: bool) -> list[float]:
+        """STAGE chunk durations of a stage role, in slot-layout order;
+        ``op_time`` holds the computation operators' durations in
+        ``_COMPUTE_OPS`` order, and ``segments`` each chunk's
+        :meth:`StructureKey.bucket_segments`. A chunk fuses its compute
+        with its TP All-Reduces:
 
         * each chunk's forward;
         * each chunk's backward, with more than one micro-batch;
         * the last backward's bucket segments, chunk by chunk.
         """
-        if self.granularity is not Granularity.STAGE:
-            return []
         tp, lpc, last = self.tp_ar_time, self.lpc, self.v - 1
+        fwd_embed, fwd_mha, fwd_ffn, fwd_head = op_time[:4]
         row: list[float] = []
         for chunk in range(self.v):
-            dur = lpc * (op_time[OpKind.FWD_MHA] + op_time[OpKind.FWD_FFN]
-                         + 2 * tp)
+            dur = lpc * (fwd_mha + fwd_ffn + 2 * tp)
             if embed and chunk == 0:
-                dur += op_time[OpKind.FWD_EMBEDDING] + tp
+                dur += fwd_embed + tp
             if head and chunk == last:
-                dur += op_time[OpKind.FWD_LM_HEAD]
+                dur += fwd_head
             row.append(dur)
         if self.phase is not None:
             return row
+        bwd_head, bwd_ffn, bwd_mha, bwd_embed = op_time[4:]
         # One decoder layer's backward.
-        layer = op_time[OpKind.BWD_FFN] + op_time[OpKind.BWD_MHA] + 2 * tp
+        layer = bwd_ffn + bwd_mha + 2 * tp
         if self.nmb > 1:
             for chunk in range(self.v):
                 dur = lpc * layer
                 if head and chunk == last:
-                    dur += op_time[OpKind.BWD_LM_HEAD]
+                    dur += bwd_head
                 if embed and chunk == 0:
-                    dur += op_time[OpKind.BWD_EMBEDDING]
+                    dur += bwd_embed
                 row.append(dur)
         for chunk, chunk_segments in enumerate(segments):
             for index, (bucket, width) in enumerate(chunk_segments):
                 dur = width * layer
                 if index == 0 and head and chunk == last:
-                    dur += op_time[OpKind.BWD_LM_HEAD]
+                    dur += bwd_head
                 if bucket == 0 and embed and chunk == 0:
-                    dur += op_time[OpKind.BWD_EMBEDDING]
+                    dur += bwd_embed
                 row.append(dur)
         return row
 
-    def _weight_update(self, embed: bool, head: bool) -> CompOperator:
-        """The optimizer step over one GPU's parameters on a stage
+    def _update_params(self, embed: bool, head: bool) -> int:
+        """Parameters one GPU's optimizer step updates on a stage
         holding the embedding and/or the LM head (whose final norm it
         also holds)."""
         model, plan = self.model, self.plan
@@ -1109,7 +1164,7 @@ class GraphBuilder:
             params += model.embedding_params() // plan.tensor
         if head:
             params += 2 * model.hidden_size
-        return CompOperator(OpKind.WEIGHT_UPDATE, num_params=params)
+        return params
 
     def _bucket_bytes(self, embed: bool, head: bool) -> list[float]:
         """FP16 gradient payload of each bucket on a stage role."""
@@ -1148,7 +1203,8 @@ class GraphBuilder:
 
     def slot_kernel_counts(self) -> dict[str, int]:
         """Kernel count behind each timing slot, for *this* builder's
-        operators (launch-overhead accounting in the testbed emulator).
+        operators, built here on demand (launch-overhead accounting in
+        the testbed emulator).
 
         Slots absent from the map (comm tasks, per-kernel tasks,
         stage-granularity chunks) execute one kernel launch. Outside
@@ -1159,12 +1215,15 @@ class GraphBuilder:
         """
         counts: dict[str, int] = {}
         if self.granularity is Granularity.OPERATOR:
-            for op in self._comp_ops:
-                counts[f"op:{op.kind.value}"] = len(self.lookup.tasks_for(op))
+            for args in self._comp_args():
+                counts[f"op:{args[0].value}"] = len(
+                    self.lookup.tasks_for(CompOperator(*args)))
         if self.phase is None:
             last = self.plan.pipeline - 1
             for stage in range(self.plan.pipeline):
-                wu_op = self._weight_update(stage == 0, stage == last)
+                wu_op = CompOperator(OpKind.WEIGHT_UPDATE,
+                                     num_params=self._update_params(
+                                         stage == 0, stage == last))
                 counts[f"wu:{stage}"] = len(self.lookup.tasks_for(wu_op))
         return counts
 

@@ -105,17 +105,14 @@ class CompOperator:
     def signature(self) -> tuple:
         """Hashable profiling key — equal signature means equal kernels.
 
-        Computed once per instance: the builder looks each necessary
-        operator up several times per plan."""
-        base = (self.kind.value, self.micro_batch, self.seq_length,
-                self.hidden_size, self.num_heads, self.tensor_parallel,
-                self.vocab_size, self.recompute.value, self.num_params)
-        if self.kv_length:
-            # Appended only when set, so every pre-workload (training)
-            # signature — and therefore every profiling-table key —
-            # stays byte-identical.
-            return base + (self.kv_length,)
-        return base
+        :func:`comp_signature` over this operator's fields, computed
+        once per instance. The graph builder forms the same key from
+        raw numbers to probe the profile table without an instance."""
+        return comp_signature(self.kind, self.micro_batch, self.seq_length,
+                              self.hidden_size, self.num_heads,
+                              self.tensor_parallel, self.vocab_size,
+                              self.recompute, self.num_params,
+                              self.kv_length)
 
     @property
     def tokens(self) -> int:
@@ -131,6 +128,29 @@ class CompOperator:
     def is_backward(self) -> bool:
         """True for backward-pass operators."""
         return self.kind in BACKWARD_KINDS
+
+
+def comp_signature(kind: OpKind, micro_batch: int = 1, seq_length: int = 1,
+                   hidden_size: int = 1, num_heads: int = 1,
+                   tensor_parallel: int = 1, vocab_size: int = 0,
+                   recompute: RecomputeMode = RecomputeMode.NONE,
+                   num_params: int = 0, kv_length: int = 0) -> tuple:
+    """The :attr:`CompOperator.signature` of an operator with these
+    fields, taken in the dataclass's field order, without building it.
+
+    Every field enters the key: a field left out would let two shapes
+    share one profile. (Both key functions read enum members' values as
+    ``_value_``, which skips the ``value`` descriptor's Python-level
+    call, and a sweep forms thousands of keys.)
+    """
+    base = (kind._value_, micro_batch, seq_length, hidden_size, num_heads,
+            tensor_parallel, vocab_size, recompute._value_, num_params)
+    if kv_length:
+        # Appended only when set, so every pre-workload (training)
+        # signature — and therefore every profiling-table key — stays
+        # byte-identical.
+        return base + (kv_length,)
+    return base
 
 
 class CommKind(enum.Enum):
@@ -191,21 +211,44 @@ class CommOperator:
     def signature(self) -> tuple:
         """Hashable key for communication-latency caching (the key
         :meth:`repro.profiling.nccl.NcclModel.time` memoizes costs
-        under), computed once per instance."""
-        return (self.kind.value, self.scope.value, float(self.size_bytes),
-                self.group_size, self.link.value, self.concurrent_groups)
+        under): :func:`comm_signature` over this operator's fields,
+        computed once per instance."""
+        return comm_signature(self.kind, self.scope, self.size_bytes,
+                              self.group_size, self.link,
+                              self.concurrent_groups)
+
+
+def comm_signature(kind: CommKind, scope: CommScope, size_bytes: float,
+                   group_size: int, link: LinkType,
+                   concurrent_groups: int = 1) -> tuple:
+    """The :attr:`CommOperator.signature` of an operator with these
+    fields, taken in the dataclass's field order, without building it.
+
+    Every field enters the key: a field left out would let two
+    collectives share one cost.
+    """
+    return (kind._value_, scope._value_, float(size_bytes), group_size,
+            link._value_, concurrent_groups)
+
+
+def activation_bytes(micro_batch: int, seq_length: int,
+                     hidden_size: int) -> float:
+    """FP16 bytes of one block's output activation, ``b * s * h``
+    elements: the payload of a TP All-Reduce and a pipeline hop."""
+    return 2.0 * micro_batch * seq_length * hidden_size
 
 
 def tensor_allreduce(micro_batch: int, seq_length: int, hidden_size: int,
                      tensor_parallel: int, link: LinkType) -> CommOperator:
     """The All-Reduce following an MHA or FFN block under TP (Figure 6).
 
-    Payload is the block's FP16 output activation, ``b * s * h`` elements.
+    Payload is the block's FP16 output activation
+    (:func:`activation_bytes`).
     """
-    size = 2.0 * micro_batch * seq_length * hidden_size
     return CommOperator(kind=CommKind.ALL_REDUCE, scope=CommScope.TENSOR,
-                        size_bytes=size, group_size=tensor_parallel,
-                        link=link)
+                        size_bytes=activation_bytes(micro_batch, seq_length,
+                                                    hidden_size),
+                        group_size=tensor_parallel, link=link)
 
 
 def data_allreduce(grad_bytes: float, data_parallel: int, link: LinkType,
@@ -219,6 +262,7 @@ def data_allreduce(grad_bytes: float, data_parallel: int, link: LinkType,
 def pipeline_send_recv(micro_batch: int, seq_length: int, hidden_size: int,
                        link: LinkType) -> CommOperator:
     """The Send-Receive between adjacent pipeline stages (Figure 6)."""
-    size = 2.0 * micro_batch * seq_length * hidden_size
     return CommOperator(kind=CommKind.SEND_RECV, scope=CommScope.PIPELINE,
-                        size_bytes=size, group_size=2, link=link)
+                        size_bytes=activation_bytes(micro_batch, seq_length,
+                                                    hidden_size),
+                        group_size=2, link=link)

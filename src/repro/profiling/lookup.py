@@ -47,6 +47,16 @@ class OperatorToTaskTable:
                             sum(kernel.duration for kernel in kernels))
         return kernels
 
+    def cached_duration(self, signature: tuple) -> float | None:
+        """Total device time profiled under ``signature``, or ``None``
+        before its operator's first sighting (a probe that builds no
+        operator; a hit counts in :attr:`num_reused`)."""
+        cached = self._table.get(signature)
+        if cached is None:
+            return None
+        self._hits += 1
+        return cached[1]
+
     def duration_of(self, op: CompOperator) -> float:
         """Total device time of ``op`` (its kernels run back-to-back),
         summed once when the operator was profiled."""

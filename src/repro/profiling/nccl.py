@@ -151,6 +151,14 @@ class NcclModel:
             cost = costs[key] = self._dispatch(comm)
         return cost
 
+    def cached_time(self, signature: tuple) -> float | None:
+        """The cost :meth:`time` memoized under ``signature``, or
+        ``None`` before that collective was first costed (a probe that
+        builds no operator). Only :meth:`time` fills the memo, so a hit
+        is what :meth:`time` would return, also on a subclass whose
+        override costs some kinds without it."""
+        return self._cost_memo().get(signature)
+
     def _dispatch(self, comm: CommOperator) -> float:
         """Cost ``comm`` with its per-kind method, bypassing the memo."""
         if comm.kind is CommKind.ALL_REDUCE:

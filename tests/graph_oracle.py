@@ -268,6 +268,7 @@ def reference_timings(builder: GraphBuilder) -> dict[str, float]:
     tensor parallelism, ...).
     """
     table = _ReferenceTimings(builder)
+    table._init_operators()
     table._init_comm_times()
     table._init_stage_params()
     table._init_timings()
@@ -276,13 +277,46 @@ def reference_timings(builder: GraphBuilder) -> dict[str, float]:
 
 class _ReferenceTimings:
     """Per-slot timing loops over a builder's inputs (its model, plan,
-    topology, profiles and operators, read through the builder)."""
+    phase shape, topology and profiles, read through the builder), with
+    computation operators of its own."""
 
     def __init__(self, builder: GraphBuilder) -> None:
         self.builder = builder
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.builder, name)
+
+    def _init_operators(self) -> None:
+        """Build the necessary computation operators from the model, the
+        plan, the phase's sequence length and KV depth, and the padded
+        vocabulary; backward operators exist only for training."""
+        model, plan = self.model, self.plan
+        common = dict(micro_batch=plan.micro_batch_size,
+                      seq_length=self._seq, hidden_size=model.hidden_size,
+                      num_heads=model.num_heads,
+                      tensor_parallel=plan.tensor)
+        vocab = model.padded_vocab_size(plan.tensor)
+        self.op_fwd_embed = CompOperator(OpKind.FWD_EMBEDDING,
+                                         vocab_size=vocab, **common)
+        self.op_fwd_mha = CompOperator(OpKind.FWD_MHA, kv_length=self._kv,
+                                       **common)
+        self.op_fwd_ffn = CompOperator(OpKind.FWD_FFN, **common)
+        self.op_fwd_head = CompOperator(OpKind.FWD_LM_HEAD,
+                                        vocab_size=vocab, **common)
+        self._comp_ops = (self.op_fwd_embed, self.op_fwd_mha,
+                          self.op_fwd_ffn, self.op_fwd_head)
+        if self.phase is not None:
+            return
+        self.op_bwd_head = CompOperator(OpKind.BWD_LM_HEAD,
+                                        vocab_size=vocab, **common)
+        self.op_bwd_ffn = CompOperator(OpKind.BWD_FFN,
+                                       recompute=plan.recompute, **common)
+        self.op_bwd_mha = CompOperator(OpKind.BWD_MHA,
+                                       recompute=plan.recompute, **common)
+        self.op_bwd_embed = CompOperator(OpKind.BWD_EMBEDDING,
+                                         vocab_size=vocab, **common)
+        self._comp_ops += (self.op_bwd_head, self.op_bwd_ffn,
+                           self.op_bwd_mha, self.op_bwd_embed)
 
     def _init_comm_times(self) -> None:
         """Pre-time every communication operator the graph will use."""

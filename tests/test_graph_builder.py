@@ -123,7 +123,7 @@ class TestDataParallelComm:
                                NcclModel(system))
         # One stage holds both the embedding and the LM head.
         total = sum(builder._bucket_bytes(True, True))
-        expected = 2.0 * builder._weight_update(True, True).num_params
+        expected = 2.0 * builder._update_params(True, True)
         assert total == pytest.approx(expected)
 
 

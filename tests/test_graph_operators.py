@@ -1,13 +1,68 @@
 """Unit tests for the operator taxonomy."""
 
+import dataclasses
+import enum
+
 import pytest
 
 from repro.config.parallelism import RecomputeMode
 from repro.errors import ConfigError
 from repro.graph.operators import (CommKind, CommOperator, CommScope,
-                                   CompOperator, OpKind, data_allreduce,
+                                   CompOperator, OpKind, comm_signature,
+                                   comp_signature, data_allreduce,
                                    pipeline_send_recv, tensor_allreduce)
 from repro.hardware.interconnect import LinkType
+
+
+def field_values(op) -> list:
+    """An operator's field values, in field order."""
+    return [getattr(op, field.name) for field in dataclasses.fields(op)]
+
+
+def changed(value):
+    """Another value of ``value``'s type: the next enum member, or one
+    more."""
+    if isinstance(value, enum.Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    return value + 1
+
+
+class TestSignatureKeys:
+    """Each operator class's signature is its one key function over its
+    fields, and every field enters the key (a field left out would let
+    a probe by signature return another shape's duration)."""
+
+    COMP = [CompOperator(OpKind.FWD_MHA, micro_batch=2, seq_length=1,
+                         hidden_size=512, num_heads=8, tensor_parallel=2,
+                         kv_length=96),
+            CompOperator(OpKind.BWD_FFN, micro_batch=1, seq_length=128,
+                         hidden_size=512, num_heads=8, tensor_parallel=4,
+                         recompute=RecomputeMode.FULL),
+            CompOperator(OpKind.FWD_EMBEDDING, micro_batch=4,
+                         seq_length=64, hidden_size=256, num_heads=4,
+                         vocab_size=32_000),
+            CompOperator(OpKind.WEIGHT_UPDATE, num_params=1234)]
+    COMM = [tensor_allreduce(2, 128, 512, 4, LinkType.INTRA_NODE),
+            data_allreduce(3.0e6, 8, LinkType.INTER_NODE,
+                           concurrent_groups=4),
+            pipeline_send_recv(1, 128, 512, LinkType.INTER_NODE)]
+
+    @pytest.mark.parametrize("op", COMP + COMM, ids=repr)
+    def test_key_function_is_the_signature(self, op):
+        key = (comp_signature if isinstance(op, CompOperator)
+               else comm_signature)
+        assert key(*field_values(op)) == op.signature
+
+    @pytest.mark.parametrize("op", COMP + COMM, ids=repr)
+    def test_every_field_changes_the_key(self, op):
+        key = (comp_signature if isinstance(op, CompOperator)
+               else comm_signature)
+        values = field_values(op)
+        for index, value in enumerate(values):
+            other = values[:index] + [changed(value)] + values[index + 1:]
+            assert key(*other) != key(*values), \
+                dataclasses.fields(op)[index].name
 
 
 class TestCompOperator:

@@ -275,6 +275,61 @@ class TestStructureCache:
         finally:
             clear_structure_cache()
 
+    def test_running_total_matches_a_summing_reference(self, monkeypatch):
+        """A seeded sequence of puts (new and replacing keys), gets,
+        evictions and clears keeps ``cached_tasks``, the entry count,
+        the eviction count and the LRU order equal to a reference that
+        sums every entry on each put."""
+        import random
+        from collections import OrderedDict
+        from types import SimpleNamespace
+
+        from repro.graph import builder
+        budget = 40
+        monkeypatch.setenv("REPRO_STRUCTURE_CACHE_TASKS", str(budget))
+        rng = random.Random(7)
+        reference: OrderedDict[str, int] = OrderedDict()
+        evictions = 0
+        actions = set()
+        builder.clear_structure_cache()
+        try:
+            for _ in range(2_000):
+                action = rng.choices(("put", "get", "evict", "clear"),
+                                     weights=(60, 25, 12, 3))[0]
+                key = f"k{rng.randrange(12)}"
+                if action == "put":
+                    tasks = rng.randrange(1, 25)
+                    actions.add("replace" if key in reference else "put")
+                    builder.structure_cache_put(
+                        key, SimpleNamespace(num_tasks=tasks))
+                    reference[key] = tasks
+                    reference.move_to_end(key)
+                    while (sum(reference.values()) > budget
+                           and len(reference) > 1):
+                        reference.popitem(last=False)
+                        evictions += 1
+                        actions.add("lru")
+                elif action == "get":
+                    builder.structure_cache_get(key)
+                    if key in reference:
+                        reference.move_to_end(key)
+                elif action == "evict":
+                    actions.add("evict" if key in reference else "absent")
+                    builder.structure_cache_evict(key)
+                    reference.pop(key, None)
+                else:
+                    builder.clear_structure_cache()
+                    reference.clear()
+                    evictions = 0
+                stats = builder.structure_cache_stats()
+                assert stats["cached_tasks"] == sum(reference.values())
+                assert stats["entries"] == len(reference)
+                assert stats["evictions"] == evictions
+                assert list(builder._STRUCTURE_CACHE) == list(reference)
+            assert actions == {"put", "replace", "lru", "evict", "absent"}
+        finally:
+            builder.clear_structure_cache()
+
     def test_zero_budget_keeps_only_the_newest(self, monkeypatch):
         from repro.graph.builder import (clear_structure_cache,
                                          structure_cache_put,

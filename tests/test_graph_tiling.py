@@ -33,8 +33,11 @@ from repro.config.system import multi_node
 from repro.errors import (ConfigError, InfeasibleConfigError,
                           SimulationError)
 from repro.graph.builder import Granularity, GraphBuilder
+from repro.graph.operators import CommOperator, CompOperator
 from repro.graph.structure import GraphStructure
 from repro.hardware.gpu import A100_40GB, A100_80GB, H100_80GB, V100_32GB
+from repro.profiling.lookup import OperatorToTaskTable
+from repro.profiling.nccl import NcclModel
 from repro.sim.estimator import VTrain
 from repro.workload import DECODE, PREFILL, InferenceWorkload
 
@@ -71,16 +74,25 @@ GPUS = (A100_80GB, A100_40GB, V100_32GB, H100_80GB)
 NETWORKS = ("flat", "rail", "fat-tree:4")
 
 
-@functools.cache
-def vtrain_for(system, granularity: Granularity) -> VTrain:
+def fresh_vtrain(system, granularity: Granularity) -> VTrain:
+    """A simulator with an empty profile table and cost memo."""
     return VTrain(system, granularity=granularity,
                   check_memory_feasibility=False)
 
 
+@functools.cache
+def vtrain_for(system, granularity: Granularity) -> VTrain:
+    return fresh_vtrain(system, granularity)
+
+
 def make_builder(model: ModelConfig, plan: ParallelismConfig,
                  granularity: Granularity, phase: str | None,
-                 system=SYSTEM, training=TRAINING) -> GraphBuilder:
-    vtrain = vtrain_for(system, granularity)
+                 system=SYSTEM, training=TRAINING,
+                 vtrain: VTrain | None = None) -> GraphBuilder:
+    """A builder on ``vtrain``'s tables (default: the module's shared
+    simulator for ``system`` and ``granularity``)."""
+    if vtrain is None:
+        vtrain = vtrain_for(system, granularity)
     return GraphBuilder(model, system, plan,
                         training if phase is None else None, vtrain.lookup,
                         vtrain.nccl, granularity,
@@ -205,7 +217,10 @@ class TestSlotDurations:
         """Costing each stage role and each distinct collective once
         gives every slot of the key's layout the slot-by-slot reference
         table's value, bit for bit (``==`` and ``repr``, so signed
-        zeros count too)."""
+        zeros count too). A builder on a fresh simulator, whose profile
+        table and cost memo start empty, gives the same vector as one
+        whose durations are read from warm tables (the shared
+        simulators are warm after the first example)."""
         granularity = data.draw(st.sampled_from(list(Granularity)))
         phase = data.draw(st.sampled_from(PHASES))
         pipeline = data.draw(st.sampled_from((1, 2, 3, 4, 6)))
@@ -243,6 +258,103 @@ class TestSlotDurations:
         expected = [table[slot] for slot in layout]
         assert vector.tolist() == expected
         assert list(map(repr, vector.tolist())) == list(map(repr, expected))
+        fresh = make_builder(DEEP, plan, granularity, phase, system,
+                             training,
+                             vtrain=fresh_vtrain(system, granularity))
+        assert fresh.key == builder.key
+        assert fresh.slot_durations.tolist() == vector.tolist()
+        assert (list(map(repr, fresh.slot_durations.tolist()))
+                == list(map(repr, expected)))
+
+
+#: A plan with every kind of collective on a 4-GPU-per-node system: TP
+#: All-Reduces, intra- and inter-node pipeline hops, and two DP buckets
+#: whose payloads differ by stage role.
+PROBE_PLAN = ParallelismConfig(tensor=2, data=2, pipeline=4,
+                               num_gradient_buckets=2)
+
+
+def probe_system(network: str = "flat"):
+    return multi_node(4, gpus_per_node=4, network=network)
+
+
+class TestTableProbes:
+    """Builder init reads each duration from the profile table or the
+    cost memo by signature, and builds an operator only on a miss."""
+
+    @pytest.mark.parametrize("network", ["flat", "rail"])
+    @pytest.mark.parametrize("phase", PHASES)
+    @pytest.mark.parametrize("granularity",
+                             [Granularity.STAGE, Granularity.OPERATOR])
+    def test_warm_tables_build_no_operator(self, monkeypatch, granularity,
+                                           phase, network):
+        """A second builder of a plan on a warmed simulator constructs
+        no computation or communication operator."""
+        built = []
+        for cls in (CompOperator, CommOperator):
+            def counting(op, original=cls.__post_init__):
+                built.append(type(op).__name__)
+                original(op)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        system = probe_system(network)
+        vtrain = fresh_vtrain(system, granularity)
+        first = make_builder(MODELS["small"], PROBE_PLAN, granularity, phase,
+                             system, vtrain=vtrain)
+        assert {"CompOperator", "CommOperator"} <= set(built)
+        built.clear()
+        second = make_builder(MODELS["small"], PROBE_PLAN, granularity,
+                              phase, system, vtrain=vtrain)
+        assert built == []
+        assert second.slot_durations.tolist() == \
+            first.slot_durations.tolist()
+
+    @pytest.mark.parametrize("phase", PHASES)
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_probe_keys_are_miss_signatures(self, monkeypatch, granularity,
+                                            phase):
+        """Every probe key is the signature of the operator its miss
+        builds: with every probe forced to miss, the keys probed are the
+        signatures the profile table and the NCCL model then see, in
+        order, and the vector does not change."""
+        probed = {"comp": [], "comm": []}
+        seen = {"comp": [], "comm": []}
+
+        def miss(table):
+            def probe(self, signature):
+                probed[table].append(signature)
+                return None
+            return probe
+
+        def spy(table, original):
+            def entry(self, op):
+                seen[table].append(op.signature)
+                return original(self, op)
+            return entry
+
+        system = probe_system("rail")
+        expected = make_builder(MODELS["small"], PROBE_PLAN, granularity,
+                                phase, system,
+                                vtrain=fresh_vtrain(system, granularity))
+        monkeypatch.setattr(OperatorToTaskTable, "cached_duration",
+                            miss("comp"))
+        monkeypatch.setattr(NcclModel, "cached_time", miss("comm"))
+        monkeypatch.setattr(OperatorToTaskTable, "duration_of",
+                            spy("comp", OperatorToTaskTable.duration_of))
+        monkeypatch.setattr(NcclModel, "time", spy("comm", NcclModel.time))
+        builder = make_builder(MODELS["small"], PROBE_PLAN, granularity,
+                               phase, system,
+                               vtrain=fresh_vtrain(system, granularity))
+        assert probed == seen
+        # One TP All-Reduce and two hop links, plus three DP payloads
+        # (two buckets on three stage roles) in training.
+        assert len(probed["comm"]) == (3 if phase else 6)
+        # The weight update of each stage role in training; at KERNEL
+        # the computation operators are built for their kernel names.
+        compute = 0 if granularity is Granularity.KERNEL else \
+            (4 if phase else 8)
+        assert len(probed["comp"]) == compute + (0 if phase else 3)
+        assert builder.slot_durations.tolist() == \
+            expected.slot_durations.tolist()
 
 
 class TestStructureDigest:

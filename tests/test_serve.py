@@ -928,6 +928,9 @@ class TestConcurrentStructureCache:
         assert not errors
         stats = structure_cache_stats()
         assert stats["entries"] == n_keys
+        # Racing puts of one key replace it: the running total still
+        # counts each cached one-task stub once.
+        assert stats["cached_tasks"] == n_keys
         assert stats["hits"] + stats["misses"] == 2 * n_threads * rounds
 
 

@@ -38,6 +38,7 @@ from repro.graph.builder import (Granularity, GraphBuilder, StructureKey,
                                  _Emitter, clear_structure_cache,
                                  structure_affinity, structure_cache_get,
                                  structure_cache_put)
+from repro.graph.operators import CompOperator, OpKind
 from repro.hardware.gpu import A100_80GB, H100_80GB, V100_32GB
 from repro.sim.estimator import VTrain
 from repro.testbed.emulator import TestbedEmulator
@@ -334,13 +335,26 @@ class TestKernelKeysFollowTheGpu:
 
 def test_builder_key_matches_of():
     """The builder derives its key through ``StructureKey.of``, with the
-    kernel names its lookup profiled."""
+    kernel names of the plan's computation operators, built here."""
     vtrain = kernel_vtrain(A100_80GB)
     builder = GraphBuilder(MEGATRON_1_7B, vtrain.system, PLAN, TRAINING,
                            vtrain.lookup, vtrain.nccl, Granularity.KERNEL)
+    model = MEGATRON_1_7B
+    shape = dict(micro_batch=PLAN.micro_batch_size,
+                 seq_length=model.seq_length, hidden_size=model.hidden_size,
+                 num_heads=model.num_heads, tensor_parallel=PLAN.tensor)
+    vocab = model.padded_vocab_size(PLAN.tensor)
+    operators = [CompOperator(kind, vocab_size=vocab, **shape)
+                 for kind in (OpKind.FWD_EMBEDDING, OpKind.FWD_LM_HEAD,
+                              OpKind.BWD_LM_HEAD, OpKind.BWD_EMBEDDING)]
+    operators += [CompOperator(kind, **shape)
+                  for kind in (OpKind.FWD_MHA, OpKind.FWD_FFN)]
+    operators += [CompOperator(kind, recompute=PLAN.recompute, **shape)
+                  for kind in (OpKind.BWD_FFN, OpKind.BWD_MHA)]
     names = {op.kind.value: [kernel.name for kernel
                              in vtrain.lookup.tasks_for(op)]
-             for op in builder._comp_ops}
+             for op in operators}
+    assert len(names) == 8
     assert builder.key == StructureKey.of(MEGATRON_1_7B, PLAN, TRAINING,
                                           Granularity.KERNEL, kernels=names)
 
