@@ -52,22 +52,30 @@ ALL_KINDS = (KIND_COMPUTE, KIND_TP_COMM, KIND_DP_COMM, KIND_PP_COMM,
              KIND_WEIGHT_UPDATE)
 
 
-def _chains(src: np.ndarray, dst: np.ndarray, out_degree: np.ndarray,
-            in_degree: np.ndarray
+def _chains(src: np.ndarray, dst: np.ndarray, in_degree: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chains of a task graph: every task's chain head, its rank
     (distance from the head), and the in-chain edge mask.
 
-    An edge lies inside a chain when it runs from a task with one child
-    to a task with one parent. Pointer jumping finds the heads: ``head``
-    starts as each task's in-chain parent and ``rank`` as the distance
-    to it, and each round doubles the distance covered. A closed ring of
-    in-chain edges has no head, so the rounds stop at ``ceil(log2 n) +
-    1`` (enough to reach every head of an acyclic graph), and each task
-    of a ring becomes a one-task chain that the chain pass never pops.
+    An edge lies inside a chain when its child has one parent and it is
+    the first such edge of its parent in link order, whatever the
+    parent's other children: a one-parent child starts exactly when its
+    parent finishes, so it continues the parent's running sum, and the
+    parent's other children head chains of their own. Pointer jumping
+    finds the heads: ``head`` starts as each task's in-chain parent and
+    ``rank`` as the distance to it, and each round doubles the distance
+    covered. A closed ring of in-chain edges has no head, so the rounds
+    stop at ``ceil(log2 n) + 1`` (enough to reach every head of an
+    acyclic graph), and each task of a ring becomes a one-task chain
+    that the chain pass never pops.
     """
     num_tasks = in_degree.size
-    inner = (out_degree[src] == 1) & (in_degree[dst] == 1)
+    # Edges come grouped by parent, so a parent's first one-parent child
+    # opens its run among the edges into one-parent children.
+    eligible = np.flatnonzero(in_degree[dst] == 1)
+    inner = np.zeros(src.size, dtype=bool)
+    inner[eligible[np.diff(src[eligible], prepend=-1) != 0]] = True
+    del eligible
     inner_child = dst[inner]
     head = np.arange(num_tasks, dtype=np.intp)
     head[inner_child] = src[inner]
@@ -110,16 +118,7 @@ def _chain_order(chain_ptr: np.ndarray, child: np.ndarray,
         ready: list[int] = []
         push = ready.append
         for chain in level:
-            lo = ptr[chain]
-            hi = ptr[chain + 1]
-            if hi - lo == 1:  # most chains: one child, no slice needed
-                kid = children[lo]
-                remaining = ref[kid] - 1
-                ref[kid] = remaining
-                if not remaining:
-                    push(kid)
-                continue
-            for kid in children[lo:hi]:
+            for kid in children[ptr[chain]:ptr[chain + 1]]:
                 remaining = ref[kid] - 1
                 ref[kid] = remaining
                 if not remaining:
@@ -227,8 +226,9 @@ class GraphStructure:
                 and ``slot`` index into ``kinds`` and ``slot_keys``.
             src / dst: Every dependency edge, grouped by parent in
                 ascending task id and, within a parent, in the order its
-                children were linked (that order decides the chain
-                pass's pop order, and so the positions).
+                children were linked (that order picks each parent's
+                in-chain child and decides the chain pass's pop order,
+                and so the positions).
             stream: Per-task streams, or a per-slot mapping from slot
                 key to stream.
             label: Per-task labels, or a zero-argument callable
@@ -258,10 +258,11 @@ class GraphStructure:
         in_degree = np.bincount(dst, minlength=num_tasks)
         task_ptr = np.zeros(num_tasks + 1, dtype=np.intp)
         np.cumsum(counts, out=task_ptr[1:])
-        # 1. Chains, numbered by tail in task order. Cross edges leave a
-        # tail and enter a head, so grouped by parent they come grouped
-        # by chain: they are the chain graph's CSR as they stand.
-        head, rank, inner = _chains(src, dst, counts, in_degree)
+        # 1. Chains, numbered by tail in task order. Cross edges may leave
+        # any task of a chain but enter only heads; a stable sort by
+        # source chain makes them the chain graph's CSR, each chain's
+        # edges in parent order.
+        head, rank, inner = _chains(src, dst, in_degree)
         leads = np.zeros(num_tasks, dtype=bool)
         leads[src[inner]] = True
         tails = np.flatnonzero(~leads)
@@ -270,13 +271,18 @@ class GraphStructure:
         chain_of[head[tails]] = np.arange(num_chains, dtype=np.intp)
         chain = chain_of[head]
         cross = ~inner
+        cross_source = chain[src[cross]]
         cross_target = chain[dst[cross]]
         chain_ptr = np.zeros(num_chains + 1, dtype=np.intp)
-        np.cumsum(counts[tails], out=chain_ptr[1:])
+        np.cumsum(np.bincount(cross_source, minlength=num_chains),
+                  out=chain_ptr[1:])
         # 2. One FIFO pass over the chain graph: a topological order of
         # chains, and their levels.
-        popped, level_ptr = _chain_order(chain_ptr, cross_target,
-                                         in_degree[head[tails]])
+        popped, level_ptr = _chain_order(
+            chain_ptr,
+            cross_target[np.argsort(cross_source, kind="stable")],
+            in_degree[head[tails]])
+        del cross_source, chain_ptr
         order = np.fromiter(popped, dtype=np.intp, count=len(popped))
         length = np.bincount(chain, minlength=num_chains)[order]
         if order.size != num_chains:
@@ -418,13 +424,14 @@ class LevelPlan:
     """Chain-compressed level schedule for batched replay.
 
     A *chain* is a maximal path whose inner edges each run from a task
-    with one child to a task with one parent. Such a task starts exactly
-    when its one parent finishes, so a chain replays as one running sum
-    ``head start + d0 + d1 + ...`` — the scalar loop's additions, in its
-    order. Every other edge is a *cross* edge: it leaves a chain's tail
-    and enters another chain's head, whose start is the maximum of its
-    cross parents' finishes. A chain's *level* is one more than the
-    highest level among its cross parents (0 without any), so a level's
+    to its first child, in link order, that has one parent. Such a child
+    starts exactly when its one parent finishes, whatever the parent's
+    other children, so a chain replays as one running sum ``head start +
+    d0 + d1 + ...`` — the scalar loop's additions, in its order. Every
+    other edge is a *cross* edge: it leaves any task of a chain and
+    enters another chain's head, whose start is the maximum of its cross
+    parents' finishes. A chain's *level* is one more than the highest
+    level among its cross parents' chains (0 without any), so a level's
     heads depend only on earlier levels.
 
     :class:`GraphStructure`'s compile finds the chains and their
@@ -432,8 +439,8 @@ class LevelPlan:
     consecutive positions; this plan keeps what it found (enough for
     :func:`~repro.sim.engine.use_batched_replay` to weigh the level
     count), and :meth:`packed` lays the chains out for the sweep. On
-    MT-NLG (8, 8, 35) at OPERATOR granularity, 186,375 of 235,650 edges
-    lie inside chains, leaving 32,885 chains in 1,180 levels.
+    MT-NLG (8, 8, 35) at OPERATOR granularity, 202,799 of 235,650 edges
+    lie inside chains, leaving 16,461 chains in 550 levels.
 
     Attributes:
         num_levels: Number of levels (0 for an empty structure).
@@ -553,7 +560,7 @@ class PackedLevels:
     holds the head starts and row ``k + 1`` the durations of the chains'
     ``k``-th tasks, which one ``np.add.accumulate`` down the rows turns
     into their finishes. MT-NLG (8, 8, 35) at OPERATOR granularity packs
-    into 252,145 cells (one per task plus one per chain, no padding).
+    into 235,721 cells (one per task plus one per chain, no padding).
 
     Per-level ranges are ``ptr[level]:ptr[level + 1]`` slices of the
     ``*_ptr`` arrays.

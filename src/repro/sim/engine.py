@@ -41,7 +41,7 @@ and perturbed-hardware studies exploit. :func:`use_batched_replay` is the
 one rule choosing between the two engines for a group of columns that
 share a structure: level replay pays once the columns hold
 :data:`WIDTH` tasks per level, so wide structures (MT-NLG at OPERATOR
-granularity, 186 tasks per level) take it even for one column, while
+granularity, 399 tasks per level) take it even for one column, while
 narrow ones stay on the scalar loop until enough columns share them.
 """
 
@@ -56,8 +56,10 @@ from repro.graph.structure import GraphStructure, PackedLevels
 from repro.sim.results import DeviceBusy, SimulationResult, TimelineEvent
 
 #: Tasks per level at which level replay beats the scalar loop: a level
-#: sweep costs about 10 µs per level, the scalar loop about 0.2 µs per
-#: edge per column, and builder graphs carry about one edge per task.
+#: sweep costs about 7-10 µs per level, the scalar loop about
+#: 0.12-0.15 µs per edge per column, and builder graphs carry 1.1-1.4
+#: edges per task. One column of a Megatron 7.5B OPERATOR structure
+#: replays as fast either way at 56-64 tasks per level.
 WIDTH = 64
 
 #: Block width (chains x columns) from which a running sum goes row by
@@ -286,7 +288,7 @@ def simulate_retimed_batch(structure: GraphStructure,
 
     The graph walk — the scalar engine's per-edge Python cost — becomes
     a few numpy calls per level, shared by all N columns. On the MT-NLG
-    (8, 8, 35) OPERATOR structure one column replays in about a third
+    (8, 8, 35) OPERATOR structure one column replays in about a fifth
     of the scalar loop's time, and N=64 columns keep the per-column cost
     gated in ``benchmarks/bench_sim_speed.py``.
     :func:`use_batched_replay` decides when this beats the scalar loop.

@@ -746,22 +746,20 @@ def critical_path_length(graph: ExecutionGraph) -> float:
 def chain_levels(graph: ExecutionGraph) -> list[tuple[list[int], int]]:
     """Every chain of ``graph`` with its as-soon-as-possible level.
 
-    A chain is a maximal path whose edges each run from a task with one
-    child to a task with one parent; it is listed as its task ids from
-    head to tail. A chain's level is one more than the highest level
-    among the chains of its head's parents (0 without any): a task's
-    level is the most edges *between* chains on any path into it, found
-    here by one FIFO walk over the tasks.
+    A parent's in-chain child is its first child, in ``children`` order,
+    that has one parent; a chain is a maximal path of in-chain edges,
+    listed as its task ids from head to tail. A chain's level is one
+    more than the highest level among the chains of its head's parents
+    (0 without any): a task's level is the most edges *between* chains
+    on any path into it, found here by one FIFO walk over the tasks.
 
     Raises:
         SimulationError: If the graph has a cycle.
     """
     nodes = graph.nodes
-
-    def in_chain(parent: int, child: int) -> bool:
-        return (len(nodes[parent].children) == 1
-                and nodes[child].num_parents == 1)
-
+    chain_child = [next((child for child in node.children
+                         if nodes[child].num_parents == 1), None)
+                   for node in nodes]
     level = [0] * len(nodes)
     ref = [node.num_parents for node in nodes]
     queue: deque[int] = deque(graph.roots())
@@ -770,23 +768,22 @@ def chain_levels(graph: ExecutionGraph) -> list[tuple[list[int], int]]:
         task_id = queue.popleft()
         visited += 1
         for child in nodes[task_id].children:
-            reach = level[task_id] + (0 if in_chain(task_id, child) else 1)
+            inner = child == chain_child[task_id]
+            reach = level[task_id] + (0 if inner else 1)
             level[child] = max(level[child], reach)
             ref[child] -= 1
             if ref[child] == 0:
                 queue.append(child)
     if visited != len(nodes):
         raise SimulationError("graph has a cycle; chain levels undefined")
-    has_chain_parent = {child for node in nodes for child in node.children
-                        if in_chain(node.task_id, child)}
+    has_chain_parent = set(chain_child) - {None}
     chains = []
     for node in nodes:
         if node.task_id in has_chain_parent:
             continue
         tasks = [node.task_id]
-        while (len(nodes[tasks[-1]].children) == 1
-               and in_chain(tasks[-1], nodes[tasks[-1]].children[0])):
-            tasks.append(nodes[tasks[-1]].children[0])
+        while chain_child[tasks[-1]] is not None:
+            tasks.append(chain_child[tasks[-1]])
         chains.append((tasks, level[node.task_id]))
     return chains
 

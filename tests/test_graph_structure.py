@@ -363,25 +363,25 @@ def dags(draw):
     return asm.finish(num_devices=num_devices)
 
 
-def plan_levels(structure: GraphStructure) -> dict[int, int]:
-    """Head position -> level, as the level plan's packed layout holds
-    them: row 0 of every block names its chains' heads."""
+def packed_chains(structure: GraphStructure) -> list[tuple[list[int], int]]:
+    """Every chain as the level plan's packed layout holds it: its
+    positions from head to tail, and its level. Row 0 of a block holds
+    its chains' head starts, row ``k + 1`` their ``k``-th tasks."""
     packed = structure.level_plan().packed()
-    levels = {}
+    chains = []
     for level in range(packed.num_levels):
         for block in range(packed.block_ptr[level],
                            packed.block_ptr[level + 1]):
-            first = packed.block_cell[block]
-            chains = ((packed.block_cell[block + 1] - first)
-                      // packed.block_rows[block])
-            for cell in range(first, first + chains):
-                levels[int(packed.cell_task[cell])] = level
-    return levels
+            grid = packed.cell_task[
+                packed.block_cell[block]:packed.block_cell[block + 1]
+            ].reshape(packed.block_rows[block], -1)
+            chains += [(column.tolist(), level) for column in grid[1:].T]
+    return chains
 
 
 def assert_chain_layout(graph, structure: GraphStructure) -> None:
     """Edges run forward, every chain sits at consecutive positions, and
-    the level plan gives each chain the level the oracle's
+    the level plan holds the oracle's chains, each at the level its
     as-soon-as-possible pass finds."""
     num_tasks = structure.num_tasks
     position = np.empty(num_tasks, dtype=np.intp)
@@ -391,9 +391,8 @@ def assert_chain_layout(graph, structure: GraphStructure) -> None:
     chains = chain_levels(graph)
     for tasks, _ in chains:
         assert (np.diff(position[tasks]) == 1).all(), tasks
-    assert structure.level_plan().num_chains == len(chains)
-    assert plan_levels(structure) == {int(position[tasks[0]]): level
-                                      for tasks, level in chains}
+    assert sorted(packed_chains(structure)) == sorted(
+        (position[tasks].tolist(), level) for tasks, level in chains)
 
 
 class TestChainLayout:
@@ -415,9 +414,48 @@ class TestChainLayout:
                                vtrain.lookup, vtrain.nccl, granularity)
         assert_chain_layout(build_reference(builder), builder.compile())
 
+    @pytest.mark.parametrize("first", ["b", "c"])
+    def test_first_one_parent_child_continues_the_chain(self, first):
+        """a's children b and c have one parent each: the first linked
+        continues a's chain, and the other heads a chain of its own."""
+        asm = GraphAssembler()
+        a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a", chain=False)
+        b = asm.add(0, COMPUTE_STREAM, 2.0, KIND_COMPUTE, "b", chain=False)
+        c = asm.add(1, COMM_STREAM, 3.0, KIND_DP_COMM, "c", chain=False)
+        inner, other = (b, c) if first == "b" else (c, b)
+        asm.link(a, inner)
+        asm.link(a, other)
+        structure = compile_graph(asm.finish(num_devices=2))
+        task_id = structure.task_id.tolist()
+        chains = [([task_id[position] for position in positions], level)
+                  for positions, level in packed_chains(structure)]
+        assert sorted(chains) == [([a, inner], 0), ([other], 1)]
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_warm_up_forwards_form_one_chain(self, tiny_model, training,
+                                             granularity):
+        """Under 1F1B, stage 0 of a 4-stage pipeline runs 3 warm-up
+        forwards and a steady-state one back to back. Each forward's
+        exit feeds the next forward and a Send, so the four forwards and
+        the Send after the last of them form one chain."""
+        vtrain = VTrain(single_node(), granularity=granularity)
+        plan = ParallelismConfig(tensor=2, data=1, pipeline=4,
+                                 micro_batch_size=2)
+        structure = GraphBuilder(tiny_model, vtrain.system, plan, training,
+                                 vtrain.lookup, vtrain.nccl,
+                                 granularity).compile()
+        label = structure.label
+        first_four = tuple(f"s0/F{micro_batch}" for micro_batch in range(4))
+        forwards = [position for position, name in enumerate(label)
+                    if name.startswith(first_four)]
+        [chain] = [positions for positions, _ in packed_chains(structure)
+                   if positions[0] == forwards[0]]
+        assert chain == forwards + [label.index("s0->s1/F3")]
+
     def test_mtnlg_keeps_its_chains_and_levels(self):
         """The engine rule weighs tasks against levels: the paper's
-        headline plan keeps both, so its engine cannot move."""
+        headline plan keeps both, so its engine still cannot move (it
+        holds 399 tasks per level)."""
         vtrain = VTrain(multi_node(280), granularity=Granularity.OPERATOR)
         structure = GraphBuilder(
             MT_NLG_530B, vtrain.system, MT_NLG_BASELINE_PLANS[0],
@@ -425,4 +463,4 @@ class TestChainLayout:
             Granularity.OPERATOR).compile()
         plan = structure.level_plan()
         assert (structure.num_tasks, plan.num_chains, plan.num_levels) == \
-            (219_260, 32_885, 1_180)
+            (219_260, 16_461, 550)

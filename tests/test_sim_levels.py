@@ -6,7 +6,8 @@ sum down each block of chains produces their finishes. These tests hold
 every task's finish in every column bit for bit to the scalar engine's
 recorded timeline — over generated chain-heavy graphs (parallel chains
 with fan-in and fan-out between tails and heads, zero durations, several
-roots, idle devices) and a Megatron 1.7B OPERATOR structure — and pin
+roots, idle devices), a chain whose middle task feeds another chain's
+head, and a Megatron 1.7B OPERATOR structure — and pin
 the engine rule ``use_batched_replay``: level replay once the columns
 hold ``WIDTH`` tasks per level, the scalar loop otherwise and for every
 recorded timeline, in ``VTrain`` and in the testbed alike.
@@ -18,7 +19,7 @@ import weakref
 
 import numpy as np
 import pytest
-from graph_oracle import GraphAssembler
+from graph_oracle import GraphAssembler, simulate_reference
 from hypothesis import given, strategies as st
 
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
@@ -33,8 +34,8 @@ from repro.sim.estimator import VTrain
 from repro.testbed.emulator import TestbedEmulator
 
 STREAMS = (COMPUTE_STREAM, COMM_STREAM)
-#: Megatron 1.7B on 2 nodes at OPERATOR granularity: 3,194 tasks in 43
-#: levels (wide), and 3,680 tasks in 158 levels (narrow).
+#: Megatron 1.7B on 2 nodes at OPERATOR granularity: 3,194 tasks in 23
+#: levels (wide), and 3,680 tasks in 80 levels (narrow).
 WIDE_PLAN = ParallelismConfig(tensor=2, data=4, pipeline=2, micro_batch_size=1)
 NARROW_PLAN = ParallelismConfig(tensor=1, data=2, pipeline=8, micro_batch_size=1)
 TRAINING = TrainingConfig(global_batch_size=64)
@@ -135,8 +136,9 @@ class TestTaskFinishes:
 
 class TestLevelPlan:
     def test_diamond_then_chain(self):
-        """a -> {b, c} -> d -> e -> f: chains {a}, {b}, {c}, {d, e, f}
-        in levels 0, 1, 1 and 2."""
+        """a -> {b, c} -> d -> e -> f: b, a's first one-parent child,
+        continues a's chain, so the chains are {a, b}, {c}, {d, e, f} in
+        levels 0, 1 and 2."""
         asm = GraphAssembler()
         kind = ALL_KINDS[0]
         a = asm.add(0, COMPUTE_STREAM, 1.0, kind, "a", chain=False)
@@ -147,10 +149,47 @@ class TestLevelPlan:
         asm.add(0, COMPUTE_STREAM, 6.0, kind, "f", deps=(e,), chain=False)
         structure = asm.finish(num_devices=1).compiled()
         plan = structure.level_plan()
-        assert (plan.num_chains, plan.num_levels) == (4, 3)
+        assert (plan.num_chains, plan.num_levels) == (3, 3)
         packed = plan.packed()
         assert packed.block_cell[-1] == structure.num_tasks + plan.num_chains
         assert simulate_retimed_batch(structure, structure.duration[:, None]).makespans[0] == 19.0
+
+    def test_cross_edge_leaves_the_middle_of_a_chain(self):
+        """x0 -> x1 -> x2 is one chain, and x1 also feeds y, which waits on
+        z too: that cross edge's parent cell is not its chain's last, and
+        both engines give every task the reference start and finish."""
+        asm = GraphAssembler()
+        kind = ALL_KINDS[0]
+        x0 = asm.add(0, COMPUTE_STREAM, 1.0, kind, "x0", chain=False)
+        x1 = asm.add(0, COMPUTE_STREAM, 2.0, kind, "x1", deps=(x0,), chain=False)
+        x2 = asm.add(0, COMPUTE_STREAM, 3.0, kind, "x2", deps=(x1,), chain=False)
+        z = asm.add(1, COMPUTE_STREAM, 2.5, kind, "z", chain=False)
+        y = asm.add(1, COMM_STREAM, 4.0, kind, "y", deps=(x1, z), chain=False)
+        asm.add(1, COMPUTE_STREAM, 1.0, kind, "w", deps=(y, x2), chain=False)
+        graph = asm.finish(num_devices=2)
+        structure = graph.compiled()
+        position = np.empty(structure.num_tasks, dtype=np.intp)
+        position[structure.task_id] = np.arange(structure.num_tasks)
+        assert position[x2] == position[x1] + 1 == position[x0] + 2
+        packed = structure.level_plan().packed()
+        last_cells = set()
+        for block in range(len(packed.block_rows)):
+            end = packed.block_cell[block + 1]
+            chains = (end - packed.block_cell[block]) // packed.block_rows[block]
+            last_cells.update(range(end - chains, end))
+        middle = packed.task_cell[position[x1]]
+        assert middle in packed.edge_cell
+        assert middle not in last_cells
+
+        reference = simulate_reference(graph, record_timeline=True)
+        expected = {event.task_id: (event.start, event.finish) for event in reference.events}
+        scalar = simulate_retimed(structure, record_timeline=True)
+        assert {event.task_id: (event.start, event.finish) for event in scalar.events} == expected
+        finishes = engine._level_sweep(packed, structure.duration[:, None])[packed.task_cell, 0]
+        assert dict(zip(structure.task_id.tolist(), finishes.tolist())) == {
+            task: finish for task, (_, finish) in expected.items()
+        }
+        assert expected[y] == (3.0, 7.0)
 
     def test_plan_keeps_no_cycle_to_its_structure(self):
         """An evicted structure and its plan go at once, not whenever the
