@@ -10,8 +10,9 @@ Commands:
   next to the engine's own spans (open in chrome://tracing or Perfetto).
 * ``dse <preset>`` — sweep the (t, d, p, m) design space for a preset
   model, optionally in parallel (``--workers``) and with a persistent
-  prediction cache (``--cache`` / ``--checkpoint``); ``--metrics``
-  prints and saves the observability registry snapshot.
+  prediction cache (``--cache``, saved every 512 newly evaluated plans
+  and at the end, so rerunning an interrupted sweep resumes it);
+  ``--metrics`` prints and saves the observability registry snapshot.
 * ``stats`` — pretty-print a saved metrics snapshot (cache hit rates,
   replay-throughput histograms with p50/p99), or — with ``--connect
   HOST:PORT`` — the *live* metrics registry of a running daemon (its
@@ -19,7 +20,8 @@ Commands:
 * ``serve`` — run the long-lived prediction daemon: one resident
   process owning the warm structure cache and a persistent prediction
   cache, serving concurrent predict requests over TCP (``--port N``)
-  with in-flight deduplication and micro-batching (see
+  with in-flight deduplication and a fixed 2 ms micro-batch window;
+  requests that name no granularity run at OPERATOR (see
   :mod:`repro.serve`).
   ``predict --connect HOST:PORT`` routes a prediction through a
   running daemon instead of paying cold start; add ``--trace out.json``
@@ -57,6 +59,11 @@ from repro.obs.export import combined_trace, write_trace
 from repro.sim.estimator import VTrain
 
 GIB = float(1 << 30)
+
+#: ``repro dse --cache`` saves the cache file after every this many
+#: newly evaluated plans, and once more at the end, so an interrupted
+#: sweep resumes from its last save.
+_CHECKPOINT_EVERY = 512
 
 #: Short spellings accepted by ``predict --preset`` on top of the
 #: canonical zoo keys (``mt-nlg-530b`` etc.).
@@ -125,17 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent prediction cache (JSON): loaded "
                             "at startup if it exists, saved on shutdown, "
                             "shared by every request")
-    serve.add_argument("--granularity", default="operator",
-                       choices=[g.value for g in Granularity],
-                       help="default graph granularity for requests that "
-                            "do not name one (default: operator)")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="bounded delay of the request micro-batcher "
-                            "in milliseconds; concurrent retimes "
-                            "arriving within one window replay as a "
-                            "single vectorized sweep (default: 2.0)")
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="requests per batcher flush (default: 64)")
     serve.add_argument("--access-log", type=Path, metavar="PATH",
                        help="append one structured JSON line per request "
                             "(method, request/trace IDs, status, "
@@ -197,13 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "identical to a serial sweep (default: 1)")
     dse.add_argument("--cache", type=Path, metavar="PATH",
                      help="persistent prediction cache (JSON): loaded "
-                          "before the sweep if it exists, saved after, so "
-                          "repeated sweeps skip already-predicted plans")
-    dse.add_argument("--checkpoint", type=Path, metavar="PATH",
-                     help="checkpoint file (JSON) written periodically "
-                          "during the sweep; an interrupted sweep rerun "
-                          "with the same path resumes instead of "
-                          "recomputing")
+                          "before the sweep if it exists, saved every "
+                          f"{_CHECKPOINT_EVERY} newly evaluated plans and "
+                          "at the end, so repeated or interrupted sweeps "
+                          "skip already-predicted plans")
     dse.add_argument("--csv", type=Path, metavar="PATH",
                      help="write all feasible design points to a CSV file")
     dse.add_argument("--top", type=int, default=10,
@@ -530,12 +523,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             access_log = (sys.stderr if str(args.access_log) == "-"
                           else stack.enter_context(open(
                               args.access_log, "a", encoding="utf-8")))
-        service = PredictionService(
-            cache=cache,
-            batch_window_s=args.batch_window_ms / 1e3,
-            max_batch=args.max_batch,
-            default_granularity=Granularity(args.granularity),
-            access_log=access_log)
+        service = PredictionService(cache=cache, access_log=access_log)
         try:
             daemon = ServeDaemon(service, host=args.host, port=args.port)
             host, port = daemon.address
@@ -576,8 +564,15 @@ def _cmd_dse(args: argparse.Namespace) -> int:
                          "(inference phase graphs are plain pipelines)")
     cache = (PredictionCache.load(args.cache)
              if args.cache and args.cache.exists() else PredictionCache())
+    saved_at = None  # plans done at the last save; set by the cache scan
 
     def report(done: int, total: int) -> None:
+        nonlocal saved_at
+        if saved_at is None:
+            saved_at = done
+        elif args.cache and done - saved_at >= _CHECKPOINT_EVERY:
+            cache.save(args.cache)
+            saved_at = done
         if not args.quiet and total:
             print(f"\r  evaluated {done}/{total} plans", end="",
                   file=sys.stderr, flush=True)
@@ -592,8 +587,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
                                    workload=workload)
     result = explorer.explore(space=space, num_gpus=args.num_gpus,
                               max_gpus=args.max_gpus, workers=args.workers,
-                              cache=cache, checkpoint_path=args.checkpoint,
-                              progress=report)
+                              cache=cache, progress=report)
     if args.cache:
         cache.save(args.cache)
     if workload is not None:

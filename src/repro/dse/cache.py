@@ -11,9 +11,9 @@ reason.
 ``(model, plan, system, granularity)`` — everything that determines a
 prediction — to the resulting :class:`~repro.dse.explorer.DesignPoint`.
 It round-trips through strict JSON so caches survive on disk, can be
-shipped between machines, and double as sweep checkpoints
-(:meth:`~repro.dse.explorer.DesignSpaceExplorer.explore` saves one
-periodically so interrupted sweeps resume instead of recomputing).
+shipped between machines, and double as sweep checkpoints (``repro dse
+--cache`` saves the file every 512 newly evaluated plans and at the
+end, so an interrupted sweep resumes instead of recomputing).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.graph.builder import Granularity
 # Process-wide aggregates across every PredictionCache instance, so
 # `repro stats` reports one prediction-cache hit rate no matter how many
 # caches a sweep constructed. Per-instance hits/misses stay on the
-# instances themselves (tests and checkpoint logs rely on them).
+# instances themselves (tests and `repro dse`'s summary rely on them).
 _AGG_HITS = obs.metrics.counter("dse.prediction_cache.hits")
 _AGG_MISSES = obs.metrics.counter("dse.prediction_cache.misses")
 
@@ -134,8 +134,8 @@ class PredictionCache:
     """In-memory map of prediction fingerprints to design points.
 
     Safe for concurrent use: the `repro serve` daemon shares one
-    instance across handler threads, so lookups, stores, merges, and
-    the hit/miss counters are guarded by an internal lock (uncontended
+    instance across handler threads, so lookups, stores and the
+    hit/miss counters are guarded by an internal lock (uncontended
     single-threaded use pays one acquire per call).
 
     Attributes:
@@ -234,8 +234,9 @@ class PredictionCache:
         """Write the cache to a JSON file (parent dirs created).
 
         The write is atomic (temp file + rename in the target
-        directory): checkpoints exist so interrupted sweeps can resume,
-        so an interrupt landing mid-write must not corrupt the file.
+        directory): a sweep saves its cache as it goes so an
+        interrupted sweep can resume, so an interrupt landing mid-write
+        must not corrupt the file.
         """
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -257,25 +258,19 @@ class PredictionCache:
         """Read a cache from a JSON file.
 
         Raises:
-            ConfigError: On malformed JSON or a malformed payload (see
+            FileNotFoundError: No file at ``path``.
+            ConfigError: The file cannot be read (a directory, say), or
+                holds malformed JSON or a malformed payload (see
                 :meth:`from_dict`).
         """
         try:
             payload = json.loads(Path(path).read_text())
+        except FileNotFoundError:
+            raise
+        except OSError as exc:
+            raise ConfigError(
+                f"prediction cache {path} cannot be read: {exc}") from exc
         except (ValueError, RecursionError) as exc:
             raise ConfigError(
                 f"prediction cache {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)
-
-    def merge(self, other: "PredictionCache") -> int:
-        """Absorb another cache's entries; returns how many were new."""
-        with other._lock:
-            incoming = {key: dict(entry)
-                        for key, entry in other._entries.items()}
-        added = 0
-        with self._lock:
-            for key, entry in incoming.items():
-                if key not in self._entries:
-                    added += 1
-                self._entries[key] = entry
-        return added

@@ -10,10 +10,11 @@ cost-effective plan under a GPU budget, the Pareto frontier of
 
 :meth:`DesignSpaceExplorer.explore` is the one sweep loop, for training
 and serving explorers alike: it serves plans already in a
-:class:`~repro.dse.cache.PredictionCache` (or a checkpoint left by an
-interrupted run), evaluates the rest in structure-affinity groups —
-in-process, or one group per work unit on a process pool — and
-checkpoints and reports progress as groups finish.
+:class:`~repro.dse.cache.PredictionCache`, evaluates the rest in
+structure-affinity groups — in-process, or one group per work unit on a
+process pool — and reports progress as groups finish. Persistence is
+the caller's: ``repro dse --cache`` saves the cache from its progress
+callback, so an interrupted sweep resumes from the file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import concurrent.futures
 import contextlib
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from repro import obs
@@ -40,14 +40,11 @@ from repro.workload import INFERENCE, TRAINING, InferenceWorkload
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dse.cache import PredictionCache
 
-#: Upper bound on plans per batched replay: bounds the transient
-#: ``(tasks x N)`` duration matrix while keeping the vectorized sweep's
-#: per-column amortisation (throughput is flat past a few dozen columns).
+#: Upper bound on plans per batched replay, here and in the serving
+#: daemon's batcher flush: bounds the transient ``(tasks x N)``
+#: duration matrix while keeping the vectorized sweep's per-column
+#: amortisation (throughput is flat past a few dozen columns).
 _MAX_EVAL_BATCH = 64
-
-#: A checkpointing sweep saves its cache after every this many
-#: evaluated plans (and once more at the end).
-_CHECKPOINT_EVERY = 8 * _MAX_EVAL_BATCH
 
 
 @dataclass(frozen=True)
@@ -324,16 +321,16 @@ def evaluate_plans(vtrain: VTrain, model: ModelConfig,
 class DesignSpaceExplorer:
     """Sweeps plans for one model/training recipe.
 
-    Plans run on one simulator per node count. The first simulator
-    built for a GPU owns the profiling stack (device model, CUPTI
-    tracer, operator-to-task table), and every later node count on that
-    GPU is derived from it with :meth:`VTrain.for_system`, so the whole
+    Plans run on one simulator per node count, each on
+    ``multi_node(nodes, gpus_per_node, network)`` and so on one GPU.
+    The first simulator built owns the profiling stack (device model,
+    CUPTI tracer, operator-to-task table), and every later node count
+    is derived from it with :meth:`VTrain.for_system`, so the whole
     exploration profiles each necessary operator exactly once — the
     property that makes the paper's "full design space in under 200
     seconds" possible. What depends on the system stays per node count:
     the communication model (NCCL tables, topology, collective plans
-    and cost memo) and the prediction counters. A ``system_factory``
-    that mixes GPUs gets one stack per GPU.
+    and cost memo) and the prediction counters.
 
     Args:
         model: Target LLM.
@@ -342,10 +339,7 @@ class DesignSpaceExplorer:
         granularity: Graph granularity (STAGE recommended for sweeps).
         network: Inter-node fabric spec for derived systems (``flat``,
             ``rail`` or ``fat-tree:<ratio>``); ``flat`` reproduces the
-            paper's Equation-1 model exactly. Ignored when a custom
-            ``system_factory`` is given.
-        system_factory: Override how a plan's GPU count becomes a
-            :class:`SystemConfig` (e.g. to change interconnects).
+            paper's Equation-1 model exactly.
         zero_stage: ZeRO sharding stage (0-3) assumed by the memory
             feasibility filter (default 1, ZeRO-1 optimizer sharding).
         workload: An :class:`~repro.workload.InferenceWorkload` turns
@@ -360,7 +354,6 @@ class DesignSpaceExplorer:
                  gpus_per_node: int = 8,
                  granularity: Granularity = Granularity.STAGE,
                  network: str = "flat",
-                 system_factory: Callable[[int], SystemConfig] | None = None,
                  zero_stage: int = 1,
                  workload=None,
                  ) -> None:
@@ -377,27 +370,23 @@ class DesignSpaceExplorer:
         self.granularity = granularity
         self.network = network
         self.zero_stage = zero_stage
-        self._system_factory = system_factory
         self._simulators: dict[int, VTrain] = {}
 
     def system_for(self, num_gpus: int) -> SystemConfig:
         """The system a plan occupying ``num_gpus`` GPUs runs on (the
         plan's node count rounded up to whole nodes)."""
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
-        if self._system_factory is not None:
-            return self._system_factory(nodes * self.gpus_per_node)
         return multi_node(nodes, gpus_per_node=self.gpus_per_node,
                           network=self.network)
 
     def _simulator_for(self, num_gpus: int) -> VTrain:
         """The node count's simulator, derived from the first one built
-        for its GPU (see the class docstring)."""
+        (see the class docstring)."""
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
         simulator = self._simulators.get(nodes)
         if simulator is None:
             system = self.system_for(num_gpus)
-            first = next((other for other in self._simulators.values()
-                          if other.system.gpu == system.gpu), None)
+            first = next(iter(self._simulators.values()), None)
             simulator = (first.for_system(system) if first is not None
                          else VTrain(system, granularity=self.granularity,
                                      zero_stage=self.zero_stage))
@@ -458,7 +447,6 @@ class DesignSpaceExplorer:
                 plans: Iterable[ParallelismConfig] | None = None,
                 workers: int = 1,
                 cache: "PredictionCache | None" = None,
-                checkpoint_path: str | Path | None = None,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> DSEResult:
         """Sweep a plan iterable (or the enumerated search space).
@@ -467,8 +455,8 @@ class DesignSpaceExplorer:
         evaluated in :meth:`_affinity_groups`, one
         :meth:`evaluate_batch` call per group. Points come back in plan
         order, bit-identical for every ``workers``/``cache``/
-        ``checkpoint_path``/``progress`` combination: workers run the
-        same evaluation on the same deterministic device model.
+        ``progress`` combination: workers run the same evaluation on the
+        same deterministic device model.
 
         Args:
             space / num_gpus / max_gpus / plans: What to sweep (see
@@ -482,20 +470,15 @@ class DesignSpaceExplorer:
                 cache warm once per worker).
             cache: A :class:`~repro.dse.cache.PredictionCache` consulted
                 by :meth:`fingerprint_for` before evaluating and updated
-                after. Without a cache or checkpoint no fingerprint is
-                computed.
-            checkpoint_path: JSON file merged into the cache (a private
-                one when ``cache`` is ``None``) when it exists, and
-                saved every ``_CHECKPOINT_EVERY`` (512) evaluated plans
-                and at the end, so an interrupted sweep resumes.
+                after. Without a cache no fingerprint is computed.
             progress: Callback ``progress(completed, total)``, invoked
-                after the cache scan and as each group finishes.
+                after the cache scan and as each group finishes (its
+                points are in ``cache`` by then, so a callback may save
+                the cache).
 
         Raises:
             ConfigError: ``workers`` is below 1.
         """
-        from repro.dse.cache import PredictionCache
-
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers!r}")
         if plans is None and self.workload is not None:
@@ -509,12 +492,6 @@ class DesignSpaceExplorer:
         total = len(plan_list)
         with obs.span("dse.sweep", category="dse", plans=total,
                       workers=workers):
-            if checkpoint_path is not None:
-                checkpoint_path = Path(checkpoint_path)
-                if cache is None:
-                    cache = PredictionCache()
-                if checkpoint_path.exists():
-                    cache.merge(PredictionCache.load(checkpoint_path))
             points: list[DesignPoint | None] = [None] * total
             if cache is not None:
                 keys = [self.fingerprint_for(plan) for plan in plan_list]
@@ -525,13 +502,11 @@ class DesignSpaceExplorer:
             done = total - len(pending)
             if progress is not None:
                 progress(done, total)
-            unsaved = 0
             with contextlib.ExitStack() as stack:
                 if workers > 1 and groups:
                     options = dict(gpus_per_node=self.gpus_per_node,
                                    granularity=self.granularity,
                                    network=self.network,
-                                   system_factory=self._system_factory,
                                    zero_stage=self.zero_stage,
                                    workload=self.workload)
                     pool = stack.enter_context(
@@ -554,15 +529,8 @@ class DesignSpaceExplorer:
                         if cache is not None:
                             cache.put(keys[index], point)
                     done += len(group)
-                    unsaved += len(group)
                     if progress is not None:
                         progress(done, total)
-                    if (checkpoint_path is not None
-                            and unsaved >= _CHECKPOINT_EVERY):
-                        cache.save(checkpoint_path)
-                        unsaved = 0
-            if checkpoint_path is not None:
-                cache.save(checkpoint_path)
         return DSEResult(model=self.model, training=self.training,
                          points=points)
 

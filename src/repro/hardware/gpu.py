@@ -60,11 +60,6 @@ class GPUSpec:
             raise ConfigError("num_sms must be positive")
 
     @property
-    def peak_tflops(self) -> float:
-        """Peak FP16 throughput in TFLOP/s (for reporting)."""
-        return self.peak_fp16_flops / TERA
-
-    @property
     def memory_gib(self) -> float:
         """HBM capacity in GiB (for reporting)."""
         return self.memory_bytes / GIB

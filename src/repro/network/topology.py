@@ -125,11 +125,6 @@ class Topology:
         """All element ids, sorted."""
         return sorted(self._neighbors)
 
-    @property
-    def num_links(self) -> int:
-        """Number of directed links."""
-        return len(self._links)
-
     def link(self, src: str, dst: str) -> Link:
         """The directed link ``src -> dst``."""
         try:

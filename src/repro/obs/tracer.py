@@ -88,7 +88,6 @@ class SpanTracer:
         self._spans: deque[Span] = deque(maxlen=self.max_spans)
         self._dropped = 0
         self._epoch = time.perf_counter()
-        self._epoch_unix = time.time()
         self._local = _ThreadState()
         self._thread_ids = itertools.count()
         self._thread_names: dict[int, str] = {}
@@ -155,21 +154,12 @@ class SpanTracer:
         with self._lock:
             return self._dropped
 
-    @property
-    def epoch_unix(self) -> float:
-        """Wall-clock (unix) time of the tracer epoch — what anchors
-        ``start_s`` offsets to a machine-wide timeline when stitching
-        spans from several processes."""
-        with self._lock:
-            return self._epoch_unix
-
     def reset(self) -> None:
         """Drop recorded spans and restart the epoch."""
         with self._lock:
             self._spans.clear()
             self._dropped = 0
             self._epoch = time.perf_counter()
-            self._epoch_unix = time.time()
 
     # ------------------------------------------------------------------
     # Export

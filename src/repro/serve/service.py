@@ -22,8 +22,10 @@ mechanisms make the shared-warm-state story fast under concurrency:
   :meth:`VTrain.predict_prepared` groups training or inference phase
   graphs sharing one cached structure and replays each group on the
   engine :func:`~repro.sim.engine.use_batched_replay` picks for its
-  columns. The flush delay is bounded by ``batch_window_s`` (default
-  2 ms) so single requests stay interactive.
+  columns. Each flush waits a fixed ``BATCH_WINDOW_S`` (2 ms) and takes
+  at most the explorer's ``_MAX_EVAL_BATCH`` (64) jobs, so single
+  requests stay interactive. A request that names no granularity runs
+  at OPERATOR.
 
 * **Result caching.** Every computed point lands in the prediction
   cache, so repeats — including requests arriving *after* their
@@ -53,7 +55,6 @@ whole registry snapshot (what ``repro stats --connect`` prints).
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
@@ -66,7 +67,7 @@ from repro.config.description import InputDescription
 from repro.config.model import ModelConfig
 from repro.config.parallelism import TrainingConfig
 from repro.dse.cache import PredictionCache, fingerprint
-from repro.dse.explorer import DesignPoint, evaluate_plans
+from repro.dse.explorer import _MAX_EVAL_BATCH, DesignPoint, evaluate_plans
 from repro.errors import ConfigError, InfeasibleConfigError, ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
 from repro.obs.stitch import wire_span
@@ -77,15 +78,16 @@ from repro.workload import (INFERENCE, TRAINING, InferenceWorkload,
 
 GIB = float(1 << 30)
 
-#: Default bounded delay the batcher waits after the first admission of
-#: a flush, letting a burst of concurrent requests coalesce into one
-#: vectorized sweep. Small against even a warm predict (~ms), large
-#: against thread-scheduling jitter.
-DEFAULT_BATCH_WINDOW_S = 0.002
-
-#: Upper bound on jobs per batch flush (transient duration-matrix
-#: memory; matches the DSE explorers' sweep cap).
-DEFAULT_MAX_BATCH = 64
+#: Bounded delay the batcher waits after the first admission of a
+#: flush, letting a burst of concurrent requests coalesce into one
+#: vectorized sweep (read at every flush). Small against even a warm
+#: predict (~ms), large against thread-scheduling jitter. It trades
+#: cold latency for cache-served latency: on perfbench's served_mix
+#: (2-vCPU host, 5 alternating 20 s pairs, normalized medians) a 0 ms
+#: window cut the cold p50 from 3.52 to 2.01 ms and raised throughput
+#: from 861 to 1,173 req/s, but slowed the cache-served p50 from 0.391
+#: to 0.487 ms (+24.6%, worse in all 5 pairs).
+BATCH_WINDOW_S = 0.002
 
 
 class ShuttingDownError(ReproError):
@@ -160,41 +162,14 @@ class PredictionService:
         cache: Persistent prediction cache (a fresh empty one when
             omitted). The caller owns persistence — ``repro serve``
             loads/saves it around the daemon's lifetime.
-        batch_window_s: Bounded delay of one batcher flush, in seconds
-            (finite, ``>= 0``); ``0`` flushes as soon as the batcher
-            thread wakes.
-        max_batch: Jobs per flush (an integer ``>= 1``).
-        default_granularity: Granularity for requests that do not name
-            one.
         access_log: Writable text stream receiving one JSON line per
             dispatched request (method, request/trace IDs, status,
             latency); the caller owns the stream's lifetime.
-
-    Raises:
-        ConfigError: A batcher setting that would hang every predict:
-            ``max_batch`` below 1 or not an integer, or a negative or
-            non-finite ``batch_window_s``.
     """
 
     def __init__(self, *, cache: PredictionCache | None = None,
-                 batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
-                 max_batch: int = DEFAULT_MAX_BATCH,
-                 default_granularity: Granularity = Granularity.OPERATOR,
-                 access_log: TextIO | None = None,
-                 ) -> None:
-        # A flush pops min(queued, max_batch) jobs, so 0 never drains
-        # the queue; time.sleep raises OverflowError on an infinite
-        # window, killing the batcher thread.
-        if type(max_batch) is not int or max_batch < 1:
-            raise ConfigError(
-                f"max_batch must be an integer >= 1, got {max_batch!r}")
-        if not (math.isfinite(batch_window_s) and batch_window_s >= 0):
-            raise ConfigError(f"batch_window_s must be finite and >= 0, "
-                              f"got {batch_window_s!r}")
+                 access_log: TextIO | None = None) -> None:
         self.cache = cache if cache is not None else PredictionCache()
-        self.batch_window_s = batch_window_s
-        self.max_batch = max_batch
-        self.default_granularity = default_granularity
         self.started_at = time.monotonic()
         self._access_log = access_log
         self._access_log_lock = threading.Lock()
@@ -254,7 +229,7 @@ class PredictionService:
                 _param(params, "description", dict))
         try:
             granularity = Granularity(_param(
-                params, "granularity", str, self.default_granularity.value))
+                params, "granularity", str, Granularity.OPERATOR.value))
         except ValueError as exc:
             raise ConfigError(f"unknown granularity: {exc}") from None
         zero_stage = _param(params, "zero_stage", int, 1)
@@ -441,12 +416,11 @@ class PredictionService:
                 if not self._queue and self._closed:
                     return
             # Bounded delay: let the burst that woke us accumulate.
-            if self.batch_window_s > 0.0:
-                time.sleep(self.batch_window_s)
+            time.sleep(BATCH_WINDOW_S)
             with self._wake:
                 jobs = [self._queue.popleft()
                         for _ in range(min(len(self._queue),
-                                           self.max_batch))]
+                                           _MAX_EVAL_BATCH))]
             if jobs:
                 self._execute(jobs)
 

@@ -88,17 +88,6 @@ class PredictTiming:
         """Where the replay topology came from."""
         return "cache hit" if self.structure_cache_hit else "built"
 
-    @property
-    def accounted_s(self) -> float:
-        """Sum of the attributed phases.
-
-        Tracks ``total_s`` to within bookkeeping noise on both cold and
-        warm paths now that builder construction is attributed —
-        previously cold calls could leave >30% of ``total_s``
-        unaccounted for.
-        """
-        return sum(self.phases().values())
-
     def phases(self) -> dict[str, float]:
         """Ordered phase-name -> seconds mapping for reports, under the
         layer names of the repository benchmark's per-layer breakdown

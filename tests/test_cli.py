@@ -6,16 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import cli, obs
 from repro.cli import _preset_description, main
 from repro.config.description import InputDescription
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.presets import MT_NLG_530B
-from repro.config.system import single_node
+from repro.config.system import multi_node, single_node
+from repro.dse.cache import PredictionCache
 from repro.dse.explorer import DesignSpaceExplorer
+from repro.graph.builder import Granularity
 from repro.obs.export import load_trace
 from repro.obs.schema import validate
 from repro.obs.tracer import ENGINE_PID
+from repro.serve import PredictionService
 
 SCHEMA_DIR = Path(__file__).parent.parent / "schemas"
 
@@ -237,6 +240,157 @@ class TestDse:
         assert "sim.replay_tasks_per_s" in stats_out
         assert "p50=" in stats_out and "p99=" in stats_out
 
+    @pytest.mark.parametrize("command", [
+        ["dse", "megatron-1.7b", "--max-gpus", "16"],
+        ["serve", "--port", "0"],
+    ], ids=["dse", "serve"])
+    def test_cache_directory_fails_before_starting(
+            self, tmp_path, capsys, monkeypatch, command):
+        """A ``--cache`` path that is a directory used to end in an
+        IsADirectoryError traceback; now it names the file, and neither
+        the sweep nor the daemon starts."""
+        def started(*args, **kwargs):
+            raise AssertionError("started despite an unreadable cache")
+
+        monkeypatch.setattr(DesignSpaceExplorer, "explore", started)
+        monkeypatch.setattr("repro.serve.ServeDaemon", started)
+        assert main(command + ["--cache", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: prediction cache {tmp_path} cannot be read")
+
+
+class TestCheckpointResume:
+    """``repro dse --cache`` is the sweep checkpoint: the CLI saves the
+    file every ``_CHECKPOINT_EVERY`` newly evaluated plans and at the
+    end, so a rerun resumes an interrupted sweep."""
+
+    ARGS = ["dse", "megatron-1.7b", "--quiet"]
+
+    @staticmethod
+    def summary(out: str) -> tuple[int, int, int]:
+        """``(plans, cache hits, cache misses)`` of a sweep's report."""
+        plans = re.search(r"search space +: (\d+) plans", out).group(1)
+        hits, misses = re.search(r"cache +: (\d+) hits, (\d+) misses",
+                                 out).groups()
+        return int(plans), int(hits), int(misses)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_prefix_sweep_is_served_from_the_file(self, tmp_path, capsys,
+                                                  workers):
+        cache = tmp_path / "sweep.json"
+        assert main(self.ARGS + ["--max-gpus", "8",
+                                 "--cache", str(cache)]) == 0
+        prefix, _, _ = self.summary(capsys.readouterr().out)
+        resumed, fresh = tmp_path / "resumed.csv", tmp_path / "fresh.csv"
+        assert main(self.ARGS + ["--max-gpus", "16", "--workers", workers,
+                                 "--cache", str(cache),
+                                 "--csv", str(resumed)]) == 0
+        total, hits, misses = self.summary(capsys.readouterr().out)
+        assert (hits, misses) == (prefix, total - prefix)
+        assert 0 < prefix < total
+        assert main(self.ARGS + ["--max-gpus", "16",
+                                 "--csv", str(fresh)]) == 0
+        assert resumed.read_text() == fresh.read_text()
+
+    def test_file_is_saved_at_the_cadence_and_at_the_end(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CHECKPOINT_EVERY", 4)
+        sizes = []
+        original = PredictionCache.save
+
+        def recording_save(self, path):
+            sizes.append(len(self))
+            original(self, path)
+
+        monkeypatch.setattr(PredictionCache, "save", recording_save)
+        cache = tmp_path / "cadence.json"
+        assert main(self.ARGS + ["--max-gpus", "8",
+                                 "--cache", str(cache)]) == 0
+        total, _, _ = self.summary(capsys.readouterr().out)
+        *periodic, final = sizes
+        assert final == total == len(PredictionCache.load(cache))
+        assert len(periodic) > 2 and periodic[0] >= 4
+        assert all(later - earlier >= 4
+                   for earlier, later in zip(periodic, periodic[1:]))
+        assert periodic[-1] <= total
+
+    def test_interrupted_sweep_resumes_from_its_last_save(
+            self, tmp_path, capsys, monkeypatch):
+        """A sweep killed mid-way leaves the plans saved so far on
+        disk; the rerun serves them and evaluates only the rest."""
+        class Killed(Exception):
+            pass
+
+        monkeypatch.setattr(cli, "_CHECKPOINT_EVERY", 4)
+        original = DesignSpaceExplorer.evaluate_batch
+        evaluated = []
+
+        def dying(self, plans):
+            if len(evaluated) == 10:
+                raise Killed
+            evaluated.append(len(plans))
+            return original(self, plans)
+
+        monkeypatch.setattr(DesignSpaceExplorer, "evaluate_batch", dying)
+        cache = tmp_path / "interrupted.json"
+        args = self.ARGS + ["--max-gpus", "8", "--cache", str(cache)]
+        with pytest.raises(Killed):
+            main(args)
+        saved = len(PredictionCache.load(cache))
+        assert 4 <= saved <= sum(evaluated)
+        monkeypatch.setattr(DesignSpaceExplorer, "evaluate_batch", original)
+        assert main(args) == 0
+        total, hits, misses = self.summary(capsys.readouterr().out)
+        assert (hits, misses) == (saved, total - saved)
+
+
+class TestRemovedSettings:
+    """One setting per decision: each removed flag fails in argparse
+    (exit 2) and each removed keyword raises TypeError."""
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda: main(["serve", "--port", "0",
+                                   "--batch-window-ms", "1"]),
+                     SystemExit, id="serve --batch-window-ms"),
+        pytest.param(lambda: main(["serve", "--port", "0",
+                                   "--max-batch", "8"]),
+                     SystemExit, id="serve --max-batch"),
+        pytest.param(lambda: main(["serve", "--port", "0",
+                                   "--granularity", "stage"]),
+                     SystemExit, id="serve --granularity"),
+        pytest.param(lambda: main(["dse", "megatron-1.7b", "--max-gpus",
+                                   "16", "--checkpoint", "x"]),
+                     SystemExit, id="dse --checkpoint"),
+        pytest.param(lambda: PredictionService(batch_window_s=0.002), TypeError,
+                     id="PredictionService(batch_window_s)"),
+        pytest.param(lambda: PredictionService(max_batch=64), TypeError,
+                     id="PredictionService(max_batch)"),
+        pytest.param(lambda: PredictionService(
+            default_granularity=Granularity.OPERATOR), TypeError,
+            id="PredictionService(default_granularity)"),
+        pytest.param(lambda: DesignSpaceExplorer(
+            MT_NLG_530B, TrainingConfig(global_batch_size=8),
+            system_factory=multi_node), TypeError,
+            id="DesignSpaceExplorer(system_factory)"),
+        pytest.param(lambda: DesignSpaceExplorer(
+            MT_NLG_530B, TrainingConfig(global_batch_size=8)).explore(
+            plans=[], checkpoint_path="x"), TypeError,
+            id="explore(checkpoint_path)"),
+    ])
+    def test_removed_setting_is_refused(self, capsys, monkeypatch, call,
+                                        error):
+        def serve_forever(*args, **kwargs):
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr("repro.serve.ServeDaemon", serve_forever)
+        with pytest.raises(error) as excinfo:
+            call()
+        if error is SystemExit:
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        else:
+            assert "unexpected keyword argument" in str(excinfo.value)
+
 
 class TestStats:
     def test_stats_missing_snapshot_fails_cleanly(self, tmp_path, capsys):
@@ -341,11 +495,11 @@ class TestInferenceCli:
         assert "pareto" in out.lower()
 
     def test_dse_inference_resumes_from_checkpoint(self, tmp_path, capsys):
-        """Regression: serving sweeps ignored --checkpoint whenever a
-        cache was passed, which `repro dse` always does."""
+        """A serving sweep's ``--cache`` file is its checkpoint: the
+        rerun serves every plan from it."""
         args = ["dse", "megatron-1.7b", "--workload", "inference",
                 "--max-gpus", "4", "--max-pipeline", "2", "--quiet",
-                "--checkpoint", str(tmp_path / "serving.ck.json")]
+                "--cache", str(tmp_path / "serving.cache.json")]
         assert main(args) == 0
         assert "0 hits" in capsys.readouterr().out
         assert main(args) == 0

@@ -4,14 +4,12 @@ import pytest
 
 from repro.config.model import ModelConfig
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.config.system import multi_node
 from repro.dse.explorer import DesignSpaceExplorer, evaluate_plans
 from repro.dse.space import (SearchSpace, count_plans, divisors,
                              enumerate_plans, pipeline_candidates,
                              powers_of_two, tensor_candidates)
 from repro.errors import ConfigError, InfeasibleConfigError
 from repro.graph.builder import Granularity
-from repro.hardware.gpu import A100_80GB, H100_80GB
 from repro.sim.estimator import VTrain
 from repro.workload import InferenceWorkload
 
@@ -291,23 +289,6 @@ class TestSharedProfilingStack:
         profiled = sum(tracer.stats.operators_profiled for tracer in tracers)
         distinct = set().union(*(s.lookup.signatures for s in simulators))
         assert profiled == first.lookup.num_profiled == len(distinct)
-
-    def test_no_sharing_across_gpus(self, model, training):
-        def system_factory(num_gpus):
-            gpu = A100_80GB if num_gpus <= 16 else H100_80GB
-            return multi_node(num_gpus // 8, gpu=gpu)
-
-        explorer = DesignSpaceExplorer(model, training,
-                                       system_factory=system_factory)
-        explorer.explore(max_gpus=32, space=SHARED_SPACE)
-        lookups: dict[str, set[int]] = {}
-        for simulator in explorer._simulators.values():
-            assert simulator.device.spec == simulator.system.gpu
-            lookups.setdefault(simulator.system.gpu.name,
-                               set()).add(id(simulator.lookup))
-        assert sorted(lookups) == sorted([A100_80GB.name, H100_80GB.name])
-        assert all(len(ids) == 1 for ids in lookups.values())
-        assert len(set().union(*lookups.values())) == 2
 
     @pytest.mark.parametrize("granularity",
                              [Granularity.STAGE, Granularity.OPERATOR])

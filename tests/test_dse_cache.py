@@ -128,16 +128,16 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             PredictionCache.load(path)
 
-    def test_merge_counts_new_entries(self, tiny_model, plan, point):
-        first = PredictionCache()
-        first.put(a_key(tiny_model, plan), point)
-        second = PredictionCache()
-        second.put(a_key(tiny_model, plan), point)
-        second.put(a_key(tiny_model, plan.replaced(data=4)),
-                   DesignPoint(plan=plan.replaced(data=4), feasible=False,
-                               infeasible_reason="nope"))
-        assert first.merge(second) == 1
-        assert len(first) == 2
+    def test_unreadable_path_names_the_file(self, tmp_path):
+        """Regression: a directory raised IsADirectoryError, which the
+        CLI printed as a traceback."""
+        with pytest.raises(ConfigError) as excinfo:
+            PredictionCache.load(tmp_path)
+        assert str(excinfo.value).startswith(f"prediction cache {tmp_path} ")
+
+    def test_missing_file_is_not_a_config_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            PredictionCache.load(tmp_path / "absent.json")
 
 
 class TestExplorerUsesCache:
@@ -220,8 +220,8 @@ def _assert_loads_typed_or_rejects(payload) -> None:
 
 
 class TestCorruptFiles:
-    """Every --cache/--checkpoint file goes through PredictionCache
-    loading: a corrupt one must fail loudly, never answer wrong."""
+    """Every --cache file goes through PredictionCache loading: a
+    corrupt one must fail loudly, never answer wrong."""
 
     @given(JSON_VALUES)
     def test_arbitrary_json_loads_typed_or_raises(self, value):

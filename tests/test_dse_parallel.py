@@ -1,10 +1,11 @@
-"""Tests for the sweep loop's worker, cache and checkpoint options.
+"""Tests for the sweep loop's worker, cache and progress options.
 
 Covers the determinism contract (every combination of ``workers``,
-``cache``, ``checkpoint_path`` and ``progress`` returns the serial
-sweep's points, bit-identical), cache hit/miss accounting, checkpoint
-interrupt/resume, and the progress callback — each for a training
-explorer and a serving explorer, which share one sweep loop.
+``cache`` and ``progress`` returns the serial sweep's points,
+bit-identical), cache hit/miss accounting and the progress callback —
+each for a training explorer and a serving explorer, which share one
+sweep loop. Saving the cache as a sweep checkpoint is ``repro dse
+--cache``'s job (``tests/test_cli.py``).
 """
 
 import concurrent.futures
@@ -15,7 +16,6 @@ import pytest
 
 from repro.config.model import ModelConfig
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.dse import explorer as explorer_module
 from repro.dse.cache import PredictionCache
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.space import SearchSpace
@@ -75,18 +75,17 @@ class TestParity:
         assert [p.plan for p in result.points] == plans
 
     @pytest.mark.parametrize(
-        "workers,use_cache,use_checkpoint,use_progress",
+        "workers,use_cache,use_progress",
         [combo for combo in itertools.product((1, 2), (False, True),
-                                              (False, True), (False, True))
-         if combo[0] == 1 or combo[1:] in ((False,) * 3, (True,) * 3)])
+                                              (False, True))
+         if combo[0] == 1 or combo[1:] in ((False,) * 2, (True,) * 2)])
     def test_every_option_combination_matches_serial(
-            self, make_explorer, space, serial_result, tmp_path, workers,
-            use_cache, use_checkpoint, use_progress):
+            self, make_explorer, space, serial_result, workers, use_cache,
+            use_progress):
         seen = []
         result = make_explorer().explore(
             max_gpus=8, space=space, workers=workers,
             cache=PredictionCache() if use_cache else None,
-            checkpoint_path=tmp_path / "ck.json" if use_checkpoint else None,
             progress=((lambda done, total: seen.append(done))
                       if use_progress else None))
         assert result.points == serial_result.points
@@ -171,61 +170,6 @@ class TestCacheAccounting:
 
         monkeypatch.setattr(DesignSpaceExplorer, "fingerprint_for", fail)
         assert make_explorer().explore(max_gpus=8, space=space).points
-
-
-class TestCheckpointResume:
-    def test_interrupted_sweep_resumes_from_checkpoint(self, make_explorer,
-                                                       serial_result,
-                                                       tmp_path):
-        checkpoint = tmp_path / "sweep.json"
-        plans = [point.plan for point in serial_result.points]
-        # First run covers only a prefix of the space (an "interrupted"
-        # sweep that checkpointed before dying).
-        make_explorer().explore(plans=plans[:5], checkpoint_path=checkpoint)
-        assert checkpoint.exists()
-
-        resumed_cache = PredictionCache()
-        result = make_explorer().explore(plans=plans, cache=resumed_cache,
-                                         checkpoint_path=checkpoint)
-        # The checkpointed prefix is served from disk, the rest computed.
-        assert resumed_cache.hits == 5
-        assert resumed_cache.misses == len(plans) - 5
-        assert result.points == serial_result.points
-
-    def test_full_checkpoint_round_trip(self, make_explorer, space,
-                                        tmp_path, serial_result):
-        checkpoint = tmp_path / "done.json"
-        make_explorer().explore(max_gpus=8, space=space, workers=2,
-                                checkpoint_path=checkpoint)
-        rerun_cache = PredictionCache()
-        result = make_explorer().explore(max_gpus=8, space=space,
-                                         cache=rerun_cache,
-                                         checkpoint_path=checkpoint)
-        assert rerun_cache.misses == 0
-        assert result.points == serial_result.points
-
-    def test_checkpoint_saved_at_cadence_and_end(self, make_explorer, space,
-                                                 tmp_path, monkeypatch):
-        """The checkpoint is saved once ``_CHECKPOINT_EVERY`` plans have
-        been evaluated since the last save, and again at the end."""
-        monkeypatch.setattr(explorer_module, "_CHECKPOINT_EVERY", 4)
-        saved_sizes = []
-        original = PredictionCache.save
-
-        def recording_save(self, path):
-            saved_sizes.append(len(self))
-            original(self, path)
-
-        monkeypatch.setattr(PredictionCache, "save", recording_save)
-        checkpoint = tmp_path / "cadence.json"
-        result = make_explorer().explore(max_gpus=8, space=space,
-                                         checkpoint_path=checkpoint)
-        total = len(result.points)
-        assert saved_sizes[-1] == total
-        assert len(saved_sizes) > 2
-        assert saved_sizes[0] < total
-        assert saved_sizes == sorted(saved_sizes)
-        assert len(PredictionCache.load(checkpoint)) == total
 
 
 class TestProgress:

@@ -176,19 +176,20 @@ class TestServingExploration:
         with pytest.raises(ConfigError):
             DesignSpaceExplorer(tiny_model, None)
 
-    def test_serving_checkpoint_round_trip(self, tiny_model, workload,
+    def test_serving_cache_file_round_trip(self, tiny_model, workload,
                                            tmp_path):
-        """A serving sweep resumed from its checkpoint returns the
+        """A serving sweep rerun on its saved cache file returns the
         same points without recomputing."""
-        checkpoint = tmp_path / "serving.cache.json"
+        path = tmp_path / "serving.cache.json"
         space = SearchSpace(max_tensor=2, max_pipeline=1)
         explorer = DesignSpaceExplorer(tiny_model, None, workload=workload)
-        first = explorer.explore(space=space, max_gpus=4,
-                                 checkpoint_path=checkpoint)
-        assert checkpoint.exists()
+        cache = PredictionCache()
+        first = explorer.explore(space=space, max_gpus=4, cache=cache)
+        cache.save(path)
+        loaded = PredictionCache.load(path)
         resumed = DesignSpaceExplorer(tiny_model, None, workload=workload)
-        second = resumed.explore(space=space, max_gpus=4,
-                                 checkpoint_path=checkpoint)
+        second = resumed.explore(space=space, max_gpus=4, cache=loaded)
+        assert loaded.misses == 0
         assert ([point.to_dict() for point in second.points]
                 == [point.to_dict() for point in first.points])
 

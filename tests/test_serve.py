@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import re
 import socket
 import subprocess
@@ -39,12 +38,13 @@ from repro.config.parallelism import (ParallelismConfig, RecomputeMode,
 from repro.config.system import single_node
 from repro.dse.cache import PredictionCache, fingerprint
 from repro.dse.explorer import DesignPoint
-from repro.errors import ConfigError, InfeasibleConfigError, ReproError
+from repro.errors import InfeasibleConfigError, ReproError
 from repro.graph.builder import (Granularity, clear_structure_cache,
                                  structure_cache_get, structure_cache_put,
                                  structure_cache_stats)
 from repro.serve import (PredictionService, RemoteError, ServeClient,
                          ServeDaemon, protocol)
+from repro.serve import service as service_module
 from repro.serve.service import ShuttingDownError
 from repro.sim.estimator import VTrain
 
@@ -62,7 +62,7 @@ def clean_slate():
 
 @pytest.fixture
 def service():
-    svc = PredictionService(batch_window_s=0.001)
+    svc = PredictionService()
     yield svc
     svc.close()
 
@@ -73,8 +73,9 @@ LONG_WINDOW_S = 0.5
 
 
 @pytest.fixture
-def batching_service():
-    svc = PredictionService(batch_window_s=LONG_WINDOW_S)
+def batching_service(monkeypatch):
+    monkeypatch.setattr(service_module, "BATCH_WINDOW_S", LONG_WINDOW_S)
+    svc = PredictionService()
     yield svc
     svc.close()
 
@@ -180,6 +181,23 @@ class TestServiceBitIdentical:
                 == direct.gpu_compute_utilization)
         assert served["memory_per_gpu"] == direct.memory_per_gpu
         assert served["num_gpus"] == description.plan.total_gpus
+
+    def test_request_without_granularity_runs_at_operator(self, service):
+        """OPERATOR is the one default: a request naming no granularity
+        gets a direct OPERATOR predict's answer, cached under the
+        OPERATOR fingerprint."""
+        description = tiny_description()
+        direct = VTrain(description.system,
+                        granularity=Granularity.OPERATOR).predict(
+            description.model, description.plan, description.training)
+        served = service.predict({"description": description.to_dict()})
+        assert served["iteration_time"] == direct.iteration_time
+        assert (served["gpu_compute_utilization"]
+                == direct.gpu_compute_utilization)
+        assert served["memory_per_gpu"] == direct.memory_per_gpu
+        assert fingerprint(description.model, description.plan,
+                           description.training, description.system,
+                           Granularity.OPERATOR) in service.cache
 
     def test_cache_path_is_bit_identical_to_computed(self, service):
         description = tiny_description()
@@ -326,7 +344,7 @@ class TestServiceErrors:
             service.predict({"preset": "definitely-not-a-model"})
 
     def test_closed_service_refuses_admission(self):
-        svc = PredictionService(batch_window_s=0.0)
+        svc = PredictionService()
         svc.close()
         with pytest.raises(ReproError, match="shutting down"):
             svc.predict({"description": tiny_description().to_dict()})
@@ -371,29 +389,27 @@ class TestLifecycle:
         assert [t.name for t in started] == ["repro-serve-batcher"]
         assert not started[0].is_alive()
 
-    @pytest.mark.parametrize("name,value", [
-        ("max_batch", 0), ("max_batch", -1), ("max_batch", True),
-        ("max_batch", 2.0), ("batch_window_s", math.inf),
-        ("batch_window_s", math.nan), ("batch_window_s", -0.001),
-    ])
-    def test_settings_that_would_hang_are_rejected(self, name, value):
-        """``max_batch=0`` never drained the queue, and an infinite
-        window killed the batcher thread (``time.sleep`` overflow): every
-        predict hung. NaN and negative windows silently acted as 0."""
-        with pytest.raises(ConfigError, match=name):
-            PredictionService(**{name: value})
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--max-batch", "0"), ("--batch-window-ms", "inf"),
-        ("--batch-window-ms", "nan"),
-    ])
-    def test_serve_cli_rejects_them_at_startup(self, capsys, flag, value):
-        """Rejected before anything starts, and the caller's
-        observability switch is left as it was."""
-        was_enabled = obs.enabled()
-        assert main(["serve", "--port", "0", flag, value]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert obs.enabled() == was_enabled
+    def test_batcher_reads_the_window_and_cap_constants(self,
+                                                        monkeypatch):
+        """The window (2 ms) is read at every flush and the cap is the
+        explorer's batched-replay cap (64): with a long window and a cap
+        of 2, three predicts released together run as flushes of 2
+        and 1."""
+        assert (service_module.BATCH_WINDOW_S,
+                service_module._MAX_EVAL_BATCH) == (0.002, 64)
+        monkeypatch.setattr(service_module, "BATCH_WINDOW_S", LONG_WINDOW_S)
+        monkeypatch.setattr(service_module, "_MAX_EVAL_BATCH", 2)
+        svc = PredictionService()
+        try:
+            predict_together(svc, [
+                {"description": tiny_description(
+                    tensor=t, data=d, pipeline=2).to_dict()}
+                for t, d in ((2, 2), (1, 4), (4, 1))])
+            batch = svc.stats()["batch"]
+        finally:
+            svc.close()
+        assert (batch["flushes"], batch["jobs"]) == (2, 3)
+        assert batch["size"]["max"] == 2
 
     def test_stdio_transport_is_gone(self, capsys):
         """The daemon serves TCP only: ``--stdio`` is an unknown
@@ -420,7 +436,7 @@ class TestDispatch:
         """A closed service's refusal says "retry elsewhere", not
         INVALID_PARAMS, on the wire and in the access log."""
         sink = io.StringIO()
-        svc = PredictionService(batch_window_s=0.0, access_log=sink)
+        svc = PredictionService(access_log=sink)
         svc.close()
         params = {"description": tiny_description().to_dict()}
         response, _ = svc.dispatch(protocol.request(1, "predict", params))
@@ -942,11 +958,8 @@ class TestConcurrentPredictionCache:
                            iteration_time=float(len(key)),
                            utilization=0.5, memory_gib=1.0)
 
-    def test_concurrent_put_get_and_merge(self):
+    def test_concurrent_put_and_get(self):
         cache = PredictionCache()
-        other = PredictionCache()
-        for i in range(8):
-            other.put(f"pre-{i}", self._point(f"pre-{i}"))
         n = 4
         barrier = threading.Barrier(n)
         errors: list[BaseException] = []
@@ -960,7 +973,6 @@ class TestConcurrentPredictionCache:
                     found = cache.get(key)
                     if found is not None:
                         assert found.iteration_time == float(len(key))
-                    cache.merge(other)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -971,7 +983,7 @@ class TestConcurrentPredictionCache:
         for thread in threads:
             thread.join()
         assert not errors
-        assert len(cache) == 10 + 8
+        assert len(cache) == 10
         stats = cache.stats
         assert stats["hits"] + stats["misses"] == n * 40
 
@@ -1020,13 +1032,13 @@ class TestConcurrentPredictionCache:
 class TestServiceCacheIntegration:
     def test_service_populates_the_prediction_cache_it_was_given(self):
         cache = PredictionCache()
-        svc = PredictionService(cache=cache, batch_window_s=0.0)
+        svc = PredictionService(cache=cache)
         try:
             description = tiny_description()
             svc.predict({"description": description.to_dict()})
             key = fingerprint(description.model, description.plan,
                               description.training, description.system,
-                              svc.default_granularity)
+                              Granularity.OPERATOR)
             assert key in cache
             point = cache.get(key)
             assert point is not None and point.feasible
@@ -1035,12 +1047,12 @@ class TestServiceCacheIntegration:
 
     def test_preloaded_cache_serves_without_any_simulation(self):
         description = tiny_description()
-        warm = PredictionService(batch_window_s=0.0)
+        warm = PredictionService()
         try:
             expected = warm.predict({"description": description.to_dict()})
         finally:
             warm.close()
-        svc = PredictionService(cache=warm.cache, batch_window_s=0.0)
+        svc = PredictionService(cache=warm.cache)
         try:
             served = svc.predict({"description": description.to_dict()})
             assert served["served"]["source"] == "cache"
@@ -1067,7 +1079,7 @@ class TestInferenceServing:
         payload = service.predict({"description": description.to_dict(),
                                    "workload": self.workload_dict()})
         vtrain = VTrain(description.system,
-                        granularity=service.default_granularity)
+                        granularity=Granularity.OPERATOR)
         direct = vtrain.predict_inference(
             description.model, description.plan,
             InferenceWorkload.from_dict(self.workload_dict()))

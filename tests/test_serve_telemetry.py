@@ -34,6 +34,7 @@ from repro.obs.schema import validate
 from repro.obs.stitch import stitch_trace
 from repro.serve import (PredictionService, RemoteError, ServeClient,
                          ServeDaemon, protocol)
+from repro.serve import service as service_module
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -53,7 +54,7 @@ def clean_slate():
 
 @pytest.fixture
 def service():
-    svc = PredictionService(batch_window_s=0.001)
+    svc = PredictionService()
     yield svc
     svc.close()
 
@@ -137,10 +138,12 @@ class TestTracePropagation:
             for span in served["spans"]:
                 assert span["tags"]["trace_id"] == trace_id
 
-    def test_coalesced_followers_report_the_leaders_trace_id(self):
+    def test_coalesced_followers_report_the_leaders_trace_id(
+            self, monkeypatch):
         """A dedup burst: every coalesced follower's response names the
         leader's trace ID as the computation that served it."""
-        service = PredictionService(batch_window_s=0.05)
+        monkeypatch.setattr(service_module, "BATCH_WINDOW_S", 0.05)
+        service = PredictionService()
         try:
             description = tiny_description()
             burst = 6
@@ -277,7 +280,7 @@ class TestTelemetryRPCs:
 class TestAccessLog:
     def test_one_json_line_per_request(self):
         sink = io.StringIO()
-        service = PredictionService(batch_window_s=0.001, access_log=sink)
+        service = PredictionService(access_log=sink)
         try:
             service.dispatch(protocol.request(1, "ping"),
                              peer="10.0.0.9:1234")
@@ -302,7 +305,7 @@ class TestAccessLog:
 
     def test_torn_log_sink_never_fails_the_request(self):
         sink = io.StringIO()
-        service = PredictionService(batch_window_s=0.001, access_log=sink)
+        service = PredictionService(access_log=sink)
         try:
             sink.close()  # writes now raise ValueError
             response, _ = service.dispatch(protocol.request(1, "ping"))
