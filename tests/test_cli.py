@@ -264,7 +264,15 @@ class TestCheckpointResume:
     file every ``_CHECKPOINT_EVERY`` newly evaluated plans and at the
     end, so a rerun resumes an interrupted sweep."""
 
-    ARGS = ["dse", "megatron-1.7b", "--quiet"]
+    @pytest.fixture(params=[
+        pytest.param([], id="training"),
+        pytest.param(["--workload", "inference", "--batch-size", "4",
+                      "--prompt-len", "64", "--gen-len", "16"],
+                     id="serving")])
+    def args(self, request):
+        """A training sweep's or a serving sweep's command line; both
+        run through the same sweep loop and the same ``--cache``."""
+        return ["dse", "megatron-1.7b", "--quiet", *request.param]
 
     @staticmethod
     def summary(out: str) -> tuple[int, int, int]:
@@ -275,25 +283,47 @@ class TestCheckpointResume:
         return int(plans), int(hits), int(misses)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_prefix_sweep_is_served_from_the_file(self, tmp_path, capsys,
-                                                  workers):
+    def test_prefix_sweep_is_served_from_the_file(self, args, tmp_path,
+                                                  capsys, workers):
         cache = tmp_path / "sweep.json"
-        assert main(self.ARGS + ["--max-gpus", "8",
-                                 "--cache", str(cache)]) == 0
+        assert main(args + ["--max-gpus", "8", "--cache", str(cache)]) == 0
         prefix, _, _ = self.summary(capsys.readouterr().out)
         resumed, fresh = tmp_path / "resumed.csv", tmp_path / "fresh.csv"
-        assert main(self.ARGS + ["--max-gpus", "16", "--workers", workers,
-                                 "--cache", str(cache),
-                                 "--csv", str(resumed)]) == 0
+        assert main(args + ["--max-gpus", "16", "--workers", workers,
+                            "--cache", str(cache),
+                            "--csv", str(resumed)]) == 0
         total, hits, misses = self.summary(capsys.readouterr().out)
         assert (hits, misses) == (prefix, total - prefix)
         assert 0 < prefix < total
-        assert main(self.ARGS + ["--max-gpus", "16",
-                                 "--csv", str(fresh)]) == 0
+        assert main(args + ["--max-gpus", "16", "--csv", str(fresh)]) == 0
         assert resumed.read_text() == fresh.read_text()
 
+    def test_parallel_sweep_file_serves_the_whole_rerun(self, args,
+                                                        tmp_path, capsys):
+        """A finished ``--workers 2`` sweep leaves every plan in the
+        file: the serial rerun evaluates nothing and prints the same
+        points."""
+        cache = tmp_path / "done.json"
+        first, rerun = tmp_path / "first.csv", tmp_path / "rerun.csv"
+        assert main(args + ["--max-gpus", "16", "--workers", "2",
+                            "--cache", str(cache),
+                            "--csv", str(first)]) == 0
+        total, hits, _ = self.summary(capsys.readouterr().out)
+        assert hits == 0
+        assert main(args + ["--max-gpus", "16", "--cache", str(cache),
+                            "--csv", str(rerun)]) == 0
+        assert self.summary(capsys.readouterr().out) == (total, total, 0)
+        assert rerun.read_text() == first.read_text()
+
+    @pytest.mark.parametrize("quiet", [True, False],
+                             ids=["quiet", "progress"])
     def test_file_is_saved_at_the_cadence_and_at_the_end(
-            self, tmp_path, capsys, monkeypatch):
+            self, args, tmp_path, capsys, monkeypatch, quiet):
+        """The periodic saves ride on the progress callback, which the
+        CLI installs whether or not ``--quiet`` hides the progress
+        line."""
+        if not quiet:
+            args = [arg for arg in args if arg != "--quiet"]
         monkeypatch.setattr(cli, "_CHECKPOINT_EVERY", 4)
         sizes = []
         original = PredictionCache.save
@@ -304,9 +334,10 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(PredictionCache, "save", recording_save)
         cache = tmp_path / "cadence.json"
-        assert main(self.ARGS + ["--max-gpus", "8",
-                                 "--cache", str(cache)]) == 0
-        total, _, _ = self.summary(capsys.readouterr().out)
+        assert main(args + ["--max-gpus", "8", "--cache", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert ("evaluated" in captured.err) is not quiet
+        total, _, _ = self.summary(captured.out)
         *periodic, final = sizes
         assert final == total == len(PredictionCache.load(cache))
         assert len(periodic) > 2 and periodic[0] >= 4
@@ -315,7 +346,7 @@ class TestCheckpointResume:
         assert periodic[-1] <= total
 
     def test_interrupted_sweep_resumes_from_its_last_save(
-            self, tmp_path, capsys, monkeypatch):
+            self, args, tmp_path, capsys, monkeypatch):
         """A sweep killed mid-way leaves the plans saved so far on
         disk; the rerun serves them and evaluates only the rest."""
         class Killed(Exception):
@@ -333,7 +364,7 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(DesignSpaceExplorer, "evaluate_batch", dying)
         cache = tmp_path / "interrupted.json"
-        args = self.ARGS + ["--max-gpus", "8", "--cache", str(cache)]
+        args = args + ["--max-gpus", "8", "--cache", str(cache)]
         with pytest.raises(Killed):
             main(args)
         saved = len(PredictionCache.load(cache))

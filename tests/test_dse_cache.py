@@ -135,6 +135,16 @@ class TestPersistence:
             PredictionCache.load(tmp_path)
         assert str(excinfo.value).startswith(f"prediction cache {tmp_path} ")
 
+    def test_path_below_a_regular_file_names_the_file(self, tmp_path):
+        """NotADirectoryError is an OSError other than a missing file,
+        so it is a ConfigError too, not a traceback."""
+        blocker = tmp_path / "plain.json"
+        blocker.write_text("{}")
+        path = blocker / "cache.json"
+        with pytest.raises(ConfigError) as excinfo:
+            PredictionCache.load(path)
+        assert str(excinfo.value).startswith(f"prediction cache {path} ")
+
     def test_missing_file_is_not_a_config_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             PredictionCache.load(tmp_path / "absent.json")
