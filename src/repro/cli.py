@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -290,28 +291,39 @@ def _preset_by_key(key: str) -> ModelConfig:
     raise ReproError(f"unknown preset {key!r}")
 
 
+def _example_description(model: ModelConfig) -> InputDescription:
+    """The description ``repro example`` writes for a preset model: a
+    heuristic plan (tensor ``min(8, heads)``, halved until it divides
+    the heads, and ``data=4``) on whole 8-GPU nodes, training a
+    64-sequence batch over a billion tokens."""
+    plan = ParallelismConfig(tensor=min(8, model.num_heads), data=4,
+                             pipeline=1)
+    while model.num_heads % plan.tensor:
+        plan = plan.replaced(tensor=plan.tensor // 2)
+    return InputDescription(
+        model=model, system=multi_node(max(1, plan.total_gpus // 8)),
+        plan=plan, training=TrainingConfig(global_batch_size=64,
+                                           total_tokens=1_000_000_000))
+
+
 def _preset_description(key: str) -> InputDescription:
     """An :class:`InputDescription` for one bundled preset.
 
-    MT-NLG gets its published Table-I plan and training recipe; other
-    presets get the same heuristic plan ``repro example`` writes.
+    MT-NLG gets its published Table-I plan and training recipe, and
+    GPT-3 its training recipe; otherwise this is what ``repro example``
+    writes.
     """
     key = PRESET_ALIASES.get(key, key)
     model = _preset_by_key(key)
     if model is MT_NLG_530B:
         plan = MT_NLG_BASELINE_PLANS[0]
-        training = MT_NLG_TRAINING
-    else:
-        plan = ParallelismConfig(tensor=min(8, model.num_heads), data=4,
-                                 pipeline=1)
-        while model.num_heads % plan.tensor:
-            plan = plan.replaced(tensor=plan.tensor // 2)
-        training = (GPT3_TRAINING if key == "gpt-3-175b"
-                    else TrainingConfig(global_batch_size=64,
-                                        total_tokens=1_000_000_000))
-    nodes = max(1, plan.total_gpus // 8)
-    return InputDescription(model=model, system=multi_node(nodes),
-                            plan=plan, training=training)
+        return InputDescription(model=model,
+                                system=multi_node(plan.total_gpus // 8),
+                                plan=plan, training=MT_NLG_TRAINING)
+    description = _example_description(model)
+    if key == "gpt-3-175b":
+        return dataclasses.replace(description, training=GPT3_TRAINING)
+    return description
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -510,13 +522,32 @@ def _predict_connected(args: argparse.Namespace,
     return 0
 
 
+def _open_cache(path: Path | None) -> PredictionCache:
+    """The ``--cache`` file's prediction cache, empty when there is no
+    path or no file yet.
+
+    Fails before any plan is evaluated or the daemon binds when the
+    file could not be saved later: its nearest existing ancestor must
+    be a directory (the save creates the rest), and the path itself
+    must not be one (loading it says so). Nothing is written here.
+    """
+    if path is None:
+        return PredictionCache()
+    for ancestor in path.parents:
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise ConfigError(f"prediction cache {path} cannot be "
+                                  f"written: {ancestor} is not a directory")
+            break
+    return PredictionCache.load(path) if path.exists() else PredictionCache()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the prediction daemon until interrupted or shut down."""
     from repro.serve import PredictionService, ServeDaemon
 
     obs.enable()  # the serving tier exists to report latency metrics
-    cache = (PredictionCache.load(args.cache)
-             if args.cache and args.cache.exists() else PredictionCache())
+    cache = _open_cache(args.cache)
     with contextlib.ExitStack() as stack:
         access_log = None
         if args.access_log is not None:
@@ -562,8 +593,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     if workload is not None and tuple(args.virtual_stages) != (1,):
         raise ReproError("--virtual-stages applies to training sweeps only "
                          "(inference phase graphs are plain pipelines)")
-    cache = (PredictionCache.load(args.cache)
-             if args.cache and args.cache.exists() else PredictionCache())
+    cache = _open_cache(args.cache)
     saved_at = None  # plans done at the last save; set by the cache scan
 
     def report(done: int, total: int) -> None:
@@ -620,13 +650,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     if args.csv:
         save_csv(result, args.csv)
         print(f"\nwrote {result.num_feasible} feasible points to {args.csv}")
-    if args.metrics is not None:
-        target = None if args.metrics == Path("") else args.metrics
-        written = obs.save_snapshot(target)
-        print()
-        print("observability snapshot:")
-        print(obs.format_snapshot(obs.snapshot()))
-        print(f"saved metrics    : {written}")
+    _report_metrics(args)
     return 0
 
 
@@ -665,14 +689,21 @@ def _report_serving_dse(args: argparse.Namespace, model: ModelConfig,
     if args.csv:
         save_serving_csv(result, args.csv)
         print(f"\nwrote {result.num_feasible} feasible points to {args.csv}")
-    if args.metrics is not None:
-        target = None if args.metrics == Path("") else args.metrics
-        written = obs.save_snapshot(target)
-        print()
-        print("observability snapshot:")
-        print(obs.format_snapshot(obs.snapshot()))
-        print(f"saved metrics    : {written}")
+    _report_metrics(args)
     return 0
+
+
+def _report_metrics(args: argparse.Namespace) -> None:
+    """``repro dse --metrics``: save the metrics snapshot, print it, and
+    print where it went (nothing without ``--metrics``)."""
+    if args.metrics is None:
+        return
+    target = None if args.metrics == Path("") else args.metrics
+    written = obs.save_snapshot(target)
+    print()
+    print("observability snapshot:")
+    print(obs.format_snapshot(obs.snapshot()))
+    print(f"saved metrics    : {written}")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -698,17 +729,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    model = _preset_by_key(args.model)
-    plan = ParallelismConfig(tensor=min(8, model.num_heads), data=4,
-                             pipeline=1)
-    while model.num_heads % plan.tensor:
-        plan = plan.replaced(tensor=plan.tensor // 2)
-    nodes = max(1, plan.total_gpus // 8)
-    description = InputDescription(
-        model=model, system=multi_node(nodes), plan=plan,
-        training=TrainingConfig(global_batch_size=64,
-                                total_tokens=1_000_000_000))
-    description.save(args.output)
+    _example_description(_preset_by_key(args.model)).save(args.output)
     print(f"wrote {args.output} — edit the plan/system and run:")
     print(f"  python -m repro predict {args.output}")
     return 0
@@ -724,6 +745,10 @@ def _cmd_presets(_args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
+    A :class:`~repro.errors.ReproError` or an ``OSError`` (an output
+    path that cannot be written, say) prints one ``error:`` line and
+    returns 1.
+
     Commands that switch observability on (``serve``, ``predict
     --trace``, ``dse --metrics``) leave the caller's switch as they
     found it, so an in-process call does not turn spans and histograms
@@ -737,7 +762,7 @@ def main(argv: list[str] | None = None) -> int:
     was_enabled = obs.enabled()
     try:
         return handlers[args.command](args)
-    except (ReproError, FileNotFoundError) as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -158,8 +158,6 @@ class CommKind(enum.Enum):
 
     ALL_REDUCE = "all_reduce"
     SEND_RECV = "send_recv"
-    ALL_GATHER = "all_gather"
-    REDUCE_SCATTER = "reduce_scatter"
 
 
 class CommScope(enum.Enum):
@@ -168,7 +166,6 @@ class CommScope(enum.Enum):
     TENSOR = "tensor"      # intra-node All-Reduce after MHA/FFN (Fig. 6)
     DATA = "data"          # gradient All-Reduce per bucket (Fig. 5)
     PIPELINE = "pipeline"  # Send-Receive at stage boundaries (Fig. 6)
-    EMBEDDING = "embedding"  # tied embedding/LM-head gradient sync
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,8 @@ class RingParameters:
         return transfer + latency
 
     def allgather_time(self, size_bytes: float, group_size: int) -> float:
-        """Ring All-Gather: each rank receives (n-1)/n of the payload."""
+        """Ring All-Gather: each rank receives (n-1)/n of the payload
+        (the hierarchical All-Reduce's last intra-node phase)."""
         if group_size <= 1 or size_bytes <= 0:
             return 0.0
         transfer = (size_bytes / self.bus_bandwidth
@@ -67,7 +68,8 @@ class RingParameters:
         return transfer + latency
 
     def reduce_scatter_time(self, size_bytes: float, group_size: int) -> float:
-        """Ring Reduce-Scatter (same wire traffic as All-Gather)."""
+        """Ring Reduce-Scatter (same wire traffic as All-Gather; the
+        hierarchical All-Reduce's first intra-node phase)."""
         return self.allgather_time(size_bytes, group_size)
 
 
@@ -134,11 +136,6 @@ def p2p_time(system: "SystemConfig", size_bytes: float,
         bandwidth = system.nic_bandwidth
         latency = system.internode_latency
     return size_bytes / bandwidth + latency
-
-
-def ring_hops(group_size: int) -> int:
-    """Number of ring steps in one All-Reduce phase (for diagnostics)."""
-    return max(0, 2 * (group_size - 1))
 
 
 def log2_ceil(value: int) -> int:

@@ -193,11 +193,9 @@ def memory_footprint(model: ModelConfig, plan: ParallelismConfig,
             states sharded across the data-parallel group
             (Megatron-DeepSpeed's default); 2 = plus gradient sharding;
             3 = plus parameter sharding. Stages 2/3 model the *memory*
-            effect only — the extra All-Gather / Reduce-Scatter traffic
-            of ZeRO-3 would also need graph-level operators (the
-            :class:`~repro.profiling.nccl.NcclModel` exposes
-            ``allgather_time`` / ``reduce_scatter_time`` for that
-            extension).
+            effect only: the graph emits no ZeRO-3 All-Gather or
+            Reduce-Scatter, and the communication models cost only the
+            All-Reduce and Send-Receive it does emit.
 
     Raises:
         InfeasibleConfigError: ``zero_stage`` outside 0-3.

@@ -6,8 +6,9 @@ for the flows crossing it — a link of bandwidth ``B`` carrying ``k``
 concurrent flows delivers ``B / k`` to each — and take the slowest flow
 as the step time. Serial steps then sum. This is the link-level
 contention model Echo and Charon argue is needed for accurate
-large-scale collectives, applied to the three algorithms NCCL actually
-runs:
+large-scale collectives, applied to the three All-Reduce algorithms
+NCCL actually runs and to the pipeline's Send-Receive — the two kinds
+of communication the graph builder emits:
 
 * **Ring** — ``2(n-1)`` steps of neighbor exchange, payload split over
   ``channels`` parallel rings (NCCL channels map onto HCA rails, which
@@ -18,6 +19,7 @@ runs:
 * **Two-level hierarchical** (NCCL's multi-node All-Reduce): intra-node
   reduce-scatter over NVLink, one inter-node ring per local rank over
   its own rail, intra-node all-gather.
+* **Point-to-point** — one uncontended routed flow (a pipeline hop).
 
 Routes and link loads depend only on the group, never on the payload,
 so each algorithm splits in two. A payload-free :class:`StepPlan` holds
@@ -107,8 +109,8 @@ def _check_channels(channels: int) -> None:
 def _ring_plan(topology: Topology, gpus: list[str],
                channels: int) -> StepPlan:
     """One ring step: every member sends a chunk to its successor,
-    simultaneously on every channel (the step All-Reduce, All-Gather and
-    Reduce-Scatter all repeat)."""
+    simultaneously on every channel (the step a ring All-Reduce
+    repeats)."""
     def route() -> StepPlan:
         _check_group(gpus)
         _check_channels(channels)
@@ -171,24 +173,6 @@ def ring_allreduce_time(topology: Topology, gpus: list[str],
     if count <= 1 or size_bytes <= 0:
         return 0.0
     return 2 * (count - 1) * step.time(size_bytes / channels)
-
-
-def ring_allgather_time(topology: Topology, gpus: list[str],
-                        size_bytes: float, *, channels: int = 1) -> float:
-    """Ring All-Gather: ``n-1`` steps, each member forwarding one chunk."""
-    step = _ring_plan(topology, gpus, channels)
-    count = len(gpus)
-    if count <= 1 or size_bytes <= 0:
-        return 0.0
-    return (count - 1) * step.time(size_bytes / channels)
-
-
-def ring_reduce_scatter_time(topology: Topology, gpus: list[str],
-                             size_bytes: float, *,
-                             channels: int = 1) -> float:
-    """Ring Reduce-Scatter (same wire traffic as All-Gather)."""
-    return ring_allgather_time(topology, gpus, size_bytes,
-                               channels=channels)
 
 
 def tree_allreduce_time(topology: Topology, gpus: list[str],

@@ -2,8 +2,8 @@
 
 :class:`TopologyAwareNcclModel` honors the exact operator-timing
 interface of :class:`repro.profiling.nccl.NcclModel` — ``profile_table``,
-``allreduce_time`` / ``allgather_time`` / ``reduce_scatter_time`` /
-``sendrecv_time`` and the :meth:`time` dispatcher — so every consumer
+``allreduce_time`` / ``sendrecv_time`` for the two kinds the graph
+builder emits, and the memoized :meth:`time` — so every consumer
 (:class:`~repro.sim.estimator.VTrain`, the graph builder, the DSE
 engine) can swap it in without change.
 
@@ -39,7 +39,6 @@ from repro.errors import ConfigError
 from repro.hardware.interconnect import LinkType, nvlink_ring
 from repro.network.collectives import (hierarchical_allreduce_time,
                                        point_to_point_time,
-                                       ring_allgather_time,
                                        ring_allreduce_time,
                                        tree_allreduce_time)
 from repro.network.selection import CollectiveAlgorithm, select_algorithm
@@ -134,17 +133,14 @@ class TopologyAwareNcclModel(NcclModel):
     def _channels(self) -> int:
         return self.system.nics_per_node
 
-    def _place(self, group_size: int) -> GroupPlacement:
+    def _select(self, size_bytes: float, group_size: int,
+                ) -> tuple[GroupPlacement, CollectiveAlgorithm]:
         system = self.system
         if group_size > system.num_gpus:
             raise ConfigError(
                 f"a collective group of {group_size} GPUs does not fit the "
                 f"{system.num_nodes} x {system.gpus_per_node}-GPU machine")
-        return place_group(group_size, system.num_nodes)
-
-    def _select(self, size_bytes: float, group_size: int,
-                ) -> tuple[GroupPlacement, CollectiveAlgorithm]:
-        placement = self._place(group_size)
+        placement = place_group(group_size, system.num_nodes)
         algorithm = select_algorithm(
             size_bytes, group_size,
             nodes_spanned=placement.nodes_spanned,
@@ -186,19 +182,6 @@ class TopologyAwareNcclModel(NcclModel):
             return super().allreduce_time(size_bytes, group_size, link)
         placement, algorithm = self._select(size_bytes, group_size)
         return self._inter_allreduce(placement, algorithm, size_bytes)[1]
-
-    def allgather_time(self, size_bytes: float, group_size: int,
-                       link: LinkType) -> float:
-        if (link is LinkType.INTRA_NODE or group_size <= 1
-                or size_bytes <= 0 or self.system.num_nodes < 2):
-            return super().allgather_time(size_bytes, group_size, link)
-        placement = self._place(group_size)
-        return ring_allgather_time(self.topology, placement.members(),
-                                   size_bytes, channels=self._channels())
-
-    def reduce_scatter_time(self, size_bytes: float, group_size: int,
-                            link: LinkType) -> float:
-        return self.allgather_time(size_bytes, group_size, link)
 
     def sendrecv_time(self, size_bytes: float, link: LinkType) -> float:
         """P2P between adjacent pipeline stages: one uncontended routed

@@ -12,17 +12,20 @@ it creates — is what keeps simulator error low at scale.
 
 This module provides the graph: nodes and switches joined by directed
 :class:`Link` objects carrying per-link bandwidth and latency, plus
-deterministic routing between any two GPU endpoints. Three concrete
-shapes are built in:
+deterministic routing between any two GPU endpoints. Every node is an
+NVSwitch domain (its GPUs on a central switch, its HCAs behind it), and
+:func:`build_topology` builds one of two fabrics over the nodes:
 
-* :class:`NvSwitchNodeTopology` — one server node, every GPU on a
-  central NVSwitch (the intra-node NVLink domain).
-* :class:`RailOptimizedTopology` — NVSwitch nodes whose HCA *r* connects
-  to rail switch *r*; any two nodes are one switch apart on every rail
+* :class:`RailOptimizedTopology` — HCA *r* of every node connects to
+  rail switch *r*; any two nodes are one switch apart on every rail
   and rails never share links (non-blocking).
-* :class:`FatTreeTopology` — NVSwitch nodes under leaf (ToR) switches,
-  leaves joined by spine switches, with a configurable uplink
+* :class:`FatTreeTopology` — nodes under leaf (ToR) switches, leaves
+  joined by spine switches, with a configurable uplink
   oversubscription ratio.
+
+Both route a same-node pair through its NVSwitch. A group confined to
+one node never reaches the graph, though: intra-node collectives cost
+from the profiled NVLink table (:class:`repro.profiling.nccl.NcclModel`).
 
 Costing collectives over these graphs lives in
 :mod:`repro.network.collectives`; choosing an algorithm in
@@ -234,27 +237,6 @@ class _ClusterTopologyBase(Topology):
             raise ConfigError(
                 f"{element!r} is not a GPU endpoint (gpu:<node>:<local>)"
             ) from None
-
-
-class NvSwitchNodeTopology(_ClusterTopologyBase):
-    """A single NVSwitch server node (the intra-node NVLink domain)."""
-
-    name = "nvswitch-node"
-
-    def __init__(self, gpus_per_node: int, *, nvlink_bandwidth: float,
-                 intranode_latency: float) -> None:
-        super().__init__(1, gpus_per_node, 1,
-                         nvlink_bandwidth=nvlink_bandwidth,
-                         nic_bandwidth=nvlink_bandwidth,
-                         intranode_latency=intranode_latency,
-                         internode_latency=0.0)
-
-    def route(self, src: str, dst: str, *, channel: int = 0) -> list[Link]:
-        del channel
-        if src == dst:
-            return []
-        self._parse_gpu(src), self._parse_gpu(dst)
-        return self.path(self._intra_route(src, dst, 0))
 
 
 class RailOptimizedTopology(_ClusterTopologyBase):

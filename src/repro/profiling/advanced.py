@@ -23,6 +23,12 @@ extends the Equation-1 model with three statically-derivable terms:
   with ``sqrt(2 ln n)`` (the Gumbel approximation of a max of
   near-Gaussian delays).
 
+Only the inter-node All-Reduce changes: intra-node collectives and
+Send-Receive cost as in the basic model. The correction is applied in
+:meth:`~repro.profiling.nccl.NcclModel._dispatch`, so its costs are
+memoized by operator signature like every other model's, and a repeat
+predict reads them from the memo.
+
 The extension bench (``benchmarks/bench_ext_comm_model.py``) shows the
 multi-node validation error shrinking when this model replaces the basic
 one, while single-node predictions are untouched — reproducing the
@@ -85,7 +91,7 @@ class ContentionAwareNcclModel(NcclModel):
         return self.straggler_slack * math.sqrt(2.0 * math.log(group_size))
 
     # ------------------------------------------------------------------
-    # Overrides
+    # Corrected inter-node All-Reduce
     # ------------------------------------------------------------------
     def internode_allreduce_time(self, size_bytes: float, group_size: int,
                                  concurrent_groups: int = 1) -> float:
@@ -97,11 +103,12 @@ class ContentionAwareNcclModel(NcclModel):
         return (base * self.contention_factor(concurrent_groups)
                 + self.launch_overhead + self.straggler_margin(group_size))
 
-    def time(self, comm: CommOperator) -> float:
-        """Latency of a communication operator (corrected inter-node)."""
+    def _dispatch(self, comm: CommOperator) -> float:
+        """Cost ``comm``, with the corrections on an inter-node
+        All-Reduce (the memo in :meth:`time` keeps the result)."""
         if (comm.kind is CommKind.ALL_REDUCE
                 and comm.link is LinkType.INTER_NODE):
             return self.internode_allreduce_time(comm.size_bytes,
                                                  comm.group_size,
                                                  comm.concurrent_groups)
-        return super().time(comm)
+        return super()._dispatch(comm)

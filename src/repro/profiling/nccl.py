@@ -1,6 +1,10 @@
 """NCCL communication-latency models (paper Sections III-D and IV).
 
-Two regimes, exactly as the paper separates them:
+The graph builder emits two kinds of communication (Figures 5, 6 and
+8): All-Reduce for the tensor- and data-parallel syncs and Send-Receive
+between pipeline stages. :meth:`NcclModel.time` costs both, memoized
+per model by operator signature, and an All-Reduce falls in one of the
+paper's two regimes:
 
 * **Intra-node** (NVLink/NVSwitch): vTrain *profiles* All-Reduce latencies
   over data sizes from 1 MB to 1024 MB and the participating GPU counts,
@@ -17,6 +21,10 @@ paper measured NCCL primitives running ~30 % slower during real training
 than in the isolated profiling environment. vTrain's *predictor* keeps
 interference at 1.0 (it profiles in isolation — the acknowledged error
 source); the testbed emulator sets it to ~1.3.
+
+Subclasses change how a kind is costed by overriding its per-kind
+method or :meth:`NcclModel._dispatch`, never :meth:`NcclModel.time`, so
+every cost goes through the one memo.
 """
 
 from __future__ import annotations
@@ -113,21 +121,6 @@ class NcclModel:
         ring = infiniband_ring(self.system)
         return ring.allreduce_time(size_bytes, group_size)
 
-    def allgather_time(self, size_bytes: float, group_size: int,
-                       link: LinkType) -> float:
-        """All-Gather latency (ZeRO-style extensions)."""
-        if group_size <= 1 or size_bytes <= 0:
-            return 0.0
-        ring = (nvlink_ring(self.system, group_size)
-                if link is LinkType.INTRA_NODE else infiniband_ring(self.system))
-        scale = self.interference if link is LinkType.INTRA_NODE else 1.0
-        return ring.allgather_time(size_bytes, group_size) * scale
-
-    def reduce_scatter_time(self, size_bytes: float, group_size: int,
-                            link: LinkType) -> float:
-        """Reduce-Scatter latency (ZeRO-style extensions)."""
-        return self.allgather_time(size_bytes, group_size, link)
-
     def sendrecv_time(self, size_bytes: float, link: LinkType) -> float:
         """Point-to-point Send-Receive latency (pipeline boundaries)."""
         return p2p_time(self.system, size_bytes, link)
@@ -155,8 +148,7 @@ class NcclModel:
         """The cost :meth:`time` memoized under ``signature``, or
         ``None`` before that collective was first costed (a probe that
         builds no operator). Only :meth:`time` fills the memo, so a hit
-        is what :meth:`time` would return, also on a subclass whose
-        override costs some kinds without it."""
+        is what :meth:`time` would return."""
         return self._cost_memo().get(signature)
 
     def _dispatch(self, comm: CommOperator) -> float:
@@ -164,12 +156,4 @@ class NcclModel:
         if comm.kind is CommKind.ALL_REDUCE:
             return self.allreduce_time(comm.size_bytes, comm.group_size,
                                        comm.link)
-        if comm.kind is CommKind.SEND_RECV:
-            return self.sendrecv_time(comm.size_bytes, comm.link)
-        if comm.kind is CommKind.ALL_GATHER:
-            return self.allgather_time(comm.size_bytes, comm.group_size,
-                                       comm.link)
-        if comm.kind is CommKind.REDUCE_SCATTER:
-            return self.reduce_scatter_time(comm.size_bytes, comm.group_size,
-                                            comm.link)
-        raise ConfigError(f"unknown communication kind {comm.kind}")
+        return self.sendrecv_time(comm.size_bytes, comm.link)

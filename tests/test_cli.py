@@ -259,6 +259,50 @@ class TestDse:
             f"error: prediction cache {tmp_path} cannot be read")
 
 
+class TestUnwritableOutputPaths:
+    """An output path that cannot be written ends in one ``error:`` line
+    and exit 1, never a traceback (these used to end in
+    IsADirectoryError or FileExistsError tracebacks, the last after the
+    whole sweep). A ``--cache`` path below a regular file fails before
+    any plan is evaluated or the daemon binds."""
+
+    DSE = ["dse", "megatron-1.7b", "--max-gpus", "4", "--quiet"]
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(DSE + ["--cache", "{file}/c.json"], id="dse-cache"),
+        pytest.param(DSE + ["--csv", "{dir}"], id="dse-csv"),
+        pytest.param(DSE + ["--metrics", "{dir}"], id="dse-metrics"),
+        pytest.param(["predict", "--preset", "megatron-1.7b", "--granularity",
+                      "stage", "--trace", "{dir}"], id="predict-trace"),
+        pytest.param(["example", "megatron-1.7b", "--output", "{dir}"],
+                     id="example-output"),
+        pytest.param(["serve", "--port", "0", "--cache", "{file}/c.json"],
+                     id="serve-cache"),
+    ])
+    def test_fails_with_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                       restore_obs, command):
+        regular = tmp_path / "plain.json"
+        regular.write_text("")
+        directory = tmp_path / "out"
+        directory.mkdir()
+        if "--cache" in command:
+            def started(*args, **kwargs):
+                raise AssertionError("started despite an unwritable cache")
+
+            monkeypatch.setattr(DesignSpaceExplorer, "explore", started)
+            monkeypatch.setattr("repro.serve.ServeDaemon", started)
+        argv = [arg.format(file=regular, dir=directory) for arg in command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        if "--cache" in command:
+            assert err == (f"error: prediction cache {regular}/c.json cannot "
+                           f"be written: {regular} is not a directory\n")
+        assert regular.read_text() == ""
+        assert list(directory.iterdir()) == []
+
+
 class TestCheckpointResume:
     """``repro dse --cache`` is the sweep checkpoint: the CLI saves the
     file every ``_CHECKPOINT_EVERY`` newly evaluated plans and at the

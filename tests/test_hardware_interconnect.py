@@ -8,8 +8,7 @@ from repro.config.system import SystemConfig, single_node, multi_node
 from repro.errors import ConfigError
 from repro.hardware.interconnect import (NVLINK_EFFICIENCY_FLOOR, LinkType,
                                          RingParameters, infiniband_ring,
-                                         log2_ceil, nvlink_ring, p2p_time,
-                                         ring_hops)
+                                         log2_ceil, nvlink_ring, p2p_time)
 
 
 class TestRingParameters:
@@ -114,10 +113,6 @@ class TestLinkFactories:
 
 
 class TestHelpers:
-    def test_ring_hops(self):
-        assert ring_hops(8) == 14
-        assert ring_hops(1) == 0
-
     def test_log2_ceil(self):
         assert log2_ceil(1) == 0
         assert log2_ceil(5) == 3

@@ -7,9 +7,7 @@ from repro.hardware.interconnect import RingParameters
 from repro.network.collectives import (StepPlan, flat_ring_lower_bound,
                                        hierarchical_allreduce_time,
                                        point_to_point_time,
-                                       ring_allgather_time,
                                        ring_allreduce_time,
-                                       ring_reduce_scatter_time,
                                        tree_allreduce_time)
 from repro.network.topology import (RailOptimizedTopology, Topology, gpu_id)
 
@@ -108,15 +106,6 @@ class TestRingAllReduce:
         topo = rail()
         with pytest.raises(ConfigError):
             ring_allreduce_time(topo, [gpu_id(0, 0), gpu_id(0, 0)], MIB)
-
-    def test_allgather_is_half_the_steps(self):
-        topo = rail()
-        gpus = one_per_node(topo, 4)
-        ar = ring_allreduce_time(topo, gpus, 64 * MIB, channels=4)
-        ag = ring_allgather_time(topo, gpus, 64 * MIB, channels=4)
-        assert ag == pytest.approx(ar / 2)
-        assert ring_reduce_scatter_time(topo, gpus, 64 * MIB,
-                                        channels=4) == ag
 
 
 class TestTreeAllReduce:

@@ -135,31 +135,10 @@ class TestTopologyAwareModel:
         time = rail_model.sendrecv_time(64 * MIB, LinkType.INTER_NODE)
         assert time > 64 * MIB / system.nic_bandwidth
 
-    def test_allgather_with_colocated_ranks_tracks_flat(self):
-        """Regression: the ring order must keep co-located members
-        adjacent — a 16-rank group on 2 nodes crosses the fabric twice,
-        not on every hop, so the rail all-gather stays near the flat
-        aggregate pipe and below a same-size all-reduce."""
-        rail = TopologyAwareNcclModel(multi_node(2, network="rail"))
-        flat = NcclModel(multi_node(2))
-        size = 256 * MIB
-        rail_ag = rail.allgather_time(size, 16, LinkType.INTER_NODE)
-        flat_ag = flat.allgather_time(size, 16, LinkType.INTER_NODE)
-        assert rail_ag == pytest.approx(flat_ag, rel=0.1)
-        assert rail_ag < rail.allreduce_time(size, 16, LinkType.INTER_NODE)
-
     def test_network_string_canonicalized_on_construction(self):
         system = multi_node(2, network="fat-tree:1")
         assert system.network == "fat-tree"
         assert multi_node(2, network="fat-tree:4.0").network == "fat-tree:4"
-
-    def test_allgather_half_of_ring_allreduce(self, rail_model):
-        size = 512 * MIB  # large enough that selection picks ring
-        ar = rail_model.allreduce_time(size, 8, LinkType.INTER_NODE)
-        ag = rail_model.allgather_time(size, 8, LinkType.INTER_NODE)
-        assert ag == pytest.approx(ar / 2)
-        assert rail_model.reduce_scatter_time(size, 8,
-                                              LinkType.INTER_NODE) == ag
 
     def test_explain_reports_selection(self, rail_model):
         info = rail_model.explain(256 * MIB, 32)
@@ -172,13 +151,12 @@ class TestTopologyAwareModel:
         falls back to the base model."""
         assert rail_model.explain(MIB, 1)["algorithm"] == "flat-fallback"
 
-    @pytest.mark.parametrize("call", ["allreduce_time", "allgather_time"])
-    def test_group_larger_than_machine_is_a_clear_error(self, call):
+    def test_group_larger_than_machine_is_a_clear_error(self):
         """Regression: a 24-GPU group on a 16-GPU machine used to fail
         deep in routing with a missing-link error."""
         model = TopologyAwareNcclModel(multi_node(2, network="fat-tree"))
         with pytest.raises(ConfigError, match=r"24 GPUs.*2 x 8-GPU"):
-            getattr(model, call)(64 * MIB, 24, LinkType.INTER_NODE)
+            model.allreduce_time(64 * MIB, 24, LinkType.INTER_NODE)
 
     def test_interference_scales_hierarchical_intra_phases(self):
         system = multi_node(8, network="rail")
@@ -189,12 +167,11 @@ class TestTopologyAwareModel:
 
 
 #: (operation, payload, group size) on an 8-node machine: ring, tree and
-#: hierarchical All-Reduce, ring All-Gather/Reduce-Scatter and send/recv.
-#: Scaling a payload by 1.25 keeps each case on its algorithm.
+#: hierarchical All-Reduce and send/recv. Scaling a payload by 1.25 keeps
+#: each case on its algorithm.
 CASES = [("allreduce_time", 256 * MIB, 8), ("allreduce_time", 64 * 1024, 8),
          ("allreduce_time", 256 * MIB, 32), ("allreduce_time", 64 * MIB, 12),
-         ("allreduce_time", 2 * MIB, 5), ("allgather_time", 96 * MIB, 8),
-         ("reduce_scatter_time", MIB, 12), ("sendrecv_time", 32 * MIB, None)]
+         ("allreduce_time", 2 * MIB, 5), ("sendrecv_time", 32 * MIB, None)]
 
 
 def cost(model, operation, size, group):
@@ -204,8 +181,6 @@ def cost(model, operation, size, group):
 
 
 KINDS = {"allreduce_time": CommKind.ALL_REDUCE,
-         "allgather_time": CommKind.ALL_GATHER,
-         "reduce_scatter_time": CommKind.REDUCE_SCATTER,
          "sendrecv_time": CommKind.SEND_RECV}
 
 
@@ -292,7 +267,6 @@ class TestPlanMemo:
         cases = [("allreduce_time", 256 * MIB, 2),
                  ("allreduce_time", 64 * 1024, 2),
                  ("allreduce_time", 256 * MIB, 16),
-                 ("allgather_time", 96 * MIB, 2),
                  ("sendrecv_time", 32 * MIB, None)]
         system = multi_node(2, network="rail")
         topology = hub_topology(shortcut=False)
@@ -321,14 +295,12 @@ class TestPlanMemo:
 
 
 def operators():
-    """Operators of every kind, intra- and inter-node, built afresh per
+    """Operators of both kinds, intra- and inter-node, built afresh per
     call so memo hits come from equal operators, not the same one."""
     return [tensor_allreduce(2, 2048, 4096, 8, LinkType.INTRA_NODE),
             data_allreduce(256 * MIB, 32, LinkType.INTER_NODE),
             data_allreduce(64 * 1024, 8, LinkType.INTER_NODE),
-            pipeline_send_recv(1, 2048, 4096, LinkType.INTER_NODE),
-            comm("allgather_time", 96 * MIB, 8),
-            comm("reduce_scatter_time", MIB, 12)]
+            pipeline_send_recv(1, 2048, 4096, LinkType.INTER_NODE)]
 
 
 class TestCostMemo:
@@ -339,8 +311,7 @@ class TestCostMemo:
             self, monkeypatch, network):
         model = nccl_model_for(multi_node(8, network=network))
         calls = []
-        for name in ("allreduce_time", "allgather_time",
-                     "reduce_scatter_time", "sendrecv_time"):
+        for name in ("allreduce_time", "sendrecv_time"):
             method = getattr(type(model), name)
 
             def counting(self, *args, method=method):

@@ -157,10 +157,6 @@ def routed_cost(model, operation, size, group):
     placement = place_group(group, system.num_nodes)
     members = placement.members()
     count = len(members)
-    if operation != "allreduce_time":  # All-Gather and Reduce-Scatter
-        chunk = size / channels / count
-        return (count - 1) * routed_ring_step(topology, members, chunk,
-                                              channels)
     algorithm = select_algorithm(
         size, group, nodes_spanned=placement.nodes_spanned,
         ranks_per_node=placement.ranks_per_node)
@@ -192,9 +188,7 @@ def inter_node_calls(draw):
     network = draw(st.sampled_from(
         ["rail", "fat-tree", "fat-tree:2", "fat-tree:4", "fat-tree:8"]))
     num_nodes = draw(st.integers(min_value=2, max_value=32))
-    operation = draw(st.sampled_from(
-        ["allreduce_time", "allgather_time", "reduce_scatter_time",
-         "sendrecv_time"]))
+    operation = draw(st.sampled_from(["allreduce_time", "sendrecv_time"]))
     group = draw(st.one_of(st.integers(min_value=2, max_value=num_nodes),
                            st.integers(min_value=2,
                                        max_value=8 * num_nodes)))
@@ -257,10 +251,7 @@ def direct_cost(model: NcclModel, op: CommOperator) -> float:
     """``op`` costed by its per-kind method, bypassing ``time``."""
     if op.kind is CommKind.SEND_RECV:
         return model.sendrecv_time(op.size_bytes, op.link)
-    method = {CommKind.ALL_REDUCE: model.allreduce_time,
-              CommKind.ALL_GATHER: model.allgather_time,
-              CommKind.REDUCE_SCATTER: model.reduce_scatter_time}[op.kind]
-    return method(op.size_bytes, op.group_size, op.link)
+    return model.allreduce_time(op.size_bytes, op.group_size, op.link)
 
 
 class TestMemoizedTimeMatchesDirectCosting:
@@ -347,18 +338,16 @@ class TestMoreBandwidthNeverSlower:
     @given(network=networks, num_nodes=st.integers(min_value=2, max_value=16),
            group=st.integers(min_value=2, max_value=128), size=sizes,
            factor=st.floats(min_value=1.0, max_value=16.0))
-    def test_allreduce_and_allgather(self, network, num_nodes, group, size,
-                                     factor):
+    def test_allreduce(self, network, num_nodes, group, size, factor):
         """Raising ``internode_bandwidth`` never increases an inter-node
-        All-Reduce or All-Gather time."""
+        All-Reduce time."""
         slow = multi_node(num_nodes, network=network)
         fast = replace(slow,
                        internode_bandwidth=slow.internode_bandwidth * factor)
         group = min(group, slow.num_gpus)
-        for call in ("allreduce_time", "allgather_time"):
-            times = [getattr(TopologyAwareNcclModel(system), call)(
-                size, group, LinkType.INTER_NODE) for system in (slow, fast)]
-            assert times[1] <= times[0]
+        times = [TopologyAwareNcclModel(system).allreduce_time(
+            size, group, LinkType.INTER_NODE) for system in (slow, fast)]
+        assert times[1] <= times[0]
 
 
 class TestOversubscriptionNeverFaster:

@@ -4,9 +4,8 @@ import pytest
 
 from repro.config.system import NetworkSpec, multi_node
 from repro.errors import ConfigError
-from repro.network.topology import (FatTreeTopology, NvSwitchNodeTopology,
-                                    RailOptimizedTopology, Topology,
-                                    build_topology, gpu_id)
+from repro.network.topology import (FatTreeTopology, RailOptimizedTopology,
+                                    Topology, build_topology, gpu_id)
 
 
 def rail_topology(num_nodes=4, gpus=8, nics=4):
@@ -87,17 +86,21 @@ class TestTopologyGraph:
 
 
 class TestNvSwitchNode:
-    def test_route_through_switch(self):
-        topo = NvSwitchNodeTopology(8, nvlink_bandwidth=300e9,
-                                    intranode_latency=3e-6)
-        route = topo.route(gpu_id(0, 0), gpu_id(0, 7))
-        assert [link.dst for link in route] == ["nvswitch:0", gpu_id(0, 7)]
+    """A same-node pair routes through its node's NVSwitch, on either
+    fabric and on any channel."""
+
+    @pytest.fixture(params=[rail_topology, fat_tree_topology],
+                    ids=["rail", "fat-tree"])
+    def topo(self, request):
+        return request.param()
+
+    def test_route_through_switch(self, topo):
+        route = topo.route(gpu_id(1, 0), gpu_id(1, 7), channel=2)
+        assert [link.dst for link in route] == ["nvswitch:1", gpu_id(1, 7)]
         assert sum(link.latency for link in route) == pytest.approx(3e-6)
 
-    def test_self_route_is_empty(self):
-        topo = NvSwitchNodeTopology(8, nvlink_bandwidth=300e9,
-                                    intranode_latency=3e-6)
-        assert topo.route(gpu_id(0, 3), gpu_id(0, 3)) == []
+    def test_self_route_is_empty(self, topo):
+        assert topo.route(gpu_id(1, 3), gpu_id(1, 3)) == []
 
 
 class TestRailOptimized:

@@ -71,6 +71,38 @@ class TestDispatch:
         comm = pipeline_send_recv(2, 2048, 4096, LinkType.INTER_NODE)
         assert advanced.time(comm) == pytest.approx(basic.time(comm))
 
+    def test_repeat_predict_reads_corrections_from_the_memo(
+            self, monkeypatch):
+        """The corrected inter-node All-Reduce is memoized by signature
+        like every other cost: a second predict of the same plan
+        computes none of them again and returns the same bits (it used
+        to recompute its three DP-bucket All-Reduces on every
+        predict)."""
+        from repro.config.parallelism import ParallelismConfig, TrainingConfig
+        from repro.config.presets import MEGATRON_1_7B
+        from repro.sim.estimator import VTrain
+
+        calls = []
+        corrected = ContentionAwareNcclModel.internode_allreduce_time
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return corrected(self, *args, **kwargs)
+
+        monkeypatch.setattr(ContentionAwareNcclModel,
+                            "internode_allreduce_time", counting)
+        system = multi_node(4)
+        vtrain = VTrain(system, nccl=ContentionAwareNcclModel(system))
+        plan = ParallelismConfig(tensor=1, data=32, pipeline=1,
+                                 micro_batch_size=1)
+        training = TrainingConfig(global_batch_size=64)
+        first = vtrain.predict(MEGATRON_1_7B, plan, training)
+        computed = len(calls)
+        assert computed > 0
+        second = vtrain.predict(MEGATRON_1_7B, plan, training)
+        assert len(calls) == computed
+        assert second.iteration_time == first.iteration_time
+
     def test_interference_passes_through_to_intranode(self):
         system = single_node()
         noisy = ContentionAwareNcclModel(system, interference=1.3)
