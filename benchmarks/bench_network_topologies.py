@@ -20,6 +20,7 @@ from repro.config.presets import (MT_NLG_530B, MT_NLG_BASELINE_PLANS,
                                   MT_NLG_TRAINING)
 from repro.config.system import multi_node
 from repro.graph.builder import Granularity
+from repro.graph.operators import data_allreduce
 from repro.hardware.interconnect import LinkType
 from repro.network.model import nccl_model_for
 from repro.sim.estimator import VTrain
@@ -45,8 +46,8 @@ def test_collective_latency_across_topologies(benchmark):
                 for network, label in NETWORKS:
                     model = nccl_model_for(multi_node(num_nodes,
                                                       network=network))
-                    time = model.allreduce_time(size, group_size,
-                                                LinkType.INTER_NODE)
+                    time = model.time(data_allreduce(
+                        size, group_size, LinkType.INTER_NODE))
                     row[network] = 1e3 * time
                     if label is None:
                         label = model.explain(size, group_size)["algorithm"]

@@ -48,6 +48,7 @@ from repro.config.presets import (MT_NLG_530B, MT_NLG_BASELINE_PLANS,
                                   MT_NLG_TRAINING)
 from repro.config.system import multi_node
 from repro.graph.builder import Granularity
+from repro.profiling.lookup import profile_table
 from repro.sim.engine import simulate_retimed, simulate_retimed_batch
 from repro.sim.estimator import VTrain
 
@@ -92,6 +93,7 @@ BATCH_RETIME = Trajectory(BENCH_FILE, "batch_retime", (
 
 def _simulator(granularity):
     system = multi_node(PLAN.total_gpus // 8)
+    profile_table.cache_clear()  # the table holds this model's profiles only
     vtrain = VTrain(system, granularity=granularity)
     vtrain.predict(MT_NLG_530B, PLAN, MT_NLG_TRAINING)  # warm profiles
     return vtrain

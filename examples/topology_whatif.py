@@ -16,6 +16,7 @@ Run:
 from repro import Granularity, VTrain, multi_node
 from repro.config.presets import (MT_NLG_530B, MT_NLG_BASELINE_PLANS,
                                   MT_NLG_TRAINING)
+from repro.graph.operators import data_allreduce
 from repro.hardware.interconnect import LinkType
 from repro.network.model import TopologyAwareNcclModel
 
@@ -41,8 +42,8 @@ def main() -> None:
                         check_memory_feasibility=False)
         prediction = vtrain.predict(MT_NLG_530B, PLAN, MT_NLG_TRAINING)
         if network == "flat":
-            probe = vtrain.nccl.allreduce_time(PROBE_BYTES, PLAN.data,
-                                               LinkType.INTER_NODE)
+            probe = vtrain.nccl.time(data_allreduce(PROBE_BYTES, PLAN.data,
+                                                    LinkType.INTER_NODE))
             algorithm = "flat ring (Eq. 1)"
         else:
             assert isinstance(vtrain.nccl, TopologyAwareNcclModel)

@@ -522,23 +522,30 @@ def _predict_connected(args: argparse.Namespace,
     return 0
 
 
-def _open_cache(path: Path | None) -> PredictionCache:
-    """The ``--cache`` file's prediction cache, empty when there is no
-    path or no file yet.
-
-    Fails before any plan is evaluated or the daemon binds when the
-    file could not be saved later: its nearest existing ancestor must
-    be a directory (the save creates the rest), and the path itself
-    must not be one (loading it says so). Nothing is written here.
+def _check_writable(what: str, path: Path) -> None:
+    """Fail before any plan is evaluated or the daemon binds when the
+    output file ``path`` could not be written later: the path must not
+    be a directory, and its nearest existing ancestor must be one (the
+    writers create the rest). Nothing is written here.
     """
-    if path is None:
-        return PredictionCache()
+    if path.is_dir():
+        raise ConfigError(f"{what} {path} cannot be written: {path} is a "
+                          f"directory")
     for ancestor in path.parents:
         if ancestor.exists():
             if not ancestor.is_dir():
-                raise ConfigError(f"prediction cache {path} cannot be "
-                                  f"written: {ancestor} is not a directory")
+                raise ConfigError(f"{what} {path} cannot be written: "
+                                  f"{ancestor} is not a directory")
             break
+
+
+def _open_cache(path: Path | None) -> PredictionCache:
+    """The ``--cache`` file's prediction cache, empty when there is no
+    path or no file yet; a path that could not be saved later fails
+    here (:func:`_check_writable`)."""
+    if path is None:
+        return PredictionCache()
+    _check_writable("prediction cache", path)
     return PredictionCache.load(path) if path.exists() else PredictionCache()
 
 
@@ -581,6 +588,12 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     NetworkSpec.parse(args.network)  # reject bad specs before sweeping
     if args.top < 0:
         raise ConfigError(f"--top must be >= 0, got {args.top}")
+    if args.metrics == Path(""):
+        args.metrics = obs.default_snapshot_path()
+    for what, path in (("CSV file", args.csv),
+                       ("metrics snapshot", args.metrics)):
+        if path is not None:
+            _check_writable(what, path)
     if args.metrics is not None:
         obs.enable()
     workload = _workload_from_args(args)
@@ -698,12 +711,11 @@ def _report_metrics(args: argparse.Namespace) -> None:
     print where it went (nothing without ``--metrics``)."""
     if args.metrics is None:
         return
-    target = None if args.metrics == Path("") else args.metrics
-    written = obs.save_snapshot(target)
+    obs.save_snapshot(args.metrics)
     print()
     print("observability snapshot:")
     print(obs.format_snapshot(obs.snapshot()))
-    print(f"saved metrics    : {written}")
+    print(f"saved metrics    : {args.metrics}")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

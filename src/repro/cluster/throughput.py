@@ -36,7 +36,9 @@ from repro.graph.builder import Granularity
 DEFAULT_GPU_COUNTS = (8, 16, 32, 64, 128, 256, 512, 1024)
 
 #: Search space for the per-GPU-count vTrain optimisation: kept compact
-#: because profiles are rebuilt for every model/batch combination.
+#: because every model/batch combination sweeps it once per GPU count
+#: (the operator profiles and collective costs behind the sweeps are
+#: shared process-wide; the sweeps are not).
 PROFILE_SEARCH_SPACE = SearchSpace(max_tensor=8, max_data=128,
                                    max_pipeline=16,
                                    micro_batch_sizes=(1, 2, 4, 8))

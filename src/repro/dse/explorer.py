@@ -1,8 +1,8 @@
 """Design-space exploration driver (Section V-A, Figures 10/11, Table I).
 
-Evaluates every plan in a search space on simulators that share one
-profiling stack per GPU (so each necessary operator is profiled once
-across the whole sweep) and collects :class:`DesignPoint` rows:
+Evaluates every plan in a search space on simulators that share the
+process's profile table per GPU (so each necessary operator is profiled
+once per process) and collects :class:`DesignPoint` rows:
 iteration time, utilization, memory, GPUs, and cost rates. Helpers
 select the paper's headline artefacts — fastest plan, most
 cost-effective plan under a GPU budget, the Pareto frontier of
@@ -323,14 +323,13 @@ class DesignSpaceExplorer:
 
     Plans run on one simulator per node count, each on
     ``multi_node(nodes, gpus_per_node, network)`` and so on one GPU.
-    The first simulator built owns the profiling stack (device model,
-    CUPTI tracer, operator-to-task table), and every later node count
-    is derived from it with :meth:`VTrain.for_system`, so the whole
-    exploration profiles each necessary operator exactly once — the
-    property that makes the paper's "full design space in under 200
-    seconds" possible. What depends on the system stays per node count:
-    the communication model (NCCL tables, topology, collective plans
-    and cost memo) and the prediction counters.
+    Every simulator takes the process's profile table for that GPU and
+    communication model for its system (see :class:`VTrain`), so an
+    exploration profiles each necessary operator and costs each
+    distinct collective at most once, and a later explorer in the same
+    process does neither again — the property that makes the paper's
+    "full design space in under 200 seconds" possible. The prediction
+    counters stay per simulator.
 
     Args:
         model: Target LLM.
@@ -380,17 +379,13 @@ class DesignSpaceExplorer:
                           network=self.network)
 
     def _simulator_for(self, num_gpus: int) -> VTrain:
-        """The node count's simulator, derived from the first one built
-        (see the class docstring)."""
+        """The node count's simulator, built on first use."""
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
         simulator = self._simulators.get(nodes)
         if simulator is None:
-            system = self.system_for(num_gpus)
-            first = next(iter(self._simulators.values()), None)
-            simulator = (first.for_system(system) if first is not None
-                         else VTrain(system, granularity=self.granularity,
-                                     zero_stage=self.zero_stage))
-            self._simulators[nodes] = simulator
+            simulator = self._simulators[nodes] = VTrain(
+                self.system_for(num_gpus), granularity=self.granularity,
+                zero_stage=self.zero_stage)
         return simulator
 
     def evaluate(self, plan: ParallelismConfig) -> DesignPoint:

@@ -68,7 +68,8 @@ def to_csv(result: DSEResult, *, include_infeasible: bool = False,
 def save_csv(result: DSEResult, path: str | Path, *,
              include_infeasible: bool = False,
              pricing: PricingModel = DEFAULT_PRICING) -> None:
-    """Write :func:`to_csv` output to a file."""
+    """Write :func:`to_csv` output to a file (parent dirs created)."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(to_csv(result,
                                  include_infeasible=include_infeasible,
                                  pricing=pricing))
@@ -152,7 +153,9 @@ def to_serving_csv(result: DSEResult, *, include_infeasible: bool = False,
 def save_serving_csv(result: DSEResult, path: str | Path, *,
                      include_infeasible: bool = False,
                      pricing: PricingModel = DEFAULT_PRICING) -> None:
-    """Write :func:`to_serving_csv` output to a file."""
+    """Write :func:`to_serving_csv` output to a file (parent dirs
+    created)."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(to_serving_csv(
         result, include_infeasible=include_infeasible, pricing=pricing))
 

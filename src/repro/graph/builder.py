@@ -63,7 +63,6 @@ import functools
 import hashlib
 import itertools
 import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -136,29 +135,9 @@ _CACHE_HITS = obs.metrics.counter("graph.structure_cache.hits")
 _CACHE_MISSES = obs.metrics.counter("graph.structure_cache.misses")
 _CACHE_EVICTIONS = obs.metrics.counter("graph.structure_cache.evictions")
 
-#: Default cap on the summed task count of cached structures (~200 MB
-#: worst case); override with REPRO_STRUCTURE_CACHE_TASKS.
-DEFAULT_STRUCTURE_CACHE_TASKS = 1_000_000
-
-
-def _structure_cache_budget() -> int:
-    """The task budget, from REPRO_STRUCTURE_CACHE_TASKS if set.
-
-    Raises:
-        ConfigError: The variable is not a non-negative integer.
-    """
-    raw = os.environ.get("REPRO_STRUCTURE_CACHE_TASKS")
-    if raw is None:
-        return DEFAULT_STRUCTURE_CACHE_TASKS
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ConfigError(
-            "REPRO_STRUCTURE_CACHE_TASKS must be a non-negative integer "
-            f"task count, got {raw!r}")
-    return budget
+#: Cap on the summed task count of cached structures (~200 MB worst
+#: case), read at every put.
+STRUCTURE_CACHE_TASKS = 1_000_000
 
 
 def structure_cache_get(key: str) -> GraphStructure | None:
@@ -174,10 +153,9 @@ def structure_cache_get(key: str) -> GraphStructure | None:
 
 
 def structure_cache_put(key: str, structure: GraphStructure) -> None:
-    """Insert a structure, LRU-evicting down to the task budget (a
-    malformed budget raises ConfigError before the cache changes)."""
+    """Insert a structure, LRU-evicting down to
+    :data:`STRUCTURE_CACHE_TASKS` summed tasks."""
     global _cached_tasks
-    budget = _structure_cache_budget()
     with _STRUCTURE_CACHE_LOCK:
         replaced = _STRUCTURE_CACHE.get(key)
         if replaced is not None:
@@ -185,7 +163,8 @@ def structure_cache_put(key: str, structure: GraphStructure) -> None:
         _STRUCTURE_CACHE[key] = structure
         _STRUCTURE_CACHE.move_to_end(key)
         _cached_tasks += structure.num_tasks
-        while _cached_tasks > budget and len(_STRUCTURE_CACHE) > 1:
+        while (_cached_tasks > STRUCTURE_CACHE_TASKS
+                and len(_STRUCTURE_CACHE) > 1):
             _, evicted = _STRUCTURE_CACHE.popitem(last=False)
             _cached_tasks -= evicted.num_tasks
             _CACHE_EVICTIONS.increment()

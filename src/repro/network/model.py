@@ -1,11 +1,10 @@
 """Topology-aware drop-in replacement for the flat ``NcclModel``.
 
 :class:`TopologyAwareNcclModel` honors the exact operator-timing
-interface of :class:`repro.profiling.nccl.NcclModel` — ``profile_table``,
-``allreduce_time`` / ``sendrecv_time`` for the two kinds the graph
-builder emits, and the memoized :meth:`time` — so every consumer
-(:class:`~repro.sim.estimator.VTrain`, the graph builder, the DSE
-engine) can swap it in without change.
+interface of :class:`repro.profiling.nccl.NcclModel` — ``profile_table``
+and the memoized :meth:`time`, which costs the two kinds the graph
+builder emits — so every consumer (:class:`~repro.sim.estimator.VTrain`,
+the graph builder, the DSE engine) can swap it in without change.
 
 The split of responsibilities mirrors the paper's two regimes:
 
@@ -32,6 +31,7 @@ handles separately (its acknowledged multi-node error source).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.config.system import SystemConfig
@@ -175,20 +175,20 @@ class TopologyAwareNcclModel(NcclModel):
                 return algorithm, tree
         return CollectiveAlgorithm.RING, ring
 
-    def allreduce_time(self, size_bytes: float, group_size: int,
-                       link: LinkType) -> float:
+    def _allreduce_time(self, size_bytes: float, group_size: int,
+                        link: LinkType) -> float:
         if (link is LinkType.INTRA_NODE or group_size <= 1
                 or size_bytes <= 0 or self.system.num_nodes < 2):
-            return super().allreduce_time(size_bytes, group_size, link)
+            return super()._allreduce_time(size_bytes, group_size, link)
         placement, algorithm = self._select(size_bytes, group_size)
         return self._inter_allreduce(placement, algorithm, size_bytes)[1]
 
-    def sendrecv_time(self, size_bytes: float, link: LinkType) -> float:
+    def _sendrecv_time(self, size_bytes: float, link: LinkType) -> float:
         """P2P between adjacent pipeline stages: one uncontended routed
         flow between neighbor nodes (one rail end to end)."""
         if (link is LinkType.INTRA_NODE or size_bytes <= 0
                 or self.system.num_nodes < 2):
-            return super().sendrecv_time(size_bytes, link)
+            return super()._sendrecv_time(size_bytes, link)
         return point_to_point_time(self.topology, gpu_id(0, 0), gpu_id(1, 0),
                                    size_bytes)
 
@@ -199,16 +199,16 @@ class TopologyAwareNcclModel(NcclModel):
         """Chosen algorithm and placement for one inter-node collective
         (for reports and what-if tooling)."""
         if group_size < 2 or self.system.num_nodes < 2:
-            # Same degenerate cases allreduce_time delegates to the base
-            # model (profiled table / flat formulas).
+            # Same degenerate cases _allreduce_time delegates to the
+            # base model (profiled table / flat formulas).
             return {
                 "topology": self.topology.name,
                 "algorithm": "flat-fallback",
                 "nodes_spanned": min(group_size, self.system.num_nodes),
                 "ranks_per_node": group_size,
                 "node_stride": 0,
-                "time": self.allreduce_time(size_bytes, group_size,
-                                            LinkType.INTER_NODE),
+                "time": self._allreduce_time(size_bytes, group_size,
+                                             LinkType.INTER_NODE),
             }
         placement, algorithm = self._select(size_bytes, group_size)
         charged, time = self._inter_allreduce(placement, algorithm,
@@ -223,14 +223,23 @@ class TopologyAwareNcclModel(NcclModel):
         }
 
 
-def nccl_model_for(system: SystemConfig, *,
-                   interference: float = 1.0) -> NcclModel:
-    """The communication model a system's ``network`` spec asks for.
+#: Communication models :func:`nccl_model_for` keeps, one per system,
+#: least recently used first out.
+NCCL_MODELS = 128
 
-    ``flat`` returns the plain :class:`~repro.profiling.nccl.NcclModel`
-    (bit-identical to pre-topology behavior); anything else returns a
-    :class:`TopologyAwareNcclModel` over the corresponding graph.
+
+@functools.lru_cache(maxsize=NCCL_MODELS)
+def nccl_model_for(system: SystemConfig) -> NcclModel:
+    """The process's communication model for ``system``, as its
+    ``network`` spec asks (built on first use).
+
+    ``flat`` gives the plain :class:`~repro.profiling.nccl.NcclModel`
+    (bit-identical to pre-topology behavior); anything else gives a
+    :class:`TopologyAwareNcclModel` over the corresponding graph. Every
+    simulator of an equal system shares the model, so its topology,
+    collective plans and :meth:`~repro.profiling.nccl.NcclModel.time`
+    memo are built once per process.
     """
     if system.network_spec.kind == "flat":
-        return NcclModel(system, interference=interference)
-    return TopologyAwareNcclModel(system, interference=interference)
+        return NcclModel(system)
+    return TopologyAwareNcclModel(system)

@@ -7,25 +7,37 @@ stack identically-shaped decoder layers, partitioned evenly across GPUs,
 only one representative of each signature — a *necessary operator* — ever
 needs profiling. For an LLM with L layers and N_MB micro-batches the
 naive cost is O(L x N_MB) profiles; the table makes it O(1).
+
+Profiles depend only on the GPU, so :func:`profile_table` keeps one
+table per GPU for the whole process: every simulator on that GPU, in
+every sweep, campaign or daemon, profiles each necessary operator once.
 """
 
 from __future__ import annotations
 
+import functools
+
 from repro.graph.operators import CompOperator
-from repro.hardware.kernels import Kernel
+from repro.hardware.gpu import GPUSpec
+from repro.hardware.kernels import DeviceModel, Kernel
 from repro.profiling.cupti import CuptiTracer
+
+#: Profile tables :func:`profile_table` keeps, one per GPU, least
+#: recently used first out.
+PROFILE_TABLES = 8
 
 
 class OperatorToTaskTable:
     """Caches operator -> (kernels, total duration), profiling on miss.
 
-    One table can serve several simulators: profiles depend only on the
-    device model, so every system built on the same GPU may share it
-    (see :meth:`repro.sim.estimator.VTrain.for_system`).
+    ``tracer`` profiles each miss on its device model. Simulators take
+    their table from :func:`profile_table`, which shares one per GPU.
+    Threads that miss one signature at once profile it twice, with
+    equal kernels, and the counters count both.
     """
 
     def __init__(self, tracer: CuptiTracer) -> None:
-        self._tracer = tracer
+        self.tracer = tracer
         self._table: dict[tuple, tuple[tuple[Kernel, ...], float]] = {}
         self._hits = 0
         self._misses = 0
@@ -42,7 +54,7 @@ class OperatorToTaskTable:
             self._hits += 1
             return cached[0]
         self._misses += 1
-        kernels = self._tracer.trace_operator(op)
+        kernels = self.tracer.trace_operator(op)
         self._table[key] = (kernels,
                             sum(kernel.duration for kernel in kernels))
         return kernels
@@ -90,3 +102,10 @@ class OperatorToTaskTable:
 
     def __contains__(self, op: CompOperator) -> bool:
         return op.signature in self._table
+
+
+@functools.lru_cache(maxsize=PROFILE_TABLES)
+def profile_table(gpu: GPUSpec) -> OperatorToTaskTable:
+    """The process's profile table for ``gpu``, on a CUPTI tracer over
+    that GPU's device model (built on first use)."""
+    return OperatorToTaskTable(CuptiTracer(DeviceModel(gpu)))

@@ -22,9 +22,10 @@ than in the isolated profiling environment. vTrain's *predictor* keeps
 interference at 1.0 (it profiles in isolation — the acknowledged error
 source); the testbed emulator sets it to ~1.3.
 
-Subclasses change how a kind is costed by overriding its per-kind
-method or :meth:`NcclModel._dispatch`, never :meth:`NcclModel.time`, so
-every cost goes through the one memo.
+:meth:`NcclModel.time` is the only public costing entry. Subclasses
+change how a kind is costed by overriding its private per-kind method
+or :meth:`NcclModel._dispatch`, never :meth:`NcclModel.time`, so every
+cost goes through the one memo and a collective has one cost.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class NcclModel:
     # ------------------------------------------------------------------
     # Collective timing
     # ------------------------------------------------------------------
-    def allreduce_time(self, size_bytes: float, group_size: int,
-                       link: LinkType) -> float:
+    def _allreduce_time(self, size_bytes: float, group_size: int,
+                        link: LinkType) -> float:
         """All-Reduce latency over the given link type."""
         if group_size <= 1 or size_bytes <= 0:
             return 0.0
@@ -121,7 +122,7 @@ class NcclModel:
         ring = infiniband_ring(self.system)
         return ring.allreduce_time(size_bytes, group_size)
 
-    def sendrecv_time(self, size_bytes: float, link: LinkType) -> float:
+    def _sendrecv_time(self, size_bytes: float, link: LinkType) -> float:
         """Point-to-point Send-Receive latency (pipeline boundaries)."""
         return p2p_time(self.system, size_bytes, link)
 
@@ -154,6 +155,6 @@ class NcclModel:
     def _dispatch(self, comm: CommOperator) -> float:
         """Cost ``comm`` with its per-kind method, bypassing the memo."""
         if comm.kind is CommKind.ALL_REDUCE:
-            return self.allreduce_time(comm.size_bytes, comm.group_size,
-                                       comm.link)
-        return self.sendrecv_time(comm.size_bytes, comm.link)
+            return self._allreduce_time(comm.size_bytes, comm.group_size,
+                                        comm.link)
+        return self._sendrecv_time(comm.size_bytes, comm.link)

@@ -14,11 +14,15 @@ and each served job — takes the same two stages:
 :meth:`VTrain.prepare_checked` (memory check, then compile or fetch the
 phase graphs) and :meth:`VTrain.predict_prepared` (replay, then wrap).
 
-The profiling state (CUPTI traces, operator-to-task table, NCCL profile
-tables) is shared across predictions, and :meth:`VTrain.for_system`
-shares the first three across systems built on one GPU, so sweeping
-thousands of plans over many node counts only profiles each necessary
-operator once — the Section III-F performance story.
+Every simulator takes its profiling state from two process-wide
+stores: the operator-to-task table of its GPU, with the CUPTI tracer
+and device model behind it
+(:func:`~repro.profiling.lookup.profile_table`), and the communication
+model of its system, with its NCCL profile tables and cost memo
+(:func:`~repro.network.model.nccl_model_for`). Sweeping thousands of
+plans over many node counts, in any number of explorers, campaigns or
+daemon simulators, therefore profiles each necessary operator once per
+process — the Section III-F performance story.
 """
 
 from __future__ import annotations
@@ -37,18 +41,16 @@ from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import SystemConfig
 from repro.cost.pricing import (DEFAULT_PRICING, SECONDS_PER_DAY,
                                 SECONDS_PER_HOUR, PricingModel)
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.graph.builder import (Granularity, GraphBuilder,
                                  structure_cache_evict, structure_cache_get,
                                  structure_cache_put)
 from repro.graph.structure import GraphStructure
-from repro.hardware.kernels import DeviceModel
 from repro.memory.footprint import (MemoryFootprint, check_inference_memory,
                                     check_memory, inference_memory_footprint,
                                     memory_footprint)
 from repro.network.model import nccl_model_for
-from repro.profiling.cupti import CuptiTracer
-from repro.profiling.lookup import OperatorToTaskTable
+from repro.profiling.lookup import profile_table
 from repro.profiling.nccl import NcclModel
 from repro.sim.engine import (simulate_retimed, simulate_retimed_batch,
                               use_batched_replay)
@@ -156,31 +158,33 @@ class VTrain:
             the paper's reported accuracy at a fraction of the task count;
             ``KERNEL`` is the paper's full task-granularity replay;
             ``STAGE`` is the fast mode used for Figure-10-scale sweeps.
-        device: Override the analytical device model (e.g. a testbed's
-            perturbed model).
-        nccl: Override the communication model (e.g. with interference).
-            When omitted, the model follows ``system.network``: the flat
-            Equation-1 :class:`NcclModel` for ``flat`` (the default,
-            bit-identical to prior behavior) or a
+        nccl: Override the communication model (e.g. with interference);
+            it is used as given and never shared through the store.
+            When omitted, the model is the process's
+            :func:`~repro.network.model.nccl_model_for` ``(system)``,
+            which follows ``system.network``: the flat Equation-1
+            :class:`NcclModel` for ``flat`` (the default, bit-identical
+            to prior behavior) or a
             :class:`~repro.network.model.TopologyAwareNcclModel` for
             ``rail`` / ``fat-tree:<ratio>`` fabrics.
         check_memory_feasibility: Reject plans that exceed GPU memory.
         zero_stage: ZeRO sharding stage (0-3) assumed by the memory
             model (see :func:`repro.memory.footprint.memory_footprint`).
             Defaults to stage 1, Megatron-DeepSpeed's configuration.
+
+    The operator-to-task table is the process's
+    :func:`~repro.profiling.lookup.profile_table` ``(system.gpu)``,
+    shared with every simulator on that GPU.
     """
 
     def __init__(self, system: SystemConfig, *,
                  granularity: Granularity = Granularity.OPERATOR,
-                 device: DeviceModel | None = None,
                  nccl: NcclModel | None = None,
                  check_memory_feasibility: bool = True,
                  zero_stage: int = 1) -> None:
         self.system = system
         self.granularity = granularity
-        self.device = device if device is not None else DeviceModel(system.gpu)
-        self.tracer = CuptiTracer(self.device)
-        self.lookup = OperatorToTaskTable(self.tracer)
+        self.lookup = profile_table(system.gpu)
         self.nccl = nccl if nccl is not None else nccl_model_for(system)
         self.check_memory_feasibility = check_memory_feasibility
         self.zero_stage = zero_stage
@@ -193,32 +197,6 @@ class VTrain:
         # load/store, so keep the accounting exact under contention.
         # last_predict_timing stays last-writer-wins by design.
         self._stats_lock = threading.Lock()
-
-    def for_system(self, system: SystemConfig) -> "VTrain":
-        """A simulator for ``system`` on this simulator's profiling stack.
-
-        Profiles depend only on the GPU, so the result shares this
-        simulator's device model, CUPTI tracer and operator-to-task
-        table: each necessary operator is profiled once across every
-        system derived this way. It keeps this simulator's granularity,
-        ZeRO stage and memory-check setting; its communication model is
-        :func:`~repro.network.model.nccl_model_for` ``(system)``, and
-        its prediction counters start at zero.
-
-        Raises:
-            ConfigError: ``system.gpu`` differs from this system's GPU.
-        """
-        if system.gpu != self.system.gpu:
-            raise ConfigError(
-                f"cannot share profiles of {self.system.gpu.name} with a "
-                f"{system.gpu.name} system")
-        derived = VTrain(
-            system, granularity=self.granularity, device=self.device,
-            check_memory_feasibility=self.check_memory_feasibility,
-            zero_stage=self.zero_stage)
-        derived.tracer = self.tracer
-        derived.lookup = self.lookup
-        return derived
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -554,15 +532,17 @@ class VTrain:
         plus this instance's structure-cache hit/miss split.
 
         The profiling counters (``operators_profiled``,
-        ``lookups_served_from_table``, ``kernels_traced``) describe the
-        shared profiling stack: every simulator derived with
-        :meth:`for_system` reports the same totals. ``predictions`` and
-        the structure-cache counts are this instance's own.
+        ``lookups_served_from_table``, ``kernels_traced``) are per GPU
+        per process: they count the shared
+        :func:`~repro.profiling.lookup.profile_table` of this system's
+        GPU, so every simulator on that GPU reports the same totals.
+        ``predictions`` and the structure-cache counts are this
+        instance's own.
         """
         return {
             "operators_profiled": self.lookup.num_profiled,
             "lookups_served_from_table": self.lookup.num_reused,
-            "kernels_traced": self.tracer.stats.kernels_traced,
+            "kernels_traced": self.lookup.tracer.stats.kernels_traced,
             "predictions": self.num_predictions,
             "structure_cache_hits": self.structure_cache_hits,
             "structure_cache_misses": self.structure_cache_misses,

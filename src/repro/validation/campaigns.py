@@ -188,10 +188,10 @@ def run_campaign(points: Sequence[ValidationPoint], *,
     """Predict and measure every point; returns the paired results.
 
     One vTrain predictor and one testbed emulator serve each system
-    size. The first predictor owns the profiling stack and the later
-    ones are derived from it with :meth:`VTrain.for_system`, so the
-    campaign profiles each necessary operator once, exactly as in a
-    real campaign. Each emulator keeps its own perturbed profiles.
+    size. Every predictor takes the process's profile table for its GPU
+    (see :class:`VTrain`), so the campaign profiles each necessary
+    operator once, exactly as in a real campaign. Each emulator
+    perturbs the durations it replays, never the shared profiles.
     """
     result = CampaignResult()
     simulators: dict[int, VTrain] = {}
@@ -200,11 +200,8 @@ def run_campaign(points: Sequence[ValidationPoint], *,
         system = point.system()
         key = point.num_nodes
         if key not in simulators:
-            simulators[key] = (
-                next(iter(simulators.values())).for_system(system)
-                if simulators
-                else VTrain(system, granularity=granularity,
-                            check_memory_feasibility=False))
+            simulators[key] = VTrain(system, granularity=granularity,
+                                     check_memory_feasibility=False)
             testbeds[key] = TestbedEmulator(system, config=testbed_config,
                                             granularity=granularity)
         prediction = simulators[key].predict(point.model, point.plan,

@@ -250,44 +250,63 @@ class TestDse:
         IsADirectoryError traceback; now it names the file, and neither
         the sweep nor the daemon starts."""
         def started(*args, **kwargs):
-            raise AssertionError("started despite an unreadable cache")
+            raise AssertionError("started despite an unwritable cache")
 
         monkeypatch.setattr(DesignSpaceExplorer, "explore", started)
         monkeypatch.setattr("repro.serve.ServeDaemon", started)
         assert main(command + ["--cache", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: prediction cache {tmp_path} cannot be read")
+        assert capsys.readouterr().err == (
+            f"error: prediction cache {tmp_path} cannot be written: "
+            f"{tmp_path} is a directory\n")
 
 
 class TestUnwritableOutputPaths:
     """An output path that cannot be written ends in one ``error:`` line
     and exit 1, never a traceback (these used to end in
     IsADirectoryError or FileExistsError tracebacks, the last after the
-    whole sweep). A ``--cache`` path below a regular file fails before
-    any plan is evaluated or the daemon binds."""
+    whole sweep). ``repro dse`` checks its ``--cache``, ``--csv`` and
+    ``--metrics`` paths before any plan is evaluated, and ``repro
+    serve`` its ``--cache`` path before the daemon binds."""
 
     DSE = ["dse", "megatron-1.7b", "--max-gpus", "4", "--quiet"]
+    BELOW = "cannot be written: {file} is not a directory"
+    IS_DIR = "cannot be written: {dir} is a directory"
 
-    @pytest.mark.parametrize("command", [
-        pytest.param(DSE + ["--cache", "{file}/c.json"], id="dse-cache"),
-        pytest.param(DSE + ["--csv", "{dir}"], id="dse-csv"),
-        pytest.param(DSE + ["--metrics", "{dir}"], id="dse-metrics"),
+    @pytest.mark.parametrize("command,message", [
+        pytest.param(DSE + ["--cache", "{file}/c.json"],
+                     "prediction cache {file}/c.json " + BELOW,
+                     id="dse-cache"),
+        pytest.param(DSE + ["--csv", "{dir}"], "CSV file {dir} " + IS_DIR,
+                     id="dse-csv"),
+        pytest.param(DSE + ["--csv", "{file}/p.csv"],
+                     "CSV file {file}/p.csv " + BELOW, id="dse-csv-below-file"),
+        pytest.param(DSE + ["--metrics", "{dir}"],
+                     "metrics snapshot {dir} " + IS_DIR, id="dse-metrics"),
+        pytest.param(DSE + ["--metrics", "{file}/m.json"],
+                     "metrics snapshot {file}/m.json " + BELOW,
+                     id="dse-metrics-below-file"),
+        pytest.param(DSE + ["--metrics", ""],
+                     "metrics snapshot {dir} " + IS_DIR,
+                     id="dse-metrics-default-path"),
         pytest.param(["predict", "--preset", "megatron-1.7b", "--granularity",
-                      "stage", "--trace", "{dir}"], id="predict-trace"),
-        pytest.param(["example", "megatron-1.7b", "--output", "{dir}"],
+                      "stage", "--trace", "{dir}"], None, id="predict-trace"),
+        pytest.param(["example", "megatron-1.7b", "--output", "{dir}"], None,
                      id="example-output"),
         pytest.param(["serve", "--port", "0", "--cache", "{file}/c.json"],
+                     "prediction cache {file}/c.json " + BELOW,
                      id="serve-cache"),
     ])
     def test_fails_with_one_error_line(self, tmp_path, capsys, monkeypatch,
-                                       restore_obs, command):
+                                       restore_obs, command, message):
         regular = tmp_path / "plain.json"
         regular.write_text("")
         directory = tmp_path / "out"
         directory.mkdir()
-        if "--cache" in command:
+        # `--metrics ""` means the default snapshot path.
+        monkeypatch.setenv(obs.ENV_SNAPSHOT, str(directory))
+        if message is not None:
             def started(*args, **kwargs):
-                raise AssertionError("started despite an unwritable cache")
+                raise AssertionError("started despite an unwritable path")
 
             monkeypatch.setattr(DesignSpaceExplorer, "explore", started)
             monkeypatch.setattr("repro.serve.ServeDaemon", started)
@@ -296,11 +315,25 @@ class TestUnwritableOutputPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        if "--cache" in command:
-            assert err == (f"error: prediction cache {regular}/c.json cannot "
-                           f"be written: {regular} is not a directory\n")
+        if message is not None:
+            assert err == ("error: "
+                           + message.format(file=regular, dir=directory)
+                           + "\n")
         assert regular.read_text() == ""
         assert list(directory.iterdir()) == []
+
+    def test_missing_parents_of_every_output_are_created(self, tmp_path,
+                                                         capsys,
+                                                         restore_obs):
+        """The rule's other half: below a missing directory, each output
+        is written after the sweep, its parents created."""
+        new = tmp_path / "new" / "sub"
+        assert main(self.DSE + ["--cache", str(new / "c.json"),
+                                "--csv", str(new / "p.csv"),
+                                "--metrics", str(new / "m.json")]) == 0
+        capsys.readouterr()
+        assert sorted(path.name for path in new.iterdir()) == [
+            "c.json", "m.json", "p.csv"]
 
 
 class TestCheckpointResume:

@@ -10,6 +10,10 @@ from repro.dse.space import (SearchSpace, count_plans, divisors,
                              powers_of_two, tensor_candidates)
 from repro.errors import ConfigError, InfeasibleConfigError
 from repro.graph.builder import Granularity
+from repro.network.model import nccl_model_for
+from repro.profiling.cupti import CuptiTracer
+from repro.profiling.lookup import profile_table
+from repro.profiling.nccl import NcclModel
 from repro.sim.estimator import VTrain
 from repro.workload import InferenceWorkload
 
@@ -272,23 +276,35 @@ def independent_points(explorer, plans):
 
 
 class TestSharedProfilingStack:
-    """A sweep's node counts share one profiling stack per GPU."""
+    """Sweeps take the process's profile table per GPU and communication
+    model per system, so what one explorer profiled and costed serves
+    every later one."""
 
     @pytest.mark.parametrize("network", ["flat", "rail"])
-    def test_one_stack_per_gpu(self, model, training, network):
-        explorer = DesignSpaceExplorer(model, training, network=network)
-        explorer.explore(max_gpus=32, space=SHARED_SPACE)
-        simulators = list(explorer._simulators.values())
-        assert len(simulators) >= 3
-        first = simulators[0]
-        for simulator in simulators:
-            assert simulator.lookup is first.lookup
-            assert simulator.tracer is first.tracer
-            assert simulator.device is first.device
-        tracers = {id(s.tracer): s.tracer for s in simulators}.values()
-        profiled = sum(tracer.stats.operators_profiled for tracer in tracers)
-        distinct = set().union(*(s.lookup.signatures for s in simulators))
-        assert profiled == first.lookup.num_profiled == len(distinct)
+    def test_second_explorer_profiles_and_costs_nothing(
+            self, model, training, network, monkeypatch):
+        def sweep():
+            return DesignSpaceExplorer(model, training, network=network
+                                       ).explore(max_gpus=32,
+                                                 space=SHARED_SPACE)
+
+        first = sweep()
+        profiled, costed = [], []
+        trace, dispatch = CuptiTracer.trace_operator, NcclModel._dispatch
+        monkeypatch.setattr(
+            CuptiTracer, "trace_operator",
+            lambda self, op: profiled.append(op) or trace(self, op))
+        monkeypatch.setattr(
+            NcclModel, "_dispatch",
+            lambda self, comm: costed.append(comm) or dispatch(self, comm))
+        second = sweep()
+        assert (profiled, costed) == ([], [])
+        assert second.points == first.points
+        profile_table.cache_clear()
+        nccl_model_for.cache_clear()
+        fresh = sweep()
+        assert profiled and costed
+        assert fresh.points == first.points
 
     @pytest.mark.parametrize("granularity",
                              [Granularity.STAGE, Granularity.OPERATOR])

@@ -36,7 +36,8 @@ from repro.graph.builder import Granularity, GraphBuilder
 from repro.graph.operators import CommOperator, CompOperator
 from repro.graph.structure import GraphStructure
 from repro.hardware.gpu import A100_40GB, A100_80GB, H100_80GB, V100_32GB
-from repro.profiling.lookup import OperatorToTaskTable
+from repro.network.model import nccl_model_for
+from repro.profiling.lookup import OperatorToTaskTable, profile_table
 from repro.profiling.nccl import NcclModel
 from repro.sim.estimator import VTrain
 from repro.workload import DECODE, PREFILL, InferenceWorkload
@@ -75,7 +76,10 @@ NETWORKS = ("flat", "rail", "fat-tree:4")
 
 
 def fresh_vtrain(system, granularity: Granularity) -> VTrain:
-    """A simulator with an empty profile table and cost memo."""
+    """A simulator with an empty profile table and cost memo (the
+    process's stores are cleared first)."""
+    profile_table.cache_clear()
+    nccl_model_for.cache_clear()
     return VTrain(system, granularity=granularity,
                   check_memory_feasibility=False)
 

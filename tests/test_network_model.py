@@ -12,14 +12,19 @@ from repro.graph.operators import (CommKind, CommOperator, CommScope,
                                    data_allreduce, pipeline_send_recv,
                                    tensor_allreduce)
 from repro.hardware.interconnect import LinkType
-from repro.network.model import (TopologyAwareNcclModel, nccl_model_for,
-                                 place_group)
+from repro.network.model import (NCCL_MODELS, TopologyAwareNcclModel,
+                                 nccl_model_for, place_group)
 from repro.network.selection import (CollectiveAlgorithm, select_algorithm,
                                      tree_threshold)
 from repro.network.topology import Topology, gpu_id
 from repro.profiling.nccl import NcclModel
 
 MIB = float(1 << 20)
+
+
+def allreduce(model, size, group, link=LinkType.INTER_NODE):
+    """The model's cost of one All-Reduce, through its one public entry."""
+    return model.time(data_allreduce(size, group, link))
 
 
 class TestSelection:
@@ -93,6 +98,28 @@ class TestModelFactory:
         with pytest.raises(ConfigError):
             TopologyAwareNcclModel(multi_node(4))
 
+    def test_equal_systems_share_one_model(self):
+        """One model per system per process: its topology, plans and
+        cost memo are built once for every simulator of the system."""
+        model = nccl_model_for(multi_node(4, network="rail"))
+        assert nccl_model_for(multi_node(4, network="rail")) is model
+        assert nccl_model_for(multi_node(8, network="rail")) is not model
+        assert nccl_model_for(multi_node(4)) is not model
+
+    def test_store_evicts_past_its_bound_and_rebuilds_equal(self):
+        nccl_model_for.cache_clear()
+        system = multi_node(2, network="rail")
+        op = data_allreduce(256 * MIB, 16, LinkType.INTER_NODE)
+        first = nccl_model_for(system)
+        cost = first.time(op)
+        for nodes in range(3, NCCL_MODELS + 3):
+            nccl_model_for(multi_node(nodes))
+        assert nccl_model_for.cache_info().currsize == NCCL_MODELS
+        rebuilt = nccl_model_for(system)
+        assert rebuilt is not first
+        assert rebuilt.cached_time(op.signature) is None
+        assert rebuilt.time(op) == cost
+
 
 class TestTopologyAwareModel:
     @pytest.fixture
@@ -109,15 +136,14 @@ class TestTopologyAwareModel:
         single-node (hierarchical) case IS the ring table."""
         for size in (MIB, 16 * MIB, 700 * MIB):
             for group in (2, 4, 8):
-                assert rail_model.allreduce_time(
-                    size, group, LinkType.INTRA_NODE) == \
-                    flat_model.allreduce_time(size, group,
-                                              LinkType.INTRA_NODE)
+                assert allreduce(rail_model, size, group,
+                                 LinkType.INTRA_NODE) == \
+                    allreduce(flat_model, size, group, LinkType.INTRA_NODE)
         assert rail_model.profile_table(8) == flat_model.profile_table(8)
 
     def test_inter_node_differs_from_flat(self, rail_model, flat_model):
-        rail = rail_model.allreduce_time(256 * MIB, 8, LinkType.INTER_NODE)
-        flat = flat_model.allreduce_time(256 * MIB, 8, LinkType.INTER_NODE)
+        rail = allreduce(rail_model, 256 * MIB, 8)
+        flat = allreduce(flat_model, 256 * MIB, 8)
         assert rail != flat
         assert rail == pytest.approx(flat, rel=0.1)  # same aggregate pipe
 
@@ -126,13 +152,12 @@ class TestTopologyAwareModel:
         times = {}
         for network in ("rail", "fat-tree", "fat-tree:8"):
             model = TopologyAwareNcclModel(multi_node(8, network=network))
-            times[network] = model.allreduce_time(size, group,
-                                                  LinkType.INTER_NODE)
+            times[network] = allreduce(model, size, group)
         assert times["rail"] <= times["fat-tree"] < times["fat-tree:8"]
 
     def test_sendrecv_rides_one_rail(self, rail_model):
         system = rail_model.system
-        time = rail_model.sendrecv_time(64 * MIB, LinkType.INTER_NODE)
+        time = rail_model.time(comm(CommKind.SEND_RECV, 64 * MIB, None))
         assert time > 64 * MIB / system.nic_bandwidth
 
     def test_network_string_canonicalized_on_construction(self):
@@ -147,8 +172,8 @@ class TestTopologyAwareModel:
         assert info["time"] > 0
 
     def test_explain_handles_degenerate_cases(self, rail_model):
-        """Regression: explain() must not crash where allreduce_time
-        falls back to the base model."""
+        """Regression: explain() must not crash where the All-Reduce
+        cost falls back to the base model."""
         assert rail_model.explain(MIB, 1)["algorithm"] == "flat-fallback"
 
     def test_group_larger_than_machine_is_a_clear_error(self):
@@ -156,41 +181,38 @@ class TestTopologyAwareModel:
         deep in routing with a missing-link error."""
         model = TopologyAwareNcclModel(multi_node(2, network="fat-tree"))
         with pytest.raises(ConfigError, match=r"24 GPUs.*2 x 8-GPU"):
-            model.allreduce_time(64 * MIB, 24, LinkType.INTER_NODE)
+            allreduce(model, 64 * MIB, 24)
 
     def test_interference_scales_hierarchical_intra_phases(self):
         system = multi_node(8, network="rail")
         quiet = TopologyAwareNcclModel(system)
         noisy = TopologyAwareNcclModel(system, interference=1.3)
-        assert noisy.allreduce_time(256 * MIB, 32, LinkType.INTER_NODE) > \
-            quiet.allreduce_time(256 * MIB, 32, LinkType.INTER_NODE)
+        assert allreduce(noisy, 256 * MIB, 32) > \
+            allreduce(quiet, 256 * MIB, 32)
 
 
-#: (operation, payload, group size) on an 8-node machine: ring, tree and
+#: (kind, payload, group size) on an 8-node machine: ring, tree and
 #: hierarchical All-Reduce and send/recv. Scaling a payload by 1.25 keeps
 #: each case on its algorithm.
-CASES = [("allreduce_time", 256 * MIB, 8), ("allreduce_time", 64 * 1024, 8),
-         ("allreduce_time", 256 * MIB, 32), ("allreduce_time", 64 * MIB, 12),
-         ("allreduce_time", 2 * MIB, 5), ("sendrecv_time", 32 * MIB, None)]
+CASES = [(CommKind.ALL_REDUCE, 256 * MIB, 8),
+         (CommKind.ALL_REDUCE, 64 * 1024, 8),
+         (CommKind.ALL_REDUCE, 256 * MIB, 32),
+         (CommKind.ALL_REDUCE, 64 * MIB, 12),
+         (CommKind.ALL_REDUCE, 2 * MIB, 5),
+         (CommKind.SEND_RECV, 32 * MIB, None)]
 
 
-def cost(model, operation, size, group):
-    if group is None:
-        return model.sendrecv_time(size, LinkType.INTER_NODE)
-    return getattr(model, operation)(size, group, LinkType.INTER_NODE)
-
-
-KINDS = {"allreduce_time": CommKind.ALL_REDUCE,
-         "sendrecv_time": CommKind.SEND_RECV}
-
-
-def comm(operation, size, group):
-    """The operator whose ``time`` is ``cost(model, operation, size,
-    group)``."""
-    return CommOperator(kind=KINDS[operation], scope=CommScope.DATA,
-                        size_bytes=size,
+def comm(kind, size, group):
+    """One inter-node collective (``group`` is ``None`` for send/recv)."""
+    return CommOperator(kind=kind, scope=CommScope.DATA, size_bytes=size,
                         group_size=2 if group is None else group,
                         link=LinkType.INTER_NODE)
+
+
+def planned(model, kind, size, group):
+    """``model``'s cost of ``comm(kind, size, group)`` past the cost memo
+    of ``time``, so every call reads the topology's plans."""
+    return model._dispatch(comm(kind, size, group))
 
 
 def hammer(work, *, threads=8, rounds=20):
@@ -244,7 +266,7 @@ class TestPlanMemo:
     """Collective plans are routed once per topology and group."""
 
     @pytest.mark.parametrize("case", CASES,
-                             ids=lambda case: f"{case[0]}-{case[2]}")
+                             ids=lambda case: f"{case[0].value}-{case[2]}")
     def test_second_cost_of_a_group_does_not_route(self, monkeypatch, case):
         model = TopologyAwareNcclModel(multi_node(8, network="rail"))
         route = type(model.topology).route
@@ -255,30 +277,30 @@ class TestPlanMemo:
             return route(self, src, dst, channel=channel)
 
         monkeypatch.setattr(type(model.topology), "route", counting_route)
-        operation, size, group = case
-        first = cost(model, operation, size, group)
+        kind, size, group = case
+        first = planned(model, kind, size, group)
         routed = len(calls)
         assert routed > 0
-        assert cost(model, operation, size, group) == first
-        assert cost(model, operation, 1.25 * size, group) > first
+        assert planned(model, kind, size, group) == first
+        assert planned(model, kind, 1.25 * size, group) > first
         assert len(calls) == routed
 
     def test_add_link_drops_stale_plans(self):
-        cases = [("allreduce_time", 256 * MIB, 2),
-                 ("allreduce_time", 64 * 1024, 2),
-                 ("allreduce_time", 256 * MIB, 16),
-                 ("sendrecv_time", 32 * MIB, None)]
+        cases = [(CommKind.ALL_REDUCE, 256 * MIB, 2),
+                 (CommKind.ALL_REDUCE, 64 * 1024, 2),
+                 (CommKind.ALL_REDUCE, 256 * MIB, 16),
+                 (CommKind.SEND_RECV, 32 * MIB, None)]
         system = multi_node(2, network="rail")
         topology = hub_topology(shortcut=False)
         model = TopologyAwareNcclModel(system, topology=topology)
-        before = [cost(model, *case) for case in cases]
-        assert [model.time(comm(*case)) for case in cases] == before
+        before = [model.time(comm(*case)) for case in cases]
+        assert [planned(model, *case) for case in cases] == before
         topology.add_link(gpu_id(0, 0), gpu_id(1, 0), 100e9, 1e-6)
         memoized = [model.time(comm(*case)) for case in cases]
-        after = [cost(model, *case) for case in cases]
+        after = [planned(model, *case) for case in cases]
         fresh = TopologyAwareNcclModel(
             system, topology=hub_topology(shortcut=True))
-        assert after == [cost(fresh, *case) for case in cases]
+        assert after == [planned(fresh, *case) for case in cases]
         assert memoized == [fresh.time(comm(*case)) for case in cases]
         assert all(new < old for new, old in zip(after, before))
 
@@ -287,10 +309,10 @@ class TestPlanMemo:
         missed by several threads at once may be built twice but never
         costs differently."""
         system = multi_node(8, network="fat-tree:4")
-        expected = [cost(TopologyAwareNcclModel(system), *case)
+        expected = [planned(TopologyAwareNcclModel(system), *case)
                     for case in CASES]
         shared = TopologyAwareNcclModel(system)
-        results = hammer(lambda: [cost(shared, *case) for case in CASES])
+        results = hammer(lambda: [planned(shared, *case) for case in CASES])
         assert all(result == expected for result in results)
 
 
@@ -309,9 +331,10 @@ class TestCostMemo:
     @pytest.mark.parametrize("network", ["flat", "rail", "fat-tree:4"])
     def test_second_time_of_an_equal_operator_does_not_recompute(
             self, monkeypatch, network):
+        nccl_model_for.cache_clear()  # a model with an empty memo
         model = nccl_model_for(multi_node(8, network=network))
         calls = []
-        for name in ("allreduce_time", "sendrecv_time"):
+        for name in ("_allreduce_time", "_sendrecv_time"):
             method = getattr(type(model), name)
 
             def counting(self, *args, method=method):

@@ -11,7 +11,7 @@ Four contracts hold for every algorithm on every topology:
 * costing from a memoized plan equals routing every flow on every call,
   bit for bit (the routed oracle below);
 * ``NcclModel.time``, which memoizes costs by operator signature,
-  equals the per-kind method on a fresh model, bit for bit.
+  equals the memo-free ``_dispatch`` on a fresh model, bit for bit.
 
 Two metamorphic relations pin the fabric axis: more inter-node bandwidth
 never slows a collective, and more fat-tree oversubscription never
@@ -55,6 +55,20 @@ networks = st.sampled_from(["rail", "fat-tree", "fat-tree:4"])
 
 def model_for(network: str, num_nodes: int = 16) -> TopologyAwareNcclModel:
     return TopologyAwareNcclModel(multi_node(num_nodes, network=network))
+
+
+def allreduce(model, size, group, link=LinkType.INTER_NODE):
+    """The model's cost of one All-Reduce, through its one public entry."""
+    return model.time(CommOperator(kind=CommKind.ALL_REDUCE,
+                                   scope=CommScope.DATA, size_bytes=size,
+                                   group_size=group, link=link))
+
+
+def inter_node(kind: CommKind, size: float, group: int) -> CommOperator:
+    """One inter-node collective (a send/recv pairs two workers)."""
+    return CommOperator(kind=kind, scope=CommScope.DATA, size_bytes=size,
+                        group_size=2 if kind is CommKind.SEND_RECV else group,
+                        link=LinkType.INTER_NODE)
 
 
 def algorithm_times(network: str, size: float, span: int):
@@ -147,11 +161,11 @@ def routed_hierarchical(topology, node_slots, size, intra_ring,
     return intra + 2 * (len(node_slots) - 1) * transfer_time(flows)
 
 
-def routed_cost(model, operation, size, group):
+def routed_cost(model, kind, size, group):
     """What ``model`` charges for one inter-node call, routed afresh."""
     system, topology = model.system, model.topology
     channels = system.nics_per_node
-    if operation == "sendrecv_time":
+    if kind is CommKind.SEND_RECV:
         path = topology.route(gpu_id(0, 0), gpu_id(1, 0), channel=0)
         return transfer_time([Flow(tuple(path), size)])
     placement = place_group(group, system.num_nodes)
@@ -182,39 +196,30 @@ def shared_model(network: str, num_nodes: int) -> TopologyAwareNcclModel:
 
 @st.composite
 def inter_node_calls(draw):
-    """(network, nodes, operation, group, payloads): groups up to the
+    """(network, nodes, kind, group, payloads): groups up to the
     machine, ragged ones included; payloads from 1 KiB to 8 GiB reach
     tree, ring and hierarchical All-Reduce."""
     network = draw(st.sampled_from(
         ["rail", "fat-tree", "fat-tree:2", "fat-tree:4", "fat-tree:8"]))
     num_nodes = draw(st.integers(min_value=2, max_value=32))
-    operation = draw(st.sampled_from(["allreduce_time", "sendrecv_time"]))
+    kind = draw(st.sampled_from(list(CommKind)))
     group = draw(st.one_of(st.integers(min_value=2, max_value=num_nodes),
                            st.integers(min_value=2,
                                        max_value=8 * num_nodes)))
     sizes = draw(st.lists(payloads, min_size=4, max_size=8))
-    return network, num_nodes, operation, group, sizes
+    return network, num_nodes, kind, group, sizes
 
 
 class TestPlanCostingMatchesRouting:
     @given(call=inter_node_calls())
     def test_bit_identical_to_routed_oracle(self, call):
-        network, num_nodes, operation, group, payloads = call
+        network, num_nodes, kind, group, payloads = call
         model = shared_model(network, num_nodes)
         for size in payloads:
-            if operation == "sendrecv_time":
-                planned = model.sendrecv_time(size, LinkType.INTER_NODE)
-            else:
-                planned = getattr(model, operation)(size, group,
-                                                    LinkType.INTER_NODE)
-            assert planned == routed_cost(model, operation, size, group)
-
-
-@functools.lru_cache(maxsize=None)
-def memoizing_model(network: str, num_nodes: int) -> NcclModel:
-    """One model per machine across examples, so later examples cost
-    from signatures earlier ones memoized."""
-    return nccl_model_for(multi_node(num_nodes, network=network))
+            # Past the cost memo of ``time``: every payload is costed
+            # from the memoized plan.
+            planned = model._dispatch(inter_node(kind, size, group))
+            assert planned == routed_cost(model, kind, size, group)
 
 
 @st.composite
@@ -247,21 +252,19 @@ def comm_operators(draw):
     return network, num_nodes, operators
 
 
-def direct_cost(model: NcclModel, op: CommOperator) -> float:
-    """``op`` costed by its per-kind method, bypassing ``time``."""
-    if op.kind is CommKind.SEND_RECV:
-        return model.sendrecv_time(op.size_bytes, op.link)
-    return model.allreduce_time(op.size_bytes, op.group_size, op.link)
-
-
 class TestMemoizedTimeMatchesDirectCosting:
     @given(case=comm_operators())
     def test_bit_identical_to_a_fresh_model(self, case):
+        """The process's model for a machine, shared across examples,
+        costs from signatures earlier examples memoized; a model of its
+        own costs every operator afresh past the memo."""
         network, num_nodes, operators = case
-        memoizing = memoizing_model(network, num_nodes)
-        fresh = nccl_model_for(multi_node(num_nodes, network=network))
+        system = multi_node(num_nodes, network=network)
+        memoizing = nccl_model_for(system)
+        fresh = (NcclModel(system) if network == "flat"
+                 else TopologyAwareNcclModel(system))
         for op in operators:
-            expected = direct_cost(fresh, op)
+            expected = fresh._dispatch(op)
             assert memoizing.time(op) == expected
             assert memoizing.time(replace(op)) == expected  # a memo hit
 
@@ -279,9 +282,8 @@ class TestMonotoneInPayload:
            small=sizes, factor=st.floats(min_value=1.0, max_value=64.0))
     def test_model_end_to_end(self, network, group, small, factor):
         model = model_for(network)
-        lo = model.allreduce_time(small, group, LinkType.INTER_NODE)
-        hi = model.allreduce_time(small * factor, group,
-                                  LinkType.INTER_NODE)
+        lo = allreduce(model, small, group)
+        hi = allreduce(model, small * factor, group)
         assert hi >= lo
 
     @pytest.mark.parametrize("network,group,small", [
@@ -293,8 +295,8 @@ class TestMonotoneInPayload:
         the threshold (rail, 2 members: 699,051 B cost 31.98 us on the
         tree, 1,048,576.5 B 28.49 us on the ring)."""
         model = model_for(network)
-        lo = model.allreduce_time(small, group, LinkType.INTER_NODE)
-        hi = model.allreduce_time(small * 1.5, group, LinkType.INTER_NODE)
+        lo = allreduce(model, small, group)
+        hi = allreduce(model, small * 1.5, group)
         assert hi >= lo
         assert model.explain(small, group)["algorithm"] == "ring"
 
@@ -318,8 +320,7 @@ class TestFlatRingLowerBound:
         bound = flat_ring_lower_bound(
             model.system.effective_internode_bandwidth, size,
             placement.nodes_spanned)
-        assert model.allreduce_time(size, group,
-                                    LinkType.INTER_NODE) >= bound
+        assert allreduce(model, size, group) >= bound
 
 
 class TestSingleNodeReducesToNvlinkTable:
@@ -330,8 +331,8 @@ class TestSingleNodeReducesToNvlinkTable:
         table, bit-identical to the flat model."""
         topo_model = model_for(network)
         flat_model = NcclModel(multi_node(16))
-        assert topo_model.allreduce_time(size, group, LinkType.INTRA_NODE) \
-            == flat_model.allreduce_time(size, group, LinkType.INTRA_NODE)
+        assert allreduce(topo_model, size, group, LinkType.INTRA_NODE) \
+            == allreduce(flat_model, size, group, LinkType.INTRA_NODE)
 
 
 class TestMoreBandwidthNeverSlower:
@@ -345,8 +346,8 @@ class TestMoreBandwidthNeverSlower:
         fast = replace(slow,
                        internode_bandwidth=slow.internode_bandwidth * factor)
         group = min(group, slow.num_gpus)
-        times = [TopologyAwareNcclModel(system).allreduce_time(
-            size, group, LinkType.INTER_NODE) for system in (slow, fast)]
+        times = [allreduce(TopologyAwareNcclModel(system), size, group)
+                 for system in (slow, fast)]
         assert times[1] <= times[0]
 
 

@@ -1,15 +1,21 @@
 """Unit tests for the VTrain facade and end-to-end estimation."""
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 
 from repro.config.description import InputDescription
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import multi_node, single_node
 from repro.cost.pricing import PricingModel
-from repro.errors import ConfigError, InfeasibleConfigError
+from repro.errors import InfeasibleConfigError
 from repro.graph.builder import Granularity
-from repro.hardware.gpu import H100_80GB
-from repro.network.model import TopologyAwareNcclModel
+from repro.hardware.gpu import A100_80GB, H100_80GB
+from repro.network.model import nccl_model_for
+from repro.profiling.advanced import ContentionAwareNcclModel
+from repro.profiling.lookup import PROFILE_TABLES, profile_table
 from repro.sim.estimator import (VTrain, cost_for_utilization,
                                  training_days_for_utilization)
 
@@ -115,6 +121,7 @@ class TestEndToEnd:
 class TestProfilingAmortisation:
     def test_shared_lookup_across_predictions(self, tiny_model, training):
         """Predicting many plans profiles each necessary operator once."""
+        profile_table.cache_clear()  # count this model's profiles only
         vtrain = VTrain(single_node())
         plans = [ParallelismConfig(tensor=2, data=2, pipeline=2,
                                    micro_batch_size=m) for m in (1, 2, 4)]
@@ -153,42 +160,119 @@ class TestProfilingAmortisation:
             first.simulation.device_timeline
 
 
-class TestForSystem:
-    def test_shares_the_profiling_stack_and_settings(self, tiny_model,
-                                                     training):
-        base = VTrain(single_node(), granularity=Granularity.STAGE,
-                      check_memory_feasibility=False, zero_stage=2)
-        derived = base.for_system(multi_node(4, network="rail"))
-        assert derived.system == multi_node(4, network="rail")
-        assert (derived.device, derived.tracer, derived.lookup) == \
-            (base.device, base.tracer, base.lookup)
-        assert derived.granularity is Granularity.STAGE
-        assert derived.zero_stage == 2
-        assert derived.check_memory_feasibility is False
-        assert isinstance(derived.nccl, TopologyAwareNcclModel)
-        assert derived.nccl.system == derived.system
+class TestProcessStores:
+    """Every simulator takes its profile table from the process's store
+    for its GPU and its communication model from the store for its
+    system."""
+
+    def test_simulators_on_one_gpu_share_one_table(self, tiny_model,
+                                                   training):
+        base = VTrain(single_node(), granularity=Granularity.STAGE)
+        other = VTrain(multi_node(4, network="rail"),
+                       granularity=Granularity.STAGE,
+                       check_memory_feasibility=False, zero_stage=2)
+        h100 = VTrain(multi_node(2, gpu=H100_80GB),
+                      granularity=Granularity.STAGE)
+        assert other.lookup is base.lookup is profile_table(A100_80GB)
+        assert h100.lookup is profile_table(H100_80GB)
+        assert h100.lookup is not base.lookup
+        assert other.nccl is nccl_model_for(multi_node(4, network="rail"))
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2)
         base.predict(tiny_model, plan, training)
         profiled = base.profiling_stats["operators_profiled"]
-        derived.predict(tiny_model, plan, training)
-        assert derived.profiling_stats["operators_profiled"] == profiled
-        assert derived.profiling_stats["predictions"] == 1
+        other.predict(tiny_model, plan, training)
+        assert other.profiling_stats["operators_profiled"] == profiled
+        assert other.profiling_stats["predictions"] == 1
+        h100.predict(tiny_model, plan, training)
+        assert h100.profiling_stats["operators_profiled"] > 0
+        assert base.profiling_stats["operators_profiled"] == profiled
 
-    def test_predictions_match_an_independent_simulator(self, small_model,
-                                                        training):
-        base = VTrain(single_node(), granularity=Granularity.OPERATOR)
+    def test_predictions_match_fresh_stores(self, small_model, training):
         plan = ParallelismConfig(tensor=2, data=4, pipeline=2)
         for network in ("flat", "rail", "fat-tree:4"):
             system = multi_node(2, network=network)
-            shared = base.for_system(system).predict(small_model, plan,
-                                                     training)
+            VTrain(multi_node(4, network=network)).predict(
+                small_model, plan, training)
+            shared = VTrain(system).predict(small_model, plan, training)
+            profile_table.cache_clear()
+            nccl_model_for.cache_clear()
             alone = VTrain(system).predict(small_model, plan, training)
             assert shared.iteration_time == alone.iteration_time
 
-    def test_rejects_another_gpu(self):
-        base = VTrain(single_node())
-        with pytest.raises(ConfigError, match="H100"):
-            base.for_system(multi_node(2, gpu=H100_80GB))
+    def test_explicit_model_stays_out_of_the_store(self, tiny_model,
+                                                   training):
+        """A model passed as ``nccl=`` is used as given: a predict on
+        it leaves the process's model for the system untouched."""
+        system = multi_node(4)
+        nccl_model_for.cache_clear()
+        shared = nccl_model_for(system)
+        vtrain = VTrain(system, nccl=ContentionAwareNcclModel(system))
+        vtrain.predict(tiny_model, ParallelismConfig(tensor=2, data=8,
+                                                     pipeline=2), training)
+        costed = vtrain.nccl._cost_memo()
+        assert costed
+        assert all(shared.cached_time(signature) is None
+                   for signature in costed)
+        assert nccl_model_for(system) is shared
+
+    def test_threads_sharing_one_table_predict_sequential_results(
+            self, tiny_model, training):
+        """Simulators on several threads share one table: threads that
+        miss one signature at once profile it twice, equally, and every
+        prediction equals a sequential one."""
+        plans = [ParallelismConfig(tensor=t, data=2, pipeline=2,
+                                   micro_batch_size=m)
+                 for t in (1, 2) for m in (1, 2)]
+        expected = [VTrain(single_node()).predict(tiny_model, plan,
+                                                  training).iteration_time
+                    for plan in plans]
+        profile_table.cache_clear()
+        start = threading.Barrier(8)
+        results, errors = [], []
+
+        def worker():
+            try:
+                start.wait(timeout=10)
+                vtrain = VTrain(single_node())
+                results.append([vtrain.predict(tiny_model, plan,
+                                               training).iteration_time
+                                for plan in plans])
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, daemon=True)
+                    for _ in range(8)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == []
+        assert results == [expected] * 8
+
+    def test_table_store_evicts_past_its_bound_and_rebuilds_equal(
+            self, tiny_model, training):
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2)
+        profile_table.cache_clear()
+        vtrain = VTrain(single_node())
+        expected = vtrain.predict(tiny_model, plan, training)
+        first = vtrain.lookup
+        for index in range(PROFILE_TABLES):
+            profile_table(dataclasses.replace(A100_80GB, name=f"gpu{index}"))
+        assert profile_table.cache_info().currsize == PROFILE_TABLES
+        rebuilt = profile_table(A100_80GB)
+        assert rebuilt is not first and len(rebuilt) == 0
+        again = VTrain(single_node()).predict(tiny_model, plan, training)
+        assert again.iteration_time == expected.iteration_time
+        assert rebuilt.signatures == first.signatures
+        assert all(rebuilt.cached_duration(signature)
+                   == first.cached_duration(signature)
+                   for signature in first.signatures)
 
 
 class TestFigure1Helpers:

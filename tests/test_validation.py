@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.graph.builder import Granularity
+from repro.profiling.lookup import profile_table
 from repro.sim.estimator import VTrain
 from repro.validation.campaigns import (multi_node_points, run_campaign,
                                         single_node_points)
@@ -107,10 +108,12 @@ class TestCampaignRun:
         assert all(m > p for m, p in zip(result.measured, result.predicted))
 
     def test_predictors_profile_each_signature_once(self, monkeypatch):
-        """The per-node-count predictors share one profiling stack, so a
-        signature met on several node counts is profiled once; the
-        predictions equal those of a fresh simulator per point."""
+        """The per-node-count predictors share the process's profile
+        table, so a signature met on several node counts is profiled
+        once; the predictions equal those of a fresh simulator per
+        point."""
         points = multi_node_points()[::16]
+        profile_table.cache_clear()  # count this campaign's profiles only
         predictors: dict[int, VTrain] = {}
         predict = VTrain.predict
 
@@ -126,8 +129,9 @@ class TestCampaignRun:
         first = simulators[0]
         assert all(simulator.lookup is first.lookup
                    for simulator in simulators)
-        distinct = first.tracer.stats.signatures
-        assert first.tracer.stats.operators_profiled == len(distinct)
+        stats = first.lookup.tracer.stats
+        distinct = stats.signatures
+        assert stats.operators_profiled == len(distinct)
         assert set(first.lookup.signatures) == distinct
         assert result.predicted == [
             VTrain(point.system(), check_memory_feasibility=False).predict(
