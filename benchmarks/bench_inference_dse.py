@@ -18,7 +18,9 @@ preset:
   phase graphs from scratch. It asserts the warm path keeps a >= 2x
   advantage, appends the ratio to the gated trajectory in the same
   store, and fails if warm/cold regressed more than 25 % against the
-  committed baseline (``entries[0]``). The gated metric is a
+  committed baseline (``entries[0]``). The cold predict also starts
+  from empty profile and communication-model stores, so it profiles
+  and costs from scratch whatever ran before it. The gated metric is a
   same-process ratio, insensitive to absolute machine speed.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI perf lane (smaller sweep, fewer
@@ -35,6 +37,8 @@ from repro.config.system import multi_node
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.space import SearchSpace
 from repro.graph.builder import Granularity, clear_structure_cache
+from repro.network.model import nccl_model_for
+from repro.profiling.lookup import profile_table
 from repro.sim.estimator import VTrain
 from repro.workload import InferenceWorkload
 
@@ -123,6 +127,10 @@ def test_warm_decode_predict_latency_gate():
     """Warm predict_inference (structure-cache hit) vs cold compile."""
     rounds = 3 if QUICK else 5
     system = multi_node(GATE_PLAN.total_gpus // 8)
+    # Cold means from scratch: no profiles, costs or structures, even
+    # after the sweep test has filled the process's stores.
+    profile_table.cache_clear()
+    nccl_model_for.cache_clear()
     vtrain = VTrain(system, granularity=Granularity.OPERATOR)
 
     clear_structure_cache()

@@ -153,8 +153,7 @@ def to_serving_csv(result: DSEResult, *, include_infeasible: bool = False,
 def save_serving_csv(result: DSEResult, path: str | Path, *,
                      include_infeasible: bool = False,
                      pricing: PricingModel = DEFAULT_PRICING) -> None:
-    """Write :func:`to_serving_csv` output to a file (parent dirs
-    created)."""
+    """Write :func:`to_serving_csv` output to a file (dirs created)."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(to_serving_csv(
         result, include_infeasible=include_infeasible, pricing=pricing))

@@ -224,21 +224,26 @@ class TopologyAwareNcclModel(NcclModel):
 
 
 #: Communication models :func:`nccl_model_for` keeps, one per system,
-#: least recently used first out.
-NCCL_MODELS = 128
+#: least recently used first out. A model weighs what its topology
+#: does, ~9.4 KB per node (tracemalloc), so 32 of the 560-node fabrics
+#: the README sweeps are ~175 MB. A perfbench workload uses at most 26
+#: systems; an MT-NLG fabric sweep to 4,480 GPUs uses 93, so a second
+#: one rebuilds what fell out (~50 ms per 560-node topology). Evicted
+#: models live on in simulators that hold them, as the daemon's do.
+NCCL_MODELS = 32
 
 
 @functools.lru_cache(maxsize=NCCL_MODELS)
 def nccl_model_for(system: SystemConfig) -> NcclModel:
     """The process's communication model for ``system``, as its
-    ``network`` spec asks (built on first use).
+    ``network`` spec asks (built on first use): the plain
+    :class:`~repro.profiling.nccl.NcclModel` for ``flat``, else a
+    :class:`TopologyAwareNcclModel` over the corresponding graph.
 
-    ``flat`` gives the plain :class:`~repro.profiling.nccl.NcclModel`
-    (bit-identical to pre-topology behavior); anything else gives a
-    :class:`TopologyAwareNcclModel` over the corresponding graph. Every
-    simulator of an equal system shares the model, so its topology,
-    collective plans and :meth:`~repro.profiling.nccl.NcclModel.time`
-    memo are built once per process.
+    Every simulator of an equal system shares the model, so never
+    mutate it (``topology.add_link`` would change all their costs). A
+    what-if fabric goes into a model of its own, passed as
+    ``VTrain(system, nccl=TopologyAwareNcclModel(system, topology=...))``.
     """
     if system.network_spec.kind == "flat":
         return NcclModel(system)

@@ -139,8 +139,7 @@ def default_snapshot_path() -> Path:
 
 
 def save_snapshot(path: str | Path | None = None) -> Path:
-    """Write the current snapshot as JSON (parent dirs created);
-    returns the path written."""
+    """Write the snapshot as JSON (parent dirs created); returns its path."""
     path = Path(path) if path is not None else default_snapshot_path()
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(snapshot(), indent=1) + "\n",

@@ -74,3 +74,9 @@ class CuptiTracer:
         """Task-to-layer mapping: kernels previously traced for ``op``."""
         return tuple(record.kernel for record in self._records
                      if record.operator_signature == op.signature)
+
+    def reset(self) -> None:
+        """Drop collected records and counters (new profiling session)."""
+        self._records.clear()
+        self._next_correlation = 0
+        self.stats = ProfilerStats()

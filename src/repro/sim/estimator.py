@@ -15,14 +15,10 @@ and each served job — takes the same two stages:
 phase graphs) and :meth:`VTrain.predict_prepared` (replay, then wrap).
 
 Every simulator takes its profiling state from two process-wide
-stores: the operator-to-task table of its GPU, with the CUPTI tracer
-and device model behind it
-(:func:`~repro.profiling.lookup.profile_table`), and the communication
-model of its system, with its NCCL profile tables and cost memo
-(:func:`~repro.network.model.nccl_model_for`). Sweeping thousands of
-plans over many node counts, in any number of explorers, campaigns or
-daemon simulators, therefore profiles each necessary operator once per
-process — the Section III-F performance story.
+stores, :func:`~repro.profiling.lookup.profile_table` (per GPU) and
+:func:`~repro.network.model.nccl_model_for` (per system), so sweeping
+thousands of plans over many node counts profiles each necessary
+operator once per process — the Section III-F performance story.
 """
 
 from __future__ import annotations
@@ -158,13 +154,12 @@ class VTrain:
             the paper's reported accuracy at a fraction of the task count;
             ``KERNEL`` is the paper's full task-granularity replay;
             ``STAGE`` is the fast mode used for Figure-10-scale sweeps.
-        nccl: Override the communication model (e.g. with interference);
-            it is used as given and never shared through the store.
-            When omitted, the model is the process's
-            :func:`~repro.network.model.nccl_model_for` ``(system)``,
-            which follows ``system.network``: the flat Equation-1
-            :class:`NcclModel` for ``flat`` (the default, bit-identical
-            to prior behavior) or a
+        nccl: Override the communication model (e.g. with interference,
+            or a what-if ``TopologyAwareNcclModel(system,
+            topology=...)``), used as given and never stored. By
+            default the process's
+            :func:`~repro.network.model.nccl_model_for` ``(system)``:
+            the flat Equation-1 :class:`NcclModel` for ``flat`` or a
             :class:`~repro.network.model.TopologyAwareNcclModel` for
             ``rail`` / ``fat-tree:<ratio>`` fabrics.
         check_memory_feasibility: Reject plans that exceed GPU memory.
@@ -173,8 +168,8 @@ class VTrain:
             Defaults to stage 1, Megatron-DeepSpeed's configuration.
 
     The operator-to-task table is the process's
-    :func:`~repro.profiling.lookup.profile_table` ``(system.gpu)``,
-    shared with every simulator on that GPU.
+    :func:`~repro.profiling.lookup.profile_table` ``(system.gpu)``.
+    Both stored objects are shared: never mutate them.
     """
 
     def __init__(self, system: SystemConfig, *,
@@ -533,10 +528,8 @@ class VTrain:
 
         The profiling counters (``operators_profiled``,
         ``lookups_served_from_table``, ``kernels_traced``) are per GPU
-        per process: they count the shared
-        :func:`~repro.profiling.lookup.profile_table` of this system's
-        GPU, so every simulator on that GPU reports the same totals.
-        ``predictions`` and the structure-cache counts are this
+        per process: every simulator on this GPU reports the same
+        totals. ``predictions`` and the structure-cache counts are this
         instance's own.
         """
         return {

@@ -129,6 +129,13 @@ class TestCuptiTracer:
         assert tracer.stats.kernels_traced == len(tracer.records)
         assert len(tracer.stats.signatures) == 2
 
+    def test_reset(self):
+        tracer = CuptiTracer(DeviceModel(A100_80GB))
+        tracer.trace_operator(mha())
+        tracer.reset()
+        assert not tracer.records
+        assert tracer.stats.operators_profiled == 0
+
 
 class TestLookupTable:
     def test_necessary_operator_profiled_once(self):

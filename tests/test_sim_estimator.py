@@ -8,12 +8,13 @@ import pytest
 
 from repro.config.description import InputDescription
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.config.system import multi_node, single_node
+from repro.config.system import GBPS, multi_node, single_node
 from repro.cost.pricing import PricingModel
 from repro.errors import InfeasibleConfigError
 from repro.graph.builder import Granularity
 from repro.hardware.gpu import A100_80GB, H100_80GB
-from repro.network.model import nccl_model_for
+from repro.network.model import TopologyAwareNcclModel, nccl_model_for
+from repro.network.topology import build_topology
 from repro.profiling.advanced import ContentionAwareNcclModel
 from repro.profiling.lookup import PROFILE_TABLES, profile_table
 from repro.sim.estimator import (VTrain, cost_for_utilization,
@@ -214,6 +215,25 @@ class TestProcessStores:
         assert all(shared.cached_time(signature) is None
                    for signature in costed)
         assert nccl_model_for(system) is shared
+
+    def test_whatif_topology_changes_only_its_own_simulator(
+            self, tiny_model, training):
+        """A what-if fabric goes into a model of its own, passed as
+        ``nccl=``: the process's model for the system keeps its
+        topology and every simulator that takes it keeps its costs."""
+        system = multi_node(4, network="rail")
+        plan = ParallelismConfig(tensor=2, data=8, pipeline=2)
+        shared = nccl_model_for(system)
+        before = VTrain(system).predict(tiny_model, plan, training)
+        slow = build_topology(dataclasses.replace(
+            system, internode_bandwidth=8 * GBPS))
+        whatif = VTrain(system, nccl=TopologyAwareNcclModel(
+            system, topology=slow)).predict(tiny_model, plan, training)
+        after = VTrain(system).predict(tiny_model, plan, training)
+        assert whatif.iteration_time > before.iteration_time
+        assert after.iteration_time == before.iteration_time
+        assert nccl_model_for(system) is shared
+        assert shared.topology is not slow
 
     def test_threads_sharing_one_table_predict_sequential_results(
             self, tiny_model, training):
