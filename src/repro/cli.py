@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ranking for the best-plans table (default: cost)")
     dse.add_argument("--quiet", action="store_true",
                      help="suppress progress reporting on stderr")
-    dse.add_argument("--metrics", type=Path, nargs="?", metavar="PATH",
-                     const=Path(""), default=None,
+    dse.add_argument("--metrics", nargs="?", metavar="PATH", const="",
+                     default=None,
                      help="enable observability for the sweep, print the "
                           "metrics snapshot afterwards, and save it as "
                           "JSON (default path: repro_obs_snapshot.json; "
@@ -588,8 +588,10 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     NetworkSpec.parse(args.network)  # reject bad specs before sweeping
     if args.top < 0:
         raise ConfigError(f"--top must be >= 0, got {args.top}")
-    if args.metrics == Path(""):
-        args.metrics = obs.default_snapshot_path()
+    if args.metrics is not None:
+        # Bare `--metrics` and `--metrics ""` name the default path; any
+        # other text is a path (`Path(".") == Path("")`, so test first).
+        args.metrics = Path(args.metrics or obs.default_snapshot_path())
     for what, path in (("CSV file", args.csv),
                        ("metrics snapshot", args.metrics)):
         if path is not None:

@@ -51,8 +51,8 @@ one gather through its slot ids.
 **Template tiling.** A pipeline repeats a handful of chunk bodies
 thousands of times (MT-NLG: 35 stages x 480 units). The emitter defines
 one body per unit role; :meth:`GraphBuilder.compile` stamps the bodies
-over every stage's issue order with numpy offsets and wires the
-inter-chunk edges as arrays. The test suite holds it to a per-task
+over the closed-form issue-order arrays with numpy offsets and wires
+the inter-chunk edges as arrays. The test suite holds it to a per-task
 reference emitter built from the same bodies (``tests/graph_oracle.py``).
 """
 
@@ -81,8 +81,8 @@ from repro.errors import ConfigError, SimulationError
 from repro.graph.operators import (CommKind, CommOperator, CommScope,
                                    CompOperator, OpKind, activation_bytes,
                                    comm_signature, comp_signature)
-from repro.graph.pipeline import (FORWARD, ScheduledChunk,
-                                  last_backward_micro_batch, schedule_order)
+from repro.graph.pipeline import (BACKWARD, FORWARD, issue_orders,
+                                  last_backward_micro_batch)
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
                                    GraphStructure, KIND_COMPUTE,
                                    KIND_DP_COMM, KIND_PP_COMM, KIND_TP_COMM,
@@ -542,25 +542,6 @@ class _Emitter:
         return (_SLOT_KINDS.get(tag, self.key.phase or KIND_COMPUTE),
                 COMM_STREAM if tag in ("pp", "dp") else COMPUTE_STREAM)
 
-    def issue_orders(self) -> list[list[ScheduledChunk]]:
-        """Each stage's issue order of (phase, micro-batch, chunk) units.
-
-        Inference phases issue their forwards in ascending micro-batch
-        order — the forward sub-order of both GPipe and 1F1B — so a
-        prefill graph is exactly the forward-only subgraph of the
-        matching training graph (same labels, durations, and issue
-        order; compute tasks are tagged with the phase kind instead of
-        ``compute``).
-        """
-        key = self.key
-        if key.phase is not None:
-            return [[ScheduledChunk(FORWARD, mb)
-                     for mb in range(key.micro_batches)]] * key.pipeline
-        return [schedule_order(key.schedule, stage, key.pipeline,
-                               key.micro_batches,
-                               virtual_stages=key.virtual_stages)
-                for stage in range(key.pipeline)]
-
     def last_backward(self) -> int:
         """Micro-batch whose backward units anchor the gradient buckets
         (``-1`` for inference phases, which have no backward)."""
@@ -676,25 +657,26 @@ class _Emitter:
         """Every :class:`GraphStructure` argument but the durations and
         the metadata.
 
-        Each distinct chunk body is emitted once (:meth:`chunk_body`)
-        and tiled over every stage's issue order with numpy offsets, in
-        the task-id order a per-task emitter gives them: every stage's
-        units in issue order, then the pipeline Send-Receives, then
-        each stage's gradient sync and weight update. The stream-chain,
-        pipeline Send-Receive, gradient-bucket, and weight-update edges
-        are added as arrays. Task slots are positions in the key's
+        The units are the columns of
+        :func:`~repro.graph.pipeline.issue_orders` (an inference phase's
+        forward-only order makes a prefill graph exactly the forward
+        subgraph of the matching training graph). Each distinct chunk
+        body is emitted once (:meth:`chunk_body`) and tiled over them
+        with numpy offsets, in the task-id order a per-task emitter
+        gives them: every stage's units in issue order, then the
+        pipeline Send-Receives, then each stage's gradient sync and
+        weight update. Edges are added as arrays and sorted by (parent,
+        child). Task slots are positions in the key's
         :meth:`~StructureKey.slot_layout`, kinds and streams come from
-        per-slot tables, and :meth:`labels` runs on first use.
+        one per-slot table, and :meth:`labels` formats from the unit
+        columns on first use.
         """
         key = self.key
         p, v, nmb = key.pipeline, key.virtual_stages, key.micro_batches
-        orders = self.issue_orders()
-        phases, mbs, chunks = zip(*itertools.chain.from_iterable(orders))
-        units_per_stage = [len(units) for units in orders]
-        u_stage = np.repeat(np.arange(p), units_per_stage)
-        u_fwd = np.array(phases) == FORWARD
-        u_mb = np.array(mbs, dtype=np.intp)
-        u_chunk = np.array(chunks, dtype=np.intp)
+        orders = issue_orders(key.schedule, p, nmb, virtual_stages=v)
+        units = orders[0].shape[1]
+        u_stage = np.repeat(np.arange(p), units)
+        u_fwd, u_mb, u_chunk = (column.ravel() for column in orders)
         u_last = ~u_fwd & (u_mb == self.last_backward())
         # Units with equal (stage role, chunk, phase, last) share a
         # body; STAGE bodies name their stage in their slot keys.
@@ -742,26 +724,27 @@ class _Emitter:
             for unit in np.flatnonzero(u_last).tolist():
                 for bucket, offset in bodies[u_body[unit]].anchors.items():
                     anchor[u_stage[unit], bucket] = u_start[unit] + offset
-            self._tile_gradient_sync(
-                table, anchor, u_end[np.cumsum(units_per_stage) - 1] - 1)
+            self._tile_gradient_sync(table, anchor,
+                                     u_end[units - 1::units] - 1)
 
         task_slot = np.concatenate(table.slot)
+        attributes = [self.attributes(slot) for slot in slot_keys]
         kind_of: dict[str, int] = {}
-        slot_kind = np.array([kind_of.setdefault(self.attributes(slot)[0],
-                                                 len(kind_of))
-                              for slot in slot_keys], dtype=np.intp)
+        slot_kind = np.array([kind_of.setdefault(kind, len(kind_of))
+                              for kind, _ in attributes], dtype=np.intp)
         src = np.concatenate(table.src)
         dst = np.concatenate(table.dst)
         # Children in ascending task id within each parent: the order a
-        # per-task emitter links them in.
-        edge_order = np.lexsort((dst, src))
+        # per-task emitter links them in (one stable sort by the pair).
+        edge_order = np.argsort(src * table.num_tasks + dst, kind="stable")
         self._units = (orders, u_body, [body.suffixes for body in bodies])
         return dict(
             num_devices=p, device=np.concatenate(table.device),
             kinds=tuple(kind_of), kind=slot_kind[task_slot],
             src=src[edge_order], dst=dst[edge_order],
             slot_keys=slot_keys, slot=task_slot,
-            stream={slot: self.attributes(slot)[1] for slot in slot_keys},
+            stream={slot: stream
+                    for slot, (_, stream) in zip(slot_keys, attributes)},
             label=self.labels)
 
     def labels(self) -> list[str]:
@@ -773,9 +756,11 @@ class _Emitter:
         orders, u_body, suffixes = self._units
         labels: list[str] = []
         bodies = iter(u_body.tolist())
-        for stage, units in enumerate(orders):
-            for phase, mb, chunk in units:
-                prefix = _chunk_prefix(stage, chunk, phase, mb, v)
+        rows = zip(*(column.tolist() for column in orders))
+        for stage, (forward, mbs, chunks) in enumerate(rows):
+            for fwd, mb, chunk in zip(forward, mbs, chunks):
+                prefix = _chunk_prefix(stage, chunk,
+                                       FORWARD if fwd else BACKWARD, mb, v)
                 labels.extend([prefix + suffix
                                for suffix in suffixes[next(bodies)]])
         if key.phase is not None:

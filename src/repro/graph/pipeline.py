@@ -15,11 +15,18 @@ of one contiguous block, and cycles through them in a round-robin of
 ``(p-1) / (v*NMB + p-1)`` — at the cost of ``v`` activation windows per
 device and extra inter-chunk P2P traffic (the last stage feeds chunk
 ``c+1`` of the first stage).
+
+Every order has a closed form: :func:`issue_orders` returns all stages'
+orders at once as integer arrays, which the graph builder tiles over;
+:func:`schedule_order` lists one stage's row as :class:`ScheduledChunk`
+entries. ``tests/graph_oracle.py`` keeps the unit-by-unit loops.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.config.parallelism import PipelineSchedule
 from repro.errors import ConfigError
@@ -29,11 +36,13 @@ BACKWARD = "B"
 
 
 class ScheduledChunk(NamedTuple):
-    """One entry in a stage's issue order.
+    """One entry of a stage's issue order, as :func:`schedule_order`
+    lists it.
 
     ``chunk`` is the model-chunk (virtual-stage) index the entry runs on;
-    it is always 0 for GPipe and plain 1F1B. A named tuple rather than
-    a frozen dataclass: an MT-NLG graph issues ~17k of them per build.
+    it is always 0 for GPipe and plain 1F1B. The graph builder makes
+    none: it tiles :func:`issue_orders`' columns (16,800 units for an
+    MT-NLG step).
     """
 
     phase: str  # FORWARD or BACKWARD
@@ -41,109 +50,105 @@ class ScheduledChunk(NamedTuple):
     chunk: int = 0
 
 
-def gpipe_order(num_micro_batches: int) -> list[ScheduledChunk]:
-    """GPipe: all forwards in order, then all backwards in reverse.
+def issue_orders(schedule: PipelineSchedule | None, num_stages: int,
+                 num_micro_batches: int, *, virtual_stages: int = 1,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stage's issue order at once, in closed form.
 
-    Backwards run most-recent-first because the last micro-batch's
-    activations are freshest (Figure 7a).
+    Returns ``(forward, micro_batch, chunk)``, read-only arrays of shape
+    ``(num_stages, units)`` whose row ``s`` is stage ``s``'s order.
+    ``schedule=None`` is an inference phase's forward-only order, the
+    forward sub-order of both GPipe and 1F1B.
+
+    * GPipe: all forwards in order, then all backwards in reverse, the
+      freshest activations first (Figure 7a).
+    * 1F1B (PipeDream-Flush, Figure 7b): stage ``s`` issues
+      ``w = min(NMB, p - 1 - s)`` warm-up forwards, alternates one
+      forward with one backward, then drains the last ``w`` backwards.
+    * Interleaved 1F1B (Megatron-LM's
+      ``forward_backward_pipelining_with_interleaving``): the same over
+      ``NMB * v`` (chunk, micro-batch) units with a warm-up of
+      ``min(2(p - s - 1) + (v - 1)p, NMB * v)`` (all units when
+      ``NMB == p``). Unit ``k`` is micro-batch ``(k // pv) p + k % p``
+      on chunk ``(k % pv) // p``, counted down for backward units.
+
+    Raises:
+        ConfigError: No stages or micro-batches, ``virtual_stages < 1``,
+            ``virtual_stages > 1`` outside 1F1B or with ``p`` not
+            dividing ``NMB``, or an unknown schedule.
     """
-    _check(num_micro_batches)
-    forwards = [ScheduledChunk(FORWARD, i) for i in range(num_micro_batches)]
-    backwards = [ScheduledChunk(BACKWARD, i)
-                 for i in reversed(range(num_micro_batches))]
-    return forwards + backwards
-
-
-def one_f_one_b_order(stage: int, num_stages: int,
-                      num_micro_batches: int) -> list[ScheduledChunk]:
-    """1F1B (PipeDream-Flush): warm up, alternate, cool down (Figure 7b).
-
-    Stage ``i`` admits ``min(NMB, p - 1 - i)`` warm-up forwards, then
-    alternates one forward with one backward, then drains the remaining
-    backwards. The last stage has zero warm-up and strictly alternates.
-    """
-    _check(num_micro_batches)
-    if not 0 <= stage < num_stages:
-        raise ConfigError(f"stage {stage} outside pipeline of {num_stages}")
-    warmup = min(num_micro_batches, num_stages - 1 - stage)
-    order: list[ScheduledChunk] = []
-    for i in range(warmup):
-        order.append(ScheduledChunk(FORWARD, i))
-    steady = num_micro_batches - warmup
-    for i in range(steady):
-        order.append(ScheduledChunk(FORWARD, warmup + i))
-        order.append(ScheduledChunk(BACKWARD, i))
-    for i in range(steady, num_micro_batches):
-        order.append(ScheduledChunk(BACKWARD, i))
-    return order
-
-
-def interleaved_order(stage: int, num_stages: int, num_micro_batches: int,
-                      virtual_stages: int) -> list[ScheduledChunk]:
-    """Megatron-LM interleaved 1F1B: ``v`` model chunks per stage.
-
-    Reproduces ``forward_backward_pipelining_with_interleaving``: the
-    unit of scheduling is one (chunk, micro-batch) pair, micro-batches
-    advance in groups of ``p`` per chunk, warm-up admits
-    ``2*(p - stage - 1) + (v - 1) * p`` units (all of them when
-    ``NMB == p``, Megatron's all-warmup special case), then the stage
-    alternates one forward unit with one backward unit and drains.
-    Forward units walk chunks in ascending order; backward units walk
-    them descending, so the final backward on every stage is chunk 0 of
-    the last micro-batch.
-    """
-    _check(num_micro_batches)
-    if not 0 <= stage < num_stages:
-        raise ConfigError(f"stage {stage} outside pipeline of {num_stages}")
-    if virtual_stages < 1:
-        raise ConfigError("virtual_stages must be positive")
-    if num_micro_batches % num_stages:
-        raise ConfigError(
-            f"interleaved schedule needs the micro-batch count "
-            f"({num_micro_batches}) to be a multiple of the pipeline depth "
-            f"({num_stages})")
-    p, v = num_stages, virtual_stages
-    total = num_micro_batches * v
-
-    def forward_unit(k: int) -> ScheduledChunk:
-        group, j = divmod(k, p * v)
-        return ScheduledChunk(FORWARD, group * p + j % p, chunk=j // p)
-
-    def backward_unit(k: int) -> ScheduledChunk:
-        group, j = divmod(k, p * v)
-        return ScheduledChunk(BACKWARD, group * p + j % p,
-                              chunk=v - 1 - j // p)
-
-    if num_micro_batches == p:
-        warmup = total
+    _check(num_micro_batches, num_stages, virtual_stages)
+    p, v, nmb = num_stages, virtual_stages, num_micro_batches
+    if v > 1 and schedule is not PipelineSchedule.ONE_F_ONE_B:
+        raise ConfigError("only 1F1B has an interleaved variant; "
+                          "virtual_stages requires the 1F1B schedule")
+    if schedule is None:
+        forward, unit = np.ones(nmb, dtype=bool), np.arange(nmb)
+    elif schedule is PipelineSchedule.GPIPE:
+        position = np.arange(2 * nmb)
+        forward = position < nmb
+        unit = np.where(forward, position, 2 * nmb - 1 - position)
+    elif schedule is PipelineSchedule.ONE_F_ONE_B:
+        if v > 1 and nmb % p:
+            raise ConfigError(
+                f"interleaved schedule needs the micro-batch count ({nmb}) "
+                f"to be a multiple of the pipeline depth ({p})")
+        total, stage = nmb * v, np.arange(p)[:, None]
+        if v == 1:
+            warmup = np.minimum(nmb, p - 1 - stage)
+        elif nmb == p:
+            warmup = total
+        else:
+            warmup = np.minimum(2 * (p - stage - 1) + (v - 1) * p, total)
+        position = np.arange(2 * total)
+        steady = position - warmup
+        drain = position >= 2 * total - warmup
+        forward = (steady < 0) | (~drain & (steady % 2 == 0))
+        unit = np.where(steady < 0, position,
+                        np.where(drain, position - total,
+                                 steady // 2 + warmup * forward))
     else:
-        warmup = min(2 * (p - stage - 1) + (v - 1) * p, total)
-    order = [forward_unit(k) for k in range(warmup)]
-    for k in range(total - warmup):
-        order.append(forward_unit(warmup + k))
-        order.append(backward_unit(k))
-    for k in range(total - warmup, total):
-        order.append(backward_unit(k))
-    return order
+        raise ConfigError(f"unknown schedule {schedule}")
+    group, rank = np.divmod(unit, p * v)
+    chunk = rank // p
+    columns = (forward, group * p + rank % p,
+               np.where(forward, chunk, v - 1 - chunk))
+    return tuple(np.broadcast_to(column, (p, column.shape[-1]))
+                 for column in columns)
 
 
 def schedule_order(schedule: PipelineSchedule, stage: int, num_stages: int,
                    num_micro_batches: int, *,
                    virtual_stages: int = 1) -> list[ScheduledChunk]:
-    """Issue order for one stage under the chosen scheduling policy."""
-    if virtual_stages < 1:
-        raise ConfigError("virtual_stages must be positive")
-    if schedule is PipelineSchedule.GPIPE:
-        if virtual_stages > 1:
-            raise ConfigError("GPipe has no interleaved variant; "
-                              "virtual_stages requires the 1F1B schedule")
-        return gpipe_order(num_micro_batches)
-    if schedule is PipelineSchedule.ONE_F_ONE_B:
-        if virtual_stages > 1:
-            return interleaved_order(stage, num_stages, num_micro_batches,
-                                     virtual_stages)
-        return one_f_one_b_order(stage, num_stages, num_micro_batches)
-    raise ConfigError(f"unknown schedule {schedule}")
+    """Issue order for one stage under the chosen scheduling policy:
+    row ``stage`` of :func:`issue_orders`."""
+    orders = issue_orders(schedule, num_stages, num_micro_batches,
+                          virtual_stages=virtual_stages)
+    if not 0 <= stage < num_stages:
+        raise ConfigError(f"stage {stage} outside pipeline of {num_stages}")
+    forward, micro_batch, chunk = (column[stage].tolist()
+                                   for column in orders)
+    return [ScheduledChunk(FORWARD if fwd else BACKWARD, mb, ch)
+            for fwd, mb, ch in zip(forward, micro_batch, chunk)]
+
+
+def gpipe_order(num_micro_batches: int) -> list[ScheduledChunk]:
+    """GPipe's issue order (the same on every stage)."""
+    return schedule_order(PipelineSchedule.GPIPE, 0, 1, num_micro_batches)
+
+
+def one_f_one_b_order(stage: int, num_stages: int,
+                      num_micro_batches: int) -> list[ScheduledChunk]:
+    """One stage's 1F1B issue order."""
+    return schedule_order(PipelineSchedule.ONE_F_ONE_B, stage, num_stages,
+                          num_micro_batches)
+
+
+def interleaved_order(stage: int, num_stages: int, num_micro_batches: int,
+                      virtual_stages: int) -> list[ScheduledChunk]:
+    """One stage's interleaved issue order (plain 1F1B if ``v == 1``)."""
+    return schedule_order(PipelineSchedule.ONE_F_ONE_B, stage, num_stages,
+                          num_micro_batches, virtual_stages=virtual_stages)
 
 
 def last_backward_micro_batch(schedule: PipelineSchedule,
@@ -210,15 +215,16 @@ def pipeline_bubble_fraction(num_stages: int, num_micro_batches: int,
     interleaved schedule divides the warm-up/drain ramp by ``v``
     (Narayanan et al., SC'21, Section 2.2).
     """
-    _check(num_micro_batches)
-    if num_stages <= 0:
-        raise ConfigError("num_stages must be positive")
-    if virtual_stages < 1:
-        raise ConfigError("virtual_stages must be positive")
+    _check(num_micro_batches, num_stages, virtual_stages)
     return ((num_stages - 1)
             / (virtual_stages * num_micro_batches + num_stages - 1))
 
 
-def _check(num_micro_batches: int) -> None:
+def _check(num_micro_batches: int, num_stages: int = 1,
+           virtual_stages: int = 1) -> None:
     if num_micro_batches <= 0:
         raise ConfigError("num_micro_batches must be positive")
+    if num_stages <= 0:
+        raise ConfigError("num_stages must be positive")
+    if virtual_stages < 1:
+        raise ConfigError("virtual_stages must be positive")

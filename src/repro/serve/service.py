@@ -70,6 +70,7 @@ from repro.dse.cache import PredictionCache, fingerprint
 from repro.dse.explorer import _MAX_EVAL_BATCH, DesignPoint, evaluate_plans
 from repro.errors import ConfigError, InfeasibleConfigError, ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
+from repro.network.model import NCCL_MODELS
 from repro.obs.stitch import wire_span
 from repro.serve import protocol
 from repro.sim.estimator import VTrain
@@ -174,6 +175,8 @@ class PredictionService:
         self._access_log = access_log
         self._access_log_lock = threading.Lock()
 
+        # Least recently used first; at most NCCL_MODELS, as many as the
+        # communication models the process keeps.
         self._vtrains: dict[str, VTrain] = {}
         self._vtrain_lock = threading.Lock()
         self._inflight: dict[str, _Job] = {}
@@ -249,11 +252,13 @@ class PredictionService:
                           "granularity": granularity.value,
                           "zero_stage": zero_stage}, sort_keys=True)
         with self._vtrain_lock:
-            vtrain = self._vtrains.get(key)
+            vtrain = self._vtrains.pop(key, None)
             if vtrain is None:
                 vtrain = VTrain(description.system, granularity=granularity,
                                 zero_stage=zero_stage)
-                self._vtrains[key] = vtrain
+            self._vtrains[key] = vtrain
+            if len(self._vtrains) > NCCL_MODELS:
+                del self._vtrains[next(iter(self._vtrains))]
             return vtrain
 
     # ------------------------------------------------------------------

@@ -13,9 +13,13 @@ to:
   :class:`~repro.graph.structure.GraphStructure`;
 * :func:`reference_timings` — a builder's timing table built slot by
   slot and stage by stage (the tests hold ``slot_durations`` to it);
+* :func:`reference_order` — one stage's issue order built unit by
+  unit (``tests/test_graph_pipeline.py`` holds
+  :func:`~repro.graph.pipeline.issue_orders` to it);
 * :func:`build_reference` — a builder's step emitted task by task
-  through a :class:`GraphAssembler`, from the same emitter's chunk
-  bodies (``tests/test_graph_tiling.py`` holds ``compile()`` to it);
+  through a :class:`GraphAssembler`, in :func:`reference_order`'s issue
+  orders, from the same emitter's chunk bodies
+  (``tests/test_graph_tiling.py`` holds ``compile()`` to it);
 * :func:`simulate_reference` — Algorithm 1 verbatim, the executable
   specification; :func:`position_order_busy` — its busy accounting run
   in a structure's position order, as the compiled engines add it;
@@ -37,12 +41,13 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from repro.config.parallelism import PipelineSchedule
 from repro.errors import SimulationError
 from repro.graph.builder import (FP16, Granularity, GraphBuilder, _ChunkBody,
                                  _chunk_prefix, _Emitter)
 from repro.graph.operators import (CompOperator, OpKind, data_allreduce,
                                    pipeline_send_recv, tensor_allreduce)
-from repro.graph.pipeline import FORWARD
+from repro.graph.pipeline import BACKWARD, FORWARD, ScheduledChunk
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM, KIND_DP_COMM,
                                    KIND_PP_COMM, KIND_WEIGHT_UPDATE,
                                    GraphStructure)
@@ -454,6 +459,83 @@ class _ReferenceTimings:
 
 
 # ---------------------------------------------------------------------------
+# The unit-by-unit issue orders
+# ---------------------------------------------------------------------------
+def reference_order(schedule: PipelineSchedule | None, stage: int,
+                    num_stages: int, num_micro_batches: int,
+                    virtual_stages: int = 1) -> list[ScheduledChunk]:
+    """Stage ``stage``'s issue order, appended one unit at a time;
+    ``schedule=None`` is the forward-only order of an inference phase.
+    Expects a valid configuration (``issue_orders`` checks it)."""
+    if schedule is None:
+        return [ScheduledChunk(FORWARD, mb)
+                for mb in range(num_micro_batches)]
+    if schedule is PipelineSchedule.GPIPE:
+        return _gpipe_order(num_micro_batches)
+    if virtual_stages > 1:
+        return _interleaved_order(stage, num_stages, num_micro_batches,
+                                  virtual_stages)
+    return _one_f_one_b_order(stage, num_stages, num_micro_batches)
+
+
+def _gpipe_order(num_micro_batches: int) -> list[ScheduledChunk]:
+    """GPipe: all forwards in order, then all backwards in reverse."""
+    forwards = [ScheduledChunk(FORWARD, i) for i in range(num_micro_batches)]
+    backwards = [ScheduledChunk(BACKWARD, i)
+                 for i in reversed(range(num_micro_batches))]
+    return forwards + backwards
+
+
+def _one_f_one_b_order(stage: int, num_stages: int,
+                       num_micro_batches: int) -> list[ScheduledChunk]:
+    """1F1B: ``min(NMB, p - 1 - stage)`` warm-up forwards, then one
+    forward per backward, then the remaining backwards."""
+    warmup = min(num_micro_batches, num_stages - 1 - stage)
+    order: list[ScheduledChunk] = []
+    for i in range(warmup):
+        order.append(ScheduledChunk(FORWARD, i))
+    steady = num_micro_batches - warmup
+    for i in range(steady):
+        order.append(ScheduledChunk(FORWARD, warmup + i))
+        order.append(ScheduledChunk(BACKWARD, i))
+    for i in range(steady, num_micro_batches):
+        order.append(ScheduledChunk(BACKWARD, i))
+    return order
+
+
+def _interleaved_order(stage: int, num_stages: int, num_micro_batches: int,
+                       virtual_stages: int) -> list[ScheduledChunk]:
+    """Megatron-LM's ``forward_backward_pipelining_with_interleaving``:
+    (chunk, micro-batch) units in groups of ``p`` per chunk, a warm-up
+    of ``2*(p - stage - 1) + (v - 1) * p`` units (all of them when
+    ``NMB == p``), then one forward unit per backward unit and the
+    drain; backward units walk the chunks descending."""
+    p, v = num_stages, virtual_stages
+    total = num_micro_batches * v
+
+    def forward_unit(k: int) -> ScheduledChunk:
+        group, j = divmod(k, p * v)
+        return ScheduledChunk(FORWARD, group * p + j % p, chunk=j // p)
+
+    def backward_unit(k: int) -> ScheduledChunk:
+        group, j = divmod(k, p * v)
+        return ScheduledChunk(BACKWARD, group * p + j % p,
+                              chunk=v - 1 - j // p)
+
+    if num_micro_batches == p:
+        warmup = total
+    else:
+        warmup = min(2 * (p - stage - 1) + (v - 1) * p, total)
+    order = [forward_unit(k) for k in range(warmup)]
+    for k in range(total - warmup):
+        order.append(forward_unit(warmup + k))
+        order.append(backward_unit(k))
+    for k in range(total - warmup, total):
+        order.append(backward_unit(k))
+    return order
+
+
+# ---------------------------------------------------------------------------
 # The per-task emitter
 # ---------------------------------------------------------------------------
 def build_graph(vtrain, model, plan, training) -> ExecutionGraph:
@@ -491,13 +573,16 @@ def build_reference(builder: GraphBuilder,
     b_exit: dict[tuple[int, int, int], int] = {}
     # Gradient-readiness anchors: (stage, bucket) -> task id.
     bucket_anchor: dict[tuple[int, int], int] = {}
-    for stage, units in enumerate(emitter.issue_orders()):
-        for phase, mb, chunk in units:
+    key = builder.key
+    for stage in range(key.pipeline):
+        for phase, mb, chunk in reference_order(
+                key.schedule, stage, key.pipeline, key.micro_batches,
+                key.virtual_stages):
             forward = phase == FORWARD
-            key = (stage, forward, chunk, not forward and mb == last_b)
-            body = bodies.get(key)
+            role = (stage, forward, chunk, not forward and mb == last_b)
+            body = bodies.get(role)
             if body is None:
-                body = bodies[key] = emitter.chunk_body(*key)
+                body = bodies[role] = emitter.chunk_body(*role)
             prefix = _chunk_prefix(stage, chunk, phase, mb, builder.v)
             entry = len(asm.nodes)
             for slot, suffix in zip(body.slots, body.suffixes):

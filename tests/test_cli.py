@@ -288,6 +288,9 @@ class TestUnwritableOutputPaths:
         pytest.param(DSE + ["--metrics", ""],
                      "metrics snapshot {dir} " + IS_DIR,
                      id="dse-metrics-default-path"),
+        pytest.param(DSE + ["--metrics", "."],
+                     "metrics snapshot . cannot be written: . is a directory",
+                     id="dse-metrics-dot"),
         pytest.param(["predict", "--preset", "megatron-1.7b", "--granularity",
                       "stage", "--trace", "{dir}"], None, id="predict-trace"),
         pytest.param(["example", "megatron-1.7b", "--output", "{dir}"], None,
@@ -302,8 +305,10 @@ class TestUnwritableOutputPaths:
         regular.write_text("")
         directory = tmp_path / "out"
         directory.mkdir()
-        # `--metrics ""` means the default snapshot path.
+        # `--metrics ""` means the default snapshot path; `--metrics .`
+        # names the working directory.
         monkeypatch.setenv(obs.ENV_SNAPSHOT, str(directory))
+        monkeypatch.chdir(tmp_path)
         if message is not None:
             def started(*args, **kwargs):
                 raise AssertionError("started despite an unwritable path")

@@ -1,14 +1,19 @@
 """Unit tests for GPipe/1F1B schedule generation (Figure 7)."""
 
 import pytest
+from graph_oracle import reference_order
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.config.parallelism import PipelineSchedule
 from repro.errors import ConfigError
 from repro.graph.pipeline import (BACKWARD, FORWARD, gpipe_order,
-                                  last_backward_micro_batch,
+                                  issue_orders, last_backward_micro_batch,
                                   max_in_flight_micro_batches,
                                   one_f_one_b_order,
                                   pipeline_bubble_fraction, schedule_order)
+
+GPIPE, ONE_F_ONE_B = PipelineSchedule.GPIPE, PipelineSchedule.ONE_F_ONE_B
 
 
 def phases(order):
@@ -134,3 +139,67 @@ class TestInterleavedHelpers:
         # NMB == p runs all-forward-then-all-backward: every chunk lives.
         assert max_in_flight_micro_batches(
             PipelineSchedule.ONE_F_ONE_B, 0, 4, 4, virtual_stages=2) == 8
+
+
+@st.composite
+def order_cases(draw):
+    """``(schedule, p, NMB, v)``: ``None`` is the forward-only order;
+    interleaving (``v > 1``) needs 1F1B and ``p | NMB``."""
+    schedule = draw(st.sampled_from([None, GPIPE, ONE_F_ONE_B]))
+    p = draw(st.integers(1, 12))
+    v = draw(st.sampled_from([1, 2, 3, 4])) if schedule is ONE_F_ONE_B else 1
+    if v > 1:
+        nmb = p * draw(st.integers(1, 64 // p))
+    else:
+        nmb = draw(st.integers(1, 64))
+    return schedule, p, nmb, v
+
+
+class TestClosedForm:
+    """``issue_orders`` against the unit-by-unit loops of
+    ``graph_oracle.reference_order``, stage by stage."""
+
+    @given(case=order_cases())
+    @example(case=(ONE_F_ONE_B, 8, 3, 1))   # warm-ups clipped at NMB
+    @example(case=(ONE_F_ONE_B, 4, 4, 1))   # NMB == p, plain 1F1B
+    @example(case=(ONE_F_ONE_B, 4, 4, 3))   # NMB == p: all warm-up
+    @example(case=(ONE_F_ONE_B, 12, 24, 4))
+    @example(case=(GPIPE, 12, 64, 1))
+    @example(case=(None, 3, 5, 1))
+    def test_arrays_equal_the_reference_loops(self, case):
+        schedule, p, nmb, v = case
+        forward, micro_batch, chunk = issue_orders(schedule, p, nmb,
+                                                   virtual_stages=v)
+        units = nmb if schedule is None else 2 * nmb * v
+        assert forward.shape == micro_batch.shape == chunk.shape == (p, units)
+        assert forward.dtype.kind == "b"
+        for stage in range(p):
+            expected = reference_order(schedule, stage, p, nmb, v)
+            assert list(zip(forward[stage].tolist(),
+                            micro_batch[stage].tolist(),
+                            chunk[stage].tolist())) == [
+                (unit.phase == FORWARD, unit.micro_batch, unit.chunk)
+                for unit in expected]
+            if schedule is not None:
+                assert schedule_order(schedule, stage, p, nmb,
+                                      virtual_stages=v) == expected
+
+    @pytest.mark.parametrize("args,match", [
+        ((GPIPE, 2, 0), "num_micro_batches"),
+        ((GPIPE, 0, 2), "num_stages"),
+        ((ONE_F_ONE_B, 2, 4, 0), "virtual_stages"),
+        ((GPIPE, 2, 4, 2), "interleaved"),
+        ((None, 2, 4, 2), "interleaved"),
+        ((ONE_F_ONE_B, 4, 6, 2), "multiple"),
+        (("zigzag", 2, 4), "unknown schedule"),
+    ])
+    def test_rejects_what_the_loops_rejected(self, args, match):
+        schedule, p, nmb, *v = args
+        with pytest.raises(ConfigError, match=match):
+            issue_orders(schedule, p, nmb, virtual_stages=v[0] if v else 1)
+
+    def test_arrays_are_read_only(self):
+        forward, micro_batch, chunk = issue_orders(ONE_F_ONE_B, 4, 8,
+                                                   virtual_stages=2)
+        for column in (forward, micro_batch, chunk):
+            assert not column.flags.writeable

@@ -34,6 +34,7 @@ from repro.errors import (ConfigError, InfeasibleConfigError,
                           SimulationError)
 from repro.graph.builder import Granularity, GraphBuilder
 from repro.graph.operators import CommOperator, CompOperator
+from repro.graph.pipeline import ScheduledChunk
 from repro.graph.structure import GraphStructure
 from repro.hardware.gpu import A100_40GB, A100_80GB, H100_80GB, V100_32GB
 from repro.network.model import nccl_model_for
@@ -197,6 +198,24 @@ class TestTiledCompile:
             build_reference(builder, timings)
         assert str(tiled.value) == str(reference.value)
         assert "s0/F0/embed_ar" in str(tiled.value)
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    @pytest.mark.parametrize("plan_name,phase", [
+        ("tp2dp2pp2", None), ("tp2dp1pp2v2", None),
+        ("tp2dp2pp2", PREFILL), ("tp2dp2pp2", DECODE)])
+    def test_compile_makes_no_scheduled_chunk(self, monkeypatch, plan_name,
+                                              phase, granularity):
+        """The compile path and its labels read the closed-form issue
+        order arrays; no per-unit schedule entry is ever built."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile built a ScheduledChunk")
+
+        monkeypatch.setattr(ScheduledChunk, "__new__", refuse)
+        with pytest.raises(AssertionError, match="ScheduledChunk"):
+            ScheduledChunk("F", 0)
+        structure = make_builder(MODELS["tiny"], GOLDEN_PLANS[plan_name],
+                                 granularity, phase).compile()
+        assert len(structure.label) == structure.num_tasks
 
     def test_labels_are_produced_on_demand(self):
         """Compiling formats no label; the first read formats them all."""

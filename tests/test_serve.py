@@ -16,6 +16,7 @@ The load-bearing claims under test:
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import re
@@ -35,13 +36,14 @@ from repro.config.description import InputDescription
 from repro.config.model import ModelConfig
 from repro.config.parallelism import (ParallelismConfig, RecomputeMode,
                                       TrainingConfig)
-from repro.config.system import single_node
+from repro.config.system import multi_node, single_node
 from repro.dse.cache import PredictionCache, fingerprint
 from repro.dse.explorer import DesignPoint
 from repro.errors import InfeasibleConfigError, ReproError
 from repro.graph.builder import (Granularity, clear_structure_cache,
                                  structure_cache_get, structure_cache_put,
                                  structure_cache_stats)
+from repro.network.model import NCCL_MODELS
 from repro.serve import (PredictionService, RemoteError, ServeClient,
                          ServeDaemon, protocol)
 from repro.serve import service as service_module
@@ -528,6 +530,30 @@ class TestDispatch:
                 "cache_served"} <= set(stats["dedup"])
         assert stats["resident_simulators"] == 1
         assert stats["structure_cache"]["entries"] >= 1
+
+    def test_resident_simulators_are_bounded(self, service):
+        """The daemon keeps at most NCCL_MODELS simulators, least
+        recently used first out, and a system whose simulator was
+        dropped predicts the same when asked again."""
+        def params(index: int) -> dict:
+            system = dataclasses.replace(multi_node(2),
+                                         internode_latency=5e-6 + index * 1e-9)
+            description = dataclasses.replace(tiny_description(data=4),
+                                              system=system)
+            return {"description": description.to_dict(),
+                    "granularity": "stage"}
+
+        first = service.predict(params(0))
+        for index in range(1, NCCL_MODELS + 16):
+            service.predict(params(index))
+        assert service.stats()["resident_simulators"] == NCCL_MODELS
+        service.cache = PredictionCache()
+        again = service.predict(params(0))
+        assert again["served"]["source"] == "computed"
+        first.pop("served")
+        again.pop("served")
+        assert again == first
+        assert service.stats()["resident_simulators"] == NCCL_MODELS
 
 
 #: Values of each JSON type that no documented parameter accepts: the
