@@ -49,13 +49,17 @@ def test_parallel_sweep_matches_serial_and_cache_skips_work(benchmark):
 
     warm = DesignSpaceExplorer(MEGATRON_7_5B, TRAINING)
     # A warm sweep answers from the cache in milliseconds, so one round
-    # is one noisy sample: the reading is taken over five.
+    # is one noisy sample: the reading is taken over five, and every
+    # round must answer every plan from the cache.
+    rounds, hits, misses = 5, cache.hits, cache.misses
     warm_result = benchmark.pedantic(
         lambda: warm.explore(max_gpus=MAX_GPUS, space=SPACE,
                              workers=WORKERS, cache=cache),
-        rounds=5, iterations=1)
+        rounds=rounds, iterations=1)
     assert warm_result.points == serial_result.points
     assert cache.hits >= len(serial_result.points)
+    assert cache.misses == misses
+    assert cache.hits - hits == rounds * len(serial_result.points)
 
     structure_stats = structure_cache_stats()
     emit_table("dse_parallel", "Sweep engine: serial vs parallel vs cache",

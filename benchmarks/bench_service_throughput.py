@@ -204,8 +204,7 @@ def test_service_throughput_and_gates():
 
         # -- Dedup correctness gate. -------------------------------------
         burst = _dedup_burst(address, workload[0])
-        simulations = sum(v.num_predictions
-                          for v in service._vtrains.values())
+        simulations = service.stats()["batch"]["jobs"]
         assert simulations == 1, (
             f"{DEDUP_BURST} identical concurrent predicts ran "
             f"{simulations} simulations (want exactly 1)")

@@ -79,8 +79,7 @@ def main() -> None:
         run_wave("identical burst", address,
                  lambda client, slot: client.predict(
                      description=requests[0], granularity="stage"))
-        simulations = sum(v.num_predictions
-                          for v in service._vtrains.values())
+        simulations = service.stats()["batch"]["jobs"]
         print(f"  simulations actually run: {simulations} "
               f"(the other {NUM_CLIENTS - 1} coalesced)")
 

@@ -7,7 +7,7 @@ from repro.graph.operators import (CommKind, CommOperator, CommScope,
                                    CompOperator, OpKind, data_allreduce,
                                    pipeline_send_recv, tensor_allreduce)
 from repro.graph.pipeline import (ScheduledChunk, gpipe_order,
-                                  interleaved_order, issue_orders,
+                                  interleaved_order,
                                   last_backward_micro_batch,
                                   max_in_flight_micro_batches,
                                   one_f_one_b_order,
@@ -32,7 +32,6 @@ __all__ = [
     "data_allreduce",
     "gpipe_order",
     "interleaved_order",
-    "issue_orders",
     "last_backward_micro_batch",
     "max_in_flight_micro_batches",
     "one_f_one_b_order",

@@ -229,7 +229,8 @@ class TopologyAwareNcclModel(NcclModel):
 #: the README sweeps are ~175 MB. A perfbench workload uses at most 26
 #: systems; an MT-NLG fabric sweep to 4,480 GPUs uses 93, so a second
 #: one rebuilds what fell out (~50 ms per 560-node topology). Evicted
-#: models live on in simulators that hold them; the daemon keeps as many.
+#: models live on only in simulators that hold them; the serving daemon
+#: builds a simulator per batch and keeps none.
 NCCL_MODELS = 32
 
 

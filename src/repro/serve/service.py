@@ -1,10 +1,11 @@
 """The resident prediction service behind ``repro serve``.
 
-One :class:`PredictionService` owns everything worth keeping warm
-between requests — a pool of resident :class:`~repro.sim.estimator.
-VTrain` instances (one per distinct system/granularity/ZeRO-stage, so
-profiling tables and NCCL models persist), the process-wide structure
-cache they share, and a persistent
+One :class:`PredictionService` keeps everything worth keeping warm
+between requests — the process's profile tables and communication
+models (:func:`~repro.profiling.lookup.profile_table` and
+:func:`~repro.network.model.nccl_model_for`, the two bounded stores
+every :class:`~repro.sim.estimator.VTrain` takes its costs from), the
+process-wide structure cache, and a persistent
 :class:`~repro.dse.cache.PredictionCache` — and serves concurrent
 ``predict`` requests from any number of transport threads. Three
 mechanisms make the shared-warm-state story fast under concurrency:
@@ -16,8 +17,8 @@ mechanisms make the shared-warm-state story fast under concurrency:
   exactly one simulation (``serve.dedup.coalesced`` counts followers).
 
 * **Micro-batching.** Admitted jobs queue into a bounded-delay batcher;
-  each flush groups jobs by resident simulator and model/recipe/workload
-  and predicts each group through
+  each flush groups jobs by model, recipe, system, granularity, ZeRO
+  stage and workload and predicts each group with a new simulator through
   :func:`~repro.dse.explorer.evaluate_plans`, whose
   :meth:`VTrain.predict_prepared` groups training or inference phase
   graphs sharing one cached structure and replays each group on the
@@ -70,7 +71,6 @@ from repro.dse.cache import PredictionCache, fingerprint
 from repro.dse.explorer import _MAX_EVAL_BATCH, DesignPoint, evaluate_plans
 from repro.errors import ConfigError, InfeasibleConfigError, ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
-from repro.network.model import NCCL_MODELS
 from repro.obs.stitch import wire_span
 from repro.serve import protocol
 from repro.sim.estimator import VTrain
@@ -175,10 +175,6 @@ class PredictionService:
         self._access_log = access_log
         self._access_log_lock = threading.Lock()
 
-        # Least recently used first; at most NCCL_MODELS, as many as the
-        # communication models the process keeps.
-        self._vtrains: dict[str, VTrain] = {}
-        self._vtrain_lock = threading.Lock()
         self._inflight: dict[str, _Job] = {}
         self._inflight_lock = threading.Lock()
 
@@ -244,22 +240,6 @@ class PredictionService:
         # transformation it undergoes on the way to the simulator.
         workload = workload_from_dict(_param(params, "workload", dict, {}))
         return description, granularity, zero_stage, workload
-
-    def _vtrain_for(self, description: InputDescription,
-                    granularity: Granularity, zero_stage: int) -> VTrain:
-        """The resident simulator for one system/granularity/stage."""
-        key = json.dumps({"system": description.system.to_dict(),
-                          "granularity": granularity.value,
-                          "zero_stage": zero_stage}, sort_keys=True)
-        with self._vtrain_lock:
-            vtrain = self._vtrains.pop(key, None)
-            if vtrain is None:
-                vtrain = VTrain(description.system, granularity=granularity,
-                                zero_stage=zero_stage)
-            self._vtrains[key] = vtrain
-            if len(self._vtrains) > NCCL_MODELS:
-                del self._vtrains[next(iter(self._vtrains))]
-            return vtrain
 
     # ------------------------------------------------------------------
     # Predict: dedup + batch admission
@@ -485,9 +465,9 @@ class PredictionService:
     def _execute_group_inner(self, jobs: list[_Job], model: ModelConfig,
                              training: TrainingConfig) -> None:
         """Predict one group's jobs (exceptions bubble to the caller)."""
-        vtrain = self._vtrain_for(jobs[0].description,
-                                  jobs[0].granularity,
-                                  jobs[0].zero_stage)
+        vtrain = VTrain(jobs[0].description.system,
+                        granularity=jobs[0].granularity,
+                        zero_stage=jobs[0].zero_stage)
         workload = jobs[0].workload
         valid: list[_Job] = []
         for job in jobs:
@@ -537,7 +517,6 @@ class PredictionService:
             },
             "prediction_cache": self.cache.stats,
             "structure_cache": structure_cache_stats(),
-            "resident_simulators": len(self._vtrains),
         }
 
     def metrics_payload(self, params: dict[str, Any]) -> dict[str, Any]:

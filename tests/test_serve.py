@@ -17,6 +17,7 @@ The load-bearing claims under test:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import json
 import re
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,7 +45,7 @@ from repro.errors import InfeasibleConfigError, ReproError
 from repro.graph.builder import (Granularity, clear_structure_cache,
                                  structure_cache_get, structure_cache_put,
                                  structure_cache_stats)
-from repro.network.model import NCCL_MODELS
+from repro.network.model import NCCL_MODELS, nccl_model_for
 from repro.serve import (PredictionService, RemoteError, ServeClient,
                          ServeDaemon, protocol)
 from repro.serve import service as service_module
@@ -242,8 +244,7 @@ class TestServiceDedup:
         results = predict_together(service, [params] * n)
         assert all(isinstance(r, dict) for r in results), results
         # Exactly one simulation ran, no matter how threads interleaved.
-        assert [v.num_predictions
-                for v in service._vtrains.values()] == [1]
+        assert service.stats()["batch"]["jobs"] == 1
         stats = service.stats()["dedup"]
         assert stats["leaders"] == 1
         assert stats["coalesced"] + stats["cache_served"] == n - 1
@@ -258,8 +259,7 @@ class TestServiceDedup:
         service.predict(params)
         for _ in range(3):
             assert service.predict(params)["served"]["source"] == "cache"
-        assert [v.num_predictions
-                for v in service._vtrains.values()] == [1]
+        assert service.stats()["batch"]["jobs"] == 1
 
     def test_distinct_plans_do_not_coalesce(self, service):
         first = service.predict(
@@ -296,8 +296,7 @@ class TestServiceBatching:
     def test_duplicates_in_one_flush_coalesce(self, batching_service):
         params = {"description": tiny_description().to_dict()}
         results = predict_together(batching_service, [params] * 3)
-        assert [v.num_predictions
-                for v in batching_service._vtrains.values()] == [1]
+        assert batching_service.stats()["batch"]["jobs"] == 1
         assert sorted(r["served"]["source"] for r in results) == [
             "coalesced", "coalesced", "computed"]
         payloads = [{k: v for k, v in r.items() if k != "served"}
@@ -528,32 +527,38 @@ class TestDispatch:
         assert {"p50", "p99"} <= set(stats["latency"]["predict_s"])
         assert {"leaders", "coalesced",
                 "cache_served"} <= set(stats["dedup"])
-        assert stats["resident_simulators"] == 1
         assert stats["structure_cache"]["entries"] >= 1
 
-    def test_resident_simulators_are_bounded(self, service):
-        """The daemon keeps at most NCCL_MODELS simulators, least
-        recently used first out, and a system whose simulator was
-        dropped predicts the same when asked again."""
-        def params(index: int) -> dict:
-            system = dataclasses.replace(multi_node(2),
-                                         internode_latency=5e-6 + index * 1e-9)
+    def test_only_the_store_keeps_communication_models(self, service):
+        """The daemon builds a simulator per batch and keeps none, so
+        nccl_model_for's store alone keeps models alive: after predicts
+        on NCCL_MODELS + 16 systems at most NCCL_MODELS live on, and a
+        system whose model was dropped predicts the same when asked
+        again."""
+        systems = [dataclasses.replace(multi_node(2),
+                                       internode_latency=5e-6 + index * 1e-9)
+                   for index in range(NCCL_MODELS + 16)]
+
+        def params(system) -> dict:
             description = dataclasses.replace(tiny_description(data=4),
                                               system=system)
             return {"description": description.to_dict(),
                     "granularity": "stage"}
 
-        first = service.predict(params(0))
-        for index in range(1, NCCL_MODELS + 16):
-            service.predict(params(index))
-        assert service.stats()["resident_simulators"] == NCCL_MODELS
+        results, models = [], []
+        for system in systems:
+            results.append(service.predict(params(system)))
+            models.append(weakref.ref(nccl_model_for(system)))
+        gc.collect()
+        assert sum(model() is not None for model in models) <= NCCL_MODELS
+        assert models[0]() is None
         service.cache = PredictionCache()
-        again = service.predict(params(0))
+        again = service.predict(params(systems[0]))
         assert again["served"]["source"] == "computed"
+        first = results[0]
         first.pop("served")
         again.pop("served")
         assert again == first
-        assert service.stats()["resident_simulators"] == NCCL_MODELS
 
 
 #: Values of each JSON type that no documented parameter accepts: the
@@ -629,7 +634,7 @@ class TestParameterValidation:
         assert response["error"]["code"] == protocol.INVALID_PARAMS
         assert next(iter(params)) in response["error"]["message"]
         assert service.cache.stats["entries"] == 0
-        assert service._vtrains == {}
+        assert service.stats()["batch"]["jobs"] == 0
 
     @pytest.mark.parametrize("params, named", [
         ({"zero_stage": -1}, "zero_stage"), ({"zero_stage": 4}, "zero_stage"),
@@ -699,8 +704,7 @@ class TestDaemon:
             thread.start()
         for thread in threads:
             thread.join()
-        assert [v.num_predictions
-                for v in service._vtrains.values()] == [1]
+        assert service.stats()["batch"]["jobs"] == 1
         payloads = [{k: v for k, v in r.items() if k != "served"}
                     for r in results]
         assert all(payload == payloads[0] for payload in payloads)
@@ -1071,7 +1075,8 @@ class TestServiceCacheIntegration:
         finally:
             svc.close()
 
-    def test_preloaded_cache_serves_without_any_simulation(self):
+    def test_preloaded_cache_serves_without_any_simulation(self,
+                                                          monkeypatch):
         description = tiny_description()
         warm = PredictionService()
         try:
@@ -1079,10 +1084,14 @@ class TestServiceCacheIntegration:
         finally:
             warm.close()
         svc = PredictionService(cache=warm.cache)
+
+        def no_simulator(*args, **kwargs):
+            raise AssertionError("a cache-served predict built a simulator")
+
+        monkeypatch.setattr(service_module, "VTrain", no_simulator)
         try:
             served = svc.predict({"description": description.to_dict()})
             assert served["served"]["source"] == "cache"
-            assert not svc._vtrains  # no simulator was even constructed
             served.pop("served")
             expected.pop("served")
             assert served == expected
