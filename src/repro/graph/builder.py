@@ -108,12 +108,12 @@ class Granularity(enum.Enum):
 # ---------------------------------------------------------------------------
 # Compiled GraphStructures keyed by str(StructureKey). Two plans that
 # differ only in profiled durations — micro-batch *size* at the same
-# micro-batch count, a different tensor degree with tensor parallelism
-# still on, a perturbed device or NCCL model, or simply a repeated
-# VTrain.predict of the same plan — share one compiled topology and only
-# refill the duration vector. The cache is per-process by design (the
-# workers of a ``DesignSpaceExplorer.explore(workers=N)`` sweep each
-# warm their own), LRU-evicted against a total-task budget.
+# micro-batch count, a different tensor degree (at STAGE any, elsewhere
+# with tensor parallelism still on), a perturbed device or NCCL model,
+# or a repeated VTrain.predict of the same plan — share one compiled
+# topology and only refill the duration vector. The cache is per-process
+# by design (the workers of a ``DesignSpaceExplorer.explore(workers=N)``
+# sweep each warm their own), LRU-evicted against a total-task budget.
 #
 # All cache operations hold _STRUCTURE_CACHE_LOCK: the `repro serve`
 # daemon retimes one shared cache from many handler threads, and the
@@ -221,15 +221,17 @@ class StructureKey:
     kinds, labels and timing slots; only durations may differ. Pure
     timing inputs stay out: the model enters as layers per stage, and
     the plan as pipeline depth, micro-batch count, schedule, virtual
-    stages, gradient-bucket sizes and *whether* TP/DP collectives exist.
-    A KERNEL key adds each computation operator's kernel names, which
-    end every KERNEL label and follow the recompute mode, the sharded
-    shapes and the GPU. An inference phase adds its phase tag and drops
-    what its emitter never reads: a phase graph issues its forwards in
-    micro-batch order under any schedule and syncs no gradients, so its
-    key holds no schedule, DP flag or bucket sizes, and its sequence
-    shape (prompt length, KV depth) reaches the graph only through
-    durations and, at KERNEL, kernel names.
+    stages, gradient-bucket sizes and *whether* the graph has DP and TP
+    collective tasks. A STAGE chunk fuses its TP All-Reduces into its
+    duration, so a STAGE key has no TP flag. A KERNEL key adds each
+    computation operator's kernel names, which end every KERNEL label
+    and follow the recompute mode, the sharded shapes and the GPU. An
+    inference phase adds its phase tag and drops what its emitter never
+    reads: a phase graph issues its forwards in micro-batch order under
+    any schedule and syncs no gradients, so its key holds no schedule,
+    DP flag or bucket sizes, and its sequence shape (prompt length, KV
+    depth) reaches the graph only through durations and, at KERNEL,
+    kernel names.
     """
 
     granularity: Granularity
@@ -238,6 +240,7 @@ class StructureKey:
     pipeline: int
     layers_per_stage: int
     micro_batches: int
+    #: TP All-Reduce tasks: ``t > 1`` at OPERATOR and KERNEL, never at STAGE.
     tensor_parallel: bool
     data_parallel: bool
     bucket_sizes: tuple[int, ...]
@@ -288,7 +291,8 @@ class StructureKey:
         return cls(granularity=granularity, schedule=schedule,
                    pipeline=plan.pipeline, layers_per_stage=lps,
                    micro_batches=num_micro_batches(plan, training),
-                   tensor_parallel=plan.tensor > 1,
+                   tensor_parallel=(plan.tensor > 1 and granularity
+                                    is not Granularity.STAGE),
                    data_parallel=data_parallel, bucket_sizes=bucket_sizes,
                    virtual_stages=plan.virtual_stages, kernels=names,
                    phase=phase)
@@ -362,7 +366,9 @@ def _key_text(key: StructureKey) -> str:
     if training:
         parts.append(f"sched={key.schedule.value}")
     parts += [f"p={key.pipeline}", f"lps={key.layers_per_stage}",
-              f"nmb={key.micro_batches}", f"tp={int(key.tensor_parallel)}"]
+              f"nmb={key.micro_batches}"]
+    if key.granularity is not Granularity.STAGE:  # no TP flag at STAGE
+        parts.append(f"tp={int(key.tensor_parallel)}")
     if training:
         parts.append(f"dp={int(key.data_parallel)}")
         parts.append("buckets=" + ",".join(str(size) for size
@@ -412,7 +418,7 @@ def _slot_layout(key: StructureKey) -> tuple[str, ...]:
         kernels = dict(key.kernels)
         slots += [f"k:{kind}:{index}" for kind in kinds
                   for index in range(len(kernels[kind]))]
-    if key.tensor_parallel and key.granularity is not Granularity.STAGE:
+    if key.tensor_parallel:
         slots.append("tp_ar")
     slots += [f"pp:{boundary}" for boundary in range(key.pipeline - 1)]
     if key.virtual_stages > 1:
@@ -1024,7 +1030,7 @@ class GraphBuilder:
             op_time = [self._op_time(*args) for args in comp_args]
             if granularity is Granularity.OPERATOR:
                 shared += op_time
-        if key.tensor_parallel and granularity is not Granularity.STAGE:
+        if key.tensor_parallel:
             shared.append(self.tp_ar_time)
         links = [self.topology.pipeline_hop_link(boundary)
                  for boundary in range(p - 1)]

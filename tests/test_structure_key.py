@@ -6,7 +6,9 @@
   fingerprint the structure cache used before the key existed (kept
   below as the oracle), except at KERNEL granularity, where a digest of
   the kernel names replaces the recompute/shape parts that stood in for
-  them.
+  them, and at STAGE granularity, which drops the fingerprint's ``tp=``
+  part: a STAGE chunk fuses its TP All-Reduces into its duration, so
+  the STAGE emitter never reads the TP flag.
 * Those parts missed the GPU: a KERNEL structure compiled on one GPU
   was served to a same-shape plan on another, with the first GPU's
   kernel names in its labels — and the testbed keys its noise by label.
@@ -32,6 +34,8 @@ from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
                                       num_micro_batches)
 from repro.config.presets import MEGATRON_1_7B, MEGATRON_7_5B
 from repro.config.system import multi_node, single_node
+from repro.dse.space import (SearchSpace, enumerate_plans,
+                             enumerate_serving_plans)
 from repro.errors import ConfigError, SimulationError
 from repro.graph import builder as builder_module
 from repro.graph.builder import (Granularity, GraphBuilder, StructureKey,
@@ -158,9 +162,9 @@ class TestEmitterTakesOnlyTheKey:
 class TestByteIdentity:
     @given(data=st.data())
     def test_key_string_equals_the_fingerprint(self, data):
-        """OPERATOR and STAGE training keys read exactly like the
-        fingerprint; KERNEL keys swap its rc/shape/mbs/t parts for the
-        digest."""
+        """OPERATOR training keys read exactly like the fingerprint;
+        STAGE keys drop its tp part, and KERNEL keys swap its
+        rc/shape/mbs/t parts for the digest."""
         granularity = data.draw(st.sampled_from(list(Granularity)))
         schedule = data.draw(st.sampled_from(list(PipelineSchedule)))
         pipeline = data.draw(st.sampled_from((1, 2, 4)))
@@ -189,6 +193,9 @@ class TestByteIdentity:
                          if part.startswith("rc="))
             parts[first:first + 4] = [f"kernels={kernel_digest(key)}"]
             expected = ";".join(parts)
+        if granularity is Granularity.STAGE:
+            expected = expected.replace(f";tp={int(plan.tensor > 1)};", ";")
+            assert not key.tensor_parallel
         assert str(key) == expected
 
     def test_kernel_digest_follows_the_names(self):
@@ -216,9 +223,10 @@ def phase_vtrain(granularity: Granularity) -> VTrain:
 
 def phase_twins(data, granularity: Granularity) -> list[GraphBuilder]:
     """Two builders of one phase graph whose plans and workloads share
-    the pipeline depth, TP degree and micro-batch size, and each draw
-    their own schedule, data degree, bucket count, prompt length and
-    generation length."""
+    the pipeline depth and micro-batch size, and each draw their own
+    schedule, data degree, bucket count, prompt length and generation
+    length. They share the TP degree too, except at STAGE, whose chunks
+    fuse their TP All-Reduces: there each draws its own."""
     phase = data.draw(st.sampled_from(INFERENCE_PHASES))
     tensor = data.draw(st.sampled_from((1, 2)))
     pipeline = data.draw(st.sampled_from((1, 2, 4)))
@@ -226,6 +234,8 @@ def phase_twins(data, granularity: Granularity) -> list[GraphBuilder]:
     vtrain = phase_vtrain(granularity)
     builders = []
     for _ in range(2):
+        if granularity is Granularity.STAGE:
+            tensor = data.draw(st.sampled_from((1, 2)))
         plan = ParallelismConfig(
             tensor=tensor, data=data.draw(st.sampled_from((1, 2, 4))),
             pipeline=pipeline, micro_batch_size=micro_batch,
@@ -251,9 +261,10 @@ def assert_same_structure(first: GraphBuilder,
 
 class TestInferenceKeys:
     """A phase graph's emitter issues forwards in micro-batch order under
-    any schedule and syncs no gradients, and the sequence shape reaches
-    the graph only through durations (and KERNEL names), so none of
-    them may split a phase's cache entry."""
+    any schedule and syncs no gradients, the sequence shape reaches the
+    graph only through durations (and KERNEL names), and a STAGE graph
+    holds no TP All-Reduce task, so none of them may split a phase's
+    cache entry."""
 
     @given(data=st.data())
     def test_keys_ignore_what_the_emitter_never_reads(self, data):
@@ -273,6 +284,124 @@ class TestInferenceKeys:
         assert shared == (str(first.key) == str(second.key))
         if shared:
             assert_same_structure(first, second)
+
+
+def partitions(builders: list[GraphBuilder]) -> tuple[set, set]:
+    """The builders' indices grouped by key text, and grouped by what
+    their structure holds (digest, slot keys, labels, streams, kinds),
+    compiling one structure per key."""
+    by_key: dict[str, list[int]] = {}
+    for index, builder in enumerate(builders):
+        by_key.setdefault(str(builder.key), []).append(index)
+    by_structure: dict[tuple, list[int]] = {}
+    for indices in by_key.values():
+        structure = builders[indices[0]].compile()
+        content = (structure.digest(), structure.slot_keys, structure.label,
+                   structure.stream, structure.kinds)
+        by_structure.setdefault(content, []).extend(indices)
+    return ({frozenset(group) for group in by_key.values()},
+            {frozenset(group) for group in by_structure.values()})
+
+
+#: Megatron 1.7B at global batch 64: t, d, p <= 8, micro-batch 1 or 2,
+#: v 1 or 2, on at most 64 GPUs (210 plans).
+SWEEP_TRAINING = TrainingConfig(global_batch_size=64)
+SWEEP_SPACE = SearchSpace(max_tensor=8, max_data=8, max_pipeline=8,
+                          micro_batch_sizes=(1, 2), virtual_stages=(1, 2))
+SWEEP_SYSTEM = multi_node(8)
+
+
+def sweep_builders(granularity: Granularity, space: SearchSpace,
+                   training: TrainingConfig) -> list[GraphBuilder]:
+    vtrain = VTrain(SWEEP_SYSTEM, granularity=granularity,
+                    check_memory_feasibility=False)
+    return [GraphBuilder(MEGATRON_1_7B, SWEEP_SYSTEM, plan, training,
+                         vtrain.lookup, vtrain.nccl, granularity)
+            for plan in enumerate_plans(MEGATRON_1_7B, training,
+                                        space=space, max_gpus=64)]
+
+
+class TestKeysPartitionLikeStructures:
+    """Two plans share a key exactly when their structures are equal: a
+    key that splits equal structures compiles one graph twice, and one
+    that merges different structures serves a wrong graph."""
+
+    @pytest.mark.parametrize("granularity", [Granularity.STAGE,
+                                             Granularity.OPERATOR],
+                             ids=lambda granularity: granularity.value)
+    def test_sweep_space(self, granularity):
+        builders = sweep_builders(granularity, SWEEP_SPACE, SWEEP_TRAINING)
+        assert len(builders) == 210
+        by_key, by_structure = partitions(builders)
+        assert by_key == by_structure
+        # Only STAGE plans of different TP degrees share a structure.
+        shares_tp = any(len({builders[index].plan.tensor > 1
+                             for index in group}) == 2 for group in by_key)
+        assert shares_tp == (granularity is Granularity.STAGE)
+
+    def test_kernel_space(self):
+        space = SearchSpace(max_tensor=2, max_data=2, max_pipeline=2,
+                            micro_batch_sizes=(1, 2))
+        builders = sweep_builders(Granularity.KERNEL, space,
+                                  TrainingConfig(global_batch_size=8))
+        by_key, by_structure = partitions(builders)
+        assert by_key == by_structure
+
+    @pytest.mark.parametrize("phase", INFERENCE_PHASES)
+    @pytest.mark.parametrize("granularity", list(Granularity),
+                             ids=lambda granularity: granularity.value)
+    def test_phase_keys(self, granularity, phase):
+        workload = InferenceWorkload(batch_size=8, prompt_len=64, gen_len=16)
+        space = SearchSpace(max_tensor=4, max_data=2, max_pipeline=4,
+                            micro_batch_sizes=(1, 2))
+        vtrain = VTrain(SWEEP_SYSTEM, granularity=granularity,
+                        check_memory_feasibility=False)
+        builders = [GraphBuilder(MEGATRON_1_7B, SWEEP_SYSTEM, plan, None,
+                                 vtrain.lookup, vtrain.nccl, granularity,
+                                 workload=workload, phase=phase)
+                    for plan in enumerate_serving_plans(
+                        MEGATRON_1_7B, workload, space=space, max_gpus=32)]
+        by_key, by_structure = partitions(builders)
+        assert by_key == by_structure
+
+
+def outcome(prediction) -> tuple:
+    simulation = prediction.simulation
+    return (prediction.iteration_time, prediction.gpu_compute_utilization,
+            prediction.memory_per_gpu, simulation.num_tasks,
+            simulation.device_timeline, dict(simulation.device_busy),
+            simulation.metadata)
+
+
+class TestStageSharesAcrossTensorDegrees:
+    """A STAGE chunk fuses its TP All-Reduces into its duration, so a
+    t = 4 plan refills the structure a t = 1 plan compiled, with its own
+    durations and metadata; an OPERATOR graph holds TP All-Reduce tasks
+    and must not."""
+
+    @pytest.mark.parametrize("granularity", [Granularity.STAGE,
+                                             Granularity.OPERATOR],
+                             ids=lambda granularity: granularity.value)
+    def test_t4_after_t1(self, granularity):
+        def plan(tensor: int) -> ParallelismConfig:
+            return ParallelismConfig(tensor=tensor, data=2, pipeline=2)
+
+        training = TrainingConfig(global_batch_size=16)
+        vtrain = VTrain(multi_node(2), granularity=granularity,
+                        check_memory_feasibility=False)
+        clear_structure_cache()
+        try:
+            cold = vtrain.predict(MEGATRON_1_7B, plan(4), training)
+            clear_structure_cache()
+            vtrain.predict(MEGATRON_1_7B, plan(1), training)
+            prepared = vtrain.prepare(MEGATRON_1_7B, plan(4), training)
+            stage = granularity is Granularity.STAGE
+            assert prepared.structure_cache_hit == stage
+            assert prepared.metadata["plan"] == plan(4)
+            warm = vtrain.predict(MEGATRON_1_7B, plan(4), training)
+            assert outcome(warm) == outcome(cold)
+        finally:
+            clear_structure_cache()
 
 
 #: Megatron 1.7B on one 8-GPU node, t=2 d=2 p=2, micro-batch 2, B=16.
