@@ -29,7 +29,10 @@ regressions:
   appends to the ``batch_retime`` trajectory in the same JSON store,
   and fails if the batch-throughput ratio regressed more than 25 %
   against its committed baseline. Like the warm gate, the gated metric
-  is a same-process ratio, insensitive to absolute machine speed.
+  is a same-process ratio, insensitive to absolute machine speed. Its
+  table also reports the tracemalloc peak of one N=64 call and its 64
+  ``column()`` reads (``replay_peak_mb``), taken outside the timed
+  rounds; it has no bound and is not stored.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke/perf lanes (fewer timing
 rounds; the model and plan stay MT-NLG-sized so the gates measure the
@@ -39,6 +42,7 @@ real workload).
 import importlib.util
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +207,18 @@ def test_batch_retime_throughput_and_regression_gate():
     # The speedup only counts if the batch really is the same replay.
     for col, scalar in enumerate(scalar_results):
         assert batch.makespans[col] == scalar.iteration_time, col
+    del batch
+
+    # Peak memory of one call and its column reads, traced outside the
+    # timed rounds (tracemalloc slows every allocation).
+    tracemalloc.start()
+    try:
+        batch = simulate_retimed_batch(structure, matrix)
+        for col in range(BATCH_COLUMNS):
+            batch.column(col)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
     speedup = scalar_per_retime / batch_per_retime
     entry = {
@@ -219,10 +235,14 @@ def test_batch_retime_throughput_and_regression_gate():
     baseline = BATCH_RETIME.baseline()
     emit_table("sim_speed_batch",
                "Batched retime: one N=64 sweep vs scalar replays",
-               [entry | {"baseline_speedup": baseline["batch_speedup"]}],
+               [entry | {"baseline_speedup": baseline["batch_speedup"],
+                         "replay_peak_mb": round(peak_mb, 1)}],
                notes="retimes/s on the warm MT-NLG (8, 8, 35) OPERATOR "
                      "structure; batch columns verified bit-identical "
-                     "to the scalar replays they are timed against")
+                     "to the scalar replays they are timed against; "
+                     "replay_peak_mb is the tracemalloc peak of one "
+                     "N=64 call and its 64 column() reads (informational, "
+                     "not stored)")
 
     BATCH_RETIME.check(baseline, batch_speedup=speedup)
     BATCH_RETIME.record(entry)

@@ -336,8 +336,8 @@ class GraphStructure:
             kind_order[bucket // num_kinds].append(bucket % num_kinds)
         self.device_kind_order = tuple(map(tuple, kind_order))
         self._level_plan = LevelPlan(
-            device=self.device, num_devices=num_devices, start=start,
-            length=length, level_ptr=level_ptr,
+            device=self.device, start=start, length=length,
+            level_ptr=level_ptr,
             cross_parent=position[src[cross]],
             cross_target=fifo_chain[cross_target])
         self._edge_lists: tuple[list[int], list[int]] | None = None
@@ -438,19 +438,20 @@ class LevelPlan:
     as-soon-as-possible levels, and lays each chain's tasks out at
     consecutive positions; this plan keeps what it found (enough for
     :func:`~repro.sim.engine.use_batched_replay` to weigh the level
-    count), and :meth:`packed` lays the chains out for the sweep. On
+    count), and :meth:`packed` lays the chains out for the sweep, one
+    step per level, with the terminal cells the device clocks read. On
     MT-NLG (8, 8, 35) at OPERATOR granularity, 202,799 of 235,650 edges
-    lie inside chains, leaving 16,461 chains in 550 levels.
+    lie inside chains, leaving 16,461 chains in 550 levels; 16,355 of
+    its 219,260 tasks are terminal.
 
     Attributes:
         num_levels: Number of levels (0 for an empty structure).
         num_chains: Number of chains.
     """
 
-    def __init__(self, *, device: np.ndarray, num_devices: int,
-                 start: np.ndarray, length: np.ndarray,
-                 level_ptr: list[int], cross_parent: np.ndarray,
-                 cross_target: np.ndarray) -> None:
+    def __init__(self, *, device: np.ndarray, start: np.ndarray,
+                 length: np.ndarray, level_ptr: list[int],
+                 cross_parent: np.ndarray, cross_target: np.ndarray) -> None:
         """Keep the chains and levels a compile found.
 
         Args:
@@ -466,11 +467,9 @@ class LevelPlan:
         # would be a cycle, leaving an evicted structure to the cyclic
         # collector.
         self._device = device
-        self._num_devices = num_devices
         self._start = start
         self._length = length
-        self._level = np.repeat(np.arange(len(level_ptr) - 1, dtype=np.intp),
-                                np.diff(level_ptr))
+        self._level_ptr = level_ptr
         self._cross_parent = cross_parent
         self._cross_target = cross_target
         self.num_chains = int(start.size)
@@ -485,7 +484,7 @@ class LevelPlan:
 
     def _pack(self) -> "PackedLevels":
         num_chains = self.num_chains
-        level = self._level
+        level_ptr = self._level_ptr
         length = self._length
         heads = self._start
         chain = np.repeat(np.arange(num_chains, dtype=np.intp), length)
@@ -493,7 +492,9 @@ class LevelPlan:
         # 1. Blocks of chains sharing (level, length), in that order; a
         # block of c chains of length w owns (w + 1) * c cells: row 0
         # holds the c head starts, row k + 1 the chains' k-th tasks.
-        key = level * (int(length.max()) + 1) + length
+        chain_level = np.repeat(np.arange(self.num_levels, dtype=np.intp),
+                                np.diff(level_ptr))
+        key = chain_level * (int(length.max()) + 1) + length
         order = np.argsort(key, kind="stable")
         first = np.flatnonzero(np.diff(key[order], prepend=-1))
         count = np.diff(first, append=num_chains)
@@ -508,43 +509,59 @@ class LevelPlan:
         stride = np.empty(num_chains, dtype=np.intp)
         stride[order] = count[block]
         task_cell = start_cell[chain] + (rank + 1) * stride[chain]
+        del chain, rank
         cell_task = np.empty(int(block_cell[-1]), dtype=np.intp)
-        cell_task[task_cell] = np.arange(chain.size, dtype=np.intp)
+        cell_task[task_cell] = np.arange(task_cell.size, dtype=np.intp)
         cell_task[start_cell] = heads
-        levels = np.arange(self.num_levels + 1)
-        # 2. Cross edges by target head. Head start cells run in (level,
+        # 2. Cross edges by target head. Head-start cells run in (level,
         # length, chain) order, so sorting by them groups each level's
-        # edges and each head's edges at once.
+        # edges and each head's edges at once. Every head past level 0
+        # has an edge, so counting from the first of them (chain
+        # ``roots``), head k's edges start at ``first_edge[k - roots]``.
         target_cell = start_cell[self._cross_target]
         edge_order = np.argsort(target_cell, kind="stable")
-        sorted_target = target_cell[edge_order]
-        head_first = np.flatnonzero(np.diff(sorted_target, prepend=-1))
-        edge_level = level[self._cross_target[edge_order]]
-        edge_ptr = np.searchsorted(edge_level, levels)
-        head_level = edge_level[head_first]
-        # 3. Task cells grouped by device, for the device timelines. A
-        # stable sort is the same at any integer width; the narrowest
-        # one takes numpy's radix sort.
+        edge_cell = task_cell[self._cross_parent[edge_order]]
+        first_edge = np.flatnonzero(np.diff(target_cell[edge_order],
+                                            prepend=-1))
+        edge_ptr = np.append(first_edge, edge_cell.size).tolist()
+        roots = level_ptr[1]
+        head_cell = start_cell[order]
+        blocks = list(zip(block_cell[:-1].tolist(), block_cell[1:].tolist(),
+                          block_rows.tolist()))
+        block_ptr = np.searchsorted(chain_level[order[first]],
+                                    np.arange(self.num_levels + 1)).tolist()
+        steps = []
+        for level in range(self.num_levels):
+            low, high = level_ptr[level], level_ptr[level + 1]
+            edges = segments = None
+            if level:
+                lo, hi = edge_ptr[low - roots], edge_ptr[high - roots]
+                edges = edge_cell[lo:hi]
+                if hi - lo > high - low:
+                    segments = first_edge[low - roots:high - roots] - lo
+            level_blocks = blocks[block_ptr[level]:block_ptr[level + 1]]
+            steps.append((edges, segments, head_cell[low:high],
+                          tuple(level_blocks)))
+        # 3. Terminal tasks grouped by device, for the device clocks: a
+        # task with a child on its own device never holds that device's
+        # last finish (the child starts no earlier and lasts >= 0). A
+        # chain's task feeds the next position unless it ends the chain;
+        # every other child heads a chain, through a cross edge.
         device = self._device
-        device_order = np.argsort(
-            device.astype(np.min_scalar_type(self._num_devices)),
-            kind="stable")
-        devices = device[device_order]
+        local = np.zeros(device.size, dtype=bool)
+        np.equal(device[1:], device[:-1], out=local[:-1])
+        local[heads + length - 1] = False
+        parent = self._cross_parent
+        target = heads[self._cross_target]
+        local[parent[device[parent] == device[target]]] = True
+        terminal = np.flatnonzero(~local)
+        terminal = terminal[np.argsort(device[terminal], kind="stable")]
+        devices = device[terminal]
         device_seg = np.flatnonzero(np.diff(devices, prepend=-1))
         return PackedLevels(
-            num_levels=self.num_levels,
             cell_task=cell_task,
-            root_cells=start_cell[level == 0],
-            task_cell=task_cell,
-            block_ptr=np.searchsorted(level[order[first]], levels),
-            block_cell=block_cell,
-            block_rows=block_rows,
-            edge_ptr=edge_ptr,
-            edge_cell=task_cell[self._cross_parent[edge_order]],
-            head_ptr=np.searchsorted(head_level, levels),
-            head_seg=head_first - edge_ptr[head_level],
-            head_cell=sorted_target[head_first],
-            device_cells=task_cell[device_order],
+            steps=tuple(steps),
+            terminal_cells=task_cell[terminal],
             device_seg=device_seg,
             present_devices=devices[device_seg])
 
@@ -562,44 +579,27 @@ class PackedLevels:
     into their finishes. MT-NLG (8, 8, 35) at OPERATOR granularity packs
     into 235,721 cells (one per task plus one per chain, no padding).
 
-    Per-level ranges are ``ptr[level]:ptr[level + 1]`` slices of the
-    ``*_ptr`` arrays.
-
     Attributes:
-        num_levels: Levels to sweep.
         cell_task: Task whose duration fills each cell; a head-start
             cell names its chain's head and is overwritten before use.
-        root_cells: Head-start cells of level-0 chains (start at 0.0).
-        task_cell: Each task's cell, which holds its finish after the
-            sweep.
-        block_ptr: Each level's range of blocks.
-        block_cell: First cell of each block, then the cell count.
-        block_rows: ``w + 1`` per block.
-        edge_ptr: Each level's range of cross edges.
-        edge_cell: Parent finish cell of each cross edge, sorted by
-            target head.
-        head_ptr: Each level's range of heads with cross parents.
-        head_seg: Offset of each head's first edge within its level's
-            edge range (``reduceat`` segment starts).
-        head_cell: Start cell of each head.
-        device_cells: Task cells, stably grouped by device.
-        device_seg: ``reduceat`` segment starts into ``device_cells``.
+        steps: One ``(edges, segments, heads, blocks)`` step per level,
+            in level order. ``edges`` holds the finish cells of the
+            level's cross edges, grouped by target head (``None`` at
+            level 0, whose heads start at 0.0); ``segments`` each head's
+            first edge within them (``reduceat`` segment starts), or
+            ``None`` when every head has one edge; ``heads`` the heads'
+            start cells; ``blocks`` each block of the level as ``(first
+            cell, end cell, w + 1)``.
+        terminal_cells: Cells of the tasks with no child on their own
+            device, stably grouped by device: only those can hold a
+            device's last finish.
+        device_seg: ``reduceat`` segment starts into ``terminal_cells``.
         present_devices: Device id of each segment (devices without
-            tasks keep a zero timeline).
+            tasks keep a zero clock).
     """
 
-    num_levels: int
     cell_task: np.ndarray
-    root_cells: np.ndarray
-    task_cell: np.ndarray
-    block_ptr: np.ndarray
-    block_cell: np.ndarray
-    block_rows: np.ndarray
-    edge_ptr: np.ndarray
-    edge_cell: np.ndarray
-    head_ptr: np.ndarray
-    head_seg: np.ndarray
-    head_cell: np.ndarray
-    device_cells: np.ndarray
+    steps: tuple
+    terminal_cells: np.ndarray
     device_seg: np.ndarray
     present_devices: np.ndarray

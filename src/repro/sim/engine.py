@@ -32,7 +32,8 @@ Two engines implement the algorithm:
   at once over the structure's chain-compressed
   :class:`~repro.graph.structure.LevelPlan`: one max-fold per level
   sets the chain heads' starts, one running sum per block of chains
-  produces their finishes. Every column is bit-identical to a scalar
+  produces their finishes, and each device's clock folds the finishes
+  of its terminal tasks. Every column is bit-identical to a scalar
   replay of it (``tests/test_sim_batch.py``).
 
 Neither engine mutates the structure, so one compiled structure can be
@@ -55,11 +56,13 @@ from repro.errors import SimulationError
 from repro.graph.structure import GraphStructure, PackedLevels
 from repro.sim.results import DeviceBusy, SimulationResult, TimelineEvent
 
-#: Tasks per level at which level replay beats the scalar loop: a level
-#: sweep costs about 7-10 µs per level, the scalar loop about
-#: 0.12-0.15 µs per edge per column, and builder graphs carry 1.1-1.4
-#: edges per task. One column of a Megatron 7.5B OPERATOR structure
-#: replays as fast either way at 56-64 tasks per level.
+#: Tasks per level from which level replay is taken: a level sweep
+#: costs about 4-5 µs per level (7-10 µs before each level became one
+#: packed step and one column a 1-D sweep), the scalar loop about
+#: 0.10-0.15 µs per edge per column, and builder graphs carry 1.1-1.4
+#: edges per task. One column of a Megatron 7.5B OPERATOR structure at
+#: 62-64 tasks per level, where the two broke even before, now replays
+#: in about 0.55 of the scalar loop's time.
 WIDTH = 64
 
 #: Block width (chains x columns) from which a running sum goes row by
@@ -197,50 +200,29 @@ class BatchSimulationResult:
     :class:`SimulationResult` objects (timeline and busy dicts in the
     scalar engine's exact layout) are materialized on demand via
     :meth:`column`, so makespan-only consumers — DSE objective sweeps,
-    throughput benches — never pay for N dict constructions. The device
-    timeline matrix is likewise computed lazily on first access (it
-    needs a full gather of the finish cells) and the packed cells are
-    released afterwards.
+    throughput benches — never pay for N dict constructions.
 
     Attributes:
         makespans: Per-column iteration times, shape ``(batch_size,)``.
+        device_timeline: Per-device final clocks, shape
+            ``(num_devices, batch_size)``: each value is the exact
+            maximum of its device's finish times, the quantity the
+            scalar engine accumulates with ``np.maximum.at``.
         num_tasks: Tasks replayed per column.
         batch_size: Number of duration columns replayed.
         metadata: Default metadata attached to materialized columns.
     """
 
     def __init__(self, *, structure: GraphStructure, makespans: np.ndarray,
-                 cells: np.ndarray | None, durations_matrix: np.ndarray,
+                 device_timeline: np.ndarray, durations_matrix: np.ndarray,
                  metadata: dict) -> None:
         self._structure = structure
         self._durations = durations_matrix
-        self._cells = cells
-        self._device_timeline: np.ndarray | None = None
         self.makespans = makespans
+        self.device_timeline = device_timeline
         self.num_tasks = structure.num_tasks
         self.batch_size = int(durations_matrix.shape[1])
         self.metadata = metadata
-
-    @property
-    def device_timeline(self) -> np.ndarray:
-        """Per-device final clocks, shape ``(num_devices, batch_size)``.
-
-        Each value is the exact maximum of its device's finish times —
-        the same quantity the scalar engine accumulates with
-        ``np.maximum.at`` — computed here by one segmented fold over
-        the device-grouped finish cells.
-        """
-        if self._device_timeline is None:
-            timeline = np.zeros((self._structure.num_devices,
-                                 self.batch_size), dtype=np.float64)
-            if self.batch_size:
-                packed = self._structure.level_plan().packed()
-                timeline[packed.present_devices] = np.maximum.reduceat(
-                    np.take(self._cells, packed.device_cells, axis=0),
-                    packed.device_seg, axis=0)
-            self._device_timeline = timeline
-            self._cells = None  # free the (cells x N) buffer
-        return self._device_timeline
 
     def __len__(self) -> int:
         return self.batch_size
@@ -287,11 +269,15 @@ def simulate_retimed_batch(structure: GraphStructure,
        ``_ROW_ADD_WIDTH`` cells.
 
     The graph walk — the scalar engine's per-edge Python cost — becomes
-    a few numpy calls per level, shared by all N columns. On the MT-NLG
-    (8, 8, 35) OPERATOR structure one column replays in about a fifth
-    of the scalar loop's time, and N=64 columns keep the per-column cost
-    gated in ``benchmarks/bench_sim_speed.py``.
-    :func:`use_batched_replay` decides when this beats the scalar loop.
+    a few numpy calls per level, shared by all N columns. Right after
+    the sweep, each device's clock is folded from the finishes of its
+    terminal tasks (those with no child on their own device), each
+    makespan is the largest clock — Algorithm 1's maximum timeline
+    across devices — and the cells are dropped. On the MT-NLG (8, 8,
+    35) OPERATOR structure one column replays in about a sixth of the
+    scalar loop's time, and N=64 columns keep the per-column cost gated
+    in ``benchmarks/bench_sim_speed.py``. :func:`use_batched_replay`
+    decides when this beats the scalar loop.
 
     Every column is **bit-identical** to a scalar
     :func:`simulate_retimed` of that column: a chain's running sum
@@ -323,52 +309,47 @@ def simulate_retimed_batch(structure: GraphStructure,
             "replay")
     _check_durations(matrix)
 
-    cells = None
-    makespans = np.zeros(0)
+    timeline = np.zeros((structure.num_devices, matrix.shape[1]))
     if matrix.shape[1]:
-        cells = _level_sweep(structure.level_plan().packed(), matrix)
-        # Head-start cells never exceed their chain's finishes, so the
-        # maximum over all cells is the maximum finish.
-        makespans = cells.max(axis=0)
+        packed = structure.level_plan().packed()
+        cells = _level_sweep(packed, matrix)
+        timeline[packed.present_devices] = np.maximum.reduceat(
+            cells[packed.terminal_cells], packed.device_seg, axis=0)
 
     source = structure.metadata if metadata is None else metadata
-    return BatchSimulationResult(structure=structure, makespans=makespans,
-                                 cells=cells, durations_matrix=matrix,
+    return BatchSimulationResult(structure=structure,
+                                 makespans=timeline.max(axis=0),
+                                 device_timeline=timeline,
+                                 durations_matrix=matrix,
                                  metadata=dict(source))
 
 
 def _level_sweep(packed: PackedLevels, matrix: np.ndarray) -> np.ndarray:
     """Every task's finish, in its packed cell, for each column of
-    ``matrix``."""
-    cells = np.take(matrix, packed.cell_task, axis=0)
-    cells[packed.root_cells] = 0.0
-    edge_cell = packed.edge_cell
-    head_seg = packed.head_seg
-    head_cell = packed.head_cell
-    edge_ptr = packed.edge_ptr.tolist()
-    head_ptr = packed.head_ptr.tolist()
-    block_ptr = packed.block_ptr.tolist()
-    block_cell = packed.block_cell.tolist()
-    block_rows = packed.block_rows.tolist()
-    for level in range(packed.num_levels):
+    ``matrix``.
+
+    One column sweeps the 1-D view of its cells: numpy's gather,
+    ``reduceat`` and scatter cost more per call on ``(n, 1)`` arrays.
+    """
+    cells = matrix[packed.cell_task]
+    sweep = cells[:, 0] if matrix.shape[1] == 1 else cells
+    for edges, segments, heads, blocks in packed.steps:
         # Every head's cross parents sit in earlier levels, so their
         # finishes are final.
-        first, last = edge_ptr[level], edge_ptr[level + 1]
-        if first < last:
-            low, high = head_ptr[level], head_ptr[level + 1]
-            finish = np.take(cells, edge_cell[first:last], axis=0)
-            if high - low < last - first:
-                finish = np.maximum.reduceat(finish, head_seg[low:high],
-                                             axis=0)
-            cells[head_cell[low:high]] = finish
-        for block in range(block_ptr[level], block_ptr[level + 1]):
-            rows = cells[block_cell[block]:block_cell[block + 1]].reshape(
-                block_rows[block], -1)
-            if rows.shape[1] < _ROW_ADD_WIDTH:
-                np.add.accumulate(rows, axis=0, out=rows)
+        if edges is None:
+            sweep[heads] = 0.0
+        elif segments is None:
+            sweep[heads] = sweep[edges]
+        else:
+            sweep[heads] = np.maximum.reduceat(sweep[edges], segments,
+                                               axis=0)
+        for first, end, rows in blocks:
+            block = sweep[first:end].reshape(rows, -1)
+            if block.shape[1] < _ROW_ADD_WIDTH:
+                np.add.accumulate(block, axis=0, out=block)
             else:
-                for row in range(1, rows.shape[0]):
-                    np.add(rows[row - 1], rows[row], out=rows[row])
+                for row in range(1, rows):
+                    np.add(block[row - 1], block[row], out=block[row])
     return cells
 
 

@@ -335,12 +335,9 @@ def packed_chains(structure: GraphStructure) -> list[tuple[list[int], int]]:
     its chains' head starts, row ``k + 1`` their ``k``-th tasks."""
     packed = structure.level_plan().packed()
     chains = []
-    for level in range(packed.num_levels):
-        for block in range(packed.block_ptr[level],
-                           packed.block_ptr[level + 1]):
-            grid = packed.cell_task[
-                packed.block_cell[block]:packed.block_cell[block + 1]
-            ].reshape(packed.block_rows[block], -1)
+    for level, (_, _, _, blocks) in enumerate(packed.steps):
+        for first, end, rows in blocks:
+            grid = packed.cell_task[first:end].reshape(rows, -1)
             chains += [(column.tolist(), level) for column in grid[1:].T]
     return chains
 

@@ -9,9 +9,11 @@ everywhere chains combine. These tests pin that contract — same makespan
 bits, same per-device timelines, same busy accounting (values and dict
 insertion order) — over randomized DAGs (seeded generators plus
 hypothesis), real builder structures, awkward input layouts (N=0, N=1,
-strided views, Fortran order, float32), and the batched consumer
-surfaces (``VTrain.predict_prepared`` and the DSE explorer's
-``evaluate_batch``), which group the columns sharing a structure.
+strided views, Fortran order, float32), device clocks held by a
+comm-stream task, one column (a 1-D sweep) against column 0 of three,
+and the batched consumer surfaces (``VTrain.predict_prepared`` and the
+DSE explorer's ``evaluate_batch``), which group the columns sharing a
+structure.
 Per-task finishes and the engine rule are pinned in
 ``tests/test_sim_levels.py``.
 """
@@ -27,7 +29,8 @@ from repro.config.parallelism import ParallelismConfig
 from repro.config.system import single_node
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.errors import SimulationError
-from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM
+from repro.graph.builder import Granularity
+from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM, KIND_PP_COMM
 from repro.sim.engine import simulate_retimed, simulate_retimed_batch
 from repro.sim.estimator import VTrain
 
@@ -83,6 +86,24 @@ def assert_columns_bit_identical(structure, matrix):
             assert list(result.device_busy[device]) == list(scalar.device_busy[device])
         assert result.events is None
         assert result.metadata == scalar.metadata
+
+
+def bits(values):
+    """Float64 values as their IEEE-754 bit patterns."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def assert_one_column_matches(structure, matrix):
+    """A one-column batch (the sweep over the 1-D view of its cells)
+    equals column 0 of the three-column batch and the scalar loop bit
+    for bit, in device clocks and makespan."""
+    one = simulate_retimed_batch(structure, matrix[:, :1])
+    three = simulate_retimed_batch(structure, matrix)
+    scalar = simulate_retimed(structure, np.ascontiguousarray(matrix[:, 0]))
+    clocks = [scalar.device_timeline[device] for device in range(structure.num_devices)]
+    for batch in (one, three):
+        assert bits(batch.makespans[0]) == bits(scalar.iteration_time)
+        assert np.array_equal(bits(batch.device_timeline[:, 0]), bits(clocks))
 
 
 class TestRandomizedDags:
@@ -169,6 +190,41 @@ class TestInputLayouts:
         from_list = simulate_retimed_batch(structure, matrix.tolist())
         from_array = simulate_retimed_batch(structure, matrix)
         assert from_list.makespans.tolist() == from_array.makespans.tolist()
+
+
+class TestDeviceClocks:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_column_is_column_zero_of_three(self, seed):
+        structure = random_structure(seed)
+        assert_one_column_matches(structure, random_matrix(structure, seed, 3))
+
+    def test_one_column_on_a_builder_structure(self, tiny_model, training):
+        vtrain = VTrain(single_node(), granularity=Granularity.OPERATOR)
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2)
+        structure = vtrain.prepare(tiny_model, plan, training).structure
+        assert_one_column_matches(structure, random_matrix(structure, 12, 3))
+
+    def test_send_receive_holds_a_device_clock(self, tiny_model, training):
+        """A long ``pp:`` slot and short ``wu:`` slots leave the last
+        stage's clock on its last backward Send-Receive, a comm-stream
+        task past every compute task of that stage: no clock read from
+        compute tasks alone would match the scalar loop."""
+        vtrain = VTrain(single_node(), granularity=Granularity.OPERATOR)
+        plan = ParallelismConfig(tensor=1, data=1, pipeline=2, micro_batch_size=2)
+        structure = vtrain.prepare(tiny_model, plan, training).structure
+        tags = [key.split(":")[0] for key in structure.slot_keys]
+        slots = np.array([{"pp": 100.0, "wu": 0.5}.get(tag, 1.0) for tag in tags])
+        durations = slots[structure.slot_index]
+        scalar = simulate_retimed(structure, durations, record_timeline=True)
+        events = [event for event in scalar.events if event.device == 1]
+        last = max(events, key=lambda event: event.finish)
+        assert (last.stream, last.kind) == (COMM_STREAM, KIND_PP_COMM)
+        assert last.finish > max(e.finish for e in events if e.stream == COMPUTE_STREAM)
+        matrix = np.stack([durations, 2 * durations, durations / 2], axis=1)
+        for width in (1, 3):
+            batch = simulate_retimed_batch(structure, matrix[:, :width])
+            assert batch.column(0).device_timeline == scalar.device_timeline
+            assert batch.makespans[0] == scalar.iteration_time
 
 
 class TestValidation:

@@ -7,7 +7,9 @@ every task's finish in every column bit for bit to the scalar engine's
 recorded timeline — over generated chain-heavy graphs (parallel chains
 with fan-in and fan-out between tails and heads, zero durations, several
 roots, idle devices), a chain whose middle task feeds another chain's
-head, and a Megatron 1.7B OPERATOR structure — and pin
+head, and a Megatron 1.7B OPERATOR structure — check the terminal
+cells the device clocks read against a task-by-task search of the
+children, and pin
 the engine rule ``use_batched_replay``: level replay once the columns
 hold ``WIDTH`` tasks per level, the scalar loop otherwise and for every
 recorded timeline, in ``VTrain`` and in the testbed alike.
@@ -32,6 +34,7 @@ from repro.sim import engine, estimator
 from repro.sim.engine import WIDTH, simulate_retimed, simulate_retimed_batch, use_batched_replay
 from repro.sim.estimator import VTrain
 from repro.testbed.emulator import TestbedEmulator
+from repro.workload import INFERENCE_PHASES, InferenceWorkload
 
 STREAMS = (COMPUTE_STREAM, COMM_STREAM)
 #: Megatron 1.7B on 2 nodes at OPERATOR granularity: 3,194 tasks in 23
@@ -46,6 +49,22 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
+def task_cells(packed):
+    """Each task's cell, read from the steps' blocks: row 0 of a block
+    holds its chains' head starts, and every later row one task per
+    chain."""
+    cells = np.concatenate(
+        [
+            np.arange(first + (end - first) // rows, end)
+            for _, _, _, blocks in packed.steps
+            for first, end, rows in blocks
+        ]
+    )
+    task_cell = np.full(cells.size, -1)
+    task_cell[packed.cell_task[cells]] = cells
+    return task_cell
+
+
 def assert_finishes_match_scalar(structure, matrix):
     """Every task's finish in every column, and every public batch
     result, equal a scalar replay of that column bit for bit."""
@@ -55,7 +74,7 @@ def assert_finishes_match_scalar(structure, matrix):
     if not len(batch):
         return
     packed = structure.level_plan().packed()
-    finishes = engine._level_sweep(packed, matrix)[packed.task_cell]
+    finishes = engine._level_sweep(packed, matrix)[task_cells(packed)]
     for column in range(matrix.shape[1]):
         scalar = simulate_retimed(structure, matrix[:, column], record_timeline=True)
         finish_of = {event.task_id: event.finish for event in scalar.events}
@@ -151,7 +170,7 @@ class TestLevelPlan:
         plan = structure.level_plan()
         assert (plan.num_chains, plan.num_levels) == (3, 3)
         packed = plan.packed()
-        assert packed.block_cell[-1] == structure.num_tasks + plan.num_chains
+        assert packed.cell_task.size == structure.num_tasks + plan.num_chains
         assert simulate_retimed_batch(structure, structure.duration[:, None]).makespans[0] == 19.0
 
     def test_cross_edge_leaves_the_middle_of_a_chain(self):
@@ -173,19 +192,19 @@ class TestLevelPlan:
         assert position[x2] == position[x1] + 1 == position[x0] + 2
         packed = structure.level_plan().packed()
         last_cells = set()
-        for block in range(len(packed.block_rows)):
-            end = packed.block_cell[block + 1]
-            chains = (end - packed.block_cell[block]) // packed.block_rows[block]
-            last_cells.update(range(end - chains, end))
-        middle = packed.task_cell[position[x1]]
-        assert middle in packed.edge_cell
+        for _, _, _, blocks in packed.steps:
+            for first, end, rows in blocks:
+                chains = (end - first) // rows
+                last_cells.update(range(end - chains, end))
+        middle = task_cells(packed)[position[x1]]
+        assert any(middle in edges for edges, _, _, _ in packed.steps[1:])
         assert middle not in last_cells
 
         reference = simulate_reference(graph, record_timeline=True)
         expected = {event.task_id: (event.start, event.finish) for event in reference.events}
         scalar = simulate_retimed(structure, record_timeline=True)
         assert {event.task_id: (event.start, event.finish) for event in scalar.events} == expected
-        finishes = engine._level_sweep(packed, structure.duration[:, None])[packed.task_cell, 0]
+        finishes = engine._level_sweep(packed, structure.duration[:, None])[task_cells(packed), 0]
         assert dict(zip(structure.task_id.tolist(), finishes.tolist())) == {
             task: finish for task, (_, finish) in expected.items()
         }
@@ -235,19 +254,93 @@ class TestLevelPlan:
         structure = vtrain.prepare(MEGATRON_1_7B, WIDE_PLAN, TRAINING).structure
         plan = structure.level_plan()
         packed = plan.packed()
-        assert packed.block_cell[-1] == structure.num_tasks + plan.num_chains
-        assert np.unique(packed.task_cell).size == structure.num_tasks
-        assert not np.isin(packed.head_cell, packed.task_cell).any()
-        level_of_cell = np.empty(packed.block_cell[-1], dtype=np.intp)
-        for level in range(packed.num_levels):
-            first = packed.block_cell[packed.block_ptr[level]]
-            last = packed.block_cell[packed.block_ptr[level + 1]]
+        task_cell = task_cells(packed)
+        head_cell = np.concatenate([heads for _, _, heads, _ in packed.steps])
+        assert packed.cell_task.size == structure.num_tasks + plan.num_chains
+        assert np.unique(task_cell).size == structure.num_tasks
+        assert not np.isin(head_cell, task_cell).any()
+        level_of_cell = np.empty(packed.cell_task.size, dtype=np.intp)
+        for level, (_, _, _, blocks) in enumerate(packed.steps):
+            first = blocks[0][0]
+            last = blocks[-1][1]
             level_of_cell[first:last] = level
-        for level in range(packed.num_levels):
-            edges = slice(packed.edge_ptr[level], packed.edge_ptr[level + 1])
-            heads = slice(packed.head_ptr[level], packed.head_ptr[level + 1])
-            assert (level_of_cell[packed.edge_cell[edges]] < level).all()
-            assert (level_of_cell[packed.head_cell[heads]] == level).all()
+        for level, (edges, _, heads, _) in enumerate(packed.steps[1:], 1):
+            assert (level_of_cell[edges] < level).all()
+            assert (level_of_cell[heads] == level).all()
+        assert (level_of_cell[packed.steps[0][2]] == 0).all()
+
+
+@st.composite
+def mixed_device_structures(draw):
+    """DAGs of 1-40 tasks, each on a drawn device and stream, so a
+    chain's next task may run on another device and a task's children
+    on several."""
+    num_devices = draw(st.integers(1, 3), label="num_devices")
+    asm = GraphAssembler()
+    for index in range(draw(st.integers(1, 40), label="num_tasks")):
+        deps = draw(st.sets(st.integers(0, index - 1), max_size=3)) if index else set()
+        asm.add(
+            draw(st.integers(0, num_devices - 1)),
+            draw(st.sampled_from(STREAMS)),
+            1.0,
+            draw(st.sampled_from(ALL_KINDS)),
+            f"t{index}",
+            deps=deps,
+            chain=draw(st.booleans()),
+        )
+    return asm.finish(num_devices=num_devices).compiled()
+
+
+def assert_terminal_cells(structure):
+    """The packed terminal cells are the cells of exactly the positions
+    with no child on their own device, found task by task from the CSR,
+    grouped by device, and every device with tasks has at least one."""
+    packed = structure.level_plan().packed()
+    device = structure.device.tolist()
+    ptr = structure.child_ptr.tolist()
+    children = structure.child_idx.tolist()
+    terminal = [
+        position
+        for position, owner in enumerate(device)
+        if all(device[child] != owner for child in children[ptr[position] : ptr[position + 1]])
+    ]
+    assert sorted(packed.terminal_cells.tolist()) == sorted(task_cells(packed)[terminal].tolist())
+    assert packed.present_devices.tolist() == sorted(set(device))
+    bounds = np.append(packed.device_seg, packed.terminal_cells.size)
+    for owner, low, high in zip(packed.present_devices.tolist(), bounds[:-1], bounds[1:]):
+        assert low < high
+        positions = packed.cell_task[packed.terminal_cells[low:high]]
+        assert {device[position] for position in positions.tolist()} == {owner}
+
+
+class TestTerminalCells:
+    @given(structure=mixed_device_structures())
+    def test_mixed_device_graphs(self, structure):
+        assert_terminal_cells(structure)
+
+    @given(structure=chain_heavy_structures())
+    def test_chain_heavy_graphs(self, structure):
+        assert_terminal_cells(structure)
+
+    @pytest.mark.parametrize("granularity", list(Granularity), ids=lambda value: value.value)
+    @pytest.mark.parametrize(
+        "phase", [None, *INFERENCE_PHASES], ids=lambda value: value or "training"
+    )
+    def test_builder_graphs(self, tiny_model, training, granularity, phase):
+        vtrain = VTrain(single_node(), granularity=granularity)
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2)
+        if phase is None:
+            prepared = vtrain.prepare(tiny_model, plan, training)
+        else:
+            workload = InferenceWorkload(batch_size=8, prompt_len=64, gen_len=16)
+            prepared = vtrain.prepare(tiny_model, plan, None, workload=workload, phase=phase)
+        assert_terminal_cells(prepared.structure)
+
+    @pytest.mark.parametrize("granularity", list(Granularity), ids=lambda value: value.value)
+    def test_interleaved_builder_graphs(self, tiny_model, training, granularity):
+        vtrain = VTrain(single_node(), granularity=granularity)
+        plan = ParallelismConfig(tensor=2, data=1, pipeline=2, micro_batch_size=2, virtual_stages=2)
+        assert_terminal_cells(vtrain.prepare(tiny_model, plan, training).structure)
 
 
 def count_engines(monkeypatch, module):

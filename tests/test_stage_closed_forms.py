@@ -45,21 +45,22 @@ DYADIC = st.integers(1, 64).map(lambda sixteenths: sixteenths / 16)
 
 
 @functools.cache
-def stage_vtrain() -> VTrain:
-    return VTrain(multi_node(4), granularity=Granularity.STAGE,
+def vtrain_at(granularity: Granularity) -> VTrain:
+    return VTrain(multi_node(4), granularity=granularity,
                   check_memory_feasibility=False)
 
 
 def structure_of(schedule: PipelineSchedule, p: int, m: int, v: int,
-                 t: int, buckets: int) -> GraphStructure:
-    """The STAGE structure of one (t, d = 1, p) plan with ``m``
-    micro-batches of one sequence."""
+                 t: int, buckets: int,
+                 granularity: Granularity = Granularity.STAGE
+                 ) -> GraphStructure:
+    """The structure of one (t, d = 1, p) plan with ``m`` micro-batches
+    of one sequence."""
     plan = ParallelismConfig(tensor=t, data=1, pipeline=p,
                              micro_batch_size=1, schedule=schedule,
                              virtual_stages=v, num_gradient_buckets=buckets)
-    return stage_vtrain().prepare(MODEL, plan,
-                                  TrainingConfig(global_batch_size=m)
-                                  ).structure
+    return vtrain_at(granularity).prepare(
+        MODEL, plan, TrainingConfig(global_batch_size=m)).structure
 
 
 def slot_vector(structure: GraphStructure, f: float, b: float,
@@ -83,12 +84,29 @@ def slot_vector(structure: GraphStructure, f: float, b: float,
     return np.array(values)
 
 
+def operator_slot_vector(structure: GraphStructure, f: float, b: float,
+                         layers_per_chunk: int) -> np.ndarray:
+    """Each layer's MHA and FFN take ``f / (2 * lpc)`` forward and
+    ``b / (2 * lpc)`` backward, so every chunk sums to ``f`` and ``b``;
+    the embedding, LM-head, Send-Receive and weight-update slots are 0."""
+    layer_ops = {"op:fwd_mha": f, "op:fwd_ffn": f, "op:bwd_mha": b,
+                 "op:bwd_ffn": b}
+    return np.array([layer_ops.get(slot, 0.0) / (2 * layers_per_chunk)
+                     for slot in structure.slot_keys])
+
+
 def makespans(structure: GraphStructure, slots: np.ndarray) -> list[float]:
-    """The makespan on the scalar loop and on the level engine."""
+    """The makespan on the scalar loop, on the level engine with one
+    column, and on it with three: the durations, doubled and halved,
+    each scaled back (both scalings are exact)."""
     durations = slots[structure.slot_index]
+    three = simulate_retimed_batch(
+        structure, np.stack([durations, 2 * durations, durations / 2],
+                            axis=1)).makespans.tolist()
     return [simulate_retimed(structure, durations).iteration_time,
             float(simulate_retimed_batch(structure,
-                                         durations[:, None]).makespans[0])]
+                                         durations[:, None]).makespans[0]),
+            three[0], three[1] / 2, three[2] * 2]
 
 
 pipelines = st.sampled_from((1, 2, 4, 8))
@@ -105,7 +123,7 @@ class TestStageClosedForms:
         structure = structure_of(schedule, p, m, 1, t, n)
         expected = (m + p - 1) * (f + b)
         assert makespans(structure, slot_vector(structure, f, b)) \
-            == [expected, expected]
+            == [expected] * 5
 
     @given(p=st.sampled_from((2, 4, 8)), v=st.sampled_from((2, 4)),
            groups=st.integers(1, 8), t=tensors, n=buckets, f=DYADIC,
@@ -115,7 +133,7 @@ class TestStageClosedForms:
         structure = structure_of(PipelineSchedule.ONE_F_ONE_B, p, m, v, t, n)
         expected = (v * m + p - 1) * (f + b)
         assert makespans(structure, slot_vector(structure, f, b)) \
-            == [expected, expected]
+            == [expected] * 5
 
     @given(p=pipelines, m=st.integers(1, 64), t=tensors, n=buckets,
            f=DYADIC, b=DYADIC, s=DYADIC, u=DYADIC)
@@ -124,4 +142,32 @@ class TestStageClosedForms:
         structure = structure_of(PipelineSchedule.GPIPE, p, m, 1, t, n)
         expected = (m + p - 1) * (f + b) + 2 * (p - 1) * s + u
         assert makespans(structure, slot_vector(structure, f, b, s, u)) \
-            == [expected, expected]
+            == [expected] * 5
+
+
+class TestOperatorClosedForms:
+    """The GPipe/1F1B and interleaved laws on OPERATOR training graphs
+    with t = d = 1: a chunk's ``lpc`` layers each run one MHA and one
+    FFN task per pass, and every other task lasts 0."""
+
+    @given(schedule=st.sampled_from((PipelineSchedule.GPIPE,
+                                     PipelineSchedule.ONE_F_ONE_B)),
+           p=pipelines, m=st.integers(1, 64), f=DYADIC, b=DYADIC)
+    def test_gpipe_and_1f1b(self, schedule, p, m, f, b):
+        structure = structure_of(schedule, p, m, 1, 1, 1,
+                                 Granularity.OPERATOR)
+        slots = operator_slot_vector(structure, f, b,
+                                     MODEL.num_layers // p)
+        expected = (m + p - 1) * (f + b)
+        assert makespans(structure, slots) == [expected] * 5
+
+    @given(p=st.sampled_from((2, 4, 8)), v=st.sampled_from((2, 4)),
+           groups=st.integers(1, 8), f=DYADIC, b=DYADIC)
+    def test_interleaved_1f1b(self, p, v, groups, f, b):
+        m = groups * p
+        structure = structure_of(PipelineSchedule.ONE_F_ONE_B, p, m, v, 1,
+                                 1, Granularity.OPERATOR)
+        slots = operator_slot_vector(structure, f, b,
+                                     MODEL.num_layers // (p * v))
+        expected = (v * m + p - 1) * (f + b)
+        assert makespans(structure, slots) == [expected] * 5
